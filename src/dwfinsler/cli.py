@@ -39,7 +39,10 @@ def _load_runspec(args) -> RunSpec:
             if "=" not in item:
                 raise SchemaError(f"--tol expects name=value, got {item!r}")
             name, _, value = item.partition("=")
-            tolerances[name] = float(value)
+            try:
+                tolerances[name] = float(value)
+            except ValueError:
+                raise SchemaError(f"--tol {name}: expected a number, got {value!r}") from None
     return parse_spec(doc)
 
 

@@ -143,6 +143,12 @@ class EnginePoint:
     def F2_partial(self, dirs: Sequence[CoordIndex]) -> float:
         return self.dF2(POINT, tuple(dirs)).value
 
+    def F2_base_fiber_values(self) -> np.ndarray:
+        """[a, b] = d^2 F^2 / dx^a dy^b: base derivative of the fiber gradient."""
+        base, fib = self.engine.base, self.engine.fiber
+        return self._get(("F2_base_fiber",), lambda: np.array(
+            [[self.F2_partial((xa, yb)) for yb in fib] for xa in base]))
+
     def ginv_fiber_partial(self, dirs: Sequence[CoordIndex]) -> np.ndarray:
         """Mixed fiber partial of the inverse metric, as a value matrix."""
         dirs = tuple(sorted(dirs))

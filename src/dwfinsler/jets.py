@@ -24,7 +24,7 @@ from .coords import MAX_ORDER, CoordIndex, MultiIndex
 from .errors import CapabilityError, DomainError
 
 __all__ = [
-    "Jet", "JetContext", "jet_lift", "jet_arith", "fd_partial",
+    "Jet", "JetContext", "jet_lift", "fd_partial",
     "sqrt", "exp", "as_float",
 ]
 
@@ -392,25 +392,6 @@ def jet_lift(field: ScalarField, point, seeds: Sequence[CoordIndex], order: int)
     if isinstance(out, Jet):
         return out if out.ctx is ctx else out.restrict(ctx.seeds, ctx.order)
     return Jet.constant(ctx, float(out))
-
-
-def jet_arith(a: Jet, b, op: str) -> Jet:
-    """Named-op wrapper around jet arithmetic (binary ops, sqrt, exp, pow_int)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "sqrt":
-        return a.sqrt()
-    if op == "exp":
-        return a.exp()
-    if op == "pow_int":
-        return a ** int(b)
-    raise ValueError(f"unknown jet operation {op!r}")
 
 
 #: Default relative steps per total order; cancellation noise grows like

@@ -5,9 +5,16 @@ derivations) followed by n vertical (the fiber derivations).  Frame vectors
 are component arrays in that basis.  The warped Sasaki-type lift repeats the
 product fundamental tensor on the horizontal and vertical blocks.
 
+Every table is an array expression.  The Koszul solve, the Vaisman and
+Reinhart diagnostics and the Nijenhuis tensor read two frame arrays of the
+metric derivatives and the brackets; the closed-form Levi-Civita table reads
+only the engine's connection blocks and the factor tensors, so the two
+routes stay independent.
+
 The Koszul computation is ground truth for the Levi-Civita connection; the
 closed-form table is a transcription that is diffed against it, never
-silently trusted.
+silently trusted: the ``koszul-vs-closed`` suite holds every block of it to
+the Koszul solve on every configuration.
 """
 
 from __future__ import annotations
@@ -16,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import POINT, WorkPoint, workspace
+from .engine import POINT, WorkPoint, _values, workspace
 from .errors import PreconditionError
-from .linalg import invert_matrix
 from .metrics import ProductConfig, TangentSample
 
 FAMILIES = ("h1", "h2", "v1", "v2")
+_FAMILY_PAIRS = tuple(f"{a}.{b}" for a in FAMILIES for b in FAMILIES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,13 +87,6 @@ def basis_vertical(cfg: ProductConfig, a: int) -> FrameVector:
     return FrameVector(arr, cfg.n1, cfg.n2)
 
 
-def frame_family(cfg: ProductConfig, A: int) -> str:
-    n, n1 = cfg.n, cfg.n1
-    if A < n:
-        return "h1" if A < n1 else "h2"
-    return "v1" if A - n < n1 else "v2"
-
-
 @dataclass(frozen=True, eq=False)
 class LiftedMetric:
     """Warped Sasaki-type metric in the adapted frame: blockdiag(g, g)."""
@@ -109,64 +109,57 @@ class ConnectionTable:
 
 
 class _LiftedPoint:
-    """Shared ingredients of the lifted geometry at one sample."""
+    """Shared ingredients of the lifted geometry at one sample.
+
+    Two frame arrays carry everything the connection tables need:
+    ``dm[A, B, C]`` is e_A applied to the component field m(e_B, e_C), and
+    ``br[A, B]`` is the Lie bracket [e_A, e_B] in frame components.
+    """
 
     def __init__(self, wp: WorkPoint):
         self.wp = wp
-        self.cfg = wp.cfg
         self.n1, self.n2 = wp.cfg.n1, wp.cfg.n2
-        self.n = wp.cfg.n
+        n = self.n = wp.cfg.n
         ep = wp.product
         self.g = ep.g_values()
         self.C = ep.cartan()
         self.Rb = ep.bracket_curvature_values()
         self.Gf = ep.connection_fiber_values()
         self.Fh = ep.horizontal_values()
-        self.dg = np.empty((self.n, self.n, self.n))
-        for b in range(self.n):
-            for c in range(b, self.n):
-                for e in range(self.n):
-                    val = ep.delta_g(POINT)[b][c][e].value
-                    self.dg[b, c, e] = self.dg[c, b, e] = val
-        self.metric = np.zeros((2 * self.n, 2 * self.n))
-        self.metric[:self.n, :self.n] = self.g
-        self.metric[self.n:, self.n:] = self.g
-        inv, _ = invert_matrix([list(row) for row in self.metric])
-        self.metric_inv = np.array(inv)
+        self.dg = _values(ep.delta_g(POINT))
+        self.metric = _blockdiag(self.g)
+        self.metric_inv = _blockdiag(ep.ginv_values())
+        m = 2 * n
+        # Horizontal fields differentiate by dg, vertical ones by the fiber
+        # derivative 2C; mixed components vanish identically.
+        self.dm = np.zeros((m, m, m))
+        self.dm[:n, :n, :n] = self.dm[:n, n:, n:] = np.einsum("bca->abc", self.dg)
+        self.dm[n:, :n, :n] = self.dm[n:, n:, n:] = 2.0 * self.C
+        # Brackets of basis fields are vertical.
+        self.br = np.zeros((m, m, m))
+        self.br[:n, :n, n:] = np.einsum("kab->abk", self.Rb)
+        self.br[:n, n:, n:] = np.einsum("kab->abk", self.Gf)
+        self.br[n:, :n, n:] = -np.einsum("kba->abk", self.Gf)
 
-    # metric components in the frame: m(B, C) fields and their derivatives
-    def metric_component(self, B: int, C: int) -> float:
-        return self.metric[B, C]
+    def metric_derivative(self, table: np.ndarray) -> np.ndarray:
+        """(nabla_X m)(Y, Z) over all frame triples [X, Y, Z] for a connection table."""
+        low = np.einsum("xyk,kz->xyz", table, self.metric)
+        return self.dm - low - np.einsum("xzy->xyz", low)
 
-    def frame_metric_derivative(self, A: int, B: int, C: int) -> float:
-        """e_A applied to the component field m(e_B, e_C)."""
-        n = self.n
-        bv, cv = B >= n, C >= n
-        if bv != cv:
-            return 0.0  # mixed components vanish identically
-        b, c = B % n, C % n
-        if A < n:
-            return self.dg[b, c, A]
-        return 2.0 * self.C[A - n, b, c]
-
-    def bracket(self, A: int, B: int) -> np.ndarray:
-        """Lie bracket of two basis fields, as frame components."""
-        n = self.n
-        out = np.zeros(2 * n)
-        if A < n and B < n:
-            out[n:] = self.Rb[:, A, B]
-        elif A < n <= B:
-            out[n:] = self.Gf[:, A, B - n]
-        elif B < n <= A:
-            out[n:] = -self.Gf[:, B, A - n]
-        return out
-
-    def pairing(self, xc: np.ndarray, yc: np.ndarray) -> float:
-        return float(xc @ self.metric @ yc)
+    def torsion(self, table: np.ndarray) -> np.ndarray:
+        """nabla_X Y - nabla_Y X - [X, Y] over all frame pairs [X, Y]."""
+        return table - np.einsum("yxk->xyk", table) - self.br
 
     def cartan_up(self, which: int) -> np.ndarray:
         eng = self.wp.factor(which)
         return np.einsum("sh,hij->sij", eng.ginv_values(), eng.cartan())
+
+
+def _blockdiag(block: np.ndarray) -> np.ndarray:
+    n = block.shape[0]
+    out = np.zeros((2 * n, 2 * n))
+    out[:n, :n] = out[n:, n:] = block
+    return out
 
 
 def _lifted(cfg: ProductConfig, p: TangentSample) -> _LiftedPoint:
@@ -191,204 +184,98 @@ def lifted_metric(cfg: ProductConfig, p: TangentSample) -> LiftedMetric:
 def koszul_levi_civita(cfg: ProductConfig, p: TangentSample) -> ConnectionTable:
     """Solve the Koszul identity over the adapted frame, brackets included."""
     lp = _lifted(cfg, p)
-    m = 2 * lp.n
-    out = np.empty((m, m, m))
-    basis = np.eye(m)
-    brackets = np.array([[lp.bracket(A, B) for B in range(m)] for A in range(m)])
-    for A in range(m):
-        for B in range(m):
-            rhs = np.empty(m)
-            for Z in range(m):
-                rhs[Z] = (lp.frame_metric_derivative(A, B, Z)
-                          + lp.frame_metric_derivative(B, A, Z)
-                          - lp.frame_metric_derivative(Z, A, B)
-                          + lp.pairing(brackets[A, B], basis[Z])
-                          - lp.pairing(brackets[A, Z], basis[B])
-                          - lp.pairing(brackets[B, Z], basis[A]))
-            out[A, B] = 0.5 * lp.metric_inv @ rhs
-    return ConnectionTable("levi-civita-koszul", out)
+    dm = lp.dm
+    low = np.einsum("abk,kz->abz", lp.br, lp.metric)  # m([e_A, e_B], e_Z)
+    rhs = (dm + np.einsum("baz->abz", dm) - np.einsum("zab->abz", dm)
+           + low - np.einsum("azb->abz", low) - np.einsum("bza->abz", low))
+    return ConnectionTable("levi-civita-koszul",
+                           0.5 * np.einsum("kz,abz->abk", lp.metric_inv, rhs))
 
 
 def levi_civita_closed_forms(cfg: ProductConfig, p: TangentSample) -> ConnectionTable:
     """The transcribed component table of the Levi-Civita connection.
 
-    Index conventions inside: r, k, s, i, j run over the first factor
-    (local = combined), lam, mu, al, be, ga over the second (combined index
-    n1 + local).  Gf, Rb, Fh, dg carry combined indices; the factor metrics
-    carry local ones.
+    Built from the engine's Rb, Gf, Fh, dg and the factor tensors only, never
+    from the frame arrays the Koszul solve uses.  Index letters: i, j, k, s run
+    over the first factor; a, b run over all n base slots, or over the second
+    factor where a block is confined to it; m, g run over the second factor.
+    ``G1``/``G2`` and ``R1``/``R2`` are Gf and Rb with the upper index lowered by
+    the first/second factor metric: G1[a, b, k] = g1_rk Gf^r_ab.
     """
     lp = _lifted(cfg, p)
-    n, n1, n2 = lp.n, lp.n1, lp.n2
+    n, n1 = lp.n, lp.n1
     wp = lp.wp
     g1, g2 = wp.factor1.g_values(), wp.factor2.g_values()
     g1inv, g2inv = wp.factor1.ginv_values(), wp.factor2.ginv_values()
     f1sq, f2sq = wp.warp_sq(1), wp.warp_sq(2)
     C1u, C2u = lp.cartan_up(1), lp.cartan_up(2)
     Rb, Gf, Fh, dg = lp.Rb, lp.Gf, lp.Fh, lp.dg
+    G1 = np.einsum("rab,rk->abk", Gf[:n1], g1)
+    G2 = np.einsum("rab,rm->abm", Gf[n1:], g2)
+    R1 = np.einsum("rab,rk->abk", Rb[:n1], g1)
+    R2 = np.einsum("rab,rm->abm", Rb[n1:], g2)
+    h1, h2 = slice(0, n1), slice(n1, n)
+    v1, v2 = slice(n, n + n1), slice(n + n1, 2 * n)
     out = np.zeros((2 * n, 2 * n, 2 * n))
 
     # Horizontal-horizontal inputs; same-factor pairs pick up the factor
     # Cartan term on their own vertical slots.
-    for a in range(n):
-        for b in range(n):
-            row = out[a, b]
-            row[:n] = Fh[:, a, b]
-            row[n:] = 0.5 * Rb[:, a, b]
-            if a < n1 and b < n1:
-                for s in range(n1):
-                    row[n + s] -= C1u[s, a, b]
-            elif a >= n1 and b >= n1:
-                for ga in range(n2):
-                    row[n + n1 + ga] -= C2u[ga, a - n1, b - n1]
+    out[:n, :n, :n] = np.einsum("kab->abk", Fh)
+    out[:n, :n, n:] = 0.5 * np.einsum("kab->abk", Rb)
+    out[h1, h1, v1] -= np.einsum("sij->ijs", C1u)
+    out[h2, h2, v2] -= np.einsum("gab->abg", C2u)
 
-    # Horizontal input, vertical field of the first factor.
-    for a in range(n):
-        a_latin = a < n1
-        for j in range(n1):
-            row = out[a, n + j]
-            for s in range(n1):
-                acc = sum(g1[r, j] * g1inv[k, s] * Rb[r, k, a]
-                          for r in range(n1) for k in range(n1))
-                row[s] = 0.5 * acc + (C1u[s, a, j] if a_latin else 0.0)
-            for ga in range(n2):
-                acc = sum(g1[r, j] * g2inv[ga, mu] * Rb[r, n1 + mu, a]
-                          for r in range(n1) for mu in range(n2))
-                row[n1 + ga] = (f2sq / (2.0 * f1sq)) * acc
-            for s in range(n1):
-                acc = 0.0
-                for k in range(n1):
-                    mixed = sum(Gf[r, a, j] * g1[r, k] - Gf[r, a, k] * g1[r, j]
-                                for r in range(n1))
-                    if a_latin:
-                        inner = dg[j, k, a] / f2sq + mixed
-                        acc += 0.5 * g1inv[k, s] * inner
-                    else:
-                        inner = dg[j, k, a] + f2sq * mixed
-                        acc += g1inv[k, s] * inner / (2.0 * f2sq)
-                row[n + s] = acc
-            for ga in range(n2):
-                acc = 0.0
-                for mu in range(n2):
-                    inner = (f1sq * sum(Gf[n1 + lam, a, j] * g2[lam, mu]
-                                        for lam in range(n2))
-                             - f2sq * sum(Gf[r, a, n1 + mu] * g1[r, j]
-                                          for r in range(n1)))
-                    acc += g2inv[ga, mu] * inner
-                row[n + n1 + ga] = acc / (2.0 * f1sq)
+    # Horizontal input a, vertical field j of the first factor.
+    out[:n, v1, h1] = 0.5 * np.einsum("kaj,ks->ajs", R1[:n1], g1inv)
+    out[h1, v1, h1] += np.einsum("saj->ajs", C1u)
+    out[:n, v1, h2] = (f2sq / (2.0 * f1sq)) * np.einsum("maj,gm->ajg", R1[n1:], g2inv)
+    inner = (np.einsum("jka->ajk", dg[:n1, :n1]) / f2sq
+             + G1[:, :n1] - np.einsum("akj->ajk", G1[:, :n1]))
+    out[:n, v1, v1] = 0.5 * np.einsum("ajk,ks->ajs", inner, g1inv)
+    inner = f1sq * G2[:, :n1] - f2sq * np.einsum("amj->ajm", G1[:, n1:])
+    out[:n, v1, v2] = np.einsum("ajm,gm->ajg", inner, g2inv) / (2.0 * f1sq)
 
-    # Horizontal input, vertical field of the second factor.
-    for a in range(n):
-        a_latin = a < n1
-        for be in range(n2):
-            b = n1 + be
-            row = out[a, n + b]
-            for s in range(n1):
-                acc = sum(g2[lam, be] * g1inv[k, s] * Rb[n1 + lam, k, a]
-                          for lam in range(n2) for k in range(n1))
-                row[s] = (f1sq / (2.0 * f2sq)) * acc
-            for ga in range(n2):
-                acc = sum(g2[lam, be] * g2inv[mu, ga] * Rb[n1 + lam, n1 + mu, a]
-                          for lam in range(n2) for mu in range(n2))
-                row[n1 + ga] = 0.5 * acc + (0.0 if a_latin else C2u[ga, a - n1, be])
-            for s in range(n1):
-                acc = 0.0
-                for k in range(n1):
-                    inner = (f2sq * sum(Gf[r, a, b] * g1[r, k] for r in range(n1))
-                             - f1sq * sum(Gf[n1 + lam, a, k] * g2[lam, be]
-                                          for lam in range(n2)))
-                    acc += g1inv[k, s] * inner
-                row[n + s] = acc / (2.0 * f2sq)
-            for ga in range(n2):
-                acc = 0.0
-                for mu in range(n2):
-                    inner = (dg[b, n1 + mu, a]
-                             + f1sq * sum(Gf[n1 + lam, a, b] * g2[lam, mu]
-                                          - Gf[n1 + lam, a, n1 + mu] * g2[lam, be]
-                                          for lam in range(n2)))
-                    acc += g2inv[ga, mu] * inner
-                row[n + n1 + ga] = acc / (2.0 * f1sq)
+    # Horizontal input a, vertical field b of the second factor.
+    out[:n, v2, h1] = (f1sq / (2.0 * f2sq)) * np.einsum("kab,ks->abs", R2[:n1], g1inv)
+    out[:n, v2, h2] = 0.5 * np.einsum("mab,mg->abg", R2[n1:], g2inv)
+    out[h2, v2, h2] += np.einsum("gab->abg", C2u)
+    inner = f2sq * G1[:, n1:] - f1sq * np.einsum("akb->abk", G2[:, :n1])
+    out[:n, v2, v1] = np.einsum("abk,ks->abs", inner, g1inv) / (2.0 * f2sq)
+    inner = (np.einsum("bma->abm", dg[n1:, n1:])
+             + f1sq * (G2[:, n1:] - np.einsum("amb->abm", G2[:, n1:])))
+    out[:n, v2, v2] = np.einsum("abm,gm->abg", inner, g2inv) / (2.0 * f1sq)
 
     # Vertical-vertical inputs: both first factor.
-    for i in range(n1):
-        for j in range(n1):
-            row = out[n + i, n + j]
-            for s in range(n1):
-                acc = 0.0
-                for k in range(n1):
-                    inner = (sum(Gf[r, k, j] * g1[r, i] + Gf[r, k, i] * g1[r, j]
-                                 for r in range(n1))
-                             - dg[i, j, k] / f2sq)
-                    acc += 0.5 * g1inv[k, s] * inner
-                row[s] = acc
-            for ga in range(n2):
-                acc = 0.0
-                for mu in range(n2):
-                    inner = (f2sq * sum(Gf[r, n1 + mu, j] * g1[r, i]
-                                        + Gf[r, n1 + mu, i] * g1[r, j]
-                                        for r in range(n1))
-                             - dg[i, j, n1 + mu])
-                    acc += g2inv[ga, mu] * inner
-                row[n1 + ga] = acc / (2.0 * f1sq)
-            for s in range(n1):
-                row[n + s] = C1u[s, i, j]
+    inner = (np.einsum("kji->ijk", G1[:n1, :n1]) + np.einsum("kij->ijk", G1[:n1, :n1])
+             - dg[:n1, :n1, :n1] / f2sq)
+    out[v1, v1, h1] = 0.5 * np.einsum("ijk,ks->ijs", inner, g1inv)
+    inner = (f2sq * (np.einsum("mji->ijm", G1[n1:, :n1]) + np.einsum("mij->ijm", G1[n1:, :n1]))
+             - dg[:n1, :n1, n1:])
+    out[v1, v1, h2] = np.einsum("ijm,gm->ijg", inner, g2inv) / (2.0 * f1sq)
+    out[v1, v1, v1] = np.einsum("sij->ijs", C1u)
 
     # Vertical-vertical inputs: mixed factors (symmetric, bracket-free).
-    for al in range(n2):
-        a = n1 + al
-        for j in range(n1):
-            row = out[n + a, n + j]
-            for s in range(n1):
-                acc = 0.0
-                for k in range(n1):
-                    inner = (f1sq * sum(Gf[n1 + lam, k, j] * g2[lam, al]
-                                        for lam in range(n2))
-                             + f2sq * sum(Gf[r, k, a] * g1[r, j] for r in range(n1)))
-                    acc += g1inv[k, s] * inner
-                row[s] = acc / (2.0 * f2sq)
-            for ga in range(n2):
-                acc = 0.0
-                for mu in range(n2):
-                    inner = (f1sq * sum(Gf[n1 + lam, n1 + mu, j] * g2[lam, al]
-                                        for lam in range(n2))
-                             + f2sq * sum(Gf[r, n1 + mu, a] * g1[r, j]
-                                          for r in range(n1)))
-                    acc += g2inv[ga, mu] * inner
-                row[n1 + ga] = acc / (2.0 * f1sq)
-            out[n + j, n + a] = row
+    inner = (f1sq * np.einsum("kja->ajk", G2[:n1, :n1])
+             + f2sq * np.einsum("kaj->ajk", G1[:n1, n1:]))
+    out[v2, v1, h1] = np.einsum("ajk,ks->ajs", inner, g1inv) / (2.0 * f2sq)
+    inner = (f1sq * np.einsum("mja->ajm", G2[n1:, :n1])
+             + f2sq * np.einsum("maj->ajm", G1[n1:, n1:]))
+    out[v2, v1, h2] = np.einsum("ajm,gm->ajg", inner, g2inv) / (2.0 * f1sq)
+    out[v1, v2] = np.einsum("ajk->jak", out[v2, v1])
 
     # Vertical-vertical inputs: both second factor.
-    for al in range(n2):
-        a = n1 + al
-        for be in range(n2):
-            b = n1 + be
-            row = out[n + a, n + b]
-            for s in range(n1):
-                acc = 0.0
-                for k in range(n1):
-                    inner = (-dg[a, b, k]
-                             + f1sq * sum(Gf[n1 + lam, k, b] * g2[lam, al]
-                                          + Gf[n1 + lam, k, a] * g2[lam, be]
-                                          for lam in range(n2)))
-                    acc += g1inv[k, s] * inner
-                row[s] = acc / (2.0 * f2sq)
-            for ga in range(n2):
-                acc = 0.0
-                for mu in range(n2):
-                    inner = (-dg[a, b, n1 + mu]
-                             + f1sq * sum(Gf[n1 + lam, n1 + mu, b] * g2[lam, al]
-                                          + Gf[n1 + lam, n1 + mu, a] * g2[lam, be]
-                                          for lam in range(n2)))
-                    acc += g2inv[ga, mu] * inner
-                row[n1 + ga] = acc / (2.0 * f1sq)
-            for ga in range(n2):
-                row[n + n1 + ga] = C2u[ga, al, be]
+    inner = (f1sq * (np.einsum("kba->abk", G2[:n1, n1:]) + np.einsum("kab->abk", G2[:n1, n1:]))
+             - dg[n1:, n1:, :n1])
+    out[v2, v2, h1] = np.einsum("abk,ks->abs", inner, g1inv) / (2.0 * f2sq)
+    inner = (f1sq * (np.einsum("mba->abm", G2[n1:, n1:]) + np.einsum("mab->abm", G2[n1:, n1:]))
+             - dg[n1:, n1:, n1:])
+    out[v2, v2, h2] = np.einsum("abm,gm->abg", inner, g2inv) / (2.0 * f1sq)
+    out[v2, v2, v2] = np.einsum("gab->abg", C2u)
 
     # Vertical input on a horizontal field follows from zero torsion:
     # nabla_V H = nabla_H V - [H, V].
-    for A in range(n):
-        for B in range(n):
-            out[n + B, A] = out[A, n + B].copy()
-            out[n + B, A][n:] -= Gf[:, A, B]
+    out[n:, :n] = np.einsum("abk->bak", out[:n, n:])
+    out[n:, :n, n:] -= np.einsum("kab->bak", Gf)
     return ConnectionTable("levi-civita-closed-form", out)
 
 
@@ -396,14 +283,10 @@ def levi_civita_block_residuals(cfg: ProductConfig, p: TangentSample) -> dict[st
     """Max |Koszul - closed form| per ordered input-family pair."""
     kos = koszul_levi_civita(cfg, p).entries
     clo = levi_civita_closed_forms(cfg, p).entries
-    diff = np.abs(kos - clo)
-    out: dict[str, float] = {}
-    for A in range(2 * cfg.n):
-        for B in range(2 * cfg.n):
-            key = frame_family(cfg, A) + "." + frame_family(cfg, B)
-            val = float(diff[A, B].max())
-            out[key] = max(out.get(key, 0.0), val)
-    return out
+    starts = [0, cfg.n1, cfg.n, cfg.n + cfg.n1]  # first slot of each family
+    worst = np.abs(kos - clo).max(axis=2)
+    worst = np.maximum.reduceat(np.maximum.reduceat(worst, starts, axis=0), starts, axis=1)
+    return dict(zip(_FAMILY_PAIRS, worst.ravel().tolist()))
 
 
 def induced_vertical_connection(cfg: ProductConfig, p: TangentSample) -> ConnectionTable:
@@ -411,9 +294,7 @@ def induced_vertical_connection(cfg: ProductConfig, p: TangentSample) -> Connect
     kos = koszul_levi_civita(cfg, p).entries
     n = cfg.n
     out = np.zeros_like(kos)
-    for A in range(2 * n):
-        for B in range(n, 2 * n):
-            out[A, B, n:] = kos[A, B, n:]
+    out[:, n:, n:] = kos[:, n:, n:]
     return ConnectionTable("induced-vertical", out)
 
 
@@ -426,18 +307,11 @@ def vaisman_connection(cfg: ProductConfig, p: TangentSample) -> ConnectionTable:
     lp = _lifted(cfg, p)
     n, n1 = lp.n, lp.n1
     out = np.zeros((2 * n, 2 * n, 2 * n))
-    C1u, C2u = lp.cartan_up(1), lp.cartan_up(2)
-    for a in range(n):
-        for b in range(n):
-            out[a, b, :n] = lp.Fh[:, a, b]          # horizontal on horizontal
-            out[a, n + b, n:] = lp.Gf[:, a, b]      # horizontal on vertical
-    for a in range(n):
-        for b in range(n):
-            if a < n1 and b < n1:
-                out[n + a, n + b, n:n + n1] = C1u[:, a, b]
-            elif a >= n1 and b >= n1:
-                out[n + a, n + b, n + n1:] = C2u[:, a - n1, b - n1]
-            # mixed vertical pairs and vertical-on-horizontal rows stay zero
+    out[:n, :n, :n] = np.einsum("kab->abk", lp.Fh)   # horizontal on horizontal
+    out[:n, n:, n:] = np.einsum("kab->abk", lp.Gf)   # horizontal on vertical
+    out[n:n + n1, n:n + n1, n:n + n1] = np.einsum("sab->abs", lp.cartan_up(1))
+    out[n + n1:, n + n1:, n + n1:] = np.einsum("gab->abg", lp.cartan_up(2))
+    # mixed vertical pairs and vertical-on-horizontal rows stay zero
     return ConnectionTable("vaisman", out)
 
 
@@ -447,33 +321,33 @@ def vaisman_axiom_residuals(cfg: ProductConfig, p: TangentSample) -> dict[str, f
     n = lp.n
     table = vaisman_connection(cfg, p).entries
     # (i) distribution preservation: outputs stay in the input field's bundle.
-    pres = 0.0
-    for A in range(2 * n):
-        for B in range(2 * n):
-            if B < n:
-                pres = max(pres, float(np.max(np.abs(table[A, B, n:]))))
-            else:
-                pres = max(pres, float(np.max(np.abs(table[A, B, :n]))))
+    pres = max(np.abs(table[:, :n, n:]).max(), np.abs(table[:, n:, :n]).max())
     # (ii) metric parallelism on all-horizontal and all-vertical triples.
-    par = 0.0
-    for block in (range(0, n), range(n, 2 * n)):
-        for X in block:
-            for Y in block:
-                for Z in block:
-                    val = (lp.frame_metric_derivative(X, Y, Z)
-                           - lp.pairing(table[X, Y], np.eye(2 * n)[Z])
-                           - lp.pairing(np.eye(2 * n)[Y], table[X, Z]))
-                    par = max(par, abs(val))
-    # (iii) torsion projections.
-    tor = 0.0
-    for X in range(2 * n):
-        for Y in range(2 * n):
-            t = table[X, Y] - table[Y, X] - lp.bracket(X, Y)
-            if X >= n or Y >= n:
-                tor = max(tor, float(np.max(np.abs(t[n:]))))
-            if X < n or Y < n:
-                tor = max(tor, float(np.max(np.abs(t[:n]))))
-    return {"preservation": pres, "parallelism": par, "torsion": tor}
+    dmet = lp.metric_derivative(table)
+    par = max(np.abs(dmet[:n, :n, :n]).max(), np.abs(dmet[n:, n:, n:]).max())
+    # (iii) torsion projections: vertical part unless both fields are
+    # horizontal, horizontal part unless both are vertical.
+    t = lp.torsion(table)
+    tor = max(np.abs(t[n:, :, n:]).max(), np.abs(t[:, n:, n:]).max(),
+              np.abs(t[:n, :, :n]).max(), np.abs(t[:, :n, :n]).max())
+    return {"preservation": float(pres), "parallelism": float(par), "torsion": float(tor)}
+
+
+def reinhart_tables(cfg: ProductConfig, p: TangentSample) -> tuple[np.ndarray, np.ndarray]:
+    """The Reinhart defect and its factor-Cartan closed form, both [a, b, c].
+
+    Entry [a, b, c] is the value on the vertical basis field a and the
+    horizontal basis fields b, c.  The defect (nabla_X G)(Y, Z) comes from the
+    Vaisman table; the closed form from the factor Cartan tensors.
+    """
+    lp = _lifted(cfg, p)
+    n, n1 = lp.n, lp.n1
+    defect = lp.metric_derivative(vaisman_connection(cfg, p).entries)[n:, :n, :n]
+    wp = lp.wp
+    identity = np.zeros((n, n, n))
+    identity[:n1, :n1, :n1] = 2.0 * wp.warp_sq(2) * wp.factor1.cartan()
+    identity[n1:, n1:, n1:] = 2.0 * wp.warp_sq(1) * wp.factor2.cartan()
+    return defect, identity
 
 
 def reinhart_defect(cfg: ProductConfig, p: TangentSample, X: FrameVector,
@@ -487,34 +361,15 @@ def reinhart_defect(cfg: ProductConfig, p: TangentSample, X: FrameVector,
         raise PreconditionError("reinhart defect needs a vertical first argument")
     if float(np.max(np.abs(Y.vertical))) > 0.0 or float(np.max(np.abs(Z.vertical))) > 0.0:
         raise PreconditionError("reinhart defect needs horizontal second and third arguments")
-    lp = _lifted(cfg, p)
-    n = lp.n
-    table = vaisman_connection(cfg, p).entries
-    xc, yc, zc = X.comps, Y.comps, Z.comps
-    dmetric = 0.0
-    for a in range(n):
-        if xc[n + a] == 0.0:
-            continue
-        grad = 2.0 * np.einsum("bc,b,c->", lp.C[a], yc[:n], zc[:n])
-        dmetric += xc[n + a] * grad
-    nab_y = np.einsum("a,b,abk->k", xc, yc, table)
-    nab_z = np.einsum("a,b,abk->k", xc, zc, table)
-    return float(dmetric - lp.pairing(nab_y, zc) - lp.pairing(yc, nab_z))
+    return float(np.einsum("abc,a,b,c->", reinhart_tables(cfg, p)[0],
+                           X.vertical, Y.horizontal, Z.horizontal))
 
 
 def reinhart_identity_value(cfg: ProductConfig, p: TangentSample, X: FrameVector,
                             Y: FrameVector, Z: FrameVector) -> float:
     """The factor-Cartan closed form the defect must equal."""
-    wp = workspace(cfg).at(p)
-    n1, n = cfg.n1, cfg.n
-    f1sq, f2sq = wp.warp_sq(1), wp.warp_sq(2)
-    C1 = wp.factor1.cartan()
-    C2 = wp.factor2.cartan()
-    x1, x2 = X.comps[n:n + n1], X.comps[n + n1:]
-    y1, y2 = Y.comps[:n1], Y.comps[n1:n]
-    z1, z2 = Z.comps[:n1], Z.comps[n1:n]
-    return float(2.0 * f2sq * np.einsum("ijk,i,j,k->", C1, x1, y1, z1)
-                 + 2.0 * f1sq * np.einsum("abc,a,b,c->", C2, x2, y2, z2))
+    return float(np.einsum("abc,a,b,c->", reinhart_tables(cfg, p)[1],
+                           X.vertical, Y.horizontal, Z.horizontal))
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +407,7 @@ def symplectic_form(cfg: ProductConfig, p: TangentSample, X: FrameVector,
     """Omega(X, Y) = G(X, JY) in the adapted frame."""
     lp = _lifted(cfg, p)
     J = almost_complex(cfg)
-    return lp.pairing(X.comps, J.apply(Y).comps)
+    return float(X.comps @ lp.metric @ J.apply(Y).comps)
 
 
 def symplectic_frame_table(cfg: ProductConfig, p: TangentSample) -> np.ndarray:
@@ -588,21 +443,21 @@ def closedness_check(cfg: ProductConfig, region) -> ClosednessReport:
     the orientation d(w_a dz^a)(U,V) = U w(V) - V w(U) the almost-symplectic
     form equals minus that derivative.
     """
+    n = cfg.n
     zs = list(cfg.base) + list(cfg.fiber)
     m = len(zs)
+    i = np.arange(m)
+    increasing = (i[:, None, None] < i[None, :, None]) & (i[None, :, None] < i[None, None, :])
     d_res = 0.0
     pot_res = 0.0
     for p in region:
-        wp = workspace(cfg).at(p)
+        ep = workspace(cfg).at(p).product
         # exterior derivative of the canonical one-form, via exact jets
+        mixed = ep.F2_base_fiber_values()
         domega = np.zeros((m, m))
-        g = wp.product.g_values()
-        for a, za in enumerate(zs[:cfg.n]):
-            for b, zb in enumerate(zs[:cfg.n]):
-                domega[a, b] = 0.5 * (wp.product.F2_partial((za, cfg.fiber[b]))
-                                      - wp.product.F2_partial((zb, cfg.fiber[a])))
-        domega[cfg.n:, :cfg.n] = g
-        domega[:cfg.n, cfg.n:] = -g
+        domega[:n, :n] = 0.5 * (mixed - mixed.T)
+        domega[n:, :n] = ep.g_values()
+        domega[:n, n:] = -ep.g_values()
         omega = _omega_coordinate_matrix(cfg, p)
         pot_res = max(pot_res, float(np.max(np.abs(omega + domega))))
         # finite-difference exterior derivative of Omega itself
@@ -612,11 +467,8 @@ def closedness_check(cfg: ProductConfig, region) -> ClosednessReport:
             plus = _omega_coordinate_matrix(cfg, p.shifted(za, h))
             minus = _omega_coordinate_matrix(cfg, p.shifted(za, -h))
             grads[a] = (plus - minus) / (2.0 * h)
-        for a in range(m):
-            for b in range(a + 1, m):
-                for c in range(b + 1, m):
-                    val = grads[a][b, c] - grads[b][a, c] + grads[c][a, b]
-                    d_res = max(d_res, abs(val))
+        cyclic = grads - np.einsum("bac->abc", grads) + np.einsum("cab->abc", grads)
+        d_res = max(d_res, float(np.max(np.abs(cyclic[increasing]))))
     return ClosednessReport(d_res, pot_res)
 
 
@@ -630,36 +482,19 @@ def nijenhuis_tables(cfg: ProductConfig, p: TangentSample) -> tuple[np.ndarray, 
     lp = _lifted(cfg, p)
     n = lp.n
     m = 2 * n
+    Rb = np.einsum("kab->abk", lp.Rb)
     closed = np.zeros((m, m, m))
-    for a in range(n):
-        for b in range(n):
-            closed[a, b, n:] = -lp.Rb[:, a, b]              # horizontal pair
-            closed[n + a, n + b, n:] = lp.Rb[:, a, b]       # vertical pair
-            closed[a, n + b, :n] = -lp.Rb[:, a, b]          # mixed pair
-            closed[n + b, a, :n] = lp.Rb[:, a, b]
-    Jm = almost_complex(cfg).matrix()
-
-    def bracket_fields(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
-        out = np.zeros(m)
-        for A in range(m):
-            if xc[A] == 0.0:
-                continue
-            for B in range(m):
-                if yc[B] == 0.0:
-                    continue
-                out += xc[A] * yc[B] * lp.bracket(A, B)
-        return out
-
-    direct = np.zeros((m, m, m))
-    basis = np.eye(m)
-    for A in range(m):
-        for B in range(m):
-            X, Y = basis[A], basis[B]
-            JX, JY = Jm @ X, Jm @ Y
-            direct[A, B] = (bracket_fields(JX, JY)
-                            - Jm @ bracket_fields(JX, Y)
-                            - Jm @ bracket_fields(X, JY)
-                            - bracket_fields(X, Y))
+    closed[:n, :n, n:] = -Rb                            # horizontal pair
+    closed[n:, n:, n:] = Rb                             # vertical pair
+    closed[:n, n:, :n] = -Rb                            # mixed pair
+    closed[n:, :n, :n] = np.einsum("abk->bak", Rb)
+    # On basis fields X = e_A, Y = e_B, with JX = J[:, A] and the bracket
+    # bilinear over constant frame components.
+    J, br = almost_complex(cfg).matrix(), lp.br
+    direct = (np.einsum("ca,db,cdk->abk", J, J, br)
+              - np.einsum("kl,ca,cbl->abk", J, J, br)
+              - np.einsum("kl,db,adl->abk", J, J, br)
+              - br)
     return closed, direct
 
 
@@ -711,9 +546,10 @@ def totally_geodesic_verdicts(cfg: ProductConfig, region,
         max_fg = max(max_fg, float(np.max(np.abs(lp.Fh - lp.Gf))))
         max_c = max(max_c, float(np.max(np.abs(lp.C))))
         R = lp.Rb
-        for blockmax in (np.abs(R[n1:, :n1, :n1]).max(), np.abs(R[:n1, :n1, n1:]).max(),
-                         np.abs(R[n1:, :n1, n1:]).max(), np.abs(R[:n1, n1:, n1:]).max()):
-            max_mixed = max(max_mixed, float(blockmax))
+        max_mixed = max(max_mixed, float(np.abs(R[n1:, :n1, :n1]).max()),
+                        float(np.abs(R[:n1, :n1, n1:]).max()),
+                        float(np.abs(R[n1:, :n1, n1:]).max()),
+                        float(np.abs(R[:n1, n1:, n1:]).max()))
         kos = koszul_levi_civita(cfg, p).entries
         kos_v = max(kos_v, float(np.max(np.abs(kos[n:, n:, :n]))))
         kos_h = max(kos_h, float(np.max(np.abs(kos[:n, :n, n:]))))

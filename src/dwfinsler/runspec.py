@@ -8,6 +8,7 @@ seed is mandatory so every run is reproducible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,41 @@ ALL_SUITES = (
     "totally-geodesic", "fd-crosscheck",
 )
 
+#: Default tolerance of every check, by name.  A suite's own name is the
+#: default key of its entries; dotted names cover entries held to another bound.
+DEFAULT_TOLERANCES = {
+    "homogeneity": 1e-8,
+    "homogeneity.metric": 1e-10,
+    "homogeneity.spray": 1e-9,
+    "block-structure": 1e-12,
+    "block-structure.scaled": 1e-9,
+    "block-structure.null": 1e-10,
+    "yF=G": 1e-8,
+    "matsumoto-contraction": 1e-8,
+    "matsumoto-contraction.total": 1e-10,
+    "matsumoto-contraction.witness": 1e-4,
+    "berwald-blocks": 1e-7,
+    "berwald-blocks.symmetry": 1e-10,
+    "berwald-blocks.witness": 1e-3,
+    "lemma41": 1e-7,
+    "lemma41.antisymmetry": 1e-10,
+    "con1": 1e-6,
+    "scalar-flag": 1e-6,
+    "koszul-vs-closed": 1e-7,
+    "vaisman-axioms": 1e-8,
+    "reinhart": 1e-10,
+    "reinhart.identity": 1e-8,
+    "hermitian": 1e-10,
+    "hermitian.complex-square": 0.0,
+    "hermitian.antisymmetry": 1e-12,
+    "hermitian.closedness": 1e-5,
+    "nijenhuis": 1e-7,
+    "nijenhuis.skew": 1e-10,
+    "kahler": 1e-7,
+    "totally-geodesic": 1e-7,
+    "fd-crosscheck": 1e-5,
+}
+
 
 @dataclass(frozen=True)
 class Sampling:
@@ -46,8 +82,8 @@ class RunSpec:
     expected_failures: tuple[str, ...] = ()
     tolerances: dict = field(default_factory=dict)
 
-    def tolerance(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    def tolerance(self, name: str) -> float:
+        return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
 
 def _require_keys(node: dict, path: str, required: set[str], optional: set[str]) -> None:
@@ -59,6 +95,13 @@ def _require_keys(node: dict, path: str, required: set[str], optional: set[str])
     for key in required:
         if key not in node:
             raise SchemaError(f"{path}.{key}: required key missing")
+
+
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise SchemaError(f"{path}: expected a finite number")
+    return float(value)
 
 
 def _parse_poly(node, path: str, dim: int):
@@ -76,7 +119,9 @@ def _parse_poly(node, path: str, dim: int):
 def _parse_factor(node, path: str):
     _require_keys(node, path, {"kind", "dim"}, {"parameters"})
     kind = node["kind"]
-    dim = int(node["dim"])
+    dim = node["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise SchemaError(f"{path}.dim: expected a positive integer")
     params = node.get("parameters", {})
     if kind == "euclidean":
         _require_keys(params, f"{path}.parameters", set(), set())
@@ -113,27 +158,34 @@ def _parse_factor(node, path: str):
     raise SchemaError(f"{path}.kind: unknown factor kind {kind!r}")
 
 
-def _parse_warp(node, path: str):
+def _parse_warp(node, path: str, dim: int):
+    """A warp on a factor whose base has ``dim`` coordinates."""
     _require_keys(node, path, {"kind"}, {"parameters"})
     kind = node["kind"]
     params = node.get("parameters", {})
     if kind == "constant":
         _require_keys(params, f"{path}.parameters", set(), {"value"})
-        value = float(params.get("value", 1.0))
+        value = _number(params.get("value", 1.0), f"{path}.parameters.value")
         if value <= 0.0:
             raise SchemaError(f"{path}.parameters.value: constant warp must be positive")
         return ConstantWarp(value)
     if kind == "poly_quadratic":
         _require_keys(params, f"{path}.parameters", {"coeffs"}, set())
         coeffs = params["coeffs"]
-        if not isinstance(coeffs, list):
-            raise SchemaError(f"{path}.parameters.coeffs: expected a list")
-        if any(float(a) < 0.0 for a in coeffs):
+        if not isinstance(coeffs, list) or len(coeffs) != dim:
+            raise SchemaError(f"{path}.parameters.coeffs: expected a list of {dim} "
+                              f"coefficients, one per base coordinate of the factor")
+        coeffs = tuple(_number(a, f"{path}.parameters.coeffs[{i}]")
+                       for i, a in enumerate(coeffs))
+        if any(a < 0.0 for a in coeffs):
             raise SchemaError(f"{path}.parameters.coeffs: coefficients must be >= 0")
-        return PolyQuadraticWarp(tuple(float(a) for a in coeffs))
+        return PolyQuadraticWarp(coeffs)
     if kind == "exponential":
         _require_keys(params, f"{path}.parameters", {"rate"}, {"axis"})
-        return ExponentialWarp(float(params["rate"]), int(params.get("axis", 0)))
+        axis = params.get("axis", 0)
+        if not isinstance(axis, int) or isinstance(axis, bool) or not 0 <= axis < dim:
+            raise SchemaError(f"{path}.parameters.axis: expected an integer in [0, {dim})")
+        return ExponentialWarp(_number(params["rate"], f"{path}.parameters.rate"), axis)
     raise SchemaError(f"{path}.kind: unknown warp kind {kind!r}")
 
 
@@ -154,8 +206,8 @@ def parse_spec(text_or_doc) -> RunSpec:
     factor1 = _parse_factor(factors[0], "$.factors[0]")
     factor2 = _parse_factor(factors[1], "$.factors[1]")
     _require_keys(doc["warps"], "$.warps", {"f1", "f2"}, set())
-    warp1 = _parse_warp(doc["warps"]["f1"], "$.warps.f1")
-    warp2 = _parse_warp(doc["warps"]["f2"], "$.warps.f2")
+    warp1 = _parse_warp(doc["warps"]["f1"], "$.warps.f1", factor1.dim)
+    warp2 = _parse_warp(doc["warps"]["f2"], "$.warps.f2", factor2.dim)
     label = str(doc.get("label", "custom"))
     cfg = ProductConfig(factor1, factor2, warp1, warp2, label=label)
 
@@ -198,7 +250,13 @@ def parse_spec(text_or_doc) -> RunSpec:
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise SchemaError("$.tolerances: expected an object of name -> value")
-    tolerances = {str(k): float(v) for k, v in tolerances.items()}
+    for name, value in tolerances.items():
+        path = f"$.tolerances.{name}"
+        if name not in DEFAULT_TOLERANCES:
+            raise SchemaError(f"{path}: unknown tolerance name")
+        if _number(value, path) < 0.0:
+            raise SchemaError(f"{path}: must be >= 0")
+    tolerances = {name: float(value) for name, value in tolerances.items()}
     return RunSpec(label, cfg, Sampling(seed, count, box, radii),
                    suites, expected, tolerances)
 

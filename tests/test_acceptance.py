@@ -128,14 +128,14 @@ def test_criterion_11_levi_civita(reports):
     worst = max(e.residual for name in ALL_FIXTURES
                 for e in entries(reports, name, "koszul-vs-closed", "metric-compatibility")
                 + entries(reports, name, "koszul-vs-closed", "zero-torsion"))
-    closed_p = max(e.residual for e in entries(reports, "FIX-P", "koszul-vs-closed",
-                                               "closed-form"))
-    reported = all(entries(reports, name, "koszul-vs-closed", "closed-form")
-                   for name in ("FIX-E", "FIX-R"))
-    check(11, "Koszul residuals <= 1e-7 everywhere; closed forms <= 1e-7 on the "
-              "Riemannian product; per-block reports emitted elsewhere",
-          worst <= 1e-7 and closed_p <= 1e-7 and reported,
-          f"koszul {worst:.2e}, closed-form {closed_p:.2e}")
+    closed = [e for name in ALL_FIXTURES
+              for e in entries(reports, name, "koszul-vs-closed", "closed-form")]
+    closed_worst = max(e.residual for e in closed)
+    check(11, "Koszul residuals <= 1e-7 everywhere; closed forms <= 1e-7 on every "
+              "fixture, all 16 family blocks enforced",
+          worst <= 1e-7 and closed_worst <= 1e-7 and len(closed) == 16 * len(ALL_FIXTURES)
+          and all(e.tolerance == 1e-7 and e.passed for e in closed),
+          f"koszul {worst:.2e}, closed-form {closed_worst:.2e}")
 
 
 def test_criterion_12_vaisman_axioms(reports):

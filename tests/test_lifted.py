@@ -10,19 +10,12 @@ from conftest import region
 
 def koszul_residuals(cfg, p):
     lp = lf._lifted(cfg, p)
-    m = 2 * lp.n
     tab = lf.koszul_levi_civita(cfg, p).entries
-    basis = np.eye(m)
-    compat = tors = 0.0
-    for A in range(m):
-        for B in range(m):
-            for Z in range(m):
-                val = (lp.frame_metric_derivative(A, B, Z)
-                       - lp.pairing(tab[A, B], basis[Z])
-                       - lp.pairing(basis[B], tab[A, Z]))
-                compat = max(compat, abs(val))
-            t = tab[A, B] - tab[B, A] - lp.bracket(A, B)
-            tors = max(tors, float(np.max(np.abs(t))))
+    # metric compatibility: e_A m(e_B, e_Z) = m(nabla_A e_B, e_Z) + m(e_B, nabla_A e_Z)
+    low = np.einsum("abk,kz->abz", tab, lp.metric)
+    compat = np.max(np.abs(lp.dm - low - np.swapaxes(low, 1, 2)))
+    # zero torsion: nabla_A e_B - nabla_B e_A = [e_A, e_B]
+    tors = np.max(np.abs(tab - np.swapaxes(tab, 0, 1) - lp.br))
     return compat, tors
 
 
@@ -58,10 +51,14 @@ def test_koszul_flat_product_vanishes(fixp, p4):
     assert np.max(np.abs(tab)) == 0.0
 
 
-def test_closed_forms_match_koszul_on_riemannian_product(fixp):
-    for p in region("FIX-P", 3):
-        res = lf.levi_civita_block_residuals(fixp, p)
-        assert max(res.values()) <= 1e-7
+@pytest.mark.parametrize("name", ["FIX-1D", "FIX-E", "FIX-P", "FIX-R"])
+def test_closed_forms_match_koszul(name):
+    cfg = fixture(name)
+    for p in region(name, 3):
+        kos = lf.koszul_levi_civita(cfg, p).entries
+        clo = lf.levi_civita_closed_forms(cfg, p).entries
+        assert np.max(np.abs(kos - clo)) <= 1e-12
+        assert max(lf.levi_civita_block_residuals(cfg, p).values()) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["FIX-E", "FIX-R"])

@@ -95,5 +95,43 @@ def test_sampling_is_deterministic_and_slit_safe():
 
 def test_tolerance_overrides():
     spec = fixture_runspec("FIX-P", tolerances={"lemma41": 1e-3})
-    assert spec.tolerance("lemma41", 1e-7) == 1e-3
-    assert spec.tolerance("con1", 1e-6) == 1e-6
+    assert spec.tolerance("lemma41") == 1e-3
+    assert spec.tolerance("con1") == 1e-6
+
+
+def _bad_tolerance(value, name="lemma41"):
+    doc = fixture_document("FIX-P")
+    doc["tolerances"] = {name: value}
+    return doc
+
+
+def _bad_factor_dim(dim):
+    doc = fixture_document("FIX-P")
+    doc["factors"][1]["dim"] = dim
+    return doc
+
+
+def _bad_warp(kind, parameters):
+    doc = fixture_document("FIX-E")
+    doc["warps"]["f2"] = {"kind": kind, "parameters": parameters}
+    return doc
+
+
+@pytest.mark.parametrize("doc, path", [
+    (_bad_tolerance(1e-3, name="lemma4l"), r"\$\.tolerances\.lemma4l"),
+    (_bad_tolerance(float("nan")), r"\$\.tolerances\.lemma41"),
+    (_bad_tolerance("nan"), r"\$\.tolerances\.lemma41"),
+    (_bad_tolerance(-1), r"\$\.tolerances\.lemma41"),
+    (_bad_factor_dim(2.5), r"\$\.factors\[1\]\.dim"),
+    (_bad_factor_dim("x"), r"\$\.factors\[1\]\.dim"),
+    (_bad_warp("exponential", {"rate": 0.5, "axis": 2}), r"\$\.warps\.f2\.parameters\.axis"),
+    (_bad_warp("exponential", {"rate": 0.5, "axis": -1}), r"\$\.warps\.f2\.parameters\.axis"),
+    (_bad_warp("poly_quadratic", {"coeffs": [1.0]}), r"\$\.warps\.f2\.parameters\.coeffs"),
+    (_bad_warp("poly_quadratic", {"coeffs": [1.0, 0.0, 2.0]}),
+     r"\$\.warps\.f2\.parameters\.coeffs"),
+], ids=["unknown-tolerance", "nan-tolerance", "string-tolerance", "negative-tolerance",
+        "fractional-dim", "string-dim", "axis-out-of-range", "negative-axis",
+        "short-coeffs", "long-coeffs"])
+def test_malformed_documents_rejected_with_path(doc, path):
+    with pytest.raises(SchemaError, match=path):
+        parse_spec(doc)

@@ -5,7 +5,7 @@ import pytest
 from dwfinsler.cli import main
 from dwfinsler.errors import UnknownSuiteError
 from dwfinsler.runspec import fixture_document, fixture_runspec
-from dwfinsler.suites import (emit_report, report_document,
+from dwfinsler.suites import (_entry, _Tracker, emit_report, report_document,
                               report_from_document, run_suites)
 
 
@@ -176,3 +176,25 @@ def test_cli_usage_errors(capsys, tmp_path):
     assert main(["verify", "--spec", str(bad)]) == 2
     assert main(["eval", "--fixture", "FIX-1D", "--point", "x=0;u=1;y=1"]) == 2
     capsys.readouterr()
+
+
+def test_tracker_fails_closed_on_nan():
+    spec = fixture_runspec("FIX-P", seed=3, count=1)
+    for bad in (float("nan"), float("inf")):
+        tr = _Tracker()
+        tr.feed(bad, None, "bad")
+        tr.feed(1e-30, None, "fine")
+        entry = _entry(spec, "lemma41", "fiber-contraction", tr)
+        assert entry.passed is False
+        assert entry.note == "bad"
+
+
+def test_cli_rejects_malformed_tolerances_and_warps(tmp_path, capsys):
+    assert main(["verify", "--fixture", "FIX-1D", "--tol", "lemma4l=1e-3"]) == 2
+    assert main(["verify", "--fixture", "FIX-1D", "--tol", "lemma41=abc"]) == 2
+    doc = fixture_document("FIX-E")
+    doc["warps"]["f1"] = {"kind": "exponential", "parameters": {"rate": 0.5, "axis": 2}}
+    bad = tmp_path / "axis.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", "--spec", str(bad)]) == 2
+    assert "$.warps.f1.parameters.axis" in capsys.readouterr().err
