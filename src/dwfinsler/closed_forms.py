@@ -59,22 +59,12 @@ class _Ingredients:
             [f2.ginv_fiber_partial((fiber2(r),)) for r in range(self.n2)], axis=-1)
         self._f1, self._f2 = f1, f2
 
-    def d2ginv1(self):
-        n1 = self.n1
-        out = np.empty((n1, n1, n1, n1))
-        for i in range(n1):
-            for j in range(i, n1):
-                m = self._f1.ginv_fiber_partial((fiber1(i), fiber1(j)))
-                out[:, :, i, j] = out[:, :, j, i] = m
-        return out
-
-    def d2ginv2(self):
-        n2 = self.n2
-        out = np.empty((n2, n2, n2, n2))
-        for i in range(n2):
-            for j in range(i, n2):
-                m = self._f2.ginv_fiber_partial((fiber2(i), fiber2(j)))
-                out[:, :, i, j] = out[:, :, j, i] = m
+    def d2ginv(self, which: int):
+        f, n, mk = (self._f1, self.n1, fiber1) if which == 1 else (self._f2, self.n2, fiber2)
+        out = np.empty((n, n, n, n))
+        for i in range(n):
+            for j in range(i, n):
+                out[:, :, i, j] = out[:, :, j, i] = f.ginv_fiber_partial((mk(i), mk(j)))
         return out
 
     def d3ginv(self, which: int):
@@ -122,7 +112,7 @@ def connection_fiber_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
     n1, n2 = q.n1, q.n2
     out = {}
     out["1.11"] = (wp.factor1.connection_fiber_values()
-                   - np.einsum("khji,h->kij", q.d2ginv1(), q.w1x) * q.F2sq / (4.0 * q.f2sq))
+                   - np.einsum("khji,h->kij", q.d2ginv(1), q.w1x) * q.F2sq / (4.0 * q.f2sq))
     out["1.12"] = (-np.einsum("khi,h,b->kib", q.dginv1, q.w1x, q.dF2dv) / (4.0 * q.f2sq)
                    + np.einsum("ki,b->kib", np.eye(n1), q.w2u) / (2.0 * q.f2sq))
     out["1.22"] = -np.einsum("k,ab->kab", q.g1inv @ q.w1x, q.g2) / (2.0 * q.f2sq)
@@ -130,7 +120,7 @@ def connection_fiber_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
     out["2.12"] = (-np.einsum("agb,a,i->gib", q.dginv2, q.w2u, q.dF1dy) / (4.0 * q.f1sq)
                    + np.einsum("gb,i->gib", np.eye(n2), q.w1x) / (2.0 * q.f1sq))
     out["2.22"] = (wp.factor2.connection_fiber_values()
-                   - np.einsum("glba,l->gab", q.d2ginv2(), q.w2u) * q.F1sq / (4.0 * q.f1sq))
+                   - np.einsum("glba,l->gab", q.d2ginv(2), q.w2u) * q.F1sq / (4.0 * q.f1sq))
     return out
 
 
@@ -182,13 +172,13 @@ def berwald_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
     out = {}
     out["1.111"] = (wp.factor1.berwald()
                     - np.einsum("khijl,h->kijl", q.d3ginv(1), q.w1x) * q.F2sq / (4.0 * q.f2sq))
-    out["1.121"] = -np.einsum("khli,h,b->kibl", q.d2ginv1(), q.w1x, q.dF2dv) / (4.0 * q.f2sq)
+    out["1.121"] = -np.einsum("khli,h,b->kibl", q.d2ginv(1), q.w1x, q.dF2dv) / (4.0 * q.f2sq)
     out["1.221"] = -np.einsum("ab,khl,h->kabl", q.g2, q.dginv1, q.w1x) / (2.0 * q.f2sq)
     out["1.222"] = -np.einsum("abl,k->kabl", q.C2, q.g1inv @ q.w1x) / q.f2sq
     out["1.122"] = -np.einsum("khi,h,bl->kibl", q.dginv1, q.w1x, q.g2) / (2.0 * q.f2sq)
     out["2.222"] = (wp.factor2.berwald()
                     - np.einsum("gnbal,n->gabl", q.d3ginv(2), q.w2u) * q.F1sq / (4.0 * q.f1sq))
-    out["2.122"] = -np.einsum("agbl,a,i->gibl", q.d2ginv2(), q.w2u, q.dF1dy) / (4.0 * q.f1sq)
+    out["2.122"] = -np.einsum("agbl,a,i->gibl", q.d2ginv(2), q.w2u, q.dF1dy) / (4.0 * q.f1sq)
     out["2.112"] = -np.einsum("ij,agl,a->gijl", q.g1, q.dginv2, q.w2u) / (2.0 * q.f1sq)
     out["2.111"] = -np.einsum("ijk,g->gijk", q.C1, q.g2inv @ q.w2u) / q.f1sq
     out["2.121"] = -np.einsum("agb,a,ik->gibk", q.dginv2, q.w2u, q.g1) / (2.0 * q.f1sq)

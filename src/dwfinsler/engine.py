@@ -14,8 +14,12 @@ context: tensors computed at scope (S, k) have components that are jets over
 seeds S up to order k, so they can be differentiated further formally.  Scope
 ((), 0) yields plain point values.
 
-Caches are per (engine, point) and are not protected by locks: share engines
-across threads only for distinct points, or use one workspace per thread.
+All per-point state has one owner: the :class:`Workspace` of a configuration
+keeps one :class:`WorkPoint` per sample in a single dict, and each work point
+holds the memos of its three engine points, its warp jets and the lifted
+ingredients.  Nothing is evicted; ``workspace(cfg).clear()`` drops every point
+of a configuration.  Caches are not protected by locks: share a workspace
+across threads only for distinct points.
 """
 
 from __future__ import annotations
@@ -59,16 +63,6 @@ class FinslerEngine:
         self.base = base
         self.fiber = fiber
         self.n = len(base)
-        self._points: dict[TangentSample, EnginePoint] = {}
-
-    def at(self, sample: TangentSample) -> "EnginePoint":
-        got = self._points.get(sample)
-        if got is None:
-            got = self._points[sample] = EnginePoint(self, sample)
-        return got
-
-    def clear(self) -> None:
-        self._points.clear()
 
 
 class EnginePoint:
@@ -419,7 +413,7 @@ class EnginePoint:
 # ---------------------------------------------------------------------------
 
 class Workspace:
-    """Product engine plus factor engines and warp partials for one config."""
+    """Product and factor engines of one config, and its per-point state."""
 
     def __init__(self, cfg: ProductConfig):
         self.cfg = cfg
@@ -430,37 +424,39 @@ class Workspace:
         self.factor2 = FinslerEngine(cfg.F2_squared,
                                      tuple(c for c in cfg.base if c.factor == 2),
                                      tuple(c for c in cfg.fiber if c.factor == 2))
-        self._warp_memo: dict = {}
+        self._points: dict[TangentSample, WorkPoint] = {}
 
     def at(self, sample: TangentSample) -> "WorkPoint":
-        self.cfg.validate_sample(sample)
-        return WorkPoint(self, sample)
+        """The work point of ``sample``: validated and built once, then shared."""
+        got = self._points.get(sample)
+        if got is None:
+            self.cfg.validate_sample(sample)
+            got = self._points[sample] = WorkPoint(self, sample)
+        return got
 
     def clear(self) -> None:
-        self.product.clear()
-        self.factor1.clear()
-        self.factor2.clear()
-        self._warp_memo.clear()
+        """Drop every cached point of this configuration."""
+        self._points.clear()
 
 
 class WorkPoint:
-    """Per-sample view of a workspace: engine points plus warp derivatives."""
+    """Everything computed at one sample: engine points, warp jets, lifted data."""
 
     def __init__(self, ws: Workspace, sample: TangentSample):
-        self.ws = ws
         self.cfg = ws.cfg
         self.sample = sample
-        self.product = ws.product.at(sample)
-        self.factor1 = ws.factor1.at(sample)
-        self.factor2 = ws.factor2.at(sample)
+        self.product = EnginePoint(ws.product, sample)
+        self.factor1 = EnginePoint(ws.factor1, sample)
+        self.factor2 = EnginePoint(ws.factor2, sample)
+        self._warp: dict[tuple[int, Scope], Jet] = {}
+        self.lifted = None  # the lifted ingredients, built by dwfinsler.lifted
 
     def warp_jet(self, which: int, scope: Scope) -> Jet:
-        key = (which, self.sample, scope)
-        got = self.ws._warp_memo.get(key)
+        got = self._warp.get((which, scope))
         if got is None:
             field = self.cfg.warp1_squared if which == 1 else self.cfg.warp2_squared
-            got = jet_lift(field, self.sample, scope.seeds, scope.order)
-            self.ws._warp_memo[key] = got
+            got = self._warp[which, scope] = jet_lift(field, self.sample,
+                                                      scope.seeds, scope.order)
         return got
 
     def warp_sq(self, which: int) -> float:

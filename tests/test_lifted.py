@@ -3,8 +3,10 @@ import pytest
 
 from dwfinsler import fixture
 from dwfinsler import lifted as lf
-from dwfinsler.engine import workspace
+from dwfinsler.engine import POINT, EnginePoint, workspace
 from dwfinsler.errors import PreconditionError
+from dwfinsler.runspec import fixture_runspec, sample_points
+from dwfinsler.suites import run_suites
 from conftest import region
 
 
@@ -214,10 +216,43 @@ def test_symplectic_frame_values(fix1d, p1d, fixe, p4):
     assert np.max(np.abs(om + om.T)) <= 1e-12
 
 
-def test_closedness(fixe):
-    rep = lf.closedness_check(fixe, region("FIX-E", 2))
-    assert rep.d_residual <= 1e-5
-    assert rep.potential_residual <= 1e-10
+def test_closedness():
+    for name in ("FIX-1D", "FIX-E", "FIX-P", "FIX-R"):
+        rep = lf.closedness_check(fixture(name), region(name, 3))
+        assert rep.d_residual <= 1e-12, name
+        assert rep.potential_residual <= 1e-10, name
+
+
+@pytest.mark.parametrize("name", ["FIX-1D", "FIX-E", "FIX-R"])
+def test_closedness_detects_a_scaled_connection(name, monkeypatch):
+    cfg = fixture(name)
+    real = EnginePoint.nonlinear_connection
+
+    def scaled(self, scope=POINT):
+        return [[1.001 * jet for jet in row] for row in real(self, scope)]
+
+    workspace(cfg).clear()
+    monkeypatch.setattr(EnginePoint, "nonlinear_connection", scaled)
+    try:
+        rep = lf.closedness_check(cfg, region(name, 3))
+    finally:
+        workspace(cfg).clear()  # drop every value built on the scaled N
+    assert rep.d_residual > 1e-4
+
+
+def test_workspace_keeps_one_point_per_sample(fixr):
+    ws = workspace(fixr)
+    ws.clear()
+    # the hermitian suite caches its samples and nothing else
+    spec = fixture_runspec("FIX-R", count=5, suites=("hermitian",))
+    run_suites(spec)
+    assert len(ws._points) == 5
+    p = sample_points(spec)[0]
+    wp = ws.at(p)
+    assert ws.at(p) is wp
+    ws.clear()
+    assert not ws._points
+    assert ws.at(p) is not wp
 
 
 def test_nijenhuis_tables(fixe):

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwfinsler import PolyQuadraticWarp, fixture
-from dwfinsler.errors import SchemaError
+from dwfinsler.errors import DwfError, SchemaError
+from dwfinsler.metrics import FIXTURES
 from dwfinsler.runspec import (ALL_SUITES, fixture_document, fixture_runspec,
                                parse_spec, sample_points)
 
@@ -117,6 +120,24 @@ def _bad_warp(kind, parameters):
     return doc
 
 
+def _replace(doc, keys, value):
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return doc
+
+
+def _bad_leaf(name, *keys_and_value):
+    *keys, value = keys_and_value
+    return _replace(fixture_document(name), keys, value)
+
+
+def _quadratic(coefficient, exponent):
+    return {"kind": "riemannian_quadratic", "dim": 1,
+            "parameters": {"entries": [[[[coefficient, [exponent]]]]]}}
+
+
 @pytest.mark.parametrize("doc, path", [
     (_bad_tolerance(1e-3, name="lemma4l"), r"\$\.tolerances\.lemma4l"),
     (_bad_tolerance(float("nan")), r"\$\.tolerances\.lemma41"),
@@ -129,9 +150,56 @@ def _bad_warp(kind, parameters):
     (_bad_warp("poly_quadratic", {"coeffs": [1.0]}), r"\$\.warps\.f2\.parameters\.coeffs"),
     (_bad_warp("poly_quadratic", {"coeffs": [1.0, 0.0, 2.0]}),
      r"\$\.warps\.f2\.parameters\.coeffs"),
+    (_bad_leaf("FIX-P", "sampling", "count", "x"), r"\$\.sampling\.count"),
+    (_bad_leaf("FIX-P", "sampling", "count", None), r"\$\.sampling\.count"),
+    (_bad_leaf("FIX-P", "sampling", "count", 2.7), r"\$\.sampling\.count"),
+    (_bad_leaf("FIX-P", "sampling", "count", True), r"\$\.sampling\.count"),
+    (_bad_leaf("FIX-P", "sampling", "radii", ["a", 2.0]), r"\$\.sampling\.radii"),
+    (_bad_leaf("FIX-1D", "sampling", "box", [-1.0, "b"]), r"\$\.sampling\.box"),
+    (_bad_leaf("FIX-1D", "sampling", "box", [[-1, 1], [0, None]]), r"\$\.sampling\.box"),
+    (_bad_leaf("FIX-P", "suites", None), r"\$\.suites"),
+    (_bad_leaf("FIX-P", "suites", [1]), r"\$\.suites"),
+    (_bad_leaf("FIX-P", "expected_failures", 5), r"\$\.expected_failures"),
+    (_bad_leaf("FIX-1D", "factors", 0, _quadratic("c", 0)),
+     r"\$\.factors\[0\]\.parameters\.entries\[0\]\[0\]"),
+    (_bad_leaf("FIX-1D", "factors", 0, _quadratic(1.0, "e")),
+     r"\$\.factors\[0\]\.parameters\.entries\[0\]\[0\]"),
+    (_bad_leaf("FIX-R", "factors", 1, "parameters", "b", ["x", 0.0]),
+     r"\$\.factors\[1\]\.parameters\.b"),
 ], ids=["unknown-tolerance", "nan-tolerance", "string-tolerance", "negative-tolerance",
         "fractional-dim", "string-dim", "axis-out-of-range", "negative-axis",
-        "short-coeffs", "long-coeffs"])
+        "short-coeffs", "long-coeffs", "string-count", "null-count", "fractional-count",
+        "bool-count", "string-radius", "string-box-bound", "null-box-pair-bound",
+        "null-suites", "non-string-suite", "number-expected-failures",
+        "string-quadratic-coefficient", "string-quadratic-exponent", "string-randers-b"])
 def test_malformed_documents_rejected_with_path(doc, path):
     with pytest.raises(SchemaError, match=path):
         parse_spec(doc)
+
+
+def _paths(node, path=()):
+    """Every position below the root of a JSON tree, as key paths."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=8), kids,
+                                                              max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(FIXTURES)), pick=st.integers(min_value=0),
+       value=_JSON)
+def test_any_replaced_value_parses_or_raises_a_package_error(name, pick, value):
+    paths = list(_paths(fixture_document(name)))
+    doc = _replace(fixture_document(name), paths[pick % len(paths)], value)
+    try:
+        parse_spec(doc)
+    except DwfError:
+        pass

@@ -1,12 +1,14 @@
 import json
+import math
 
 import pytest
 
+from dwfinsler import suites
 from dwfinsler.cli import main
 from dwfinsler.errors import UnknownSuiteError
 from dwfinsler.runspec import fixture_document, fixture_runspec
-from dwfinsler.suites import (_entry, _Tracker, emit_report, report_document,
-                              report_from_document, run_suites)
+from dwfinsler.suites import (SuiteEntry, _entry, _Tracker, emit_report,
+                              report_document, report_from_document, run_suites)
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +189,20 @@ def test_tracker_fails_closed_on_nan():
         entry = _entry(spec, "lemma41", "fiber-contraction", tr)
         assert entry.passed is False
         assert entry.note == "bad"
+
+
+def test_nan_residual_reaches_max_residual(monkeypatch):
+    def stand_in(spec, points):
+        nan = _Tracker()
+        nan.feed(float("nan"), points[0])
+        return [SuiteEntry("yF=G", "fine", 1e-12, 1e-8, True),
+                _entry(spec, "yF=G", "contraction", nan)]
+
+    monkeypatch.setitem(suites.SUITES, "yF=G", stand_in)
+    rep = run_suites(fixture_runspec("FIX-1D", seed=3, count=1, suites=("yF=G",)))
+    (result,) = rep.suites
+    assert math.isnan(result.max_residual)
+    assert not result.passed and not result.as_expected and not rep.ok
 
 
 def test_cli_rejects_malformed_tolerances_and_warps(tmp_path, capsys):
