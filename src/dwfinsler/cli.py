@@ -11,7 +11,7 @@ import json
 import sys
 from datetime import datetime, timezone
 
-from . import __version__
+from . import __version__, connection, core, curvature
 from .errors import DwfError, SchemaError
 from .metrics import FIXTURES, TangentSample
 from .runspec import (ALL_SUITES, RunSpec, fixture_document, parse_spec,
@@ -63,47 +63,35 @@ def _parse_point(text: str, n1: int, n2: int) -> TangentSample:
     return TangentSample(groups["x"], groups["u"], groups["y"], groups["v"])
 
 
-_TENSORS = ("F2", "g", "ginv", "angular", "cartan", "mean-cartan", "matsumoto",
-            "spray", "connection", "horizontal", "brackets", "berwald", "hh",
-            "riemann-map")
+def _brackets(cfg, p) -> dict:
+    r, gf = connection.frame_brackets(cfg, p)
+    return {"curvature": r.array.tolist(), "connection": gf.array.tolist()}
+
+
+#: Printable tensors: name -> JSON-ready value at (cfg, p).
+_TENSORS = {
+    "F2": lambda cfg, p: core.eval_F2(cfg, p).value,
+    "g": lambda cfg, p: core.fundamental_tensor(cfg, p)[0].array.tolist(),
+    "ginv": lambda cfg, p: core.fundamental_tensor(cfg, p)[1].array.tolist(),
+    "angular": lambda cfg, p: core.angular_metric(cfg, p).array.tolist(),
+    "cartan": lambda cfg, p: core.cartan_tensor(cfg, p).array.tolist(),
+    "mean-cartan": lambda cfg, p: core.mean_cartan(cfg, p).array.tolist(),
+    "matsumoto": lambda cfg, p: core.matsumoto_torsion(cfg, p).array.tolist(),
+    "spray": lambda cfg, p: connection.spray(cfg, p).values.tolist(),
+    "connection": lambda cfg, p: connection.nonlinear_connection(cfg, p).matrix.tolist(),
+    "horizontal": lambda cfg, p: connection.horizontal_coefficients(cfg, p).array.tolist(),
+    "brackets": _brackets,
+    "berwald": lambda cfg, p: curvature.berwald_curvature(cfg, p).array.tolist(),
+    "hh": lambda cfg, p: curvature.hh_curvature(cfg, p).array.tolist(),
+    "riemann-map": lambda cfg, p: curvature.riemann_map(cfg, p).array.tolist(),
+}
 
 
 def _evaluate(cfg, p: TangentSample, names) -> dict:
-    from . import connection, core, curvature
-    out: dict = {}
-    for name in names:
-        if name == "F2":
-            out[name] = core.eval_F2(cfg, p).value
-        elif name == "g":
-            out[name] = core.fundamental_tensor(cfg, p)[0].array.tolist()
-        elif name == "ginv":
-            out[name] = core.fundamental_tensor(cfg, p)[1].array.tolist()
-        elif name == "angular":
-            out[name] = core.angular_metric(cfg, p).array.tolist()
-        elif name == "cartan":
-            out[name] = core.cartan_tensor(cfg, p).array.tolist()
-        elif name == "mean-cartan":
-            out[name] = core.mean_cartan(cfg, p).array.tolist()
-        elif name == "matsumoto":
-            out[name] = core.matsumoto_torsion(cfg, p).array.tolist()
-        elif name == "spray":
-            out[name] = connection.spray(cfg, p).values.tolist()
-        elif name == "connection":
-            out[name] = connection.nonlinear_connection(cfg, p).matrix.tolist()
-        elif name == "horizontal":
-            out[name] = connection.horizontal_coefficients(cfg, p).array.tolist()
-        elif name == "brackets":
-            r, gf = connection.frame_brackets(cfg, p)
-            out[name] = {"curvature": r.array.tolist(), "connection": gf.array.tolist()}
-        elif name == "berwald":
-            out[name] = curvature.berwald_curvature(cfg, p).array.tolist()
-        elif name == "hh":
-            out[name] = curvature.hh_curvature(cfg, p).array.tolist()
-        elif name == "riemann-map":
-            out[name] = curvature.riemann_map(cfg, p).array.tolist()
-        else:
-            raise SchemaError(f"unknown tensor {name!r}; known: {', '.join(_TENSORS)}")
-    return out
+    unknown = [name for name in names if name not in _TENSORS]
+    if unknown:
+        raise SchemaError(f"unknown tensor {unknown[0]!r}; known: {', '.join(_TENSORS)}")
+    return {name: _TENSORS[name](cfg, p) for name in names}
 
 
 def _cmd_eval(args) -> int:

@@ -13,6 +13,8 @@ the upper slot, the rest are the lower slots in order ('1' = first factor,
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from .coords import base1, base2, fiber1, fiber2
@@ -52,32 +54,17 @@ class _Ingredients:
         self.dF2dv = np.array([f2.F2_partial((fiber2(a),)) for a in range(self.n2)])
         self.vsum = float(self.w2u @ np.asarray(wp.sample.v))
         self.ysum = float(self.w1x @ np.asarray(wp.sample.y))
-        # Fiber derivatives of the factor inverse metrics: [k, h, extra dirs...]
-        self.dginv1 = np.stack(
-            [f1.ginv_fiber_partial((fiber1(r),)) for r in range(self.n1)], axis=-1)
-        self.dginv2 = np.stack(
-            [f2.ginv_fiber_partial((fiber2(r),)) for r in range(self.n2)], axis=-1)
         self._f1, self._f2 = f1, f2
+        self.dginv1, self.dginv2 = self.dginv(1, 1), self.dginv(2, 1)
 
-    def d2ginv(self, which: int):
+    def dginv(self, which: int, order: int) -> np.ndarray:
+        """[k, h, i, j, ...] = the order-``order`` fiber partial d^order g^kh / dy^i dy^j ...
+        of a factor's inverse metric."""
         f, n, mk = (self._f1, self.n1, fiber1) if which == 1 else (self._f2, self.n2, fiber2)
-        out = np.empty((n, n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                out[:, :, i, j] = out[:, :, j, i] = f.ginv_fiber_partial((mk(i), mk(j)))
-        return out
-
-    def d3ginv(self, which: int):
-        f, n, mk = (self._f1, self.n1, fiber1) if which == 1 else (self._f2, self.n2, fiber2)
-        out = np.empty((n, n, n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                for l in range(j, n):
-                    m = f.ginv_fiber_partial((mk(i), mk(j), mk(l)))
-                    for perm in ((i, j, l), (i, l, j), (j, i, l), (j, l, i),
-                                 (l, i, j), (l, j, i)):
-                        out[(slice(None), slice(None)) + perm] = m
-        return out
+        grid = np.array([f.ginv_fiber_partial(dirs)
+                         for dirs in product(map(mk, range(n)), repeat=order)])
+        return np.moveaxis(grid.reshape((n,) * (order + 2)), range(order),
+                           range(2, order + 2))
 
 
 def spray_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
@@ -112,7 +99,7 @@ def connection_fiber_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
     n1, n2 = q.n1, q.n2
     out = {}
     out["1.11"] = (wp.factor1.connection_fiber_values()
-                   - np.einsum("khji,h->kij", q.d2ginv(1), q.w1x) * q.F2sq / (4.0 * q.f2sq))
+                   - np.einsum("khji,h->kij", q.dginv(1, 2), q.w1x) * q.F2sq / (4.0 * q.f2sq))
     out["1.12"] = (-np.einsum("khi,h,b->kib", q.dginv1, q.w1x, q.dF2dv) / (4.0 * q.f2sq)
                    + np.einsum("ki,b->kib", np.eye(n1), q.w2u) / (2.0 * q.f2sq))
     out["1.22"] = -np.einsum("k,ab->kab", q.g1inv @ q.w1x, q.g2) / (2.0 * q.f2sq)
@@ -120,7 +107,7 @@ def connection_fiber_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
     out["2.12"] = (-np.einsum("agb,a,i->gib", q.dginv2, q.w2u, q.dF1dy) / (4.0 * q.f1sq)
                    + np.einsum("gb,i->gib", np.eye(n2), q.w1x) / (2.0 * q.f1sq))
     out["2.22"] = (wp.factor2.connection_fiber_values()
-                   - np.einsum("glba,l->gab", q.d2ginv(2), q.w2u) * q.F1sq / (4.0 * q.f1sq))
+                   - np.einsum("glba,l->gab", q.dginv(2, 2), q.w2u) * q.F1sq / (4.0 * q.f1sq))
     return out
 
 
@@ -171,14 +158,14 @@ def berwald_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
     n1, n2 = q.n1, q.n2
     out = {}
     out["1.111"] = (wp.factor1.berwald()
-                    - np.einsum("khijl,h->kijl", q.d3ginv(1), q.w1x) * q.F2sq / (4.0 * q.f2sq))
-    out["1.121"] = -np.einsum("khli,h,b->kibl", q.d2ginv(1), q.w1x, q.dF2dv) / (4.0 * q.f2sq)
+                    - np.einsum("khijl,h->kijl", q.dginv(1, 3), q.w1x) * q.F2sq / (4.0 * q.f2sq))
+    out["1.121"] = -np.einsum("khli,h,b->kibl", q.dginv(1, 2), q.w1x, q.dF2dv) / (4.0 * q.f2sq)
     out["1.221"] = -np.einsum("ab,khl,h->kabl", q.g2, q.dginv1, q.w1x) / (2.0 * q.f2sq)
     out["1.222"] = -np.einsum("abl,k->kabl", q.C2, q.g1inv @ q.w1x) / q.f2sq
     out["1.122"] = -np.einsum("khi,h,bl->kibl", q.dginv1, q.w1x, q.g2) / (2.0 * q.f2sq)
     out["2.222"] = (wp.factor2.berwald()
-                    - np.einsum("gnbal,n->gabl", q.d3ginv(2), q.w2u) * q.F1sq / (4.0 * q.f1sq))
-    out["2.122"] = -np.einsum("agbl,a,i->gibl", q.d2ginv(2), q.w2u, q.dF1dy) / (4.0 * q.f1sq)
+                    - np.einsum("gnbal,n->gabl", q.dginv(2, 3), q.w2u) * q.F1sq / (4.0 * q.f1sq))
+    out["2.122"] = -np.einsum("agbl,a,i->gibl", q.dginv(2, 2), q.w2u, q.dF1dy) / (4.0 * q.f1sq)
     out["2.112"] = -np.einsum("ij,agl,a->gijl", q.g1, q.dginv2, q.w2u) / (2.0 * q.f1sq)
     out["2.111"] = -np.einsum("ijk,g->gijk", q.C1, q.g2inv @ q.w2u) / q.f1sq
     out["2.121"] = -np.einsum("agb,a,ik->gibk", q.dginv2, q.w2u, q.g1) / (2.0 * q.f1sq)

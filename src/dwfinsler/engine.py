@@ -10,9 +10,12 @@ layered on top (:mod:`dwfinsler.closed_forms`) and diffed against this path.
 
 Everything is assembled from memoized truncated-Taylor lifts of the squared
 norm over small seed subsets.  A "scope" names the outer differentiation
-context: tensors computed at scope (S, k) have components that are jets over
-seeds S up to order k, so they can be differentiated further formally.  Scope
-((), 0) yields plain point values.
+context: a tensor computed at scope (S, k) is one jet over seeds S up to order
+k whose leading axes are the tensor's slots, so the whole tensor can be
+differentiated further formally.  Scope ((), 0) yields plain point values.
+The adapted derivative :meth:`EnginePoint.delta` acts on a whole tensor field
+at once, and the inverse metric jet is the float inverse of the value matrix
+extended by a nilpotent series, so no elimination runs on jets.
 
 All per-point state has one owner: the :class:`Workspace` of a configuration
 keeps one :class:`WorkPoint` per sample in a single dict, and each work point
@@ -24,12 +27,14 @@ across threads only for distinct points.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .coords import CoordIndex, base_coords, fiber_coords
-from .jets import Jet, jet_lift
+from .jets import Jet, context, einsum, jet_lift
 from .linalg import invert_matrix
 from .metrics import ProductConfig, TangentSample
 
@@ -47,11 +52,14 @@ class Scope(NamedTuple):
 POINT = Scope((), 0)
 
 
-def _values(nested) -> np.ndarray:
-    """Extract .value from an arbitrarily nested list structure of jets."""
-    if isinstance(nested, Jet):
-        return nested.value
-    return np.array([_values(t) for t in nested])
+def _derived(jet: Jet, dirs: Sequence[CoordIndex]) -> Jet:
+    return reduce(Jet.derive, dirs, jet)
+
+
+def _grid(entry: Callable[..., Jet], *axes: Sequence) -> Jet:
+    """One jet over the index grid of ``axes``; entry ``idx`` is ``entry(*idx)``."""
+    flat = Jet.stack([entry(*idx) for idx in product(*axes)])
+    return flat.reshape(tuple(map(len, axes)) + flat.shape[1:])
 
 
 class FinslerEngine:
@@ -66,7 +74,11 @@ class FinslerEngine:
 
 
 class EnginePoint:
-    """All tensors of one engine at one sample, memoized by scope."""
+    """All tensors of one engine at one sample, memoized by scope.
+
+    Every tensor method returns one jet whose tensor axes are the tensor's
+    slots; the matching ``*_values`` accessor is its value array.
+    """
 
     def __init__(self, engine: FinslerEngine, sample: TangentSample):
         self.engine = engine
@@ -80,6 +92,16 @@ class EnginePoint:
             got = self._memo[key] = build()
         return got
 
+    def _along(self, tensor: Callable[[Scope], Jet], dirs: Sequence[CoordIndex],
+               scope: Scope) -> Jet:
+        """The partial along ``dirs`` of the tensor field, as a jet at ``scope``."""
+        return _derived(tensor(scope.extend(dirs)), dirs).restrict(scope.seeds, scope.order)
+
+    def _partials(self, tensor: Callable[[Scope], Jet], scope: Scope,
+                  *axes: Sequence[CoordIndex]) -> Jet:
+        """[i, j, ..., *] = the tensor field's partial along (axes[0][i], axes[1][j], ...)."""
+        return _grid(lambda *dirs: self._along(tensor, dirs, scope), *axes)
+
     # -- primitive lifts -----------------------------------------------------
     def lift(self, seeds: tuple[CoordIndex, ...], order: int) -> Jet:
         key = ("lift", seeds, order)
@@ -88,48 +110,42 @@ class EnginePoint:
     def dF2(self, scope: Scope, dirs: Sequence[CoordIndex]) -> Jet:
         """The field's mixed partial along ``dirs``, as a jet at ``scope``."""
         dirs = tuple(sorted(dirs))
-        key = ("dF2", scope, dirs)
+        return self._get(("dF2", scope, dirs), lambda: self._along(
+            lambda sc: self.lift(sc.seeds, sc.order), dirs, scope))
 
-        def build():
-            seeds = tuple(sorted(set(scope.seeds) | set(dirs)))
-            jet = self.lift(seeds, scope.order + len(dirs))
-            for d in dirs:
-                jet = jet.derive(d)
-            return jet.restrict(scope.seeds, scope.order)
-
-        return self._get(key, build)
-
-    def coord_jet(self, scope: Scope, ci: CoordIndex) -> Jet:
-        from .jets import context
-        return Jet.coordinate(context(scope.seeds, scope.order), ci, self.sample.coord(ci))
+    def _dF2_grid(self, scope: Scope, *axes: Sequence[CoordIndex]) -> Jet:
+        """[i, j, ...] = the field's partial along (axes[0][i], axes[1][j], ...)."""
+        return _grid(lambda *dirs: self.dF2(scope, dirs), *axes)
 
     def fiber_values(self) -> np.ndarray:
         return np.array([self.sample.coord(c) for c in self.engine.fiber])
 
     # -- metric level ---------------------------------------------------------
-    def g(self, scope: Scope = POINT) -> list[list[Jet]]:
-        def build():
-            n, fib = self.engine.n, self.engine.fiber
-            rows: list[list] = [[None] * n for _ in range(n)]
-            for a in range(n):
-                for b in range(a, n):
-                    rows[a][b] = rows[b][a] = 0.5 * self.dF2(scope, (fib[a], fib[b]))
-            return rows
+    def g(self, scope: Scope = POINT) -> Jet:
+        fib = self.engine.fiber
+        return self._get(("g", scope), lambda: 0.5 * self._dF2_grid(scope, fib, fib))
 
-        return self._get(("g", scope), build)
+    def ginv(self, scope: Scope = POINT) -> Jet:
+        """The inverse metric: the value matrix inverted, then the nilpotent
+        series g^-1 = sum_k (-g0^-1 h)^k g0^-1 over h = g - g0 for the partials."""
 
-    def ginv(self, scope: Scope = POINT) -> list[list]:
         def build():
-            inv, _cond = invert_matrix(self.g(scope))
-            return inv
+            g = self.g(scope)
+            inv0 = Jet.constant(g.ctx, np.array(invert_matrix(g.value)[0]))
+            step = -einsum("ab,bc->ac", inv0, g - g.value)
+            out = term = inv0
+            for _ in range(scope.order):
+                term = einsum("ab,bc->ac", step, term)
+                out = out + term
+            return out
 
         return self._get(("ginv", scope), build)
 
     def g_values(self) -> np.ndarray:
-        return self._get(("g_values",), lambda: _values(self.g(POINT)))
+        return self.g().value
 
     def ginv_values(self) -> np.ndarray:
-        return self._get(("ginv_values",), lambda: _values(self.ginv(POINT)))
+        return self.ginv().value
 
     def F2_value(self) -> float:
         return self.dF2(POINT, ()).value
@@ -139,44 +155,19 @@ class EnginePoint:
 
     def F2_base_fiber_values(self) -> np.ndarray:
         """[a, b] = d^2 F^2 / dx^a dy^b: base derivative of the fiber gradient."""
-        base, fib = self.engine.base, self.engine.fiber
-        return self._get(("F2_base_fiber",), lambda: np.array(
-            [[self.F2_partial((xa, yb)) for yb in fib] for xa in base]))
+        return self._dF2_grid(POINT, self.engine.base, self.engine.fiber).value
 
     def ginv_fiber_partial(self, dirs: Sequence[CoordIndex]) -> np.ndarray:
         """Mixed fiber partial of the inverse metric, as a value matrix."""
         dirs = tuple(sorted(dirs))
-
-        def build():
-            n = self.engine.n
-            scope = Scope(tuple(sorted(set(dirs))), len(dirs))
-            inv = self.ginv(scope)
-            out = np.empty((n, n))
-            for a in range(n):
-                for b in range(n):
-                    jet = inv[a][b]
-                    for d in dirs:
-                        jet = jet.derive(d)
-                    out[a, b] = jet.value
-            return out
-
-        return self._get(("ginv_partial", dirs), build)
+        return self._get(("ginv_partial", dirs),
+                         lambda: self._along(self.ginv, dirs, POINT).value)
 
     def cartan(self) -> np.ndarray:
         """Fully symmetric lower Cartan torsion C_abc."""
-
-        def build():
-            n, fib = self.engine.n, self.engine.fiber
-            out = np.empty((n, n, n))
-            for a in range(n):
-                for b in range(a, n):
-                    for c in range(b, n):
-                        val = 0.25 * self.dF2(POINT, (fib[a], fib[b], fib[c])).value
-                        out[a, b, c] = out[a, c, b] = out[b, a, c] = val
-                        out[b, c, a] = out[c, a, b] = out[c, b, a] = val
-            return out
-
-        return self._get(("cartan",), build)
+        fib = self.engine.fiber
+        return self._get(("cartan",),
+                         lambda: 0.25 * self._dF2_grid(POINT, fib, fib, fib).value)
 
     def mean_cartan(self) -> np.ndarray:
         def build():
@@ -193,187 +184,102 @@ class EnginePoint:
         return self._get(("angular",), build)
 
     # -- spray and connections -------------------------------------------------
-    def spray(self, scope: Scope = POINT) -> list[Jet]:
+    def spray(self, scope: Scope = POINT) -> Jet:
         def build():
-            n, base, fib = self.engine.n, self.engine.base, self.engine.fiber
-            ginv = self.ginv(scope)
-            rhs = []
-            for b in range(n):
-                acc = -self.dF2(scope, (base[b],))
-                for c in range(n):
-                    acc = acc + self.dF2(scope, (fib[b], base[c])) * self.coord_jet(scope, fib[c])
-                rhs.append(acc)
-            return [0.25 * sum((ginv[a][b] * rhs[b] for b in range(n)),
-                               start=Jet.constant(rhs[0].ctx, 0.0))
-                    for a in range(n)]
+            base, fib = self.engine.base, self.engine.fiber
+            ctx = context(scope.seeds, scope.order)
+            y = Jet.stack([Jet.coordinate(ctx, c, self.sample.coord(c)) for c in fib])
+            rhs = einsum("bc,c->b", self._dF2_grid(scope, fib, base), y) \
+                - self._dF2_grid(scope, base)
+            return 0.25 * einsum("ab,b->a", self.ginv(scope), rhs)
 
         return self._get(("spray", scope), build)
 
     def spray_values(self) -> np.ndarray:
-        return self._get(("spray_values",), lambda: _values(self.spray(POINT)))
+        return self.spray().value
 
-    def nonlinear_connection(self, scope: Scope = POINT) -> list[list[Jet]]:
+    def nonlinear_connection(self, scope: Scope = POINT) -> Jet:
         """N[a][b] = fiber derivative of the spray: the nonlinear connection."""
-
-        def build():
-            n, fib = self.engine.n, self.engine.fiber
-            cols: list[list] = [[None] * n for _ in range(n)]
-            for b in range(n):
-                ext = scope.extend((fib[b],))
-                sp = self.spray(ext)
-                for a in range(n):
-                    cols[a][b] = sp[a].derive(fib[b]).restrict(scope.seeds, scope.order)
-            return cols
-
-        return self._get(("nlconn", scope), build)
+        fib = self.engine.fiber
+        return self._get(("nlconn", scope),
+                         lambda: self._partials(self.spray, scope, fib).transpose())
 
     def nonlinear_connection_values(self) -> np.ndarray:
-        return self._get(("nlconn_values",),
-                         lambda: _values(self.nonlinear_connection(POINT)))
+        return self.nonlinear_connection().value
 
-    def connection_fiber_derivative(self, scope: Scope = POINT) -> list[list[list[Jet]]]:
+    def connection_fiber_derivative(self, scope: Scope = POINT) -> Jet:
         """G[a][b][c] = second fiber derivative of the spray, symmetric in (b, c)."""
-
-        def build():
-            n, fib = self.engine.n, self.engine.fiber
-            out = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for b in range(n):
-                for c in range(b, n):
-                    ext = scope.extend((fib[b], fib[c]))
-                    sp = self.spray(ext)
-                    for a in range(n):
-                        jet = sp[a].derive(fib[b]).derive(fib[c]).restrict(scope.seeds, scope.order)
-                        out[a][b][c] = out[a][c][b] = jet
-            return out
-
-        return self._get(("connfd", scope), build)
+        fib = self.engine.fiber
+        return self._get(("connfd", scope),
+                         lambda: self._partials(self.spray, scope, fib, fib).transpose(2, 0, 1))
 
     def connection_fiber_values(self) -> np.ndarray:
-        return self._get(("connfd_values",),
-                         lambda: _values(self.connection_fiber_derivative(POINT)))
+        return self.connection_fiber_derivative().value
 
     def berwald(self) -> np.ndarray:
         """B[a][b][c][d] = third fiber derivative of the spray."""
-
-        def build():
-            n, fib = self.engine.n, self.engine.fiber
-            out = np.empty((n, n, n, n))
-            for b in range(n):
-                for c in range(b, n):
-                    for d in range(c, n):
-                        ext = POINT.extend((fib[b], fib[c], fib[d]))
-                        sp = self.spray(ext)
-                        for a in range(n):
-                            val = sp[a].derive(fib[b]).derive(fib[c]).derive(fib[d]).value
-                            for perm in ((b, c, d), (b, d, c), (c, b, d),
-                                         (c, d, b), (d, b, c), (d, c, b)):
-                                out[(a,) + perm] = val
-            return out
-
-        return self._get(("berwald",), build)
+        fib = self.engine.fiber
+        return self._get(("berwald",), lambda: np.moveaxis(
+            self._partials(self.spray, POINT, fib, fib, fib).value, -1, 0))
 
     # -- horizontal calculus ----------------------------------------------------
     def delta(self, field_fn: Callable[[Scope], Jet], base_dir: CoordIndex,
               scope: Scope = POINT) -> Jet:
-        """Adapted derivative: d/dx^b minus the connection-weighted fiber part."""
-        n, base, fib = self.engine.n, self.engine.base, self.engine.fiber
-        b = base.index(base_dir)
-        out = field_fn(scope.extend((base_dir,))).derive(base_dir).restrict(scope.seeds, scope.order)
-        conn = self.nonlinear_connection(scope)
-        for c in range(n):
-            fiber_part = field_fn(scope.extend((fib[c],))).derive(fib[c]) \
-                .restrict(scope.seeds, scope.order)
-            out = out - conn[c][b] * fiber_part
-        return out
+        """Adapted derivative of a tensor field: d/dx^b minus the
+        connection-weighted fiber part, for every component at once."""
+        b = self.engine.base.index(base_dir)
+        fiber_part = self._partials(field_fn, scope, self.engine.fiber)
+        return (self._along(field_fn, (base_dir,), scope)
+                - einsum("c,c...->...", self.nonlinear_connection(scope)[:, b], fiber_part))
 
-    def delta_g(self, scope: Scope = POINT) -> list[list[list[Jet]]]:
+    def _delta_grid(self, field_fn: Callable[[Scope], Jet], scope: Scope) -> Jet:
+        """[e, ...] = adapted derivative of the field along the e-th base direction."""
+        return _grid(lambda x: self.delta(field_fn, x, scope), self.engine.base)
+
+    def delta_g(self, scope: Scope = POINT) -> Jet:
         """dg[a][b][e] = adapted derivative of g_ab along the e-th base direction."""
+        return self._get(("delta_g", scope),
+                         lambda: self._delta_grid(self.g, scope).transpose(1, 2, 0))
 
-        def build():
-            n, base = self.engine.n, self.engine.base
-            out = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for a in range(n):
-                for b in range(a, n):
-                    for e in range(n):
-                        jet = self.delta(lambda sc, a=a, b=b: self.g(sc)[a][b],
-                                         base[e], scope)
-                        out[a][b][e] = out[b][a][e] = jet
-            return out
-
-        return self._get(("delta_g", scope), build)
-
-    def horizontal_coefficients(self, scope: Scope = POINT) -> list[list[list[Jet]]]:
+    def horizontal_coefficients(self, scope: Scope = POINT) -> Jet:
         """H[c][a][b]: Berwald-type horizontal coefficients, symmetric in (a, b)."""
 
         def build():
-            n = self.engine.n
-            ginv = self.ginv(scope)
             dg = self.delta_g(scope)
-            out = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for a in range(n):
-                for b in range(a, n):
-                    for c in range(n):
-                        acc = None
-                        for e in range(n):
-                            term = ginv[c][e] * (dg[e][a][b] + dg[e][b][a] - dg[a][b][e])
-                            acc = term if acc is None else acc + term
-                        out[c][a][b] = out[c][b][a] = 0.5 * acc
-            return out
+            # [e, a, b] = dg[e][a][b] + dg[e][b][a] - dg[a][b][e]
+            lowered = dg + dg.transpose(0, 2, 1) - dg.transpose(2, 0, 1)
+            return 0.5 * einsum("ce,eab->cab", self.ginv(scope), lowered)
 
         return self._get(("hcoef", scope), build)
 
     def horizontal_values(self) -> np.ndarray:
-        return self._get(("hcoef_values",),
-                         lambda: _values(self.horizontal_coefficients(POINT)))
+        return self.horizontal_coefficients().value
 
-    def bracket_curvature(self, scope: Scope = POINT) -> list[list[list[Jet]]]:
+    def bracket_curvature(self, scope: Scope = POINT) -> Jet:
         """R[c][a][b]: curvature of the horizontal distribution, antisymmetric in (a, b)."""
 
         def build():
-            n, base = self.engine.n, self.engine.base
-            dn = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for c in range(n):
-                for a in range(n):
-                    for b in range(n):
-                        dn[c][a][b] = self.delta(
-                            lambda sc, c=c, a=a: self.nonlinear_connection(sc)[c][a],
-                            base[b], scope)
-            out = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for c in range(n):
-                for a in range(n):
-                    for b in range(n):
-                        out[c][a][b] = dn[c][a][b] - dn[c][b][a]
-            return out
+            # dn[c, a, b] = delta_b N[c][a]
+            dn = self._delta_grid(self.nonlinear_connection, scope).transpose(1, 2, 0)
+            return dn - dn.transpose(0, 2, 1)
 
         return self._get(("bracketR", scope), build)
 
     def bracket_curvature_values(self) -> np.ndarray:
-        return self._get(("bracketR_values",),
-                         lambda: _values(self.bracket_curvature(POINT)))
+        return self.bracket_curvature().value
 
     # -- curvature level ----------------------------------------------------------
     def hh_curvature(self) -> np.ndarray:
         """R[b][a][c][d]: horizontal curvature of the Berwald-type connection."""
 
         def build():
-            n, base = self.engine.n, self.engine.base
             H = self.horizontal_values()
-            dH = np.empty((n, n, n, n))
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        for d in range(n):
-                            dH[a, b, c, d] = self.delta(
-                                lambda sc, a=a, b=b, c=c: self.horizontal_coefficients(sc)[a][b][c],
-                                base[d], POINT).value
-            out = np.empty((n, n, n, n))
-            for b in range(n):
-                for a in range(n):
-                    for c in range(n):
-                        for d in range(n):
-                            quad = float(H[a, d, :] @ H[:, b, c] - H[a, c, :] @ H[:, b, d])
-                            out[b, a, c, d] = dH[a, b, c, d] - dH[a, b, d, c] + quad
-            return out
+            # dH[a, b, c, d] = delta_d H[a][b][c]
+            dH = np.moveaxis(self._delta_grid(self.horizontal_coefficients, POINT).value, 0, -1)
+            quad = np.einsum("ade,ebc->abcd", H, H)
+            # Each bracket is exactly antisymmetric in (c, d), so their sum is too.
+            out = (dH - dH.swapaxes(2, 3)) + (quad - quad.swapaxes(2, 3))
+            return out.swapaxes(0, 1)
 
         return self._get(("hh",), build)
 
@@ -381,29 +287,16 @@ class EnginePoint:
         """R[a][b]: the fiber-quadratic curvature endomorphism of the spray."""
 
         def build():
-            n, base, fib = self.engine.n, self.engine.base, self.engine.fiber
+            base, fib = self.engine.base, self.engine.fiber
             G = self.spray_values()
             N = self.nonlinear_connection_values()
-            GG = self.connection_fiber_values()
-            yv = self.fiber_values()
-            dxG = np.empty((n, n))
-            for b in range(n):
-                ext = POINT.extend((base[b],))
-                sp = self.spray(ext)
-                for a in range(n):
-                    dxG[a, b] = sp[a].derive(base[b]).value
-            dxdyG = np.empty((n, n, n))  # [a][c][b] = d^2 G^a / dx^c dy^b
-            for c in range(n):
-                for b in range(n):
-                    ext = POINT.extend((base[c], fib[b]))
-                    sp = self.spray(ext)
-                    for a in range(n):
-                        dxdyG[a, c, b] = sp[a].derive(base[c]).derive(fib[b]).value
-            out = (2.0 * dxG
-                   - np.einsum("c,acb->ab", yv, dxdyG)
-                   + 2.0 * np.einsum("c,acb->ab", G, GG)
-                   - N @ N)
-            return out
+            # dxG[b, a] = dG^a / dx^b, dxdyG[c, b, a] = d^2 G^a / dx^c dy^b
+            dxG = self._partials(self.spray, POINT, base).value
+            dxdyG = self._partials(self.spray, POINT, base, fib).value
+            return (2.0 * dxG.T
+                    - np.einsum("c,cba->ab", self.fiber_values(), dxdyG)
+                    + 2.0 * np.einsum("c,acb->ab", G, self.connection_fiber_values())
+                    - N @ N)
 
         return self._get(("riemann_map",), build)
 
@@ -430,7 +323,6 @@ class Workspace:
         """The work point of ``sample``: validated and built once, then shared."""
         got = self._points.get(sample)
         if got is None:
-            self.cfg.validate_sample(sample)
             got = self._points[sample] = WorkPoint(self, sample)
         return got
 
@@ -440,9 +332,14 @@ class Workspace:
 
 
 class WorkPoint:
-    """Everything computed at one sample: engine points, warp jets, lifted data."""
+    """Everything computed at one sample: engine points, warp jets, lifted data.
+
+    A work point built directly, not through :meth:`Workspace.at`, is not
+    cached and lives as long as its caller keeps it.
+    """
 
     def __init__(self, ws: Workspace, sample: TangentSample):
+        ws.cfg.validate_sample(sample)
         self.cfg = ws.cfg
         self.sample = sample
         self.product = EnginePoint(ws.product, sample)
@@ -463,11 +360,7 @@ class WorkPoint:
         return self.warp_jet(which, POINT).value
 
     def warp_partial(self, which: int, dirs: Sequence[CoordIndex]) -> float:
-        dirs = tuple(sorted(dirs))
-        jet = self.warp_jet(which, Scope(tuple(sorted(set(dirs))), len(dirs)))
-        for d in dirs:
-            jet = jet.derive(d)
-        return jet.value
+        return _derived(self.warp_jet(which, POINT.extend(dirs)), dirs).value
 
     def factor(self, which: int) -> EnginePoint:
         return self.factor1 if which == 1 else self.factor2

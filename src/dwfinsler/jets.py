@@ -1,11 +1,14 @@
 """Higher-order forward-mode differentiation via truncated Taylor jets.
 
-A :class:`Jet` holds the value of a scalar quantity together with all of its
-mixed partial derivatives (unscaled, i.e. true derivatives rather than Taylor
-coefficients) with respect to a chosen set of seed coordinates, up to a total
-order.  Arithmetic on jets implements the truncated Leibniz / Faa di Bruno
-rules, so any composite built from +, -, *, /, sqrt, exp and integer powers of
-seeded coordinates carries exact derivatives.
+A :class:`Jet` holds a tensor quantity together with all of its mixed partial
+derivatives (unscaled, i.e. true derivatives rather than Taylor coefficients)
+with respect to a chosen set of seed coordinates, up to a total order.  The
+coefficient array ``Jet.c`` carries the tensor axes first and the partials on
+its last axis; a scalar jet is the shape-``()`` case.  Arithmetic implements
+the truncated Leibniz rule elementwise with broadcasting, and :func:`einsum`
+contracts two jets over tensor axes, so whole tensors are differentiated,
+multiplied and contracted at once.  Scalar fields built from +, -, *, /,
+sqrt, exp and integer powers of seeded coordinates carry exact derivatives.
 
 Seeds are small subsets of the 2*(n1+n2) tangent-bundle coordinates; lifting
 the same field at the same point over the same seeds is memoized by the
@@ -14,6 +17,7 @@ callers (see :mod:`dwfinsler.engine`), not here.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import product as _iter_product
 from typing import Callable, Sequence
@@ -24,7 +28,7 @@ from .coords import MAX_ORDER, CoordIndex, MultiIndex
 from .errors import CapabilityError, DomainError
 
 __all__ = [
-    "Jet", "JetContext", "jet_lift", "fd_partial",
+    "Jet", "JetContext", "jet_lift", "fd_partial", "einsum",
     "sqrt", "exp", "as_float",
 ]
 
@@ -51,6 +55,8 @@ class _Tables:
         self.exps = exps
         self.index = {e: i for i, e in enumerate(exps)}
         self.size = len(exps)
+        self.unit = np.zeros(self.size)  # the value slot
+        self.unit[0] = 1.0
         self._mul = None
         self._derive: dict[int, np.ndarray] = {}
         self._restrict: dict[tuple, np.ndarray] = {}
@@ -69,7 +75,9 @@ class _Tables:
                     jj.append(self.index[rest])
                     oo.append(o)
                     ww.append(w)
-            self._mul = (np.asarray(ii), np.asarray(jj), np.asarray(oo),
+            # Terms are sorted by output index, so each output sums one run.
+            starts = np.flatnonzero(np.diff(oo, prepend=-1))
+            self._mul = (np.asarray(ii), np.asarray(jj), starts,
                          np.asarray(ww, dtype=float))
         return self._mul
 
@@ -149,7 +157,10 @@ def context(seeds: Sequence[CoordIndex], order: int) -> JetContext:
 
 
 class Jet:
-    """Truncated collection of unscaled mixed partials over a seed set."""
+    """Truncated unscaled mixed partials of a tensor over a seed set.
+
+    ``c`` has the tensor's axes first and the partials on its last axis.
+    """
 
     __slots__ = ("ctx", "c")
 
@@ -159,10 +170,9 @@ class Jet:
 
     # -- constructors -------------------------------------------------------
     @classmethod
-    def constant(cls, ctx: JetContext, value: float) -> "Jet":
-        c = np.zeros(ctx.tables.size)
-        c[0] = value
-        return cls(ctx, c)
+    def constant(cls, ctx: JetContext, value) -> "Jet":
+        """A float or a float array with all partials zero."""
+        return cls(ctx, _value_slot(ctx, value))
 
     @classmethod
     def coordinate(cls, ctx: JetContext, coord: CoordIndex, value: float) -> "Jet":
@@ -174,10 +184,23 @@ class Jet:
             c[ctx.tables.index[unit]] = 1.0
         return cls(ctx, c)
 
+    @classmethod
+    def stack(cls, jets: Sequence["Jet"]) -> "Jet":
+        """One jet whose leading axis runs over ``jets`` (same context, same shape)."""
+        ctx = jets[0].ctx
+        if any(j.ctx is not ctx for j in jets):
+            raise ValueError("stacked jets must share their context")
+        return cls(ctx, np.stack([j.c for j in jets]))
+
     # -- inspection ---------------------------------------------------------
     @property
-    def value(self) -> float:
-        return float(self.c[0])
+    def value(self):
+        """A float for a scalar jet, a fresh array for a tensor jet."""
+        return float(self.c[0]) if self.c.ndim == 1 else self.c[..., 0].copy()
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.c.shape[:-1]
 
     @property
     def order(self) -> int:
@@ -188,7 +211,7 @@ class Jet:
         return self.ctx.seeds
 
     def partial(self, multi) -> float:
-        """Unscaled mixed partial for a MultiIndex or direction sequence."""
+        """Unscaled mixed partial of a scalar jet for a MultiIndex or direction sequence."""
         if not isinstance(multi, MultiIndex):
             multi = MultiIndex.of(multi)
         if multi.order > self.ctx.order:
@@ -200,12 +223,25 @@ class Jet:
         return float(self.c[self.ctx.tables.index[tuple(e)]])
 
     def coeffs(self) -> dict[MultiIndex, float]:
-        """All stored partials, keyed canonically."""
+        """All stored partials of a scalar jet, keyed canonically."""
         out = {}
         for e, i in self.ctx.tables.index.items():
             terms = tuple((s, m) for s, m in zip(self.ctx.seeds, e) if m)
             out[MultiIndex(terms)] = float(self.c[i])
         return out
+
+    # -- tensor axes ----------------------------------------------------------
+    def __getitem__(self, key) -> "Jet":
+        key = key if isinstance(key, tuple) else (key,)
+        return Jet(self.ctx, self.c[key + (slice(None),)])
+
+    def transpose(self, *axes: int) -> "Jet":
+        """Permute the tensor axes as ``np.transpose`` does (reversed by default)."""
+        rank = self.c.ndim - 1
+        return Jet(self.ctx, self.c.transpose(*(axes or range(rank - 1, -1, -1)), rank))
+
+    def reshape(self, shape: tuple[int, ...]) -> "Jet":
+        return Jet(self.ctx, self.c.reshape(tuple(shape) + self.c.shape[-1:]))
 
     # -- context plumbing ---------------------------------------------------
     def truncate(self, order: int) -> "Jet":
@@ -222,7 +258,7 @@ class Jet:
             raise ValueError("cannot restrict to a higher order")
         positions = tuple(self.ctx.position(s) for s in sub.seeds)
         src = self.ctx.tables.restrict_map(positions, order)
-        return Jet(sub, self.c[src])
+        return Jet(sub, self.c.take(src, -1))
 
     def derive(self, coord: CoordIndex) -> "Jet":
         """Formal partial derivative; drops the order bound by one."""
@@ -230,7 +266,7 @@ class Jet:
             raise ValueError("cannot derive an order-0 jet")
         pos = self.ctx.position(coord)
         src = self.ctx.tables.derive_map(pos)
-        return Jet(context(self.ctx.seeds, self.ctx.order - 1), self.c[src])
+        return Jet(context(self.ctx.seeds, self.ctx.order - 1), self.c.take(src, -1))
 
     # -- arithmetic ---------------------------------------------------------
     def _aligned(self, other: "Jet") -> tuple["Jet", "Jet"]:
@@ -245,9 +281,7 @@ class Jet:
         if isinstance(other, Jet):
             a, b = self._aligned(other)
             return Jet(a.ctx, a.c + b.c)
-        c = self.c.copy()
-        c[0] += other
-        return Jet(self.ctx, c)
+        return Jet(self.ctx, self.c + _value_slot(self.ctx, other))
 
     __radd__ = __add__
 
@@ -258,26 +292,23 @@ class Jet:
         if isinstance(other, Jet):
             a, b = self._aligned(other)
             return Jet(a.ctx, a.c - b.c)
-        c = self.c.copy()
-        c[0] -= other
-        return Jet(self.ctx, c)
+        return Jet(self.ctx, self.c - _value_slot(self.ctx, other))
 
     def __rsub__(self, other):
-        c = -self.c
-        c[0] += other
-        return Jet(self.ctx, c)
+        return Jet(self.ctx, _value_slot(self.ctx, other) - self.c)
 
     def __mul__(self, other):
+        """Elementwise truncated product, broadcasting over the tensor axes."""
         if isinstance(other, Jet):
             a, b = self._aligned(other)
-            ii, jj, oo, ww = a.ctx.tables.mul_table
-            out = np.bincount(oo, weights=ww * a.c[ii] * b.c[jj],
-                              minlength=a.ctx.tables.size)
-            return Jet(a.ctx, out)
+            ii, jj, starts, ww = a.ctx.tables.mul_table
+            terms = ww * a.c.take(ii, -1) * b.c.take(jj, -1)
+            return Jet(a.ctx, np.add.reduceat(terms, starts, -1))
         return Jet(self.ctx, self.c * other)
 
     __rmul__ = __mul__
 
+    # Division, powers, sqrt and exp act on scalar jets only.
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._reciprocal()
@@ -340,7 +371,36 @@ class Jet:
         return shifted._nilpotent_series(math.exp(self.value), inv_fact)
 
     def __repr__(self) -> str:
-        return f"Jet(order={self.ctx.order}, seeds={self.ctx.seeds}, value={self.value})"
+        return (f"Jet(order={self.ctx.order}, seeds={self.ctx.seeds}, "
+                f"shape={self.shape}, value={self.value})")
+
+
+def _value_slot(ctx: JetContext, value) -> np.ndarray:
+    """Coefficients holding ``value`` (a float or a float array) with zero partials."""
+    if isinstance(value, np.ndarray):
+        value = value[..., None]
+    return value * ctx.tables.unit
+
+
+@functools.cache
+def _with_partials(spec: str) -> str:
+    """``spec`` with one more index, shared by both operands and the output."""
+    z = next(ch for ch in "zyxwvutsrqponmlkjihgfedcba" if ch not in spec)
+    ins, out = spec.replace(" ", "").split("->")
+    sa, sb = ins.split(",")
+    return f"{sa}{z},{sb}{z}->{out}{z}"
+
+
+def einsum(spec: str, a: Jet, b: Jet) -> Jet:
+    """Truncated product of two jets contracted over tensor axes, as ``np.einsum(spec)``.
+
+    The product terms ride on one extra axis and are summed by output index
+    as in ``*``.
+    """
+    a, b = a._aligned(b)
+    ii, jj, starts, ww = a.ctx.tables.mul_table
+    terms = np.einsum(_with_partials(spec), ww * a.c.take(ii, -1), b.c.take(jj, -1))
+    return Jet(a.ctx, np.add.reduceat(terms, starts, -1))
 
 
 def sqrt(x):

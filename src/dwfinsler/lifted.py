@@ -20,10 +20,11 @@ the Koszul solve on every configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .engine import POINT, Scope, WorkPoint, _values, workspace
+from .engine import Scope, WorkPoint, workspace
 from .errors import PreconditionError
 from .metrics import ProductConfig, TangentSample
 
@@ -126,7 +127,7 @@ class _LiftedPoint:
         self.Rb = ep.bracket_curvature_values()
         self.Gf = ep.connection_fiber_values()
         self.Fh = ep.horizontal_values()
-        self.dg = _values(ep.delta_g(POINT))
+        self.dg = ep.delta_g().value
         self.metric = _blockdiag(self.g)
         self.metric_inv = _blockdiag(ep.ginv_values())
         m = 2 * n
@@ -154,6 +155,33 @@ class _LiftedPoint:
         eng = self.wp.factor(which)
         return np.einsum("sh,hij->sij", eng.ginv_values(), eng.cartan())
 
+    # The two connection tables are solved once per point and shared read-only.
+    @cached_property
+    def koszul(self) -> np.ndarray:
+        """Levi-Civita table from the Koszul identity, brackets included."""
+        dm = self.dm
+        low = np.einsum("abk,kz->abz", self.br, self.metric)  # m([e_A, e_B], e_Z)
+        rhs = (dm + np.einsum("baz->abz", dm) - np.einsum("zab->abz", dm)
+               + low - np.einsum("azb->abz", low) - np.einsum("bza->abz", low))
+        return _read_only(0.5 * np.einsum("kz,abz->abk", self.metric_inv, rhs))
+
+    @cached_property
+    def vaisman(self) -> np.ndarray:
+        """The adapted connection of the vertical foliation."""
+        n, n1 = self.n, self.n1
+        out = np.zeros((2 * n, 2 * n, 2 * n))
+        out[:n, :n, :n] = np.einsum("kab->abk", self.Fh)   # horizontal on horizontal
+        out[:n, n:, n:] = np.einsum("kab->abk", self.Gf)   # horizontal on vertical
+        out[n:n + n1, n:n + n1, n:n + n1] = np.einsum("sab->abs", self.cartan_up(1))
+        out[n + n1:, n + n1:, n + n1:] = np.einsum("gab->abg", self.cartan_up(2))
+        # mixed vertical pairs and vertical-on-horizontal rows stay zero
+        return _read_only(out)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
 
 def _blockdiag(block: np.ndarray) -> np.ndarray:
     n = block.shape[0]
@@ -180,13 +208,7 @@ def lifted_metric(cfg: ProductConfig, p: TangentSample) -> LiftedMetric:
 
 def koszul_levi_civita(cfg: ProductConfig, p: TangentSample) -> ConnectionTable:
     """Solve the Koszul identity over the adapted frame, brackets included."""
-    lp = _lifted(cfg, p)
-    dm = lp.dm
-    low = np.einsum("abk,kz->abz", lp.br, lp.metric)  # m([e_A, e_B], e_Z)
-    rhs = (dm + np.einsum("baz->abz", dm) - np.einsum("zab->abz", dm)
-           + low - np.einsum("azb->abz", low) - np.einsum("bza->abz", low))
-    return ConnectionTable("levi-civita-koszul",
-                           0.5 * np.einsum("kz,abz->abk", lp.metric_inv, rhs))
+    return ConnectionTable("levi-civita-koszul", _lifted(cfg, p).koszul)
 
 
 def levi_civita_closed_forms(cfg: ProductConfig, p: TangentSample) -> ConnectionTable:
@@ -301,15 +323,7 @@ def induced_vertical_connection(cfg: ProductConfig, p: TangentSample) -> Connect
 
 def vaisman_connection(cfg: ProductConfig, p: TangentSample) -> ConnectionTable:
     """Distribution-preserving adapted connection of the vertical foliation."""
-    lp = _lifted(cfg, p)
-    n, n1 = lp.n, lp.n1
-    out = np.zeros((2 * n, 2 * n, 2 * n))
-    out[:n, :n, :n] = np.einsum("kab->abk", lp.Fh)   # horizontal on horizontal
-    out[:n, n:, n:] = np.einsum("kab->abk", lp.Gf)   # horizontal on vertical
-    out[n:n + n1, n:n + n1, n:n + n1] = np.einsum("sab->abs", lp.cartan_up(1))
-    out[n + n1:, n + n1:, n + n1:] = np.einsum("gab->abg", lp.cartan_up(2))
-    # mixed vertical pairs and vertical-on-horizontal rows stay zero
-    return ConnectionTable("vaisman", out)
+    return ConnectionTable("vaisman", _lifted(cfg, p).vaisman)
 
 
 def vaisman_axiom_residuals(cfg: ProductConfig, p: TangentSample) -> dict[str, float]:
@@ -420,10 +434,9 @@ class ClosednessReport:
 
 
 def _coordinate_partials(tensor, zs) -> np.ndarray:
-    """[z, a, b] = d_z of the matrix field ``tensor(scope)[a][b]``, from its jets
-    at scope ((z,), 1)."""
-    return np.array([[[jet.derive(z).value for jet in row] for row in tensor(Scope((z,), 1))]
-                     for z in zs])
+    """[z, a, b] = d_z of the matrix field ``tensor(scope)``, from its jet at
+    scope ((z,), 1)."""
+    return np.array([tensor(Scope((z,), 1)).derive(z).value for z in zs])
 
 
 def closedness_check(cfg: ProductConfig, region) -> ClosednessReport:

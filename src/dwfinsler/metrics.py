@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .coords import CoordIndex, base_coords, fiber_coords
 from .errors import MetricDefinitionError, SlitConditionError
 from .jets import as_float, sqrt
@@ -97,8 +99,18 @@ class QuadraticFactor:
                     raise MetricDefinitionError("entry matrix must be symmetric")
 
     def matrix(self, pos):
-        return [[poly_eval(self.entries[i][j], pos) for j in range(self.dim)]
-                for i in range(self.dim)]
+        """The entries at ``pos``; an entry that overflows is a definition error."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                mat = [[poly_eval(self.entries[i][j], pos) for j in range(self.dim)]
+                       for i in range(self.dim)]
+            finite = all(math.isfinite(as_float(e)) for row in mat for e in row)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise MetricDefinitionError(
+                "quadratic factor entries are not finite at the evaluated point")
+        return mat
 
     def f_squared(self, pos, fib):
         mat = self.matrix(pos)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import closed_forms, lifted
 from .coords import MAX_ORDER, MultiIndex
-from .engine import workspace
+from .engine import WorkPoint, workspace
 from .errors import UnknownSuiteError
 from .jets import fd_partial, jet_lift
 from .metrics import TangentSample
@@ -132,11 +132,13 @@ def _suite_homogeneity(spec: RunSpec, points) -> list[SuiteEntry]:
     blocks = {k: _Tracker() for k in ("11", "12", "21", "22")}
     for p in points:
         ep = ws.at(p).product
+        # The rescaled copies are evaluated once here and not kept in the workspace.
+        scaled = {lam: WorkPoint(ws, p.fiber_scaled(lam)).product for lam in metric}
         g = ep.g_values()
         for lam, tr in metric.items():
-            tr.feed(np.max(np.abs(ws.at(p.fiber_scaled(lam)).product.g_values() - g)), p)
+            tr.feed(np.max(np.abs(scaled[lam].g_values() - g)), p)
         G = ep.spray_values()
-        sprayt.feed(np.max(np.abs(ws.at(p.fiber_scaled(2.0)).product.spray_values() - 4.0 * G)), p)
+        sprayt.feed(np.max(np.abs(scaled[2.0].spray_values() - 4.0 * G)), p)
         N = ep.nonlinear_connection_values()
         yv = ep.fiber_values()
         euler.feed(np.max(np.abs(N @ yv - 2.0 * G)), p)
@@ -508,8 +510,7 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
         for e in range(cfg.n):
             fd_delta -= N[e, d] * fd_partial(horizontal_field(a, b, c), p,
                                              (cfg.fiber[e],))
-        jet_delta = ep.delta(
-            lambda sc: ep.horizontal_coefficients(sc)[a][b][c], cfg.base[d]).value
+        jet_delta = ep.delta(ep.horizontal_coefficients, cfg.base[d]).value[a, b, c]
         hdelta.feed(abs(jet_delta - fd_delta) / (1.0 + abs(fd_delta)), p)
     return [
         _entry(spec, "fd-crosscheck", "squared-norm-partials", f2tr),

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwfinsler import MultiIndex, TangentSample, base1, fiber1, fiber2
+from dwfinsler import MultiIndex, TangentSample, base1, base2, fiber1, fiber2
 from dwfinsler.errors import CapabilityError, DomainError
-from dwfinsler.jets import Jet, context, fd_partial, jet_lift
+from dwfinsler.jets import Jet, context, einsum, fd_partial, jet_lift
 
 P = TangentSample((3.0,), (1.0,), (1.0,), (2.0,))
 X = base1(0)
@@ -148,6 +148,52 @@ def test_product_chain_consistency(cf, cg):
     jg = jet_lift(g, P, (X, Y), 3)
     combined = jet_lift(lambda v: f(v) * g(v), P, (X, Y), 3)
     assert np.allclose((jf * jg).c, combined.c, atol=1e-12)
+
+
+@st.composite
+def _tensor_jet_pair(draw):
+    """A context, a broadcastable pair of random tensor jets and a matrix pair."""
+    seeds = draw(st.lists(st.sampled_from([X, Y, V, base2(0)]), min_size=1,
+                          max_size=3, unique=True))
+    ctx = context(seeds, draw(st.integers(0, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    # the second operand drops leading axes and squeezes some to 1
+    cut = draw(st.integers(0, len(shape)))
+    other = tuple(1 if draw(st.booleans()) else k for k in shape[cut:])
+    i, j, k = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def jet(sh):
+        return Jet(ctx, rng.uniform(-2.0, 2.0, sh + (ctx.tables.size,)))
+
+    return jet(shape), jet(other), jet((i, j)), jet((j, k))
+
+
+def _scalar(jet, idx):
+    return Jet(jet.ctx, jet.c[idx])
+
+
+def _close(got, expected):
+    scale = 1.0 + np.max(np.abs(expected), initial=0.0)
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * scale)
+
+
+@given(_tensor_jet_pair())
+@settings(max_examples=60, deadline=None)
+def test_tensor_jets_match_scalar_jet_products(pair):
+    a, b, ma, mb = pair
+    prod = a * b
+    assert prod.shape == np.broadcast_shapes(a.shape, b.shape)
+    for idx in np.ndindex(prod.shape):
+        ia = idx[len(idx) - len(a.shape):]
+        ib = tuple(t if k > 1 else 0 for t, k in
+                   zip(idx[len(idx) - len(b.shape):], b.shape))
+        _close(prod.c[idx], (_scalar(a, ia) * _scalar(b, ib)).c)
+    mm = einsum("ab,bc->ac", ma, mb)
+    for r, c in np.ndindex(mm.shape):
+        expected = sum((_scalar(ma, (r, t)) * _scalar(mb, (t, c))
+                        for t in range(ma.shape[1])), start=Jet.constant(ma.ctx, 0.0))
+        _close(mm.c[r, c], expected.c)
 
 
 def test_ad_matches_fd_for_all_metric_forms():

@@ -48,6 +48,15 @@ def test_koszul_defining_properties(name):
         assert tors <= 1e-7
 
 
+def test_connection_tables_are_solved_once_and_read_only(fixr, p4):
+    for solve in (lf.koszul_levi_civita, lf.vaisman_connection):
+        first = solve(fixr, p4).entries
+        assert solve(fixr, p4).entries is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0, 0] = 1.0
+
+
 def test_koszul_flat_product_vanishes(fixp, p4):
     tab = lf.koszul_levi_civita(fixp, p4).entries
     assert np.max(np.abs(tab)) == 0.0
@@ -229,7 +238,7 @@ def test_closedness_detects_a_scaled_connection(name, monkeypatch):
     real = EnginePoint.nonlinear_connection
 
     def scaled(self, scope=POINT):
-        return [[1.001 * jet for jet in row] for row in real(self, scope)]
+        return 1.001 * real(self, scope)
 
     workspace(cfg).clear()
     monkeypatch.setattr(EnginePoint, "nonlinear_connection", scaled)
@@ -253,6 +262,13 @@ def test_workspace_keeps_one_point_per_sample(fixr):
     ws.clear()
     assert not ws._points
     assert ws.at(p) is not wp
+    # homogeneity evaluates its fiber-rescaled copies without caching them
+    cfg = fixture("FIX-1D")
+    ws1 = workspace(cfg)
+    ws1.clear()
+    run_suites(fixture_runspec("FIX-1D", count=5, suites=("homogeneity",)))
+    assert len(ws1._points) == 5
+    ws1.clear()
 
 
 def test_nijenhuis_tables(fixe):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from dwfinsler import TangentSample, base1
+from dwfinsler import base2, fiber2
+from dwfinsler.engine import Scope, workspace
 from dwfinsler.errors import SingularMetricError
-from dwfinsler.jets import jet_lift
+from dwfinsler.jets import einsum
 from dwfinsler.linalg import invert_matrix
 
 
@@ -26,16 +27,12 @@ def test_singular_and_ill_conditioned_rejected():
         invert_matrix([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
 
 
-def test_jet_entries_carry_inverse_derivative():
-    # d(A^{-1}) = -A^{-1} (dA) A^{-1}, checked against the jet elimination.
-    p = TangentSample((0.3,), (0.0,), (1.0,), (1.0,))
-    x = base1(0)
-    entry = jet_lift(lambda c: 2.0 + c.x[0] ** 2, p, (x,), 1)
-    rows = [[entry, 0.5], [0.5, 1.0]]
-    inv, _ = invert_matrix(rows)
-    a = np.array([[entry.value, 0.5], [0.5, 1.0]])
-    da = np.array([[2.0 * 0.3, 0.0], [0.0, 0.0]])
-    expected = -np.linalg.inv(a) @ da @ np.linalg.inv(a)
-    got = np.array([[inv[i][j].partial([x]) if hasattr(inv[i][j], "partial") else 0.0
-                     for j in range(2)] for i in range(2)])
-    assert np.allclose(got, expected, atol=1e-12)
+def test_inverse_metric_jet_times_metric_is_identity(fixr, p4):
+    # g^-1 comes from the value inverse plus a nilpotent series; every partial
+    # of g^-1 g up to order 3 must vanish, so a series cut short shows here.
+    ep = workspace(fixr).at(p4).product
+    scope = Scope(tuple(sorted((base2(0), fiber2(0)))), 3)
+    prod = einsum("ab,bc->ac", ep.ginv(scope), ep.g(scope))
+    assert prod.order == 3 and len(prod.seeds) == 2
+    assert np.max(np.abs(prod.value - np.eye(fixr.n))) <= 1e-14
+    assert np.max(np.abs(prod.c[..., 1:])) <= 1e-13

@@ -214,3 +214,26 @@ def test_cli_rejects_malformed_tolerances_and_warps(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert main(["verify", "--spec", str(bad)]) == 2
     assert "$.warps.f1.parameters.axis" in capsys.readouterr().err
+
+
+def test_cli_quadratic_overflow_is_a_definition_error(tmp_path, capsys):
+    # x0^100000 overflows a float anywhere in the box [1.5, 2.0].
+    one = [[1.0, [0, 0]]]
+    huge = [[1.0, [100000, 0]]]
+    doc = {
+        "label": "quad-overflow",
+        "factors": [
+            {"kind": "riemannian_quadratic", "dim": 2,
+             "parameters": {"entries": [[huge, []], [[], one]]}},
+            {"kind": "euclidean", "dim": 2},
+        ],
+        "warps": {
+            "f1": {"kind": "constant", "parameters": {"value": 1.0}},
+            "f2": {"kind": "constant", "parameters": {"value": 1.0}},
+        },
+        "sampling": {"seed": 3, "count": 2, "box": [1.5, 2.0]},
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
