@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 from .coords import CoordBlock, CoordIndex, MultiIndex, base1, base2, fiber1, fiber2
 from .jets import Jet, fd_partial, jet_lift
 from .blocks import BlockTensor
-from .metrics import (ConstantWarp, CustomFactor, EuclideanFactor, FIXTURES,
+from .metrics import (ConstantWarp, CustomFactor, EuclideanFactor,
                       ExponentialWarp, PolyQuadraticWarp, ProductConfig,
-                      QuadraticFactor, RandersFactor, TangentSample, fixture)
+                      QuadraticFactor, RandersFactor, TangentSample)
 from .core import (angular_metric, cartan_tensor, eval_F2, fundamental_tensor,
                    matsumoto_torsion, mean_cartan)
 from .connection import (NonlinearConnection, SprayField, adapted_derivative,
@@ -30,7 +30,7 @@ from .lifted import (ComplexStructure, ConnectionTable, FrameVector,
                      lifted_metric, nijenhuis_tables, reinhart_defect,
                      symplectic_form, totally_geodesic_verdicts,
                      vaisman_connection)
-from .runspec import RunSpec, fixture_runspec, parse_spec, sample_points
+from .runspec import FIXTURES, RunSpec, fixture, fixture_runspec, parse_spec, sample_points
 from .suites import DiagnosticsReport, emit_report, run_suites
 
 __all__ = [

@@ -13,8 +13,8 @@ from datetime import datetime, timezone
 
 from . import __version__, connection, core, curvature
 from .errors import DwfError, SchemaError
-from .metrics import FIXTURES, TangentSample
-from .runspec import (ALL_SUITES, RunSpec, fixture_document, parse_spec,
+from .metrics import TangentSample
+from .runspec import (ALL_SUITES, FIXTURES, RunSpec, fixture_document, parse_spec,
                       sample_points)
 from .suites import emit_report, report_document, report_from_document, run_suites
 

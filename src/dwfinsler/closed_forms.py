@@ -13,11 +13,8 @@ the upper slot, the rest are the lower slots in order ('1' = first factor,
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
-from .coords import base1, base2, fiber1, fiber2
 from .engine import WorkPoint
 
 
@@ -48,10 +45,8 @@ class _Ingredients:
         self.C1, self.C2 = f1.cartan(), f2.cartan()
         self.F1sq, self.F2sq = f1.F2_value(), f2.F2_value()
         self.f1sq, self.f2sq = wp.warp_sq(1), wp.warp_sq(2)
-        self.w1x = np.array([wp.warp_partial(1, (base1(h),)) for h in range(self.n1)])
-        self.w2u = np.array([wp.warp_partial(2, (base2(a),)) for a in range(self.n2)])
-        self.dF1dy = np.array([f1.F2_partial((fiber1(h),)) for h in range(self.n1)])
-        self.dF2dv = np.array([f2.F2_partial((fiber2(a),)) for a in range(self.n2)])
+        self.w1x, self.w2u = wp.warp_gradient(1), wp.warp_gradient(2)
+        self.dF1dy, self.dF2dv = f1.F2_fiber_gradient(), f2.F2_fiber_gradient()
         self.vsum = float(self.w2u @ np.asarray(wp.sample.v))
         self.ysum = float(self.w1x @ np.asarray(wp.sample.y))
         self._f1, self._f2 = f1, f2
@@ -60,11 +55,11 @@ class _Ingredients:
     def dginv(self, which: int, order: int) -> np.ndarray:
         """[k, h, i, j, ...] = the order-``order`` fiber partial d^order g^kh / dy^i dy^j ...
         of a factor's inverse metric."""
-        f, n, mk = (self._f1, self.n1, fiber1) if which == 1 else (self._f2, self.n2, fiber2)
-        grid = np.array([f.ginv_fiber_partial(dirs)
-                         for dirs in product(map(mk, range(n)), repeat=order)])
-        return np.moveaxis(grid.reshape((n,) * (order + 2)), range(order),
-                           range(2, order + 2))
+        f = self._f1 if which == 1 else self._f2
+        jet = f.ginv()
+        for _ in range(order):
+            jet = jet.grad(f.engine.fiber)
+        return jet.value
 
 
 def spray_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:

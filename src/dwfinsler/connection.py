@@ -10,7 +10,7 @@ import numpy as np
 from . import closed_forms
 from .blocks import BlockTensor
 from .coords import CoordIndex
-from .engine import POINT, workspace
+from .engine import workspace
 from .errors import PreconditionError
 from .jets import jet_lift
 from .metrics import ProductConfig, TangentSample
@@ -73,8 +73,8 @@ def adapted_derivative(cfg: ProductConfig, p: TangentSample, field,
     if not direction.is_base:
         raise PreconditionError("adapted derivatives are taken along base directions")
     ep = workspace(cfg).at(p).product
-    return ep.delta(lambda sc: jet_lift(field, p, sc.seeds, sc.order),
-                    direction, POINT).value
+    lifted = jet_lift(field, p, ep.engine.coords, 1)
+    return float(ep.delta(lifted).value[ep.engine.base.index(direction)])
 
 
 def frame_brackets(cfg: ProductConfig, p: TangentSample) -> tuple[BlockTensor, BlockTensor]:

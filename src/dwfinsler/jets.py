@@ -7,12 +7,14 @@ coefficient array ``Jet.c`` carries the tensor axes first and the partials on
 its last axis; a scalar jet is the shape-``()`` case.  Arithmetic implements
 the truncated Leibniz rule elementwise with broadcasting, and :func:`einsum`
 contracts two jets over tensor axes, so whole tensors are differentiated,
-multiplied and contracted at once.  Scalar fields built from +, -, *, /,
-sqrt, exp and integer powers of seeded coordinates carry exact derivatives.
+multiplied and contracted at once.  :meth:`Jet.grad` stacks the partials
+along a list of seeds as one more tensor axis.  Scalar fields built from +,
+-, *, /, sqrt, exp and integer powers of seeded coordinates carry exact
+derivatives.
 
-Seeds are small subsets of the 2*(n1+n2) tangent-bundle coordinates; lifting
-the same field at the same point over the same seeds is memoized by the
-callers (see :mod:`dwfinsler.engine`), not here.
+The engine (:mod:`dwfinsler.engine`) lifts each squared norm once per point
+over all of its coordinates and memoizes that lift; :func:`jet_lift` over a
+seed subset serves the finite-difference cross-checks and the public API.
 """
 
 from __future__ import annotations
@@ -260,6 +262,14 @@ class Jet:
         src = self.ctx.tables.restrict_map(positions, order)
         return Jet(sub, self.c.take(src, -1))
 
+    def grad(self, coords: Sequence[CoordIndex]) -> "Jet":
+        """The partials along ``coords`` as a new last tensor axis; drops the order by one."""
+        if self.ctx.order == 0:
+            raise ValueError("cannot derive an order-0 jet")
+        tables = self.ctx.tables
+        src = np.stack([tables.derive_map(self.ctx.position(c)) for c in coords])
+        return Jet(context(self.ctx.seeds, self.ctx.order - 1), self.c.take(src, -1))
+
     def derive(self, coord: CoordIndex) -> "Jet":
         """Formal partial derivative; drops the order bound by one."""
         if self.ctx.order == 0:
@@ -459,12 +469,14 @@ def jet_lift(field: ScalarField, point, seeds: Sequence[CoordIndex], order: int)
 FD_DEFAULT_STEPS = {1: 1e-4, 2: 1e-3, 3: 4e-3}
 
 
-def fd_partial(field: ScalarField, point, multi, step: float | None = None) -> float:
+def fd_partial(field: ScalarField, point, multi, step: float | None = None):
     """Central-difference mixed partial with Richardson extrapolation.
 
     Independent of the jet path by construction: only plain float evaluations
-    of ``field`` at shifted points are used.  Total order is capped at 3,
-    beyond which cancellation noise dominates.
+    of ``field`` at shifted points are used.  A field may return an array, so
+    one stencil serves all of its components; the result is then an array of
+    the same shape.  Total order is capped at 3, beyond which cancellation
+    noise dominates.
     """
     if not isinstance(multi, MultiIndex):
         multi = MultiIndex.of(multi)
@@ -475,8 +487,9 @@ def fd_partial(field: ScalarField, point, multi, step: float | None = None) -> f
     if step <= 0.0:
         raise ValueError("fd step must be positive")
 
-    def value_at(p) -> float:
-        return as_float(field(CoordView(p, None)))
+    def value_at(p):
+        out = field(CoordView(p, None))
+        return np.array(out, dtype=float) if np.ndim(out) else as_float(out)
 
     def differentiate(fun, coord):
         def estimate(p):

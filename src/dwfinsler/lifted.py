@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import Scope, WorkPoint, workspace
+from .engine import WorkPoint, workspace
 from .errors import PreconditionError
 from .metrics import ProductConfig, TangentSample
 
@@ -176,6 +176,11 @@ class _LiftedPoint:
         out[n + n1:, n + n1:, n + n1:] = np.einsum("gab->abg", self.cartan_up(2))
         # mixed vertical pairs and vertical-on-horizontal rows stay zero
         return _read_only(out)
+
+
+def _worst(*arrays) -> float:
+    """The largest |entry| over all arrays; a NaN anywhere is the result."""
+    return float(np.max([np.max(np.abs(a), initial=0.0) for a in arrays], initial=0.0))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -332,16 +337,15 @@ def vaisman_axiom_residuals(cfg: ProductConfig, p: TangentSample) -> dict[str, f
     n = lp.n
     table = vaisman_connection(cfg, p).entries
     # (i) distribution preservation: outputs stay in the input field's bundle.
-    pres = max(np.abs(table[:, :n, n:]).max(), np.abs(table[:, n:, :n]).max())
+    pres = _worst(table[:, :n, n:], table[:, n:, :n])
     # (ii) metric parallelism on all-horizontal and all-vertical triples.
     dmet = lp.metric_derivative(table)
-    par = max(np.abs(dmet[:n, :n, :n]).max(), np.abs(dmet[n:, n:, n:]).max())
+    par = _worst(dmet[:n, :n, :n], dmet[n:, n:, n:])
     # (iii) torsion projections: vertical part unless both fields are
     # horizontal, horizontal part unless both are vertical.
     t = lp.torsion(table)
-    tor = max(np.abs(t[n:, :, n:]).max(), np.abs(t[:, n:, n:]).max(),
-              np.abs(t[:n, :, :n]).max(), np.abs(t[:, :n, :n]).max())
-    return {"preservation": float(pres), "parallelism": float(par), "torsion": float(tor)}
+    tor = _worst(t[n:, :, n:], t[:, n:, n:], t[:n, :, :n], t[:, :n, :n])
+    return {"preservation": pres, "parallelism": par, "torsion": tor}
 
 
 def reinhart_tables(cfg: ProductConfig, p: TangentSample) -> tuple[np.ndarray, np.ndarray]:
@@ -433,18 +437,12 @@ class ClosednessReport:
     potential_residual: float
 
 
-def _coordinate_partials(tensor, zs) -> np.ndarray:
-    """[z, a, b] = d_z of the matrix field ``tensor(scope)``, from its jet at
-    scope ((z,), 1)."""
-    return np.array([tensor(Scope((z,), 1)).derive(z).value for z in zs])
-
-
 def closedness_check(cfg: ProductConfig, region) -> ClosednessReport:
     """d(Omega) = 0 from exact jet partials, plus the potential test.
 
     Over the coordinate basis (base coords then fiber coords) Omega is
     [[gN - N^T g, g], [-g, 0]].  Its partial along each coordinate z takes
-    d_z g and d_z N from the engine's g and N at scope ((z,), 1), the same
+    d_z g and d_z N from one gradient of the engine's g and N jets, the same
     jets the adapted derivatives of delta_g and the bracket curvature use.
 
     The potential test rebuilds Omega from the exterior derivative of the
@@ -457,8 +455,7 @@ def closedness_check(cfg: ProductConfig, region) -> ClosednessReport:
     m = len(zs)
     i = np.arange(m)
     increasing = (i[:, None, None] < i[None, :, None]) & (i[None, :, None] < i[None, None, :])
-    d_res = 0.0
-    pot_res = 0.0
+    d_res, pot_res = [], []
     for p in region:
         ep = workspace(cfg).at(p).product
         g = ep.g_values()
@@ -466,19 +463,18 @@ def closedness_check(cfg: ProductConfig, region) -> ClosednessReport:
         # Omega plus the exterior derivative of the canonical one-form: the
         # +-g blocks cancel identically, the base-base blocks must cancel too.
         mixed = ep.F2_base_fiber_values()
-        pot_res = max(pot_res, float(np.max(np.abs(
-            g @ N - N.T @ g + 0.5 * (mixed - mixed.T)))))
-        # grads[z] = d_z Omega, exactly
-        dg = _coordinate_partials(ep.g, zs)
-        dN = _coordinate_partials(ep.nonlinear_connection, zs)
+        pot_res.append(_worst(g @ N - N.T @ g + 0.5 * (mixed - mixed.T)))
+        # grads[z] = d_z Omega, exactly; dg[z] = d_z g, dN[z] = d_z N
+        dg = np.moveaxis(ep.g().grad(zs).value, -1, 0)
+        dN = np.moveaxis(ep.nonlinear_connection().grad(zs).value, -1, 0)
         dgN = np.einsum("zab,bc->zac", dg, N) + np.einsum("ab,zbc->zac", g, dN)
         grads = np.zeros((m, m, m))
         grads[:, :n, :n] = dgN - np.einsum("zac->zca", dgN)
         grads[:, :n, n:] = dg
         grads[:, n:, :n] = -dg
         cyclic = grads - np.einsum("bac->abc", grads) + np.einsum("cab->abc", grads)
-        d_res = max(d_res, float(np.max(np.abs(cyclic[increasing]))))
-    return ClosednessReport(d_res, pot_res)
+        d_res.append(_worst(cyclic[increasing]))
+    return ClosednessReport(_worst(d_res), _worst(pot_res))
 
 
 def nijenhuis_tables(cfg: ProductConfig, p: TangentSample) -> tuple[np.ndarray, np.ndarray]:
@@ -519,15 +515,13 @@ def kahler_verdict(cfg: ProductConfig, region, tol: float = 1e-7,
                    nijenhuis_tol: float | None = None) -> KahlerReport:
     """Kahler iff the horizontal distribution is integrable over the region."""
     ntol = tol if nijenhuis_tol is None else nijenhuis_tol
-    max_r = 0.0
-    max_n = 0.0
-    for p in region:
-        lp = _lifted(cfg, p)
-        max_r = max(max_r, float(np.max(np.abs(lp.Rb))))
-        _closed, direct = nijenhuis_tables(cfg, p)
-        max_n = max(max_n, float(np.max(np.abs(direct))))
+    region = list(region)
+    max_r = _worst(*(_lifted(cfg, p).Rb for p in region))
+    max_n = _worst(*(nijenhuis_tables(cfg, p)[1] for p in region))
     verdict = max_r <= tol
-    return KahlerReport(verdict, max_r, max_n, (max_n <= ntol) == verdict)
+    # A non-finite maximum decides neither side, so the equivalence fails.
+    holds = np.isfinite(max_r + max_n) and (max_n <= ntol) == verdict
+    return KahlerReport(verdict, max_r, max_n, bool(holds))
 
 
 @dataclass(frozen=True)
@@ -548,26 +542,23 @@ def totally_geodesic_verdicts(cfg: ProductConfig, region,
     if len(region) < 20:
         raise PreconditionError("totally-geodesic verdicts need at least 20 sample points")
     n1, n = cfg.n1, cfg.n
-    max_fg = max_c = max_mixed = 0.0
-    kos_v = kos_h = 0.0
-    for p in region:
-        lp = _lifted(cfg, p)
-        max_fg = max(max_fg, float(np.max(np.abs(lp.Fh - lp.Gf))))
-        max_c = max(max_c, float(np.max(np.abs(lp.C))))
-        R = lp.Rb
-        max_mixed = max(max_mixed, float(np.abs(R[n1:, :n1, :n1]).max()),
-                        float(np.abs(R[:n1, :n1, n1:]).max()),
-                        float(np.abs(R[n1:, :n1, n1:]).max()),
-                        float(np.abs(R[:n1, n1:, n1:]).max()))
-        kos = koszul_levi_civita(cfg, p).entries
-        kos_v = max(kos_v, float(np.max(np.abs(kos[n:, n:, :n]))))
-        kos_h = max(kos_h, float(np.max(np.abs(kos[:n, :n, n:]))))
+    lps = [_lifted(cfg, p) for p in region]
+    kos = [koszul_levi_civita(cfg, p).entries for p in region]
+    max_fg = _worst(*(lp.Fh - lp.Gf for lp in lps))
+    max_c = _worst(*(lp.C for lp in lps))
+    max_mixed = _worst(*(R for lp in lps for R in (
+        lp.Rb[n1:, :n1, :n1], lp.Rb[:n1, :n1, n1:], lp.Rb[n1:, :n1, n1:], lp.Rb[:n1, n1:, n1:])))
+    kos_v = _worst(*(k[n:, n:, :n] for k in kos))
+    kos_h = _worst(*(k[:n, :n, n:] for k in kos))
     vertical = max_fg <= tol
     horizontal = max_c <= tol and max_mixed <= tol
+    # A non-finite maximum decides neither side, so the consistency fails.
     return TotallyGeodesicReport(
         vertical=vertical, horizontal=horizontal,
         vertical_criterion=max_fg, horizontal_cartan=max_c,
         horizontal_mixed_blocks=max_mixed,
-        vertical_invariance_consistent=(kos_v <= tol) == vertical,
-        horizontal_invariance_consistent=(kos_h <= tol) == horizontal,
+        vertical_invariance_consistent=bool(
+            np.isfinite(max_fg + kos_v) and (kos_v <= tol) == vertical),
+        horizontal_invariance_consistent=bool(
+            np.isfinite(max_c + max_mixed + kos_h) and (kos_h <= tol) == horizontal),
     )

@@ -350,31 +350,3 @@ class ProductConfig:
         if len(p.x) != self.n1 or len(p.y) != self.n1 \
                 or len(p.u) != self.n2 or len(p.v) != self.n2:
             raise MetricDefinitionError("sample dimensions do not match the configuration")
-
-
-def fixture(name: str) -> ProductConfig:
-    try:
-        return FIXTURES[name]
-    except KeyError:
-        raise MetricDefinitionError(
-            f"unknown fixture {name!r}; known: {', '.join(sorted(FIXTURES))}") from None
-
-
-FIXTURES: dict[str, ProductConfig] = {
-    # 1D Euclidean factors, both warps quadratic: the hand-checkable case.
-    "FIX-1D": ProductConfig(
-        EuclideanFactor(1), EuclideanFactor(1),
-        PolyQuadraticWarp((1.0,)), PolyQuadraticWarp((1.0,)), label="FIX-1D"),
-    # 2D Euclidean factors, warps depending on the first coordinate only.
-    "FIX-E": ProductConfig(
-        EuclideanFactor(2), EuclideanFactor(2),
-        PolyQuadraticWarp((1.0, 0.0)), PolyQuadraticWarp((1.0, 0.0)), label="FIX-E"),
-    # Plain product: constant warps, flat factors.
-    "FIX-P": ProductConfig(
-        EuclideanFactor(2), EuclideanFactor(2),
-        ConstantWarp(), ConstantWarp(), label="FIX-P"),
-    # Euclidean x Randers with nonconstant warps: the non-Riemannian witness.
-    "FIX-R": ProductConfig(
-        EuclideanFactor(2), RandersFactor(2, EuclideanFactor(2), (0.3, 0.0)),
-        PolyQuadraticWarp((1.0, 0.0)), PolyQuadraticWarp((1.0, 0.0)), label="FIX-R"),
-}

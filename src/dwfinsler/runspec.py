@@ -13,17 +13,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import MetricDefinitionError, SchemaError
 from .metrics import (ConstantWarp, EuclideanFactor, PolyQuadraticWarp,
                       ExponentialWarp, ProductConfig, QuadraticFactor,
-                      RandersFactor, TangentSample, FIXTURES)
+                      RandersFactor, TangentSample)
 
 RADIUS_FLOOR = 1e-6
 RADIUS_CEILING = 1e6
-#: Largest factor dimension a document may declare.  The per-point engine
-#: takes n^4 adapted derivatives for the hh-curvature alone, so larger factors
-#: are far out of reach, and parse_spec builds one box pair per coordinate.
-MAX_FACTOR_DIM = 16
+#: Largest factor dimension a document may declare.  Each engine point lifts
+#: F^2 over all 2n = 2(n1 + n2) coordinates at order 5, a jet whose products
+#: take C(4n + 5, 5) terms: 2.9 million at 6 + 6 (66 MB of tables), growing
+#: past 10 million beyond it.
+MAX_FACTOR_DIM = 6
 
 #: Execution order of the full verification battery.
 ALL_SUITES = (
@@ -306,12 +307,13 @@ def sample_points(spec: RunSpec) -> list[TangentSample]:
 # ---------------------------------------------------------------------------
 
 _FIXTURE_SEED = 2024
+_FIXTURE_NAMES = ("FIX-1D", "FIX-E", "FIX-P", "FIX-R")
 
 
 def fixture_document(name: str) -> dict:
-    """The run document equivalent to a built-in fixture configuration."""
-    if name not in FIXTURES:
-        raise SchemaError(f"unknown fixture {name!r}; known: {', '.join(sorted(FIXTURES))}")
+    """The run document of a built-in fixture: the one definition of each."""
+    if name not in _FIXTURE_NAMES:
+        raise SchemaError(f"unknown fixture {name!r}; known: {', '.join(_FIXTURE_NAMES)}")
     euclid2 = {"kind": "euclidean", "dim": 2}
     quad1 = {"kind": "poly_quadratic", "parameters": {"coeffs": [1.0, 0.0]}}
     docs = {
@@ -341,6 +343,19 @@ def fixture_document(name: str) -> dict:
     doc["sampling"] = {"seed": _FIXTURE_SEED, "count": 25,
                        "box": [-1.0, 1.0], "radii": [0.5, 2.0]}
     return doc
+
+
+#: The built-in fixture configurations, parsed from their documents.
+FIXTURES: dict[str, ProductConfig] = {
+    name: parse_spec(fixture_document(name)).config for name in _FIXTURE_NAMES}
+
+
+def fixture(name: str) -> ProductConfig:
+    try:
+        return FIXTURES[name]
+    except KeyError:
+        raise MetricDefinitionError(
+            f"unknown fixture {name!r}; known: {', '.join(sorted(FIXTURES))}") from None
 
 
 def fixture_runspec(name: str, seed: int | None = None, count: int | None = None,

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import closed_forms, lifted
 from .coords import MAX_ORDER, MultiIndex
-from .engine import WorkPoint, workspace
+from .engine import VALUE_ORDER, WorkPoint, workspace
 from .errors import UnknownSuiteError
 from .jets import fd_partial, jet_lift
 from .metrics import TangentSample
@@ -133,7 +133,8 @@ def _suite_homogeneity(spec: RunSpec, points) -> list[SuiteEntry]:
     for p in points:
         ep = ws.at(p).product
         # The rescaled copies are evaluated once here and not kept in the workspace.
-        scaled = {lam: WorkPoint(ws, p.fiber_scaled(lam)).product for lam in metric}
+        scaled = {lam: WorkPoint(ws, p.fiber_scaled(lam), VALUE_ORDER).product
+                  for lam in metric}
         g = ep.g_values()
         for lam, tr in metric.items():
             tr.feed(np.max(np.abs(scaled[lam].g_values() - g)), p)
@@ -173,7 +174,7 @@ def _suite_block_structure(spec: RunSpec, points) -> list[SuiteEntry]:
         wp = ws.at(p)
         ep = wp.product
         g = ep.g_values()
-        off.feed(max(np.max(np.abs(g[:n1, n1:])), np.max(np.abs(g[n1:, :n1]))), p)
+        off.feed(np.maximum(np.max(np.abs(g[:n1, n1:])), np.max(np.abs(g[n1:, :n1]))), p)
         C = ep.cartan()
         pure = np.zeros_like(C, dtype=bool)
         pure[:n1, :n1, :n1] = True
@@ -257,8 +258,8 @@ def _suite_berwald(spec: RunSpec, points) -> list[SuiteEntry]:
                                           cfg.n1, cfg.n2)
         for key, val in res.items():
             blocks.setdefault(key, _Tracker()).feed(val, p)
-        sym.feed(max(np.max(np.abs(B - np.transpose(B, (0, 2, 1, 3)))),
-                     np.max(np.abs(B - np.transpose(B, (0, 1, 3, 2))))), p)
+        sym.feed(np.maximum(np.max(np.abs(B - np.transpose(B, (0, 2, 1, 3)))),
+                            np.max(np.abs(B - np.transpose(B, (0, 1, 3, 2))))), p)
         mag.feed(np.max(np.abs(B)), p)
     out = [_entry(spec, "berwald-blocks", f"block-{key}", tr)
            for key, tr in sorted(blocks.items())]
@@ -470,11 +471,10 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
                 fd = 0.5 * fd_partial(cfg.F2, p, (cfg.fiber[a], cfg.fiber[b]))
                 gtr.feed(abs(g[a, b] - fd) / (1.0 + abs(fd)), p)
     # Derived fields: the spray and its fiber derivatives against fd towers.
-    def spray_field(a: int):
-        def field(view):
-            q = TangentSample(view.x, view.u, view.y, view.v)
-            return workspace(cfg).at(q).product.spray_values()[a]
-        return field
+    # Stencil points are evaluated once each and not kept in the workspace.
+    def spray_field(view):
+        q = TangentSample(view.x, view.u, view.y, view.v)
+        return WorkPoint(ws, q, VALUE_ORDER).product.spray_values()
 
     conn = _Tracker()
     connfd = _Tracker()
@@ -484,33 +484,35 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     N = ep.nonlinear_connection_values()
     Gf = ep.connection_fiber_values()
     B = ep.berwald()
+    # fd_conn[b][a] = dG^a / dy^b: one stencil per fiber direction serves every a.
+    fd_conn = [fd_partial(spray_field, p, (y,)) for y in cfg.fiber]
     for a in range(cfg.n):
         for b in range(cfg.n):
-            fd1 = fd_partial(spray_field(a), p, (cfg.fiber[b],))
+            fd1 = fd_conn[b][a]
             conn.feed(abs(N[a, b] - fd1) / (1.0 + abs(fd1)), p)
         b, c = int(rng.integers(0, cfg.n)), int(rng.integers(0, cfg.n))
-        fd2 = fd_partial(spray_field(a), p, (cfg.fiber[b], cfg.fiber[c]))
+        fd2 = fd_partial(spray_field, p, (cfg.fiber[b], cfg.fiber[c]))[a]
         connfd.feed(abs(Gf[a, b, c] - fd2) / (1.0 + abs(fd2)), p)
         b, c, d = (int(i) for i in rng.integers(0, cfg.n, 3))
-        fd3 = fd_partial(spray_field(a), p, (cfg.fiber[b], cfg.fiber[c], cfg.fiber[d]))
+        fd3 = fd_partial(spray_field, p, (cfg.fiber[b], cfg.fiber[c], cfg.fiber[d]))[a]
         berw.feed(abs(B[a, b, c, d] - fd3) / (1.0 + abs(fd3)), p)
 
     # Adapted derivative of the horizontal coefficients, fd vs. jets, at one
     # representative component: the leading block of the curvature assembly.
-    def horizontal_field(a: int, b: int, c: int):
-        def field(view):
-            q = TangentSample(view.x, view.u, view.y, view.v)
-            return workspace(cfg).at(q).product.horizontal_values()[a, b, c]
-        return field
+    a, b, c = 0, 0, cfg.n1  # mixed-factor slot: nonzero for warped products
+
+    def horizontal_field(view):
+        q = TangentSample(view.x, view.u, view.y, view.v)
+        return WorkPoint(ws, q, VALUE_ORDER).product.horizontal_values()[a, b, c]
 
     hdelta = _Tracker()
-    a, b, c = 0, 0, cfg.n1  # mixed-factor slot: nonzero for warped products
+    dH = ep.delta(ep.horizontal_coefficients()).value
+    fd_fiber = [fd_partial(horizontal_field, p, (y,)) for y in cfg.fiber]
     for d in range(cfg.n):
-        fd_delta = fd_partial(horizontal_field(a, b, c), p, (cfg.base[d],))
+        fd_delta = fd_partial(horizontal_field, p, (cfg.base[d],))
         for e in range(cfg.n):
-            fd_delta -= N[e, d] * fd_partial(horizontal_field(a, b, c), p,
-                                             (cfg.fiber[e],))
-        jet_delta = ep.delta(ep.horizontal_coefficients, cfg.base[d]).value[a, b, c]
+            fd_delta -= N[e, d] * fd_fiber[e]
+        jet_delta = dH[a, b, c, d]
         hdelta.feed(abs(jet_delta - fd_delta) / (1.0 + abs(fd_delta)), p)
     return [
         _entry(spec, "fd-crosscheck", "squared-norm-partials", f2tr),

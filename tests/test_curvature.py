@@ -39,8 +39,7 @@ def test_berwald_specific_block_oracle(fixr, p4):
     B = berwald_curvature(fixr, p4).block("2111")
     C1 = wp.factor1.cartan()
     g2inv = wp.factor2.ginv_values()
-    from dwfinsler import base2
-    w2u = np.array([wp.warp_partial(2, (base2(a),)) for a in range(fixr.n2)])
+    w2u = wp.warp_gradient(2)
     expected = -np.einsum("ijk,g->gijk", C1, g2inv @ w2u) / wp.warp_sq(1)
     assert np.allclose(B, expected, atol=1e-7)
 

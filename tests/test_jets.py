@@ -228,3 +228,39 @@ def test_ad_matches_fd_for_all_metric_forms():
             jet = jet_lift(cfg.F2, p, multi.directions, multi.order).partial(multi)
             fd = fd_partial(cfg.F2, p, multi)
             assert abs(jet - fd) <= 1e-5 * (1.0 + abs(jet))
+
+
+@st.composite
+def _sample_subset_lift(draw):
+    from dwfinsler import fixture
+    from dwfinsler.runspec import fixture_runspec, sample_points
+    name = draw(st.sampled_from(["FIX-R", "FIX-1D"]))
+    cfg = fixture(name)
+    p = draw(st.sampled_from(sample_points(fixture_runspec(name, count=4))))
+    coords = cfg.base + cfg.fiber
+    seeds = draw(st.lists(st.sampled_from(coords), min_size=1, max_size=3, unique=True))
+    return cfg, p, tuple(seeds), draw(st.integers(0, 5))
+
+
+@given(_sample_subset_lift())
+@settings(max_examples=60, deadline=None)
+def test_engine_lift_restricts_to_the_subset_lift(case):
+    # The engine's whole-point lift, cut down to a seed subset, is the public
+    # lift over that subset.
+    from dwfinsler.engine import workspace
+    cfg, p, seeds, order = case
+    whole = workspace(cfg).at(p).product.lift()
+    got = whole.restrict(seeds, order)
+    want = jet_lift(cfg.F2, p, seeds, order)
+    assert got.seeds == want.seeds and got.order == want.order
+    assert np.max(np.abs(got.c - want.c)) <= 1e-13 * max(1.0, np.max(np.abs(want.c)))
+
+
+def test_fd_partial_of_an_array_field_matches_each_component(p4):
+    def field(view):
+        return np.array([view.x[0] * view.y[1] ** 2, view.u[1] * view.v[0], 3.0])
+
+    dirs = (fiber1(1), base1(0))
+    got = fd_partial(field, p4, dirs)
+    for k in range(3):
+        assert got[k] == fd_partial(lambda view: field(view)[k], p4, dirs)

@@ -3,7 +3,7 @@ import pytest
 
 from dwfinsler import fixture
 from dwfinsler import lifted as lf
-from dwfinsler.engine import POINT, EnginePoint, workspace
+from dwfinsler.engine import EnginePoint, workspace
 from dwfinsler.errors import PreconditionError
 from dwfinsler.runspec import fixture_runspec, sample_points
 from dwfinsler.suites import run_suites
@@ -237,8 +237,8 @@ def test_closedness_detects_a_scaled_connection(name, monkeypatch):
     cfg = fixture(name)
     real = EnginePoint.nonlinear_connection
 
-    def scaled(self, scope=POINT):
-        return 1.001 * real(self, scope)
+    def scaled(self):
+        return 1.001 * real(self)
 
     workspace(cfg).clear()
     monkeypatch.setattr(EnginePoint, "nonlinear_connection", scaled)
@@ -269,6 +269,11 @@ def test_workspace_keeps_one_point_per_sample(fixr):
     run_suites(fixture_runspec("FIX-1D", count=5, suites=("homogeneity",)))
     assert len(ws1._points) == 5
     ws1.clear()
+    # so does fd-crosscheck with its finite-difference stencil points
+    ws.clear()
+    run_suites(fixture_runspec("FIX-R", count=5, suites=("fd-crosscheck",)))
+    assert len(ws._points) <= 5
+    ws.clear()
 
 
 def test_nijenhuis_tables(fixe):

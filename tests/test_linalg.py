@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from dwfinsler import base2, fiber2
-from dwfinsler.engine import Scope, workspace
+from dwfinsler.engine import workspace
 from dwfinsler.errors import SingularMetricError
 from dwfinsler.jets import einsum
 from dwfinsler.linalg import invert_matrix
@@ -31,8 +30,7 @@ def test_inverse_metric_jet_times_metric_is_identity(fixr, p4):
     # g^-1 comes from the value inverse plus a nilpotent series; every partial
     # of g^-1 g up to order 3 must vanish, so a series cut short shows here.
     ep = workspace(fixr).at(p4).product
-    scope = Scope(tuple(sorted((base2(0), fiber2(0)))), 3)
-    prod = einsum("ab,bc->ac", ep.ginv(scope), ep.g(scope))
-    assert prod.order == 3 and len(prod.seeds) == 2
+    prod = einsum("ab,bc->ac", ep.ginv(), ep.g())
+    assert prod.order == 3 and prod.seeds == fixr.base + fixr.fiber
     assert np.max(np.abs(prod.value - np.eye(fixr.n))) <= 1e-14
     assert np.max(np.abs(prod.c[..., 1:])) <= 1e-13

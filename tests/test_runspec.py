@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from dwfinsler import PolyQuadraticWarp, fixture
 from dwfinsler.errors import DwfError, SchemaError
-from dwfinsler.metrics import FIXTURES
-from dwfinsler.runspec import (ALL_SUITES, fixture_document, fixture_runspec,
+from dwfinsler.runspec import (ALL_SUITES, FIXTURES, fixture_document, fixture_runspec,
                                parse_spec, sample_points)
 
 
@@ -145,6 +144,7 @@ def _quadratic(coefficient, exponent):
     (_bad_tolerance(-1), r"\$\.tolerances\.lemma41"),
     (_bad_factor_dim(2.5), r"\$\.factors\[1\]\.dim"),
     (_bad_factor_dim("x"), r"\$\.factors\[1\]\.dim"),
+    (_bad_factor_dim(7), r"\$\.factors\[1\]\.dim"),
     (_bad_warp("exponential", {"rate": 0.5, "axis": 2}), r"\$\.warps\.f2\.parameters\.axis"),
     (_bad_warp("exponential", {"rate": 0.5, "axis": -1}), r"\$\.warps\.f2\.parameters\.axis"),
     (_bad_warp("poly_quadratic", {"coeffs": [1.0]}), r"\$\.warps\.f2\.parameters\.coeffs"),
@@ -167,7 +167,7 @@ def _quadratic(coefficient, exponent):
     (_bad_leaf("FIX-R", "factors", 1, "parameters", "b", ["x", 0.0]),
      r"\$\.factors\[1\]\.parameters\.b"),
 ], ids=["unknown-tolerance", "nan-tolerance", "string-tolerance", "negative-tolerance",
-        "fractional-dim", "string-dim", "axis-out-of-range", "negative-axis",
+        "fractional-dim", "string-dim", "dim-over-cap", "axis-out-of-range", "negative-axis",
         "short-coeffs", "long-coeffs", "string-count", "null-count", "fractional-count",
         "bool-count", "string-radius", "string-box-bound", "null-box-pair-bound",
         "null-suites", "non-string-suite", "number-expected-failures",

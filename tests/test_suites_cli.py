@@ -1,12 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from dwfinsler import suites
+from dwfinsler import fixture, suites
 from dwfinsler.cli import main
+from dwfinsler.engine import EnginePoint, workspace
 from dwfinsler.errors import UnknownSuiteError
-from dwfinsler.runspec import fixture_document, fixture_runspec
+from dwfinsler.runspec import fixture_document, fixture_runspec, sample_points
 from dwfinsler.suites import (SuiteEntry, _entry, _Tracker, emit_report,
                               report_document, report_from_document, run_suites)
 
@@ -205,6 +207,35 @@ def test_nan_residual_reaches_max_residual(monkeypatch):
     assert not result.passed and not result.as_expected and not rep.ok
 
 
+@pytest.mark.parametrize("suite, accessor", [
+    ("kahler", "bracket_curvature_values"),
+    ("totally-geodesic", "cartan"),
+    ("hermitian", "nonlinear_connection_values"),
+    ("vaisman-axioms", "cartan"),
+])
+def test_nan_at_one_sample_fails_the_suite(suite, accessor, monkeypatch):
+    # A product tensor that is NaN at the second sample only: a NaN that is not
+    # the first value of a maximum must still reach the verdict.
+    spec = fixture_runspec("FIX-E", count=20, suites=(suite,))
+    bad = sample_points(spec)[1]
+    real = getattr(EnginePoint, accessor)
+    ws = workspace(fixture("FIX-E"))
+
+    def poisoned(self):
+        out = real(self)
+        hit = self.engine is ws.product and self.sample == bad
+        return np.full_like(out, np.nan) if hit else out
+
+    ws.clear()
+    monkeypatch.setattr(EnginePoint, accessor, poisoned)
+    try:
+        rep = run_suites(spec)
+    finally:
+        ws.clear()  # drop every value built on the poisoned accessor
+    (result,) = rep.suites
+    assert not result.passed and not rep.ok
+
+
 def test_cli_rejects_malformed_tolerances_and_warps(tmp_path, capsys):
     assert main(["verify", "--fixture", "FIX-1D", "--tol", "lemma4l=1e-3"]) == 2
     assert main(["verify", "--fixture", "FIX-1D", "--tol", "lemma41=abc"]) == 2
@@ -214,6 +245,15 @@ def test_cli_rejects_malformed_tolerances_and_warps(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert main(["verify", "--spec", str(bad)]) == 2
     assert "$.warps.f1.parameters.axis" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_factor_dim_over_the_cap(tmp_path, capsys):
+    doc = fixture_document("FIX-P")
+    doc["factors"][1]["dim"] = 7
+    bad = tmp_path / "dim.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", "--spec", str(bad)]) == 2
+    assert "$.factors[1].dim" in capsys.readouterr().err
 
 
 def test_cli_quadratic_overflow_is_a_definition_error(tmp_path, capsys):
