@@ -11,7 +11,10 @@ layered on top (:mod:`dwfinsler.closed_forms`) and diffed against this path.
 Each engine point lifts its squared norm once: one truncated Taylor jet over
 every coordinate of its engine (base, then fiber) at order 5, the depth the
 Berwald tensor needs as the third fiber derivative of the spray, which is
-itself built from second derivatives of F^2.  Every tensor is then one jet
+itself built from second derivatives of F^2.  The lift evaluates the field by
+seed support (:func:`dwfinsler.jets.jet_lift`): each summand and factor of
+F^2 is a jet over the few coordinates it depends on, and only the result is
+embedded into the whole-point context.  Every tensor is then one jet
 derived from that lift by gradients along coordinate lists (:meth:`Jet.grad`),
 its leading axes the tensor's slots and each gradient one more axis, so every
 point runs the same short sequence of array operations.  The adapted
@@ -45,6 +48,9 @@ LIFT_ORDER = 5
 #: The lowest lift order that still gives the values of g, the spray, N and
 #: the horizontal coefficients: enough for points read only for those values.
 VALUE_ORDER = 3
+#: The lowest lift order that gives the values of g and the spray, which take
+#: two derivatives of F^2: enough for points read only for those two.
+SPRAY_ORDER = 2
 
 
 def _once(method):
@@ -272,7 +278,8 @@ class WorkPoint:
 
     A work point built directly, not through :meth:`Workspace.at`, is not
     cached and lives as long as its caller keeps it; one that is read only
-    for low tensor values may lift at ``VALUE_ORDER``.
+    for low tensor values may lift at ``VALUE_ORDER``, or at ``SPRAY_ORDER``
+    when it is read only for g and the spray.
     """
 
     def __init__(self, ws: Workspace, sample: TangentSample, order: int = LIFT_ORDER):

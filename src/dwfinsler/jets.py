@@ -12,6 +12,15 @@ along a list of seeds as one more tensor axis.  Scalar fields built from +,
 -, *, /, sqrt, exp and integer powers of seeded coordinates carry exact
 derivatives.
 
+A jet's seeds are its support.  :func:`jet_lift` hands the field each seeded
+coordinate as a jet over that coordinate alone, and two operands over
+different seeds are embedded into the union of their seeds, at the lower of
+their orders, before the usual table runs.  So a subexpression pays only for
+the coordinates it depends on; the result is embedded into the context of all
+requested seeds, its partials along the unused ones exactly zero.  A product
+over the union sums the same terms, in the same order, as one over a larger
+seed set, so lifting by support changes no bit of the result.
+
 The engine (:mod:`dwfinsler.engine`) lifts each squared norm once per point
 over all of its coordinates and memoizes that lift; :func:`jet_lift` over a
 seed subset serves the finite-difference cross-checks and the public API.
@@ -21,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import product as _iter_product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,80 +43,98 @@ __all__ = [
 ]
 
 
-def _compositions(nvars: int, total: int) -> list[tuple[int, ...]]:
-    if nvars == 0:
-        return [()] if total == 0 else []
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(nvars - 1, total - first):
-            out.append((first,) + rest)
-    return out
-
-
 class _Tables:
-    """Enumeration and product tables shared by all contexts of one shape."""
+    """Enumeration and product tables shared by all contexts of one shape.
+
+    ``exps`` holds every exponent vector of total at most ``order``, ordered by
+    total and then lexicographically; a row's position is its coefficient slot.
+    """
 
     def __init__(self, nvars: int, order: int):
         self.nvars = nvars
         self.order = order
-        exps: list[tuple[int, ...]] = []
-        for total in range(order + 1):
-            exps.extend(_compositions(nvars, total))
-        self.exps = exps
-        self.index = {e: i for i, e in enumerate(exps)}
-        self.size = len(exps)
+        # Built one leading column at a time, the rows come out lexicographic.
+        lex = np.zeros((1, 0), dtype=np.int8)
+        for _ in range(nvars):
+            room = order - lex.sum(1)
+            lex = np.concatenate([
+                np.column_stack((np.full(np.count_nonzero(room >= k), k, np.int8), lex[room >= k]))
+                for k in range(order + 1)])
+        by_total = [lex[lex.sum(1) == t] for t in range(order + 1)]
+        self.exps = np.concatenate(by_total)
+        self._offsets = np.cumsum([0] + [len(e) for e in by_total])
+        top = order + nvars
+        self._binom = np.array([[math.comb(a, b) for b in range(top + 1)]
+                                for a in range(top + 1)], dtype=np.intp)
+        self.index = {e: i for i, e in enumerate(map(tuple, self.exps.tolist()))}
+        self.size = len(self.exps)
         self.unit = np.zeros(self.size)  # the value slot
         self.unit[0] = 1.0
         self._mul = None
         self._derive: dict[int, np.ndarray] = {}
         self._restrict: dict[tuple, np.ndarray] = {}
 
+    def rank(self, rows: np.ndarray) -> np.ndarray:
+        """The slots of the exponent vectors in ``rows`` (each of total <= order).
+
+        A slot is the number of exponents of lower total plus the number of
+        compositions of the same total that precede it lexicographically;
+        those with a smaller k-th entry after an equal prefix add up, by the
+        hockey-stick identity, to C(r + m, m) - C(r - e_k + m, m), where r is
+        the total left from entry k on and m the count of entries after k.
+        """
+        rest = rows.sum(1)
+        out = self._offsets[rest]
+        for k in range(self.nvars):
+            m = self.nvars - 1 - k
+            out = out + self._binom[rest + m, m] - self._binom[rest - rows[:, k] + m, m]
+            rest = rest - rows[:, k]
+        return out
+
     @property
     def mul_table(self):
+        """(part, rest, run starts, weights) of every truncated Leibniz term.
+
+        Terms run by output slot, so each output sums one run, and within a
+        run by part in lexicographic order.
+        """
         if self._mul is None:
-            ii, jj, oo, ww = [], [], [], []
-            for o, e in enumerate(self.exps):
-                for part in _iter_product(*(range(m + 1) for m in e)):
-                    rest = tuple(m - p for m, p in zip(e, part))
-                    w = 1.0
-                    for m, p in zip(e, part):
-                        w *= math.comb(m, p)
-                    ii.append(self.index[part])
-                    jj.append(self.index[rest])
-                    oo.append(o)
-                    ww.append(w)
-            # Terms are sorted by output index, so each output sums one run.
-            starts = np.flatnonzero(np.diff(oo, prepend=-1))
-            self._mul = (np.asarray(ii), np.asarray(jj), starts,
-                         np.asarray(ww, dtype=float))
+            e = self.exps
+            width = np.prod(e + 1, axis=1, dtype=np.intp)  # the parts p <= e of each output
+            starts = np.cumsum(width) - width
+            e = e[np.repeat(np.arange(self.size), width)]
+            # A term's place in its run, read in the mixed radix (e_k + 1) with
+            # the last entry least significant, is its part in lexicographic order.
+            place = np.arange(len(e)) - np.repeat(starts, width)
+            part = np.empty_like(e)
+            for k in reversed(range(self.nvars)):
+                place, part[:, k] = np.divmod(place, e[:, k] + 1)
+            ww = np.ones(len(e))
+            for k in range(self.nvars):
+                ww *= self._binom[e[:, k], part[:, k]]
+            self._mul = (self.rank(part), self.rank(e - part), starts, ww)
         return self._mul
 
     def derive_map(self, pos: int) -> np.ndarray:
         """Source indices mapping d/d(seed pos) into the order-1 lower shape."""
         got = self._derive.get(pos)
         if got is None:
-            lower = _tables(self.nvars, self.order - 1)
-            src = np.empty(lower.size, dtype=np.intp)
-            for o, e in enumerate(lower.exps):
-                bumped = e[:pos] + (e[pos] + 1,) + e[pos + 1:]
-                src[o] = self.index[bumped]
-            self._derive[pos] = src
-            got = src
+            bumped = _tables(self.nvars, self.order - 1).exps.copy()
+            bumped[:, pos] += 1
+            got = self._derive[pos] = self.rank(bumped)
         return got
 
     def restrict_map(self, positions: tuple[int, ...], suborder: int) -> np.ndarray:
+        """The slot of each coefficient of the (len(positions), suborder) shape
+        whose seeds sit at ``positions`` here: gathering with it restricts a
+        jet, and scattering through it embeds one."""
         key = (positions, suborder)
         got = self._restrict.get(key)
         if got is None:
             sub = _tables(len(positions), suborder)
-            src = np.empty(sub.size, dtype=np.intp)
-            for o, e in enumerate(sub.exps):
-                full = [0] * self.nvars
-                for p, m in zip(positions, e):
-                    full[p] = m
-                src[o] = self.index[tuple(full)]
-            self._restrict[key] = src
-            got = src
+            full = np.zeros((sub.size, self.nvars), dtype=np.int8)
+            full[:, list(positions)] = sub.exps
+            got = self._restrict[key] = self.rank(full)
         return got
 
 
@@ -126,13 +152,22 @@ def _tables(nvars: int, order: int) -> _Tables:
 class JetContext:
     """An ordered seed tuple plus a total-order bound; jets live in a context."""
 
-    __slots__ = ("seeds", "order", "tables", "_pos")
+    __slots__ = ("seeds", "order", "tables", "_pos", "_unions")
 
     def __init__(self, seeds: tuple[CoordIndex, ...], order: int):
         self.seeds = seeds
         self.order = order
         self.tables = _tables(len(seeds), order)
         self._pos = {c: i for i, c in enumerate(seeds)}
+        self._unions: dict[JetContext, JetContext] = {}
+
+    def union(self, other: "JetContext") -> "JetContext":
+        """The context over the seeds of both, at the lower of their orders."""
+        got = self._unions.get(other)
+        if got is None:
+            got = self._unions[other] = context(self.seeds + other.seeds,
+                                                min(self.order, other.order))
+        return got
 
     def position(self, coord: CoordIndex) -> int:
         try:
@@ -246,11 +281,6 @@ class Jet:
         return Jet(self.ctx, self.c.reshape(tuple(shape) + self.c.shape[-1:]))
 
     # -- context plumbing ---------------------------------------------------
-    def truncate(self, order: int) -> "Jet":
-        if order == self.ctx.order:
-            return self
-        return self.restrict(self.ctx.seeds, order)
-
     def restrict(self, seeds: Sequence[CoordIndex], order: int) -> "Jet":
         """Forget seeds / lower the order, keeping the surviving partials."""
         sub = context(seeds, order)
@@ -261,6 +291,19 @@ class Jet:
         positions = tuple(self.ctx.position(s) for s in sub.seeds)
         src = self.ctx.tables.restrict_map(positions, order)
         return Jet(sub, self.c.take(src, -1))
+
+    def embed(self, ctx: JetContext) -> "Jet":
+        """This jet in ``ctx``, whose seeds include its own, at no higher order:
+        the partials that involve a new seed are zero."""
+        if ctx is self.ctx:
+            return self
+        if ctx.order > self.ctx.order:
+            raise ValueError("cannot embed into a higher order")
+        positions = tuple(ctx.position(s) for s in self.ctx.seeds)
+        dst = ctx.tables.restrict_map(positions, ctx.order)
+        c = np.zeros(self.c.shape[:-1] + (ctx.tables.size,))
+        c[..., dst] = self.c[..., :dst.size]  # slots run by total: a prefix truncates
+        return Jet(ctx, c)
 
     def grad(self, coords: Sequence[CoordIndex]) -> "Jet":
         """The partials along ``coords`` as a new last tensor axis; drops the order by one."""
@@ -280,12 +323,11 @@ class Jet:
 
     # -- arithmetic ---------------------------------------------------------
     def _aligned(self, other: "Jet") -> tuple["Jet", "Jet"]:
+        """Both operands over the union of their seeds, at the lower order."""
         if self.ctx is other.ctx:
             return self, other
-        if self.ctx.seeds != other.ctx.seeds:
-            raise ValueError("jet operands must share their seed set")
-        k = min(self.ctx.order, other.ctx.order)
-        return self.truncate(k), other.truncate(k)
+        union = self.ctx.union(other.ctx)
+        return self.embed(union), other.embed(union)
 
     def __add__(self, other):
         if isinstance(other, Jet):
@@ -343,6 +385,11 @@ class Jet:
             p >>= 1
         return out
 
+    def _scalar_value(self, op: str) -> float:
+        if self.c.ndim != 1:
+            raise TypeError(f"{op} acts on scalar jets only, not on a jet of shape {self.shape}")
+        return float(self.c[0])
+
     def _nilpotent_series(self, c0: float, coeffs: list[float]) -> "Jet":
         """c0 * (coeffs[0] + coeffs[1]*h + ...), h = self with value zeroed."""
         h = Jet(self.ctx, self.c.copy())
@@ -356,7 +403,7 @@ class Jet:
         return acc * c0
 
     def _reciprocal(self) -> "Jet":
-        v = self.value
+        v = self._scalar_value("division")
         if v == 0.0:
             raise DomainError("division by a jet with zero value")
         normalized = self * (1.0 / v)
@@ -364,7 +411,7 @@ class Jet:
         return normalized._nilpotent_series(1.0 / v, signs)
 
     def sqrt(self) -> "Jet":
-        v = self.value
+        v = self._scalar_value("sqrt")
         if v <= 0.0:
             raise DomainError(f"sqrt of a jet with non-positive value {v}")
         normalized = self * (1.0 / v)
@@ -374,11 +421,11 @@ class Jet:
         return normalized._nilpotent_series(math.sqrt(v), binom)
 
     def exp(self) -> "Jet":
-        shifted = self - self.value
+        v = self._scalar_value("exp")
         inv_fact = [1.0]
         for k in range(1, self.ctx.order + 1):
             inv_fact.append(inv_fact[-1] / k)
-        return shifted._nilpotent_series(math.exp(self.value), inv_fact)
+        return (self - v)._nilpotent_series(math.exp(v), inv_fact)
 
     def __repr__(self) -> str:
         return (f"Jet(order={self.ctx.order}, seeds={self.ctx.seeds}, "
@@ -433,34 +480,36 @@ def as_float(x) -> float:
 
 
 class CoordView:
-    """Coordinate scalars handed to a field: jets on seeds, floats elsewhere."""
+    """Coordinate scalars handed to a field: jets on seeds, floats elsewhere.
+
+    Each seeded coordinate is a jet over itself alone, so every subexpression
+    of the field carries only the seeds it depends on.
+    """
 
     __slots__ = ("x", "u", "y", "v")
 
     def __init__(self, point, ctx: JetContext | None):
-        def wrap(coords, values):
-            if ctx is None:
-                return tuple(float(t) for t in values)
-            return tuple(
-                Jet.coordinate(ctx, c, float(t)) if c in ctx._pos else float(t)
-                for c, t in zip(coords, values))
-
-        from .coords import base1, base2, fiber1, fiber2
-        self.x = wrap([base1(i) for i in range(len(point.x))], point.x)
-        self.u = wrap([base2(i) for i in range(len(point.u))], point.u)
-        self.y = wrap([fiber1(i) for i in range(len(point.y))], point.y)
-        self.v = wrap([fiber2(i) for i in range(len(point.v))], point.v)
+        groups = [[float(t) for t in g] for g in (point.x, point.u, point.y, point.v)]
+        for c in ctx.seeds if ctx is not None else ():
+            group = groups[c.block]
+            if c.offset < len(group):
+                group[c.offset] = Jet.coordinate(context((c,), ctx.order), c, group[c.offset])
+        self.x, self.u, self.y, self.v = map(tuple, groups)
 
 
 ScalarField = Callable[[CoordView], object]
 
 
 def jet_lift(field: ScalarField, point, seeds: Sequence[CoordIndex], order: int) -> Jet:
-    """Lift a scalar field to a jet at ``point`` over ``seeds`` up to ``order``."""
+    """Lift a scalar field to a jet at ``point`` over ``seeds`` up to ``order``.
+
+    The field is evaluated on one-seed coordinate jets, and its result is
+    embedded into the context of all of ``seeds``.
+    """
     ctx = context(seeds, order)
     out = field(CoordView(point, ctx))
     if isinstance(out, Jet):
-        return out if out.ctx is ctx else out.restrict(ctx.seeds, ctx.order)
+        return out.embed(ctx)
     return Jet.constant(ctx, float(out))
 
 

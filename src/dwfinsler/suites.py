@@ -16,7 +16,7 @@ import numpy as np
 
 from . import closed_forms, lifted
 from .coords import MAX_ORDER, MultiIndex
-from .engine import VALUE_ORDER, WorkPoint, workspace
+from .engine import SPRAY_ORDER, VALUE_ORDER, WorkPoint, workspace
 from .errors import UnknownSuiteError
 from .jets import fd_partial, jet_lift
 from .metrics import TangentSample
@@ -133,7 +133,7 @@ def _suite_homogeneity(spec: RunSpec, points) -> list[SuiteEntry]:
     for p in points:
         ep = ws.at(p).product
         # The rescaled copies are evaluated once here and not kept in the workspace.
-        scaled = {lam: WorkPoint(ws, p.fiber_scaled(lam), VALUE_ORDER).product
+        scaled = {lam: WorkPoint(ws, p.fiber_scaled(lam), SPRAY_ORDER).product
                   for lam in metric}
         g = ep.g_values()
         for lam, tr in metric.items():
@@ -474,7 +474,7 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     # Stencil points are evaluated once each and not kept in the workspace.
     def spray_field(view):
         q = TangentSample(view.x, view.u, view.y, view.v)
-        return WorkPoint(ws, q, VALUE_ORDER).product.spray_values()
+        return WorkPoint(ws, q, SPRAY_ORDER).product.spray_values()
 
     conn = _Tracker()
     connfd = _Tracker()

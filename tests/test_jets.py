@@ -1,11 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dwfinsler import MultiIndex, TangentSample, base1, base2, fiber1, fiber2
+from dwfinsler import jets
 from dwfinsler.errors import CapabilityError, DomainError
 from dwfinsler.jets import Jet, context, einsum, fd_partial, jet_lift
 
@@ -264,3 +266,145 @@ def test_fd_partial_of_an_array_field_matches_each_component(p4):
     got = fd_partial(field, p4, dirs)
     for k in range(3):
         assert got[k] == fd_partial(lambda view: field(view)[k], p4, dirs)
+
+
+def _reference_tables(nvars, order):
+    """Slots and Leibniz terms enumerated term by term, as a direct transcription."""
+    def compositions(n, total):
+        if n == 0:
+            return [()] if total == 0 else []
+        return [(first,) + rest for first in range(total + 1)
+                for rest in compositions(n - 1, total - first)]
+
+    exps = [e for total in range(order + 1) for e in compositions(nvars, total)]
+    index = {e: i for i, e in enumerate(exps)}
+    terms = []
+    for o, e in enumerate(exps):
+        for part in itertools.product(*(range(m + 1) for m in e)):
+            rest = tuple(m - p for m, p in zip(e, part))
+            w = 1.0
+            for m, p in zip(e, part):
+                w *= math.comb(m, p)
+            terms.append((index[part], index[rest], o, w))
+    return exps, index, terms
+
+
+@pytest.mark.parametrize("nvars,order", [(0, 0), (0, 3), (1, 5), (2, 4), (3, 3),
+                                         (4, 5), (5, 2), (6, 5), (3, 6)])
+def test_tables_match_a_term_by_term_enumeration(nvars, order):
+    from dwfinsler.jets import _Tables
+    exps, index, terms = _reference_tables(nvars, order)
+    tables = _Tables(nvars, order)
+    assert [tuple(e) for e in tables.exps.tolist()] == exps
+    assert tables.index == index
+    ii, jj, starts, ww = tables.mul_table
+    assert list(zip(ii.tolist(), jj.tolist(), ww.tolist())) == [t[:2] + t[3:] for t in terms]
+    assert starts.tolist() == [k for k, t in enumerate(terms) if k == 0 or t[2] != terms[k - 1][2]]
+    lower = exps if order == 0 else _reference_tables(nvars, order - 1)[0]
+    for pos in range(nvars if order else 0):
+        bumped = [e[:pos] + (e[pos] + 1,) + e[pos + 1:] for e in lower]
+        assert tables.derive_map(pos).tolist() == [index[e] for e in bumped]
+    for positions in itertools.combinations(range(nvars), min(nvars, 2)):
+        sub = _reference_tables(len(positions), order)[0]
+        full = [tuple(e[positions.index(k)] if k in positions else 0 for k in range(nvars))
+                for e in sub]
+        assert tables.restrict_map(positions, order).tolist() == [index[e] for e in full]
+
+
+@pytest.mark.parametrize("op", [lambda t: 1.0 / t, lambda t: t ** -2,
+                                lambda t: t / t, lambda t: t.sqrt(), lambda t: t.exp()])
+def test_tensor_jets_refuse_division_sqrt_and_exp(op):
+    # A shape-(1,) jet of x^2 at x = 2: the nilpotent series would zero the
+    # whole first tensor row instead of the value slot.
+    at2 = TangentSample((2.0,), (1.0,), (1.0,), (1.0,))
+    t = Jet.stack([jet_lift(lambda c: c.x[0] ** 2, at2, (X,), 3)])
+    with pytest.raises(TypeError, match=r"shape \(1,\)"):
+        op(t)
+
+
+# -- lift by seed support -----------------------------------------------------
+
+POOL = (base1(0), base1(1), base2(0), fiber1(0), fiber1(1), fiber2(0))
+P6 = TangentSample((0.7, 1.3), (0.9,), (1.1, 0.6), (1.7,))
+
+
+def _leaf(view, k):
+    c = POOL[k]
+    return (view.x, view.u, view.y, view.v)[c.block][c.offset]
+
+
+def _evaluate(tree, view):
+    if not isinstance(tree, tuple):
+        return _leaf(view, tree) if isinstance(tree, int) else tree
+    op, *args = tree
+    a = _evaluate(args[0], view)
+    if op == "sqrt":
+        return jets.sqrt(1.0 + a * a)
+    if op == "exp":
+        return jets.exp(a)
+    if op == "pow":
+        return a ** args[1]
+    b = _evaluate(args[1], view)
+    return {"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
+            "/": lambda: a / b}[op]()
+
+
+_trees = st.recursive(
+    st.integers(0, len(POOL) - 1) | st.floats(0.5, 2.0),
+    lambda sub: (st.tuples(st.sampled_from("+-*/"), sub, sub)
+                 | st.tuples(st.sampled_from(["sqrt", "exp"]), sub)
+                 | st.tuples(st.just("pow"), sub, st.integers(-3, 3))),
+    max_leaves=8)
+
+
+@given(_trees, st.sets(st.integers(0, len(POOL) - 1)), st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_lift_by_seed_support_equals_the_dense_lift(tree, chosen, order):
+    # Every coordinate seeded alone and joined by embedding gives, bit for bit,
+    # the jet of the same expression with every coordinate in one context.
+    seeds = tuple(POOL[k] for k in sorted(chosen))
+    full = context(seeds, order)
+
+    class DenseView:
+        def __init__(self):
+            groups = [[Jet.coordinate(full, c, P6.coord(c)) if c in seeds else P6.coord(c)
+                       for c in POOL if c.block == block] for block in range(4)]
+            self.x, self.u, self.y, self.v = groups
+
+    try:
+        with np.errstate(all="ignore"):
+            dense = _evaluate(tree, DenseView())
+            got = jet_lift(lambda view: _evaluate(tree, view), P6, seeds, order)
+    except (DomainError, OverflowError, ZeroDivisionError):
+        assume(False)
+    dense = dense if isinstance(dense, Jet) else Jet.constant(full, float(dense))
+    assume(np.all(np.isfinite(dense.c)))
+    assert got.ctx is full and dense.ctx is full
+    np.testing.assert_array_equal(got.c, dense.c)
+
+
+def test_fix_r_lift_multiplies_jets_over_at_most_three_seeds(monkeypatch, fixr, p4):
+    from dwfinsler.engine import EnginePoint, workspace
+    spans = []
+    mul = Jet.__mul__
+
+    def spy(a, b):
+        if isinstance(b, Jet):
+            spans.append(len(set(a.seeds) | set(b.seeds)))
+        return mul(a, b)
+
+    monkeypatch.setattr(Jet, "__mul__", spy)
+    whole = EnginePoint(workspace(fixr).product, p4).lift()
+    assert whole.seeds == fixr.base + fixr.fiber and whole.order == 5
+    assert spans and max(spans) <= 3
+
+
+def test_lift_over_a_seed_superset_is_exactly_zero_along_unused_seeds():
+    field = lambda c: c.x[0] ** 3 * jets.sqrt(c.y[0] ** 2 + c.y[1] ** 2)
+    wide = jet_lift(field, P6, POOL, 4)
+    narrow = jet_lift(field, P6, (base1(0), fiber1(0), fiber1(1)), 4)
+    unused = [wide.ctx.position(c) for c in (base1(1), base2(0), fiber2(0))]
+    on_unused = wide.ctx.tables.exps[:, unused].any(1)
+    assert np.all(wide.c[on_unused] == 0.0)
+    np.testing.assert_array_equal(wide.restrict(narrow.seeds, 4).c, narrow.c)
+    assert np.any(narrow.c[1:] != 0.0)
