@@ -8,19 +8,23 @@ and the Riemann map.  The doubly warped product, and each factor on its own,
 are three instances of the same engine; the warped-product closed forms are
 layered on top (:mod:`dwfinsler.closed_forms`) and diffed against this path.
 
-Each engine point lifts its squared norm once: one truncated Taylor jet over
-every coordinate of its engine (base, then fiber) at order 5, the depth the
-Berwald tensor needs as the third fiber derivative of the spray, which is
-itself built from second derivatives of F^2.  The lift evaluates the field by
-seed support (:func:`dwfinsler.jets.jet_lift`): each summand and factor of
-F^2 is a jet over the few coordinates it depends on, and only the result is
-embedded into the whole-point context.  Every tensor is then one jet
-derived from that lift by gradients along coordinate lists (:meth:`Jet.grad`),
-its leading axes the tensor's slots and each gradient one more axis, so every
-point runs the same short sequence of array operations.  The adapted
+Each engine point lifts its squared norm once: one truncated Taylor jet at
+order 5, the depth the Berwald tensor needs as the third fiber derivative of
+the spray, which is itself built from second derivatives of F^2.  The lift
+evaluates the field by seed support (:func:`dwfinsler.jets.support_lift`):
+each summand and factor of F^2 is a jet over the few coordinates it depends
+on, and the lift keeps only the seeds F^2 reads, not every engine coordinate
+(on FIX-R the warps read x0 and u0 only, so x1 and u1 are not seeds).  Every
+tensor is then one jet over those same seeds, derived from the lift by
+gradients along coordinate lists (:meth:`Jet.grad`, exact zeros along an
+engine coordinate that is not a seed), its leading axes the tensor's slots
+and each gradient one more axis, so every point runs the same short sequence
+of array operations and the contexts of its tensors line up.  The adapted
 derivative :meth:`EnginePoint.delta` acts on a whole tensor field along every
 base direction at once, and the inverse metric jet is the float inverse of the
 value matrix extended by a nilpotent series, so no elimination runs on jets.
+A field that ignores a fiber coordinate has a singular g, which the inverse
+rejects with :class:`~dwfinsler.errors.SingularMetricError`.
 
 All per-point state has one owner: the :class:`Workspace` of a configuration
 keeps one :class:`WorkPoint` per sample in a single dict, and each work point
@@ -38,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .coords import CoordIndex, base_coords, fiber_coords
-from .jets import Jet, einsum, jet_lift
+from .jets import Jet, einsum, jet_lift, support_lift
 from .linalg import invert_matrix
 from .metrics import ProductConfig, TangentSample
 
@@ -95,8 +99,8 @@ class EnginePoint:
 
     @_once
     def lift(self) -> Jet:
-        """F^2 over all of the engine's coordinates, up to the point's order."""
-        return jet_lift(self.engine.field, self.sample, self.engine.coords, self.order)
+        """F^2 up to the point's order, over the engine coordinates it reads."""
+        return support_lift(self.engine.field, self.sample, self.engine.coords, self.order)
 
     def fiber_values(self) -> np.ndarray:
         return np.array([self.sample.coord(c) for c in self.engine.fiber])

@@ -12,18 +12,22 @@ along a list of seeds as one more tensor axis.  Scalar fields built from +,
 -, *, /, sqrt, exp and integer powers of seeded coordinates carry exact
 derivatives.
 
-A jet's seeds are its support.  :func:`jet_lift` hands the field each seeded
-coordinate as a jet over that coordinate alone, and two operands over
+A jet's seeds are its support.  :func:`support_lift` hands the field each
+seeded coordinate as a jet over that coordinate alone, and two operands over
 different seeds are embedded into the union of their seeds, at the lower of
 their orders, before the usual table runs.  So a subexpression pays only for
-the coordinates it depends on; the result is embedded into the context of all
-requested seeds, its partials along the unused ones exactly zero.  A product
-over the union sums the same terms, in the same order, as one over a larger
-seed set, so lifting by support changes no bit of the result.
+the coordinates it depends on, and the lift carries only the seeds the field
+read.  :func:`jet_lift` embeds it into the context of all requested seeds,
+its partials along the unused ones exactly zero.  A product over the union
+sums the same terms, in the same order, as one over a larger seed set, so
+lifting by support changes no bit of the result.  :meth:`Jet.grad` along a
+coordinate that is not a seed gives exact zeros, so tensors derived from a
+support jet never need the larger context; :meth:`Jet.partial`,
+:meth:`Jet.derive` and :meth:`Jet.restrict` stay strict and reject a non-seed.
 
 The engine (:mod:`dwfinsler.engine`) lifts each squared norm once per point
-over all of its coordinates and memoizes that lift; :func:`jet_lift` over a
-seed subset serves the finite-difference cross-checks and the public API.
+with :func:`support_lift` and memoizes that lift; :func:`jet_lift` serves the
+finite-difference cross-checks and the public API.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .coords import MAX_ORDER, CoordIndex, MultiIndex
 from .errors import CapabilityError, DomainError
 
 __all__ = [
-    "Jet", "JetContext", "jet_lift", "fd_partial", "einsum",
+    "Jet", "JetContext", "jet_lift", "support_lift", "fd_partial", "einsum",
     "sqrt", "exp", "as_float",
 ]
 
@@ -152,7 +156,7 @@ def _tables(nvars: int, order: int) -> _Tables:
 class JetContext:
     """An ordered seed tuple plus a total-order bound; jets live in a context."""
 
-    __slots__ = ("seeds", "order", "tables", "_pos", "_unions")
+    __slots__ = ("seeds", "order", "tables", "_pos", "_unions", "_lowered", "_grads")
 
     def __init__(self, seeds: tuple[CoordIndex, ...], order: int):
         self.seeds = seeds
@@ -160,6 +164,8 @@ class JetContext:
         self.tables = _tables(len(seeds), order)
         self._pos = {c: i for i, c in enumerate(seeds)}
         self._unions: dict[JetContext, JetContext] = {}
+        self._lowered: JetContext | None = None
+        self._grads: dict[tuple, tuple[np.ndarray, bool]] = {}
 
     def union(self, other: "JetContext") -> "JetContext":
         """The context over the seeds of both, at the lower of their orders."""
@@ -167,6 +173,28 @@ class JetContext:
         if got is None:
             got = self._unions[other] = context(self.seeds + other.seeds,
                                                 min(self.order, other.order))
+        return got
+
+    def lowered(self) -> "JetContext":
+        """The context over the same seeds, one order lower."""
+        if self._lowered is None:
+            if self.order == 0:
+                raise ValueError("cannot derive an order-0 jet")
+            self._lowered = context(self.seeds, self.order - 1)
+        return self._lowered
+
+    def grad_map(self, coords: tuple[CoordIndex, ...]) -> tuple[np.ndarray, bool]:
+        """The slots gathered by :meth:`Jet.grad` along ``coords``, one row per
+        coordinate, and whether any of them is not a seed: such a row reads
+        the zero slot padded on after the last coefficient."""
+        got = self._grads.get(coords)
+        if got is None:
+            size = self.lowered().tables.size
+            zero = np.full(size, self.tables.size, dtype=np.intp)
+            rows = [self.tables.derive_map(self._pos[c]) if c in self._pos else zero
+                    for c in coords]
+            src = np.array(rows, np.intp).reshape(len(coords), size)
+            got = self._grads[coords] = (src, any(r is zero for r in rows))
         return got
 
     def position(self, coord: CoordIndex) -> int:
@@ -306,20 +334,22 @@ class Jet:
         return Jet(ctx, c)
 
     def grad(self, coords: Sequence[CoordIndex]) -> "Jet":
-        """The partials along ``coords`` as a new last tensor axis; drops the order by one."""
-        if self.ctx.order == 0:
-            raise ValueError("cannot derive an order-0 jet")
-        tables = self.ctx.tables
-        src = np.stack([tables.derive_map(self.ctx.position(c)) for c in coords])
-        return Jet(context(self.ctx.seeds, self.ctx.order - 1), self.c.take(src, -1))
+        """The partials along ``coords`` as a new last tensor axis; drops the order by one.
+
+        A coordinate that is not a seed gets exact zeros: the jet does not
+        depend on it.
+        """
+        src, pad = self.ctx.grad_map(tuple(coords))
+        c = self.c
+        if pad:
+            c = np.concatenate((c, np.zeros(c.shape[:-1] + (1,))), -1)
+        return Jet(self.ctx.lowered(), c.take(src, -1))
 
     def derive(self, coord: CoordIndex) -> "Jet":
-        """Formal partial derivative; drops the order bound by one."""
-        if self.ctx.order == 0:
-            raise ValueError("cannot derive an order-0 jet")
-        pos = self.ctx.position(coord)
-        src = self.ctx.tables.derive_map(pos)
-        return Jet(context(self.ctx.seeds, self.ctx.order - 1), self.c.take(src, -1))
+        """Formal partial derivative along a seed; drops the order bound by one."""
+        lowered = self.ctx.lowered()
+        src = self.ctx.tables.derive_map(self.ctx.position(coord))
+        return Jet(lowered, self.c.take(src, -1))
 
     # -- arithmetic ---------------------------------------------------------
     def _aligned(self, other: "Jet") -> tuple["Jet", "Jet"]:
@@ -488,29 +518,36 @@ class CoordView:
 
     __slots__ = ("x", "u", "y", "v")
 
-    def __init__(self, point, ctx: JetContext | None):
+    def __init__(self, point, seeds: Sequence[CoordIndex] = (), order: int = 0):
         groups = [[float(t) for t in g] for g in (point.x, point.u, point.y, point.v)]
-        for c in ctx.seeds if ctx is not None else ():
+        for c in set(seeds):
             group = groups[c.block]
             if c.offset < len(group):
-                group[c.offset] = Jet.coordinate(context((c,), ctx.order), c, group[c.offset])
+                group[c.offset] = Jet.coordinate(context((c,), order), c, group[c.offset])
         self.x, self.u, self.y, self.v = map(tuple, groups)
 
 
 ScalarField = Callable[[CoordView], object]
 
 
-def jet_lift(field: ScalarField, point, seeds: Sequence[CoordIndex], order: int) -> Jet:
-    """Lift a scalar field to a jet at ``point`` over ``seeds`` up to ``order``.
+def support_lift(field: ScalarField, point, seeds: Sequence[CoordIndex], order: int) -> Jet:
+    """Lift a scalar field to a jet at ``point`` up to ``order``, over only
+    those of ``seeds`` its expression reads.
 
-    The field is evaluated on one-seed coordinate jets, and its result is
-    embedded into the context of all of ``seeds``.
+    The field is evaluated on one-seed coordinate jets, so the result carries
+    the union of the seeds it touched; a field that returns a plain float
+    gives a jet over no seeds.
     """
-    ctx = context(seeds, order)
-    out = field(CoordView(point, ctx))
+    out = field(CoordView(point, seeds, order))
     if isinstance(out, Jet):
-        return out.embed(ctx)
-    return Jet.constant(ctx, float(out))
+        return out
+    return Jet.constant(context((), order), float(out))
+
+
+def jet_lift(field: ScalarField, point, seeds: Sequence[CoordIndex], order: int) -> Jet:
+    """Lift a scalar field to a jet at ``point`` over ``seeds`` up to ``order``:
+    the :func:`support_lift` embedded into the context of all of ``seeds``."""
+    return support_lift(field, point, seeds, order).embed(context(seeds, order))
 
 
 #: Default relative steps per total order; cancellation noise grows like
@@ -537,7 +574,7 @@ def fd_partial(field: ScalarField, point, multi, step: float | None = None):
         raise ValueError("fd step must be positive")
 
     def value_at(p):
-        out = field(CoordView(p, None))
+        out = field(CoordView(p))
         return np.array(out, dtype=float) if np.ndim(out) else as_float(out)
 
     def differentiate(fun, coord):

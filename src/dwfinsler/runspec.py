@@ -21,9 +21,12 @@ from .metrics import (ConstantWarp, EuclideanFactor, PolyQuadraticWarp,
 RADIUS_FLOOR = 1e-6
 RADIUS_CEILING = 1e6
 #: Largest factor dimension a document may declare.  Each engine point lifts
-#: F^2 over all 2n = 2(n1 + n2) coordinates at order 5, a jet whose products
-#: take C(4n + 5, 5) terms: 2.9 million at 6 + 6 (66 MB of tables), growing
-#: past 10 million beyond it.
+#: F^2 by seed support at order 5: a product in the lift spans one factor's
+#: coordinates and the other warp's base, at most 18 seeds and C(41, 5) =
+#: 749 398 terms at 6 + 6.  The tensors after the lift are of order 3 at most,
+#: over the coordinates F^2 reads, up to all 2n = 2(n1 + n2): C(4n + 3, 3)
+#: terms per product, 20 825 at 6 + 6.  Both grow fast past the cap, and the
+#: first point builds every table it uses.
 MAX_FACTOR_DIM = 6
 
 #: Execution order of the full verification battery.

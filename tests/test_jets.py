@@ -247,11 +247,12 @@ def _sample_subset_lift(draw):
 @given(_sample_subset_lift())
 @settings(max_examples=60, deadline=None)
 def test_engine_lift_restricts_to_the_subset_lift(case):
-    # The engine's whole-point lift, cut down to a seed subset, is the public
-    # lift over that subset.
+    # The engine's support lift, embedded into every engine coordinate and cut
+    # down to a seed subset, is the public lift over that subset.
     from dwfinsler.engine import workspace
     cfg, p, seeds, order = case
-    whole = workspace(cfg).at(p).product.lift()
+    ep = workspace(cfg).at(p).product
+    whole = ep.lift().embed(context(ep.engine.coords, ep.order))
     got = whole.restrict(seeds, order)
     want = jet_lift(cfg.F2, p, seeds, order)
     assert got.seeds == want.seeds and got.order == want.order
@@ -395,7 +396,8 @@ def test_fix_r_lift_multiplies_jets_over_at_most_three_seeds(monkeypatch, fixr, 
 
     monkeypatch.setattr(Jet, "__mul__", spy)
     whole = EnginePoint(workspace(fixr).product, p4).lift()
-    assert whole.seeds == fixr.base + fixr.fiber and whole.order == 5
+    assert whole.seeds == (base1(0), base2(0), fiber1(0), fiber1(1), fiber2(0), fiber2(1))
+    assert whole.order == 5
     assert spans and max(spans) <= 3
 
 
@@ -408,3 +410,104 @@ def test_lift_over_a_seed_superset_is_exactly_zero_along_unused_seeds():
     assert np.all(wide.c[on_unused] == 0.0)
     np.testing.assert_array_equal(wide.restrict(narrow.seeds, 4).c, narrow.c)
     assert np.any(narrow.c[1:] != 0.0)
+
+
+# -- support-sized engine jets --------------------------------------------------
+
+def test_grad_along_non_seeds_is_exactly_zero():
+    field = lambda c: c.x[0] ** 3 * jets.sqrt(c.y[0] ** 2 + c.y[1] ** 2)
+    support = jets.support_lift(field, P6, POOL, 4)
+    assert support.seeds == (base1(0), fiber1(0), fiber1(1))
+    dense = jet_lift(field, P6, POOL, 4)
+    along = [fiber1(1), base2(0), base1(0), fiber2(0), fiber1(0), base1(1)]
+    got = support.grad(along)  # a list, with seeds and non-seeds mixed
+    assert got.shape == (len(along),) and got.ctx is context(support.seeds, 3)
+    want = dense.grad(tuple(along)).restrict(support.seeds, 3)
+    for k, c in enumerate(along):
+        if c in support.seeds:
+            np.testing.assert_array_equal(got.c[k], want.c[k])
+            assert np.any(got.c[k] != 0.0)
+        else:
+            assert np.all(got.c[k] == 0.0)
+    # The derivative stays strict about seeds.
+    with pytest.raises(ValueError):
+        support.derive(base2(0))
+    with pytest.raises(ValueError):
+        support.restrict((base2(0),), 2)
+
+
+def test_a_constant_field_lifts_over_no_seeds():
+    lifted = jets.support_lift(lambda c: 2.5, P6, POOL, 3)
+    assert lifted.seeds == () and lifted.order == 3 and lifted.value == 2.5
+    assert np.all(lifted.grad(POOL[:2]).grad(POOL).c == 0.0)
+    np.testing.assert_array_equal(jet_lift(lambda c: 2.5, P6, POOL, 3).c,
+                                  Jet.constant(context(POOL, 3), 2.5).c)
+
+
+@pytest.mark.parametrize("name,which,support", [
+    ("FIX-R", "product", (base1(0), base2(0), fiber1(0), fiber1(1), fiber2(0), fiber2(1))),
+    ("FIX-R", "factor1", (fiber1(0), fiber1(1))),
+    ("FIX-R", "factor2", (fiber2(0), fiber2(1))),
+    ("FIX-P", "product", (fiber1(0), fiber1(1), fiber2(0), fiber2(1))),
+    ("FIX-1D", "product", (base1(0), base2(0), fiber1(0), fiber2(0))),
+])
+def test_engine_lift_keeps_the_support_of_F2(name, which, support):
+    from dwfinsler import fixture
+    from dwfinsler.engine import workspace
+    from dwfinsler.runspec import fixture_runspec, sample_points
+    cfg = fixture(name)
+    for p in sample_points(fixture_runspec(name, count=2)):
+        ep = getattr(workspace(cfg).at(p), which)
+        assert ep.lift().seeds == support and ep.lift().order == 5
+        for tensor in (ep.g(), ep.ginv(), ep.spray(), ep.delta_g(),
+                       ep.horizontal_coefficients(), ep.bracket_curvature()):
+            assert tensor.seeds == support
+
+
+_CHAIN = ("g_values", "ginv_values", "spray_values", "nonlinear_connection_values",
+          "connection_fiber_values", "berwald", "bracket_curvature_values",
+          "horizontal_values", "hh_curvature", "riemann_map", "cartan",
+          "F2_base_fiber_values")
+
+
+@pytest.mark.parametrize("name", ["FIX-1D", "FIX-E", "FIX-P", "FIX-R"])
+def test_support_lift_chain_is_bit_identical_to_the_whole_point_chain(monkeypatch, name):
+    # The reference runs every tensor over all engine coordinates, as the
+    # lift embedded into the whole-point context.
+    from dwfinsler import fixture
+    from dwfinsler.engine import EnginePoint, WorkPoint, workspace
+    from dwfinsler.runspec import fixture_runspec, sample_points
+    cfg = fixture(name)
+    points = sample_points(fixture_runspec(name, count=3))
+
+    def chain():
+        out = []
+        for p in points:
+            wp = WorkPoint(workspace(cfg), p)
+            for ep in (wp.product, wp.factor1, wp.factor2):
+                out.append({m: np.asarray(getattr(ep, m)()) for m in _CHAIN}
+                           | {"delta_g": ep.delta_g().value, "seeds": ep.g().seeds})
+        return out
+
+    got = chain()
+    support_lift = EnginePoint.lift
+    monkeypatch.setattr(EnginePoint, "lift", lambda ep: support_lift(ep).embed(
+        context(ep.engine.coords, ep.order)))
+    want = chain()
+    assert all(len(w["seeds"]) == 2 * len(w["g_values"]) for w in want)
+    for g, w in zip(got, want):
+        for m in _CHAIN + ("delta_g",):
+            assert g[m].shape == w[m].shape and np.all(g[m] == w[m]), m
+
+
+@pytest.mark.parametrize("field", [lambda c: c.y[0] ** 2 + c.x[0] ** 2, lambda c: 1.0],
+                         ids=["ignores y1", "constant"])
+def test_engine_over_a_field_missing_a_fiber_fails_as_singular(field, p4):
+    from dwfinsler.engine import EnginePoint, FinslerEngine
+    from dwfinsler.errors import SingularMetricError
+    engine = FinslerEngine(field, (base1(0), base1(1)), (fiber1(0), fiber1(1)))
+    ep = EnginePoint(engine, p4)
+    assert ep.g_values()[1].tolist() == [0.0, 0.0]
+    for tensor in ("ginv", "spray", "horizontal_coefficients", "hh_curvature", "riemann_map"):
+        with pytest.raises(SingularMetricError):
+            getattr(ep, tensor)()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dwfinsler import base1, base2, fiber1, fiber2
 from dwfinsler.engine import workspace
 from dwfinsler.errors import SingularMetricError
 from dwfinsler.jets import einsum
@@ -31,6 +32,8 @@ def test_inverse_metric_jet_times_metric_is_identity(fixr, p4):
     # of g^-1 g up to order 3 must vanish, so a series cut short shows here.
     ep = workspace(fixr).at(p4).product
     prod = einsum("ab,bc->ac", ep.ginv(), ep.g())
-    assert prod.order == 3 and prod.seeds == fixr.base + fixr.fiber
+    # The seeds are F^2's support: FIX-R's warps read x0 and u0 only.
+    support = (base1(0), base2(0), fiber1(0), fiber1(1), fiber2(0), fiber2(1))
+    assert prod.order == 3 and prod.seeds == support
     assert np.max(np.abs(prod.value - np.eye(fixr.n))) <= 1e-14
     assert np.max(np.abs(prod.c[..., 1:])) <= 1e-13
