@@ -23,12 +23,12 @@ from .connection import (NonlinearConnection, SprayField, adapted_derivative,
 from .curvature import (CurvatureBundle, FlagInput, berwald_curvature,
                         curvature_bundle, flag_curvature, flat_factor_residual,
                         hh_curvature, riemann_map, scalar_flag_residual)
-from .lifted import (ComplexStructure, ConnectionTable, FrameVector,
-                     LiftedMetric, almost_complex, closedness_check,
+from .lifted import (ComplexStructure, ConnectionTable, LiftedMetric,
+                     almost_complex, closedness_check,
                      induced_vertical_connection, kahler_verdict,
                      koszul_levi_civita, levi_civita_closed_forms,
-                     lifted_metric, nijenhuis_tables, reinhart_defect,
-                     symplectic_form, totally_geodesic_verdicts,
+                     lifted_metric, nijenhuis_tables, reinhart_tables,
+                     symplectic_frame_table, totally_geodesic_verdicts,
                      vaisman_connection)
 from .runspec import FIXTURES, RunSpec, fixture, fixture_runspec, parse_spec, sample_points
 from .suites import DiagnosticsReport, emit_report, run_suites
@@ -53,11 +53,11 @@ __all__ = [
     "flag_curvature", "flat_factor_residual", "hh_curvature", "riemann_map",
     "scalar_flag_residual",
     # lifted geometry
-    "ComplexStructure", "ConnectionTable", "FrameVector", "LiftedMetric",
+    "ComplexStructure", "ConnectionTable", "LiftedMetric",
     "almost_complex", "closedness_check", "induced_vertical_connection",
     "kahler_verdict", "koszul_levi_civita", "levi_civita_closed_forms",
-    "lifted_metric", "nijenhuis_tables", "reinhart_defect", "symplectic_form",
-    "totally_geodesic_verdicts", "vaisman_connection",
+    "lifted_metric", "nijenhuis_tables", "reinhart_tables",
+    "symplectic_frame_table", "totally_geodesic_verdicts", "vaisman_connection",
     # harness
     "RunSpec", "fixture_runspec", "parse_spec", "sample_points",
     "DiagnosticsReport", "emit_report", "run_suites",

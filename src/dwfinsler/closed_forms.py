@@ -3,12 +3,14 @@
 Every function here evaluates the closed-form factor/warp decomposition of a
 product-level tensor at one point, from factor-engine quantities and warp
 derivatives only.  These are the likeliest transcription-error site, so the
-generic AD path in :mod:`dwfinsler.engine` is ground truth and the comparison
-suites report the offending block by name.
+generic AD path in :mod:`dwfinsler.engine` is ground truth and a suite holds
+every function to it, naming the offending block: ``closed-form-blocks``
+(spray, N, Gf, H), ``berwald-blocks``, ``block-structure`` (the pure Cartan
+blocks) and ``matsumoto-contraction``.
 
 Block keys name factor membership per slot: the character before the dot is
 the upper slot, the rest are the lower slots in order ('1' = first factor,
-'2' = second).  Rank-2 objects drop the dot.
+'2' = second).  Rank-1 and rank-2 objects drop the dot.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import numpy as np
 from .engine import WorkPoint
 
 
-def block_ranges(pattern: str, n1: int, n2: int):
+def block_ranges(pattern: str, n1: int, n2: int) -> tuple[slice, ...]:
+    """The index slice of each slot of a block key."""
     chars = pattern.replace(".", "")
-    return tuple(range(0, n1) if ch == "1" else range(n1, n1 + n2) for ch in chars)
+    return tuple(slice(0, n1) if ch == "1" else slice(n1, n1 + n2) for ch in chars)
 
 
 def compare_blocks(generic: np.ndarray, blocks: dict[str, np.ndarray],
@@ -28,13 +31,17 @@ def compare_blocks(generic: np.ndarray, blocks: dict[str, np.ndarray],
     """Max absolute deviation of each closed-form block from the generic tensor."""
     out = {}
     for key, closed in blocks.items():
-        view = generic[np.ix_(*block_ranges(key, n1, n2))]
+        view = generic[block_ranges(key, n1, n2)]
         out[key] = float(np.max(np.abs(view - closed))) if closed.size else 0.0
     return out
 
 
-class _Ingredients:
-    """Factor-engine values and warp partials shared by all block formulas."""
+class Ingredients:
+    """Factor-engine values and warp partials shared by all block formulas.
+
+    One set serves every family at a point; a family builds its own when it
+    is given none.
+    """
 
     def __init__(self, wp: WorkPoint):
         cfg = wp.cfg
@@ -62,9 +69,9 @@ class _Ingredients:
         return jet.value
 
 
-def spray_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
+def spray_blocks(wp: WorkPoint, q: Ingredients | None = None) -> dict[str, np.ndarray]:
     """Product spray from factor sprays plus warp corrections."""
-    q = _Ingredients(wp)
+    q = q or Ingredients(wp)
     G1 = wp.factor1.spray_values()
     G2 = wp.factor2.spray_values()
     top = G1 + (q.g1inv @ (q.vsum * q.dF1dy - q.w1x * q.F2sq)) / (4.0 * q.f2sq)
@@ -72,8 +79,10 @@ def spray_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
     return {"1": top, "2": bot}
 
 
-def nonlinear_connection_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
-    q = _Ingredients(wp)
+def nonlinear_connection_blocks(wp: WorkPoint,
+                                q: Ingredients | None = None) -> dict[str, np.ndarray]:
+    """The fiber derivative of the spray: the factor connections shifted by the warps."""
+    q = q or Ingredients(wp)
     n1, n2 = q.n1, q.n2
     N11 = (wp.factor1.nonlinear_connection_values()
            - np.einsum("ihj,h->ij", q.dginv1, q.w1x) * q.F2sq / (4.0 * q.f2sq)
@@ -88,9 +97,10 @@ def nonlinear_connection_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
     return {"11": N11, "12": N12, "21": N21, "22": N22}
 
 
-def connection_fiber_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
+def connection_fiber_blocks(wp: WorkPoint,
+                            q: Ingredients | None = None) -> dict[str, np.ndarray]:
     """Second fiber derivatives of the spray, block by block."""
-    q = _Ingredients(wp)
+    q = q or Ingredients(wp)
     n1, n2 = q.n1, q.n2
     out = {}
     out["1.11"] = (wp.factor1.connection_fiber_values()
@@ -106,22 +116,15 @@ def connection_fiber_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
     return out
 
 
-def _mixing_rates(q: _Ingredients) -> tuple[np.ndarray, np.ndarray]:
-    """The warp-induced shifts of the factor nonlinear connections."""
-    m1 = (q.vsum / (2.0 * q.f2sq)) * np.eye(q.n1) \
-        - np.einsum("rhi,h->ri", q.dginv1, q.w1x) * q.F2sq / (4.0 * q.f2sq)
-    m2 = (q.ysum / (2.0 * q.f1sq)) * np.eye(q.n2) \
-        - np.einsum("mla,l->ma", q.dginv2, q.w2u) * q.F1sq / (4.0 * q.f1sq)
-    return m1, m2
-
-
-def horizontal_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
-    q = _Ingredients(wp)
-    m1, m2 = _mixing_rates(q)
+def horizontal_blocks(wp: WorkPoint, q: Ingredients | None = None) -> dict[str, np.ndarray]:
+    q = q or Ingredients(wp)
+    nc = nonlinear_connection_blocks(wp, q)
+    N12, N21 = nc["12"], nc["21"]
+    # The warp-induced shifts of the factor nonlinear connections.
+    m1 = nc["11"] - wp.factor1.nonlinear_connection_values()
+    m2 = nc["22"] - wp.factor2.nonlinear_connection_values()
     dg1 = 2.0 * q.C1  # fiber derivative of the factor metric
     dg2 = 2.0 * q.C2
-    nc = nonlinear_connection_blocks(wp)
-    N12, N21 = nc["12"], nc["21"]
     out = {}
     corr1 = (np.einsum("rj,hir->hij", m1, dg1) + np.einsum("ri,hjr->hij", m1, dg1)
              - np.einsum("rh,ijr->hij", m1, dg1))
@@ -149,7 +152,7 @@ def horizontal_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
 
 
 def berwald_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
-    q = _Ingredients(wp)
+    q = Ingredients(wp)
     n1, n2 = q.n1, q.n2
     out = {}
     out["1.111"] = (wp.factor1.berwald()
@@ -169,7 +172,7 @@ def berwald_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
 
 def matsumoto_contraction_rhs(wp: WorkPoint) -> np.ndarray:
     """Expected fiber-squared contraction of the mixed Matsumoto block."""
-    q = _Ingredients(wp)
+    q = Ingredients(wp)
     n = q.n1 + q.n2
     Fsq = wp.product.F2_value()
     mean2 = wp.factor2.mean_cartan()
@@ -178,5 +181,5 @@ def matsumoto_contraction_rhs(wp: WorkPoint) -> np.ndarray:
 
 def cartan_scaled_factor_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
     """Pure blocks of the product Cartan torsion: warp-scaled factor tensors."""
-    q = _Ingredients(wp)
+    q = Ingredients(wp)
     return {"111": q.f2sq * q.C1, "222": q.f1sq * q.C2}

@@ -1,9 +1,12 @@
 """Geometry of the slit tangent bundle of the doubly warped product.
 
 The adapted frame has 2(n1+n2) basis fields: n horizontal (the adapted base
-derivations) followed by n vertical (the fiber derivations).  Frame vectors
-are component arrays in that basis.  The warped Sasaki-type lift repeats the
-product fundamental tensor on the horizontal and vertical blocks.
+derivations) followed by n vertical (the fiber derivations).  Every object is
+a component table over that basis: the lifted metric and J are 2n x 2n
+matrices, a connection table holds nabla_{e_A} e_B at [A, B], and a caller
+reads a value on frame vectors by contracting the table with their
+components.  The warped Sasaki-type lift repeats the product fundamental
+tensor on the horizontal and vertical blocks.
 
 Every table is an array expression.  The Koszul solve, the Vaisman and
 Reinhart diagnostics and the Nijenhuis tensor read two frame arrays of the
@@ -33,71 +36,12 @@ _FAMILY_PAIRS = tuple(f"{a}.{b}" for a in FAMILIES for b in FAMILIES)
 
 
 @dataclass(frozen=True, eq=False)
-class FrameVector:
-    """Components in the adapted basis: n horizontal then n vertical slots."""
-
-    comps: np.ndarray
-    n1: int
-    n2: int
-
-    @property
-    def n(self) -> int:
-        return self.n1 + self.n2
-
-    @property
-    def horizontal(self) -> np.ndarray:
-        return self.comps[:self.n]
-
-    @property
-    def vertical(self) -> np.ndarray:
-        return self.comps[self.n:]
-
-    def vertical_projector(self) -> "FrameVector":
-        out = self.comps.copy()
-        out[:self.n] = 0.0
-        return FrameVector(out, self.n1, self.n2)
-
-    def horizontal_projector(self) -> "FrameVector":
-        out = self.comps.copy()
-        out[self.n:] = 0.0
-        return FrameVector(out, self.n1, self.n2)
-
-    def tangent_map(self) -> "FrameVector":
-        """The almost tangent structure: horizontal slots moved to vertical."""
-        out = np.zeros_like(self.comps)
-        out[self.n:] = self.comps[:self.n]
-        return FrameVector(out, self.n1, self.n2)
-
-
-def frame_vector(cfg: ProductConfig, comps) -> FrameVector:
-    arr = np.asarray(comps, dtype=float)
-    if arr.shape != (2 * cfg.n,):
-        raise ValueError(f"frame vectors over this product have {2 * cfg.n} components")
-    return FrameVector(arr, cfg.n1, cfg.n2)
-
-
-def basis_horizontal(cfg: ProductConfig, a: int) -> FrameVector:
-    arr = np.zeros(2 * cfg.n)
-    arr[a] = 1.0
-    return FrameVector(arr, cfg.n1, cfg.n2)
-
-
-def basis_vertical(cfg: ProductConfig, a: int) -> FrameVector:
-    arr = np.zeros(2 * cfg.n)
-    arr[cfg.n + a] = 1.0
-    return FrameVector(arr, cfg.n1, cfg.n2)
-
-
-@dataclass(frozen=True, eq=False)
 class LiftedMetric:
     """Warped Sasaki-type metric in the adapted frame: blockdiag(g, g)."""
 
     matrix: np.ndarray
     n1: int
     n2: int
-
-    def pairing(self, X: FrameVector, Y: FrameVector) -> float:
-        return float(X.comps @ self.matrix @ Y.comps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,28 +309,6 @@ def reinhart_tables(cfg: ProductConfig, p: TangentSample) -> tuple[np.ndarray, n
     return defect, identity
 
 
-def reinhart_defect(cfg: ProductConfig, p: TangentSample, X: FrameVector,
-                    Y: FrameVector, Z: FrameVector) -> float:
-    """(nabla_X G)(Y, Z) for structural X and transversal Y, Z.
-
-    X must be vertical and Y, Z horizontal (projector-checked); components
-    are taken constant in the adapted frame.
-    """
-    if float(np.max(np.abs(X.horizontal))) > 0.0:
-        raise PreconditionError("reinhart defect needs a vertical first argument")
-    if float(np.max(np.abs(Y.vertical))) > 0.0 or float(np.max(np.abs(Z.vertical))) > 0.0:
-        raise PreconditionError("reinhart defect needs horizontal second and third arguments")
-    return float(np.einsum("abc,a,b,c->", reinhart_tables(cfg, p)[0],
-                           X.vertical, Y.horizontal, Z.horizontal))
-
-
-def reinhart_identity_value(cfg: ProductConfig, p: TangentSample, X: FrameVector,
-                            Y: FrameVector, Z: FrameVector) -> float:
-    """The factor-Cartan closed form the defect must equal."""
-    return float(np.einsum("abc,a,b,c->", reinhart_tables(cfg, p)[1],
-                           X.vertical, Y.horizontal, Z.horizontal))
-
-
 # ---------------------------------------------------------------------------
 # Almost complex structure, symplectic form, integrability
 # ---------------------------------------------------------------------------
@@ -398,13 +320,6 @@ class ComplexStructure:
     n1: int
     n2: int
 
-    def apply(self, X: FrameVector) -> FrameVector:
-        n = self.n1 + self.n2
-        out = np.empty_like(X.comps)
-        out[:n] = X.comps[n:]
-        out[n:] = -X.comps[:n]
-        return FrameVector(out, self.n1, self.n2)
-
     def matrix(self) -> np.ndarray:
         n = self.n1 + self.n2
         out = np.zeros((2 * n, 2 * n))
@@ -413,19 +328,12 @@ class ComplexStructure:
         return out
 
 
-def almost_complex(cfg: ProductConfig, p: TangentSample | None = None) -> ComplexStructure:
+def almost_complex(cfg: ProductConfig) -> ComplexStructure:
     return ComplexStructure(cfg.n1, cfg.n2)
 
 
-def symplectic_form(cfg: ProductConfig, p: TangentSample, X: FrameVector,
-                    Y: FrameVector) -> float:
-    """Omega(X, Y) = G(X, JY) in the adapted frame."""
-    lp = _lifted(cfg, p)
-    J = almost_complex(cfg)
-    return float(X.comps @ lp.metric @ J.apply(Y).comps)
-
-
 def symplectic_frame_table(cfg: ProductConfig, p: TangentSample) -> np.ndarray:
+    """Omega(e_A, e_B) = G(e_A, J e_B) over all frame pairs [A, B]."""
     lp = _lifted(cfg, p)
     J = almost_complex(cfg).matrix()
     return lp.metric @ J

@@ -32,9 +32,9 @@ MAX_FACTOR_DIM = 6
 #: Execution order of the full verification battery.
 ALL_SUITES = (
     "homogeneity", "block-structure", "yF=G", "matsumoto-contraction",
-    "berwald-blocks", "lemma41", "con1", "scalar-flag", "koszul-vs-closed",
-    "vaisman-axioms", "reinhart", "hermitian", "nijenhuis", "kahler",
-    "totally-geodesic", "fd-crosscheck",
+    "berwald-blocks", "closed-form-blocks", "lemma41", "con1", "scalar-flag",
+    "koszul-vs-closed", "vaisman-axioms", "reinhart", "hermitian", "nijenhuis",
+    "kahler", "totally-geodesic", "fd-crosscheck",
 )
 
 #: Default tolerance of every check, by name.  A suite's own name is the
@@ -53,6 +53,7 @@ DEFAULT_TOLERANCES = {
     "berwald-blocks": 1e-7,
     "berwald-blocks.symmetry": 1e-10,
     "berwald-blocks.witness": 1e-3,
+    "closed-form-blocks": 1e-7,
     "lemma41": 1e-7,
     "lemma41.antisymmetry": 1e-10,
     "con1": 1e-6,

@@ -273,6 +273,25 @@ def _suite_berwald(spec: RunSpec, points) -> list[SuiteEntry]:
     return out
 
 
+def _suite_closed_form_blocks(spec: RunSpec, points) -> list[SuiteEntry]:
+    """The engine's spray, N, Gf and H against their warped closed forms, block by block."""
+    cfg = spec.config
+    ws = workspace(cfg)
+    blocks: dict[str, _Tracker] = {}
+    for p in points:
+        wp = ws.at(p)
+        ep, q = wp.product, closed_forms.Ingredients(wp)
+        for tensor, generic, closed in (
+                ("spray", ep.spray_values(), closed_forms.spray_blocks(wp, q)),
+                ("N", ep.nonlinear_connection_values(),
+                 closed_forms.nonlinear_connection_blocks(wp, q)),
+                ("Gf", ep.connection_fiber_values(), closed_forms.connection_fiber_blocks(wp, q)),
+                ("H", ep.horizontal_values(), closed_forms.horizontal_blocks(wp, q))):
+            for key, val in closed_forms.compare_blocks(generic, closed, cfg.n1, cfg.n2).items():
+                blocks.setdefault(f"closed-form-{tensor}.{key}", _Tracker()).feed(val, p)
+    return [_entry(spec, "closed-form-blocks", name, tr) for name, tr in blocks.items()]
+
+
 def _suite_lemma41(spec: RunSpec, points) -> list[SuiteEntry]:
     ws = workspace(spec.config)
     tr = _Tracker()
@@ -530,6 +549,7 @@ SUITES = {
     "yF=G": _suite_yfg,
     "matsumoto-contraction": _suite_matsumoto,
     "berwald-blocks": _suite_berwald,
+    "closed-form-blocks": _suite_closed_form_blocks,
     "lemma41": _suite_lemma41,
     "con1": _suite_con1,
     "scalar-flag": _suite_scalar_flag,

@@ -2,11 +2,25 @@ import pytest
 
 from dwfinsler import TangentSample, fixture
 from dwfinsler.runspec import fixture_runspec, sample_points
+from dwfinsler.suites import run_suites
+
+ALL_FIXTURES = ("FIX-1D", "FIX-E", "FIX-P", "FIX-R")
 
 
 def region(name: str, count: int = 8, seed: int = 7):
     """Deterministic sample points for a built-in fixture."""
     return sample_points(fixture_runspec(name, seed=seed, count=count))
+
+
+@pytest.fixture(scope="session")
+def reports():
+    """A full verification run per built-in fixture at 25 points, shared by all tests."""
+    return {name: run_suites(fixture_runspec(name)) for name in ALL_FIXTURES}
+
+
+def entries(reports, fixture_name, suite, prefix=""):
+    suite_result = next(s for s in reports[fixture_name].suites if s.name == suite)
+    return [e for e in suite_result.entries if e.name.startswith(prefix)]
 
 
 @pytest.fixture(scope="session")

@@ -2,32 +2,19 @@
 
 Each test prints one pass/fail line (visible with `pytest -s` or in failure
 reports) and asserts the criterion.  The heavy work, a full verification run
-per built-in fixture at 25 sampled points, is shared through a session cache.
+per built-in fixture at 25 sampled points, is shared through the session
+fixture ``reports`` of conftest.
 """
 
 import json
 
-import pytest
-
 from dwfinsler import TangentSample, fixture
 from dwfinsler import lifted as lf
 from dwfinsler.cli import main
-from dwfinsler.connection import spray, spray_decomposition_residual
+from dwfinsler.connection import spray
 from dwfinsler.curvature import hh_curvature, scalar_flag_residual
 from dwfinsler.runspec import fixture_runspec, sample_points
-from dwfinsler.suites import run_suites
-
-ALL_FIXTURES = ("FIX-1D", "FIX-E", "FIX-P", "FIX-R")
-
-
-@pytest.fixture(scope="session")
-def reports():
-    return {name: run_suites(fixture_runspec(name)) for name in ALL_FIXTURES}
-
-
-def entries(reports, fixture_name, suite, prefix=""):
-    suite_result = next(s for s in reports[fixture_name].suites if s.name == suite)
-    return [e for e in suite_result.entries if e.name.startswith(prefix)]
+from conftest import ALL_FIXTURES, entries
 
 
 def check(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -46,14 +33,15 @@ def test_criterion_01_block_structure(reports):
 
 
 def test_criterion_02_spray_decomposition(reports):
-    worst = max(spray_decomposition_residual(fixture(name), p)
-                for name in ALL_FIXTURES
-                for p in sample_points(fixture_runspec(name, count=25)))
+    decomp = [e for name in ALL_FIXTURES
+              for e in entries(reports, name, "closed-form-blocks", "closed-form-spray.")]
+    worst = max(e.residual for e in decomp)
     p0 = TangentSample((0.0,), (1.0,), (1.0,), (1.0,))
     vals = spray(fixture("FIX-1D"), p0).values
     hand = max(abs(vals[0] - 0.5), abs(vals[1] + 0.5))
     check(2, "spray decomposition agrees to 1e-9 and reproduces the 1D hand values",
-          worst <= 1e-9 and hand <= 1e-9, f"decomp {worst:.2e}, hand {hand:.2e}")
+          len(decomp) == 2 * len(ALL_FIXTURES) and worst <= 1e-9 and hand <= 1e-9,
+          f"decomp {worst:.2e}, hand {hand:.2e}")
 
 
 def test_criterion_03_homogeneity(reports):

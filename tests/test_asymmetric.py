@@ -17,8 +17,8 @@ ASYM_1x3 = {
     },
     "sampling": {"seed": 5, "count": 4},
     "suites": ["homogeneity", "block-structure", "yF=G", "matsumoto-contraction",
-               "berwald-blocks", "lemma41", "koszul-vs-closed", "vaisman-axioms",
-               "nijenhuis", "fd-crosscheck"],
+               "berwald-blocks", "closed-form-blocks", "lemma41", "koszul-vs-closed",
+               "vaisman-axioms", "nijenhuis", "fd-crosscheck"],
 }
 
 # Position-coupled quadratic first factor (off-diagonal entries) x Randers.
@@ -37,7 +37,8 @@ ASYM_3x2 = {
     },
     "sampling": {"seed": 12, "count": 3},
     "suites": ["homogeneity", "block-structure", "yF=G", "berwald-blocks",
-               "lemma41", "con1", "koszul-vs-closed", "vaisman-axioms"],
+               "closed-form-blocks", "lemma41", "con1", "koszul-vs-closed",
+               "vaisman-axioms"],
 }
 
 

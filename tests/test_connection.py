@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from dwfinsler import base1, base2, fiber1, fixture
-from dwfinsler.connection import (adapted_derivative, connection_fiber_residuals,
-                                  frame_brackets, horizontal_coefficients,
-                                  horizontal_residuals, nonlinear_connection,
-                                  spray, spray_decomposition_residual)
+from dwfinsler import base1, base2, closed_forms, fiber1, fixture
+from dwfinsler.connection import (adapted_derivative, frame_brackets,
+                                  horizontal_coefficients, nonlinear_connection,
+                                  spray)
 from dwfinsler.engine import workspace
 from dwfinsler.errors import PreconditionError
-from conftest import region
+from conftest import entries, region
+
+
+def worst_closed_form(reports, name, tensor, count):
+    """The worst ``closed-form-<tensor>.*`` residual of a fixture's report."""
+    found = entries(reports, name, "closed-form-blocks", f"closed-form-{tensor}.")
+    assert len(found) == count
+    return max(e.residual for e in found)
 
 
 def test_spray_vanishes_on_flat_product(fixp):
@@ -17,17 +23,15 @@ def test_spray_vanishes_on_flat_product(fixp):
 
 
 def test_spray_hand_values(fix1d, p1d):
-    for method in ("generic", "product"):
-        s = spray(fix1d, p1d, method)
-        assert s.values[0] == pytest.approx(0.5, abs=1e-9)
-        assert s.values[1] == pytest.approx(-0.5, abs=1e-9)
+    blocks = closed_forms.spray_blocks(workspace(fix1d).at(p1d))
+    for values in (spray(fix1d, p1d).values, np.concatenate([blocks["1"], blocks["2"]])):
+        assert values[0] == pytest.approx(0.5, abs=1e-9)
+        assert values[1] == pytest.approx(-0.5, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", ["FIX-1D", "FIX-E", "FIX-P", "FIX-R"])
-def test_spray_decomposition_agreement(name):
-    cfg = fixture(name)
-    for p in region(name, 6):
-        assert spray_decomposition_residual(cfg, p) <= 1e-9
+def test_spray_decomposition_agreement(reports, name):
+    assert worst_closed_form(reports, name, "spray", 2) <= 1e-9
 
 
 def test_spray_two_homogeneity(fixe):
@@ -47,11 +51,8 @@ def test_nonlinear_connection_vanishes_on_product(fixp, p4):
 
 
 @pytest.mark.parametrize("name", ["FIX-1D", "FIX-E", "FIX-R"])
-def test_nonlinear_connection_closed_blocks(name):
-    cfg = fixture(name)
-    for p in region(name, 25):
-        res = nonlinear_connection(cfg, p).closed_form_residuals()
-        assert max(res.values()) <= 1e-8, res
+def test_nonlinear_connection_closed_blocks(reports, name):
+    assert worst_closed_form(reports, name, "N", 4) <= 1e-8
 
 
 def test_connection_degree_identity(fixe):
@@ -67,8 +68,6 @@ def test_adapted_derivative_reduces_to_plain(fixe, p4):
     assert adapted_derivative(fixe, p4, field, base1(0)) == pytest.approx(2.0 * p4.x[0],
                                                                           abs=1e-12)
     assert adapted_derivative(fixe, p4, field, base2(0)) == pytest.approx(2.0, abs=1e-12)
-    nc = nonlinear_connection(fixe, p4)
-    assert nc.delta(field, base1(0)) == pytest.approx(2.0 * p4.x[0], abs=1e-12)
     with pytest.raises(PreconditionError):
         adapted_derivative(fixe, p4, field, fiber1(0))
 
@@ -103,11 +102,8 @@ def test_bracket_hand_value(fix1d, p1d):
 
 
 @pytest.mark.parametrize("name", ["FIX-1D", "FIX-E", "FIX-R"])
-def test_connection_fiber_closed_blocks(name):
-    cfg = fixture(name)
-    for p in region(name, 25):
-        res = connection_fiber_residuals(cfg, p)
-        assert max(res.values()) <= 1e-8, res
+def test_connection_fiber_closed_blocks(reports, name):
+    assert worst_closed_form(reports, name, "Gf", 6) <= 1e-8
 
 
 def test_horizontal_flat_product(fixp, p4):
@@ -131,24 +127,5 @@ def test_fiber_contraction_recovers_connection(name):
 
 
 @pytest.mark.parametrize("name", ["FIX-1D", "FIX-E", "FIX-R"])
-def test_horizontal_closed_blocks(name):
-    cfg = fixture(name)
-    for p in region(name, 25):
-        res = horizontal_residuals(cfg, p)
-        assert max(res.values()) <= 1e-8, res
-
-
-def test_projector_algebra(fixe):
-    from dwfinsler.lifted import frame_vector
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        X = frame_vector(fixe, rng.normal(size=2 * fixe.n))
-        v = X.vertical_projector()
-        h = X.horizontal_projector()
-        assert np.array_equal(v.vertical_projector().comps, v.comps)
-        assert np.array_equal(h.horizontal_projector().comps, h.comps)
-        assert np.array_equal(v.comps + h.comps, X.comps)
-        J = X.tangent_map()
-        assert np.max(np.abs(J.tangent_map().comps)) == 0.0
-        assert np.array_equal(h.tangent_map().vertical, X.horizontal)
-        assert np.max(np.abs(J.horizontal)) == 0.0
+def test_horizontal_closed_blocks(reports, name):
+    assert worst_closed_form(reports, name, "H", 6) <= 1e-8

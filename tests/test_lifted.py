@@ -152,71 +152,50 @@ def test_same_connection_biconditional(fixp, fixr, p4):
 
 
 def test_reinhart_riemannian_vanishes(fixe):
-    n = fixe.n
+    # Every triple (vertical a, horizontal b, horizontal c) of the defect table.
     for p in region("FIX-E", 2):
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    d = lf.reinhart_defect(fixe, p, lf.basis_vertical(fixe, a),
-                                           lf.basis_horizontal(fixe, b),
-                                           lf.basis_horizontal(fixe, c))
-                    assert abs(d) <= 1e-10
+        assert np.max(np.abs(lf.reinhart_tables(fixe, p)[0])) <= 1e-10
 
 
 def test_reinhart_witness_on_randers(fixr, p4):
     wp = workspace(fixr).at(p4)
     n1 = fixr.n1
-    X = lf.basis_vertical(fixr, n1)  # second-factor vertical direction
-    Y = lf.basis_horizontal(fixr, n1)
-    Z = lf.basis_horizontal(fixr, n1 + 1)
-    d = lf.reinhart_defect(fixr, p4, X, Y, Z)
+    # X = second-factor vertical 0, Y and Z = second-factor horizontal 0 and 1
+    defect, identity = lf.reinhart_tables(fixr, p4)
+    d = defect[n1, n1, n1 + 1]
     # two independent paths: covariant derivative vs the factor Cartan tensor
     expected = 2.0 * wp.warp_sq(1) * wp.factor2.cartan()[0, 0, 1]
     assert d == pytest.approx(expected, abs=1e-8)
     assert abs(d) > 1e-3
-    ident = lf.reinhart_identity_value(fixr, p4, X, Y, Z)
-    assert d == pytest.approx(ident, abs=1e-8)
+    assert d == pytest.approx(identity[n1, n1, n1 + 1], abs=1e-8)
 
 
 def test_reinhart_cross_factor_triples_vanish(fixr, p4):
-    X = lf.basis_vertical(fixr, 0)  # first-factor vertical
-    Y = lf.basis_horizontal(fixr, fixr.n1)  # second-factor horizontal
-    Z = lf.basis_horizontal(fixr, fixr.n1 + 1)
-    assert abs(lf.reinhart_defect(fixr, p4, X, Y, Z)) <= 1e-10
-
-
-def test_reinhart_projection_preconditions(fixr, p4):
-    H = lf.basis_horizontal(fixr, 0)
-    V = lf.basis_vertical(fixr, 0)
-    with pytest.raises(PreconditionError):
-        lf.reinhart_defect(fixr, p4, H, H, H)
-    with pytest.raises(PreconditionError):
-        lf.reinhart_defect(fixr, p4, V, V, H)
+    # X = first-factor vertical, Y and Z = second-factor horizontal
+    n1 = fixr.n1
+    assert abs(lf.reinhart_tables(fixr, p4)[0][0, n1, n1 + 1]) <= 1e-10
 
 
 def test_complex_structure(fixe, p4):
-    J = lf.almost_complex(fixe, p4)
+    J = lf.almost_complex(fixe).matrix()
+    m = 2 * fixe.n
     rng = np.random.default_rng(1)
     for _ in range(20):
-        X = lf.frame_vector(fixe, rng.normal(size=2 * fixe.n))
-        assert np.array_equal(J.apply(J.apply(X)).comps, -X.comps)
+        X = rng.normal(size=m)
+        assert np.array_equal(J @ (J @ X), -X)
     # horizontal block maps onto the vertical block
-    H = lf.basis_horizontal(fixe, 1)
-    img = J.apply(H)
-    assert np.max(np.abs(img.horizontal)) == 0.0
-    assert np.max(np.abs(img.vertical)) == 1.0
-    lm = lf.lifted_metric(fixe, p4)
+    img = J @ np.eye(m)[1]
+    assert np.max(np.abs(img[:fixe.n])) == 0.0
+    assert np.max(np.abs(img[fixe.n:])) == 1.0
+    G = lf.lifted_metric(fixe, p4).matrix
     for _ in range(5):
-        X = lf.frame_vector(fixe, rng.normal(size=2 * fixe.n))
-        Y = lf.frame_vector(fixe, rng.normal(size=2 * fixe.n))
-        assert lm.pairing(J.apply(X), J.apply(Y)) == pytest.approx(
-            lm.pairing(X, Y), abs=1e-10)
+        X, Y = rng.normal(size=m), rng.normal(size=m)
+        assert (J @ X) @ G @ (J @ Y) == pytest.approx(X @ G @ Y, abs=1e-10)
 
 
 def test_symplectic_frame_values(fix1d, p1d, fixe, p4):
-    val = lf.symplectic_form(fix1d, p1d, lf.basis_horizontal(fix1d, 0),
-                             lf.basis_vertical(fix1d, 0))
-    assert val == pytest.approx(2.0)
+    # Omega(h_0, v_0) on FIX-1D
+    assert lf.symplectic_frame_table(fix1d, p1d)[0, fix1d.n] == pytest.approx(2.0)
     om = lf.symplectic_frame_table(fixe, p4)
     n = fixe.n
     g = workspace(fixe).at(p4).product.g_values()
