@@ -52,7 +52,7 @@ def adapted_derivative(cfg: ProductConfig, p: TangentSample, field,
         raise PreconditionError("adapted derivatives are taken along base directions")
     ep = workspace(cfg).at(p).product
     lifted = jet_lift(field, p, ep.engine.coords, 1)
-    return float(ep.delta(lifted).value[ep.engine.base.index(direction)])
+    return float(ep.delta(lifted)[ep.engine.base.index(direction)])
 
 
 def frame_brackets(cfg: ProductConfig, p: TangentSample) -> tuple[BlockTensor, BlockTensor]:

@@ -19,12 +19,19 @@ tensor is then one jet over those same seeds, derived from the lift by
 gradients along coordinate lists (:meth:`Jet.grad`, exact zeros along an
 engine coordinate that is not a seed), its leading axes the tensor's slots
 and each gradient one more axis, so every point runs the same short sequence
-of array operations and the contexts of its tensors line up.  The adapted
+of array operations and the contexts of its tensors line up.  The inverse
+metric jet is the float inverse of the value matrix extended by a nilpotent
+series, so no elimination runs on jets; the series starts with contractions
+by that constant inverse on the coefficients, and only its higher powers run
+the Leibniz table.  A field that ignores a fiber coordinate has a singular g,
+which the inverse rejects with :class:`~dwfinsler.errors.SingularMetricError`.
+
+Products run only where a reader takes their partials.  The adapted
 derivative :meth:`EnginePoint.delta` acts on a whole tensor field along every
-base direction at once, and the inverse metric jet is the float inverse of the
-value matrix extended by a nilpotent series, so no elimination runs on jets.
-A field that ignores a fiber coordinate has a singular g, which the inverse
-rejects with :class:`~dwfinsler.errors.SingularMetricError`.
+base direction at once and returns its value, which is all the bracket
+curvature, hh and the suites read.  dg is the one adapted derivative kept as a
+jet, and it and H carry order 1, since the adapted derivative of H in hh
+takes one derivative.
 
 All per-point state has one owner: the :class:`Workspace` of a configuration
 keeps one :class:`WorkPoint` per sample in a single dict, and each work point
@@ -86,8 +93,9 @@ class FinslerEngine:
 class EnginePoint:
     """All tensors of one engine at one sample, each computed once.
 
-    Every tensor method returns one jet whose tensor axes are the tensor's
-    slots; the matching ``*_values`` accessor is its value array.
+    The tensors up to H are jets whose tensor axes are the tensor's slots,
+    each with a ``*_values`` accessor for its value array; the curvatures,
+    the Cartan tensors and :meth:`delta` return value arrays.
     """
 
     def __init__(self, engine: FinslerEngine, sample: TangentSample,
@@ -114,12 +122,21 @@ class EnginePoint:
     @_once
     def ginv(self) -> Jet:
         """The inverse metric: the value matrix inverted, then the nilpotent
-        series g^-1 = sum_k (-g0^-1 h)^k g0^-1 over h = g - g0 for the partials."""
+        series g^-1 = sum_k (-g0^-1 h)^k g0^-1 over h = g - g0 for the partials.
+
+        A product with the constant g0^-1 is a linear map on the coefficients,
+        so the step -g0^-1 h and the first term contract on values; only the
+        higher powers, nilpotent times nilpotent, run the Leibniz table.
+        """
         g = self.g()
-        inv0 = Jet.constant(g.ctx, np.array(invert_matrix(g.value)[0]))
-        step = -einsum("ab,bc->ac", inv0, g - g.value)
-        out = term = inv0
-        for _ in range(g.order):
+        inv0 = np.array(invert_matrix(g.value.tolist())[0])
+        out = Jet.constant(g.ctx, inv0)
+        if g.order == 0:
+            return out
+        step = Jet(g.ctx, -np.einsum("ab,bcz->acz", inv0, (g - g.value).c))
+        term = Jet(g.ctx, np.einsum("abz,bc->acz", step.c, inv0))
+        out = out + term
+        for _ in range(g.order - 1):
             term = einsum("ab,bc->ac", step, term)
             out = out + term
         return out
@@ -190,17 +207,24 @@ class EnginePoint:
         return self.connection_fiber_derivative().grad(self.engine.fiber).value
 
     # -- horizontal calculus ----------------------------------------------------
-    def delta(self, field: Jet) -> Jet:
-        """[..., e] = adapted derivative of a tensor field along the e-th base
-        direction: d/dx^e minus the connection-weighted fiber part."""
-        return (field.grad(self.engine.base)
-                - einsum("ce,...c->...e", self.nonlinear_connection(),
-                         field.grad(self.engine.fiber)))
+    def delta(self, field: Jet) -> np.ndarray:
+        """[..., e] = value of the adapted derivative of a tensor field along the
+        e-th base direction: d/dx^e minus the connection-weighted fiber part."""
+        return (field.grad(self.engine.base).value
+                - np.einsum("ce,...c->...e", self.nonlinear_connection_values(),
+                            field.grad(self.engine.fiber).value))
 
     @_once
     def delta_g(self) -> Jet:
-        """dg[a][b][e] = adapted derivative of g_ab along the e-th base direction."""
-        return self.delta(self.g())
+        """dg[a][b][e] = adapted derivative of g_ab along the e-th base direction.
+
+        Only its first partials are read (through H, by the adapted derivative
+        in hh), so g is differentiated from order 2 at most and dg has order 1.
+        """
+        g = self.g()
+        g = g.restrict(g.seeds, min(g.order, 2))
+        return (g.grad(self.engine.base)
+                - einsum("ce,...c->...e", self.nonlinear_connection(), g.grad(self.engine.fiber)))
 
     @_once
     def horizontal_coefficients(self) -> Jet:
@@ -214,20 +238,17 @@ class EnginePoint:
         return self.horizontal_coefficients().value
 
     @_once
-    def bracket_curvature(self) -> Jet:
+    def bracket_curvature_values(self) -> np.ndarray:
         """R[c][a][b]: curvature of the horizontal distribution, antisymmetric in (a, b)."""
         dn = self.delta(self.nonlinear_connection())  # [c, a, b] = delta_b N[c][a]
-        return dn - dn.transpose(0, 2, 1)
-
-    def bracket_curvature_values(self) -> np.ndarray:
-        return self.bracket_curvature().value
+        return dn - dn.swapaxes(1, 2)
 
     # -- curvature level ----------------------------------------------------------
     @_once
     def hh_curvature(self) -> np.ndarray:
         """R[b][a][c][d]: horizontal curvature of the Berwald-type connection."""
         H = self.horizontal_values()
-        dH = self.delta(self.horizontal_coefficients()).value  # [a, b, c, d] = delta_d H[a][b][c]
+        dH = self.delta(self.horizontal_coefficients())  # [a, b, c, d] = delta_d H[a][b][c]
         quad = np.einsum("ade,ebc->abcd", H, H)
         # Each bracket is exactly antisymmetric in (c, d), so their sum is too.
         out = (dH - dH.swapaxes(2, 3)) + (quad - quad.swapaxes(2, 3))

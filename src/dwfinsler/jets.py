@@ -224,10 +224,15 @@ def context(seeds: Sequence[CoordIndex], order: int) -> JetContext:
 class Jet:
     """Truncated unscaled mixed partials of a tensor over a seed set.
 
-    ``c`` has the tensor's axes first and the partials on its last axis.
+    ``c`` has the tensor's axes first and the partials on its last axis.  A
+    float array operand of ``+``, ``-``, ``*`` or ``/`` is a constant tensor:
+    it broadcasts against the tensor axes, never along the partials.
     """
 
     __slots__ = ("ctx", "c")
+    # ndarray operators defer to the reflected Jet ones instead of building
+    # an object array of jets.
+    __array_ufunc__ = None
 
     def __init__(self, ctx: JetContext, coeffs: np.ndarray):
         self.ctx = ctx
@@ -386,17 +391,17 @@ class Jet:
             ii, jj, starts, ww = a.ctx.tables.mul_table
             terms = ww * a.c.take(ii, -1) * b.c.take(jj, -1)
             return Jet(a.ctx, np.add.reduceat(terms, starts, -1))
-        return Jet(self.ctx, self.c * other)
+        return Jet(self.ctx, self.c * _tensor(other))
 
     __rmul__ = __mul__
 
-    # Division, powers, sqrt and exp act on scalar jets only.
+    # Division by a jet, powers, sqrt and exp act on scalar jets only.
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._reciprocal()
-        if other == 0.0:
+        if np.any(np.equal(other, 0.0)):
             raise DomainError("division of a jet by zero")
-        return Jet(self.ctx, self.c / other)
+        return Jet(self.ctx, self.c / _tensor(other))
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -462,11 +467,14 @@ class Jet:
                 f"shape={self.shape}, value={self.value})")
 
 
+def _tensor(value):
+    """A float as it is, a float array with one trailing axis for the partials."""
+    return value[..., None] if isinstance(value, np.ndarray) else value
+
+
 def _value_slot(ctx: JetContext, value) -> np.ndarray:
     """Coefficients holding ``value`` (a float or a float array) with zero partials."""
-    if isinstance(value, np.ndarray):
-        value = value[..., None]
-    return value * ctx.tables.unit
+    return _tensor(value) * ctx.tables.unit
 
 
 @functools.cache

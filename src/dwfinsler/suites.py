@@ -525,7 +525,7 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
         return WorkPoint(ws, q, VALUE_ORDER).product.horizontal_values()[a, b, c]
 
     hdelta = _Tracker()
-    dH = ep.delta(ep.horizontal_coefficients()).value
+    dH = ep.delta(ep.horizontal_coefficients())
     fd_fiber = [fd_partial(horizontal_field, p, (y,)) for y in cfg.fiber]
     for d in range(cfg.n):
         fd_delta = fd_partial(horizontal_field, p, (cfg.base[d],))

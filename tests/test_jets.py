@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from dwfinsler import MultiIndex, TangentSample, base1, base2, fiber1, fiber2
 from dwfinsler import jets
 from dwfinsler.errors import CapabilityError, DomainError
+from dwfinsler.engine import LIFT_ORDER, SPRAY_ORDER, VALUE_ORDER
 from dwfinsler.jets import Jet, context, einsum, fd_partial, jet_lift
+from dwfinsler.linalg import invert_matrix
 
 P = TangentSample((3.0,), (1.0,), (1.0,), (2.0,))
 X = base1(0)
@@ -460,8 +462,10 @@ def test_engine_lift_keeps_the_support_of_F2(name, which, support):
         ep = getattr(workspace(cfg).at(p), which)
         assert ep.lift().seeds == support and ep.lift().order == 5
         for tensor in (ep.g(), ep.ginv(), ep.spray(), ep.delta_g(),
-                       ep.horizontal_coefficients(), ep.bracket_curvature()):
+                       ep.horizontal_coefficients()):
             assert tensor.seeds == support
+        assert ep.delta_g().order == ep.horizontal_coefficients().order == 1
+        assert ep.ginv().order == 3
 
 
 _CHAIN = ("g_values", "ginv_values", "spray_values", "nonlinear_connection_values",
@@ -498,6 +502,97 @@ def test_support_lift_chain_is_bit_identical_to_the_whole_point_chain(monkeypatc
     for g, w in zip(got, want):
         for m in _CHAIN + ("delta_g",):
             assert g[m].shape == w[m].shape and np.all(g[m] == w[m]), m
+
+
+# The engine skips the Leibniz products whose partials no reader uses: the
+# reference rebuilds every one of them.
+
+def _full_delta(ep, field):
+    """The adapted derivative as a jet over every partial the operands carry."""
+    return (field.grad(ep.engine.base)
+            - einsum("ce,...c->...e", ep.nonlinear_connection(), field.grad(ep.engine.fiber)))
+
+
+def _full_ginv(ep):
+    """The nilpotent series with each product, constant factors too, on the table."""
+    g = ep.g()
+    inv0 = Jet.constant(g.ctx, np.array(invert_matrix(g.value)[0]))
+    step = -einsum("ab,bc->ac", inv0, g - g.value)
+    out = term = inv0
+    for _ in range(g.order):
+        term = einsum("ab,bc->ac", step, term)
+        out = out + term
+    return out
+
+
+def _full_bracket(ep):
+    dn = _full_delta(ep, ep.nonlinear_connection())
+    return (dn - dn.transpose(0, 2, 1)).value
+
+
+def _chain_coefficients(ep):
+    """Every tensor the point's order allows: jets as coefficients, the rest as values."""
+    out = {"ginv": ep.ginv().c, "spray": ep.spray().c}
+    if ep.order >= VALUE_ORDER:
+        out |= {"N": ep.nonlinear_connection().c, "dg": ep.delta_g().c,
+                "H": ep.horizontal_coefficients().c}
+    if ep.order >= LIFT_ORDER:
+        out |= {"Gf": ep.connection_fiber_derivative().c, "berwald": ep.berwald(),
+                "bracket": ep.bracket_curvature_values(), "hh": ep.hh_curvature(),
+                "riemann": ep.riemann_map()}
+    return out
+
+
+@pytest.mark.parametrize("name", ["FIX-1D", "FIX-E", "FIX-P", "FIX-R"])
+def test_skipped_leibniz_products_change_no_bit(monkeypatch, name):
+    from dwfinsler import fixture
+    from dwfinsler.engine import EnginePoint, WorkPoint, _once, workspace
+    from dwfinsler.runspec import fixture_runspec, sample_points
+    cfg = fixture(name)
+    cases = [(p, order) for p in sample_points(fixture_runspec(name, count=3))
+             for order in (SPRAY_ORDER, VALUE_ORDER, LIFT_ORDER)]
+
+    def chain():
+        out = []
+        for p, order in cases:
+            wp = WorkPoint(workspace(cfg), p, order)
+            out += [_chain_coefficients(ep) for ep in (wp.product, wp.factor1, wp.factor2)]
+        return out
+
+    got = chain()
+    monkeypatch.setattr(EnginePoint, "ginv", _once(_full_ginv))
+    monkeypatch.setattr(EnginePoint, "delta", lambda ep, field: _full_delta(ep, field).value)
+    monkeypatch.setattr(EnginePoint, "delta_g", _once(lambda ep: _full_delta(ep, ep.g())))
+    monkeypatch.setattr(EnginePoint, "bracket_curvature_values", _once(_full_bracket))
+    want = chain()
+    assert [sorted(g) for g in got] == [sorted(w) for w in want]
+    for g, w in zip(got, want):
+        for key, coeffs in g.items():
+            # dg and H keep only the leading partials of the reference: slots
+            # run by total order, so those are a prefix.
+            assert coeffs.tobytes() == w[key][..., :coeffs.shape[-1]].tobytes(), key
+            assert coeffs.shape[:-1] == w[key].shape[:-1], key
+
+
+@pytest.mark.parametrize("op", [
+    lambda j, a: j * a, lambda j, a: a * j, lambda j, a: j / a, lambda j, a: j + a,
+    lambda j, a: a + j, lambda j, a: j - a, lambda j, a: a - j,
+], ids=["j*a", "a*j", "j/a", "j+a", "a+j", "j-a", "a-j"])
+def test_jet_arithmetic_with_an_array_acts_on_the_tensor_axes(op):
+    # As many tensor entries as partial slots, so scaling along the partials
+    # would pass any shape check.
+    t = Jet(context((X, Y), 1), np.arange(1.0, 10.0).reshape(3, 3))
+    a = np.array([2.0, -3.0, 0.5])
+    got = op(t, a)
+    assert isinstance(got, Jet) and got.ctx is t.ctx
+    for k in range(3):
+        assert got[k].c.tobytes() == op(t[k], float(a[k])).c.tobytes()
+
+
+def test_jet_division_by_an_array_with_a_zero_entry_fails():
+    t = Jet(context((X,), 1), np.ones((3, 2)))
+    with pytest.raises(DomainError, match="by zero"):
+        t / np.array([2.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize("field", [lambda c: c.y[0] ** 2 + c.x[0] ** 2, lambda c: 1.0],
