@@ -26,6 +26,14 @@ by that constant inverse on the coefficients, and only its higher powers run
 the Leibniz table.  A field that ignores a fiber coordinate has a singular g,
 which the inverse rejects with :class:`~dwfinsler.errors.SingularMetricError`.
 
+A point may be a batch of samples (:class:`~dwfinsler.metrics.SampleBatch`):
+every tensor then has one more leading axis, over the samples, and the
+methods up to H run unchanged on it, their contractions written over a
+leading ``...``.  The value inverse inverts each sample's matrix on its own,
+so a batch gives each sample the bits of its own evaluation, and a sample
+that fails alone fails the batch with the same error.  The harness evaluates
+its side points (fiber-rescaled copies, finite-difference stencils) this way.
+
 Products run only where a reader takes their partials.  The adapted
 derivative :meth:`EnginePoint.delta` acts on a whole tensor field along every
 base direction at once and returns its value, which is all the bracket
@@ -51,7 +59,7 @@ import numpy as np
 from .coords import CoordIndex, base_coords, fiber_coords
 from .jets import Jet, einsum, jet_lift, support_lift
 from .linalg import invert_matrix
-from .metrics import ProductConfig, TangentSample
+from .metrics import ProductConfig, SampleBatch, TangentSample
 
 #: Jet order of the whole-point lift of F^2: the Berwald tensor is the third
 #: fiber derivative of the spray, and the spray takes two derivatives of F^2.
@@ -95,10 +103,12 @@ class EnginePoint:
 
     The tensors up to H are jets whose tensor axes are the tensor's slots,
     each with a ``*_values`` accessor for its value array; the curvatures,
-    the Cartan tensors and :meth:`delta` return value arrays.
+    the Cartan tensors and :meth:`delta` return value arrays.  For a batch of
+    samples, g, its inverse, the spray, N, dg and H carry a leading axis over
+    the samples; the rest is read at single samples only.
     """
 
-    def __init__(self, engine: FinslerEngine, sample: TangentSample,
+    def __init__(self, engine: FinslerEngine, sample: TangentSample | SampleBatch,
                  order: int = LIFT_ORDER):
         self.engine = engine
         self.sample = sample
@@ -111,13 +121,26 @@ class EnginePoint:
         return support_lift(self.engine.field, self.sample, self.engine.coords, self.order)
 
     def fiber_values(self) -> np.ndarray:
-        return np.array([self.sample.coord(c) for c in self.engine.fiber])
+        return np.array([self.sample.coord(c) for c in self.engine.fiber]).T
 
     # -- metric level ---------------------------------------------------------
     @_once
     def g(self) -> Jet:
         fib = self.engine.fiber
         return 0.5 * self.lift().grad(fib).grad(fib)
+
+    @_once
+    def _value_inverse(self) -> tuple[np.ndarray, tuple[float, ...]]:
+        """g0^-1, each sample inverted alone, and the samples' condition estimates."""
+        g0 = self.g().value
+        n = g0.shape[-1]
+        inverses, conditions = zip(*map(invert_matrix, g0.reshape(-1, n, n).tolist()))
+        return np.array(inverses).reshape(g0.shape), conditions
+
+    def g_condition(self) -> float | np.ndarray:
+        """The 1-norm condition estimate of g's value (one per sample of a batch)."""
+        cond = np.reshape(self._value_inverse()[1], self.g().shape[:-2])
+        return float(cond) if cond.ndim == 0 else cond
 
     @_once
     def ginv(self) -> Jet:
@@ -129,15 +152,15 @@ class EnginePoint:
         higher powers, nilpotent times nilpotent, run the Leibniz table.
         """
         g = self.g()
-        inv0 = np.array(invert_matrix(g.value.tolist())[0])
+        inv0 = self._value_inverse()[0]
         out = Jet.constant(g.ctx, inv0)
         if g.order == 0:
             return out
-        step = Jet(g.ctx, -np.einsum("ab,bcz->acz", inv0, (g - g.value).c))
-        term = Jet(g.ctx, np.einsum("abz,bc->acz", step.c, inv0))
+        step = Jet(g.ctx, -np.einsum("...ab,...bcz->...acz", inv0, (g - g.value).c))
+        term = Jet(g.ctx, np.einsum("...abz,...bc->...acz", step.c, inv0))
         out = out + term
         for _ in range(g.order - 1):
-            term = einsum("ab,bc->ac", step, term)
+            term = einsum("...ab,...bc->...ac", step, term)
             out = out + term
         return out
 
@@ -179,8 +202,8 @@ class EnginePoint:
         base, fib = self.engine.base, self.engine.fiber
         dyx = self.lift().grad(fib).grad(base)  # [b, c] = d^2 F^2 / dy^b dx^c
         y = Jet.stack([Jet.coordinate(dyx.ctx, c, self.sample.coord(c)) for c in fib])
-        rhs = einsum("bc,c->b", dyx, y) - self.lift().grad(base)
-        return 0.25 * einsum("ab,b->a", self.ginv(), rhs)
+        rhs = einsum("...bc,...c->...b", dyx, y) - self.lift().grad(base)
+        return 0.25 * einsum("...ab,...b->...a", self.ginv(), rhs)
 
     def spray_values(self) -> np.ndarray:
         return self.spray().value
@@ -224,7 +247,8 @@ class EnginePoint:
         g = self.g()
         g = g.restrict(g.seeds, min(g.order, 2))
         return (g.grad(self.engine.base)
-                - einsum("ce,...c->...e", self.nonlinear_connection(), g.grad(self.engine.fiber)))
+                - einsum("...ce,...abc->...abe", self.nonlinear_connection(),
+                         g.grad(self.engine.fiber)))
 
     @_once
     def horizontal_coefficients(self) -> Jet:
@@ -232,7 +256,7 @@ class EnginePoint:
         dg = self.delta_g()
         # [e, a, b] = dg[e][a][b] + dg[e][b][a] - dg[a][b][e]
         lowered = dg + dg.transpose(0, 2, 1) - dg.transpose(2, 0, 1)
-        return 0.5 * einsum("ce,eab->cab", self.ginv(), lowered)
+        return 0.5 * einsum("...ce,...eab->...cab", self.ginv(), lowered)
 
     def horizontal_values(self) -> np.ndarray:
         return self.horizontal_coefficients().value
@@ -304,10 +328,13 @@ class WorkPoint:
     A work point built directly, not through :meth:`Workspace.at`, is not
     cached and lives as long as its caller keeps it; one that is read only
     for low tensor values may lift at ``VALUE_ORDER``, or at ``SPRAY_ORDER``
-    when it is read only for g and the spray.
+    when it is read only for g and the spray.  Its sample may then be a
+    :class:`~dwfinsler.metrics.SampleBatch`, read for those values of every
+    sample at once.
     """
 
-    def __init__(self, ws: Workspace, sample: TangentSample, order: int = LIFT_ORDER):
+    def __init__(self, ws: Workspace, sample: TangentSample | SampleBatch,
+                 order: int = LIFT_ORDER):
         ws.cfg.validate_sample(sample)
         self.cfg = ws.cfg
         self.sample = sample

@@ -8,9 +8,18 @@ its last axis; a scalar jet is the shape-``()`` case.  Arithmetic implements
 the truncated Leibniz rule elementwise with broadcasting, and :func:`einsum`
 contracts two jets over tensor axes, so whole tensors are differentiated,
 multiplied and contracted at once.  :meth:`Jet.grad` stacks the partials
-along a list of seeds as one more tensor axis.  Scalar fields built from +,
--, *, /, sqrt, exp and integer powers of seeded coordinates carry exact
-derivatives.
+along a list of seeds as one more tensor axis.  Division by a jet, integer
+powers, sqrt and exp act elementwise over the tensor axes too, so scalar
+fields built from +, -, *, /, sqrt, exp and integer powers of seeded
+coordinates carry exact derivatives, entry by entry.
+
+A batch of points is one more tensor axis, in front: :class:`CoordView` and
+:func:`support_lift` take a point whose coordinates are arrays of one value
+per sample, and each seeded coordinate becomes a jet of that shape.  Every
+operation acts on each sample alone and runs the arithmetic of a single
+point, so the engine's tensors come out with the bits of each sample's own
+evaluation, as the tests check (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 13: the vector mode).
 
 A jet's seeds are its support.  :func:`support_lift` hands the field each
 seeded coordinate as a jet over that coordinate alone, and two operands over
@@ -27,13 +36,17 @@ support jet never need the larger context; :meth:`Jet.partial`,
 
 The engine (:mod:`dwfinsler.engine`) lifts each squared norm once per point
 with :func:`support_lift` and memoizes that lift; :func:`jet_lift` serves the
-finite-difference cross-checks and the public API.
+finite-difference cross-checks and the public API.  :func:`fd_partial` is a
+stencil (:func:`fd_stencil`) and a Richardson combination of the values at
+its points (:func:`fd_combine`), so a caller may evaluate a stencil as one
+batch.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,8 +55,8 @@ from .coords import MAX_ORDER, CoordIndex, MultiIndex
 from .errors import CapabilityError, DomainError
 
 __all__ = [
-    "Jet", "JetContext", "jet_lift", "support_lift", "fd_partial", "einsum",
-    "sqrt", "exp", "as_float",
+    "Jet", "JetContext", "jet_lift", "support_lift", "fd_partial", "fd_stencil",
+    "fd_combine", "einsum", "sqrt", "exp", "as_float",
 ]
 
 
@@ -227,6 +240,8 @@ class Jet:
     ``c`` has the tensor's axes first and the partials on its last axis.  A
     float array operand of ``+``, ``-``, ``*`` or ``/`` is a constant tensor:
     it broadcasts against the tensor axes, never along the partials.
+    Products, division by a jet, integer powers, sqrt and exp act entry by
+    entry; a batch of samples is a leading tensor axis like any other.
     """
 
     __slots__ = ("ctx", "c")
@@ -245,22 +260,25 @@ class Jet:
         return cls(ctx, _value_slot(ctx, value))
 
     @classmethod
-    def coordinate(cls, ctx: JetContext, coord: CoordIndex, value: float) -> "Jet":
-        c = np.zeros(ctx.tables.size)
-        c[0] = value
-        if coord in ctx._pos and ctx.order >= 1:
-            unit = tuple(1 if i == ctx.position(coord) else 0
-                         for i in range(len(ctx.seeds)))
-            c[ctx.tables.index[unit]] = 1.0
+    def coordinate(cls, ctx: JetContext, coord: CoordIndex, value) -> "Jet":
+        """The coordinate at ``value``, a float or an array of one value per
+        sample; its partial along itself is one when it is a seed."""
+        c = np.zeros((value.shape if isinstance(value, np.ndarray) else ()) + (ctx.tables.size,))
+        c[..., 0] = value
+        pos = ctx._pos.get(coord)
+        if pos is not None and ctx.order >= 1:
+            unit = [0] * len(ctx.seeds)
+            unit[pos] = 1
+            c[..., ctx.tables.index[tuple(unit)]] = 1.0
         return cls(ctx, c)
 
     @classmethod
     def stack(cls, jets: Sequence["Jet"]) -> "Jet":
-        """One jet whose leading axis runs over ``jets`` (same context, same shape)."""
+        """One jet whose last tensor axis runs over ``jets`` (same context, same shape)."""
         ctx = jets[0].ctx
         if any(j.ctx is not ctx for j in jets):
             raise ValueError("stacked jets must share their context")
-        return cls(ctx, np.stack([j.c for j in jets]))
+        return cls(ctx, np.stack([j.c for j in jets], -2))
 
     # -- inspection ---------------------------------------------------------
     @property
@@ -306,9 +324,12 @@ class Jet:
         return Jet(self.ctx, self.c[key + (slice(None),)])
 
     def transpose(self, *axes: int) -> "Jet":
-        """Permute the tensor axes as ``np.transpose`` does (reversed by default)."""
+        """Permute the last ``len(axes)`` tensor axes as ``np.transpose`` does
+        (all of them, reversed, by default); leading axes, such as a batch, stay."""
         rank = self.c.ndim - 1
-        return Jet(self.ctx, self.c.transpose(*(axes or range(rank - 1, -1, -1)), rank))
+        lead = rank - len(axes) if axes else 0
+        order = [lead + a for a in axes] if axes else range(rank - 1, -1, -1)
+        return Jet(self.ctx, self.c.transpose(*range(lead), *order, rank))
 
     def reshape(self, shape: tuple[int, ...]) -> "Jet":
         return Jet(self.ctx, self.c.reshape(tuple(shape) + self.c.shape[-1:]))
@@ -395,7 +416,8 @@ class Jet:
 
     __rmul__ = __mul__
 
-    # Division by a jet, powers, sqrt and exp act on scalar jets only.
+    # Division by a jet, powers, sqrt and exp act entry by entry: each is a
+    # series in the jet with its values zeroed, scaled by a value array.
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._reciprocal()
@@ -407,11 +429,13 @@ class Jet:
         return self._reciprocal() * other
 
     def __pow__(self, p):
-        if not isinstance(p, int):
-            raise TypeError("jet powers must be integers; use sqrt/exp for the rest")
+        try:
+            p = operator.index(p)
+        except TypeError:
+            raise TypeError("jet powers must be integers; use sqrt/exp for the rest") from None
         if p < 0:
             return self._reciprocal() ** (-p)
-        out = Jet.constant(self.ctx, 1.0)
+        out = Jet.constant(self.ctx, np.ones(self.shape))
         base = self
         while p:
             if p & 1:
@@ -420,15 +444,11 @@ class Jet:
             p >>= 1
         return out
 
-    def _scalar_value(self, op: str) -> float:
-        if self.c.ndim != 1:
-            raise TypeError(f"{op} acts on scalar jets only, not on a jet of shape {self.shape}")
-        return float(self.c[0])
-
-    def _nilpotent_series(self, c0: float, coeffs: list[float]) -> "Jet":
-        """c0 * (coeffs[0] + coeffs[1]*h + ...), h = self with value zeroed."""
+    def _nilpotent_series(self, c0: np.ndarray, coeffs: list[float]) -> "Jet":
+        """c0 * (coeffs[0] + coeffs[1]*h + ...), h = self with its values zeroed;
+        ``c0`` holds one value per tensor entry."""
         h = Jet(self.ctx, self.c.copy())
-        h.c[0] = 0.0
+        h.c[..., 0] = 0.0
         acc = Jet.constant(self.ctx, coeffs[0])
         power = None
         for k in range(1, self.ctx.order + 1):
@@ -438,33 +458,42 @@ class Jet:
         return acc * c0
 
     def _reciprocal(self) -> "Jet":
-        v = self._scalar_value("division")
-        if v == 0.0:
+        v = self.c[..., 0]
+        # Checked on Python floats, as in sqrt.
+        if any(t == 0.0 for t in v.ravel().tolist()):
             raise DomainError("division by a jet with zero value")
-        normalized = self * (1.0 / v)
+        inverse = 1.0 / v
         signs = [(-1.0) ** k for k in range(self.ctx.order + 1)]
-        return normalized._nilpotent_series(1.0 / v, signs)
+        return (self * inverse)._nilpotent_series(inverse, signs)
 
     def sqrt(self) -> "Jet":
-        v = self._scalar_value("sqrt")
-        if v <= 0.0:
-            raise DomainError(f"sqrt of a jet with non-positive value {v}")
+        v = self.c[..., 0]
+        # Checked on Python floats: a numpy reduction costs more than the
+        # check at a single point.
+        if any(t <= 0.0 for t in v.ravel().tolist()):
+            raise DomainError(f"sqrt of a jet with non-positive value {np.min(v)}")
         normalized = self * (1.0 / v)
         binom = [1.0]
         for k in range(1, self.ctx.order + 1):
             binom.append(binom[-1] * (0.5 - (k - 1)) / k)
-        return normalized._nilpotent_series(math.sqrt(v), binom)
+        # np.sqrt is correctly rounded, as math.sqrt is.
+        return normalized._nilpotent_series(np.sqrt(v), binom)
 
     def exp(self) -> "Jet":
-        v = self._scalar_value("exp")
+        v = self.c[..., 0]
         inv_fact = [1.0]
         for k in range(1, self.ctx.order + 1):
             inv_fact.append(inv_fact[-1] / k)
-        return (self - v)._nilpotent_series(math.exp(v), inv_fact)
+        return (self - v)._nilpotent_series(_exp_values(v), inv_fact)
 
     def __repr__(self) -> str:
         return (f"Jet(order={self.ctx.order}, seeds={self.ctx.seeds}, "
                 f"shape={self.shape}, value={self.value})")
+
+
+def _exp_values(v: np.ndarray) -> np.ndarray:
+    """exp of each entry by ``math.exp``, whose bits np.exp need not match."""
+    return np.array([math.exp(t) for t in v.ravel().tolist()]).reshape(v.shape)
 
 
 def _tensor(value):
@@ -518,16 +547,21 @@ def as_float(x) -> float:
 
 
 class CoordView:
-    """Coordinate scalars handed to a field: jets on seeds, floats elsewhere.
+    """Coordinate scalars handed to a field: jets on seeds, values elsewhere.
 
     Each seeded coordinate is a jet over itself alone, so every subexpression
-    of the field carries only the seeds it depends on.
+    of the field carries only the seeds it depends on.  The point may be a
+    batch (:class:`~dwfinsler.metrics.SampleBatch`), whose coordinates are
+    arrays of one value per sample: then every jet and value has that shape,
+    and ``shape`` is it (``()`` for one point).
     """
 
-    __slots__ = ("x", "u", "y", "v")
+    __slots__ = ("x", "u", "y", "v", "shape")
 
     def __init__(self, point, seeds: Sequence[CoordIndex] = (), order: int = 0):
-        groups = [[float(t) for t in g] for g in (point.x, point.u, point.y, point.v)]
+        groups = [list(g) for g in (point.x, point.u, point.y, point.v)]
+        first = point.y[0]
+        self.shape = first.shape if isinstance(first, np.ndarray) else ()
         for c in set(seeds):
             group = groups[c.block]
             if c.offset < len(group):
@@ -544,12 +578,14 @@ def support_lift(field: ScalarField, point, seeds: Sequence[CoordIndex], order: 
 
     The field is evaluated on one-seed coordinate jets, so the result carries
     the union of the seeds it touched; a field that returns a plain float
-    gives a jet over no seeds.
+    gives a jet over no seeds.  A batch of points gives a jet with one leading
+    axis over the samples.
     """
-    out = field(CoordView(point, seeds, order))
+    view = CoordView(point, seeds, order)
+    out = field(view)
     if isinstance(out, Jet):
         return out
-    return Jet.constant(context((), order), float(out))
+    return Jet.constant(context((), order), np.full(view.shape, float(out)))
 
 
 def jet_lift(field: ScalarField, point, seeds: Sequence[CoordIndex], order: int) -> Jet:
@@ -563,15 +599,11 @@ def jet_lift(field: ScalarField, point, seeds: Sequence[CoordIndex], order: int)
 FD_DEFAULT_STEPS = {1: 1e-4, 2: 1e-3, 3: 4e-3}
 
 
-def fd_partial(field: ScalarField, point, multi, step: float | None = None):
-    """Central-difference mixed partial with Richardson extrapolation.
-
-    Independent of the jet path by construction: only plain float evaluations
-    of ``field`` at shifted points are used.  A field may return an array, so
-    one stencil serves all of its components; the result is then an array of
-    the same shape.  Total order is capped at 3, beyond which cancellation
-    noise dominates.
-    """
+def _richardson(leaf, point, multi, step: float | None):
+    """The nested central differences with Richardson extrapolation of
+    :func:`fd_partial` at ``point``, reading the field's value at each stencil
+    point from ``leaf``, which is called on their (x, u, y, v) coordinate
+    groups in a fixed order."""
     if not isinstance(multi, MultiIndex):
         multi = MultiIndex.of(multi)
     if multi.order > 3:
@@ -581,22 +613,66 @@ def fd_partial(field: ScalarField, point, multi, step: float | None = None):
     if step <= 0.0:
         raise ValueError("fd step must be positive")
 
-    def value_at(p):
-        out = field(CoordView(p))
-        return np.array(out, dtype=float) if np.ndim(out) else as_float(out)
-
     def differentiate(fun, coord):
-        def estimate(p):
-            h = step * (1.0 + abs(p.coord(coord)))
+        block, offset = coord.block, coord.offset
+
+        def estimate(groups):
+            h = step * (1.0 + abs(groups[block][offset]))
 
             def central(hh):
-                return (fun(p.shifted(coord, hh)) - fun(p.shifted(coord, -hh))) / (2.0 * hh)
+                return (fun(_shifted(groups, block, offset, hh))
+                        - fun(_shifted(groups, block, offset, -hh))) / (2.0 * hh)
 
             return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
         return estimate
 
-    fun = value_at
+    fun = leaf
     for coord in reversed(multi.directions):
         fun = differentiate(fun, coord)
-    return fun(point)
+    return fun((point.x, point.u, point.y, point.v))
+
+
+def _shifted(groups, block: int, offset: int, delta: float) -> list:
+    """Coordinate groups with one coordinate moved by ``delta``."""
+    group = groups[block]
+    out = list(groups)
+    out[block] = group[:offset] + (group[offset] + delta,) + group[offset + 1:]
+    return out
+
+
+def fd_stencil(point, multi, step: float | None = None) -> list:
+    """The points at which :func:`fd_partial` evaluates the field, in the order
+    :func:`fd_combine` reads their values: 4**order of them, each of the type
+    of ``point``."""
+    points = []
+    _richardson(lambda groups: points.append(type(point)(*groups)) or 0.0,
+                point, multi, step)
+    return points
+
+
+def fd_combine(values, point, multi, step: float | None = None):
+    """The :func:`fd_partial` estimate from the field's ``values`` at the points
+    of :func:`fd_stencil` (floats or arrays, one per point, in its order)."""
+    values = iter(values)
+    return _richardson(lambda groups: next(values), point, multi, step)
+
+
+def fd_partial(field: ScalarField, point, multi, step: float | None = None):
+    """Central-difference mixed partial with Richardson extrapolation.
+
+    Independent of the jet path by construction: only plain float evaluations
+    of ``field`` at shifted points are used.  It is the combination
+    (:func:`fd_combine`) of the field's values at the points of its stencil
+    (:func:`fd_stencil`), each evaluated on its own here; a caller that can
+    evaluate the field on a whole stencil at once passes those values to
+    :func:`fd_combine` instead, with the same result.  A field may return an
+    array, so one stencil serves all of its components; the result is then
+    an array of the same shape.  Total order is capped at 3, beyond which
+    cancellation noise dominates.
+    """
+    def value_at(groups):
+        out = field(CoordView(type(point)(*groups)))
+        return np.array(out, dtype=float) if np.ndim(out) else as_float(out)
+
+    return _richardson(value_at, point, multi, step)

@@ -5,7 +5,10 @@ Finsler metrics, two warp functions, and the squared-norm field
 
     F^2(x, u, y, v) = f2^2(u) * F1^2(x, y) + f1^2(x) * F2^2(u, v),
 
-evaluated generically over floats or jets.
+evaluated generically over floats or jets, for one point or for a batch of
+points (:class:`SampleBatch`), whose coordinates are arrays of one value per
+sample.  A definition acts on each sample alone: its checks hold for every
+sample of a batch.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .coords import CoordIndex, base_coords, fiber_coords
 from .errors import MetricDefinitionError, SlitConditionError
-from .jets import as_float, sqrt
+from .jets import Jet, sqrt
 
 #: Fiber vectors with Euclidean norm below this violate the slit condition.
 SLIT_FLOOR = 1e-12
@@ -36,6 +39,14 @@ def poly_eval(terms: PolyTerms, xs: Sequence) -> object:
                 term = term * x ** e
         acc = acc + term
     return acc
+
+
+def _each_sample(values) -> list[list[float]]:
+    """The values of floats, value arrays or jets, one list per sample (a
+    single list for one point)."""
+    cols = np.broadcast_arrays(*(np.asarray(v.value if isinstance(v, Jet) else v, float)
+                                 for v in values))
+    return np.stack(cols, -1).reshape(-1, len(cols)).tolist()
 
 
 def _leading_minors_positive(mat: list[list[float]]) -> bool:
@@ -80,7 +91,8 @@ class QuadraticFactor:
     """Riemannian metric with polynomial entries a_ij(pos), F^2 = a_ij y^i y^j.
 
     Positive definiteness is checked lazily at every evaluated point (leading
-    principal minors); declarative entries cannot be verified globally.
+    principal minors), at each sample of a batch; declarative entries cannot
+    be verified globally.
     """
 
     dim: int
@@ -104,7 +116,7 @@ class QuadraticFactor:
             with np.errstate(over="ignore", invalid="ignore"):
                 mat = [[poly_eval(self.entries[i][j], pos) for j in range(self.dim)]
                        for i in range(self.dim)]
-            finite = all(math.isfinite(as_float(e)) for row in mat for e in row)
+            finite = all(np.all(np.isfinite(v)) for v in _each_sample(sum(mat, [])))
         except OverflowError:
             finite = False
         if not finite:
@@ -114,8 +126,9 @@ class QuadraticFactor:
 
     def f_squared(self, pos, fib):
         mat = self.matrix(pos)
-        values = [[as_float(mat[i][j]) for j in range(self.dim)] for i in range(self.dim)]
-        if not _leading_minors_positive(values):
+        n = self.dim
+        if not all(_leading_minors_positive([flat[i * n:(i + 1) * n] for i in range(n)])
+                   for flat in _each_sample(sum(mat, []))):
             raise MetricDefinitionError(
                 "quadratic factor metric is not positive definite at the evaluated point")
         acc = 0.0
@@ -146,15 +159,16 @@ class RandersFactor:
         if isinstance(self.base, EuclideanFactor):
             return sum(t * t for t in self.b)
         from .linalg import invert_matrix
-        mat = [[as_float(e) for e in row] for row in self.base.matrix(pos)]
+        mat = [[float(e) for e in row] for row in self.base.matrix(pos)]
         inv, _ = invert_matrix(mat)
         return sum(inv[i][j] * self.b[i] * self.b[j]
                    for i in range(self.dim) for j in range(self.dim))
 
     def f_squared(self, pos, fib):
         if isinstance(self.base, QuadraticFactor):
-            # Position-dependent base: re-check the smallness of b lazily.
-            if self._b_norm_sq_at([as_float(p) for p in pos]) >= 1.0:
+            # Position-dependent base: re-check the smallness of b lazily, at
+            # each sample.
+            if any(self._b_norm_sq_at(at) >= 1.0 for at in _each_sample(pos)):
                 raise MetricDefinitionError(
                     "Randers one-form norm reaches 1 at the evaluated point")
         alpha = sqrt(self.base.f_squared(pos, fib))
@@ -167,7 +181,14 @@ class RandersFactor:
 
 @dataclass(frozen=True, eq=False)
 class CustomFactor:
-    """Escape hatch: a caller-supplied smooth squared-norm evaluator."""
+    """Escape hatch: a caller-supplied smooth squared-norm evaluator.
+
+    ``evaluator(pos, fib)`` receives floats or jets for one point, and arrays
+    or jets with a leading sample axis for a batch (the side points of the
+    ``homogeneity`` and ``fd-crosscheck`` suites): it must act on each entry
+    alone, as arithmetic and :func:`dwfinsler.jets.sqrt`/``exp`` do, and not
+    branch on or reduce over the values it is handed.
+    """
 
     dim: int
     evaluator: Callable
@@ -259,18 +280,11 @@ class TangentSample:
         object.__setattr__(self, "u", tuple(float(t) for t in self.u))
         object.__setattr__(self, "y", tuple(float(t) for t in self.y))
         object.__setattr__(self, "v", tuple(float(t) for t in self.v))
-        if math.hypot(*self.y) < SLIT_FLOOR or math.hypot(*self.v) < SLIT_FLOOR:
-            raise SlitConditionError(
-                "fiber vectors must stay away from the zero section (slit condition)")
+        _require_slit([self.y], [self.v])
 
     def coord(self, ci: CoordIndex) -> float:
         group = (self.x, self.u, self.y, self.v)[ci.block]
         return group[ci.offset]
-
-    def shifted(self, ci: CoordIndex, delta: float) -> "TangentSample":
-        groups = [list(self.x), list(self.u), list(self.y), list(self.v)]
-        groups[ci.block][ci.offset] += delta
-        return TangentSample(*map(tuple, groups))
 
     def fiber_scaled(self, lam: float) -> "TangentSample":
         return TangentSample(self.x, self.u,
@@ -281,6 +295,58 @@ class TangentSample:
     def fiber(self) -> tuple[float, ...]:
         """Combined fiber vector (y, v)."""
         return self.y + self.v
+
+
+def _require_slit(ys, vs) -> None:
+    """Each fiber vector of ``ys`` and ``vs`` (sequences of float tuples)
+    stays away from the zero section."""
+    if any(math.hypot(*t) < SLIT_FLOOR for fibers in (ys, vs) for t in fibers):
+        raise SlitConditionError(
+            "fiber vectors must stay away from the zero section (slit condition)")
+
+
+@dataclass(frozen=True, eq=False)
+class SampleBatch:
+    """Points of the slit bundle evaluated as one: each coordinate of x, u, y
+    and v is an array of one value per sample.
+
+    The engine reads a batch as one point whose tensors have a leading axis
+    over the samples.  Every sample is checked as a :class:`TangentSample`
+    is; a batch is not a cache key.
+    """
+
+    x: tuple[np.ndarray, ...]
+    u: tuple[np.ndarray, ...]
+    y: tuple[np.ndarray, ...]
+    v: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        for name in ("x", "u", "y", "v"):
+            object.__setattr__(self, name, tuple(np.array(t, dtype=float)
+                                                 for t in getattr(self, name)))
+        shapes = {t.shape for g in (self.x, self.u, self.y, self.v) for t in g}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise MetricDefinitionError("a sample batch needs one value per sample "
+                                        "for every coordinate")
+        _require_slit(zip(*(t.tolist() for t in self.y)), zip(*(t.tolist() for t in self.v)))
+
+    @classmethod
+    def of(cls, samples: Sequence[TangentSample]) -> "SampleBatch":
+        """The batch of ``samples``, in their order (all of one dimension)."""
+        dims = {(len(s.x), len(s.u)) for s in samples}
+        if len(dims) != 1:
+            raise MetricDefinitionError("the samples of a batch must share their dimensions")
+        n1, n2 = dims.pop()
+        cols = np.array([s.x + s.u + s.y + s.v for s in samples]).T
+        return cls(cols[:n1], cols[n1:n1 + n2], cols[n1 + n2:2 * n1 + n2],
+                   cols[2 * n1 + n2:])
+
+    def __len__(self) -> int:
+        return len(self.x[0])
+
+    def coord(self, ci: CoordIndex) -> np.ndarray:
+        group = (self.x, self.u, self.y, self.v)[ci.block]
+        return group[ci.offset]
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +412,7 @@ class ProductConfig:
     def warp2_squared(self, view):
         return self.warp2.f_squared(view.u)
 
-    def validate_sample(self, p: TangentSample) -> None:
+    def validate_sample(self, p: TangentSample | SampleBatch) -> None:
         if len(p.x) != self.n1 or len(p.y) != self.n1 \
                 or len(p.u) != self.n2 or len(p.v) != self.n2:
             raise MetricDefinitionError("sample dimensions do not match the configuration")

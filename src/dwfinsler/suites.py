@@ -18,8 +18,8 @@ from . import closed_forms, lifted
 from .coords import MAX_ORDER, MultiIndex
 from .engine import SPRAY_ORDER, VALUE_ORDER, WorkPoint, workspace
 from .errors import UnknownSuiteError
-from .jets import fd_partial, jet_lift
-from .metrics import TangentSample
+from .jets import fd_combine, fd_partial, fd_stencil, jet_lift
+from .metrics import SampleBatch, TangentSample
 from .runspec import ALL_SUITES, RunSpec, sample_points
 
 @dataclass(frozen=True)
@@ -130,16 +130,20 @@ def _suite_homogeneity(spec: RunSpec, points) -> list[SuiteEntry]:
     sprayt = _Tracker()
     euler = _Tracker()
     blocks = {k: _Tracker() for k in ("11", "12", "21", "22")}
-    for p in points:
+    # The rescaled copies are evaluated once, as one batch over (point, scale),
+    # and not kept in the workspace.
+    scaled = WorkPoint(ws, SampleBatch.of([p.fiber_scaled(lam) for p in points
+                                           for lam in metric]), SPRAY_ORDER).product
+    scaled_g = scaled.g_values().reshape(len(points), len(metric), cfg.n, cfg.n)
+    # The spray at scale 2, the second of the three.
+    scaled_spray = scaled.spray_values().reshape(len(points), len(metric), cfg.n)[:, 1]
+    for i, p in enumerate(points):
         ep = ws.at(p).product
-        # The rescaled copies are evaluated once here and not kept in the workspace.
-        scaled = {lam: WorkPoint(ws, p.fiber_scaled(lam), SPRAY_ORDER).product
-                  for lam in metric}
         g = ep.g_values()
-        for lam, tr in metric.items():
-            tr.feed(np.max(np.abs(scaled[lam].g_values() - g)), p)
+        for k, tr in enumerate(metric.values()):
+            tr.feed(np.max(np.abs(scaled_g[i, k] - g)), p)
         G = ep.spray_values()
-        sprayt.feed(np.max(np.abs(scaled[2.0].spray_values() - 4.0 * G)), p)
+        sprayt.feed(np.max(np.abs(scaled_spray[i] - 4.0 * G)), p)
         N = ep.nonlinear_connection_values()
         yv = ep.fiber_values()
         euler.feed(np.max(np.abs(N @ yv - 2.0 * G)), p)
@@ -468,6 +472,23 @@ def _suite_totally_geodesic(spec: RunSpec, points) -> list[SuiteEntry]:
     ]
 
 
+def _fd_partials(ws, p: TangentSample, order: int, read, multis) -> list:
+    """Finite-difference partials at ``p``, one per multi-index, of a value
+    ``read`` off the product engine of a point lifted at ``order``.
+
+    The points of every stencil are evaluated as one batch, not kept in the
+    workspace; each estimate combines the values of its own stencil.
+    """
+    stencils = [fd_stencil(p, m) for m in multis]
+    values = read(WorkPoint(ws, SampleBatch.of([q for s in stencils for q in s]),
+                            order).product)
+    out, start = [], 0
+    for m, s in zip(multis, stencils):
+        out.append(fd_combine(values[start:start + len(s)], p, m))
+        start += len(s)
+    return out
+
+
 def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     cfg = spec.config
     ws = workspace(cfg)
@@ -490,11 +511,6 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
                 fd = 0.5 * fd_partial(cfg.F2, p, (cfg.fiber[a], cfg.fiber[b]))
                 gtr.feed(abs(g[a, b] - fd) / (1.0 + abs(fd)), p)
     # Derived fields: the spray and its fiber derivatives against fd towers.
-    # Stencil points are evaluated once each and not kept in the workspace.
-    def spray_field(view):
-        q = TangentSample(view.x, view.u, view.y, view.v)
-        return WorkPoint(ws, q, SPRAY_ORDER).product.spray_values()
-
     conn = _Tracker()
     connfd = _Tracker()
     berw = _Tracker()
@@ -504,32 +520,35 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     Gf = ep.connection_fiber_values()
     B = ep.berwald()
     # fd_conn[b][a] = dG^a / dy^b: one stencil per fiber direction serves every a.
-    fd_conn = [fd_partial(spray_field, p, (y,)) for y in cfg.fiber]
-    for a in range(cfg.n):
-        for b in range(cfg.n):
+    # Gf and B are checked at one random component (b, c), (b, c, d) per a.
+    fib, n = cfg.fiber, cfg.n
+    pairs, triples = [], []
+    for _ in range(n):
+        pairs.append((int(rng.integers(0, n)), int(rng.integers(0, n))))
+        triples.append(tuple(int(i) for i in rng.integers(0, n, 3)))
+    fd = _fd_partials(ws, p, SPRAY_ORDER, lambda q: q.spray_values(),
+                      [(y,) for y in fib] + [tuple(fib[i] for i in t) for t in pairs + triples])
+    fd_conn, fd_pairs, fd_triples = fd[:n], fd[n:2 * n], fd[2 * n:]
+    for a in range(n):
+        for b in range(n):
             fd1 = fd_conn[b][a]
             conn.feed(abs(N[a, b] - fd1) / (1.0 + abs(fd1)), p)
-        b, c = int(rng.integers(0, cfg.n)), int(rng.integers(0, cfg.n))
-        fd2 = fd_partial(spray_field, p, (cfg.fiber[b], cfg.fiber[c]))[a]
-        connfd.feed(abs(Gf[a, b, c] - fd2) / (1.0 + abs(fd2)), p)
-        b, c, d = (int(i) for i in rng.integers(0, cfg.n, 3))
-        fd3 = fd_partial(spray_field, p, (cfg.fiber[b], cfg.fiber[c], cfg.fiber[d]))[a]
-        berw.feed(abs(B[a, b, c, d] - fd3) / (1.0 + abs(fd3)), p)
+        fd2 = fd_pairs[a][a]
+        connfd.feed(abs(Gf[(a,) + pairs[a]] - fd2) / (1.0 + abs(fd2)), p)
+        fd3 = fd_triples[a][a]
+        berw.feed(abs(B[(a,) + triples[a]] - fd3) / (1.0 + abs(fd3)), p)
 
     # Adapted derivative of the horizontal coefficients, fd vs. jets, at one
     # representative component: the leading block of the curvature assembly.
     a, b, c = 0, 0, cfg.n1  # mixed-factor slot: nonzero for warped products
-
-    def horizontal_field(view):
-        q = TangentSample(view.x, view.u, view.y, view.v)
-        return WorkPoint(ws, q, VALUE_ORDER).product.horizontal_values()[a, b, c]
-
     hdelta = _Tracker()
     dH = ep.delta(ep.horizontal_coefficients())
-    fd_fiber = [fd_partial(horizontal_field, p, (y,)) for y in cfg.fiber]
-    for d in range(cfg.n):
-        fd_delta = fd_partial(horizontal_field, p, (cfg.base[d],))
-        for e in range(cfg.n):
+    fd = _fd_partials(ws, p, VALUE_ORDER, lambda q: q.horizontal_values()[..., a, b, c],
+                      [(y,) for y in fib] + [(x,) for x in cfg.base])
+    fd_fiber, fd_base = fd[:n], fd[n:]
+    for d in range(n):
+        fd_delta = fd_base[d]
+        for e in range(n):
             fd_delta -= N[e, d] * fd_fiber[e]
         jet_delta = dH[a, b, c, d]
         hdelta.feed(abs(jet_delta - fd_delta) / (1.0 + abs(fd_delta)), p)

@@ -316,13 +316,31 @@ def test_tables_match_a_term_by_term_enumeration(nvars, order):
 
 @pytest.mark.parametrize("op", [lambda t: 1.0 / t, lambda t: t ** -2,
                                 lambda t: t / t, lambda t: t.sqrt(), lambda t: t.exp()])
-def test_tensor_jets_refuse_division_sqrt_and_exp(op):
-    # A shape-(1,) jet of x^2 at x = 2: the nilpotent series would zero the
-    # whole first tensor row instead of the value slot.
-    at2 = TangentSample((2.0,), (1.0,), (1.0,), (1.0,))
-    t = Jet.stack([jet_lift(lambda c: c.x[0] ** 2, at2, (X,), 3)])
-    with pytest.raises(TypeError, match=r"shape \(1,\)"):
-        op(t)
+def test_tensor_jets_act_entry_by_entry(op):
+    # Jets of x^2 at x = 2, 0.5 and 3 stacked along a tensor axis: each entry
+    # of the result has the bits of the scalar operation on that entry (the
+    # nilpotent series zeroes each value slot, not a tensor row).
+    scalars = [jet_lift(lambda c: c.x[0] ** 2, TangentSample((x,), (1.0,), (1.0,), (1.0,)),
+                        (X,), 3) for x in (2.0, 0.5, 3.0)]
+    got = op(Jet.stack(scalars))
+    assert got.shape == (3,)
+    for k, scalar in enumerate(scalars):
+        assert got[k].c.tobytes() == op(scalar).c.tobytes()
+
+
+@pytest.mark.parametrize("p", [0, 1, 3, -2, np.int64(0), np.int64(2), np.int8(-1), True],
+                         ids=lambda p: f"{type(p).__name__}({p})")
+def test_integer_powers_keep_the_tensor_shape(p):
+    # Any integer is a power, through operator.index; ** 0 is ones of the
+    # tensor's shape, not a scalar.
+    t = Jet(context((X, Y), 2), np.linspace(0.5, 2.0, 18).reshape(3, 6))
+    got = t ** p
+    assert got.shape == (3,) and got.ctx is t.ctx
+    for k in range(3):
+        assert got[k].c.tobytes() == (t[k] ** int(p)).c.tobytes()
+    assert got.c.tobytes() == (t ** int(p)).c.tobytes()
+    with pytest.raises(TypeError, match="integers"):
+        t ** 2.0
 
 
 # -- lift by seed support -----------------------------------------------------
