@@ -21,8 +21,7 @@ from .connection import (NonlinearConnection, SprayField, adapted_derivative,
                          frame_brackets, horizontal_coefficients,
                          nonlinear_connection, spray)
 from .curvature import (CurvatureBundle, FlagInput, berwald_curvature,
-                        curvature_bundle, flag_curvature, flat_factor_residual,
-                        hh_curvature, riemann_map, scalar_flag_residual)
+                        curvature_bundle, flag_curvature, hh_curvature, riemann_map)
 from .lifted import (ComplexStructure, ConnectionTable, LiftedMetric,
                      almost_complex, closedness_check,
                      induced_vertical_connection, kahler_verdict,
@@ -31,7 +30,8 @@ from .lifted import (ComplexStructure, ConnectionTable, LiftedMetric,
                      symplectic_frame_table, totally_geodesic_verdicts,
                      vaisman_connection)
 from .runspec import FIXTURES, RunSpec, fixture, fixture_runspec, parse_spec, sample_points
-from .suites import DiagnosticsReport, emit_report, run_suites
+from .suites import (DiagnosticsReport, emit_report, flat_factor_residual, run_suites,
+                     scalar_flag_residual)
 
 __all__ = [
     "__version__",

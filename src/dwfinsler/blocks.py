@@ -1,4 +1,5 @@
-"""Dense tensors over the combined index a in {0..n1+n2-1} with factor blocks."""
+"""Dense tensors over the combined index a in {0..n1+n2-1} with factor blocks,
+and the per-sample array helpers of tensors that lead with a sample axis."""
 
 from __future__ import annotations
 
@@ -50,3 +51,27 @@ class BlockTensor:
     def __repr__(self) -> str:
         return (f"BlockTensor(rank={self.rank}, variance={self.variance}, "
                 f"n1={self.n1}, n2={self.n2})")
+
+
+def max_abs(array: np.ndarray, lead: tuple[int, ...] = ()):
+    """The largest |entry| of ``array`` over all but its leading ``lead`` axes:
+    one per sample of a batch, a float for a single point.  A NaN anywhere in
+    a sample is its result."""
+    out = np.max(np.abs(array).reshape(lead + (-1,)), axis=-1, initial=0.0)
+    return out if lead else float(out)
+
+
+def scalar_axes(x, rank: int) -> np.ndarray:
+    """A scalar, or an array of one value per sample, with ``rank`` unit axes
+    appended, to scale a tensor of ``rank`` slots sample by sample."""
+    return np.asarray(x)[(...,) + (None,) * rank]
+
+
+def matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """matrix @ vector per sample, by the BLAS call of a single sample."""
+    return (matrix @ vector[..., None])[..., 0]
+
+
+def vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of two vectors per sample, as an array (0-d at one sample)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .blocks import BlockTensor
 from .engine import workspace
 from .errors import PreconditionError
@@ -50,10 +48,4 @@ def matsumoto_torsion(cfg: ProductConfig, p: TangentSample) -> BlockTensor:
     if cfg.n < 2:
         raise PreconditionError("the Matsumoto torsion needs total dimension >= 2")
     ep = workspace(cfg).at(p).product
-    C = ep.cartan()
-    I = ep.mean_cartan()
-    h = ep.angular()
-    M = C - (np.einsum("a,bc->abc", I, h)
-             + np.einsum("b,ac->abc", I, h)
-             + np.einsum("c,ab->abc", I, h)) / (cfg.n + 1)
-    return BlockTensor(M, ("low", "low", "low"), cfg.n1, cfg.n2)
+    return BlockTensor(ep.matsumoto(), ("low", "low", "low"), cfg.n1, cfg.n2)

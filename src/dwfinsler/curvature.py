@@ -86,78 +86,3 @@ def flag_curvature(cfg: ProductConfig, p: TangentSample, flag: FlagInput) -> flo
         raise PreconditionError("degenerate flag: the edge does not span a plane with the pole")
     R = wp.product.riemann_map()
     return float(u @ g @ (R @ u)) / denom
-
-
-@dataclass(frozen=True)
-class FlatFactorReport:
-    """Residual of the curvature-shift identity for Riemannian factors.
-
-    With factor 1 Riemannian, the product hh-curvature restricted to the
-    first-factor block equals the factor curvature minus
-    |grad f2|^2 / f1^2 times the metric commutator pattern; mirrored for the
-    second factor when it is Riemannian.
-    """
-
-    latin_residual: float
-    greek_residual: float | None
-    shift1: float
-    shift2: float | None
-
-
-def flat_factor_residual(cfg: ProductConfig, p: TangentSample) -> FlatFactorReport:
-    if not cfg.factor1.is_riemannian:
-        raise PreconditionError("the curvature-shift identity needs factor 1 Riemannian")
-    wp = workspace(cfg).at(p)
-    n1, n2 = cfg.n1, cfg.n2
-    hh = wp.product.hh_curvature()
-
-    def block_residual(which: int) -> tuple[float, float]:
-        ep = wp.factor(which)
-        sl = slice(0, n1) if which == 1 else slice(n1, n1 + n2)
-        nf = n1 if which == 1 else n2
-        gf = ep.g_values()
-        rf = ep.hh_curvature()
-        lam = wp.grad_warp_norm_sq(3 - which) / wp.warp_sq(which)
-        eye = np.eye(nf)
-        pattern = (np.einsum("il,jk->jikl", eye, gf)
-                   - np.einsum("ik,jl->jikl", eye, gf))
-        expected = rf - lam * pattern
-        actual = hh[sl, sl, sl, sl]
-        return float(np.max(np.abs(actual - expected))), lam
-
-    latin, shift1 = block_residual(1)
-    greek = shift2 = None
-    if cfg.factor2.is_riemannian:
-        greek, shift2 = block_residual(2)
-    return FlatFactorReport(latin, greek, shift1, shift2)
-
-
-def scalar_flag_residual(cfg: ProductConfig, p: TangentSample) -> tuple[float, float]:
-    """Least-squares isotropy fit of the first-factor curvature block.
-
-    Fits the Latin block of the product hh-curvature to
-    lambda * (delta^i_l g_jk - delta^i_k g_jl) over the factor metric and
-    returns (lambda_hat, isotropy defect).  Degenerate normal equations are
-    reported as an infinite defect rather than a guess.
-    """
-    if not cfg.factor1.is_riemannian:
-        raise PreconditionError("the scalar-flag fit needs factor 1 Riemannian")
-    if cfg.n1 < 2:
-        raise PreconditionError("the scalar-flag fit needs n1 >= 2")
-    wp = workspace(cfg).at(p)
-    n1 = cfg.n1
-    hh = wp.product.hh_curvature()[:n1, :n1, :n1, :n1]
-    gf = wp.factor1.g_values()
-    eye = np.eye(n1)
-    pattern = (np.einsum("il,jk->jikl", eye, gf)
-               - np.einsum("ik,jl->jikl", eye, gf))
-    sel = np.array([[[[(i != k) or (j != l) for l in range(n1)] for k in range(n1)]
-                     for i in range(n1)] for j in range(n1)], dtype=bool)
-    e = pattern[sel]
-    r = hh[sel]
-    denom = float(e @ e)
-    if denom < 1e-30:
-        return float("nan"), float("inf")
-    lam = float(r @ e) / denom
-    defect = float(np.max(np.abs(r - lam * e)))
-    return lam, defect

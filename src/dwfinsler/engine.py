@@ -27,12 +27,14 @@ the Leibniz table.  A field that ignores a fiber coordinate has a singular g,
 which the inverse rejects with :class:`~dwfinsler.errors.SingularMetricError`.
 
 A point may be a batch of samples (:class:`~dwfinsler.metrics.SampleBatch`):
-every tensor then has one more leading axis, over the samples, and the
-methods up to H run unchanged on it, their contractions written over a
-leading ``...``.  The value inverse inverts each sample's matrix on its own,
-so a batch gives each sample the bits of its own evaluation, and a sample
-that fails alone fails the batch with the same error.  The harness evaluates
-its side points (fiber-rescaled copies, finite-difference stencils) this way.
+every tensor then has one more leading axis, over the samples, and every
+method runs unchanged on it, its contractions written over a leading
+``...``.  The value inverse inverts each sample's matrix on its own, so a
+batch gives each sample the bits of its own evaluation, and a sample that
+fails alone fails the batch with the same error.  The harness evaluates its
+sampled points this way, as strips (:meth:`Workspace.strips`), and its side
+points too (fiber-rescaled copies, finite-difference stencils); a single
+sample serves the library API, the CLI and streams of fresh points.
 
 Products run only where a reader takes their partials.  The adapted
 derivative :meth:`EnginePoint.delta` acts on a whole tensor field along every
@@ -42,20 +44,22 @@ jet, and it and H carry order 1, since the adapted derivative of H in hh
 takes one derivative.
 
 All per-point state has one owner: the :class:`Workspace` of a configuration
-keeps one :class:`WorkPoint` per sample in a single dict, and each work point
-holds its three engine points, its warp jets and the lifted ingredients.
-Nothing is evicted; ``workspace(cfg).clear()`` drops every point of a
-configuration.  Caches are not protected by locks: share a workspace across
-threads only for distinct points.
+keeps one :class:`WorkPoint` per sample, and one per strip of samples, in a
+single dict, and each work point holds its three engine points, its warp jets
+and the lifted ingredients.  Nothing is evicted; ``workspace(cfg).clear()``
+drops every point and strip of a configuration.  Caches are not protected by
+locks: share a workspace across threads only for distinct points.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable
+import math
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .blocks import matvec
 from .coords import CoordIndex, base_coords, fiber_coords
 from .jets import Jet, einsum, jet_lift, support_lift
 from .linalg import invert_matrix
@@ -70,6 +74,9 @@ VALUE_ORDER = 3
 #: The lowest lift order that gives the values of g and the spray, which take
 #: two derivatives of F^2: enough for points read only for those two.
 SPRAY_ORDER = 2
+#: Lift coefficients per strip: a strip holds as many samples as fit this
+#: budget at the product lift's coefficient count per sample, and at least one.
+STRIP_COEFFICIENTS = 20_000
 
 
 def _once(method):
@@ -104,8 +111,8 @@ class EnginePoint:
     The tensors up to H are jets whose tensor axes are the tensor's slots,
     each with a ``*_values`` accessor for its value array; the curvatures,
     the Cartan tensors and :meth:`delta` return value arrays.  For a batch of
-    samples, g, its inverse, the spray, N, dg and H carry a leading axis over
-    the samples; the rest is read at single samples only.
+    samples every tensor, jet or array, carries a leading axis over the
+    samples (``lead``), and each sample has the bits of its own evaluation.
     """
 
     def __init__(self, engine: FinslerEngine, sample: TangentSample | SampleBatch,
@@ -113,6 +120,7 @@ class EnginePoint:
         self.engine = engine
         self.sample = sample
         self.order = order
+        self.lead = (len(sample),) if isinstance(sample, SampleBatch) else ()
         self._done: dict = {}
 
     @_once
@@ -121,7 +129,9 @@ class EnginePoint:
         return support_lift(self.engine.field, self.sample, self.engine.coords, self.order)
 
     def fiber_values(self) -> np.ndarray:
-        return np.array([self.sample.coord(c) for c in self.engine.fiber]).T
+        """[..., b] = the fiber coordinates, contiguous per sample as the
+        contractions over them need to keep the bits of a single sample."""
+        return np.ascontiguousarray(np.array([self.sample.coord(c) for c in self.engine.fiber]).T)
 
     # -- metric level ---------------------------------------------------------
     @_once
@@ -188,13 +198,23 @@ class EnginePoint:
 
     @_once
     def mean_cartan(self) -> np.ndarray:
-        return np.einsum("bc,abc->a", self.ginv_values(), self.cartan())
+        return np.einsum("...bc,...abc->...a", self.ginv_values(), self.cartan())
+
+    @_once
+    def matsumoto(self) -> np.ndarray:
+        """C minus its angular-metric/mean-Cartan reducible part, normalized by
+        the engine's dimension n: M = C - (I h + I h + I h) / (n + 1)."""
+        I, h = self.mean_cartan(), self.angular()
+        return self.cartan() - (np.einsum("...a,...bc->...abc", I, h)
+                                + np.einsum("...b,...ac->...abc", I, h)
+                                + np.einsum("...c,...ab->...abc", I, h)) / (self.engine.n + 1)
 
     @_once
     def angular(self) -> np.ndarray:
         g = self.g_values()
-        y_low = g @ self.fiber_values()
-        return g - np.outer(y_low, y_low) / self.F2_value()
+        y_low = matvec(g, self.fiber_values())
+        F2 = np.asarray(self.F2_value())[..., None, None]
+        return g - y_low[..., :, None] * y_low[..., None, :] / F2
 
     # -- spray and connections -------------------------------------------------
     @_once
@@ -232,10 +252,15 @@ class EnginePoint:
     # -- horizontal calculus ----------------------------------------------------
     def delta(self, field: Jet) -> np.ndarray:
         """[..., e] = value of the adapted derivative of a tensor field along the
-        e-th base direction: d/dx^e minus the connection-weighted fiber part."""
-        return (field.grad(self.engine.base).value
-                - np.einsum("ce,...c->...e", self.nonlinear_connection_values(),
-                            field.grad(self.engine.fiber).value))
+        e-th base direction: d/dx^e minus the connection-weighted fiber part.
+
+        The field's tensor slots are flattened to one axis between the
+        samples and the contracted slot, so N's sample axis meets the field's.
+        """
+        fib = field.grad(self.engine.fiber).value
+        flat = fib.reshape(self.lead + (-1, fib.shape[-1]))
+        con = np.einsum("...ce,...tc->...te", self.nonlinear_connection_values(), flat)
+        return field.grad(self.engine.base).value - con.reshape(fib.shape)
 
     @_once
     def delta_g(self) -> Jet:
@@ -265,7 +290,7 @@ class EnginePoint:
     def bracket_curvature_values(self) -> np.ndarray:
         """R[c][a][b]: curvature of the horizontal distribution, antisymmetric in (a, b)."""
         dn = self.delta(self.nonlinear_connection())  # [c, a, b] = delta_b N[c][a]
-        return dn - dn.swapaxes(1, 2)
+        return dn - dn.swapaxes(-1, -2)
 
     # -- curvature level ----------------------------------------------------------
     @_once
@@ -273,10 +298,10 @@ class EnginePoint:
         """R[b][a][c][d]: horizontal curvature of the Berwald-type connection."""
         H = self.horizontal_values()
         dH = self.delta(self.horizontal_coefficients())  # [a, b, c, d] = delta_d H[a][b][c]
-        quad = np.einsum("ade,ebc->abcd", H, H)
+        quad = np.einsum("...ade,...ebc->...abcd", H, H)
         # Each bracket is exactly antisymmetric in (c, d), so their sum is too.
-        out = (dH - dH.swapaxes(2, 3)) + (quad - quad.swapaxes(2, 3))
-        return out.swapaxes(0, 1)
+        out = (dH - dH.swapaxes(-2, -1)) + (quad - quad.swapaxes(-2, -1))
+        return out.swapaxes(-4, -3)
 
     @_once
     def riemann_map(self) -> np.ndarray:
@@ -287,8 +312,8 @@ class EnginePoint:
         dxG = self.spray().grad(self.engine.base).value
         dxdyG = self.nonlinear_connection().grad(self.engine.base).value
         return (2.0 * dxG
-                - np.einsum("c,abc->ab", self.fiber_values(), dxdyG)
-                + 2.0 * np.einsum("c,acb->ab", G, self.connection_fiber_values())
+                - np.einsum("...c,...abc->...ab", self.fiber_values(), dxdyG)
+                + 2.0 * np.einsum("...c,...acb->...ab", G, self.connection_fiber_values())
                 - N @ N)
 
 
@@ -308,7 +333,9 @@ class Workspace:
         self.factor2 = FinslerEngine(cfg.F2_squared,
                                      tuple(c for c in cfg.base if c.factor == 2),
                                      tuple(c for c in cfg.fiber if c.factor == 2))
-        self._points: dict[TangentSample, WorkPoint] = {}
+        # Keyed by a sample, or by the tuple of samples of a strip.
+        self._points: dict[TangentSample | tuple[TangentSample, ...], WorkPoint] = {}
+        self._lift_size: int | None = None  # lift coefficients per sample
 
     def at(self, sample: TangentSample) -> "WorkPoint":
         """The work point of ``sample``: validated and built once, then shared."""
@@ -317,8 +344,30 @@ class Workspace:
             got = self._points[sample] = WorkPoint(self, sample)
         return got
 
+    def strips(self, samples: Sequence[TangentSample]) -> list["WorkPoint"]:
+        """``samples`` in order, as consecutive strips: each one work point over
+        its samples as a batch, built once and shared like :meth:`at`.
+
+        A strip holds ``STRIP_COEFFICIENTS`` over the coefficient count of the
+        product lift of one sample, so memory stays bounded at large
+        dimensions, where strips fall back to single samples.
+        """
+        if self._lift_size is None and samples:
+            seeds = support_lift(self.product.field, samples[0], self.product.coords, 1).seeds
+            self._lift_size = math.comb(len(seeds) + LIFT_ORDER, LIFT_ORDER)
+        size = max(1, STRIP_COEFFICIENTS // (self._lift_size or 1))
+        out = []
+        for start in range(0, len(samples), size):
+            key = tuple(samples[start:start + size])
+            got = self._points.get(key)
+            if got is None:
+                got = self._points[key] = WorkPoint(self, SampleBatch.of(key))
+                got.samples = key
+            out.append(got)
+        return out
+
     def clear(self) -> None:
-        """Drop every cached point of this configuration."""
+        """Drop every cached point and strip of this configuration."""
         self._points.clear()
 
 
@@ -328,9 +377,10 @@ class WorkPoint:
     A work point built directly, not through :meth:`Workspace.at`, is not
     cached and lives as long as its caller keeps it; one that is read only
     for low tensor values may lift at ``VALUE_ORDER``, or at ``SPRAY_ORDER``
-    when it is read only for g and the spray.  Its sample may then be a
-    :class:`~dwfinsler.metrics.SampleBatch`, read for those values of every
-    sample at once.
+    when it is read only for g and the spray.  Its sample may be a
+    :class:`~dwfinsler.metrics.SampleBatch`: every value then carries a
+    leading axis over its samples (``lead``).  A strip of
+    :meth:`Workspace.strips` also keeps its samples, in order, as ``samples``.
     """
 
     def __init__(self, ws: Workspace, sample: TangentSample | SampleBatch,
@@ -341,6 +391,8 @@ class WorkPoint:
         self.product = EnginePoint(ws.product, sample, order)
         self.factor1 = EnginePoint(ws.factor1, sample, order)
         self.factor2 = EnginePoint(ws.factor2, sample, order)
+        self.lead = self.product.lead
+        self.samples: tuple[TangentSample, ...] | None = None  # set on a strip
         self._warp: dict[int, Jet] = {}
         self.lifted = None  # the lifted ingredients, built by dwfinsler.lifted
 
@@ -353,7 +405,7 @@ class WorkPoint:
                                                self.factor(which).engine.base, 1)
         return got
 
-    def warp_sq(self, which: int) -> float:
+    def warp_sq(self, which: int) -> float | np.ndarray:
         return self._warp_jet(which).value
 
     def warp_gradient(self, which: int) -> np.ndarray:
@@ -363,14 +415,15 @@ class WorkPoint:
     def factor(self, which: int) -> EnginePoint:
         return self.factor1 if which == 1 else self.factor2
 
-    def grad_warp_norm_sq(self, which: int) -> float:
+    def grad_warp_norm_sq(self, which: int) -> float | np.ndarray:
         """Squared gradient norm of the warp f (not f^2), in its factor metric."""
         eng = self.factor(which)
         ginv = eng.ginv_values()
         fsq = self.warp_sq(which)
         df = self.warp_gradient(which)
         # d f = d(f^2) / (2 f), so |grad f|^2 = g^{ab} d_a f^2 d_b f^2 / (4 f^2).
-        return float(df @ ginv @ df) / (4.0 * fsq)
+        # A row times a matrix times a column: the BLAS calls of a 1-d df.
+        return (df[..., None, :] @ ginv @ df[..., :, None])[..., 0, 0] / (4.0 * fsq)
 
 
 _WORKSPACES: dict[ProductConfig, Workspace] = {}

@@ -410,7 +410,11 @@ class Jet:
         if isinstance(other, Jet):
             a, b = self._aligned(other)
             ii, jj, starts, ww = a.ctx.tables.mul_table
-            terms = ww * a.c.take(ii, -1) * b.c.take(jj, -1)
+            # Multiplied in place, so two term arrays live at once, not four;
+            # ww * a and a * ww have the same bits.
+            terms = a.c.take(ii, -1)
+            terms *= ww
+            terms *= b.c.take(jj, -1)
             return Jet(a.ctx, np.add.reduceat(terms, starts, -1))
         return Jet(self.ctx, self.c * _tensor(other))
 
@@ -515,16 +519,50 @@ def _with_partials(spec: str) -> str:
     return f"{sa}{z},{sb}{z}->{out}{z}"
 
 
+#: Leibniz terms :func:`einsum` gathers at once, in elements: a contraction of
+#: jets that share a longer leading ``...`` axis (a batch of samples) runs in
+#: slices of it, so its term arrays stay near this size.
+TERM_ELEMENTS = 1 << 16
+
+
+def _shared_lead(spec: str, a: np.ndarray, b: np.ndarray) -> int:
+    """The length of the first ``...`` axis both coefficient arrays and the
+    output lead with, or 0 when the spec or the shapes have none."""
+    ins, out = spec.replace(" ", "").split("->")
+    sa, sb = ins.split(",")
+    if not all(t.startswith("...") for t in (sa, sb, out)):
+        return 0
+    ea, eb = a.ndim - 1 - (len(sa) - 3), b.ndim - 1 - (len(sb) - 3)
+    if ea != eb or ea < 1 or a.shape[0] != b.shape[0]:
+        return 0
+    return a.shape[0]
+
+
+def _leibniz(spec: str, a: np.ndarray, b: np.ndarray, table) -> np.ndarray:
+    """The coefficients of the contraction of two aligned coefficient arrays."""
+    ii, jj, starts, ww = table
+    left = a.take(ii, -1)
+    left *= ww
+    return np.add.reduceat(np.einsum(spec, left, b.take(jj, -1)), starts, -1)
+
+
 def einsum(spec: str, a: Jet, b: Jet) -> Jet:
     """Truncated product of two jets contracted over tensor axes, as ``np.einsum(spec)``.
 
     The product terms ride on one extra axis and are summed by output index
-    as in ``*``.
+    as in ``*``.  Each slice of a shared leading axis runs the arithmetic of
+    the whole, so slicing changes no bit.
     """
     a, b = a._aligned(b)
-    ii, jj, starts, ww = a.ctx.tables.mul_table
-    terms = np.einsum(_with_partials(spec), ww * a.c.take(ii, -1), b.c.take(jj, -1))
-    return Jet(a.ctx, np.add.reduceat(terms, starts, -1))
+    table = a.ctx.tables.mul_table
+    full = _with_partials(spec)
+    size = max(a.c.size // a.c.shape[-1], b.c.size // b.c.shape[-1]) * len(table[0])
+    lead = _shared_lead(spec, a.c, b.c) if size > TERM_ELEMENTS else 0
+    if lead < 2:
+        return Jet(a.ctx, _leibniz(full, a.c, b.c, table))
+    step = max(1, lead * TERM_ELEMENTS // size)
+    return Jet(a.ctx, np.concatenate([_leibniz(full, a.c[k:k + step], b.c[k:k + step], table)
+                                      for k in range(0, lead, step)]))
 
 
 def sqrt(x):

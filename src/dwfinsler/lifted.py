@@ -8,11 +8,14 @@ reads a value on frame vectors by contracting the table with their
 components.  The warped Sasaki-type lift repeats the product fundamental
 tensor on the horizontal and vertical blocks.
 
-Every table is an array expression.  The Koszul solve, the Vaisman and
-Reinhart diagnostics and the Nijenhuis tensor read two frame arrays of the
-metric derivatives and the brackets; the closed-form Levi-Civita table reads
-only the engine's connection blocks and the factor tensors, so the two
-routes stay independent.
+Every table is an array expression over a leading ``...``, so one
+implementation serves a single sample and a strip of samples (:func:`of`).
+The public functions read a single sample; the suites and the region
+verdicts read strips.  The Koszul solve, the Vaisman and Reinhart
+diagnostics and the Nijenhuis tensor read two frame arrays of the metric
+derivatives and the brackets; the closed-form Levi-Civita table reads only
+the engine's connection blocks and the factor tensors, so the two routes
+stay independent.
 
 The Koszul computation is ground truth for the Levi-Civita connection; the
 closed-form table is a transcription that is diffed against it, never
@@ -27,6 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .blocks import max_abs, scalar_axes
 from .engine import WorkPoint, workspace
 from .errors import PreconditionError
 from .metrics import ProductConfig, TangentSample
@@ -54,17 +58,19 @@ class ConnectionTable:
 
 
 class _LiftedPoint:
-    """Shared ingredients of the lifted geometry at one sample.
+    """Shared ingredients of the lifted geometry at one sample, or at every
+    sample of a strip (each array then leads with the sample axis, ``lead``).
 
     Two frame arrays carry everything the connection tables need:
-    ``dm[A, B, C]`` is e_A applied to the component field m(e_B, e_C), and
-    ``br[A, B]`` is the Lie bracket [e_A, e_B] in frame components.
+    ``dm[..., A, B, C]`` is e_A applied to the component field m(e_B, e_C), and
+    ``br[..., A, B]`` is the Lie bracket [e_A, e_B] in frame components.
     """
 
     def __init__(self, wp: WorkPoint):
         self.wp = wp
         self.n1, self.n2 = wp.cfg.n1, wp.cfg.n2
         n = self.n = wp.cfg.n
+        lead = self.lead = wp.lead
         ep = wp.product
         self.g = ep.g_values()
         self.C = ep.cartan()
@@ -77,54 +83,115 @@ class _LiftedPoint:
         m = 2 * n
         # Horizontal fields differentiate by dg, vertical ones by the fiber
         # derivative 2C; mixed components vanish identically.
-        self.dm = np.zeros((m, m, m))
-        self.dm[:n, :n, :n] = self.dm[:n, n:, n:] = np.einsum("bca->abc", self.dg)
-        self.dm[n:, :n, :n] = self.dm[n:, n:, n:] = 2.0 * self.C
+        self.dm = np.zeros(lead + (m, m, m))
+        self.dm[..., :n, :n, :n] = self.dm[..., :n, n:, n:] = np.einsum("...bca->...abc", self.dg)
+        self.dm[..., n:, :n, :n] = self.dm[..., n:, n:, n:] = 2.0 * self.C
         # Brackets of basis fields are vertical.
-        self.br = np.zeros((m, m, m))
-        self.br[:n, :n, n:] = np.einsum("kab->abk", self.Rb)
-        self.br[:n, n:, n:] = np.einsum("kab->abk", self.Gf)
-        self.br[n:, :n, n:] = -np.einsum("kba->abk", self.Gf)
+        self.br = np.zeros(lead + (m, m, m))
+        self.br[..., :n, :n, n:] = np.einsum("...kab->...abk", self.Rb)
+        self.br[..., :n, n:, n:] = np.einsum("...kab->...abk", self.Gf)
+        self.br[..., n:, :n, n:] = -np.einsum("...kba->...abk", self.Gf)
 
     def metric_derivative(self, table: np.ndarray) -> np.ndarray:
         """(nabla_X m)(Y, Z) over all frame triples [X, Y, Z] for a connection table."""
-        low = np.einsum("xyk,kz->xyz", table, self.metric)
-        return self.dm - low - np.einsum("xzy->xyz", low)
+        low = np.einsum("...xyk,...kz->...xyz", table, self.metric)
+        return self.dm - low - np.einsum("...xzy->...xyz", low)
 
     def torsion(self, table: np.ndarray) -> np.ndarray:
         """nabla_X Y - nabla_Y X - [X, Y] over all frame pairs [X, Y]."""
-        return table - np.einsum("yxk->xyk", table) - self.br
+        return table - np.einsum("...yxk->...xyk", table) - self.br
 
     def cartan_up(self, which: int) -> np.ndarray:
         eng = self.wp.factor(which)
-        return np.einsum("sh,hij->sij", eng.ginv_values(), eng.cartan())
+        return np.einsum("...sh,...hij->...sij", eng.ginv_values(), eng.cartan())
 
     # The two connection tables are solved once per point and shared read-only.
     @cached_property
     def koszul(self) -> np.ndarray:
         """Levi-Civita table from the Koszul identity, brackets included."""
         dm = self.dm
-        low = np.einsum("abk,kz->abz", self.br, self.metric)  # m([e_A, e_B], e_Z)
-        rhs = (dm + np.einsum("baz->abz", dm) - np.einsum("zab->abz", dm)
-               + low - np.einsum("azb->abz", low) - np.einsum("bza->abz", low))
-        return _read_only(0.5 * np.einsum("kz,abz->abk", self.metric_inv, rhs))
+        low = np.einsum("...abk,...kz->...abz", self.br, self.metric)  # m([e_A, e_B], e_Z)
+        rhs = (dm + np.einsum("...baz->...abz", dm) - np.einsum("...zab->...abz", dm)
+               + low - np.einsum("...azb->...abz", low) - np.einsum("...bza->...abz", low))
+        return _read_only(0.5 * np.einsum("...kz,...abz->...abk", self.metric_inv, rhs))
 
     @cached_property
     def vaisman(self) -> np.ndarray:
         """The adapted connection of the vertical foliation."""
         n, n1 = self.n, self.n1
-        out = np.zeros((2 * n, 2 * n, 2 * n))
-        out[:n, :n, :n] = np.einsum("kab->abk", self.Fh)   # horizontal on horizontal
-        out[:n, n:, n:] = np.einsum("kab->abk", self.Gf)   # horizontal on vertical
-        out[n:n + n1, n:n + n1, n:n + n1] = np.einsum("sab->abs", self.cartan_up(1))
-        out[n + n1:, n + n1:, n + n1:] = np.einsum("gab->abg", self.cartan_up(2))
+        out = np.zeros(self.lead + (2 * n, 2 * n, 2 * n))
+        out[..., :n, :n, :n] = np.einsum("...kab->...abk", self.Fh)  # horizontal on horizontal
+        out[..., :n, n:, n:] = np.einsum("...kab->...abk", self.Gf)  # horizontal on vertical
+        out[..., n:n + n1, n:n + n1, n:n + n1] = np.einsum("...sab->...abs", self.cartan_up(1))
+        out[..., n + n1:, n + n1:, n + n1:] = np.einsum("...gab->...abg", self.cartan_up(2))
         # mixed vertical pairs and vertical-on-horizontal rows stay zero
         return _read_only(out)
 
+    def levi_civita_block_residuals(self) -> dict:
+        """Max |Koszul - closed form| per ordered input-family pair."""
+        n, n1 = self.n, self.n1
+        starts = [0, n1, n, n + n1]  # first slot of each family
+        worst = np.abs(self.koszul - _levi_civita_closed_table(self)).max(axis=-1)
+        worst = np.maximum.reduceat(np.maximum.reduceat(worst, starts, axis=-2), starts, axis=-1)
+        return dict(zip(_FAMILY_PAIRS, np.moveaxis(worst.reshape(self.lead + (-1,)), -1, 0)))
 
-def _worst(*arrays) -> float:
-    """The largest |entry| over all arrays; a NaN anywhere is the result."""
-    return float(np.max([np.max(np.abs(a), initial=0.0) for a in arrays], initial=0.0))
+    def vaisman_axiom_residuals(self) -> dict:
+        """Numerical residuals of the three defining conditions."""
+        n, lead = self.n, self.lead
+        table = self.vaisman
+        # (i) distribution preservation: outputs stay in the input field's bundle.
+        pres = _worst(lead, table[..., :, :n, n:], table[..., :, n:, :n])
+        # (ii) metric parallelism on all-horizontal and all-vertical triples.
+        dmet = self.metric_derivative(table)
+        par = _worst(lead, dmet[..., :n, :n, :n], dmet[..., n:, n:, n:])
+        # (iii) torsion projections: vertical part unless both fields are
+        # horizontal, horizontal part unless both are vertical.
+        t = self.torsion(table)
+        tor = _worst(lead, t[..., n:, :, n:], t[..., :, n:, n:], t[..., :n, :, :n],
+                     t[..., :, :n, :n])
+        return {"preservation": pres, "parallelism": par, "torsion": tor}
+
+    def reinhart_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Reinhart defect and its factor-Cartan closed form (:func:`reinhart_tables`)."""
+        n, n1 = self.n, self.n1
+        defect = self.metric_derivative(self.vaisman)[..., n:, :n, :n]
+        wp = self.wp
+        identity = np.zeros(self.lead + (n, n, n))
+        identity[..., :n1, :n1, :n1] = (scalar_axes(2.0 * wp.warp_sq(2), 3)
+                                        * wp.factor1.cartan())
+        identity[..., n1:, n1:, n1:] = (scalar_axes(2.0 * wp.warp_sq(1), 3)
+                                        * wp.factor2.cartan())
+        return defect, identity
+
+    def symplectic_table(self) -> np.ndarray:
+        """Omega(e_A, e_B) = G(e_A, J e_B) over all frame pairs [A, B]."""
+        return self.metric @ ComplexStructure(self.n1, self.n2).matrix()
+
+    def nijenhuis_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The integrability obstruction of J by two routes (:func:`nijenhuis_tables`)."""
+        n = self.n
+        m = 2 * n
+        Rb = np.einsum("...kab->...abk", self.Rb)
+        closed = np.zeros(self.lead + (m, m, m))
+        closed[..., :n, :n, n:] = -Rb                            # horizontal pair
+        closed[..., n:, n:, n:] = Rb                             # vertical pair
+        closed[..., :n, n:, :n] = -Rb                            # mixed pair
+        closed[..., n:, :n, :n] = np.einsum("...abk->...bak", Rb)
+        # On basis fields X = e_A, Y = e_B, with JX = J[:, A] and the bracket
+        # bilinear over constant frame components.
+        J, br = ComplexStructure(self.n1, self.n2).matrix(), self.br
+        direct = (np.einsum("ca,db,...cdk->...abk", J, J, br)
+                  - np.einsum("kl,ca,...cbl->...abk", J, J, br)
+                  - np.einsum("kl,db,...adl->...abk", J, J, br)
+                  - br)
+        return closed, direct
+
+
+def _worst(lead: tuple[int, ...], *arrays):
+    """The largest |entry| over all arrays, per sample of a batch of shape
+    ``lead`` (a float for ``()``); a NaN anywhere is the result."""
+    out = np.max([max_abs(a, lead) for a in arrays], axis=0, initial=0.0)
+    return out if lead else float(out)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -133,17 +200,26 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _blockdiag(block: np.ndarray) -> np.ndarray:
-    n = block.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = out[n:, n:] = block
+    n = block.shape[-1]
+    out = np.zeros(block.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = out[..., n:, n:] = block
     return out
 
 
-def _lifted(cfg: ProductConfig, p: TangentSample) -> _LiftedPoint:
-    wp = workspace(cfg).at(p)
+def of(wp: WorkPoint) -> _LiftedPoint:
+    """The lifted ingredients of a work point (a sample or a strip), built once."""
     if wp.lifted is None:
         wp.lifted = _LiftedPoint(wp)
     return wp.lifted
+
+
+def _lifted(cfg: ProductConfig, p: TangentSample) -> _LiftedPoint:
+    return of(workspace(cfg).at(p))
+
+
+def _lifted_region(cfg: ProductConfig, region) -> list[_LiftedPoint]:
+    """The lifted ingredients of ``region``, one per strip of its samples."""
+    return [of(wp) for wp in workspace(cfg).strips(list(region))]
 
 
 def lifted_metric(cfg: ProductConfig, p: TangentSample) -> LiftedMetric:
@@ -164,97 +240,109 @@ def levi_civita_closed_forms(cfg: ProductConfig, p: TangentSample) -> Connection
     """The transcribed component table of the Levi-Civita connection.
 
     Built from the engine's Rb, Gf, Fh, dg and the factor tensors only, never
-    from the frame arrays the Koszul solve uses.  Index letters: i, j, k, s run
-    over the first factor; a, b run over all n base slots, or over the second
-    factor where a block is confined to it; m, g run over the second factor.
-    ``G1``/``G2`` and ``R1``/``R2`` are Gf and Rb with the upper index lowered by
-    the first/second factor metric: G1[a, b, k] = g1_rk Gf^r_ab.
+    from the frame arrays the Koszul solve uses.
     """
-    lp = _lifted(cfg, p)
+    return ConnectionTable("levi-civita-closed-form", _levi_civita_closed_table(_lifted(cfg, p)))
+
+
+def _levi_civita_closed_table(lp: _LiftedPoint) -> np.ndarray:
+    """The closed-form Levi-Civita table of :func:`levi_civita_closed_forms`.
+
+    Index letters: i, j, k, s run over the first factor; a, b run over all n
+    base slots, or over the second factor where a block is confined to it;
+    m, g run over the second factor.  ``G1``/``G2`` and ``R1``/``R2`` are Gf
+    and Rb with the upper index lowered by the first/second factor metric:
+    G1[a, b, k] = g1_rk Gf^r_ab.  Every slice and contraction leads with
+    ``...``, the sample axis of a strip.
+    """
     n, n1 = lp.n, lp.n1
     wp = lp.wp
     g1, g2 = wp.factor1.g_values(), wp.factor2.g_values()
     g1inv, g2inv = wp.factor1.ginv_values(), wp.factor2.ginv_values()
-    f1sq, f2sq = wp.warp_sq(1), wp.warp_sq(2)
+    w1, w2 = wp.warp_sq(1), wp.warp_sq(2)
     C1u, C2u = lp.cartan_up(1), lp.cartan_up(2)
     Rb, Gf, Fh, dg = lp.Rb, lp.Gf, lp.Fh, lp.dg
-    G1 = np.einsum("rab,rk->abk", Gf[:n1], g1)
-    G2 = np.einsum("rab,rm->abm", Gf[n1:], g2)
-    R1 = np.einsum("rab,rk->abk", Rb[:n1], g1)
-    R2 = np.einsum("rab,rm->abm", Rb[n1:], g2)
+    G1 = np.einsum("...rab,...rk->...abk", Gf[..., :n1, :, :], g1)
+    G2 = np.einsum("...rab,...rm->...abm", Gf[..., n1:, :, :], g2)
+    R1 = np.einsum("...rab,...rk->...abk", Rb[..., :n1, :, :], g1)
+    R2 = np.einsum("...rab,...rm->...abm", Rb[..., n1:, :, :], g2)
     h1, h2 = slice(0, n1), slice(n1, n)
     v1, v2 = slice(n, n + n1), slice(n + n1, 2 * n)
-    out = np.zeros((2 * n, 2 * n, 2 * n))
+    out = np.zeros(lp.lead + (2 * n, 2 * n, 2 * n))
+    # The squared warps, as factors of rank-3 tables.
+    f1sq, f2sq = scalar_axes(w1, 3), scalar_axes(w2, 3)
+    two_f1sq, two_f2sq = scalar_axes(2.0 * w1, 3), scalar_axes(2.0 * w2, 3)
 
     # Horizontal-horizontal inputs; same-factor pairs pick up the factor
     # Cartan term on their own vertical slots.
-    out[:n, :n, :n] = np.einsum("kab->abk", Fh)
-    out[:n, :n, n:] = 0.5 * np.einsum("kab->abk", Rb)
-    out[h1, h1, v1] -= np.einsum("sij->ijs", C1u)
-    out[h2, h2, v2] -= np.einsum("gab->abg", C2u)
+    out[..., :n, :n, :n] = np.einsum("...kab->...abk", Fh)
+    out[..., :n, :n, n:] = 0.5 * np.einsum("...kab->...abk", Rb)
+    out[..., h1, h1, v1] -= np.einsum("...sij->...ijs", C1u)
+    out[..., h2, h2, v2] -= np.einsum("...gab->...abg", C2u)
 
     # Horizontal input a, vertical field j of the first factor.
-    out[:n, v1, h1] = 0.5 * np.einsum("kaj,ks->ajs", R1[:n1], g1inv)
-    out[h1, v1, h1] += np.einsum("saj->ajs", C1u)
-    out[:n, v1, h2] = (f2sq / (2.0 * f1sq)) * np.einsum("maj,gm->ajg", R1[n1:], g2inv)
-    inner = (np.einsum("jka->ajk", dg[:n1, :n1]) / f2sq
-             + G1[:, :n1] - np.einsum("akj->ajk", G1[:, :n1]))
-    out[:n, v1, v1] = 0.5 * np.einsum("ajk,ks->ajs", inner, g1inv)
-    inner = f1sq * G2[:, :n1] - f2sq * np.einsum("amj->ajm", G1[:, n1:])
-    out[:n, v1, v2] = np.einsum("ajm,gm->ajg", inner, g2inv) / (2.0 * f1sq)
+    out[..., :n, v1, h1] = 0.5 * np.einsum("...kaj,...ks->...ajs", R1[..., :n1, :, :], g1inv)
+    out[..., h1, v1, h1] += np.einsum("...saj->...ajs", C1u)
+    out[..., :n, v1, h2] = (scalar_axes(w2 / (2.0 * w1), 3)
+                            * np.einsum("...maj,...gm->...ajg", R1[..., n1:, :, :], g2inv))
+    inner = (np.einsum("...jka->...ajk", dg[..., :n1, :n1, :]) / f2sq
+             + G1[..., :, :n1, :] - np.einsum("...akj->...ajk", G1[..., :, :n1, :]))
+    out[..., :n, v1, v1] = 0.5 * np.einsum("...ajk,...ks->...ajs", inner, g1inv)
+    inner = f1sq * G2[..., :, :n1, :] - f2sq * np.einsum("...amj->...ajm", G1[..., :, n1:, :])
+    out[..., :n, v1, v2] = np.einsum("...ajm,...gm->...ajg", inner, g2inv) / two_f1sq
 
     # Horizontal input a, vertical field b of the second factor.
-    out[:n, v2, h1] = (f1sq / (2.0 * f2sq)) * np.einsum("kab,ks->abs", R2[:n1], g1inv)
-    out[:n, v2, h2] = 0.5 * np.einsum("mab,mg->abg", R2[n1:], g2inv)
-    out[h2, v2, h2] += np.einsum("gab->abg", C2u)
-    inner = f2sq * G1[:, n1:] - f1sq * np.einsum("akb->abk", G2[:, :n1])
-    out[:n, v2, v1] = np.einsum("abk,ks->abs", inner, g1inv) / (2.0 * f2sq)
-    inner = (np.einsum("bma->abm", dg[n1:, n1:])
-             + f1sq * (G2[:, n1:] - np.einsum("amb->abm", G2[:, n1:])))
-    out[:n, v2, v2] = np.einsum("abm,gm->abg", inner, g2inv) / (2.0 * f1sq)
+    out[..., :n, v2, h1] = (scalar_axes(w1 / (2.0 * w2), 3)
+                            * np.einsum("...kab,...ks->...abs", R2[..., :n1, :, :], g1inv))
+    out[..., :n, v2, h2] = 0.5 * np.einsum("...mab,...mg->...abg", R2[..., n1:, :, :], g2inv)
+    out[..., h2, v2, h2] += np.einsum("...gab->...abg", C2u)
+    inner = f2sq * G1[..., :, n1:, :] - f1sq * np.einsum("...akb->...abk", G2[..., :, :n1, :])
+    out[..., :n, v2, v1] = np.einsum("...abk,...ks->...abs", inner, g1inv) / two_f2sq
+    inner = (np.einsum("...bma->...abm", dg[..., n1:, n1:, :])
+             + f1sq * (G2[..., :, n1:, :] - np.einsum("...amb->...abm", G2[..., :, n1:, :])))
+    out[..., :n, v2, v2] = np.einsum("...abm,...gm->...abg", inner, g2inv) / two_f1sq
 
     # Vertical-vertical inputs: both first factor.
-    inner = (np.einsum("kji->ijk", G1[:n1, :n1]) + np.einsum("kij->ijk", G1[:n1, :n1])
-             - dg[:n1, :n1, :n1] / f2sq)
-    out[v1, v1, h1] = 0.5 * np.einsum("ijk,ks->ijs", inner, g1inv)
-    inner = (f2sq * (np.einsum("mji->ijm", G1[n1:, :n1]) + np.einsum("mij->ijm", G1[n1:, :n1]))
-             - dg[:n1, :n1, n1:])
-    out[v1, v1, h2] = np.einsum("ijm,gm->ijg", inner, g2inv) / (2.0 * f1sq)
-    out[v1, v1, v1] = np.einsum("sij->ijs", C1u)
+    inner = (np.einsum("...kji->...ijk", G1[..., :n1, :n1, :])
+             + np.einsum("...kij->...ijk", G1[..., :n1, :n1, :])
+             - dg[..., :n1, :n1, :n1] / f2sq)
+    out[..., v1, v1, h1] = 0.5 * np.einsum("...ijk,...ks->...ijs", inner, g1inv)
+    inner = (f2sq * (np.einsum("...mji->...ijm", G1[..., n1:, :n1, :])
+                     + np.einsum("...mij->...ijm", G1[..., n1:, :n1, :]))
+             - dg[..., :n1, :n1, n1:])
+    out[..., v1, v1, h2] = np.einsum("...ijm,...gm->...ijg", inner, g2inv) / two_f1sq
+    out[..., v1, v1, v1] = np.einsum("...sij->...ijs", C1u)
 
     # Vertical-vertical inputs: mixed factors (symmetric, bracket-free).
-    inner = (f1sq * np.einsum("kja->ajk", G2[:n1, :n1])
-             + f2sq * np.einsum("kaj->ajk", G1[:n1, n1:]))
-    out[v2, v1, h1] = np.einsum("ajk,ks->ajs", inner, g1inv) / (2.0 * f2sq)
-    inner = (f1sq * np.einsum("mja->ajm", G2[n1:, :n1])
-             + f2sq * np.einsum("maj->ajm", G1[n1:, n1:]))
-    out[v2, v1, h2] = np.einsum("ajm,gm->ajg", inner, g2inv) / (2.0 * f1sq)
-    out[v1, v2] = np.einsum("ajk->jak", out[v2, v1])
+    inner = (f1sq * np.einsum("...kja->...ajk", G2[..., :n1, :n1, :])
+             + f2sq * np.einsum("...kaj->...ajk", G1[..., :n1, n1:, :]))
+    out[..., v2, v1, h1] = np.einsum("...ajk,...ks->...ajs", inner, g1inv) / two_f2sq
+    inner = (f1sq * np.einsum("...mja->...ajm", G2[..., n1:, :n1, :])
+             + f2sq * np.einsum("...maj->...ajm", G1[..., n1:, n1:, :]))
+    out[..., v2, v1, h2] = np.einsum("...ajm,...gm->...ajg", inner, g2inv) / two_f1sq
+    out[..., v1, v2, :] = np.einsum("...ajk->...jak", out[..., v2, v1, :])
 
     # Vertical-vertical inputs: both second factor.
-    inner = (f1sq * (np.einsum("kba->abk", G2[:n1, n1:]) + np.einsum("kab->abk", G2[:n1, n1:]))
-             - dg[n1:, n1:, :n1])
-    out[v2, v2, h1] = np.einsum("abk,ks->abs", inner, g1inv) / (2.0 * f2sq)
-    inner = (f1sq * (np.einsum("mba->abm", G2[n1:, n1:]) + np.einsum("mab->abm", G2[n1:, n1:]))
-             - dg[n1:, n1:, n1:])
-    out[v2, v2, h2] = np.einsum("abm,gm->abg", inner, g2inv) / (2.0 * f1sq)
-    out[v2, v2, v2] = np.einsum("gab->abg", C2u)
+    inner = (f1sq * (np.einsum("...kba->...abk", G2[..., :n1, n1:, :])
+                     + np.einsum("...kab->...abk", G2[..., :n1, n1:, :]))
+             - dg[..., n1:, n1:, :n1])
+    out[..., v2, v2, h1] = np.einsum("...abk,...ks->...abs", inner, g1inv) / two_f2sq
+    inner = (f1sq * (np.einsum("...mba->...abm", G2[..., n1:, n1:, :])
+                     + np.einsum("...mab->...abm", G2[..., n1:, n1:, :]))
+             - dg[..., n1:, n1:, n1:])
+    out[..., v2, v2, h2] = np.einsum("...abm,...gm->...abg", inner, g2inv) / two_f1sq
+    out[..., v2, v2, v2] = np.einsum("...gab->...abg", C2u)
 
     # Vertical input on a horizontal field follows from zero torsion:
     # nabla_V H = nabla_H V - [H, V].
-    out[n:, :n] = np.einsum("abk->bak", out[:n, n:])
-    out[n:, :n, n:] -= np.einsum("kab->bak", Gf)
-    return ConnectionTable("levi-civita-closed-form", out)
+    out[..., n:, :n, :] = np.einsum("...abk->...bak", out[..., :n, n:, :])
+    out[..., n:, :n, n:] -= np.einsum("...kab->...bak", Gf)
+    return out
 
 
 def levi_civita_block_residuals(cfg: ProductConfig, p: TangentSample) -> dict[str, float]:
     """Max |Koszul - closed form| per ordered input-family pair."""
-    kos = koszul_levi_civita(cfg, p).entries
-    clo = levi_civita_closed_forms(cfg, p).entries
-    starts = [0, cfg.n1, cfg.n, cfg.n + cfg.n1]  # first slot of each family
-    worst = np.abs(kos - clo).max(axis=2)
-    worst = np.maximum.reduceat(np.maximum.reduceat(worst, starts, axis=0), starts, axis=1)
-    return dict(zip(_FAMILY_PAIRS, worst.ravel().tolist()))
+    return _lifted(cfg, p).levi_civita_block_residuals()
 
 
 def induced_vertical_connection(cfg: ProductConfig, p: TangentSample) -> ConnectionTable:
@@ -277,19 +365,7 @@ def vaisman_connection(cfg: ProductConfig, p: TangentSample) -> ConnectionTable:
 
 def vaisman_axiom_residuals(cfg: ProductConfig, p: TangentSample) -> dict[str, float]:
     """Numerical residuals of the three defining conditions."""
-    lp = _lifted(cfg, p)
-    n = lp.n
-    table = vaisman_connection(cfg, p).entries
-    # (i) distribution preservation: outputs stay in the input field's bundle.
-    pres = _worst(table[:, :n, n:], table[:, n:, :n])
-    # (ii) metric parallelism on all-horizontal and all-vertical triples.
-    dmet = lp.metric_derivative(table)
-    par = _worst(dmet[:n, :n, :n], dmet[n:, n:, n:])
-    # (iii) torsion projections: vertical part unless both fields are
-    # horizontal, horizontal part unless both are vertical.
-    t = lp.torsion(table)
-    tor = _worst(t[n:, :, n:], t[:, n:, n:], t[:n, :, :n], t[:, :n, :n])
-    return {"preservation": pres, "parallelism": par, "torsion": tor}
+    return _lifted(cfg, p).vaisman_axiom_residuals()
 
 
 def reinhart_tables(cfg: ProductConfig, p: TangentSample) -> tuple[np.ndarray, np.ndarray]:
@@ -299,14 +375,7 @@ def reinhart_tables(cfg: ProductConfig, p: TangentSample) -> tuple[np.ndarray, n
     horizontal basis fields b, c.  The defect (nabla_X G)(Y, Z) comes from the
     Vaisman table; the closed form from the factor Cartan tensors.
     """
-    lp = _lifted(cfg, p)
-    n, n1 = lp.n, lp.n1
-    defect = lp.metric_derivative(vaisman_connection(cfg, p).entries)[n:, :n, :n]
-    wp = lp.wp
-    identity = np.zeros((n, n, n))
-    identity[:n1, :n1, :n1] = 2.0 * wp.warp_sq(2) * wp.factor1.cartan()
-    identity[n1:, n1:, n1:] = 2.0 * wp.warp_sq(1) * wp.factor2.cartan()
-    return defect, identity
+    return _lifted(cfg, p).reinhart_tables()
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +403,7 @@ def almost_complex(cfg: ProductConfig) -> ComplexStructure:
 
 def symplectic_frame_table(cfg: ProductConfig, p: TangentSample) -> np.ndarray:
     """Omega(e_A, e_B) = G(e_A, J e_B) over all frame pairs [A, B]."""
-    lp = _lifted(cfg, p)
-    J = almost_complex(cfg).matrix()
-    return lp.metric @ J
+    return _lifted(cfg, p).symplectic_table()
 
 
 @dataclass(frozen=True)
@@ -364,25 +431,27 @@ def closedness_check(cfg: ProductConfig, region) -> ClosednessReport:
     i = np.arange(m)
     increasing = (i[:, None, None] < i[None, :, None]) & (i[None, :, None] < i[None, None, :])
     d_res, pot_res = [], []
-    for p in region:
-        ep = workspace(cfg).at(p).product
+    for wp in workspace(cfg).strips(list(region)):
+        ep, lead = wp.product, wp.lead
         g = ep.g_values()
         N = ep.nonlinear_connection_values()
         # Omega plus the exterior derivative of the canonical one-form: the
         # +-g blocks cancel identically, the base-base blocks must cancel too.
         mixed = ep.F2_base_fiber_values()
-        pot_res.append(_worst(g @ N - N.T @ g + 0.5 * (mixed - mixed.T)))
-        # grads[z] = d_z Omega, exactly; dg[z] = d_z g, dN[z] = d_z N
-        dg = np.moveaxis(ep.g().grad(zs).value, -1, 0)
-        dN = np.moveaxis(ep.nonlinear_connection().grad(zs).value, -1, 0)
-        dgN = np.einsum("zab,bc->zac", dg, N) + np.einsum("ab,zbc->zac", g, dN)
-        grads = np.zeros((m, m, m))
-        grads[:, :n, :n] = dgN - np.einsum("zac->zca", dgN)
-        grads[:, :n, n:] = dg
-        grads[:, n:, :n] = -dg
-        cyclic = grads - np.einsum("bac->abc", grads) + np.einsum("cab->abc", grads)
-        d_res.append(_worst(cyclic[increasing]))
-    return ClosednessReport(_worst(d_res), _worst(pot_res))
+        pot_res.append(_worst(lead, g @ N - N.swapaxes(-1, -2) @ g
+                              + 0.5 * (mixed - mixed.swapaxes(-1, -2))))
+        # grads[..., z] = d_z Omega, exactly; dg[..., z] = d_z g, dN[..., z] = d_z N
+        dg = np.moveaxis(ep.g().grad(zs).value, -1, len(lead))
+        dN = np.moveaxis(ep.nonlinear_connection().grad(zs).value, -1, len(lead))
+        dgN = np.einsum("...zab,...bc->...zac", dg, N) + np.einsum("...ab,...zbc->...zac", g, dN)
+        grads = np.zeros(lead + (m, m, m))
+        grads[..., :, :n, :n] = dgN - np.einsum("...zac->...zca", dgN)
+        grads[..., :, :n, n:] = dg
+        grads[..., :, n:, :n] = -dg
+        cyclic = (grads - np.einsum("...bac->...abc", grads)
+                  + np.einsum("...cab->...abc", grads))
+        d_res.append(_worst(lead, cyclic[..., increasing]))
+    return ClosednessReport(_worst((), *d_res), _worst((), *pot_res))
 
 
 def nijenhuis_tables(cfg: ProductConfig, p: TangentSample) -> tuple[np.ndarray, np.ndarray]:
@@ -392,23 +461,7 @@ def nijenhuis_tables(cfg: ProductConfig, p: TangentSample) -> tuple[np.ndarray, 
     the bracket curvature alone); the second evaluates the defining bracket
     combination [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] directly.
     """
-    lp = _lifted(cfg, p)
-    n = lp.n
-    m = 2 * n
-    Rb = np.einsum("kab->abk", lp.Rb)
-    closed = np.zeros((m, m, m))
-    closed[:n, :n, n:] = -Rb                            # horizontal pair
-    closed[n:, n:, n:] = Rb                             # vertical pair
-    closed[:n, n:, :n] = -Rb                            # mixed pair
-    closed[n:, :n, :n] = np.einsum("abk->bak", Rb)
-    # On basis fields X = e_A, Y = e_B, with JX = J[:, A] and the bracket
-    # bilinear over constant frame components.
-    J, br = almost_complex(cfg).matrix(), lp.br
-    direct = (np.einsum("ca,db,cdk->abk", J, J, br)
-              - np.einsum("kl,ca,cbl->abk", J, J, br)
-              - np.einsum("kl,db,adl->abk", J, J, br)
-              - br)
-    return closed, direct
+    return _lifted(cfg, p).nijenhuis_tables()
 
 
 @dataclass(frozen=True)
@@ -423,9 +476,9 @@ def kahler_verdict(cfg: ProductConfig, region, tol: float = 1e-7,
                    nijenhuis_tol: float | None = None) -> KahlerReport:
     """Kahler iff the horizontal distribution is integrable over the region."""
     ntol = tol if nijenhuis_tol is None else nijenhuis_tol
-    region = list(region)
-    max_r = _worst(*(_lifted(cfg, p).Rb for p in region))
-    max_n = _worst(*(nijenhuis_tables(cfg, p)[1] for p in region))
+    lps = _lifted_region(cfg, region)
+    max_r = _worst((), *(lp.Rb for lp in lps))
+    max_n = _worst((), *(lp.nijenhuis_tables()[1] for lp in lps))
     verdict = max_r <= tol
     # A non-finite maximum decides neither side, so the equivalence fails.
     holds = np.isfinite(max_r + max_n) and (max_n <= ntol) == verdict
@@ -450,14 +503,14 @@ def totally_geodesic_verdicts(cfg: ProductConfig, region,
     if len(region) < 20:
         raise PreconditionError("totally-geodesic verdicts need at least 20 sample points")
     n1, n = cfg.n1, cfg.n
-    lps = [_lifted(cfg, p) for p in region]
-    kos = [koszul_levi_civita(cfg, p).entries for p in region]
-    max_fg = _worst(*(lp.Fh - lp.Gf for lp in lps))
-    max_c = _worst(*(lp.C for lp in lps))
-    max_mixed = _worst(*(R for lp in lps for R in (
-        lp.Rb[n1:, :n1, :n1], lp.Rb[:n1, :n1, n1:], lp.Rb[n1:, :n1, n1:], lp.Rb[:n1, n1:, n1:])))
-    kos_v = _worst(*(k[n:, n:, :n] for k in kos))
-    kos_h = _worst(*(k[:n, :n, n:] for k in kos))
+    lps = _lifted_region(cfg, region)
+    max_fg = _worst((), *(lp.Fh - lp.Gf for lp in lps))
+    max_c = _worst((), *(lp.C for lp in lps))
+    max_mixed = _worst((), *(R for lp in lps for R in (
+        lp.Rb[..., n1:, :n1, :n1], lp.Rb[..., :n1, :n1, n1:], lp.Rb[..., n1:, :n1, n1:],
+        lp.Rb[..., :n1, n1:, n1:])))
+    kos_v = _worst((), *(lp.koszul[..., n:, n:, :n] for lp in lps))
+    kos_h = _worst((), *(lp.koszul[..., :n, :n, n:] for lp in lps))
     vertical = max_fg <= tol
     horizontal = max_c <= tol and max_mixed <= tol
     # A non-finite maximum decides neither side, so the consistency fails.

@@ -4,10 +4,19 @@ Each suite turns one family of identities into residual entries with
 tolerances and pass/fail verdicts; expected failures (theorem contrapositives
 on non-Riemannian fixtures) are declared in the run spec and asserted as
 failure-as-success by the runner.
+
+The sampled points are evaluated as strips (:meth:`Workspace.strips`): each
+strip is one engine point over a batch of samples, shared by every suite, and
+each suite reads its tensors as arrays whose leading axis runs over the
+strip's samples.  An entry reduces each sample's residual over the tensor
+axes and feeds the strip to its tracker at once (:meth:`_Tracker.feed_all`),
+which keeps the worst value and its witness exactly as feeding the samples
+one by one would.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -15,11 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closed_forms, lifted
+from .blocks import matvec, max_abs, scalar_axes, vdot
 from .coords import MAX_ORDER, MultiIndex
 from .engine import SPRAY_ORDER, VALUE_ORDER, WorkPoint, workspace
-from .errors import UnknownSuiteError
+from .errors import PreconditionError, UnknownSuiteError
 from .jets import fd_combine, fd_partial, fd_stencil, jet_lift
-from .metrics import SampleBatch, TangentSample
+from .metrics import ProductConfig, SampleBatch, TangentSample
 from .runspec import ALL_SUITES, RunSpec, sample_points
 
 @dataclass(frozen=True)
@@ -84,6 +94,22 @@ class _Tracker:
             self.point = point
             self.note = note
 
+    def feed_all(self, values, points, describe=None) -> None:
+        """Feed every |entry| of ``values``, whose leading axis runs over
+        ``points``, as feeding them one by one in C order would.
+
+        The last of equal values wins, the first NaN wins and stays, and inf
+        wins.  Only that single worst entry passes through :meth:`feed`,
+        noted by ``describe`` of its index when given.
+        """
+        flat = np.abs(np.asarray(values, dtype=float)).ravel()
+        if not flat.size:
+            return
+        nan = np.isnan(flat)
+        k = int(np.argmax(nan)) if nan.any() else flat.size - 1 - int(np.argmax(flat[::-1]))
+        index = tuple(int(i) for i in np.unravel_index(k, np.shape(values)))
+        self.feed(flat[k], points[index[0]], describe(*index) if describe else "")
+
 
 def _point_doc(p: TangentSample | None):
     if p is None:
@@ -107,16 +133,91 @@ def _bound_entry(spec: RunSpec, suite: str, name: str, tracker: _Tracker,
                       _point_doc(tracker.point), note)
 
 
-def _feed_worst(tracker: _Tracker, values: np.ndarray, point: TangentSample,
-                describe) -> None:
-    """Feed the largest |value| of an array, noting its index.
+# ---------------------------------------------------------------------------
+# Curvature fits of the first-factor block
+# ---------------------------------------------------------------------------
 
-    Ties go to the last index in C order, as feeding the entries one by one
-    would give.
+@dataclass(frozen=True)
+class FlatFactorReport:
+    """Residual of the curvature-shift identity for Riemannian factors.
+
+    With factor 1 Riemannian, the product hh-curvature restricted to the
+    first-factor block equals the factor curvature minus
+    |grad f2|^2 / f1^2 times the metric commutator pattern; mirrored for the
+    second factor when it is Riemannian.  Each field is a float at one
+    point, and an array over the samples of a strip.
     """
-    flat = np.abs(values).ravel()
-    k = flat.size - 1 - int(np.argmax(flat[::-1]))
-    tracker.feed(flat[k], point, describe(*np.unravel_index(k, values.shape)))
+
+    latin_residual: float
+    greek_residual: float | None
+    shift1: float
+    shift2: float | None
+
+
+def _commutator_pattern(gf: np.ndarray) -> np.ndarray:
+    """[..., j, i, k, l] = delta^i_l g_jk - delta^i_k g_jl over a factor metric."""
+    eye = np.eye(gf.shape[-1])
+    return (np.einsum("il,...jk->...jikl", eye, gf)
+            - np.einsum("ik,...jl->...jikl", eye, gf))
+
+
+def flat_factor_residual(cfg: ProductConfig, p: TangentSample) -> FlatFactorReport:
+    return _flat_factor(workspace(cfg).at(p))
+
+
+def _flat_factor(wp: WorkPoint) -> FlatFactorReport:
+    cfg = wp.cfg
+    if not cfg.factor1.is_riemannian:
+        raise PreconditionError("the curvature-shift identity needs factor 1 Riemannian")
+    n1, n2 = cfg.n1, cfg.n2
+    hh = wp.product.hh_curvature()
+
+    def block_residual(which: int):
+        ep = wp.factor(which)
+        sl = slice(0, n1) if which == 1 else slice(n1, n1 + n2)
+        lam = wp.grad_warp_norm_sq(3 - which) / wp.warp_sq(which)
+        expected = ep.hh_curvature() - scalar_axes(lam, 4) * _commutator_pattern(ep.g_values())
+        return max_abs(hh[..., sl, sl, sl, sl] - expected, wp.lead), lam
+
+    latin, shift1 = block_residual(1)
+    greek = shift2 = None
+    if cfg.factor2.is_riemannian:
+        greek, shift2 = block_residual(2)
+    return FlatFactorReport(latin, greek, shift1, shift2)
+
+
+def scalar_flag_residual(cfg: ProductConfig, p: TangentSample) -> tuple[float, float]:
+    """Least-squares isotropy fit of the first-factor curvature block.
+
+    Fits the Latin block of the product hh-curvature to
+    lambda * (delta^i_l g_jk - delta^i_k g_jl) over the factor metric and
+    returns (lambda_hat, isotropy defect).  Degenerate normal equations are
+    reported as an infinite defect rather than a guess.
+    """
+    return _scalar_flag(workspace(cfg).at(p))
+
+
+def _scalar_flag(wp: WorkPoint):
+    """The fit of :func:`scalar_flag_residual`, as arrays over a strip's samples."""
+    cfg = wp.cfg
+    if not cfg.factor1.is_riemannian:
+        raise PreconditionError("the scalar-flag fit needs factor 1 Riemannian")
+    if cfg.n1 < 2:
+        raise PreconditionError("the scalar-flag fit needs n1 >= 2")
+    n1 = cfg.n1
+    hh = wp.product.hh_curvature()[..., :n1, :n1, :n1, :n1]
+    pattern = _commutator_pattern(wp.factor1.g_values())
+    sel = np.array([[[[(i != k) or (j != l) for l in range(n1)] for k in range(n1)]
+                     for i in range(n1)] for j in range(n1)], dtype=bool)
+    e = pattern[..., sel]
+    r = hh[..., sel]
+    denom = vdot(e, e)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = vdot(r, e) / denom
+        defect = max_abs(r - scalar_axes(lam, 1) * e, wp.lead)
+    degenerate = denom < 1e-30
+    lam, defect = np.where(degenerate, np.nan, lam), np.where(degenerate, np.inf, defect)
+    return (lam, defect) if wp.lead else (float(lam), float(defect))
 
 
 # ---------------------------------------------------------------------------
@@ -126,33 +227,33 @@ def _feed_worst(tracker: _Tracker, values: np.ndarray, point: TangentSample,
 def _suite_homogeneity(spec: RunSpec, points) -> list[SuiteEntry]:
     cfg = spec.config
     ws = workspace(cfg)
+    n1 = cfg.n1
     metric = {lam: _Tracker() for lam in (0.5, 2.0, 7.0)}
     sprayt = _Tracker()
     euler = _Tracker()
     blocks = {k: _Tracker() for k in ("11", "12", "21", "22")}
-    # The rescaled copies are evaluated once, as one batch over (point, scale),
-    # and not kept in the workspace.
-    scaled = WorkPoint(ws, SampleBatch.of([p.fiber_scaled(lam) for p in points
-                                           for lam in metric]), SPRAY_ORDER).product
-    scaled_g = scaled.g_values().reshape(len(points), len(metric), cfg.n, cfg.n)
-    # The spray at scale 2, the second of the three.
-    scaled_spray = scaled.spray_values().reshape(len(points), len(metric), cfg.n)[:, 1]
-    for i, p in enumerate(points):
-        ep = ws.at(p).product
+    for wp in ws.strips(points):
+        ep, lead, at = wp.product, wp.lead, wp.samples
+        # The rescaled copies of a strip are evaluated once, as one batch over
+        # (sample, scale), and not kept in the workspace.
+        scaled = WorkPoint(ws, SampleBatch.of([p.fiber_scaled(lam) for p in at
+                                               for lam in metric]), SPRAY_ORDER).product
+        scaled_g = scaled.g_values().reshape(len(at), len(metric), cfg.n, cfg.n)
+        # The spray at scale 2, the second of the three.
+        scaled_spray = scaled.spray_values().reshape(len(at), len(metric), cfg.n)[:, 1]
         g = ep.g_values()
         for k, tr in enumerate(metric.values()):
-            tr.feed(np.max(np.abs(scaled_g[i, k] - g)), p)
+            tr.feed_all(max_abs(scaled_g[:, k] - g, lead), at)
         G = ep.spray_values()
-        sprayt.feed(np.max(np.abs(scaled_spray[i] - 4.0 * G)), p)
+        sprayt.feed_all(max_abs(scaled_spray - 4.0 * G, lead), at)
         N = ep.nonlinear_connection_values()
         yv = ep.fiber_values()
-        euler.feed(np.max(np.abs(N @ yv - 2.0 * G)), p)
-        contr = np.einsum("abc,c->ab", ep.connection_fiber_values(), yv) - N
-        n1 = cfg.n1
-        blocks["11"].feed(np.max(np.abs(contr[:n1, :n1])), p)
-        blocks["12"].feed(np.max(np.abs(contr[:n1, n1:])), p)
-        blocks["21"].feed(np.max(np.abs(contr[n1:, :n1])), p)
-        blocks["22"].feed(np.max(np.abs(contr[n1:, n1:])), p)
+        euler.feed_all(max_abs(matvec(N, yv) - 2.0 * G, lead), at)
+        contr = np.einsum("...abc,...c->...ab", ep.connection_fiber_values(), yv) - N
+        blocks["11"].feed_all(max_abs(contr[..., :n1, :n1], lead), at)
+        blocks["12"].feed_all(max_abs(contr[..., :n1, n1:], lead), at)
+        blocks["21"].feed_all(max_abs(contr[..., n1:, :n1], lead), at)
+        blocks["22"].feed_all(max_abs(contr[..., n1:, n1:], lead), at)
     out = [_entry(spec, "homogeneity", f"metric-rescale-{lam}", tr,
                   "homogeneity.metric") for lam, tr in metric.items()]
     out.append(_entry(spec, "homogeneity", "spray-rescale", sprayt,
@@ -166,7 +267,6 @@ def _suite_homogeneity(spec: RunSpec, points) -> list[SuiteEntry]:
 
 def _suite_block_structure(spec: RunSpec, points) -> list[SuiteEntry]:
     cfg = spec.config
-    ws = workspace(cfg)
     n1 = cfg.n1
     off = _Tracker()
     mixed_c = _Tracker()
@@ -174,25 +274,25 @@ def _suite_block_structure(spec: RunSpec, points) -> list[SuiteEntry]:
     mean = _Tracker()
     ang_null = _Tracker()
     c_null = _Tracker()
-    for p in points:
-        wp = ws.at(p)
-        ep = wp.product
+    pure = np.zeros((cfg.n,) * 3, dtype=bool)
+    pure[:n1, :n1, :n1] = True
+    pure[n1:, n1:, n1:] = True
+    for wp in workspace(cfg).strips(points):
+        ep, lead, at = wp.product, wp.lead, wp.samples
         g = ep.g_values()
-        off.feed(np.maximum(np.max(np.abs(g[:n1, n1:])), np.max(np.abs(g[n1:, :n1]))), p)
+        off.feed_all(np.maximum(max_abs(g[..., :n1, n1:], lead),
+                                max_abs(g[..., n1:, :n1], lead)), at)
         C = ep.cartan()
-        pure = np.zeros_like(C, dtype=bool)
-        pure[:n1, :n1, :n1] = True
-        pure[n1:, n1:, n1:] = True
-        mixed_c.feed(np.max(np.abs(C[~pure])) if (~pure).any() else 0.0, p)
+        mixed_c.feed_all(max_abs(C[..., ~pure], lead), at)
         expect = closed_forms.cartan_scaled_factor_blocks(wp)
-        scaled.feed(np.max(np.abs(C[:n1, :n1, :n1] - expect["111"])), p)
-        scaled.feed(np.max(np.abs(C[n1:, n1:, n1:] - expect["222"])), p)
+        scaled.feed_all(np.maximum(max_abs(C[..., :n1, :n1, :n1] - expect["111"], lead),
+                                   max_abs(C[..., n1:, n1:, n1:] - expect["222"], lead)), at)
         I = ep.mean_cartan()
-        mean.feed(np.max(np.abs(I[:n1] - wp.factor1.mean_cartan())), p)
-        mean.feed(np.max(np.abs(I[n1:] - wp.factor2.mean_cartan())), p)
+        mean.feed_all(np.maximum(max_abs(I[..., :n1] - wp.factor1.mean_cartan(), lead),
+                                 max_abs(I[..., n1:] - wp.factor2.mean_cartan(), lead)), at)
         yv = ep.fiber_values()
-        ang_null.feed(np.max(np.abs(ep.angular() @ yv)), p)
-        c_null.feed(np.max(np.abs(np.einsum("abc,c->ab", C, yv))), p)
+        ang_null.feed_all(max_abs(matvec(ep.angular(), yv), lead), at)
+        c_null.feed_all(max_abs(np.einsum("...abc,...c->...ab", C, yv), lead), at)
     return [
         _entry(spec, "block-structure", "metric-off-block", off),
         _entry(spec, "block-structure", "cartan-mixed-block", mixed_c),
@@ -208,34 +308,31 @@ def _suite_block_structure(spec: RunSpec, points) -> list[SuiteEntry]:
 
 
 def _suite_yfg(spec: RunSpec, points) -> list[SuiteEntry]:
-    ws = workspace(spec.config)
     tr = _Tracker()
-    for p in points:
-        ep = ws.at(p).product
-        yv = ep.fiber_values()
-        lhs = np.einsum("c,abc->ab", yv, ep.horizontal_values())
-        tr.feed(np.max(np.abs(lhs - ep.nonlinear_connection_values())), p)
+    for wp in workspace(spec.config).strips(points):
+        ep = wp.product
+        lhs = np.einsum("...c,...abc->...ab", ep.fiber_values(), ep.horizontal_values())
+        tr.feed_all(max_abs(lhs - ep.nonlinear_connection_values(), wp.lead), wp.samples)
     return [_entry(spec, "yF=G", "contraction", tr)]
 
 
 def _suite_matsumoto(spec: RunSpec, points) -> list[SuiteEntry]:
-    from .core import matsumoto_torsion
     cfg = spec.config
-    ws = workspace(cfg)
     n1 = cfg.n1
     ident = _Tracker()
     total = _Tracker()
     witness = _Tracker()
-    for p in points:
-        wp = ws.at(p)
-        M = matsumoto_torsion(cfg, p).array
-        y = np.asarray(p.y)
-        lhs = np.einsum("j,k,ajk->a", y, y, M[n1:, :n1, :n1])
+    for wp in workspace(cfg).strips(points):
+        ep, lead, at = wp.product, wp.lead, wp.samples
+        M = ep.matsumoto()
+        y = wp.factor1.fiber_values()
+        lhs = np.einsum("...j,...k,...ajk->...a", y, y, M[..., n1:, :n1, :n1])
         rhs = closed_forms.matsumoto_contraction_rhs(wp)
-        ident.feed(np.max(np.abs(lhs - rhs)), p)
-        witness.feed(min(np.max(np.abs(lhs)), np.max(np.abs(rhs))) if lhs.size else 0.0, p)
-        yv = wp.product.fiber_values()
-        total.feed(abs(np.einsum("a,b,c,abc->", yv, yv, yv, M)), p)
+        ident.feed_all(max_abs(lhs - rhs, lead), at)
+        # np.minimum, unlike min, keeps a NaN on either side.
+        witness.feed_all(np.minimum(max_abs(lhs, lead), max_abs(rhs, lead)), at)
+        yv = ep.fiber_values()
+        total.feed_all(np.einsum("...a,...b,...c,...abc->...", yv, yv, yv, M), at)
     out = [
         _entry(spec, "matsumoto-contraction", "mixed-contraction-identity", ident),
         _entry(spec, "matsumoto-contraction", "total-fiber-contraction", total,
@@ -251,20 +348,19 @@ def _suite_matsumoto(spec: RunSpec, points) -> list[SuiteEntry]:
 
 def _suite_berwald(spec: RunSpec, points) -> list[SuiteEntry]:
     cfg = spec.config
-    ws = workspace(cfg)
     blocks: dict[str, _Tracker] = {}
     sym = _Tracker()
     mag = _Tracker()
-    for p in points:
-        wp = ws.at(p)
+    for wp in workspace(cfg).strips(points):
+        lead, at = wp.lead, wp.samples
         B = wp.product.berwald()
         res = closed_forms.compare_blocks(B, closed_forms.berwald_blocks(wp),
                                           cfg.n1, cfg.n2)
         for key, val in res.items():
-            blocks.setdefault(key, _Tracker()).feed(val, p)
-        sym.feed(np.maximum(np.max(np.abs(B - np.transpose(B, (0, 2, 1, 3)))),
-                            np.max(np.abs(B - np.transpose(B, (0, 1, 3, 2))))), p)
-        mag.feed(np.max(np.abs(B)), p)
+            blocks.setdefault(key, _Tracker()).feed_all(val, at)
+        sym.feed_all(np.maximum(max_abs(B - np.swapaxes(B, -3, -2), lead),
+                                max_abs(B - np.swapaxes(B, -2, -1), lead)), at)
+        mag.feed_all(max_abs(B, lead), at)
     out = [_entry(spec, "berwald-blocks", f"block-{key}", tr)
            for key, tr in sorted(blocks.items())]
     out.append(_entry(spec, "berwald-blocks", "total-symmetry", sym,
@@ -280,10 +376,8 @@ def _suite_berwald(spec: RunSpec, points) -> list[SuiteEntry]:
 def _suite_closed_form_blocks(spec: RunSpec, points) -> list[SuiteEntry]:
     """The engine's spray, N, Gf and H against their warped closed forms, block by block."""
     cfg = spec.config
-    ws = workspace(cfg)
     blocks: dict[str, _Tracker] = {}
-    for p in points:
-        wp = ws.at(p)
+    for wp in workspace(cfg).strips(points):
         ep, q = wp.product, closed_forms.Ingredients(wp)
         for tensor, generic, closed in (
                 ("spray", ep.spray_values(), closed_forms.spray_blocks(wp, q)),
@@ -292,21 +386,20 @@ def _suite_closed_form_blocks(spec: RunSpec, points) -> list[SuiteEntry]:
                 ("Gf", ep.connection_fiber_values(), closed_forms.connection_fiber_blocks(wp, q)),
                 ("H", ep.horizontal_values(), closed_forms.horizontal_blocks(wp, q))):
             for key, val in closed_forms.compare_blocks(generic, closed, cfg.n1, cfg.n2).items():
-                blocks.setdefault(f"closed-form-{tensor}.{key}", _Tracker()).feed(val, p)
+                blocks.setdefault(f"closed-form-{tensor}.{key}", _Tracker()).feed_all(
+                    val, wp.samples)
     return [_entry(spec, "closed-form-blocks", name, tr) for name, tr in blocks.items()]
 
 
 def _suite_lemma41(spec: RunSpec, points) -> list[SuiteEntry]:
-    ws = workspace(spec.config)
     tr = _Tracker()
     anti = _Tracker()
-    for p in points:
-        ep = ws.at(p).product
+    for wp in workspace(spec.config).strips(points):
+        ep, lead, at = wp.product, wp.lead, wp.samples
         hh = ep.hh_curvature()
-        yv = ep.fiber_values()
-        tr.feed(np.max(np.abs(np.einsum("b,bacd->acd", yv, hh)
-                              - ep.bracket_curvature_values())), p)
-        anti.feed(np.max(np.abs(hh + np.transpose(hh, (0, 1, 3, 2)))), p)
+        tr.feed_all(max_abs(np.einsum("...b,...bacd->...acd", ep.fiber_values(), hh)
+                            - ep.bracket_curvature_values(), lead), at)
+        anti.feed_all(max_abs(hh + np.swapaxes(hh, -2, -1), lead), at)
     return [
         _entry(spec, "lemma41", "fiber-contraction", tr),
         _entry(spec, "lemma41", "pair-antisymmetry", anti, "lemma41.antisymmetry"),
@@ -314,18 +407,17 @@ def _suite_lemma41(spec: RunSpec, points) -> list[SuiteEntry]:
 
 
 def _suite_con1(spec: RunSpec, points) -> list[SuiteEntry]:
-    from .curvature import flat_factor_residual
     cfg = spec.config
     if not cfg.factor1.is_riemannian:
         return [SuiteEntry("con1", "skipped (factor 1 not Riemannian)", 0.0, None,
                            True, None, "identity undefined for this configuration")]
     latin = _Tracker()
     greek = _Tracker()
-    for p in points:
-        rep = flat_factor_residual(cfg, p)
-        latin.feed(rep.latin_residual, p)
+    for wp in workspace(cfg).strips(points):
+        rep = _flat_factor(wp)
+        latin.feed_all(rep.latin_residual, wp.samples)
         if rep.greek_residual is not None:
-            greek.feed(rep.greek_residual, p)
+            greek.feed_all(rep.greek_residual, wp.samples)
     out = [_entry(spec, "con1", "first-factor-block", latin)]
     if cfg.factor2.is_riemannian:
         out.append(_entry(spec, "con1", "second-factor-block", greek))
@@ -333,30 +425,27 @@ def _suite_con1(spec: RunSpec, points) -> list[SuiteEntry]:
 
 
 def _suite_scalar_flag(spec: RunSpec, points) -> list[SuiteEntry]:
-    from .curvature import scalar_flag_residual
     cfg = spec.config
     if not cfg.factor1.is_riemannian or cfg.n1 < 2:
         return [SuiteEntry("scalar-flag", "skipped (needs Riemannian factor 1, n1 >= 2)",
                            0.0, None, True, None, "")]
     tr = _Tracker()
-    for p in points:
-        lam, defect = scalar_flag_residual(cfg, p)
-        tr.feed(defect, p, note=f"fitted coefficient {lam:.6g}")
+    for wp in workspace(cfg).strips(points):
+        lam, defect = _scalar_flag(wp)
+        tr.feed_all(defect, wp.samples, lambda k: f"fitted coefficient {lam[k]:.6g}")
     return [_entry(spec, "scalar-flag", "isotropy-defect", tr)]
 
 
 def _suite_koszul(spec: RunSpec, points) -> list[SuiteEntry]:
-    cfg = spec.config
     compat = _Tracker()
     tors = _Tracker()
     blocks: dict[str, _Tracker] = {}
-    for p in points:
-        lp = lifted._lifted(cfg, p)
-        tab = lifted.koszul_levi_civita(cfg, p).entries
-        compat.feed(np.max(np.abs(lp.metric_derivative(tab))), p)
-        tors.feed(np.max(np.abs(lp.torsion(tab))), p)
-        for key, val in lifted.levi_civita_block_residuals(cfg, p).items():
-            blocks.setdefault(key, _Tracker()).feed(val, p)
+    for wp in workspace(spec.config).strips(points):
+        lp, lead, at = lifted.of(wp), wp.lead, wp.samples
+        compat.feed_all(max_abs(lp.metric_derivative(lp.koszul), lead), at)
+        tors.feed_all(max_abs(lp.torsion(lp.koszul), lead), at)
+        for key, val in lp.levi_civita_block_residuals().items():
+            blocks.setdefault(key, _Tracker()).feed_all(val, at)
     out = [
         _entry(spec, "koszul-vs-closed", "metric-compatibility", compat),
         _entry(spec, "koszul-vs-closed", "zero-torsion", tors),
@@ -367,27 +456,25 @@ def _suite_koszul(spec: RunSpec, points) -> list[SuiteEntry]:
 
 
 def _suite_vaisman(spec: RunSpec, points) -> list[SuiteEntry]:
-    cfg = spec.config
     axes = {"preservation": _Tracker(), "parallelism": _Tracker(), "torsion": _Tracker()}
-    for p in points:
-        for key, val in lifted.vaisman_axiom_residuals(cfg, p).items():
-            axes[key].feed(val, p)
+    for wp in workspace(spec.config).strips(points):
+        for key, val in lifted.of(wp).vaisman_axiom_residuals().items():
+            axes[key].feed_all(val, wp.samples)
     return [_entry(spec, "vaisman-axioms", name, tr)
             for name, tr in axes.items()]
 
 
 def _suite_reinhart(spec: RunSpec, points) -> list[SuiteEntry]:
-    cfg = spec.config
     defect = _Tracker()
     ident = _Tracker()
 
-    def note(a, b, c):
+    def note(sample, a, b, c):
         return f"X=vertical[{a}], Y=horizontal[{b}], Z=horizontal[{c}]"
 
-    for p in points:
-        d, i = lifted.reinhart_tables(cfg, p)
-        _feed_worst(defect, d, p, note)
-        _feed_worst(ident, d - i, p, note)
+    for wp in workspace(spec.config).strips(points):
+        d, i = lifted.of(wp).reinhart_tables()
+        defect.feed_all(d, wp.samples, note)
+        ident.feed_all(d - i, wp.samples, note)
     return [
         _entry(spec, "reinhart", "identity-match", ident, "reinhart.identity"),
         _entry(spec, "reinhart", "transversal-parallelism", defect),
@@ -398,20 +485,21 @@ def _suite_hermitian(spec: RunSpec, points) -> list[SuiteEntry]:
     cfg = spec.config
     J = lifted.almost_complex(cfg).matrix()
     m = J.shape[0]
+    n = cfg.n
     square = _Tracker()
     herm = _Tracker()
     table = _Tracker()
     anti = _Tracker()
     square.feed(np.max(np.abs(J @ J + np.eye(m))), None)
-    for p in points:
-        lp = lifted._lifted(cfg, p)
-        herm.feed(np.max(np.abs(J.T @ lp.metric @ J - lp.metric)), p)
-        om = lifted.symplectic_frame_table(cfg, p)
+    for wp in workspace(cfg).strips(points):
+        lp, lead, at = lifted.of(wp), wp.lead, wp.samples
+        herm.feed_all(max_abs(J.T @ lp.metric @ J - lp.metric, lead), at)
+        om = lp.symplectic_table()
         expected = np.zeros_like(om)
-        expected[:lp.n, lp.n:] = lp.g
-        expected[lp.n:, :lp.n] = -lp.g
-        table.feed(np.max(np.abs(om - expected)), p)
-        anti.feed(np.max(np.abs(om + om.T)), p)
+        expected[..., :n, n:] = lp.g
+        expected[..., n:, :n] = -lp.g
+        table.feed_all(max_abs(om - expected, lead), at)
+        anti.feed_all(max_abs(om + np.swapaxes(om, -1, -2), lead), at)
     close = lifted.closedness_check(cfg, points)
     dtr = _Tracker()
     dtr.feed(close.d_residual, None)
@@ -428,13 +516,12 @@ def _suite_hermitian(spec: RunSpec, points) -> list[SuiteEntry]:
 
 
 def _suite_nijenhuis(spec: RunSpec, points) -> list[SuiteEntry]:
-    cfg = spec.config
     agree = _Tracker()
     skew = _Tracker()
-    for p in points:
-        closed, direct = lifted.nijenhuis_tables(cfg, p)
-        agree.feed(np.max(np.abs(closed - direct)), p)
-        skew.feed(np.max(np.abs(direct + np.swapaxes(direct, 0, 1))), p)
+    for wp in workspace(spec.config).strips(points):
+        closed, direct = lifted.of(wp).nijenhuis_tables()
+        agree.feed_all(max_abs(closed - direct, wp.lead), wp.samples)
+        skew.feed_all(max_abs(direct + np.swapaxes(direct, -3, -2), wp.lead), wp.samples)
     return [
         _entry(spec, "nijenhuis", "closed-vs-direct", agree),
         _entry(spec, "nijenhuis", "skew-symmetry", skew, "nijenhuis.skew"),
@@ -489,6 +576,12 @@ def _fd_partials(ws, p: TangentSample, order: int, read, multis) -> list:
     return out
 
 
+def _random_directions(rng: np.random.Generator, coords: list) -> tuple:
+    """1 to 3 coordinates drawn at random, repeats allowed."""
+    order = int(rng.integers(1, 4))
+    return tuple(coords[int(i)] for i in rng.integers(0, len(coords), order))
+
+
 def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     cfg = spec.config
     ws = workspace(cfg)
@@ -497,28 +590,30 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     f2tr = _Tracker()
     gtr = _Tracker()
     subset = points[:min(3, len(points))]
-    for p in subset:
-        for _ in range(8):
-            order = int(rng.integers(1, 4))
-            dirs = tuple(coords[int(i)] for i in rng.integers(0, len(coords), order))
-            multi = MultiIndex.of(dirs)
-            jet = jet_lift(cfg.F2, p, multi.directions, multi.order).partial(multi)
-            fd = fd_partial(cfg.F2, p, multi)
-            f2tr.feed(abs(jet - fd) / (1.0 + abs(jet)), p, note=f"dirs={dirs}")
-        g = ws.at(p).product.g_values()
-        for a in range(cfg.n):
-            for b in range(cfg.n):
-                fd = 0.5 * fd_partial(cfg.F2, p, (cfg.fiber[a], cfg.fiber[b]))
-                gtr.feed(abs(g[a, b] - fd) / (1.0 + abs(fd)), p)
+    # The engine's g at the subset, read off the strips that hold it.
+    strips = ws.strips(points)
+    g = np.concatenate([wp.product.g_values() for wp in strips[:len(subset)]])
+    # The finite-difference oracle evaluates F^2 on plain floats, probe by
+    # probe: 8 random partials at each point of the subset, drawn in order,
+    # and every fiber pair of g there.
+    probes = [(p, _random_directions(rng, coords)) for p in subset for _ in range(8)]
+    for p, dirs in probes:
+        multi = MultiIndex.of(dirs)
+        jet = jet_lift(cfg.F2, p, multi.directions, multi.order).partial(multi)
+        fd = fd_partial(cfg.F2, p, multi)
+        f2tr.feed(abs(jet - fd) / (1.0 + abs(jet)), p, note=f"dirs={dirs}")
+    for (k, p), (a, b) in itertools.product(enumerate(subset), np.ndindex(cfg.n, cfg.n)):
+        fd = 0.5 * fd_partial(cfg.F2, p, (cfg.fiber[a], cfg.fiber[b]))
+        gtr.feed(abs(g[k, a, b] - fd) / (1.0 + abs(fd)), p)
     # Derived fields: the spray and its fiber derivatives against fd towers.
     conn = _Tracker()
     connfd = _Tracker()
     berw = _Tracker()
     p = points[0]
-    ep = ws.at(p).product
-    N = ep.nonlinear_connection_values()
-    Gf = ep.connection_fiber_values()
-    B = ep.berwald()
+    ep = strips[0].product
+    N = ep.nonlinear_connection_values()[0]
+    Gf = ep.connection_fiber_values()[0]
+    B = ep.berwald()[0]
     # fd_conn[b][a] = dG^a / dy^b: one stencil per fiber direction serves every a.
     # Gf and B are checked at one random component (b, c), (b, c, d) per a.
     fib, n = cfg.fiber, cfg.n
@@ -542,7 +637,7 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     # representative component: the leading block of the curvature assembly.
     a, b, c = 0, 0, cfg.n1  # mixed-factor slot: nonzero for warped products
     hdelta = _Tracker()
-    dH = ep.delta(ep.horizontal_coefficients())
+    dH = ep.delta(ep.horizontal_coefficients())[0]
     fd = _fd_partials(ws, p, VALUE_ORDER, lambda q: q.horizontal_values()[..., a, b, c],
                       [(y,) for y in fib] + [(x,) for x in cfg.base])
     fd_fiber, fd_base = fd[:n], fd[n:]

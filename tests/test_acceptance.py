@@ -12,8 +12,9 @@ from dwfinsler import TangentSample, fixture
 from dwfinsler import lifted as lf
 from dwfinsler.cli import main
 from dwfinsler.connection import spray
-from dwfinsler.curvature import hh_curvature, scalar_flag_residual
+from dwfinsler.curvature import hh_curvature
 from dwfinsler.runspec import fixture_runspec, sample_points
+from dwfinsler.suites import scalar_flag_residual
 from conftest import ALL_FIXTURES, entries
 
 

@@ -4,14 +4,15 @@ sample of it has the bits, and the errors, of its own evaluation."""
 import numpy as np
 import pytest
 
-from dwfinsler import fixture
-from dwfinsler.engine import (SPRAY_ORDER, VALUE_ORDER, EnginePoint, FinslerEngine,
-                              WorkPoint, workspace)
+from dwfinsler import closed_forms, fixture, lifted
+from dwfinsler.engine import (LIFT_ORDER, SPRAY_ORDER, VALUE_ORDER, EnginePoint,
+                              FinslerEngine, WorkPoint, workspace)
 from dwfinsler.coords import base1, fiber1
 from dwfinsler.errors import DomainError, SingularMetricError, SlitConditionError
 from dwfinsler.jets import sqrt
 from dwfinsler.linalg import invert_matrix
-from dwfinsler.metrics import SampleBatch, TangentSample
+from dwfinsler.metrics import (CustomFactor, EuclideanFactor, ProductConfig, SampleBatch,
+                               TangentSample)
 from dwfinsler.runspec import fixture_runspec, parse_spec, sample_points
 
 from conftest import ALL_FIXTURES
@@ -33,15 +34,48 @@ CASES = _cases()
 #: The engine tensors a batch carries, by the lowest order that gives them.
 _TENSORS = {SPRAY_ORDER: ("g", "ginv", "spray"),
             VALUE_ORDER: ("g", "ginv", "spray", "nonlinear_connection", "delta_g",
-                          "horizontal_coefficients")}
+                          "horizontal_coefficients"),
+            LIFT_ORDER: ("g", "ginv", "spray", "nonlinear_connection",
+                         "connection_fiber_derivative", "delta_g", "horizontal_coefficients")}
+
+#: The value arrays of every engine that a suite reads at LIFT_ORDER.
+_ARRAYS = ("cartan", "mean_cartan", "angular", "matsumoto", "berwald",
+           "bracket_curvature_values", "hh_curvature", "riemann_map")
 
 
-@pytest.mark.parametrize("order", [SPRAY_ORDER, VALUE_ORDER])
+def _suite_arrays(wp) -> dict:
+    """Every array a suite reads off a LIFT_ORDER work point, beyond the engine jets."""
+    out = {f"{e}.{name}": getattr(getattr(wp, e), name)()
+           for e in ("product", "factor1", "factor2") for name in _ARRAYS}
+    ep = wp.product
+    out["delta H"] = ep.delta(ep.horizontal_coefficients())
+    for which in (1, 2):
+        out[f"warp {which}"] = np.asarray(wp.warp_sq(which))
+        out[f"warp gradient {which}"] = wp.warp_gradient(which)
+        out[f"grad warp norm {which}"] = np.asarray(wp.grad_warp_norm_sq(which))
+    q = closed_forms.Ingredients(wp)
+    families = {"spray": closed_forms.spray_blocks(wp, q),
+                "N": closed_forms.nonlinear_connection_blocks(wp, q),
+                "Gf": closed_forms.connection_fiber_blocks(wp, q),
+                "H": closed_forms.horizontal_blocks(wp, q),
+                "B": closed_forms.berwald_blocks(wp),
+                "C": closed_forms.cartan_scaled_factor_blocks(wp)}
+    out.update((f"closed {f}.{key}", arr) for f, blocks in families.items()
+               for key, arr in blocks.items())
+    out["closed matsumoto"] = closed_forms.matsumoto_contraction_rhs(wp)
+    lp = lifted.of(wp)
+    out.update(dm=lp.dm, br=lp.br, koszul=lp.koszul, vaisman=lp.vaisman,
+               closed_levi_civita=lifted._levi_civita_closed_table(lp))
+    return out
+
+
+@pytest.mark.parametrize("order", [SPRAY_ORDER, VALUE_ORDER, LIFT_ORDER])
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 def test_a_batch_equals_its_samples_bit_for_bit(case, order):
     _, cfg, points = case
     ws = workspace(cfg)
     batch = WorkPoint(ws, SampleBatch.of(points), order)
+    arrays = _suite_arrays(batch) if order == LIFT_ORDER else {}
     for k, p in enumerate(points):
         single = WorkPoint(ws, p, order)
         for engine in ("product", "factor1", "factor2"):
@@ -51,6 +85,10 @@ def test_a_batch_equals_its_samples_bit_for_bit(case, order):
                 assert b.ctx is s.ctx and b.shape == (len(points),) + s.shape, name
                 assert b.c[k].tobytes() == s.c.tobytes(), (engine, name)
             assert got.g_condition()[k] == want.g_condition()
+        if arrays:
+            for name, want in _suite_arrays(single).items():
+                assert arrays[name].shape == (len(points),) + want.shape, name
+                assert arrays[name][k].tobytes() == want.tobytes(), name
 
 
 def test_g_condition_is_the_estimate_of_the_value_inverse(p4):
@@ -99,6 +137,26 @@ def test_one_bad_sample_fails_the_batch_as_it_fails_alone(engine, bad, error):
         EnginePoint(engine, batch, VALUE_ORDER).spray()
 
 
+@pytest.mark.parametrize("field,bad,error", [
+    (lambda pos, fib: fib[0] ** 2 + (pos[0] * fib[1]) ** 2 + 0.25 * (pos[1] * fib[1]) ** 2,
+     (0.0, 0.0), SingularMetricError),
+    (lambda pos, fib: sqrt(pos[0]) * (fib[0] ** 2 + fib[1] ** 2), (-0.5, 0.3), DomainError),
+], ids=["singular g", "sqrt of a negative"])
+def test_one_bad_sample_fails_the_battery_as_it_fails_alone(field, bad, error, monkeypatch):
+    import dwfinsler.suites as suites
+    cfg = ProductConfig(CustomFactor(2, field), EuclideanFactor(1))
+    good = TangentSample((0.4, -0.2), (0.5,), (1.0, 0.3), (1.0,))
+    worse = TangentSample(bad, (0.5,), (1.0, 0.3), (1.0,))
+    assert workspace(cfg).at(good).product.hh_curvature().shape == (3, 3, 3, 3)
+    with pytest.raises(error):
+        workspace(cfg).at(worse).product.hh_curvature()
+    spec = fixture_runspec("FIX-E", suites=("yF=G",))
+    spec = type(spec)("custom", cfg, spec.sampling, spec.suites, (), spec.tolerances)
+    monkeypatch.setattr(suites, "sample_points", lambda _: [good, worse, good])
+    with pytest.raises(error):
+        suites.run_suites(spec)
+
+
 def test_a_field_constant_over_a_batch_keeps_its_sample_axis():
     batch = SampleBatch.of([TangentSample((0.1 * k,), (0.5,), (1.0,), (1.0,)) for k in range(3)])
     engine = FinslerEngine(lambda c: 2.5, (base1(0),), (fiber1(0),))
@@ -112,23 +170,41 @@ def test_side_points_are_evaluated_as_batches(monkeypatch):
     # The fiber-rescaled copies of homogeneity are one batch, and the
     # fd-crosscheck stencils at most one batch per stencil; no side point is
     # evaluated on its own.
+    import dwfinsler.engine as engine
     import dwfinsler.suites as suites
     built = []
 
     class Counted(WorkPoint):
-        def __init__(self, ws, sample, order):
+        def __init__(self, ws, sample, order=LIFT_ORDER):
             super().__init__(ws, sample, order)
-            built.append(sample)
+            built.append((sample, order))
 
     monkeypatch.setattr(suites, "WorkPoint", Counted)
+    monkeypatch.setattr(engine, "WorkPoint", Counted)
     spec = fixture_runspec("FIX-R", suites=("homogeneity",))
+    workspace(spec.config).clear()
     suites.run_suites(spec)
-    assert all(isinstance(s, SampleBatch) for s in built)
-    assert [len(s) for s in built] == [3 * spec.sampling.count]
+    side = [s for s, order in built if order != LIFT_ORDER]
+    assert all(isinstance(s, SampleBatch) for s in side)
+    assert [len(s) for s in side] == [3 * spec.sampling.count]
     built.clear()
     n = spec.config.n
     suites.run_suites(fixture_runspec("FIX-R", suites=("fd-crosscheck",)))
+    side = [s for s, order in built if order != LIFT_ORDER]
     # The spray: n stencils of order 1, 2 and 3 each; H: 2n of order 1.
-    assert 1 <= len(built) <= 5 * n
-    assert all(isinstance(s, SampleBatch) for s in built)
-    assert sum(len(s) for s in built) == n * (4 + 16 + 64) + 2 * n * 4
+    assert 1 <= len(side) <= 5 * n
+    assert all(isinstance(s, SampleBatch) for s in side)
+    assert sum(len(s) for s in side) == n * (4 + 16 + 64) + 2 * n * 4
+    # A whole battery evaluates its sampled points as one strip at LIFT_ORDER.
+    for name, count in (("FIX-1D", 150), ("FIX-R", 25)):
+        spec = fixture_runspec(name, count=count)
+        ws = workspace(spec.config)
+        ws.clear()
+        built.clear()
+        try:
+            assert suites.run_suites(spec).ok
+        finally:
+            ws.clear()
+        strips = [s for s, order in built if order == LIFT_ORDER]
+        assert len(strips) == 1 and isinstance(strips[0], SampleBatch), name
+        assert len(strips[0]) == count

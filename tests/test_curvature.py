@@ -5,8 +5,8 @@ from dwfinsler import (ConstantWarp, EuclideanFactor, PolyQuadraticWarp,
                        ProductConfig, RandersFactor, TangentSample, fixture)
 from dwfinsler.curvature import (FlagInput, berwald_block_residuals,
                                  berwald_curvature, curvature_bundle,
-                                 flag_curvature, flat_factor_residual,
-                                 hh_curvature, riemann_map, scalar_flag_residual)
+                                 flag_curvature, hh_curvature, riemann_map)
+from dwfinsler.suites import flat_factor_residual, scalar_flag_residual
 from dwfinsler.engine import workspace
 from dwfinsler.errors import PreconditionError
 from conftest import region

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from dwfinsler import fixture, suites
+from dwfinsler import closed_forms, fixture, suites
 from dwfinsler.cli import main
-from dwfinsler.engine import EnginePoint, workspace
+from dwfinsler.engine import LIFT_ORDER, EnginePoint, workspace
 from dwfinsler.errors import UnknownSuiteError
 from dwfinsler.runspec import fixture_document, fixture_runspec, sample_points
 from dwfinsler.suites import (SuiteEntry, _entry, _Tracker, emit_report,
@@ -193,6 +196,29 @@ def test_tracker_fails_closed_on_nan():
         assert entry.note == "bad"
 
 
+_TRACKED = st.sampled_from([0.0, -0.0, 1e-300, 1.0, -1.0, 2.0, -2.0, math.inf, -math.inf,
+                            math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(prior=st.lists(_TRACKED, max_size=3),
+       values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=4),
+                         elements=_TRACKED))
+def test_feed_all_equals_sequential_feed(prior, values):
+    # The array feed keeps the worst value and witness that feeding every
+    # entry in C order would: the last of a tie, the first NaN, and inf.
+    points = [f"sample {k}" for k in range(values.shape[0])]
+    one, many = _Tracker(), _Tracker()
+    for tr in (one, many):
+        for v in prior:
+            tr.feed(v, "before", "before")
+    for index in np.ndindex(values.shape):
+        one.feed(values[index], points[index[0]], str(index))
+    many.feed_all(values, points, lambda *index: str(index))
+    assert (one.point, one.note) == (many.point, many.note)
+    assert one.value == many.value or (math.isnan(one.value) and math.isnan(many.value))
+
+
 def test_nan_residual_reaches_max_residual(monkeypatch):
     def stand_in(spec, points):
         nan = _Tracker()
@@ -212,28 +238,57 @@ def test_nan_residual_reaches_max_residual(monkeypatch):
     ("totally-geodesic", "cartan"),
     ("hermitian", "nonlinear_connection_values"),
     ("vaisman-axioms", "cartan"),
+    ("yF=G", "horizontal_values"),
+    ("lemma41", "hh_curvature"),
+    ("berwald-blocks", "berwald"),
+    ("block-structure", "angular"),
+    ("con1", "hh_curvature"),
+    ("closed-form-blocks", "spray_values"),
 ])
 def test_nan_at_one_sample_fails_the_suite(suite, accessor, monkeypatch):
-    # A product tensor that is NaN at the second sample only: a NaN that is not
-    # the first value of a maximum must still reach the verdict.
+    # A product tensor of the battery's strip that is NaN at its second sample
+    # only: a NaN that is not the first value of a maximum must still reach
+    # the verdict.
     spec = fixture_runspec("FIX-E", count=20, suites=(suite,))
-    bad = sample_points(spec)[1]
     real = getattr(EnginePoint, accessor)
     ws = workspace(fixture("FIX-E"))
 
     def poisoned(self):
         out = real(self)
-        hit = self.engine is ws.product and self.sample == bad
-        return np.full_like(out, np.nan) if hit else out
+        if self.engine is ws.product and self.order == LIFT_ORDER and self.lead:
+            out = out.copy()
+            out[1] = np.nan
+        return out
 
     ws.clear()
     monkeypatch.setattr(EnginePoint, accessor, poisoned)
     try:
         rep = run_suites(spec)
+        (strip,) = ws.strips(sample_points(spec))
     finally:
         ws.clear()  # drop every value built on the poisoned accessor
+    assert strip.samples == tuple(sample_points(spec))
     (result,) = rep.suites
     assert not result.passed and not rep.ok
+
+
+def test_a_nan_in_the_matsumoto_closed_form_fails_the_witness(monkeypatch):
+    # The witness-nonzero entry takes the smaller of max|lhs| and max|rhs| at
+    # each sample; a NaN on the closed-form side must fail it, not be dropped
+    # as Python's min(1.0, nan) == 1.0 would.
+    real = closed_forms.matsumoto_contraction_rhs
+
+    def poisoned(wp):
+        out = real(wp).copy()
+        out[1] = np.nan  # the second sample of the strip
+        return out
+
+    monkeypatch.setattr(closed_forms, "matsumoto_contraction_rhs", poisoned)
+    rep = run_suites(fixture_runspec("FIX-R", count=4, suites=("matsumoto-contraction",)))
+    (result,) = rep.suites
+    witness = next(e for e in result.entries if e.name == "witness-nonzero")
+    assert not witness.passed and math.isnan(witness.residual)
+    assert not rep.ok
 
 
 def test_cli_rejects_malformed_tolerances_and_warps(tmp_path, capsys):
