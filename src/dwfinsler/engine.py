@@ -29,9 +29,10 @@ which the inverse rejects with :class:`~dwfinsler.errors.SingularMetricError`.
 A point may be a batch of samples (:class:`~dwfinsler.metrics.SampleBatch`):
 every tensor then has one more leading axis, over the samples, and every
 method runs unchanged on it, its contractions written over a leading
-``...``.  The value inverse inverts each sample's matrix on its own, so a
-batch gives each sample the bits of its own evaluation, and a sample that
-fails alone fails the batch with the same error.  The harness evaluates its
+``...``.  The value inverse of a batch is one Gauss-Jordan over its
+samples that runs each sample's own pivots and operations, so a batch gives
+each sample the bits of its own evaluation, and a sample that fails alone
+fails the batch with the same error.  The harness evaluates its
 sampled points this way, as strips (:meth:`Workspace.strips`), and its side
 points too (fiber-rescaled copies, finite-difference stencils); a single
 sample serves the library API, the CLI and streams of fresh points.
@@ -62,7 +63,7 @@ import numpy as np
 from .blocks import matvec
 from .coords import CoordIndex, base_coords, fiber_coords
 from .jets import Jet, einsum, jet_lift, support_lift
-from .linalg import invert_matrix
+from .linalg import invert_batch, invert_matrix
 from .metrics import ProductConfig, SampleBatch, TangentSample
 
 #: Jet order of the whole-point lift of F^2: the Berwald tensor is the third
@@ -140,17 +141,21 @@ class EnginePoint:
         return 0.5 * self.lift().grad(fib).grad(fib)
 
     @_once
-    def _value_inverse(self) -> tuple[np.ndarray, tuple[float, ...]]:
-        """g0^-1, each sample inverted alone, and the samples' condition estimates."""
+    def _value_inverse(self) -> tuple[np.ndarray, float | np.ndarray]:
+        """g0^-1 and its condition estimate: one Gauss-Jordan over the samples
+        of a batch (:func:`~dwfinsler.linalg.invert_batch`), which gives each
+        sample the bits of its own inversion, and the float elimination of
+        :func:`~dwfinsler.linalg.invert_matrix` for a single sample, where
+        array operations cost more than they save."""
         g0 = self.g().value
-        n = g0.shape[-1]
-        inverses, conditions = zip(*map(invert_matrix, g0.reshape(-1, n, n).tolist()))
-        return np.array(inverses).reshape(g0.shape), conditions
+        if self.lead:
+            return invert_batch(g0)
+        inverse, cond = invert_matrix(g0.tolist())
+        return np.array(inverse), cond
 
     def g_condition(self) -> float | np.ndarray:
         """The 1-norm condition estimate of g's value (one per sample of a batch)."""
-        cond = np.reshape(self._value_inverse()[1], self.g().shape[:-2])
-        return float(cond) if cond.ndim == 0 else cond
+        return self._value_inverse()[1]
 
     @_once
     def ginv(self) -> Jet:

@@ -36,10 +36,11 @@ support jet never need the larger context; :meth:`Jet.partial`,
 
 The engine (:mod:`dwfinsler.engine`) lifts each squared norm once per point
 with :func:`support_lift` and memoizes that lift; :func:`jet_lift` serves the
-finite-difference cross-checks and the public API.  :func:`fd_partial` is a
-stencil (:func:`fd_stencil`) and a Richardson combination of the values at
-its points (:func:`fd_combine`), so a caller may evaluate a stencil as one
-batch.
+finite-difference cross-checks and the public API.  The finite differences
+run on float batches: :func:`fd_partials` builds the stencils of many probes
+as coordinate arrays (:func:`fd_stencil`), evaluates the field once on all
+their points as one batch, and combines the values of each order's probes at
+once (:func:`fd_combine`); :func:`fd_partial` is its single probe.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .errors import CapabilityError, DomainError
 
 __all__ = [
     "Jet", "JetContext", "jet_lift", "support_lift", "fd_partial", "fd_stencil",
-    "fd_combine", "einsum", "sqrt", "exp", "as_float",
+    "fd_combine", "fd_partials", "einsum", "sqrt", "exp",
 ]
 
 
@@ -566,22 +567,30 @@ def einsum(spec: str, a: Jet, b: Jet) -> Jet:
 
 
 def sqrt(x):
-    """sqrt for plain floats and jets alike."""
+    """sqrt for plain floats, value arrays and jets alike, each entry checked
+    on its own."""
     if isinstance(x, Jet):
         return x.sqrt()
+    if isinstance(x, np.ndarray):
+        # Checked on Python floats, as in Jet.sqrt; np.sqrt is correctly
+        # rounded, as math.sqrt is.
+        bad = [t for t in x.ravel().tolist() if t <= 0.0]
+        if bad:
+            raise DomainError(f"sqrt of non-positive value {bad[0]}")
+        return np.sqrt(x)
     if x <= 0.0:
         raise DomainError(f"sqrt of non-positive value {x}")
     return math.sqrt(x)
 
 
 def exp(x):
+    """exp for plain floats, value arrays and jets alike, with the bits of
+    ``math.exp`` at each entry."""
     if isinstance(x, Jet):
         return x.exp()
+    if isinstance(x, np.ndarray):
+        return _exp_values(x)
     return math.exp(x)
-
-
-def as_float(x) -> float:
-    return x.value if isinstance(x, Jet) else float(x)
 
 
 class CoordView:
@@ -637,11 +646,51 @@ def jet_lift(field: ScalarField, point, seeds: Sequence[CoordIndex], order: int)
 FD_DEFAULT_STEPS = {1: 1e-4, 2: 1e-3, 3: 4e-3}
 
 
-def _richardson(leaf, point, multi, step: float | None):
-    """The nested central differences with Richardson extrapolation of
-    :func:`fd_partial` at ``point``, reading the field's value at each stencil
-    point from ``leaf``, which is called on their (x, u, y, v) coordinate
-    groups in a fixed order."""
+def fd_stencil(rows: np.ndarray, positions: np.ndarray, step: float):
+    """The stencils of probes of one order, as arrays.
+
+    ``rows[P, C]`` holds each probe's point, its coordinates (x, u, y, v) in
+    one row, and ``positions[P, k]`` the positions in a row of the probe's k
+    directions, outermost first.  Each direction in turn moves every point of
+    the stencil so far to four, shifted along it by +h/2, -h/2, +h and -h,
+    with h = step * (1 + |coordinate|) read at that point, which earlier
+    directions may have shifted.  Returns the stencil points
+    ``[P, 4**k, C]``, in the order of the nested central differences, and
+    the steps ``h[P, 4**j]`` of each level j, for :func:`fd_combine`.
+    """
+    points = np.asarray(rows, dtype=float)[:, None, :]
+    probes = np.arange(len(points))
+    steps = []
+    for at in np.asarray(positions, dtype=int).reshape(len(points), -1).T:
+        coord = points[probes, :, at]
+        h = step * (1.0 + abs(coord))
+        half = h / 2.0
+        shifted = coord[..., None] + np.stack([half, -half, h, -h], axis=-1)
+        points = np.repeat(points, 4, axis=1)
+        points[probes, :, at] = shifted.reshape(len(points), -1)
+        steps.append(h)
+    return points, steps
+
+
+def fd_combine(values, steps) -> np.ndarray:
+    """The estimates ``[P, ...]`` of probes of one order from the values
+    ``[P, 4**k, ...]`` of a field at the points of their :func:`fd_stencil`,
+    given its ``steps``.
+
+    Innermost first, the four values around each point become the central
+    differences D(s) = (f(+s) - f(-s)) / (2 s) at s = h/2 and h, combined by
+    Richardson extrapolation as (4 D(h/2) - D(h)) / 3.
+    """
+    values = np.asarray(values, dtype=float)
+    for h in reversed(steps):
+        v = values.reshape(h.shape + (4,) + values.shape[2:])
+        h = h.reshape(h.shape + (1,) * (values.ndim - 2))
+        values = (4.0 * ((v[:, :, 0] - v[:, :, 1]) / (2.0 * (h / 2.0)))
+                  - (v[:, :, 2] - v[:, :, 3]) / (2.0 * h)) / 3.0
+    return values[:, 0]
+
+
+def _checked(multi, step: float | None) -> tuple[MultiIndex, float]:
     if not isinstance(multi, MultiIndex):
         multi = MultiIndex.of(multi)
     if multi.order > 3:
@@ -650,67 +699,65 @@ def _richardson(leaf, point, multi, step: float | None):
         step = FD_DEFAULT_STEPS[max(multi.order, 1)]
     if step <= 0.0:
         raise ValueError("fd step must be positive")
-
-    def differentiate(fun, coord):
-        block, offset = coord.block, coord.offset
-
-        def estimate(groups):
-            h = step * (1.0 + abs(groups[block][offset]))
-
-            def central(hh):
-                return (fun(_shifted(groups, block, offset, hh))
-                        - fun(_shifted(groups, block, offset, -hh))) / (2.0 * hh)
-
-            return (4.0 * central(h / 2.0) - central(h)) / 3.0
-
-        return estimate
-
-    fun = leaf
-    for coord in reversed(multi.directions):
-        fun = differentiate(fun, coord)
-    return fun((point.x, point.u, point.y, point.v))
+    return multi, step
 
 
-def _shifted(groups, block: int, offset: int, delta: float) -> list:
-    """Coordinate groups with one coordinate moved by ``delta``."""
-    group = groups[block]
-    out = list(groups)
-    out[block] = group[:offset] + (group[offset] + delta,) + group[offset + 1:]
+def fd_partials(evaluate: Callable, probes, step: float | None = None) -> list:
+    """The :func:`fd_partial` estimates of many probes, ``(point, multi)``
+    pairs, from one evaluation.
+
+    ``evaluate`` is handed the points of every probe's stencil as one
+    :class:`~dwfinsler.metrics.SampleBatch` and returns their values along a
+    leading axis (floats, or arrays of one shape).  The stencils of probes
+    of one order are built and combined as arrays (:func:`fd_stencil`,
+    :func:`fd_combine`).  Returns the estimates in the order of ``probes``.
+    """
+    from .metrics import SampleBatch
+    checked = [_checked(multi, step) for _, multi in probes]
+    groups: dict[tuple[int, float], list[int]] = {}
+    for k, (multi, h) in enumerate(checked):
+        groups.setdefault((multi.order, h), []).append(k)
+    stencils = []
+    for (order, h), ks in groups.items():
+        rows = [probes[k][0].x + probes[k][0].u + probes[k][0].y + probes[k][0].v for k in ks]
+        positions = [[_row_position(probes[k][0], c) for c in checked[k][0].directions]
+                     for k in ks]
+        stencils.append((ks,) + fd_stencil(np.array(rows), np.array(positions), h))
+    first = probes[0][0]
+    values = np.asarray(evaluate(SampleBatch.stacked(
+        np.concatenate([points.reshape(-1, points.shape[-1]) for _, points, _ in stencils]),
+        len(first.x), len(first.u))), dtype=float)
+    out: list = [None] * len(probes)
+    start = 0
+    for ks, points, steps in stencils:
+        size = points.shape[0] * points.shape[1]
+        chunk = values[start:start + size].reshape(points.shape[:2] + values.shape[1:])
+        for k, estimate in zip(ks, fd_combine(chunk, steps)):
+            out[k] = estimate
+        start += size
     return out
 
 
-def fd_stencil(point, multi, step: float | None = None) -> list:
-    """The points at which :func:`fd_partial` evaluates the field, in the order
-    :func:`fd_combine` reads their values: 4**order of them, each of the type
-    of ``point``."""
-    points = []
-    _richardson(lambda groups: points.append(type(point)(*groups)) or 0.0,
-                point, multi, step)
-    return points
-
-
-def fd_combine(values, point, multi, step: float | None = None):
-    """The :func:`fd_partial` estimate from the field's ``values`` at the points
-    of :func:`fd_stencil` (floats or arrays, one per point, in its order)."""
-    values = iter(values)
-    return _richardson(lambda groups: next(values), point, multi, step)
+def _row_position(point, coord: CoordIndex) -> int:
+    """The position of ``coord`` in the row x + u + y + v of ``point``."""
+    sizes = (len(point.x), len(point.u), len(point.y), len(point.v))
+    return sum(sizes[:coord.block]) + coord.offset
 
 
 def fd_partial(field: ScalarField, point, multi, step: float | None = None):
     """Central-difference mixed partial with Richardson extrapolation.
 
-    Independent of the jet path by construction: only plain float evaluations
-    of ``field`` at shifted points are used.  It is the combination
-    (:func:`fd_combine`) of the field's values at the points of its stencil
-    (:func:`fd_stencil`), each evaluated on its own here; a caller that can
-    evaluate the field on a whole stencil at once passes those values to
-    :func:`fd_combine` instead, with the same result.  A field may return an
-    array, so one stencil serves all of its components; the result is then
-    an array of the same shape.  Total order is capped at 3, beyond which
+    Independent of the jet path by construction: only plain float
+    evaluations of ``field`` at shifted points are used, on every point of
+    the stencil at once, as one batch (:func:`fd_partials`), so the field
+    acts on each entry alone, as the metric fields do.  A field may return
+    an array of components, each with the stencil axis last, as an array of
+    coordinate expressions has it; the result is then an array of the
+    components' shape.  Total order is capped at 3, beyond which
     cancellation noise dominates.
     """
-    def value_at(groups):
-        out = field(CoordView(type(point)(*groups)))
-        return np.array(out, dtype=float) if np.ndim(out) else as_float(out)
+    def evaluate(batch):
+        out = np.asarray(field(CoordView(batch)), dtype=float)
+        return np.moveaxis(out, -1, 0) if out.ndim else np.full(len(batch), out)
 
-    return _richardson(value_at, point, multi, step)
+    return fd_partials(evaluate, [(point, multi)], step)[0]

@@ -167,8 +167,11 @@ class _LiftedPoint:
         """Omega(e_A, e_B) = G(e_A, J e_B) over all frame pairs [A, B]."""
         return self.metric @ ComplexStructure(self.n1, self.n2).matrix()
 
+    @cached_property
     def nijenhuis_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The integrability obstruction of J by two routes (:func:`nijenhuis_tables`)."""
+        """The integrability obstruction of J by two routes (:func:`nijenhuis_tables`),
+        built once and shared read-only by the ``nijenhuis`` suite and
+        :func:`kahler_verdict`."""
         n = self.n
         m = 2 * n
         Rb = np.einsum("...kab->...abk", self.Rb)
@@ -184,7 +187,7 @@ class _LiftedPoint:
                   - np.einsum("kl,ca,...cbl->...abk", J, J, br)
                   - np.einsum("kl,db,...adl->...abk", J, J, br)
                   - br)
-        return closed, direct
+        return _read_only(closed), _read_only(direct)
 
 
 def _worst(lead: tuple[int, ...], *arrays):
@@ -461,7 +464,7 @@ def nijenhuis_tables(cfg: ProductConfig, p: TangentSample) -> tuple[np.ndarray, 
     the bracket curvature alone); the second evaluates the defining bracket
     combination [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] directly.
     """
-    return _lifted(cfg, p).nijenhuis_tables()
+    return _lifted(cfg, p).nijenhuis_tables
 
 
 @dataclass(frozen=True)
@@ -478,7 +481,7 @@ def kahler_verdict(cfg: ProductConfig, region, tol: float = 1e-7,
     ntol = tol if nijenhuis_tol is None else nijenhuis_tol
     lps = _lifted_region(cfg, region)
     max_r = _worst((), *(lp.Rb for lp in lps))
-    max_n = _worst((), *(lp.nijenhuis_tables()[1] for lp in lps))
+    max_n = _worst((), *(lp.nijenhuis_tables[1] for lp in lps))
     verdict = max_r <= tol
     # A non-finite maximum decides neither side, so the equivalence fails.
     holds = np.isfinite(max_r + max_n) and (max_n <= ntol) == verdict

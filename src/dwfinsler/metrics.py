@@ -36,9 +36,18 @@ def poly_eval(terms: PolyTerms, xs: Sequence) -> object:
         term = coeff
         for x, e in zip(xs, exps):
             if e:
-                term = term * x ** e
+                term = term * _power(x, e)
         acc = acc + term
     return acc
+
+
+def _power(x, e: int):
+    """``x ** e``; for a value array, Python's ``float ** int`` (a ``pow``
+    call) at each entry: numpy's power, and its square, need not give those
+    bits."""
+    if isinstance(x, np.ndarray):
+        return np.array([t ** e for t in x.ravel().tolist()]).reshape(x.shape)
+    return x ** e
 
 
 def _each_sample(values) -> list[list[float]]:
@@ -184,10 +193,10 @@ class CustomFactor:
     """Escape hatch: a caller-supplied smooth squared-norm evaluator.
 
     ``evaluator(pos, fib)`` receives floats or jets for one point, and arrays
-    or jets with a leading sample axis for a batch (the side points of the
-    ``homogeneity`` and ``fd-crosscheck`` suites): it must act on each entry
-    alone, as arithmetic and :func:`dwfinsler.jets.sqrt`/``exp`` do, and not
-    branch on or reduce over the values it is handed.
+    or jets with a leading sample axis for a batch (the battery's strips and
+    side points, and every finite-difference stencil): it must act on each
+    entry alone, as arithmetic and :func:`dwfinsler.jets.sqrt`/``exp`` do,
+    and not branch on or reduce over the values it is handed.
     """
 
     dim: int
@@ -328,7 +337,11 @@ class SampleBatch:
         if len(shapes) != 1 or len(next(iter(shapes))) != 1:
             raise MetricDefinitionError("a sample batch needs one value per sample "
                                         "for every coordinate")
-        _require_slit(zip(*(t.tolist() for t in self.y)), zip(*(t.tolist() for t in self.v)))
+        for fibers in (self.y, self.v):
+            # A fiber with an entry of size SLIT_FLOOR or more has a norm no
+            # smaller: only the others take the check of a single sample.
+            near = np.max(np.abs(fibers), axis=0) < SLIT_FLOOR
+            _require_slit(zip(*(t[near].tolist() for t in fibers)), ())
 
     @classmethod
     def of(cls, samples: Sequence[TangentSample]) -> "SampleBatch":
@@ -336,10 +349,28 @@ class SampleBatch:
         dims = {(len(s.x), len(s.u)) for s in samples}
         if len(dims) != 1:
             raise MetricDefinitionError("the samples of a batch must share their dimensions")
-        n1, n2 = dims.pop()
-        cols = np.array([s.x + s.u + s.y + s.v for s in samples]).T
+        return cls.stacked(np.array([s.x + s.u + s.y + s.v for s in samples]), *dims.pop())
+
+    @classmethod
+    def stacked(cls, rows: np.ndarray, n1: int, n2: int) -> "SampleBatch":
+        """The batch of ``rows[m, 2 (n1 + n2)]``, one sample's x, u, y, v per row."""
+        cols = np.asarray(rows, dtype=float).T
         return cls(cols[:n1], cols[n1:n1 + n2], cols[n1 + n2:2 * n1 + n2],
                    cols[2 * n1 + n2:])
+
+    def fiber_scaled(self, lams: Sequence[float]) -> "SampleBatch":
+        """Every sample with its fiber scaled by each of ``lams``, as
+        :meth:`TangentSample.fiber_scaled` does, ordered by sample, then scale."""
+        lams = np.asarray(lams, dtype=float)
+
+        def scaled(t):
+            return (t[:, None] * lams).ravel()
+
+        def kept(t):
+            return np.repeat(t, len(lams))
+
+        return SampleBatch(tuple(map(kept, self.x)), tuple(map(kept, self.u)),
+                           tuple(map(scaled, self.y)), tuple(map(scaled, self.v)))
 
     def __len__(self) -> int:
         return len(self.x[0])

@@ -16,7 +16,6 @@ one by one would.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -28,8 +27,8 @@ from .blocks import matvec, max_abs, scalar_axes, vdot
 from .coords import MAX_ORDER, MultiIndex
 from .engine import SPRAY_ORDER, VALUE_ORDER, WorkPoint, workspace
 from .errors import PreconditionError, UnknownSuiteError
-from .jets import fd_combine, fd_partial, fd_stencil, jet_lift
-from .metrics import ProductConfig, SampleBatch, TangentSample
+from .jets import CoordView, fd_partials, jet_lift
+from .metrics import ProductConfig, TangentSample
 from .runspec import ALL_SUITES, RunSpec, sample_points
 
 @dataclass(frozen=True)
@@ -236,8 +235,7 @@ def _suite_homogeneity(spec: RunSpec, points) -> list[SuiteEntry]:
         ep, lead, at = wp.product, wp.lead, wp.samples
         # The rescaled copies of a strip are evaluated once, as one batch over
         # (sample, scale), and not kept in the workspace.
-        scaled = WorkPoint(ws, SampleBatch.of([p.fiber_scaled(lam) for p in at
-                                               for lam in metric]), SPRAY_ORDER).product
+        scaled = WorkPoint(ws, wp.sample.fiber_scaled(tuple(metric)), SPRAY_ORDER).product
         scaled_g = scaled.g_values().reshape(len(at), len(metric), cfg.n, cfg.n)
         # The spray at scale 2, the second of the three.
         scaled_spray = scaled.spray_values().reshape(len(at), len(metric), cfg.n)[:, 1]
@@ -519,7 +517,7 @@ def _suite_nijenhuis(spec: RunSpec, points) -> list[SuiteEntry]:
     agree = _Tracker()
     skew = _Tracker()
     for wp in workspace(spec.config).strips(points):
-        closed, direct = lifted.of(wp).nijenhuis_tables()
+        closed, direct = lifted.of(wp).nijenhuis_tables
         agree.feed_all(max_abs(closed - direct, wp.lead), wp.samples)
         skew.feed_all(max_abs(direct + np.swapaxes(direct, -3, -2), wp.lead), wp.samples)
     return [
@@ -559,27 +557,14 @@ def _suite_totally_geodesic(spec: RunSpec, points) -> list[SuiteEntry]:
     ]
 
 
-def _fd_partials(ws, p: TangentSample, order: int, read, multis) -> list:
-    """Finite-difference partials at ``p``, one per multi-index, of a value
-    ``read`` off the product engine of a point lifted at ``order``.
-
-    The points of every stencil are evaluated as one batch, not kept in the
-    workspace; each estimate combines the values of its own stencil.
-    """
-    stencils = [fd_stencil(p, m) for m in multis]
-    values = read(WorkPoint(ws, SampleBatch.of([q for s in stencils for q in s]),
-                            order).product)
-    out, start = [], 0
-    for m, s in zip(multis, stencils):
-        out.append(fd_combine(values[start:start + len(s)], p, m))
-        start += len(s)
-    return out
-
-
 def _random_directions(rng: np.random.Generator, coords: list) -> tuple:
     """1 to 3 coordinates drawn at random, repeats allowed."""
     order = int(rng.integers(1, 4))
     return tuple(coords[int(i)] for i in rng.integers(0, len(coords), order))
+
+
+def _relative(jet, fd):
+    return abs(jet - fd) / (1.0 + abs(fd))
 
 
 def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
@@ -587,66 +572,63 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     ws = workspace(cfg)
     rng = np.random.Generator(np.random.PCG64(spec.sampling.seed + 1))
     coords = list(cfg.base) + list(cfg.fiber)
-    f2tr = _Tracker()
-    gtr = _Tracker()
+    fib, n = cfg.fiber, cfg.n
     subset = points[:min(3, len(points))]
     # The engine's g at the subset, read off the strips that hold it.
     strips = ws.strips(points)
-    g = np.concatenate([wp.product.g_values() for wp in strips[:len(subset)]])
-    # The finite-difference oracle evaluates F^2 on plain floats, probe by
-    # probe: 8 random partials at each point of the subset, drawn in order,
-    # and every fiber pair of g there.
-    probes = [(p, _random_directions(rng, coords)) for p in subset for _ in range(8)]
-    for p, dirs in probes:
-        multi = MultiIndex.of(dirs)
-        jet = jet_lift(cfg.F2, p, multi.directions, multi.order).partial(multi)
-        fd = fd_partial(cfg.F2, p, multi)
-        f2tr.feed(abs(jet - fd) / (1.0 + abs(jet)), p, note=f"dirs={dirs}")
-    for (k, p), (a, b) in itertools.product(enumerate(subset), np.ndindex(cfg.n, cfg.n)):
-        fd = 0.5 * fd_partial(cfg.F2, p, (cfg.fiber[a], cfg.fiber[b]))
-        gtr.feed(abs(g[k, a, b] - fd) / (1.0 + abs(fd)), p)
-    # Derived fields: the spray and its fiber derivatives against fd towers.
-    conn = _Tracker()
-    connfd = _Tracker()
-    berw = _Tracker()
+    g = np.concatenate([wp.product.g_values() for wp in strips[:len(subset)]])[:len(subset)]
+    # The finite-difference oracle evaluates F^2 on floats, at the stencils
+    # of 8 random partials at each point of the subset, drawn in order, and
+    # of every fiber pair of g there, all as one batch.
+    at = [p for p in subset for _ in range(8)]
+    dirs = [_random_directions(rng, coords) for _ in at]
+    multis = [MultiIndex.of(d) for d in dirs]
+    fd = fd_partials(lambda batch: cfg.F2(CoordView(batch)),
+                     list(zip(at, multis))
+                     + [(p, (fib[a], fib[b])) for p in subset for a, b in np.ndindex(n, n)])
+    jet = np.array([jet_lift(cfg.F2, p, m.directions, m.order).partial(m)
+                    for p, m in zip(at, multis)])
+    f2tr = _Tracker()
+    f2tr.feed_all((abs(jet - fd[:len(at)]) / (1.0 + abs(jet))).reshape(len(subset), 8), subset,
+                  lambda k, j: f"dirs={dirs[8 * k + j]}")
+    gtr = _Tracker()
+    gtr.feed_all(_relative(g, 0.5 * np.reshape(fd[len(at):], g.shape)), subset)
+    # Derived fields: the spray and its fiber derivatives against fd towers,
+    # their stencils evaluated as one batch, not kept in the workspace.
     p = points[0]
     ep = strips[0].product
     N = ep.nonlinear_connection_values()[0]
     Gf = ep.connection_fiber_values()[0]
     B = ep.berwald()[0]
-    # fd_conn[b][a] = dG^a / dy^b: one stencil per fiber direction serves every a.
+    # fd[b][a] = dG^a / dy^b: one stencil per fiber direction serves every a.
     # Gf and B are checked at one random component (b, c), (b, c, d) per a.
-    fib, n = cfg.fiber, cfg.n
     pairs, triples = [], []
     for _ in range(n):
         pairs.append((int(rng.integers(0, n)), int(rng.integers(0, n))))
         triples.append(tuple(int(i) for i in rng.integers(0, n, 3)))
-    fd = _fd_partials(ws, p, SPRAY_ORDER, lambda q: q.spray_values(),
-                      [(y,) for y in fib] + [tuple(fib[i] for i in t) for t in pairs + triples])
-    fd_conn, fd_pairs, fd_triples = fd[:n], fd[n:2 * n], fd[2 * n:]
-    for a in range(n):
-        for b in range(n):
-            fd1 = fd_conn[b][a]
-            conn.feed(abs(N[a, b] - fd1) / (1.0 + abs(fd1)), p)
-        fd2 = fd_pairs[a][a]
-        connfd.feed(abs(Gf[(a,) + pairs[a]] - fd2) / (1.0 + abs(fd2)), p)
-        fd3 = fd_triples[a][a]
-        berw.feed(abs(B[(a,) + triples[a]] - fd3) / (1.0 + abs(fd3)), p)
+    fd = np.array(fd_partials(
+        lambda batch: WorkPoint(ws, batch, SPRAY_ORDER).product.spray_values(),
+        [(p, (y,)) for y in fib] + [(p, tuple(fib[i] for i in t)) for t in pairs + triples]))
+    diag = np.arange(n)
+    conn, connfd, berw = _Tracker(), _Tracker(), _Tracker()
+    conn.feed_all(_relative(N, fd[:n].T)[None], [p])
+    connfd.feed_all(_relative(Gf[(diag, *np.transpose(pairs))],
+                              np.diagonal(fd[n:2 * n]))[None], [p])
+    berw.feed_all(_relative(B[(diag, *np.transpose(triples))],
+                            np.diagonal(fd[2 * n:]))[None], [p])
 
     # Adapted derivative of the horizontal coefficients, fd vs. jets, at one
     # representative component: the leading block of the curvature assembly.
     a, b, c = 0, 0, cfg.n1  # mixed-factor slot: nonzero for warped products
-    hdelta = _Tracker()
     dH = ep.delta(ep.horizontal_coefficients())[0]
-    fd = _fd_partials(ws, p, VALUE_ORDER, lambda q: q.horizontal_values()[..., a, b, c],
-                      [(y,) for y in fib] + [(x,) for x in cfg.base])
-    fd_fiber, fd_base = fd[:n], fd[n:]
-    for d in range(n):
-        fd_delta = fd_base[d]
-        for e in range(n):
-            fd_delta -= N[e, d] * fd_fiber[e]
-        jet_delta = dH[a, b, c, d]
-        hdelta.feed(abs(jet_delta - fd_delta) / (1.0 + abs(fd_delta)), p)
+    fd = np.array(fd_partials(
+        lambda batch: WorkPoint(ws, batch, VALUE_ORDER).product.horizontal_values()[..., a, b, c],
+        [(p, (y,)) for y in fib] + [(p, (x,)) for x in cfg.base]))
+    fd_fiber, fd_delta = fd[:n], fd[n:]
+    for e in range(n):
+        fd_delta = fd_delta - N[e] * fd_fiber[e]
+    hdelta = _Tracker()
+    hdelta.feed_all(_relative(dH[a, b, c], fd_delta)[None], [p])
     return [
         _entry(spec, "fd-crosscheck", "squared-norm-partials", f2tr),
         _entry(spec, "fd-crosscheck", "fundamental-tensor", gtr),

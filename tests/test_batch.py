@@ -7,9 +7,11 @@ import pytest
 from dwfinsler import closed_forms, fixture, lifted
 from dwfinsler.engine import (LIFT_ORDER, SPRAY_ORDER, VALUE_ORDER, EnginePoint,
                               FinslerEngine, WorkPoint, workspace)
-from dwfinsler.coords import base1, fiber1
+import math
+
+from dwfinsler.coords import MultiIndex, base1, fiber1
 from dwfinsler.errors import DomainError, SingularMetricError, SlitConditionError
-from dwfinsler.jets import sqrt
+from dwfinsler.jets import FD_DEFAULT_STEPS, CoordView, exp, fd_partial, fd_partials, sqrt
 from dwfinsler.linalg import invert_matrix
 from dwfinsler.metrics import (CustomFactor, EuclideanFactor, ProductConfig, SampleBatch,
                                TangentSample)
@@ -17,6 +19,7 @@ from dwfinsler.runspec import fixture_runspec, parse_spec, sample_points
 
 from conftest import ALL_FIXTURES
 from test_asymmetric import ASYM_1x3, ASYM_3x2
+from test_report_bytes import CUBIC_2x2
 
 
 def _cases():
@@ -169,18 +172,33 @@ def test_a_field_constant_over_a_batch_keeps_its_sample_axis():
 def test_side_points_are_evaluated_as_batches(monkeypatch):
     # The fiber-rescaled copies of homogeneity are one batch, and the
     # fd-crosscheck stencils at most one batch per stencil; no side point is
-    # evaluated on its own.
+    # evaluated on its own.  Every batch is inverted as a whole, and the F^2
+    # oracle of fd-crosscheck evaluates one batch of floats.
     import dwfinsler.engine as engine
     import dwfinsler.suites as suites
     built = []
+    inverted = []
+    evaluated = []
 
     class Counted(WorkPoint):
         def __init__(self, ws, sample, order=LIFT_ORDER):
             super().__init__(ws, sample, order)
             built.append((sample, order))
 
+    def counted_inverse(rows):
+        inverted.append(rows)
+        return invert_matrix(rows)
+
+    F2 = ProductConfig.F2
+
+    def counted_F2(cfg, view):
+        evaluated.append({type(t) for t in view.x + view.u + view.y + view.v})
+        return F2(cfg, view)
+
     monkeypatch.setattr(suites, "WorkPoint", Counted)
     monkeypatch.setattr(engine, "WorkPoint", Counted)
+    monkeypatch.setattr(engine, "invert_matrix", counted_inverse)
+    monkeypatch.setattr(ProductConfig, "F2", counted_F2)
     spec = fixture_runspec("FIX-R", suites=("homogeneity",))
     workspace(spec.config).clear()
     suites.run_suites(spec)
@@ -188,6 +206,7 @@ def test_side_points_are_evaluated_as_batches(monkeypatch):
     assert all(isinstance(s, SampleBatch) for s in side)
     assert [len(s) for s in side] == [3 * spec.sampling.count]
     built.clear()
+    evaluated.clear()
     n = spec.config.n
     suites.run_suites(fixture_runspec("FIX-R", suites=("fd-crosscheck",)))
     side = [s for s, order in built if order != LIFT_ORDER]
@@ -195,6 +214,9 @@ def test_side_points_are_evaluated_as_batches(monkeypatch):
     assert 1 <= len(side) <= 5 * n
     assert all(isinstance(s, SampleBatch) for s in side)
     assert sum(len(s) for s in side) == n * (4 + 16 + 64) + 2 * n * 4
+    # F^2 on floats: one batch, and never a single point of plain floats.
+    assert sum(kinds == {np.ndarray} for kinds in evaluated) == 1
+    assert {float} not in evaluated
     # A whole battery evaluates its sampled points as one strip at LIFT_ORDER.
     for name, count in (("FIX-1D", 150), ("FIX-R", 25)):
         spec = fixture_runspec(name, count=count)
@@ -208,3 +230,86 @@ def test_side_points_are_evaluated_as_batches(monkeypatch):
         strips = [s for s, order in built if order == LIFT_ORDER]
         assert len(strips) == 1 and isinstance(strips[0], SampleBatch), name
         assert len(strips[0]) == count
+        # No sample of a batch is inverted on its own.
+        assert not inverted, name
+
+
+def _fd_reference(field, point, multi):
+    """``fd_partial`` as nested central differences with Richardson
+    extrapolation, evaluating the field on plain floats, one point at a time."""
+    multi = MultiIndex.of(multi)
+    step = FD_DEFAULT_STEPS[max(multi.order, 1)]
+
+    def shifted(groups, coord, delta):
+        out = list(groups)
+        group = groups[coord.block]
+        out[coord.block] = group[:coord.offset] + (group[coord.offset] + delta,) \
+            + group[coord.offset + 1:]
+        return out
+
+    def differentiate(fun, coord):
+        def estimate(groups):
+            h = step * (1.0 + abs(groups[coord.block][coord.offset]))
+
+            def central(hh):
+                return (fun(shifted(groups, coord, hh))
+                        - fun(shifted(groups, coord, -hh))) / (2.0 * hh)
+
+            return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+        return estimate
+
+    def fun(groups):
+        value = field(CoordView(TangentSample(*groups)))
+        assert isinstance(value, float)
+        return value
+
+    for coord in reversed(multi.directions):
+        fun = differentiate(fun, coord)
+    return fun((point.x, point.u, point.y, point.v))
+
+
+def _fd_cases():
+    """(name, config, points): every fixture, the exponential warp of
+    asym-1x3 and the cubic entries of cubic-2x2."""
+    out = [case for case in CASES if case[0] != "asym-3x2"]
+    spec = parse_spec(CUBIC_2x2)
+    return out + [(CUBIC_2x2["label"], spec.config, sample_points(spec)[:3])]
+
+
+@pytest.mark.parametrize("case", _fd_cases(), ids=lambda c: c[0])
+def test_batched_fd_partials_equal_the_float_reference_bit_for_bit(case):
+    _, cfg, points = case
+    rng = np.random.default_rng(3)
+    coords = cfg.base + cfg.fiber
+    probes = [(p, tuple(coords[i] for i in rng.integers(0, len(coords), order)))
+              for p in points for order in (0, 1, 1, 2, 2, 3, 3)]
+    want = [_fd_reference(cfg.F2, p, dirs) for p, dirs in probes]
+    # One batch over probes of every order, as fd-crosscheck evaluates them,
+    # and each probe alone through the public fd_partial.
+    got = fd_partials(lambda batch: cfg.F2(CoordView(batch)), probes)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    for (p, dirs), value in zip(probes, want):
+        assert np.float64(fd_partial(cfg.F2, p, dirs)).tobytes() == np.float64(value).tobytes()
+
+
+def test_array_sqrt_and_exp_act_as_on_each_float():
+    for values in ([4.0, 2.5], [1.0, -0.5], [0.0, 1.0], [2.0, -0.0], [math.nan, 1.0]):
+        arr = np.array(values)
+        alone = []
+        for t in values:
+            try:
+                alone.append(sqrt(t))
+            except DomainError:
+                alone.append(None)
+        if None in alone:
+            with pytest.raises(DomainError):
+                sqrt(arr)
+        else:
+            assert sqrt(arr).tobytes() == np.array(alone).tobytes()
+    values = np.random.default_rng(5).uniform(-30.0, 30.0, 500)
+    assert exp(values).tobytes() == np.array([math.exp(t) for t in values.tolist()]).tobytes()
+    with pytest.raises(OverflowError):
+        math.exp(1000.0)
+    with pytest.raises(OverflowError):
+        exp(np.array([1.0, 1000.0]))

@@ -262,8 +262,11 @@ def test_engine_lift_restricts_to_the_subset_lift(case):
 
 
 def test_fd_partial_of_an_array_field_matches_each_component(p4):
+    # The field sees the whole stencil at once: a constant component takes
+    # the stencil's shape, so the components stack with the stencil axis last.
     def field(view):
-        return np.array([view.x[0] * view.y[1] ** 2, view.u[1] * view.v[0], 3.0])
+        return np.array([view.x[0] * view.y[1] ** 2, view.u[1] * view.v[0],
+                         np.full(view.shape, 3.0)])
 
     dirs = (fiber1(1), base1(0))
     got = fd_partial(field, p4, dirs)

@@ -32,9 +32,33 @@ SEEDED_DIGESTS = {
     ("FIX-1D", None, 150): "765fa55715820c54b805a3bd5430d68aef844038c0c003a79d168b0a6fcbae9d",
 }
 
+#: Cubic polynomial entries that dominate their metric entries, on the box
+#: [1, 2]: the finite-difference oracle evaluates them on value arrays, where
+#: numpy's power differs from Python's ``float ** int`` in some last bits, and
+#: this seed's report moves by them.
+CUBIC_2x2 = {
+    "label": "cubic-2x2",
+    "factors": [
+        {"kind": "riemannian_quadratic", "dim": 2, "parameters": {"entries": [
+            [[[1.0, [3, 0]]], [[0.1, [1, 2]]]],
+            [[[0.1, [1, 2]]], [[1.0, [0, 3]], [0.5, [2, 0]]]]]}},
+        {"kind": "randers", "dim": 2, "parameters": {"b": [0.2, 0.1], "base": {
+            "kind": "riemannian_quadratic", "parameters": {"entries": [
+                [[[0.5, [0, 0]], [1.0, [3, 0]]], []],
+                [[], [[0.5, [0, 0]], [1.0, [0, 3]]]]]}}}},
+    ],
+    "warps": {"f1": {"kind": "poly_quadratic", "parameters": {"coeffs": [0.5, 0.0]}},
+              "f2": {"kind": "exponential", "parameters": {"rate": 0.3, "axis": 1}}},
+    "sampling": {"seed": 6, "count": 6, "box": [1.0, 2.0]},
+    "suites": ["homogeneity", "block-structure", "yF=G", "closed-form-blocks",
+               "koszul-vs-closed", "fd-crosscheck"],
+}
+
 DOCUMENT_DIGESTS = {
     "asym-1x3": "859a654f060c720a9e997e3c1cb8c8576e48381b603edd1bd9556253a23de317",
     "asym-3x2": "b5d18ef2e2cc9ec88f9a6329ce953f2f7c5d2a243d2dbf60730e31123fa7c5f2",
+    # Made while the oracle still evaluated F^2 one float point at a time.
+    "cubic-2x2": "336ca8fa1536e7614418df235eab9c406b9c700f3913b573d619ef18f5fbc850",
 }
 
 
@@ -53,7 +77,7 @@ def test_seeded_report_bytes(name, seed, count):
     assert _digest(report) == SEEDED_DIGESTS[(name, seed, count)]
 
 
-@pytest.mark.parametrize("doc", [ASYM_1x3, ASYM_3x2], ids=lambda d: d["label"])
+@pytest.mark.parametrize("doc", [ASYM_1x3, ASYM_3x2, CUBIC_2x2], ids=lambda d: d["label"])
 def test_document_report_bytes(doc):
     assert _digest(run_suites(parse_spec(doc))) == DOCUMENT_DIGESTS[doc["label"]]
 
