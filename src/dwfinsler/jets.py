@@ -38,9 +38,9 @@ The engine (:mod:`dwfinsler.engine`) lifts each squared norm once per point
 with :func:`support_lift` and memoizes that lift; :func:`jet_lift` serves the
 finite-difference cross-checks and the public API.  The finite differences
 run on float batches: :func:`fd_partials` builds the stencils of many probes
-as coordinate arrays (:func:`fd_stencil`), evaluates the field once on all
+as coordinate arrays (:func:`_fd_stencil`), evaluates the field once on all
 their points as one batch, and combines the values of each order's probes at
-once (:func:`fd_combine`); :func:`fd_partial` is its single probe.
+once (:func:`_fd_combine`); :func:`fd_partial` is its single probe.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ from .coords import MAX_ORDER, CoordIndex, MultiIndex
 from .errors import CapabilityError, DomainError
 
 __all__ = [
-    "Jet", "JetContext", "jet_lift", "support_lift", "fd_partial", "fd_stencil",
-    "fd_combine", "fd_partials", "einsum", "sqrt", "exp",
+    "Jet", "JetContext", "jet_lift", "support_lift", "fd_partial", "fd_partials",
+    "einsum", "sqrt", "exp",
 ]
 
 
@@ -646,7 +646,7 @@ def jet_lift(field: ScalarField, point, seeds: Sequence[CoordIndex], order: int)
 FD_DEFAULT_STEPS = {1: 1e-4, 2: 1e-3, 3: 4e-3}
 
 
-def fd_stencil(rows: np.ndarray, positions: np.ndarray, step: float):
+def _fd_stencil(rows: np.ndarray, positions: np.ndarray, step: float):
     """The stencils of probes of one order, as arrays.
 
     ``rows[P, C]`` holds each probe's point, its coordinates (x, u, y, v) in
@@ -656,7 +656,7 @@ def fd_stencil(rows: np.ndarray, positions: np.ndarray, step: float):
     with h = step * (1 + |coordinate|) read at that point, which earlier
     directions may have shifted.  Returns the stencil points
     ``[P, 4**k, C]``, in the order of the nested central differences, and
-    the steps ``h[P, 4**j]`` of each level j, for :func:`fd_combine`.
+    the steps ``h[P, 4**j]`` of each level j, for :func:`_fd_combine`.
     """
     points = np.asarray(rows, dtype=float)[:, None, :]
     probes = np.arange(len(points))
@@ -672,9 +672,9 @@ def fd_stencil(rows: np.ndarray, positions: np.ndarray, step: float):
     return points, steps
 
 
-def fd_combine(values, steps) -> np.ndarray:
+def _fd_combine(values, steps) -> np.ndarray:
     """The estimates ``[P, ...]`` of probes of one order from the values
-    ``[P, 4**k, ...]`` of a field at the points of their :func:`fd_stencil`,
+    ``[P, 4**k, ...]`` of a field at the points of their :func:`_fd_stencil`,
     given its ``steps``.
 
     Innermost first, the four values around each point become the central
@@ -709,8 +709,8 @@ def fd_partials(evaluate: Callable, probes, step: float | None = None) -> list:
     ``evaluate`` is handed the points of every probe's stencil as one
     :class:`~dwfinsler.metrics.SampleBatch` and returns their values along a
     leading axis (floats, or arrays of one shape).  The stencils of probes
-    of one order are built and combined as arrays (:func:`fd_stencil`,
-    :func:`fd_combine`).  Returns the estimates in the order of ``probes``.
+    of one order are built and combined as arrays (:func:`_fd_stencil`,
+    :func:`_fd_combine`).  Returns the estimates in the order of ``probes``.
     """
     from .metrics import SampleBatch
     checked = [_checked(multi, step) for _, multi in probes]
@@ -722,7 +722,7 @@ def fd_partials(evaluate: Callable, probes, step: float | None = None) -> list:
         rows = [probes[k][0].x + probes[k][0].u + probes[k][0].y + probes[k][0].v for k in ks]
         positions = [[_row_position(probes[k][0], c) for c in checked[k][0].directions]
                      for k in ks]
-        stencils.append((ks,) + fd_stencil(np.array(rows), np.array(positions), h))
+        stencils.append((ks,) + _fd_stencil(np.array(rows), np.array(positions), h))
     first = probes[0][0]
     values = np.asarray(evaluate(SampleBatch.stacked(
         np.concatenate([points.reshape(-1, points.shape[-1]) for _, points, _ in stencils]),
@@ -732,7 +732,7 @@ def fd_partials(evaluate: Callable, probes, step: float | None = None) -> list:
     for ks, points, steps in stencils:
         size = points.shape[0] * points.shape[1]
         chunk = values[start:start + size].reshape(points.shape[:2] + values.shape[1:])
-        for k, estimate in zip(ks, fd_combine(chunk, steps)):
+        for k, estimate in zip(ks, _fd_combine(chunk, steps)):
             out[k] = estimate
         start += size
     return out
@@ -749,15 +749,25 @@ def fd_partial(field: ScalarField, point, multi, step: float | None = None):
 
     Independent of the jet path by construction: only plain float
     evaluations of ``field`` at shifted points are used, on every point of
-    the stencil at once, as one batch (:func:`fd_partials`), so the field
-    acts on each entry alone, as the metric fields do.  A field may return
-    an array of components, each with the stencil axis last, as an array of
-    coordinate expressions has it; the result is then an array of the
-    components' shape.  Total order is capped at 3, beyond which
+    the stencil at once, as one batch (:func:`fd_partials`).  So the field
+    must act on its coordinates entry by entry, as the metric fields do:
+    numpy functions, not ``math`` ones, and no branch on a value.  A field
+    may return an array of components, each with the stencil axis last, as
+    an array of coordinate expressions has it; the result is then an array
+    of the components' shape.  The field is also evaluated once at ``point``
+    itself, for the shape of its components: a result of that shape on the
+    stencil is constant over it.  Total order is capped at 3, beyond which
     cancellation noise dominates.
     """
     def evaluate(batch):
         out = np.asarray(field(CoordView(batch)), dtype=float)
-        return np.moveaxis(out, -1, 0) if out.ndim else np.full(len(batch), out)
+        if out.shape == shape:
+            out = np.broadcast_to(out[..., None], shape + (len(batch),))
+        elif out.shape != shape + (len(batch),):
+            raise ValueError(
+                f"fd_partial: the field gives shape {out.shape} on a stencil of "
+                f"{len(batch)} points and {shape} at one point")
+        return np.moveaxis(out, -1, 0)
 
+    shape = np.shape(field(CoordView(point)))
     return fd_partials(evaluate, [(point, multi)], step)[0]

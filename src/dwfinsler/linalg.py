@@ -25,12 +25,6 @@ def _norm1(rows) -> float:
     return max(sum(abs(rows[i][j]) for i in range(n)) for j in range(n))
 
 
-def _check_condition(cond: float, condition_limit: float) -> None:
-    if cond > condition_limit:
-        raise SingularMetricError(
-            f"ill-conditioned matrix: condition estimate {cond:.3e} exceeds {condition_limit:.1e}")
-
-
 def invert_matrix(rows, condition_limit: float = CONDITION_LIMIT):
     """Invert a square matrix given as nested sequences of floats.
 
@@ -58,7 +52,9 @@ def invert_matrix(rows, condition_limit: float = CONDITION_LIMIT):
             aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     inverse = [row[n:] for row in aug]
     cond = _norm1(rows) * _norm1(inverse)
-    _check_condition(cond, condition_limit)
+    if cond > condition_limit:
+        raise SingularMetricError(
+            f"ill-conditioned matrix: condition estimate {cond:.3e} exceeds {condition_limit:.1e}")
     return inverse, cond
 
 
@@ -81,7 +77,7 @@ def _norm1_batch(a: np.ndarray) -> np.ndarray:
     return _first_max(list(sums.T))[1]
 
 
-def invert_batch(g0: np.ndarray, condition_limit: float = CONDITION_LIMIT):
+def invert_batch(g0: np.ndarray):
     """Invert every matrix of ``g0[..., n, n]`` as :func:`invert_matrix` does.
 
     Each matrix gets the same pivots, swaps and operations in the same order,
@@ -95,12 +91,12 @@ def invert_batch(g0: np.ndarray, condition_limit: float = CONDITION_LIMIT):
     m = len(rows)
     samples = np.arange(m)
     aug = np.concatenate([rows, np.broadcast_to(np.eye(n), rows.shape)], axis=-1)
-    zero_pivot = np.full(m, n)  # the first column with a zero pivot, per sample
+    singular = np.zeros(m, dtype=bool)
     with np.errstate(all="ignore"):
         for col in range(n):
             pivot_row, pivot = _first_max(list(abs(aug[:, col:, col].T)))
             pivot_row += col
-            zero_pivot = np.where((pivot == 0.0) & (zero_pivot == n), col, zero_pivot)
+            singular |= pivot == 0.0
             row = aug[samples, pivot_row]
             aug[samples, pivot_row] = aug[:, col].copy()
             aug[:, col] = row * (1.0 / row[:, col])[:, None]
@@ -111,10 +107,7 @@ def invert_batch(g0: np.ndarray, condition_limit: float = CONDITION_LIMIT):
             aug = np.where(factor == 0.0, aug, aug - factor * aug[:, col, None])
         inverse = np.ascontiguousarray(aug[:, :, n:])
         cond = _norm1_batch(rows) * _norm1_batch(inverse)
-    failed = np.flatnonzero((zero_pivot < n) | (cond > condition_limit))
+    failed = np.flatnonzero(singular | (cond > CONDITION_LIMIT))
     if failed.size:
-        k = failed[0]
-        if zero_pivot[k] < n:
-            raise SingularMetricError(f"singular matrix: zero pivot in column {zero_pivot[k]}")
-        _check_condition(float(cond[k]), condition_limit)
+        invert_matrix(rows[failed[0]])  # raises the error of that matrix alone
     return inverse.reshape(g0.shape), cond.reshape(g0.shape[:-2])

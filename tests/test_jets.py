@@ -274,6 +274,27 @@ def test_fd_partial_of_an_array_field_matches_each_component(p4):
         assert got[k] == fd_partial(lambda view: field(view)[k], p4, dirs)
 
 
+def test_fd_partial_of_a_constant_vector_field_keeps_its_components(p4):
+    # A field that ignores its coordinates gives its components at order 0
+    # and exact zeros above, whatever their number: four components are not
+    # read as the four points of an order-1 stencil.
+    for comps in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0], [3.0, 4.0]]):
+        field = lambda view, comps=comps: np.array(comps)
+        assert np.array_equal(fd_partial(field, p4, []), comps)
+        for dirs in ((fiber1(0),), (base1(0), fiber1(1))):
+            got = fd_partial(field, p4, dirs)
+            assert got.shape == np.shape(comps) and not got.any()
+
+
+def test_fd_partial_needs_a_field_acting_entry_by_entry(p4):
+    # The stencil reaches the field as one batch: math.* cannot take it, and
+    # a field whose result changes shape with its input is refused.
+    with pytest.raises(TypeError):
+        fd_partial(lambda view: math.exp(view.x[0]), p4, [base1(0)])
+    with pytest.raises(ValueError, match="stencil of 4 points"):
+        fd_partial(lambda view: np.ravel(view.x[0]), p4, [base1(0)])
+
+
 def _reference_tables(nvars, order):
     """Slots and Leibniz terms enumerated term by term, as a direct transcription."""
     def compositions(n, total):
