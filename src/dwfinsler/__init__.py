@@ -15,23 +15,14 @@ from .blocks import BlockTensor
 from .metrics import (ConstantWarp, CustomFactor, EuclideanFactor,
                       ExponentialWarp, PolyQuadraticWarp, ProductConfig,
                       QuadraticFactor, RandersFactor, TangentSample)
-from .core import (angular_metric, cartan_tensor, eval_F2, fundamental_tensor,
-                   matsumoto_torsion, mean_cartan)
-from .connection import (NonlinearConnection, SprayField, adapted_derivative,
-                         frame_brackets, horizontal_coefficients,
-                         nonlinear_connection, spray)
-from .curvature import (CurvatureBundle, FlagInput, berwald_curvature,
-                        curvature_bundle, flag_curvature, hh_curvature, riemann_map)
-from .lifted import (ComplexStructure, ConnectionTable, LiftedMetric,
-                     almost_complex, closedness_check,
-                     induced_vertical_connection, kahler_verdict,
-                     koszul_levi_civita, levi_civita_closed_forms,
-                     lifted_metric, nijenhuis_tables, reinhart_tables,
-                     symplectic_frame_table, totally_geodesic_verdicts,
-                     vaisman_connection)
+from .core import TENSORS, fundamental_tensor, tensor
+from .connection import (NonlinearConnection, SprayField, frame_brackets,
+                         horizontal_coefficients, nonlinear_connection, spray)
+from .curvature import berwald_curvature, hh_curvature, riemann_map
+from .lifted import (ComplexStructure, almost_complex, closedness_check,
+                     kahler_verdict, totally_geodesic_verdicts)
 from .runspec import FIXTURES, RunSpec, fixture, fixture_runspec, parse_spec, sample_points
-from .suites import (DiagnosticsReport, emit_report, flat_factor_residual, run_suites,
-                     scalar_flag_residual)
+from .suites import DiagnosticsReport, emit_report, run_suites
 
 __all__ = [
     "__version__",
@@ -42,22 +33,14 @@ __all__ = [
     "ConstantWarp", "CustomFactor", "EuclideanFactor", "ExponentialWarp",
     "FIXTURES", "PolyQuadraticWarp", "ProductConfig", "QuadraticFactor",
     "RandersFactor", "TangentSample", "fixture",
-    # zeroth-level tensors
-    "angular_metric", "cartan_tensor", "eval_F2", "fundamental_tensor",
-    "matsumoto_torsion", "mean_cartan",
-    # connections
-    "NonlinearConnection", "SprayField", "adapted_derivative", "frame_brackets",
+    # the product's tensors at a sample: the table and the per-point chain
+    "TENSORS", "tensor", "fundamental_tensor",
+    "NonlinearConnection", "SprayField", "frame_brackets",
     "horizontal_coefficients", "nonlinear_connection", "spray",
-    # curvature
-    "CurvatureBundle", "FlagInput", "berwald_curvature", "curvature_bundle",
-    "flag_curvature", "flat_factor_residual", "hh_curvature", "riemann_map",
-    "scalar_flag_residual",
-    # lifted geometry
-    "ComplexStructure", "ConnectionTable", "LiftedMetric",
-    "almost_complex", "closedness_check", "induced_vertical_connection",
-    "kahler_verdict", "koszul_levi_civita", "levi_civita_closed_forms",
-    "lifted_metric", "nijenhuis_tables", "reinhart_tables",
-    "symplectic_frame_table", "totally_geodesic_verdicts", "vaisman_connection",
+    "berwald_curvature", "hh_curvature", "riemann_map",
+    # lifted geometry: region verdicts
+    "ComplexStructure", "almost_complex", "closedness_check",
+    "kahler_verdict", "totally_geodesic_verdicts",
     # harness
     "RunSpec", "fixture_runspec", "parse_spec", "sample_points",
     "DiagnosticsReport", "emit_report", "run_suites",

@@ -10,11 +10,10 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class BlockTensor:
-    """A rank 1-4 tensor over the combined index, tagged with slot variances.
+    """A rank 0-4 tensor over the combined index, tagged with slot variances.
 
-    Indices 0..n1-1 address the first factor, n1..n1+n2-1 the second; the
-    factor decomposition is recovered with :meth:`block`, whose pattern holds
-    one character per slot: '1' for the first factor, '2' for the second.
+    Indices 0..n1-1 address the first factor, n1..n1+n2-1 the second
+    (:func:`dwfinsler.closed_forms.block_ranges` slices the factor blocks).
     """
 
     array: np.ndarray
@@ -25,8 +24,8 @@ class BlockTensor:
     def __post_init__(self) -> None:
         if self.array.ndim != len(self.variance):
             raise ValueError("variance tags must match the tensor rank")
-        if not 1 <= self.array.ndim <= 4:
-            raise ValueError("supported ranks are 1..4")
+        if self.array.ndim > 4:
+            raise ValueError("supported ranks are 0..4")
         if any(v not in ("up", "low") for v in self.variance):
             raise ValueError("variance tags must be 'up' or 'low'")
         n = self.n1 + self.n2
@@ -36,17 +35,6 @@ class BlockTensor:
     @property
     def rank(self) -> int:
         return self.array.ndim
-
-    def block(self, pattern: str) -> np.ndarray:
-        """View of the sub-block selected by a per-slot '1'/'2' pattern."""
-        if len(pattern) != self.rank or any(ch not in "12" for ch in pattern):
-            raise ValueError(f"block pattern {pattern!r} does not match rank {self.rank}")
-        slices = tuple(slice(0, self.n1) if ch == "1" else slice(self.n1, self.n1 + self.n2)
-                       for ch in pattern)
-        return self.array[slices]
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.array)))
 
     def __repr__(self) -> str:
         return (f"BlockTensor(rank={self.rank}, variance={self.variance}, "

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
-from . import __version__, connection, core, curvature
+from . import __version__
+from .core import TENSORS, tensor
 from .errors import DwfError, SchemaError
 from .metrics import TangentSample
 from .runspec import (ALL_SUITES, FIXTURES, RunSpec, fixture_document, parse_spec,
@@ -53,7 +55,12 @@ def _parse_point(text: str, n1: int, n2: int) -> TangentSample:
         name = name.strip()
         if name not in ("x", "u", "y", "v") or not values:
             raise SchemaError(f"--point expects 'x=..;u=..;y=..;v=..', got {text!r}")
-        groups[name] = tuple(float(t) for t in values.split(","))
+        try:
+            groups[name] = tuple(float(t) for t in values.split(","))
+        except ValueError:
+            raise SchemaError(f"--point {name}: expected numbers, got {values!r}") from None
+        if not all(map(math.isfinite, groups[name])):
+            raise SchemaError(f"--point {name}: coordinates must be finite, got {values!r}")
     missing = {"x", "u", "y", "v"} - set(groups)
     if missing:
         raise SchemaError(f"--point is missing groups: {', '.join(sorted(missing))}")
@@ -63,35 +70,12 @@ def _parse_point(text: str, n1: int, n2: int) -> TangentSample:
     return TangentSample(groups["x"], groups["u"], groups["y"], groups["v"])
 
 
-def _brackets(cfg, p) -> dict:
-    r, gf = connection.frame_brackets(cfg, p)
-    return {"curvature": r.array.tolist(), "connection": gf.array.tolist()}
-
-
-#: Printable tensors: name -> JSON-ready value at (cfg, p).
-_TENSORS = {
-    "F2": lambda cfg, p: core.eval_F2(cfg, p).value,
-    "g": lambda cfg, p: core.fundamental_tensor(cfg, p)[0].array.tolist(),
-    "ginv": lambda cfg, p: core.fundamental_tensor(cfg, p)[1].array.tolist(),
-    "angular": lambda cfg, p: core.angular_metric(cfg, p).array.tolist(),
-    "cartan": lambda cfg, p: core.cartan_tensor(cfg, p).array.tolist(),
-    "mean-cartan": lambda cfg, p: core.mean_cartan(cfg, p).array.tolist(),
-    "matsumoto": lambda cfg, p: core.matsumoto_torsion(cfg, p).array.tolist(),
-    "spray": lambda cfg, p: connection.spray(cfg, p).values.tolist(),
-    "connection": lambda cfg, p: connection.nonlinear_connection(cfg, p).matrix.tolist(),
-    "horizontal": lambda cfg, p: connection.horizontal_coefficients(cfg, p).array.tolist(),
-    "brackets": _brackets,
-    "berwald": lambda cfg, p: curvature.berwald_curvature(cfg, p).array.tolist(),
-    "hh": lambda cfg, p: curvature.hh_curvature(cfg, p).array.tolist(),
-    "riemann-map": lambda cfg, p: curvature.riemann_map(cfg, p).array.tolist(),
-}
-
-
-def _evaluate(cfg, p: TangentSample, names) -> dict:
-    unknown = [name for name in names if name not in _TENSORS]
-    if unknown:
-        raise SchemaError(f"unknown tensor {unknown[0]!r}; known: {', '.join(_TENSORS)}")
-    return {name: _TENSORS[name](cfg, p) for name in names}
+def _printable(value):
+    """A tensor of the table as JSON: nested lists, and a dict for the bracket pair."""
+    if isinstance(value, tuple):
+        r, gf = value
+        return {"curvature": r.array.tolist(), "connection": gf.array.tolist()}
+    return value.array.tolist()
 
 
 def _cmd_eval(args) -> int:
@@ -103,7 +87,8 @@ def _cmd_eval(args) -> int:
         points = sample_points(spec)[:max(1, args.points or 1)]
     names = args.tensor or ["g", "spray"]
     doc = [{"point": {"x": list(p.x), "u": list(p.u), "y": list(p.y), "v": list(p.v)},
-            "tensors": _evaluate(cfg, p, names)} for p in points]
+            "tensors": {name: _printable(tensor(cfg, p, name)) for name in names}}
+           for p in points]
     print(json.dumps({"config": spec.label, "evaluations": doc},
                      sort_keys=True, indent=2))
     return 0
@@ -169,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec_flags(sp, with_suites=False)
     sp.add_argument("--point", action="append",
                     help="semicolon-separated groups, e.g. 'x=0,0;u=1,0;y=1,0.3;v=0.2,1'")
-    sp.add_argument("--tensor", action="append", choices=_TENSORS,
+    sp.add_argument("--tensor", action="append", choices=TENSORS,
                     help="tensor to print (repeatable; default: g and spray)")
     sp.set_defaults(func=_cmd_eval)
 

@@ -1,5 +1,5 @@
 """Sprays, the nonlinear connection, adapted frame brackets and horizontal
-coefficients of the doubly warped product.
+coefficients of the doubly warped product, read from :data:`core.TENSORS`.
 
 Their closed-form factor/warp blocks live in :mod:`dwfinsler.closed_forms`;
 the ``closed-form-blocks`` suite holds them to these values."""
@@ -11,10 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockTensor
-from .coords import CoordIndex
-from .engine import workspace
-from .errors import PreconditionError
-from .jets import jet_lift
+from .core import tensor
 from .metrics import ProductConfig, TangentSample
 
 
@@ -29,8 +26,7 @@ class SprayField:
 
 def spray(cfg: ProductConfig, p: TangentSample) -> SprayField:
     """Spray coefficients G^a from the direct definition."""
-    wp = workspace(cfg).at(p)
-    return SprayField(BlockTensor(wp.product.spray_values(), ("up",), cfg.n1, cfg.n2))
+    return SprayField(tensor(cfg, p, "spray"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,18 +37,7 @@ class NonlinearConnection:
 
 
 def nonlinear_connection(cfg: ProductConfig, p: TangentSample) -> NonlinearConnection:
-    wp = workspace(cfg).at(p)
-    return NonlinearConnection(wp.product.nonlinear_connection_values())
-
-
-def adapted_derivative(cfg: ProductConfig, p: TangentSample, field,
-                       direction: CoordIndex) -> float:
-    """delta f / delta x^b = d f / d x^b - N^c_b d f / d fiber^c at ``p``."""
-    if not direction.is_base:
-        raise PreconditionError("adapted derivatives are taken along base directions")
-    ep = workspace(cfg).at(p).product
-    lifted = jet_lift(field, p, ep.engine.coords, 1)
-    return float(ep.delta(lifted)[ep.engine.base.index(direction)])
+    return NonlinearConnection(tensor(cfg, p, "connection").array)
 
 
 def frame_brackets(cfg: ProductConfig, p: TangentSample) -> tuple[BlockTensor, BlockTensor]:
@@ -62,16 +47,9 @@ def frame_brackets(cfg: ProductConfig, p: TangentSample) -> tuple[BlockTensor, B
     non-integrability of the horizontal distribution; G[c][a][b] is the fiber
     derivative of the nonlinear connection, symmetric in (a, b).
     """
-    wp = workspace(cfg).at(p)
-    R = BlockTensor(wp.product.bracket_curvature_values(),
-                    ("up", "low", "low"), cfg.n1, cfg.n2)
-    G = BlockTensor(wp.product.connection_fiber_values(),
-                    ("up", "low", "low"), cfg.n1, cfg.n2)
-    return R, G
+    return tensor(cfg, p, "brackets")
 
 
 def horizontal_coefficients(cfg: ProductConfig, p: TangentSample) -> BlockTensor:
     """Berwald-type horizontal coefficients F[c][a][b], symmetric in (a, b)."""
-    wp = workspace(cfg).at(p)
-    return BlockTensor(wp.product.horizontal_values(),
-                       ("up", "low", "low"), cfg.n1, cfg.n2)
+    return tensor(cfg, p, "horizontal")

@@ -1,51 +1,56 @@
-"""Zeroth-level tensors of the doubly warped product: metric and torsions."""
+"""The product's tensors at one sample, read by name from one table.
+
+Every tensor is computed once per sample by the product's
+:class:`~dwfinsler.engine.EnginePoint`; :data:`TENSORS` names the method that
+computes it and its slot variances, and :func:`tensor` reads it as a
+:class:`BlockTensor`.  The names are those of ``dwfinsler eval --tensor``.
+The functions of the per-point chain (:func:`fundamental_tensor` here, the
+connection and curvature levels in their own modules) read the same table.
+"""
 
 from __future__ import annotations
 
+import numpy as np
+
 from .blocks import BlockTensor
 from .engine import workspace
-from .errors import PreconditionError
-from .jets import Jet
 from .metrics import ProductConfig, TangentSample
 
+#: Tensor name -> (EnginePoint method, slot variances).  "brackets" names two
+#: methods, the curvature R[c][a][b] and the connection Gf[c][a][b] of the
+#: adapted-frame Lie brackets, and reads as that pair.
+TENSORS = {
+    "F2": ("F2_value", ()),
+    "g": ("g_values", ("low", "low")),
+    "ginv": ("ginv_values", ("up", "up")),
+    "angular": ("angular", ("low", "low")),
+    "cartan": ("cartan", ("low", "low", "low")),
+    "mean-cartan": ("mean_cartan", ("low",)),
+    "matsumoto": ("matsumoto", ("low", "low", "low")),
+    "spray": ("spray_values", ("up",)),
+    "connection": ("nonlinear_connection_values", ("up", "low")),
+    "horizontal": ("horizontal_values", ("up", "low", "low")),
+    "brackets": (("bracket_curvature_values", "connection_fiber_values"),
+                 ("up", "low", "low")),
+    "berwald": ("berwald", ("up", "low", "low", "low")),
+    "hh": ("hh_curvature", ("low", "up", "low", "low")),
+    "riemann-map": ("riemann_map", ("up", "low")),
+}
 
-def eval_F2(cfg: ProductConfig, p: TangentSample, seeds=(), order: int = 0) -> Jet:
-    """The squared product norm at ``p``, with partials over ``seeds``."""
-    cfg.validate_sample(p)
-    from .jets import jet_lift
-    return jet_lift(cfg.F2, p, tuple(seeds), order)
+
+def tensor(cfg: ProductConfig, p: TangentSample,
+           name: str) -> BlockTensor | tuple[BlockTensor, ...]:
+    """The product tensor ``name`` of :data:`TENSORS` at ``p``: a
+    :class:`BlockTensor`, and a pair of them for "brackets"."""
+    method, variance = TENSORS[name]
+    ep = workspace(cfg).at(p).product
+
+    def read(m: str) -> BlockTensor:
+        return BlockTensor(np.asarray(getattr(ep, m)()), variance, cfg.n1, cfg.n2)
+
+    return tuple(map(read, method)) if isinstance(method, tuple) else read(method)
 
 
 def fundamental_tensor(cfg: ProductConfig, p: TangentSample) -> tuple[BlockTensor, BlockTensor]:
     """Lower fundamental tensor g_ab and its inverse."""
-    ep = workspace(cfg).at(p).product
-    g = BlockTensor(ep.g_values(), ("low", "low"), cfg.n1, cfg.n2)
-    ginv = BlockTensor(ep.ginv_values(), ("up", "up"), cfg.n1, cfg.n2)
-    return g, ginv
-
-
-def angular_metric(cfg: ProductConfig, p: TangentSample) -> BlockTensor:
-    ep = workspace(cfg).at(p).product
-    return BlockTensor(ep.angular(), ("low", "low"), cfg.n1, cfg.n2)
-
-
-def cartan_tensor(cfg: ProductConfig, p: TangentSample) -> BlockTensor:
-    """Fully symmetric lower Cartan torsion C_abc."""
-    ep = workspace(cfg).at(p).product
-    return BlockTensor(ep.cartan(), ("low", "low", "low"), cfg.n1, cfg.n2)
-
-
-def mean_cartan(cfg: ProductConfig, p: TangentSample) -> BlockTensor:
-    ep = workspace(cfg).at(p).product
-    return BlockTensor(ep.mean_cartan(), ("low",), cfg.n1, cfg.n2)
-
-
-def matsumoto_torsion(cfg: ProductConfig, p: TangentSample) -> BlockTensor:
-    """C minus its angular-metric/mean-Cartan reducible part.
-
-    The normalization uses the product dimension n = n1 + n2.
-    """
-    if cfg.n < 2:
-        raise PreconditionError("the Matsumoto torsion needs total dimension >= 2")
-    ep = workspace(cfg).at(p).product
-    return BlockTensor(ep.matsumoto(), ("low", "low", "low"), cfg.n1, cfg.n2)
+    return tensor(cfg, p, "g"), tensor(cfg, p, "ginv")

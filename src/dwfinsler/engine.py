@@ -34,8 +34,10 @@ samples that runs each sample's own pivots and operations, so a batch gives
 each sample the bits of its own evaluation, and a sample that fails alone
 fails the batch with the same error.  The harness evaluates its
 sampled points this way, as strips (:meth:`Workspace.strips`), and its side
-points too (fiber-rescaled copies, finite-difference stencils); a single
-sample serves the library API, the CLI and streams of fresh points.
+points too (fiber-rescaled copies, finite-difference stencils).  A single
+sample serves the library and the CLI: :data:`dwfinsler.core.TENSORS` names
+the :class:`EnginePoint` method of each product tensor, and
+:func:`dwfinsler.core.tensor` reads it at a sample of the workspace.
 
 Products run only where a reader takes their partials.  The adapted
 derivative :meth:`EnginePoint.delta` acts on a whole tensor field along every

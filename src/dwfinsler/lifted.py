@@ -9,13 +9,13 @@ components.  The warped Sasaki-type lift repeats the product fundamental
 tensor on the horizontal and vertical blocks.
 
 Every table is an array expression over a leading ``...``, so one
-implementation serves a single sample and a strip of samples (:func:`of`).
-The public functions read a single sample; the suites and the region
-verdicts read strips.  The Koszul solve, the Vaisman and Reinhart
-diagnostics and the Nijenhuis tensor read two frame arrays of the metric
-derivatives and the brackets; the closed-form Levi-Civita table reads only
-the engine's connection blocks and the factor tensors, so the two routes
-stay independent.
+implementation serves a single sample and a strip of samples.  :func:`of`
+gives the lifted ingredients of a work point, whose methods the suites read
+strip by strip; the region verdicts read every strip of their region.  The
+Koszul solve, the Vaisman and Reinhart diagnostics and the Nijenhuis tensor
+read two frame arrays of the metric derivatives and the brackets; the
+closed-form Levi-Civita table reads only the engine's connection blocks and
+the factor tensors, so the two routes stay independent.
 
 The Koszul computation is ground truth for the Levi-Civita connection; the
 closed-form table is a transcription that is diffed against it, never
@@ -33,28 +33,10 @@ import numpy as np
 from .blocks import max_abs, scalar_axes
 from .engine import WorkPoint, workspace
 from .errors import PreconditionError
-from .metrics import ProductConfig, TangentSample
+from .metrics import ProductConfig
 
 FAMILIES = ("h1", "h2", "v1", "v2")
 _FAMILY_PAIRS = tuple(f"{a}.{b}" for a in FAMILIES for b in FAMILIES)
-
-
-@dataclass(frozen=True, eq=False)
-class LiftedMetric:
-    """Warped Sasaki-type metric in the adapted frame: blockdiag(g, g)."""
-
-    matrix: np.ndarray
-    n1: int
-    n2: int
-
-
-@dataclass(frozen=True, eq=False)
-class ConnectionTable:
-    """nabla values over ordered adapted-frame basis pairs: entries[A][B] is
-    the frame vector nabla_{e_A} e_B."""
-
-    kind: str
-    entries: np.ndarray  # (2n, 2n, 2n)
 
 
 class _LiftedPoint:
@@ -108,7 +90,8 @@ class _LiftedPoint:
     # The two connection tables are solved once per point and shared read-only.
     @cached_property
     def koszul(self) -> np.ndarray:
-        """Levi-Civita table from the Koszul identity, brackets included."""
+        """Levi-Civita table from the Koszul identity over the adapted frame,
+        brackets included: entry [A, B] is the frame vector nabla_{e_A} e_B."""
         dm = self.dm
         low = np.einsum("...abk,...kz->...abz", self.br, self.metric)  # m([e_A, e_B], e_Z)
         rhs = (dm + np.einsum("...baz->...abz", dm) - np.einsum("...zab->...abz", dm)
@@ -117,7 +100,8 @@ class _LiftedPoint:
 
     @cached_property
     def vaisman(self) -> np.ndarray:
-        """The adapted connection of the vertical foliation."""
+        """The distribution-preserving adapted connection of the vertical
+        foliation, a table like :attr:`koszul`."""
         n, n1 = self.n, self.n1
         out = np.zeros(self.lead + (2 * n, 2 * n, 2 * n))
         out[..., :n, :n, :n] = np.einsum("...kab->...abk", self.Fh)  # horizontal on horizontal
@@ -128,7 +112,8 @@ class _LiftedPoint:
         return _read_only(out)
 
     def levi_civita_block_residuals(self) -> dict:
-        """Max |Koszul - closed form| per ordered input-family pair."""
+        """Max |Koszul - closed form| per ordered input-family pair, the closed
+        form being the transcription :func:`_levi_civita_closed_table`."""
         n, n1 = self.n, self.n1
         starts = [0, n1, n, n + n1]  # first slot of each family
         worst = np.abs(self.koszul - _levi_civita_closed_table(self)).max(axis=-1)
@@ -136,7 +121,7 @@ class _LiftedPoint:
         return dict(zip(_FAMILY_PAIRS, np.moveaxis(worst.reshape(self.lead + (-1,)), -1, 0)))
 
     def vaisman_axiom_residuals(self) -> dict:
-        """Numerical residuals of the three defining conditions."""
+        """Numerical residuals of the three defining conditions of :attr:`vaisman`."""
         n, lead = self.n, self.lead
         table = self.vaisman
         # (i) distribution preservation: outputs stay in the input field's bundle.
@@ -152,7 +137,12 @@ class _LiftedPoint:
         return {"preservation": pres, "parallelism": par, "torsion": tor}
 
     def reinhart_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The Reinhart defect and its factor-Cartan closed form (:func:`reinhart_tables`)."""
+        """The Reinhart defect and its factor-Cartan closed form, both [a, b, c].
+
+        Entry [a, b, c] is the value on the vertical basis field a and the
+        horizontal basis fields b, c.  The defect (nabla_X G)(Y, Z) comes from
+        the Vaisman table; the closed form from the factor Cartan tensors.
+        """
         n, n1 = self.n, self.n1
         defect = self.metric_derivative(self.vaisman)[..., n:, :n, :n]
         wp = self.wp
@@ -169,9 +159,14 @@ class _LiftedPoint:
 
     @cached_property
     def nijenhuis_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The integrability obstruction of J by two routes (:func:`nijenhuis_tables`),
-        built once and shared read-only by the ``nijenhuis`` suite and
-        :func:`kahler_verdict`."""
+        """Integrability obstruction of J over all frame pairs, by two routes.
+
+        The first table is assembled from the closed-form components (built
+        from the bracket curvature alone); the second evaluates the defining
+        bracket combination [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] directly.  Both
+        are built once and shared read-only by the ``nijenhuis`` suite and
+        :func:`kahler_verdict`.
+        """
         n = self.n
         m = 2 * n
         Rb = np.einsum("...kab->...abk", self.Rb)
@@ -216,40 +211,20 @@ def of(wp: WorkPoint) -> _LiftedPoint:
     return wp.lifted
 
 
-def _lifted(cfg: ProductConfig, p: TangentSample) -> _LiftedPoint:
-    return of(workspace(cfg).at(p))
-
-
 def _lifted_region(cfg: ProductConfig, region) -> list[_LiftedPoint]:
     """The lifted ingredients of ``region``, one per strip of its samples."""
     return [of(wp) for wp in workspace(cfg).strips(list(region))]
 
 
-def lifted_metric(cfg: ProductConfig, p: TangentSample) -> LiftedMetric:
-    lp = _lifted(cfg, p)
-    return LiftedMetric(lp.metric, cfg.n1, cfg.n2)
-
-
 # ---------------------------------------------------------------------------
-# Levi-Civita connection: Koszul ground truth and the closed-form table
+# The closed-form Levi-Civita table
 # ---------------------------------------------------------------------------
 
-def koszul_levi_civita(cfg: ProductConfig, p: TangentSample) -> ConnectionTable:
-    """Solve the Koszul identity over the adapted frame, brackets included."""
-    return ConnectionTable("levi-civita-koszul", _lifted(cfg, p).koszul)
-
-
-def levi_civita_closed_forms(cfg: ProductConfig, p: TangentSample) -> ConnectionTable:
+def _levi_civita_closed_table(lp: _LiftedPoint) -> np.ndarray:
     """The transcribed component table of the Levi-Civita connection.
 
     Built from the engine's Rb, Gf, Fh, dg and the factor tensors only, never
     from the frame arrays the Koszul solve uses.
-    """
-    return ConnectionTable("levi-civita-closed-form", _levi_civita_closed_table(_lifted(cfg, p)))
-
-
-def _levi_civita_closed_table(lp: _LiftedPoint) -> np.ndarray:
-    """The closed-form Levi-Civita table of :func:`levi_civita_closed_forms`.
 
     Index letters: i, j, k, s run over the first factor; a, b run over all n
     base slots, or over the second factor where a block is confined to it;
@@ -343,44 +318,6 @@ def _levi_civita_closed_table(lp: _LiftedPoint) -> np.ndarray:
     return out
 
 
-def levi_civita_block_residuals(cfg: ProductConfig, p: TangentSample) -> dict[str, float]:
-    """Max |Koszul - closed form| per ordered input-family pair."""
-    return _lifted(cfg, p).levi_civita_block_residuals()
-
-
-def induced_vertical_connection(cfg: ProductConfig, p: TangentSample) -> ConnectionTable:
-    """Vertical projection of the Levi-Civita connection on vertical fields."""
-    kos = koszul_levi_civita(cfg, p).entries
-    n = cfg.n
-    out = np.zeros_like(kos)
-    out[:, n:, n:] = kos[:, n:, n:]
-    return ConnectionTable("induced-vertical", out)
-
-
-# ---------------------------------------------------------------------------
-# The adapted foliation connection and the Reinhart diagnostics
-# ---------------------------------------------------------------------------
-
-def vaisman_connection(cfg: ProductConfig, p: TangentSample) -> ConnectionTable:
-    """Distribution-preserving adapted connection of the vertical foliation."""
-    return ConnectionTable("vaisman", _lifted(cfg, p).vaisman)
-
-
-def vaisman_axiom_residuals(cfg: ProductConfig, p: TangentSample) -> dict[str, float]:
-    """Numerical residuals of the three defining conditions."""
-    return _lifted(cfg, p).vaisman_axiom_residuals()
-
-
-def reinhart_tables(cfg: ProductConfig, p: TangentSample) -> tuple[np.ndarray, np.ndarray]:
-    """The Reinhart defect and its factor-Cartan closed form, both [a, b, c].
-
-    Entry [a, b, c] is the value on the vertical basis field a and the
-    horizontal basis fields b, c.  The defect (nabla_X G)(Y, Z) comes from the
-    Vaisman table; the closed form from the factor Cartan tensors.
-    """
-    return _lifted(cfg, p).reinhart_tables()
-
-
 # ---------------------------------------------------------------------------
 # Almost complex structure, symplectic form, integrability
 # ---------------------------------------------------------------------------
@@ -402,11 +339,6 @@ class ComplexStructure:
 
 def almost_complex(cfg: ProductConfig) -> ComplexStructure:
     return ComplexStructure(cfg.n1, cfg.n2)
-
-
-def symplectic_frame_table(cfg: ProductConfig, p: TangentSample) -> np.ndarray:
-    """Omega(e_A, e_B) = G(e_A, J e_B) over all frame pairs [A, B]."""
-    return _lifted(cfg, p).symplectic_table()
 
 
 @dataclass(frozen=True)
@@ -455,16 +387,6 @@ def closedness_check(cfg: ProductConfig, region) -> ClosednessReport:
                   + np.einsum("...cab->...abc", grads))
         d_res.append(_worst(lead, cyclic[..., increasing]))
     return ClosednessReport(_worst((), *d_res), _worst((), *pot_res))
-
-
-def nijenhuis_tables(cfg: ProductConfig, p: TangentSample) -> tuple[np.ndarray, np.ndarray]:
-    """Integrability obstruction of J over all frame pairs, by two routes.
-
-    The first table is assembled from the closed-form components (built from
-    the bracket curvature alone); the second evaluates the defining bracket
-    combination [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] directly.
-    """
-    return _lifted(cfg, p).nijenhuis_tables
 
 
 @dataclass(frozen=True)

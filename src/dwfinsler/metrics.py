@@ -22,6 +22,7 @@ import numpy as np
 from .coords import CoordIndex, base_coords, fiber_coords
 from .errors import MetricDefinitionError, SlitConditionError
 from .jets import Jet, sqrt
+from .linalg import invert_batch
 
 #: Fiber vectors with Euclidean norm below this violate the slit condition.
 SLIT_FLOOR = 1e-12
@@ -58,17 +59,19 @@ def _each_sample(values) -> list[list[float]]:
     return np.stack(cols, -1).reshape(-1, len(cols)).tolist()
 
 
-def _leading_minors_positive(mat: list[list[float]]) -> bool:
-    # Sylvester's criterion on a copy, via fraction-free-ish elimination.
-    n = len(mat)
-    a = [row[:] for row in mat]
-    for k in range(n):
-        if a[k][k] <= 0.0:
-            return False
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
+def _leading_minors_positive(mats: np.ndarray) -> bool:
+    """Sylvester's criterion at every matrix of ``mats[m, n, n]``, by Gaussian
+    elimination on a copy: each matrix runs the operations it would alone."""
+    a = mats.copy()
+    n = a.shape[-1]
+    with np.errstate(all="ignore"):  # float arithmetic does not warn either
+        for k in range(n):
+            if np.any(a[:, k, k] <= 0.0):
+                return False
+            for i in range(k + 1, n):
+                f = a[:, i, k] / a[:, k, k]
+                for j in range(k, n):
+                    a[:, i, j] -= f * a[:, k, j]
     return True
 
 
@@ -125,7 +128,7 @@ class QuadraticFactor:
             with np.errstate(over="ignore", invalid="ignore"):
                 mat = [[poly_eval(self.entries[i][j], pos) for j in range(self.dim)]
                        for i in range(self.dim)]
-            finite = all(np.all(np.isfinite(v)) for v in _each_sample(sum(mat, [])))
+            finite = bool(np.isfinite(_each_sample(sum(mat, []))).all())
         except OverflowError:
             finite = False
         if not finite:
@@ -136,8 +139,7 @@ class QuadraticFactor:
     def f_squared(self, pos, fib):
         mat = self.matrix(pos)
         n = self.dim
-        if not all(_leading_minors_positive([flat[i * n:(i + 1) * n] for i in range(n)])
-                   for flat in _each_sample(sum(mat, []))):
+        if not _leading_minors_positive(np.reshape(_each_sample(sum(mat, [])), (-1, n, n))):
             raise MetricDefinitionError(
                 "quadratic factor metric is not positive definite at the evaluated point")
         acc = 0.0
@@ -160,24 +162,30 @@ class RandersFactor:
     def __post_init__(self):
         if self.base.dim != self.dim or len(self.b) != self.dim:
             raise MetricDefinitionError("Randers base and one-form must match the dimension")
-        if self._b_norm_sq_at(tuple(0.0 for _ in range(self.dim))) >= 1.0:
+        if np.any(self._b_norm_sq((0.0,) * self.dim) >= 1.0):
             raise MetricDefinitionError(
                 "Randers one-form must have Riemannian norm strictly below 1")
 
-    def _b_norm_sq_at(self, pos) -> float:
+    def _b_norm_sq(self, pos):
+        """The squared base norm b^i a^ij b_j of the one-form, at each sample
+        of ``pos``: the base matrices of all samples inverted as one batch,
+        and the products summed in (i, j) order, as at a single sample."""
         if isinstance(self.base, EuclideanFactor):
             return sum(t * t for t in self.b)
-        from .linalg import invert_matrix
-        mat = [[float(e) for e in row] for row in self.base.matrix(pos)]
-        inv, _ = invert_matrix(mat)
-        return sum(inv[i][j] * self.b[i] * self.b[j]
+        samples = np.array(_each_sample(pos))
+        mat = np.empty((len(samples), self.dim, self.dim))
+        for i, row in enumerate(self.base.matrix(tuple(samples.T))):
+            for j, entry in enumerate(row):
+                mat[:, i, j] = entry
+        inv, _ = invert_batch(mat)
+        return sum(inv[:, i, j] * self.b[i] * self.b[j]
                    for i in range(self.dim) for j in range(self.dim))
 
     def f_squared(self, pos, fib):
         if isinstance(self.base, QuadraticFactor):
             # Position-dependent base: re-check the smallness of b lazily, at
             # each sample.
-            if any(self._b_norm_sq_at(at) >= 1.0 for at in _each_sample(pos)):
+            if np.any(self._b_norm_sq(pos) >= 1.0):
                 raise MetricDefinitionError(
                     "Randers one-form norm reaches 1 at the evaluated point")
         alpha = sqrt(self.base.f_squared(pos, fib))

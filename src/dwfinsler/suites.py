@@ -28,7 +28,7 @@ from .coords import MAX_ORDER, MultiIndex
 from .engine import SPRAY_ORDER, VALUE_ORDER, WorkPoint, workspace
 from .errors import PreconditionError, UnknownSuiteError
 from .jets import CoordView, fd_partials, jet_lift
-from .metrics import ProductConfig, TangentSample
+from .metrics import TangentSample
 from .runspec import ALL_SUITES, RunSpec, sample_points
 
 @dataclass(frozen=True)
@@ -160,10 +160,6 @@ def _commutator_pattern(gf: np.ndarray) -> np.ndarray:
             - np.einsum("ik,...jl->...jikl", eye, gf))
 
 
-def flat_factor_residual(cfg: ProductConfig, p: TangentSample) -> FlatFactorReport:
-    return _flat_factor(workspace(cfg).at(p))
-
-
 def _flat_factor(wp: WorkPoint) -> FlatFactorReport:
     cfg = wp.cfg
     if not cfg.factor1.is_riemannian:
@@ -185,19 +181,15 @@ def _flat_factor(wp: WorkPoint) -> FlatFactorReport:
     return FlatFactorReport(latin, greek, shift1, shift2)
 
 
-def scalar_flag_residual(cfg: ProductConfig, p: TangentSample) -> tuple[float, float]:
+def _scalar_flag(wp: WorkPoint):
     """Least-squares isotropy fit of the first-factor curvature block.
 
     Fits the Latin block of the product hh-curvature to
     lambda * (delta^i_l g_jk - delta^i_k g_jl) over the factor metric and
-    returns (lambda_hat, isotropy defect).  Degenerate normal equations are
-    reported as an infinite defect rather than a guess.
+    returns (lambda_hat, isotropy defect), floats at one sample and arrays
+    over a strip's samples.  Degenerate normal equations are reported as an
+    infinite defect rather than a guess.
     """
-    return _scalar_flag(workspace(cfg).at(p))
-
-
-def _scalar_flag(wp: WorkPoint):
-    """The fit of :func:`scalar_flag_residual`, as arrays over a strip's samples."""
     cfg = wp.cfg
     if not cfg.factor1.is_riemannian:
         raise PreconditionError("the scalar-flag fit needs factor 1 Riemannian")

@@ -13,8 +13,9 @@ from dwfinsler import lifted as lf
 from dwfinsler.cli import main
 from dwfinsler.connection import spray
 from dwfinsler.curvature import hh_curvature
+from dwfinsler.engine import workspace
 from dwfinsler.runspec import fixture_runspec, sample_points
-from dwfinsler.suites import scalar_flag_residual
+from dwfinsler.suites import _scalar_flag
 from conftest import ALL_FIXTURES, entries
 
 
@@ -105,7 +106,7 @@ def test_criterion_09_curvature_shift_identity(reports):
 
 def test_criterion_10_scalar_flag(reports):
     p = TangentSample((0.0, 0.0), (1.0, 0.0), (1.0, 0.3), (0.2, 1.0))
-    lam, defect = scalar_flag_residual(fixture("FIX-E"), p)
+    lam, defect = _scalar_flag(workspace(fixture("FIX-E")).at(p))
     worst = max(e.residual for e in entries(reports, "FIX-E", "scalar-flag"))
     check(10, "isotropic fit gives -0.5 +/- 1e-6 with defect <= 1e-6",
           abs(lam + 0.5) <= 1e-6 and defect <= 1e-6 and worst <= 1e-6,

@@ -10,11 +10,12 @@ from dwfinsler.engine import (LIFT_ORDER, SPRAY_ORDER, VALUE_ORDER, EnginePoint,
 import math
 
 from dwfinsler.coords import MultiIndex, base1, fiber1
-from dwfinsler.errors import DomainError, SingularMetricError, SlitConditionError
+from dwfinsler.errors import (DomainError, MetricDefinitionError, SingularMetricError,
+                              SlitConditionError)
 from dwfinsler.jets import FD_DEFAULT_STEPS, CoordView, exp, fd_partial, fd_partials, sqrt
 from dwfinsler.linalg import invert_matrix
-from dwfinsler.metrics import (CustomFactor, EuclideanFactor, ProductConfig, SampleBatch,
-                               TangentSample)
+from dwfinsler.metrics import (CustomFactor, EuclideanFactor, ProductConfig, QuadraticFactor,
+                               RandersFactor, SampleBatch, TangentSample)
 from dwfinsler.runspec import fixture_runspec, parse_spec, sample_points
 
 from conftest import ALL_FIXTURES
@@ -125,19 +126,44 @@ _NEEDS_POSITIVE_X0 = FinslerEngine(
     (base1(0), base1(1)), (fiber1(0), fiber1(1)))
 
 
+# A Randers metric over [[1 - x0, 0.2 x1], [0.2 x1, 1]] with b = (0.5, 0.3):
+# |b|^2 = 0.34 at the origin, and 0.25 / (1 - x0) + 0.09 on the axis x1 = 0,
+# which reaches 1 at x0 = 0.725...; its base is positive definite for x0 < 1.
+_LONG_ONE_FORM = RandersFactor(2, QuadraticFactor(2, (
+    (((1.0, (0, 0)), (-1.0, (1, 0))), ((0.2, (0, 1)),)),
+    (((0.2, (0, 1)),), ((1.0, (0, 0)),)))), (0.5, 0.3))
+_ONE_FORM_TOO_LONG = FinslerEngine(lambda c: _LONG_ONE_FORM.f_squared(c.x, c.y),
+                                   (base1(0), base1(1)), (fiber1(0), fiber1(1)))
+_BASE_NOT_POSITIVE = FinslerEngine(lambda c: _LONG_ONE_FORM.base.f_squared(c.x, c.y),
+                                   (base1(0), base1(1)), (fiber1(0), fiber1(1)))
+
+
 @pytest.mark.parametrize("engine,bad,error", [
     (_SINGULAR_AT_ORIGIN, (0.0, 0.0), SingularMetricError),
     (_NEEDS_POSITIVE_X0, (-0.5, 0.3), DomainError),
-], ids=["singular g", "sqrt of a negative"])
+    (_ONE_FORM_TOO_LONG, (0.8, 0.0), MetricDefinitionError),
+    (_BASE_NOT_POSITIVE, (1.5, 0.0), MetricDefinitionError),
+], ids=["singular g", "sqrt of a negative", "randers one-form", "quadratic base"])
 def test_one_bad_sample_fails_the_batch_as_it_fails_alone(engine, bad, error):
     good = TangentSample((0.4, -0.2), (0.5,), (1.0, 0.3), (1.0,))
     worse = TangentSample(bad, (0.5,), (1.0, 0.3), (1.0,))
     assert EnginePoint(engine, good, VALUE_ORDER).horizontal_values().shape == (2, 2, 2)
-    with pytest.raises(error):
+    with pytest.raises(error) as alone:
         EnginePoint(engine, worse, VALUE_ORDER).spray()
     batch = SampleBatch.of([good, worse, good])
-    with pytest.raises(error):
+    with pytest.raises(error) as together:
         EnginePoint(engine, batch, VALUE_ORDER).spray()
+    assert str(together.value) == str(alone.value)
+
+
+def test_the_randers_one_form_norm_of_a_batch_has_each_samples_bits():
+    x0, x1 = np.linspace(-0.9, 0.7, 9), np.linspace(-1.0, 1.0, 9)
+    expected = []
+    for a, c in zip(x0.tolist(), x1.tolist()):
+        inv, _ = invert_matrix([[1.0 - a, 0.2 * c], [0.2 * c, 1.0]])
+        expected.append(sum(inv[i][j] * _LONG_ONE_FORM.b[i] * _LONG_ONE_FORM.b[j]
+                            for i in range(2) for j in range(2)))
+    assert _LONG_ONE_FORM._b_norm_sq((x0, x1)).tolist() == expected
 
 
 @pytest.mark.parametrize("field,bad,error", [

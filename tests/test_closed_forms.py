@@ -1,12 +1,14 @@
-"""The harness enforces every closed-form transcription of ``closed_forms``."""
+"""The harness enforces every closed-form transcription of ``closed_forms``, and
+reads every other public function of the library."""
 
 import inspect
 
 import pytest
 
-from dwfinsler import closed_forms
+from dwfinsler import closed_forms, connection, core, curvature, lifted, suites
 from dwfinsler.runspec import fixture_runspec
 from dwfinsler.suites import run_suites
+from conftest import ALL_FIXTURES
 
 
 @pytest.mark.parametrize("family, tensor, block", [
@@ -34,20 +36,40 @@ def test_closed_form_blocks_catch_a_scaled_block(family, tensor, block, monkeypa
     assert not {f for f in failed if f.startswith(f"closed-form-{tensor}.")} - {name}
 
 
-def test_every_closed_form_is_read_by_a_suite(monkeypatch):
-    calls = {}
-    for attr, fn in vars(closed_forms).copy().items():
-        if attr.startswith("_") or not inspect.isfunction(fn) \
-                or fn.__module__ != closed_forms.__name__:
-            continue
-        calls[attr] = 0
+#: Public functions a battery need not call: the per-point chain of the
+#: benchmark, the table reader of ``dwfinsler eval`` and the harness's entry
+#: points.
+ENTRY_POINTS = {
+    "core.fundamental_tensor", "core.tensor",
+    "connection.spray", "connection.nonlinear_connection", "connection.frame_brackets",
+    "connection.horizontal_coefficients",
+    "curvature.berwald_curvature", "curvature.hh_curvature", "curvature.riemann_map",
+    "suites.run_suites", "suites.emit_report", "suites.report_document",
+    "suites.report_from_document",
+}
 
-        def counted(*args, _fn=fn, _attr=attr, **kwargs):
-            calls[_attr] += 1
-            return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(closed_forms, attr, counted)
-    assert {"spray_blocks", "nonlinear_connection_blocks", "connection_fiber_blocks",
-            "horizontal_blocks", "berwald_blocks"} <= set(calls)
-    assert run_suites(fixture_runspec("FIX-R", seed=3, count=3)).ok
-    assert not [attr for attr, n in calls.items() if n == 0]
+def test_every_public_function_is_read_by_a_suite(monkeypatch):
+    public, called = set(), set()
+    for module in (core, connection, curvature, lifted, suites, closed_forms):
+        prefix = module.__name__.rpartition(".")[2]
+        for attr, fn in vars(module).copy().items():
+            if attr.startswith("_") or not inspect.isfunction(fn) \
+                    or fn.__module__ != module.__name__:
+                continue
+            public.add(f"{prefix}.{attr}")
+
+            def counted(*args, _fn=fn, _name=f"{prefix}.{attr}", **kwargs):
+                called.add(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, counted)
+    assert ENTRY_POINTS <= public
+    assert {"closed_forms.spray_blocks", "closed_forms.berwald_blocks", "lifted.of",
+            "lifted.kahler_verdict"} <= public
+    unread = {}
+    for name in ALL_FIXTURES:
+        called.clear()
+        assert run_suites(fixture_runspec(name)).ok
+        unread[name] = sorted(public - ENTRY_POINTS - called)
+    assert unread == {name: [] for name in ALL_FIXTURES}

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
-from dwfinsler import base1, base2, closed_forms, fiber1, fixture
-from dwfinsler.connection import (adapted_derivative, frame_brackets,
-                                  horizontal_coefficients, nonlinear_connection,
-                                  spray)
+from dwfinsler import closed_forms, fixture, jet_lift
+from dwfinsler.blocks import max_abs
+from dwfinsler.connection import (frame_brackets, horizontal_coefficients,
+                                  nonlinear_connection, spray)
 from dwfinsler.engine import workspace
-from dwfinsler.errors import PreconditionError
 from conftest import entries, region
+
+
+def adapted_derivatives(cfg, p, field):
+    """delta f / delta x^b = d f / d x^b - N^c_b d f / d fiber^c at ``p``, along
+    every base direction b, by the engine's adapted derivative."""
+    ep = workspace(cfg).at(p).product
+    return ep.delta(jet_lift(field, p, ep.engine.coords, 1))
 
 
 def worst_closed_form(reports, name, tensor, count):
@@ -64,30 +70,27 @@ def test_connection_degree_identity(fixe):
 
 
 def test_adapted_derivative_reduces_to_plain(fixe, p4):
+    # A field of the base coordinates alone: x0, x1, u0, u1.
     field = lambda c: c.x[0] ** 2 + 2.0 * c.u[0]
-    assert adapted_derivative(fixe, p4, field, base1(0)) == pytest.approx(2.0 * p4.x[0],
-                                                                          abs=1e-12)
-    assert adapted_derivative(fixe, p4, field, base2(0)) == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(PreconditionError):
-        adapted_derivative(fixe, p4, field, fiber1(0))
+    assert adapted_derivatives(fixe, p4, field) == pytest.approx([2.0 * p4.x[0], 0.0, 2.0, 0.0],
+                                                                 abs=1e-12)
 
 
 def test_norm_is_horizontally_constant(fixe):
     for p in region("FIX-E", 5):
-        for d in fixe.base:
-            assert abs(adapted_derivative(fixe, p, fixe.F2, d)) <= 1e-8
+        assert max_abs(adapted_derivatives(fixe, p, fixe.F2)) <= 1e-8
 
 
 def test_adapted_derivative_on_product_is_plain(fixp, p4):
     field = lambda c: c.y[0] ** 2 * c.x[1]
-    got = adapted_derivative(fixp, p4, field, base1(1))
-    assert got == pytest.approx(p4.y[0] ** 2, abs=1e-12)
+    got = adapted_derivatives(fixp, p4, field)
+    assert got == pytest.approx([0.0, p4.y[0] ** 2, 0.0, 0.0], abs=1e-12)
 
 
 def test_brackets_on_product(fixp, p4):
     R, G = frame_brackets(fixp, p4)
-    assert R.max_abs() == 0.0
-    assert G.max_abs() == 0.0
+    assert max_abs(R.array) == 0.0
+    assert max_abs(G.array) == 0.0
 
 
 def test_bracket_antisymmetry(fixr, p4):
@@ -107,7 +110,7 @@ def test_connection_fiber_closed_blocks(reports, name):
 
 
 def test_horizontal_flat_product(fixp, p4):
-    assert horizontal_coefficients(fixp, p4).max_abs() == 0.0
+    assert max_abs(horizontal_coefficients(fixp, p4).array) == 0.0
 
 
 def test_horizontal_symmetry_and_hand_value(fix1d, p1d, fixr, p4):

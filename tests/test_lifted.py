@@ -10,9 +10,14 @@ from dwfinsler.suites import run_suites
 from conftest import region
 
 
+def lifted_at(cfg, p) -> lf._LiftedPoint:
+    """The lifted ingredients of one sample, as the suites read a strip's."""
+    return lf.of(workspace(cfg).at(p))
+
+
 def koszul_residuals(cfg, p):
-    lp = lf._lifted(cfg, p)
-    tab = lf.koszul_levi_civita(cfg, p).entries
+    lp = lifted_at(cfg, p)
+    tab = lp.koszul
     # metric compatibility: e_A m(e_B, e_Z) = m(nabla_A e_B, e_Z) + m(e_B, nabla_A e_Z)
     low = np.einsum("abk,kz->abz", tab, lp.metric)
     compat = np.max(np.abs(lp.dm - low - np.swapaxes(low, 1, 2)))
@@ -22,21 +27,21 @@ def koszul_residuals(cfg, p):
 
 
 def test_lifted_metric_structure(fix1d, p1d, fixr, p4):
-    lm = lf.lifted_metric(fix1d, p1d)
-    assert lm.matrix[0, 0] == pytest.approx(2.0)  # warped first-factor block
+    lm = lifted_at(fix1d, p1d).metric
+    assert lm[0, 0] == pytest.approx(2.0)  # warped first-factor block
     n = fixr.n
-    lmr = lf.lifted_metric(fixr, p4)
-    assert np.max(np.abs(lmr.matrix[:n, n:])) == 0.0  # block orthogonality
-    assert np.allclose(lmr.matrix[:n, :n], lmr.matrix[n:, n:])
-    assert np.all(np.linalg.eigvalsh(lmr.matrix) > 0)
+    lmr = lifted_at(fixr, p4).metric
+    assert np.max(np.abs(lmr[:n, n:])) == 0.0  # block orthogonality
+    assert np.allclose(lmr[:n, :n], lmr[n:, n:])
+    assert np.all(np.linalg.eigvalsh(lmr) > 0)
 
 
 def test_lifted_metric_product_reduces_to_plain_lift(fixp, p4):
     g = workspace(fixp).at(p4).product.g_values()
-    lm = lf.lifted_metric(fixp, p4)
+    lm = lifted_at(fixp, p4).metric
     n = fixp.n
-    assert np.allclose(lm.matrix[:n, :n], g)
-    assert np.allclose(lm.matrix[n:, n:], g)
+    assert np.allclose(lm[:n, :n], g)
+    assert np.allclose(lm[n:, n:], g)
 
 
 @pytest.mark.parametrize("name", ["FIX-1D", "FIX-E", "FIX-P", "FIX-R"])
@@ -49,33 +54,31 @@ def test_koszul_defining_properties(name):
 
 
 def test_connection_tables_are_solved_once_and_read_only(fixr, p4):
-    for solve in (lf.koszul_levi_civita, lf.vaisman_connection):
-        first = solve(fixr, p4).entries
-        assert solve(fixr, p4).entries is first
+    for table in ("koszul", "vaisman"):
+        first = getattr(lifted_at(fixr, p4), table)
+        assert getattr(lifted_at(fixr, p4), table) is first
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0, 0, 0] = 1.0
 
 
 def test_koszul_flat_product_vanishes(fixp, p4):
-    tab = lf.koszul_levi_civita(fixp, p4).entries
-    assert np.max(np.abs(tab)) == 0.0
+    assert np.max(np.abs(lifted_at(fixp, p4).koszul)) == 0.0
 
 
 @pytest.mark.parametrize("name", ["FIX-1D", "FIX-E", "FIX-P", "FIX-R"])
 def test_closed_forms_match_koszul(name):
     cfg = fixture(name)
     for p in region(name, 3):
-        kos = lf.koszul_levi_civita(cfg, p).entries
-        clo = lf.levi_civita_closed_forms(cfg, p).entries
-        assert np.max(np.abs(kos - clo)) <= 1e-12
-        assert max(lf.levi_civita_block_residuals(cfg, p).values()) <= 1e-12
+        lp = lifted_at(cfg, p)
+        assert np.max(np.abs(lp.koszul - lf._levi_civita_closed_table(lp))) <= 1e-12
+        assert max(lp.levi_civita_block_residuals().values()) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["FIX-E", "FIX-R"])
 def test_closed_form_discrepancy_report(name):
     cfg = fixture(name)
-    res = lf.levi_civita_block_residuals(cfg, region(name, 2)[0])
+    res = lifted_at(cfg, region(name, 2)[0]).levi_civita_block_residuals()
     assert set(res) == {f"{a}.{b}" for a in lf.FAMILIES for b in lf.FAMILIES}
     assert all(v >= 0.0 for v in res.values())
 
@@ -84,33 +87,32 @@ def test_levi_horizontal_coefficient_shared_subterm(fix1d, p1d):
     # The horizontal output of the closed-form table on horizontal pairs must
     # reproduce the warped horizontal coefficients, independently computed.
     from dwfinsler.closed_forms import horizontal_blocks
-    tab = lf.levi_civita_closed_forms(fix1d, p1d).entries
+    tab = lf._levi_civita_closed_table(lifted_at(fix1d, p1d))
     blocks = horizontal_blocks(workspace(fix1d).at(p1d))
     assert tab[0, 0, 0] == pytest.approx(blocks["1.11"][0, 0, 0], abs=1e-12)
     assert tab[0, 0, 1] == pytest.approx(blocks["2.11"][0, 0, 0], abs=1e-12)
 
 
 def test_induced_vertical_connection(fixe):
+    # The vertical projection of the Levi-Civita connection on vertical fields.
     n, n1 = fixe.n, fixe.n1
     for p in region("FIX-E", 3):
-        ind = lf.induced_vertical_connection(fixe, p).entries
+        ind = lifted_at(fixe, p).koszul[:, n:, n:]
         Fh = workspace(fixe).at(p).product.horizontal_values()
         for a in range(n):
             for b in range(n):
-                assert np.max(np.abs(ind[a, n + b, n:] - Fh[:, a, b])) <= 1e-7
+                assert np.max(np.abs(ind[a, b] - Fh[:, a, b])) <= 1e-7
         # vertical inputs: mixed-factor pairs vanish
         for i in range(n1):
             for b in range(fixe.n2):
-                assert np.max(np.abs(ind[n + i, n + n1 + b])) <= 1e-9
+                assert np.max(np.abs(ind[n + i, n1 + b])) <= 1e-9
         # Riemannian factors: pure vertical-vertical rows vanish with Cartan
-        for a in range(n):
-            for b in range(n):
-                assert np.max(np.abs(ind[n + a, n + b])) <= 1e-9
+        assert np.max(np.abs(ind[n:])) <= 1e-9
 
 
 def test_vaisman_components(fixe, p4):
     n = fixe.n
-    tab = lf.vaisman_connection(fixe, p4).entries
+    tab = lifted_at(fixe, p4).vaisman
     ep = workspace(fixe).at(p4).product
     Gf = ep.connection_fiber_values()
     Fh = ep.horizontal_values()
@@ -126,14 +128,14 @@ def test_vaisman_components(fixe, p4):
 def test_vaisman_axioms(name):
     cfg = fixture(name)
     for p in region(name, 3):
-        res = lf.vaisman_axiom_residuals(cfg, p)
+        res = lifted_at(cfg, p).vaisman_axiom_residuals()
         assert res["preservation"] == 0.0
         assert res["parallelism"] <= 1e-8
         assert res["torsion"] <= 1e-8
 
 
 def test_vaisman_flat_product_vanishes(fixp, p4):
-    assert np.max(np.abs(lf.vaisman_connection(fixp, p4).entries)) == 0.0
+    assert np.max(np.abs(lifted_at(fixp, p4).vaisman)) == 0.0
 
 
 def test_same_connection_biconditional(fixp, fixr, p4):
@@ -143,10 +145,9 @@ def test_same_connection_biconditional(fixp, fixr, p4):
         ep = workspace(cfg).at(p4).product
         gap_fg = float(np.max(np.abs(ep.horizontal_values()
                                      - ep.connection_fiber_values())))
-        ind = lf.induced_vertical_connection(cfg, p4).entries
-        vai = lf.vaisman_connection(cfg, p4).entries
+        lp = lifted_at(cfg, p4)
         n = cfg.n
-        gap_conn = float(np.max(np.abs(ind[:, n:, n:] - vai[:, n:, n:])))
+        gap_conn = float(np.max(np.abs(lp.koszul[:, n:, n:] - lp.vaisman[:, n:, n:])))
         assert (gap_fg <= 1e-7) is expect_same
         assert (gap_conn <= 1e-7) is expect_same
 
@@ -154,14 +155,14 @@ def test_same_connection_biconditional(fixp, fixr, p4):
 def test_reinhart_riemannian_vanishes(fixe):
     # Every triple (vertical a, horizontal b, horizontal c) of the defect table.
     for p in region("FIX-E", 2):
-        assert np.max(np.abs(lf.reinhart_tables(fixe, p)[0])) <= 1e-10
+        assert np.max(np.abs(lifted_at(fixe, p).reinhart_tables()[0])) <= 1e-10
 
 
 def test_reinhart_witness_on_randers(fixr, p4):
     wp = workspace(fixr).at(p4)
     n1 = fixr.n1
     # X = second-factor vertical 0, Y and Z = second-factor horizontal 0 and 1
-    defect, identity = lf.reinhart_tables(fixr, p4)
+    defect, identity = lifted_at(fixr, p4).reinhart_tables()
     d = defect[n1, n1, n1 + 1]
     # two independent paths: covariant derivative vs the factor Cartan tensor
     expected = 2.0 * wp.warp_sq(1) * wp.factor2.cartan()[0, 0, 1]
@@ -173,7 +174,7 @@ def test_reinhart_witness_on_randers(fixr, p4):
 def test_reinhart_cross_factor_triples_vanish(fixr, p4):
     # X = first-factor vertical, Y and Z = second-factor horizontal
     n1 = fixr.n1
-    assert abs(lf.reinhart_tables(fixr, p4)[0][0, n1, n1 + 1]) <= 1e-10
+    assert abs(lifted_at(fixr, p4).reinhart_tables()[0][0, n1, n1 + 1]) <= 1e-10
 
 
 def test_complex_structure(fixe, p4):
@@ -187,7 +188,7 @@ def test_complex_structure(fixe, p4):
     img = J @ np.eye(m)[1]
     assert np.max(np.abs(img[:fixe.n])) == 0.0
     assert np.max(np.abs(img[fixe.n:])) == 1.0
-    G = lf.lifted_metric(fixe, p4).matrix
+    G = lifted_at(fixe, p4).metric
     for _ in range(5):
         X, Y = rng.normal(size=m), rng.normal(size=m)
         assert (J @ X) @ G @ (J @ Y) == pytest.approx(X @ G @ Y, abs=1e-10)
@@ -195,8 +196,8 @@ def test_complex_structure(fixe, p4):
 
 def test_symplectic_frame_values(fix1d, p1d, fixe, p4):
     # Omega(h_0, v_0) on FIX-1D
-    assert lf.symplectic_frame_table(fix1d, p1d)[0, fix1d.n] == pytest.approx(2.0)
-    om = lf.symplectic_frame_table(fixe, p4)
+    assert lifted_at(fix1d, p1d).symplectic_table()[0, fix1d.n] == pytest.approx(2.0)
+    om = lifted_at(fixe, p4).symplectic_table()
     n = fixe.n
     g = workspace(fixe).at(p4).product.g_values()
     assert np.max(np.abs(om[:n, :n])) == 0.0  # horizontal pairs vanish
@@ -258,7 +259,7 @@ def test_workspace_keeps_one_point_per_sample(fixr):
 
 def test_nijenhuis_tables(fixe):
     for p in region("FIX-E", 3):
-        closed, direct = lf.nijenhuis_tables(fixe, p)
+        closed, direct = lifted_at(fixe, p).nijenhuis_tables
         assert np.max(np.abs(closed - direct)) <= 1e-7
         assert np.max(np.abs(direct + np.swapaxes(direct, 0, 1))) <= 1e-10
         # spot-check the mixed row against the bracket curvature directly

@@ -185,6 +185,17 @@ def test_cli_usage_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("point, message", [
+    ("x=a,0;u=0,0;y=1,0;v=0,1", "--point x: expected numbers"),
+    ("x=0,0;u=0,0;y=1,0;v=nan,1", "--point v: coordinates must be finite"),
+    ("x=0,0;u=inf,0;y=1,0;v=0,1", "--point u: coordinates must be finite"),
+])
+def test_cli_rejects_a_point_that_is_not_finite_numbers(point, message, capsys):
+    assert main(["eval", "--fixture", "FIX-R", "--point", point]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+
+
 def test_tracker_fails_closed_on_nan():
     spec = fixture_runspec("FIX-P", seed=3, count=1)
     for bad in (float("nan"), float("inf")):
