@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .core import TENSORS, tensor
-from .errors import DwfError, SchemaError
+from .errors import DomainError, DwfError, SchemaError
 from .metrics import TangentSample
 from .runspec import (ALL_SUITES, FIXTURES, RunSpec, fixture_document, parse_spec,
                       sample_points)
@@ -70,12 +70,16 @@ def _parse_point(text: str, n1: int, n2: int) -> TangentSample:
     return TangentSample(groups["x"], groups["u"], groups["y"], groups["v"])
 
 
-def _printable(value):
-    """A tensor of the table as JSON: nested lists, and a dict for the bracket pair."""
-    if isinstance(value, tuple):
-        r, gf = value
-        return {"curvature": r.array.tolist(), "connection": gf.array.tolist()}
-    return value.array.tolist()
+def _printable(value, name: str, p: TangentSample):
+    """A tensor of the table as JSON: nested lists, and a dict for the bracket
+    pair.  JSON has no number for inf or NaN, so such an entry fails."""
+    arrays = [t.array for t in (value if isinstance(value, tuple) else (value,))]
+    if not all(math.isfinite(v) for a in arrays for v in a.flat):
+        where = ";".join(f"{k}={','.join(map(repr, getattr(p, k)))}" for k in "xuyv")
+        raise DomainError(f"--tensor {name} is not finite at {where}")
+    if len(arrays) == 2:
+        return {"curvature": arrays[0].tolist(), "connection": arrays[1].tolist()}
+    return arrays[0].tolist()
 
 
 def _cmd_eval(args) -> int:
@@ -87,7 +91,7 @@ def _cmd_eval(args) -> int:
         points = sample_points(spec)[:max(1, args.points or 1)]
     names = args.tensor or ["g", "spray"]
     doc = [{"point": {"x": list(p.x), "u": list(p.u), "y": list(p.y), "v": list(p.v)},
-            "tensors": {name: _printable(tensor(cfg, p, name)) for name in names}}
+            "tensors": {name: _printable(tensor(cfg, p, name), name, p) for name in names}}
            for p in points]
     print(json.dumps({"config": spec.label, "evaluations": doc},
                      sort_keys=True, indent=2))

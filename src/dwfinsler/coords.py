@@ -41,10 +41,6 @@ class CoordIndex:
         return self.block in (CoordBlock.BASE1, CoordBlock.BASE2)
 
     @property
-    def is_fiber(self) -> bool:
-        return not self.is_base
-
-    @property
     def factor(self) -> int:
         """1 or 2, the factor manifold this coordinate belongs to."""
         return 1 if self.block in (CoordBlock.BASE1, CoordBlock.FIBER1) else 2

@@ -46,12 +46,15 @@ curvature, hh and the suites read.  dg is the one adapted derivative kept as a
 jet, and it and H carry order 1, since the adapted derivative of H in hh
 takes one derivative.
 
-All per-point state has one owner: the :class:`Workspace` of a configuration
-keeps one :class:`WorkPoint` per sample, and one per strip of samples, in a
-single dict, and each work point holds its three engine points, its warp jets
-and the lifted ingredients.  Nothing is evicted; ``workspace(cfg).clear()``
-drops every point and strip of a configuration.  Caches are not protected by
-locks: share a workspace across threads only for distinct points.
+All per-point state has one owner and one lifetime: :func:`workspace` keeps
+the :class:`Workspace` of the configuration last asked for, and it keeps one
+slot, the key last asked for (a sample for :meth:`Workspace.at`, a tuple of
+samples for :meth:`Workspace.strips`) with the work points built for it, each
+holding its engine points, warp jets and lifted ingredients.  Another key or
+configuration replaces them.  Every suite of a battery asks for the battery's
+points, and the per-point chain reads a sample's tensors before the next, so
+one slot serves every repeat and memory stays bounded.  The memos are not
+locked: share a workspace across threads only for distinct points.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ import numpy as np
 
 from .blocks import matvec
 from .coords import CoordIndex, base_coords, fiber_coords
-from .jets import Jet, einsum, jet_lift, support_lift
+from .jets import Jet, einsum, support_lift
 from .linalg import invert_batch, invert_matrix
 from .metrics import ProductConfig, SampleBatch, TangentSample
 
@@ -333,58 +336,62 @@ class Workspace:
 
     def __init__(self, cfg: ProductConfig):
         self.cfg = cfg
-        n1, n2 = cfg.n1, cfg.n2
         self.product = FinslerEngine(cfg.F2, cfg.base, cfg.fiber)
         self.factor1 = FinslerEngine(cfg.F1_squared,
-                                     base_coords(n1, 0), fiber_coords(n1, 0))
+                                     base_coords(cfg.n1, 0), fiber_coords(cfg.n1, 0))
         self.factor2 = FinslerEngine(cfg.F2_squared,
                                      tuple(c for c in cfg.base if c.factor == 2),
                                      tuple(c for c in cfg.fiber if c.factor == 2))
-        # Keyed by a sample, or by the tuple of samples of a strip.
-        self._points: dict[TangentSample | tuple[TangentSample, ...], WorkPoint] = {}
+        self._slot: tuple = (None, None)  # the last key, and what was built for it
         self._lift_size: int | None = None  # lift coefficients per sample
 
-    def at(self, sample: TangentSample) -> "WorkPoint":
-        """The work point of ``sample``: validated and built once, then shared."""
-        got = self._points.get(sample)
-        if got is None:
-            got = self._points[sample] = WorkPoint(self, sample)
+    def _held(self, key, build: Callable):
+        """What was built for ``key`` if it is the last key, else ``build()`` in its place."""
+        held, got = self._slot
+        if held != key:
+            got = build()
+            self._slot = (key, got)
         return got
+
+    def at(self, sample: TangentSample) -> "WorkPoint":
+        """The work point of ``sample``: validated, built and kept as :meth:`_held`."""
+        return self._held(sample, lambda: WorkPoint(self, sample))
 
     def strips(self, samples: Sequence[TangentSample]) -> list["WorkPoint"]:
         """``samples`` in order, as consecutive strips: each one work point over
-        its samples as a batch, built once and shared like :meth:`at`.
+        its samples as a batch, kept as :meth:`_held` for the whole tuple.
 
         A strip holds ``STRIP_COEFFICIENTS`` over the coefficient count of the
         product lift of one sample, so memory stays bounded at large
         dimensions, where strips fall back to single samples.
         """
+        samples = tuple(samples)
+        return self._held(samples, lambda: self._split(samples))
+
+    def _split(self, samples: tuple[TangentSample, ...]) -> list["WorkPoint"]:
         if self._lift_size is None and samples:
             seeds = support_lift(self.product.field, samples[0], self.product.coords, 1).seeds
             self._lift_size = math.comb(len(seeds) + LIFT_ORDER, LIFT_ORDER)
         size = max(1, STRIP_COEFFICIENTS // (self._lift_size or 1))
-        out = []
-        for start in range(0, len(samples), size):
-            key = tuple(samples[start:start + size])
-            got = self._points.get(key)
-            if got is None:
-                got = self._points[key] = WorkPoint(self, SampleBatch.of(key))
-                got.samples = key
-            out.append(got)
+        chunks = [samples[i:i + size] for i in range(0, len(samples), size)]
+        out = [WorkPoint(self, SampleBatch.of(chunk)) for chunk in chunks]
+        for strip, chunk in zip(out, chunks):
+            strip.samples = chunk
         return out
 
     def clear(self) -> None:
-        """Drop every cached point and strip of this configuration."""
-        self._points.clear()
+        """Drop what is kept for the last key."""
+        self._slot = (None, None)
 
 
 class WorkPoint:
     """Everything computed at one sample: engine points, warp jets, lifted data.
 
-    A work point built directly, not through :meth:`Workspace.at`, is not
-    cached and lives as long as its caller keeps it; one that is read only
-    for low tensor values may lift at ``VALUE_ORDER``, or at ``SPRAY_ORDER``
-    when it is read only for g and the spray.  Its sample may be a
+    A work point built directly, not through :meth:`Workspace.at` or
+    :meth:`Workspace.strips`, is not kept and lives as long as its caller
+    keeps it; one that is read only for low tensor values may lift at
+    ``VALUE_ORDER``, or at ``SPRAY_ORDER`` when it is read only for g and the
+    spray.  Its sample may be a
     :class:`~dwfinsler.metrics.SampleBatch`: every value then carries a
     leading axis over its samples (``lead``).  A strip of
     :meth:`Workspace.strips` also keeps its samples, in order, as ``samples``.
@@ -404,12 +411,13 @@ class WorkPoint:
         self.lifted = None  # the lifted ingredients, built by dwfinsler.lifted
 
     def _warp_jet(self, which: int) -> Jet:
-        """The squared warp, lifted at order 1 over its factor's base coordinates."""
+        """The squared warp, lifted at order 1 over those of its factor's base
+        coordinates it reads (a gradient along the others is exactly zero)."""
         got = self._warp.get(which)
         if got is None:
             field = self.cfg.warp1_squared if which == 1 else self.cfg.warp2_squared
-            got = self._warp[which] = jet_lift(field, self.sample,
-                                               self.factor(which).engine.base, 1)
+            got = self._warp[which] = support_lift(field, self.sample,
+                                                   self.factor(which).engine.base, 1)
         return got
 
     def warp_sq(self, which: int) -> float | np.ndarray:
@@ -433,11 +441,12 @@ class WorkPoint:
         return (df[..., None, :] @ ginv @ df[..., :, None])[..., 0, 0] / (4.0 * fsq)
 
 
-_WORKSPACES: dict[ProductConfig, Workspace] = {}
+_last: Workspace | None = None
 
 
 def workspace(cfg: ProductConfig) -> Workspace:
-    got = _WORKSPACES.get(cfg)
-    if got is None:
-        got = _WORKSPACES[cfg] = Workspace(cfg)
-    return got
+    """The workspace of ``cfg``: the last one if its configuration equals ``cfg``."""
+    global _last
+    if _last is None or _last.cfg != cfg:
+        _last = Workspace(cfg)
+    return _last

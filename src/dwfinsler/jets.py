@@ -35,8 +35,8 @@ support jet never need the larger context; :meth:`Jet.partial`,
 :meth:`Jet.derive` and :meth:`Jet.restrict` stay strict and reject a non-seed.
 
 The engine (:mod:`dwfinsler.engine`) lifts each squared norm once per point
-with :func:`support_lift` and memoizes that lift; :func:`jet_lift` serves the
-finite-difference cross-checks and the public API.  The finite differences
+with :func:`support_lift` and memoizes that lift; :func:`jet_lift`, the lift
+over a given seed set, is public API only.  The finite differences
 run on float batches: :func:`fd_partials` builds the stencils of many probes
 as coordinate arrays (:func:`_fd_stencil`), evaluates the field once on all
 their points as one batch, and combines the values of each order's probes at

@@ -26,8 +26,8 @@ from . import closed_forms, lifted
 from .blocks import matvec, max_abs, scalar_axes, vdot
 from .coords import MAX_ORDER, MultiIndex
 from .engine import SPRAY_ORDER, VALUE_ORDER, WorkPoint, workspace
-from .errors import PreconditionError, UnknownSuiteError
-from .jets import CoordView, fd_partials, jet_lift
+from .errors import UnknownSuiteError
+from .jets import CoordView, fd_partials
 from .metrics import TangentSample
 from .runspec import ALL_SUITES, RunSpec, sample_points
 
@@ -136,23 +136,6 @@ def _bound_entry(spec: RunSpec, suite: str, name: str, tracker: _Tracker,
 # Curvature fits of the first-factor block
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlatFactorReport:
-    """Residual of the curvature-shift identity for Riemannian factors.
-
-    With factor 1 Riemannian, the product hh-curvature restricted to the
-    first-factor block equals the factor curvature minus
-    |grad f2|^2 / f1^2 times the metric commutator pattern; mirrored for the
-    second factor when it is Riemannian.  Each field is a float at one
-    point, and an array over the samples of a strip.
-    """
-
-    latin_residual: float
-    greek_residual: float | None
-    shift1: float
-    shift2: float | None
-
-
 def _commutator_pattern(gf: np.ndarray) -> np.ndarray:
     """[..., j, i, k, l] = delta^i_l g_jk - delta^i_k g_jl over a factor metric."""
     eye = np.eye(gf.shape[-1])
@@ -160,10 +143,17 @@ def _commutator_pattern(gf: np.ndarray) -> np.ndarray:
             - np.einsum("ik,...jl->...jikl", eye, gf))
 
 
-def _flat_factor(wp: WorkPoint) -> FlatFactorReport:
+def _flat_factor(wp: WorkPoint) -> tuple:
+    """Residuals of the curvature-shift identity for Riemannian factors.
+
+    With factor 1 Riemannian, the product hh-curvature restricted to the
+    first-factor block equals the factor curvature minus
+    |grad f2|^2 / f1^2 times the metric commutator pattern; mirrored for the
+    second factor when it is Riemannian.  Returns the first block's residual
+    and the second's (None unless factor 2 is Riemannian): floats at one
+    sample, arrays over the samples of a strip.
+    """
     cfg = wp.cfg
-    if not cfg.factor1.is_riemannian:
-        raise PreconditionError("the curvature-shift identity needs factor 1 Riemannian")
     n1, n2 = cfg.n1, cfg.n2
     hh = wp.product.hh_curvature()
 
@@ -172,13 +162,9 @@ def _flat_factor(wp: WorkPoint) -> FlatFactorReport:
         sl = slice(0, n1) if which == 1 else slice(n1, n1 + n2)
         lam = wp.grad_warp_norm_sq(3 - which) / wp.warp_sq(which)
         expected = ep.hh_curvature() - scalar_axes(lam, 4) * _commutator_pattern(ep.g_values())
-        return max_abs(hh[..., sl, sl, sl, sl] - expected, wp.lead), lam
+        return max_abs(hh[..., sl, sl, sl, sl] - expected, wp.lead)
 
-    latin, shift1 = block_residual(1)
-    greek = shift2 = None
-    if cfg.factor2.is_riemannian:
-        greek, shift2 = block_residual(2)
-    return FlatFactorReport(latin, greek, shift1, shift2)
+    return block_residual(1), block_residual(2) if cfg.factor2.is_riemannian else None
 
 
 def _scalar_flag(wp: WorkPoint):
@@ -190,12 +176,7 @@ def _scalar_flag(wp: WorkPoint):
     over a strip's samples.  Degenerate normal equations are reported as an
     infinite defect rather than a guess.
     """
-    cfg = wp.cfg
-    if not cfg.factor1.is_riemannian:
-        raise PreconditionError("the scalar-flag fit needs factor 1 Riemannian")
-    if cfg.n1 < 2:
-        raise PreconditionError("the scalar-flag fit needs n1 >= 2")
-    n1 = cfg.n1
+    n1 = wp.cfg.n1
     hh = wp.product.hh_curvature()[..., :n1, :n1, :n1, :n1]
     pattern = _commutator_pattern(wp.factor1.g_values())
     sel = np.array([[[[(i != k) or (j != l) for l in range(n1)] for k in range(n1)]
@@ -404,10 +385,10 @@ def _suite_con1(spec: RunSpec, points) -> list[SuiteEntry]:
     latin = _Tracker()
     greek = _Tracker()
     for wp in workspace(cfg).strips(points):
-        rep = _flat_factor(wp)
-        latin.feed_all(rep.latin_residual, wp.samples)
-        if rep.greek_residual is not None:
-            greek.feed_all(rep.greek_residual, wp.samples)
+        first, second = _flat_factor(wp)
+        latin.feed_all(first, wp.samples)
+        if second is not None:
+            greek.feed_all(second, wp.samples)
     out = [_entry(spec, "con1", "first-factor-block", latin)]
     if cfg.factor2.is_riemannian:
         out.append(_entry(spec, "con1", "second-factor-block", greek))
@@ -566,9 +547,10 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     coords = list(cfg.base) + list(cfg.fiber)
     fib, n = cfg.fiber, cfg.n
     subset = points[:min(3, len(points))]
-    # The engine's g at the subset, read off the strips that hold it.
+    # Each sample of the subset as the strip that holds it and its row there.
     strips = ws.strips(points)
-    g = np.concatenate([wp.product.g_values() for wp in strips[:len(subset)]])[:len(subset)]
+    held = [(wp, k) for wp in strips for k in range(len(wp.samples))][:len(subset)]
+    g = np.array([wp.product.g_values()[k] for wp, k in held])
     # The finite-difference oracle evaluates F^2 on floats, at the stencils
     # of 8 random partials at each point of the subset, drawn in order, and
     # of every fiber pair of g there, all as one batch.
@@ -578,8 +560,14 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     fd = fd_partials(lambda batch: cfg.F2(CoordView(batch)),
                      list(zip(at, multis))
                      + [(p, (fib[a], fib[b])) for p in subset for a, b in np.ndindex(n, n)])
-    jet = np.array([jet_lift(cfg.F2, p, m.directions, m.order).partial(m)
-                    for p, m in zip(at, multis)])
+    # The jets read each partial off the lift of F^2 at the probe's sample; a
+    # direction that is not a seed of the lift gives an exact zero.
+    jet = np.zeros(len(at))
+    for i, m in enumerate(multis):
+        wp, k = held[i // 8]
+        lift = wp.product.lift()
+        if set(m.directions) <= set(lift.seeds):
+            jet[i] = lift[k].partial(m)
     f2tr = _Tracker()
     f2tr.feed_all((abs(jet - fd[:len(at)]) / (1.0 + abs(jet))).reshape(len(subset), 8), subset,
                   lambda k, j: f"dirs={dirs[8 * k + j]}")

@@ -339,3 +339,35 @@ def test_array_sqrt_and_exp_act_as_on_each_float():
         math.exp(1000.0)
     with pytest.raises(OverflowError):
         exp(np.array([1.0, 1000.0]))
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_a_battery_builds_each_strip_once(name, monkeypatch):
+    # Every suite asks the workspace's one slot for the strips of the same
+    # points, whether the battery runs in one call or one suite per call, so
+    # each strip is built once; a suite that asked for another split of the
+    # points, or for one sample, would have them rebuilt and fail here.
+    import dwfinsler.engine as engine
+    from dwfinsler.suites import run_suites
+    built = []
+
+    class Counted(WorkPoint):
+        def __init__(self, ws, sample, order=LIFT_ORDER):
+            super().__init__(ws, sample, order)
+            built.append(sample)
+
+    monkeypatch.setattr(engine, "WorkPoint", Counted)
+    monkeypatch.setattr(engine, "STRIP_COEFFICIENTS", 1000)  # several strips each
+    spec = fixture_runspec(name)
+    ws = workspace(spec.config)
+    for specs in ([spec], [fixture_runspec(name, suites=(s,)) for s in spec.suites]):
+        ws.clear()
+        built.clear()
+        try:
+            for one in specs:
+                assert run_suites(one).ok, name
+            strips = ws.strips(sample_points(spec))
+        finally:
+            ws.clear()
+        assert len(strips) > 1, name
+        assert len(built) == len(strips), name

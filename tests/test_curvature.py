@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from dwfinsler import (ConstantWarp, EuclideanFactor, PolyQuadraticWarp,
-                       ProductConfig, RandersFactor, TangentSample, fixture)
+                       ProductConfig, TangentSample, fixture)
 from dwfinsler import closed_forms
 from dwfinsler.blocks import max_abs
 from dwfinsler.connection import frame_brackets
 from dwfinsler.curvature import berwald_curvature, hh_curvature, riemann_map
 from dwfinsler.suites import _flat_factor, _scalar_flag
 from dwfinsler.engine import workspace
-from dwfinsler.errors import PreconditionError
 from conftest import region
 
 
@@ -116,15 +115,15 @@ def test_flag_curvature_flat_product(fixp, p4):
 
 def test_flat_factor_identity(fixe):
     for p in region("FIX-E", 5):
-        rep = flat_factor_residual(fixe, p)
-        assert rep.latin_residual <= 1e-6
-        assert rep.greek_residual <= 1e-6
+        latin, greek = flat_factor_residual(fixe, p)
+        assert latin <= 1e-6
+        assert greek <= 1e-6
 
 
 def test_flat_factor_on_product_degenerates(fixp, p4):
-    rep = flat_factor_residual(fixp, p4)
-    assert rep.latin_residual <= 1e-8
-    assert rep.shift1 == pytest.approx(0.0)
+    latin, _ = flat_factor_residual(fixp, p4)
+    assert latin <= 1e-8
+    assert workspace(fixp).at(p4).grad_warp_norm_sq(2) == pytest.approx(0.0)
 
 
 def test_flat_factor_constant_second_warp():
@@ -132,17 +131,9 @@ def test_flat_factor_constant_second_warp():
     cfg = ProductConfig(EuclideanFactor(2), EuclideanFactor(2),
                         PolyQuadraticWarp((1.0, 0.0)), ConstantWarp())
     p = TangentSample((0.4, -0.2), (0.5, 0.3), (1.0, 0.3), (0.2, 1.0))
-    rep = flat_factor_residual(cfg, p)
-    assert rep.shift1 == pytest.approx(0.0)
-    assert rep.latin_residual <= 1e-8
-
-
-def test_flat_factor_requires_riemannian_first_factor():
-    cfg = ProductConfig(RandersFactor(2, EuclideanFactor(2), (0.3, 0.0)),
-                        EuclideanFactor(2))
-    p = TangentSample((0.1, 0.2), (0.3, 0.4), (1.0, 0.2), (0.5, 1.0))
-    with pytest.raises(PreconditionError):
-        flat_factor_residual(cfg, p)
+    latin, _ = flat_factor_residual(cfg, p)
+    assert workspace(cfg).at(p).grad_warp_norm_sq(2) == pytest.approx(0.0)
+    assert latin <= 1e-8
 
 
 def test_scalar_flag_hand_value(fixe):
@@ -165,13 +156,6 @@ def test_scalar_flag_tracks_warp_gradient(fixe):
         expected = -(u1 ** 2 / (1.0 + u1 ** 2)) / (1.0 + x1 ** 2)
         assert lam == pytest.approx(expected, abs=1e-6)
         assert defect <= 1e-6
-
-
-def test_scalar_flag_needs_surface_factor():
-    cfg = ProductConfig(EuclideanFactor(1), EuclideanFactor(1))
-    p = TangentSample((0.0,), (0.0,), (1.0,), (1.0,))
-    with pytest.raises(PreconditionError):
-        scalar_flag_residual(cfg, p)
 
 
 def test_curvature_bundle_invariants(fixr, p4):

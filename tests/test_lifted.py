@@ -1,7 +1,12 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
-from dwfinsler import fixture
+import dwfinsler as dw
+from dwfinsler import CustomFactor, EuclideanFactor, ProductConfig, fixture
 from dwfinsler import lifted as lf
 from dwfinsler.engine import EnginePoint, workspace
 from dwfinsler.errors import PreconditionError
@@ -232,29 +237,76 @@ def test_closedness_detects_a_scaled_connection(name, monkeypatch):
 def test_workspace_keeps_one_point_per_sample(fixr):
     ws = workspace(fixr)
     ws.clear()
-    # the hermitian suite caches one strip of its samples and nothing else
+    # the hermitian suite keeps the strip of its samples and nothing else
     spec = fixture_runspec("FIX-R", count=5, suites=("hermitian",))
+    points = tuple(sample_points(spec))
     run_suites(spec)
-    (strip,) = ws._points.values()
-    assert strip.samples == tuple(sample_points(spec))
-    p = sample_points(spec)[0]
+    key, (strip,) = ws._slot
+    assert key == points and strip.samples == points
+    # one sample replaces the strips, and is read back while it is the last key
+    p = points[0]
     wp = ws.at(p)
     assert ws.at(p) is wp
-    ws.clear()
-    assert not ws._points
+    assert ws._slot == (p, wp)
+    assert ws.strips(points)[0] is not strip
     assert ws.at(p) is not wp
-    # homogeneity evaluates its fiber-rescaled copies without caching them
-    cfg = fixture("FIX-1D")
-    ws1 = workspace(cfg)
-    ws1.clear()
-    run_suites(fixture_runspec("FIX-1D", count=5, suites=("homogeneity",)))
-    assert [len(wp.samples) for wp in ws1._points.values()] == [5]
-    ws1.clear()
-    # so does fd-crosscheck with its finite-difference stencil points
     ws.clear()
-    run_suites(fixture_runspec("FIX-R", count=5, suites=("fd-crosscheck",)))
-    assert [len(wp.samples) for wp in ws._points.values()] == [5]
-    ws.clear()
+    assert ws._slot == (None, None)
+    # homogeneity evaluates its fiber-rescaled copies without keeping them,
+    # and fd-crosscheck its finite-difference stencil points
+    for name, suite in (("FIX-1D", "homogeneity"), ("FIX-R", "fd-crosscheck")):
+        spec = fixture_runspec(name, count=5, suites=(suite,))
+        run_suites(spec)
+        key, held = workspace(spec.config)._slot
+        assert key == tuple(sample_points(spec)), suite
+        assert [len(wp.samples) for wp in held] == [5], suite
+        workspace(spec.config).clear()
+
+
+def _chain(cfg, p) -> None:
+    """Every function of the per-point library chain at ``p``."""
+    dw.fundamental_tensor(cfg, p)
+    dw.spray(cfg, p)
+    dw.nonlinear_connection(cfg, p)
+    dw.frame_brackets(cfg, p)
+    dw.horizontal_coefficients(cfg, p)
+    dw.berwald_curvature(cfg, p)
+    dw.hh_curvature(cfg, p)
+    dw.riemann_map(cfg, p)
+
+
+def test_the_engine_keeps_one_workspace_and_one_point(fixr):
+    # A stream of fresh points keeps only the last one, so memory stops
+    # growing with the stream (61 KB per point while every point was kept).
+    points = sample_points(fixture_runspec("FIX-R", seed=17, count=200))
+    tracemalloc.start()
+    try:
+        for i, p in enumerate(points):
+            if i == 20:
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+            _chain(fixr, p)
+            if i == 0:
+                first = weakref.ref(workspace(fixr).at(p))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 100_000, grown
+    assert first() is None
+    assert workspace(fixr)._slot[0] is points[-1]
+    # Configurations whose factors compare by identity each get a workspace,
+    # and each replaces the last one.
+    configs = [ProductConfig(CustomFactor(2, lambda pos, fib: fib[0] ** 2 + fib[1] ** 2),
+                             EuclideanFactor(2)) for _ in range(50)]
+    p = points[0]
+    kept = [weakref.ref(workspace(fixr))]
+    for cfg in configs:
+        _chain(cfg, p)
+        kept.append(weakref.ref(workspace(cfg)))
+    gc.collect()
+    assert [ref() is not None for ref in kept] == [False] * 50 + [True]
+    assert kept[-1]()._slot[0] is p
 
 
 def test_nijenhuis_tables(fixe):

@@ -196,6 +196,22 @@ def test_cli_rejects_a_point_that_is_not_finite_numbers(point, message, capsys):
     assert message in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("fixture_name, point, name", [
+    ("FIX-R", "x=1e200,0;u=0,0;y=1,0;v=0,1", "F2"),  # the warp 1 + x0^2 overflows
+    ("FIX-1D", "x=1e160;u=0;y=1;v=1", "g"),
+])
+def test_cli_eval_rejects_a_tensor_that_is_not_finite(fixture_name, point, name, capsys):
+    # JSON has no number for inf or NaN: eval fails with exit 2 instead of
+    # printing a bare Infinity, and names the tensor and the point.
+    with np.errstate(all="ignore"):
+        assert main(["eval", "--fixture", fixture_name, "--point", point,
+                     "--tensor", name]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert f"--tensor {name} is not finite" in captured.err
+    assert "x=1e+" in captured.err
+
+
 def test_tracker_fails_closed_on_nan():
     spec = fixture_runspec("FIX-P", seed=3, count=1)
     for bad in (float("nan"), float("inf")):
