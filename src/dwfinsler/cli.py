@@ -12,6 +12,8 @@ import math
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .core import TENSORS, tensor
 from .errors import DomainError, DwfError, SchemaError
@@ -90,9 +92,13 @@ def _cmd_eval(args) -> int:
     else:
         points = sample_points(spec)[:max(1, args.points or 1)]
     names = args.tensor or ["g", "spray"]
-    doc = [{"point": {"x": list(p.x), "u": list(p.u), "y": list(p.y), "v": list(p.v)},
-            "tensors": {name: _printable(tensor(cfg, p, name), name, p) for name in names}}
-           for p in points]
+    # A point where F^2 overflows gives inf and NaN entries, which _printable
+    # rejects with a DomainError; numpy's own warnings about them are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        doc = [{"point": {"x": list(p.x), "u": list(p.u), "y": list(p.y), "v": list(p.v)},
+                "tensors": {name: _printable(tensor(cfg, p, name), name, p)
+                            for name in names}}
+               for p in points]
     print(json.dumps({"config": spec.label, "evaluations": doc},
                      sort_keys=True, indent=2))
     return 0

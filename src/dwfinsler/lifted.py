@@ -155,7 +155,8 @@ class _LiftedPoint:
 
     def symplectic_table(self) -> np.ndarray:
         """Omega(e_A, e_B) = G(e_A, J e_B) over all frame pairs [A, B]."""
-        return self.metric @ ComplexStructure(self.n1, self.n2).matrix()
+        p, s = ComplexStructure(self.n1, self.n2).signed_permutation()
+        return self.metric[..., p] * s
 
     @cached_property
     def nijenhuis_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -167,6 +168,17 @@ class _LiftedPoint:
         are built once and shared read-only by the ``nijenhuis`` suite and
         :func:`kahler_verdict`.
         """
+        # On basis fields X = e_A, Y = e_B, with J e_A = s(A) e_{p(A)} and the
+        # bracket bilinear over constant frame components: each term is one
+        # entry of br, gathered through p and scaled by signs.  The gathers'
+        # temporaries are freed before the closed table is allocated.
+        p, s = ComplexStructure(self.n1, self.n2).signed_permutation()
+        br = self.br
+        sa, sb, sk = s[:, None, None], s[:, None], s[p]
+        direct = br[..., p[:, None], p, :] * (sa * sb)            # [JX, JY]
+        direct -= br[..., p, :, :][..., p] * (sa * sk)             # J[JX, Y]
+        direct -= br[..., :, p[:, None], p] * (sb * sk)            # J[X, JY]
+        direct -= br
         n = self.n
         m = 2 * n
         Rb = np.einsum("...kab->...abk", self.Rb)
@@ -175,13 +187,6 @@ class _LiftedPoint:
         closed[..., n:, n:, n:] = Rb                             # vertical pair
         closed[..., :n, n:, :n] = -Rb                            # mixed pair
         closed[..., n:, :n, :n] = np.einsum("...abk->...bak", Rb)
-        # On basis fields X = e_A, Y = e_B, with JX = J[:, A] and the bracket
-        # bilinear over constant frame components.
-        J, br = ComplexStructure(self.n1, self.n2).matrix(), self.br
-        direct = (np.einsum("ca,db,...cdk->...abk", J, J, br)
-                  - np.einsum("kl,ca,...cbl->...abk", J, J, br)
-                  - np.einsum("kl,db,...adl->...abk", J, J, br)
-                  - br)
         return _read_only(closed), _read_only(direct)
 
 
@@ -324,16 +329,27 @@ def _levi_civita_closed_table(lp: _LiftedPoint) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ComplexStructure:
-    """J: horizontal -> minus vertical, vertical -> horizontal."""
+    """J: horizontal -> minus vertical, vertical -> horizontal.
+
+    On the adapted frame J is a signed permutation, J e_a = s(a)·e_{p(a)}, with
+    p(a) = (a + n) mod 2n and s(a) = -1 for a horizontal field, +1 for a
+    vertical one.  p is its own inverse, so the components of JX are
+    (JX)^k = s(p(k))·X^{p(k)}.
+    """
 
     n1: int
     n2: int
 
-    def matrix(self) -> np.ndarray:
+    def signed_permutation(self) -> tuple[np.ndarray, np.ndarray]:
+        """The permutation p and the signs s, each indexed by the frame slot a."""
         n = self.n1 + self.n2
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, n:] = np.eye(n)
-        out[n:, :n] = -np.eye(n)
+        return (np.arange(2 * n) + n) % (2 * n), np.repeat([-1.0, 1.0], n)
+
+    def matrix(self) -> np.ndarray:
+        p, s = self.signed_permutation()
+        m = len(p)
+        out = np.zeros((m, m))
+        out[p, np.arange(m)] = s
         return out
 
 

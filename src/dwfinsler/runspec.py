@@ -8,6 +8,7 @@ seed is mandatory so every run is reproducible.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -256,6 +257,8 @@ def parse_spec(text_or_doc) -> RunSpec:
     for lo, hi in box:
         if not lo <= hi:
             raise SchemaError("$.sampling.box: bounds must satisfy lo <= hi")
+        if not math.isfinite(hi - lo):
+            raise SchemaError(f"$.sampling.box: the width of [{lo}, {hi}] overflows")
     radii_node = s.get("radii", [0.5, 2.0])
     if not (isinstance(radii_node, list) and len(radii_node) == 2):
         raise SchemaError("$.sampling.radii: expected [min, max]")
@@ -281,29 +284,39 @@ def parse_spec(text_or_doc) -> RunSpec:
 
 
 def sample_points(spec: RunSpec) -> list[TangentSample]:
-    """Deterministic sample of the slit bundle: boxed base, sphere-scaled fibers."""
-    cfg = spec.config
-    rng = np.random.Generator(np.random.PCG64(spec.sampling.seed))
-    lo = np.array([b[0] for b in spec.sampling.box])
-    hi = np.array([b[1] for b in spec.sampling.box])
-    r0, r1 = spec.sampling.radii
-    out = []
-    for _ in range(spec.sampling.count):
-        base = rng.uniform(lo, hi)
+    """Deterministic sample of the slit bundle: boxed base, sphere-scaled fibers.
 
-        def fiber(dim: int) -> tuple[float, ...]:
-            direction = rng.normal(size=dim)
-            norm = float(np.linalg.norm(direction))
+    The draws are the reproducibility contract.  One ``PCG64`` generator seeded
+    with ``sampling.seed`` draws, point by point: one uniform per base
+    coordinate (x, then u); n1 standard normals for y, drawn again while their
+    Euclidean norm is below 1e-12; one uniform for the radius of y; the same
+    two steps for v.  A base coordinate is lo + (hi - lo)·U, a radius
+    r0 + (r1 - r0)·U, and a fiber radius·d/|d|, with |d| the square root of
+    ``d.dot(d)``, which is ``np.linalg.norm``'s formula.
+    """
+    cfg, sampling = spec.config, spec.sampling
+    n, n1, count = cfg.n, cfg.n1, sampling.count
+    rng = np.random.Generator(np.random.PCG64(sampling.seed))
+    base = np.empty((count, n))
+    fibers = (np.empty((count, n1)), np.empty((count, cfg.n2)))
+    norms = np.empty((2, count, 1))
+    radii = np.empty((2, count, 1))
+    for i in range(count):
+        rng.random(out=base[i])
+        for j, fiber in enumerate(fibers):
+            d = fiber[i]
+            norm = 0.0
             while norm < 1e-12:  # astronomically unlikely, but stay deterministic
-                direction = rng.normal(size=dim)
-                norm = float(np.linalg.norm(direction))
-            radius = rng.uniform(r0, r1)
-            return tuple(radius * direction / norm)
-
-        y = fiber(cfg.n1)
-        v = fiber(cfg.n2)
-        out.append(TangentSample(tuple(base[:cfg.n1]), tuple(base[cfg.n1:]), y, v))
-    return out
+                rng.standard_normal(out=d)
+                norm = math.sqrt(d.dot(d))
+            norms[j, i] = norm
+            radii[j, i] = rng.random()
+    lo, hi = np.array(sampling.box).T
+    r0, r1 = sampling.radii
+    radii = r0 + (r1 - r0) * radii
+    rows = np.hstack([lo + (hi - lo) * base] + [
+        radius * fiber / norm for fiber, radius, norm in zip(fibers, radii, norms)]).tolist()
+    return [TangentSample(r[:n1], r[n1:n], r[n:n + n1], r[n + n1:]) for r in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ from dwfinsler import CustomFactor, EuclideanFactor, ProductConfig, fixture
 from dwfinsler import lifted as lf
 from dwfinsler.engine import EnginePoint, workspace
 from dwfinsler.errors import PreconditionError
-from dwfinsler.runspec import fixture_runspec, sample_points
-from dwfinsler.suites import run_suites
-from conftest import region
+from dwfinsler.runspec import fixture_runspec, parse_spec, sample_points
+from dwfinsler.suites import _point_doc, run_suites
+from conftest import ALL_FIXTURES, region
+from test_asymmetric import ASYM_1x3, ASYM_3x2
 
 
 def lifted_at(cfg, p) -> lf._LiftedPoint:
@@ -182,8 +183,15 @@ def test_reinhart_cross_factor_triples_vanish(fixr, p4):
     assert abs(lifted_at(fixr, p4).reinhart_tables()[0][0, n1, n1 + 1]) <= 1e-10
 
 
+def _j_matrix(cfg):
+    """J on the adapted frame, written out: [[0, I], [-I, 0]]."""
+    eye = np.eye(cfg.n)
+    return np.block([[np.zeros_like(eye), eye], [-eye, np.zeros_like(eye)]])
+
+
 def test_complex_structure(fixe, p4):
     J = lf.almost_complex(fixe).matrix()
+    assert np.array_equal(J, _j_matrix(fixe))
     m = 2 * fixe.n
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -318,6 +326,47 @@ def test_nijenhuis_tables(fixe):
         Rb = workspace(fixe).at(p).product.bracket_curvature_values()
         n = fixe.n
         assert np.allclose(direct[0, n + 1, :n], -Rb[:, 0, 1], atol=1e-12)
+
+
+def _nijenhuis_by_contraction(lp):
+    """The direct Nijenhuis table as three contractions of br with the J
+    matrix: the reference for the signed-permutation form."""
+    J, br = _j_matrix(lp.wp.cfg), lp.br
+    return (np.einsum("ca,db,...cdk->...abk", J, J, br)
+            - np.einsum("kl,ca,...cbl->...abk", J, J, br)
+            - np.einsum("kl,db,...adl->...abk", J, J, br)
+            - br)
+
+
+def _lifted_configs():
+    """The four fixtures and both asymmetric documents, with a few samples each."""
+    specs = [fixture_runspec(name, seed=7, count=5) for name in ALL_FIXTURES]
+    specs += [parse_spec(doc) for doc in (ASYM_1x3, ASYM_3x2)]
+    return [(spec.config, sample_points(spec)) for spec in specs]
+
+
+@pytest.mark.parametrize("strip", [True, False], ids=["strip", "single-sample"])
+def test_j_as_a_signed_permutation_matches_the_contraction(strip):
+    # Every entry of a contraction with J is one product with +-1 plus zeros,
+    # so the gathers give the same numbers (array_equal: a zero's sign may differ).
+    for cfg, points in _lifted_configs():
+        wps = workspace(cfg).strips(points) if strip else [workspace(cfg).at(points[0])]
+        for wp in wps:
+            lp = lf.of(wp)
+            assert np.array_equal(lp.nijenhuis_tables[1], _nijenhuis_by_contraction(lp))
+            assert np.array_equal(lp.symplectic_table(), lp.metric @ _j_matrix(cfg))
+
+
+def test_a_nan_bracket_is_reported_at_its_own_sample():
+    spec = fixture_runspec("FIX-E", seed=7, count=5, suites=("nijenhuis",))
+    points = sample_points(spec)
+    (wp,) = workspace(spec.config).strips(points)
+    n = spec.config.n
+    lf.of(wp).br[3, 0, 1, n] = np.nan
+    (suite,) = run_suites(spec).suites
+    for entry in suite.entries:
+        assert np.isnan(entry.residual) and not entry.passed
+        assert entry.point == _point_doc(points[3])
 
 
 def test_kahler_branches(fixp, fixe):

@@ -95,6 +95,53 @@ def test_sampling_is_deterministic_and_slit_safe():
     assert a != c
 
 
+def _per_point_samples(spec):
+    """The sample as drawn point by point through numpy's distribution calls:
+    the reference the array form of ``sample_points`` must match bit for bit."""
+    cfg = spec.config
+    rng = np.random.Generator(np.random.PCG64(spec.sampling.seed))
+    lo = np.array([b[0] for b in spec.sampling.box])
+    hi = np.array([b[1] for b in spec.sampling.box])
+    r0, r1 = spec.sampling.radii
+    out = []
+    for _ in range(spec.sampling.count):
+        base = rng.uniform(lo, hi)
+
+        def fiber(dim):
+            direction = rng.normal(size=dim)
+            norm = float(np.linalg.norm(direction))
+            while norm < 1e-12:
+                direction = rng.normal(size=dim)
+                norm = float(np.linalg.norm(direction))
+            radius = rng.uniform(r0, r1)
+            return tuple(radius * direction / norm)
+
+        y = fiber(cfg.n1)
+        v = fiber(cfg.n2)
+        out.append((tuple(base[:cfg.n1]), tuple(base[cfg.n1:]), y, v))
+    return out
+
+
+@pytest.mark.parametrize("n1", range(1, 7))
+def test_sample_points_draws_as_the_per_point_loop(n1):
+    for n2 in range(1, 7):
+        n = n1 + n2
+        boxes = ([-1.0, 1.0], [-1e3, 7.3],
+                 [[-1e3 * (i + 1) / n, 7.3 * i] for i in range(n - 1)] + [[0.5, 0.5]])
+        for seed, box, radii in [(0, boxes[0], [0.5, 2.0]), (7, boxes[1], [1e-6, 1e6]),
+                                 (2 ** 64 - 1, boxes[2], [1e-6, 1e6]),
+                                 (2024, boxes[2], [1.0, 1.0])]:
+            doc = {"factors": [{"kind": "euclidean", "dim": n1},
+                               {"kind": "euclidean", "dim": n2}],
+                   "warps": {"f1": {"kind": "constant"}, "f2": {"kind": "constant"}},
+                   "sampling": {"seed": seed, "count": 6, "box": box, "radii": radii}}
+            spec = parse_spec(doc)
+            got = [[[t.hex() for t in g] for g in (p.x, p.u, p.y, p.v)]
+                   for p in sample_points(spec)]
+            want = [[[float(t).hex() for t in g] for g in p] for p in _per_point_samples(spec)]
+            assert got == want, (n1, n2, seed)
+
+
 def test_tolerance_overrides():
     spec = fixture_runspec("FIX-P", tolerances={"lemma41": 1e-3})
     assert spec.tolerance("lemma41") == 1e-3
@@ -157,6 +204,7 @@ def _quadratic(coefficient, exponent):
     (_bad_leaf("FIX-P", "sampling", "radii", ["a", 2.0]), r"\$\.sampling\.radii"),
     (_bad_leaf("FIX-1D", "sampling", "box", [-1.0, "b"]), r"\$\.sampling\.box"),
     (_bad_leaf("FIX-1D", "sampling", "box", [[-1, 1], [0, None]]), r"\$\.sampling\.box"),
+    (_bad_leaf("FIX-1D", "sampling", "box", [-1.7e308, 1.7e308]), r"\$\.sampling\.box"),
     (_bad_leaf("FIX-P", "suites", None), r"\$\.suites"),
     (_bad_leaf("FIX-P", "suites", [1]), r"\$\.suites"),
     (_bad_leaf("FIX-P", "expected_failures", 5), r"\$\.expected_failures"),
@@ -170,6 +218,7 @@ def _quadratic(coefficient, exponent):
         "fractional-dim", "string-dim", "dim-over-cap", "axis-out-of-range", "negative-axis",
         "short-coeffs", "long-coeffs", "string-count", "null-count", "fractional-count",
         "bool-count", "string-radius", "string-box-bound", "null-box-pair-bound",
+        "overflowing-box-width",
         "null-suites", "non-string-suite", "number-expected-failures",
         "string-quadratic-coefficient", "string-quadratic-exponent", "string-randers-b"])
 def test_malformed_documents_rejected_with_path(doc, path):
