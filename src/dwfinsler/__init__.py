@@ -10,7 +10,7 @@ the structural identities numerically.
 __version__ = "0.1.0"
 
 from .coords import CoordBlock, CoordIndex, MultiIndex, base1, base2, fiber1, fiber2
-from .jets import Jet, fd_partial, jet_lift
+from .jets import Jet, fd_partial
 from .blocks import BlockTensor
 from .metrics import (ConstantWarp, CustomFactor, EuclideanFactor,
                       ExponentialWarp, PolyQuadraticWarp, ProductConfig,
@@ -28,7 +28,7 @@ __all__ = [
     "__version__",
     # coordinates and jets
     "CoordBlock", "CoordIndex", "MultiIndex", "base1", "base2", "fiber1", "fiber2",
-    "Jet", "fd_partial", "jet_lift", "BlockTensor",
+    "Jet", "fd_partial", "BlockTensor",
     # metric specifications
     "ConstantWarp", "CustomFactor", "EuclideanFactor", "ExponentialWarp",
     "FIXTURES", "PolyQuadraticWarp", "ProductConfig", "QuadraticFactor",

@@ -32,12 +32,8 @@ class BlockTensor:
         if any(s != n for s in self.array.shape):
             raise ValueError("every axis must span the combined index")
 
-    @property
-    def rank(self) -> int:
-        return self.array.ndim
-
     def __repr__(self) -> str:
-        return (f"BlockTensor(rank={self.rank}, variance={self.variance}, "
+        return (f"BlockTensor(rank={self.array.ndim}, variance={self.variance}, "
                 f"n1={self.n1}, n2={self.n2})")
 
 

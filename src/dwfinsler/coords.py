@@ -37,10 +37,6 @@ class CoordIndex:
             raise ValueError(f"negative coordinate offset {self.offset}")
 
     @property
-    def is_base(self) -> bool:
-        return self.block in (CoordBlock.BASE1, CoordBlock.BASE2)
-
-    @property
     def factor(self) -> int:
         """1 or 2, the factor manifold this coordinate belongs to."""
         return 1 if self.block in (CoordBlock.BASE1, CoordBlock.FIBER1) else 2

@@ -26,17 +26,15 @@ seeded coordinate as a jet over that coordinate alone, and two operands over
 different seeds are embedded into the union of their seeds, at the lower of
 their orders, before the usual table runs.  So a subexpression pays only for
 the coordinates it depends on, and the lift carries only the seeds the field
-read.  :func:`jet_lift` embeds it into the context of all requested seeds,
-its partials along the unused ones exactly zero.  A product over the union
-sums the same terms, in the same order, as one over a larger seed set, so
-lifting by support changes no bit of the result.  :meth:`Jet.grad` along a
-coordinate that is not a seed gives exact zeros, so tensors derived from a
-support jet never need the larger context; :meth:`Jet.partial`,
-:meth:`Jet.derive` and :meth:`Jet.restrict` stay strict and reject a non-seed.
+read.  A product over the union sums the same terms, in the same order, as
+one over a larger seed set, so lifting by support changes no bit of the
+result.  :meth:`Jet.grad` along a coordinate that is not a seed gives exact
+zeros, so tensors derived from a support jet never need a larger context;
+:meth:`Jet.partial` and :meth:`Jet.restrict` stay strict and reject a
+non-seed.
 
 The engine (:mod:`dwfinsler.engine`) lifts each squared norm once per point
-with :func:`support_lift` and memoizes that lift; :func:`jet_lift`, the lift
-over a given seed set, is public API only.  The finite differences
+with :func:`support_lift` and memoizes that lift.  The finite differences
 run on float batches: :func:`fd_partials` builds the stencils of many probes
 as coordinate arrays (:func:`_fd_stencil`), evaluates the field once on all
 their points as one batch, and combines the values of each order's probes at
@@ -56,7 +54,7 @@ from .coords import MAX_ORDER, CoordIndex, MultiIndex
 from .errors import CapabilityError, DomainError
 
 __all__ = [
-    "Jet", "JetContext", "jet_lift", "support_lift", "fd_partial", "fd_partials",
+    "Jet", "JetContext", "support_lift", "fd_partial", "fd_partials",
     "einsum", "sqrt", "exp",
 ]
 
@@ -311,14 +309,6 @@ class Jet:
             e[self.ctx.position(coord)] = k
         return float(self.c[self.ctx.tables.index[tuple(e)]])
 
-    def coeffs(self) -> dict[MultiIndex, float]:
-        """All stored partials of a scalar jet, keyed canonically."""
-        out = {}
-        for e, i in self.ctx.tables.index.items():
-            terms = tuple((s, m) for s, m in zip(self.ctx.seeds, e) if m)
-            out[MultiIndex(terms)] = float(self.c[i])
-        return out
-
     # -- tensor axes ----------------------------------------------------------
     def __getitem__(self, key) -> "Jet":
         key = key if isinstance(key, tuple) else (key,)
@@ -331,9 +321,6 @@ class Jet:
         lead = rank - len(axes) if axes else 0
         order = [lead + a for a in axes] if axes else range(rank - 1, -1, -1)
         return Jet(self.ctx, self.c.transpose(*range(lead), *order, rank))
-
-    def reshape(self, shape: tuple[int, ...]) -> "Jet":
-        return Jet(self.ctx, self.c.reshape(tuple(shape) + self.c.shape[-1:]))
 
     # -- context plumbing ---------------------------------------------------
     def restrict(self, seeds: Sequence[CoordIndex], order: int) -> "Jet":
@@ -371,12 +358,6 @@ class Jet:
         if pad:
             c = np.concatenate((c, np.zeros(c.shape[:-1] + (1,))), -1)
         return Jet(self.ctx.lowered(), c.take(src, -1))
-
-    def derive(self, coord: CoordIndex) -> "Jet":
-        """Formal partial derivative along a seed; drops the order bound by one."""
-        lowered = self.ctx.lowered()
-        src = self.ctx.tables.derive_map(self.ctx.position(coord))
-        return Jet(lowered, self.c.take(src, -1))
 
     # -- arithmetic ---------------------------------------------------------
     def _aligned(self, other: "Jet") -> tuple["Jet", "Jet"]:
@@ -633,12 +614,6 @@ def support_lift(field: ScalarField, point, seeds: Sequence[CoordIndex], order: 
     if isinstance(out, Jet):
         return out
     return Jet.constant(context((), order), np.full(view.shape, float(out)))
-
-
-def jet_lift(field: ScalarField, point, seeds: Sequence[CoordIndex], order: int) -> Jet:
-    """Lift a scalar field to a jet at ``point`` over ``seeds`` up to ``order``:
-    the :func:`support_lift` embedded into the context of all of ``seeds``."""
-    return support_lift(field, point, seeds, order).embed(context(seeds, order))
 
 
 #: Default relative steps per total order; cancellation noise grows like

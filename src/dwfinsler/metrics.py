@@ -303,16 +303,6 @@ class TangentSample:
         group = (self.x, self.u, self.y, self.v)[ci.block]
         return group[ci.offset]
 
-    def fiber_scaled(self, lam: float) -> "TangentSample":
-        return TangentSample(self.x, self.u,
-                             tuple(lam * t for t in self.y),
-                             tuple(lam * t for t in self.v))
-
-    @property
-    def fiber(self) -> tuple[float, ...]:
-        """Combined fiber vector (y, v)."""
-        return self.y + self.v
-
 
 def _require_slit(ys, vs) -> None:
     """Each fiber vector of ``ys`` and ``vs`` (sequences of float tuples)
@@ -367,8 +357,8 @@ class SampleBatch:
                    cols[2 * n1 + n2:])
 
     def fiber_scaled(self, lams: Sequence[float]) -> "SampleBatch":
-        """Every sample with its fiber scaled by each of ``lams``, as
-        :meth:`TangentSample.fiber_scaled` does, ordered by sample, then scale."""
+        """Every sample with its fibers y and v multiplied by each of ``lams``
+        (the points (x, u, lam y, lam v)), ordered by sample, then scale."""
         lams = np.asarray(lams, dtype=float)
 
         def scaled(t):

@@ -1,10 +1,18 @@
 import pytest
 
 from dwfinsler import TangentSample, fixture
+from dwfinsler.jets import context, support_lift
 from dwfinsler.runspec import fixture_runspec, sample_points
 from dwfinsler.suites import run_suites
 
 ALL_FIXTURES = ("FIX-1D", "FIX-E", "FIX-P", "FIX-R")
+
+
+def jet_lift(field, point, seeds, order: int):
+    """The dense lift: ``field`` lifted at ``point`` over all of ``seeds`` up
+    to ``order``, its partials along the seeds it does not read exactly zero.
+    The reference of the lift by support, which the engine runs."""
+    return support_lift(field, point, seeds, order).embed(context(seeds, order))
 
 
 def region(name: str, count: int = 8, seed: int = 7):

@@ -2,13 +2,22 @@
 reads every other public function of the library."""
 
 import inspect
+import sys
 
 import pytest
 
-from dwfinsler import closed_forms, connection, core, curvature, lifted, suites
-from dwfinsler.runspec import fixture_runspec
+from dwfinsler import (blocks, closed_forms, connection, coords, core, curvature, engine,
+                       jets, lifted, linalg, metrics, runspec, suites)
+from dwfinsler.cli import main
+from dwfinsler.runspec import fixture_runspec, parse_spec
 from dwfinsler.suites import run_suites
 from conftest import ALL_FIXTURES
+
+#: The modules whose public functions every fixture's battery reads, but for
+#: those the CLI calls around a battery.
+HARNESS = (core, connection, curvature, lifted, suites, closed_forms)
+AROUND_A_BATTERY = {"core.tensor", "suites.run_suites", "suites.emit_report",
+                    "suites.report_document", "suites.report_from_document"}
 
 
 @pytest.mark.parametrize("family, tensor, block", [
@@ -36,40 +45,101 @@ def test_closed_form_blocks_catch_a_scaled_block(family, tensor, block, monkeypa
     assert not {f for f in failed if f.startswith(f"closed-form-{tensor}.")} - {name}
 
 
-#: Public functions a battery need not call: the per-point chain of the
-#: benchmark, the table reader of ``dwfinsler eval`` and the harness's entry
-#: points.
+#: Public names that no battery, document or command below reads, each for a
+#: stated reason.
 ENTRY_POINTS = {
-    "core.fundamental_tensor", "core.tensor",
-    "connection.spray", "connection.nonlinear_connection", "connection.frame_brackets",
+    # The per-point chain of the benchmark and of library users.
+    "core.fundamental_tensor", "connection.spray", "connection.SprayField.values",
+    "connection.nonlinear_connection", "connection.frame_brackets",
     "connection.horizontal_coefficients",
     "curvature.berwald_curvature", "curvature.hh_curvature", "curvature.riemann_map",
-    "suites.run_suites", "suites.emit_report", "suites.report_document",
-    "suites.report_from_document",
+    # The finite-difference oracle of a single probe and the fixtures by name,
+    # for library users.
+    "jets.fd_partial", "runspec.fixture", "runspec.fixture_runspec",
+    # The escape hatch: no run document can name a custom factor.
+    "metrics.CustomFactor.f_squared",
 }
 
+#: The modules of the library, apart from the engine's internals and the CLI.
+MODULES = (core, connection, curvature, lifted, suites, closed_forms,
+           jets, metrics, runspec, linalg, blocks, coords)
 
-def test_every_public_function_is_read_by_a_suite(monkeypatch):
-    public, called = set(), set()
-    for module in (core, connection, curvature, lifted, suites, closed_forms):
-        prefix = module.__name__.rpartition(".")[2]
-        for attr, fn in vars(module).copy().items():
-            if attr.startswith("_") or not inspect.isfunction(fn) \
-                    or fn.__module__ != module.__name__:
-                continue
-            public.add(f"{prefix}.{attr}")
 
-            def counted(*args, _fn=fn, _name=f"{prefix}.{attr}", **kwargs):
-                called.add(_name)
-                return _fn(*args, **kwargs)
+def _public(module):
+    """(name, owner, attribute, value) of each public function of ``module``
+    and each public method, property and class method of its public classes."""
+    prefix = module.__name__.rpartition(".")[2]
+    for attr, obj in sorted(vars(module).items()):
+        if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield f"{prefix}.{attr}", module, attr, obj
+        elif inspect.isclass(obj):
+            for name, member in sorted(vars(obj).items()):
+                if not name.startswith("_") and (inspect.isfunction(member) or isinstance(
+                        member, (property, classmethod, staticmethod))):
+                    yield f"{prefix}.{attr}.{name}", obj, name, member
 
-            monkeypatch.setattr(module, attr, counted)
-    assert ENTRY_POINTS <= public
-    assert {"closed_forms.spray_blocks", "closed_forms.berwald_blocks", "lifted.of",
-            "lifted.kahler_verdict"} <= public
-    unread = {}
+
+def _counted(member, name, seen):
+    """``member`` wrapped so that each call adds ``name`` to the last set of ``seen``."""
+    if isinstance(member, property):
+        return property(_counted(member.fget, name, seen))
+    if isinstance(member, (classmethod, staticmethod)):
+        return type(member)(_counted(member.__func__, name, seen))
+
+    def counted(*args, **kwargs):
+        seen[-1].add(name)
+        return member(*args, **kwargs)
+
+    return counted
+
+
+def _runs(tmp_path):
+    """(name, call) of every run the guard watches: the battery on each
+    fixture, the documents of the asymmetric and byte-pinned tests, and each
+    command of the CLI."""
+    from test_asymmetric import ASYM_1x3, ASYM_3x2
+    from test_report_bytes import CUBIC_2x2
+    report = tmp_path / "report.json"
     for name in ALL_FIXTURES:
-        called.clear()
-        assert run_suites(fixture_runspec(name)).ok
-        unread[name] = sorted(public - ENTRY_POINTS - called)
-    assert unread == {name: [] for name in ALL_FIXTURES}
+        yield name, lambda name=name: run_suites(fixture_runspec(name)).ok
+    for doc in (ASYM_1x3, ASYM_3x2, CUBIC_2x2):
+        yield doc["label"], lambda doc=doc: run_suites(parse_spec(doc)).ok
+    yield "cli", lambda: (
+        main(["fixtures"]) == 0
+        and main(["eval", "--fixture", "FIX-R", *(f"--tensor={t}" for t in core.TENSORS)]) == 0
+        and main(["eval", "--fixture", "FIX-1D", "--point", "x=0;u=1;y=1;v=1"]) == 0
+        and main(["verify", "--fixture", "FIX-P", "--points", "2", "--suite", "yF=G",
+                  "--json", str(report)]) == 0
+        and main(["report", "--json", str(report)]) == 0
+        and main(["report", "--json", str(report), "--format", "json"]) == 0)
+
+
+def test_every_public_function_is_read_by_a_suite(monkeypatch, tmp_path):
+    # Each run starts from a fresh workspace, so nothing read is a leftover.
+    monkeypatch.setattr(engine, "_last", None)
+    namespaces = [m for key, m in sys.modules.items() if key.startswith("dwfinsler")]
+    public, harness, seen = set(), set(), [set()]
+    for module in MODULES:
+        for name, owner, attr, member in _public(module):
+            public.add(name)
+            if owner is module and module in HARNESS:
+                harness.add(name)
+            wrapper = _counted(member, name, seen)
+            monkeypatch.setattr(owner, attr, wrapper)
+            if owner is module:  # also where another module imported the function
+                for ns in namespaces:
+                    if vars(ns).get(attr) is member:
+                        monkeypatch.setattr(ns, attr, wrapper)
+    assert ENTRY_POINTS <= public
+    assert {"closed_forms.spray_blocks", "lifted.of", "jets.support_lift",
+            "metrics.RandersFactor.f_squared", "coords.MultiIndex.of",
+            "blocks.max_abs"} <= public
+    for name, run in _runs(tmp_path):
+        seen.append(set())
+        assert run(), name
+        if name in ALL_FIXTURES:
+            # Every fixture's battery reads every function of the harness.
+            assert sorted(harness - ENTRY_POINTS - AROUND_A_BATTERY - seen[-1]) == [], name
+    assert sorted(public - ENTRY_POINTS - set().union(*seen)) == []

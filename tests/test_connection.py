@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from dwfinsler import closed_forms, fixture, jet_lift
+from dwfinsler import TangentSample, closed_forms, fixture
 from dwfinsler.blocks import max_abs
 from dwfinsler.connection import (frame_brackets, horizontal_coefficients,
                                   nonlinear_connection, spray)
 from dwfinsler.engine import workspace
-from conftest import entries, region
+from conftest import entries, jet_lift, region
 
 
 def adapted_derivatives(cfg, p, field):
@@ -43,7 +43,9 @@ def test_spray_decomposition_agreement(reports, name):
 def test_spray_two_homogeneity(fixe):
     for p in region("FIX-E", 4):
         a = spray(fixe, p).values
-        b = spray(fixe, p.fiber_scaled(2.0)).values
+        scaled = TangentSample(p.x, p.u, tuple(2.0 * t for t in p.y),
+                               tuple(2.0 * t for t in p.v))
+        b = spray(fixe, scaled).values
         assert np.max(np.abs(b - 4.0 * a)) <= 1e-9
 
 

@@ -86,7 +86,9 @@ def test_hh_hand_value(fixe):
 def test_riemann_map_product_and_scaling(fixp, fixe, p4):
     assert max_abs(riemann_map(fixp, p4).array) == 0.0
     R1 = riemann_map(fixe, p4).array
-    R2 = riemann_map(fixe, p4.fiber_scaled(2.0)).array
+    scaled = TangentSample(p4.x, p4.u, tuple(2.0 * t for t in p4.y),
+                           tuple(2.0 * t for t in p4.v))
+    R2 = riemann_map(fixe, scaled).array
     assert np.max(np.abs(R2 - 4.0 * R1)) <= 1e-8
 
 

@@ -10,8 +10,9 @@ from dwfinsler import MultiIndex, TangentSample, base1, base2, fiber1, fiber2
 from dwfinsler import jets
 from dwfinsler.errors import CapabilityError, DomainError
 from dwfinsler.engine import LIFT_ORDER, SPRAY_ORDER, VALUE_ORDER
-from dwfinsler.jets import Jet, context, einsum, fd_partial, jet_lift
+from dwfinsler.jets import Jet, context, einsum, fd_partial
 from dwfinsler.linalg import invert_matrix
+from conftest import jet_lift
 
 P = TangentSample((3.0,), (1.0,), (1.0,), (2.0,))
 X = base1(0)
@@ -29,7 +30,7 @@ def test_polynomial_exactness_square():
 def test_constant_field():
     jet = jet_lift(lambda c: 5.0, P, (X, Y), 3)
     assert jet.value == 5.0
-    assert all(v == 0.0 for m, v in jet.coeffs().items() if m.order > 0)
+    assert np.all(jet.c[1:] == 0.0)  # slot 0 is the value
 
 
 def test_mixed_partial_hand_value():
@@ -56,7 +57,7 @@ def test_mul_identity_and_self_division():
     f = jet_lift(lambda c: 1.0 + c.x[0] ** 2, P, (X,), 3)
     q = f / f
     assert q.value == pytest.approx(1.0)
-    assert max(abs(v) for m, v in q.coeffs().items() if m.order > 0) < 1e-14
+    assert np.max(np.abs(q.c[1:])) < 1e-14
 
 
 def test_exp_matches_analytic():
@@ -93,10 +94,10 @@ def test_partial_query_beyond_seeds_rejected():
         jet.partial([X, X, X])
 
 
-def test_derive_and_restrict_consistency():
+def test_grad_and_restrict_consistency():
     field = lambda c: c.x[0] ** 3 * c.y[0] ** 2
     full = jet_lift(field, P, (X, Y), 4)
-    derived = full.derive(X)
+    derived = full.grad((X,))[0]
     direct = jet_lift(lambda c: 3.0 * c.x[0] ** 2 * c.y[0] ** 2, P, (X, Y), 3)
     assert np.allclose(derived.c, direct.c)
     small = full.restrict((X,), 2)
@@ -473,9 +474,9 @@ def test_grad_along_non_seeds_is_exactly_zero():
             assert np.any(got.c[k] != 0.0)
         else:
             assert np.all(got.c[k] == 0.0)
-    # The derivative stays strict about seeds.
+    # A partial stays strict about seeds.
     with pytest.raises(ValueError):
-        support.derive(base2(0))
+        support.partial([base2(0)])
     with pytest.raises(ValueError):
         support.restrict((base2(0),), 2)
 

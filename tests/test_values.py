@@ -145,7 +145,7 @@ def test_constructors_take_positions_keywords_and_defaults():
                          warp2=ConstantWarp(2.0), label="k").warp2 == ConstantWarp(2.0)
     p = TangentSample([1, 2], (3,), (1,), (0, 1))
     assert p.x == (1.0, 2.0) and all(type(t) is float for t in p.x + p.u + p.y + p.v)
-    assert p.fiber == (1.0, 0.0, 1.0) and p.coord(fiber2(1)) == 1.0
+    assert p.coord(fiber2(1)) == 1.0 and p.coord(base2(0)) == 3.0
 
     entry = SuiteEntry("yF=G", "contraction", 1e-12, 1e-8, True)
     assert (entry.point, entry.note) == (None, "")
@@ -177,7 +177,6 @@ def test_constructors_take_positions_keywords_and_defaults():
 def test_block_tensor_and_jet_reprs():
     t = BlockTensor(np.zeros((3, 3)), ("low", "up"), 1, 2)
     assert repr(t) == "BlockTensor(rank=2, variance=('low', 'up'), n1=1, n2=2)"
-    assert t.rank == 2
     with pytest.raises(ValueError):
         BlockTensor(np.zeros((3, 3)), ("low",), 1, 2)
     with pytest.raises(ValueError):
