@@ -3,12 +3,9 @@ and the per-sample array helpers of tensors that lead with a sample axis."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
 class BlockTensor:
     """A rank 0-4 tensor over the combined index, tagged with slot variances.
 
@@ -16,21 +13,18 @@ class BlockTensor:
     (:func:`dwfinsler.closed_forms.block_ranges` slices the factor blocks).
     """
 
-    array: np.ndarray
-    variance: tuple[str, ...]
-    n1: int
-    n2: int
+    __slots__ = ("array", "variance", "n1", "n2")
 
-    def __post_init__(self) -> None:
-        if self.array.ndim != len(self.variance):
+    def __init__(self, array: np.ndarray, variance: tuple[str, ...], n1: int, n2: int):
+        if array.ndim != len(variance):
             raise ValueError("variance tags must match the tensor rank")
-        if self.array.ndim > 4:
+        if array.ndim > 4:
             raise ValueError("supported ranks are 0..4")
-        if any(v not in ("up", "low") for v in self.variance):
+        if any(v not in ("up", "low") for v in variance):
             raise ValueError("variance tags must be 'up' or 'low'")
-        n = self.n1 + self.n2
-        if any(s != n for s in self.array.shape):
+        if any(s != n1 + n2 for s in array.shape):
             raise ValueError("every axis must span the combined index")
+        self.array, self.variance, self.n1, self.n2 = array, variance, n1, n2
 
     def __repr__(self) -> str:
         return (f"BlockTensor(rank={self.array.ndim}, variance={self.variance}, "

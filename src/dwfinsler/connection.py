@@ -6,8 +6,6 @@ the ``closed-form-blocks`` suite holds them to these values."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .blocks import BlockTensor
@@ -15,9 +13,11 @@ from .core import tensor
 from .metrics import ProductConfig, TangentSample
 
 
-@dataclass(frozen=True, eq=False)
 class SprayField:
-    coefficients: BlockTensor  # rank-1 upper
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: BlockTensor):
+        self.coefficients = coefficients  # rank-1 upper
 
     @property
     def values(self) -> np.ndarray:
@@ -29,11 +29,13 @@ def spray(cfg: ProductConfig, p: TangentSample) -> SprayField:
     return SprayField(tensor(cfg, p, "spray"))
 
 
-@dataclass(frozen=True, eq=False)
 class NonlinearConnection:
     """The fiber derivative of the spray."""
 
-    matrix: np.ndarray  # N[a][b]
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix  # N[a][b]
 
 
 def nonlinear_connection(cfg: ProductConfig, p: TangentSample) -> NonlinearConnection:

@@ -4,11 +4,15 @@ A point carries four coordinate groups: base positions of each factor (x, u)
 and the corresponding fiber vectors (y, v).  Every scalar field handled by the
 jet machinery is a function of these 2*(n1+n2) coordinates, addressed through
 :class:`CoordIndex`.
+
+:class:`Value` is the base of the library's immutable value classes: the
+coordinates and multi-indices here, and the samples, factor and warp specs
+and product configurations of :mod:`dwfinsler.metrics`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from enum import IntEnum
 from typing import Iterable
 
@@ -25,16 +29,60 @@ class CoordBlock(IntEnum):
     FIBER2 = 3
 
 
-@dataclass(frozen=True, order=True)
-class CoordIndex:
-    """One coordinate of the slit tangent bundle, e.g. x^2 or v^0."""
+class Value:
+    """An immutable value, usable as a key.
 
-    block: CoordBlock
-    offset: int
+    A subclass names its fields in ``__slots__`` and sets them once, in that
+    order, through :meth:`_init`.  Values of one class are equal when their
+    fields are, and hash by their fields; assigning to a field raises
+    ``AttributeError``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.offset < 0:
-            raise ValueError(f"negative coordinate offset {self.offset}")
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # A getter is no descriptor, so it is called as self._fields(self).
+        cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class CoordIndex(Value):
+    """One coordinate of the slit tangent bundle, e.g. x^2 or v^0; ordered by
+    block, then offset."""
+
+    __slots__ = ("block", "offset")
+
+    def __init__(self, block: CoordBlock, offset: int):
+        if offset < 0:
+            raise ValueError(f"negative coordinate offset {offset}")
+        self._init(block, offset)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.block, self.offset) < (other.block, other.offset)
+        return NotImplemented
 
     @property
     def factor(self) -> int:
@@ -73,24 +121,24 @@ def fiber_coords(n1: int, n2: int) -> tuple[CoordIndex, ...]:
     return tuple(fiber1(i) for i in range(n1)) + tuple(fiber2(i) for i in range(n2))
 
 
-@dataclass(frozen=True)
-class MultiIndex:
+class MultiIndex(Value):
     """A mixed-partial request: distinct coordinates with positive orders.
 
     Stored canonically (sorted by coordinate), so any permutation of the same
     multi-set of directions maps to one key.
     """
 
-    terms: tuple[tuple[CoordIndex, int], ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self) -> None:
-        coords = [c for c, _ in self.terms]
+    def __init__(self, terms: tuple[tuple[CoordIndex, int], ...]):
+        coords = [c for c, _ in terms]
         if len(set(coords)) != len(coords):
             raise ValueError("multi-index repeats a coordinate; merge the orders")
-        if any(k <= 0 for _, k in self.terms):
+        if any(k <= 0 for _, k in terms):
             raise ValueError("multi-index orders must be positive")
-        if list(self.terms) != sorted(self.terms, key=lambda t: t[0]):
+        if list(terms) != sorted(terms, key=lambda t: t[0]):
             raise ValueError("multi-index terms must be sorted; use MultiIndex.of")
+        self._init(terms)
         if self.order > MAX_ORDER:
             raise CapabilityError(
                 f"total differentiation order {self.order} exceeds the supported maximum {MAX_ORDER}")

@@ -25,7 +25,6 @@ the Koszul solve on every configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -327,7 +326,6 @@ def _levi_civita_closed_table(lp: _LiftedPoint) -> np.ndarray:
 # Almost complex structure, symplectic form, integrability
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ComplexStructure:
     """J: horizontal -> minus vertical, vertical -> horizontal.
 
@@ -337,8 +335,10 @@ class ComplexStructure:
     (JX)^k = s(p(k))·X^{p(k)}.
     """
 
-    n1: int
-    n2: int
+    __slots__ = ("n1", "n2")
+
+    def __init__(self, n1: int, n2: int):
+        self.n1, self.n2 = n1, n2
 
     def signed_permutation(self) -> tuple[np.ndarray, np.ndarray]:
         """The permutation p and the signs s, each indexed by the frame slot a."""
@@ -357,10 +357,11 @@ def almost_complex(cfg: ProductConfig) -> ComplexStructure:
     return ComplexStructure(cfg.n1, cfg.n2)
 
 
-@dataclass(frozen=True)
 class ClosednessReport:
-    d_residual: float
-    potential_residual: float
+    __slots__ = ("d_residual", "potential_residual")
+
+    def __init__(self, d_residual: float, potential_residual: float):
+        self.d_residual, self.potential_residual = d_residual, potential_residual
 
 
 def closedness_check(cfg: ProductConfig, region) -> ClosednessReport:
@@ -405,12 +406,13 @@ def closedness_check(cfg: ProductConfig, region) -> ClosednessReport:
     return ClosednessReport(_worst((), *d_res), _worst((), *pot_res))
 
 
-@dataclass(frozen=True)
 class KahlerReport:
-    is_kahler: bool
-    max_bracket_curvature: float
-    max_nijenhuis: float
-    equivalence_holds: bool
+    __slots__ = ("is_kahler", "max_bracket_curvature", "max_nijenhuis", "equivalence_holds")
+
+    def __init__(self, is_kahler: bool, max_bracket_curvature: float, max_nijenhuis: float,
+                 equivalence_holds: bool):
+        self.is_kahler, self.max_bracket_curvature = is_kahler, max_bracket_curvature
+        self.max_nijenhuis, self.equivalence_holds = max_nijenhuis, equivalence_holds
 
 
 def kahler_verdict(cfg: ProductConfig, region, tol: float = 1e-7,
@@ -426,15 +428,24 @@ def kahler_verdict(cfg: ProductConfig, region, tol: float = 1e-7,
     return KahlerReport(verdict, max_r, max_n, bool(holds))
 
 
-@dataclass(frozen=True)
 class TotallyGeodesicReport:
-    vertical: bool
-    horizontal: bool
-    vertical_criterion: float      # max |F - G|
-    horizontal_cartan: float       # max |C|
-    horizontal_mixed_blocks: float  # max over the four mixed bracket blocks
-    vertical_invariance_consistent: bool
-    horizontal_invariance_consistent: bool
+    """The two verdicts, the maxima they compare (``vertical_criterion`` max
+    |F - G|, ``horizontal_cartan`` max |C|, ``horizontal_mixed_blocks`` the
+    max over the four mixed bracket blocks), and whether each agrees with
+    the Koszul invariance test."""
+
+    __slots__ = ("vertical", "horizontal", "vertical_criterion", "horizontal_cartan",
+                 "horizontal_mixed_blocks", "vertical_invariance_consistent",
+                 "horizontal_invariance_consistent")
+
+    def __init__(self, vertical: bool, horizontal: bool, vertical_criterion: float,
+                 horizontal_cartan: float, horizontal_mixed_blocks: float,
+                 vertical_invariance_consistent: bool, horizontal_invariance_consistent: bool):
+        self.vertical, self.horizontal = vertical, horizontal
+        self.vertical_criterion, self.horizontal_cartan = vertical_criterion, horizontal_cartan
+        self.horizontal_mixed_blocks = horizontal_mixed_blocks
+        self.vertical_invariance_consistent = vertical_invariance_consistent
+        self.horizontal_invariance_consistent = horizontal_invariance_consistent
 
 
 def totally_geodesic_verdicts(cfg: ProductConfig, region,

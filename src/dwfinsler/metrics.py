@@ -14,12 +14,11 @@ sample of a batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .coords import CoordIndex, base_coords, fiber_coords
+from .coords import CoordIndex, Value, base_coords, fiber_coords
 from .errors import MetricDefinitionError, SlitConditionError
 from .jets import Jet, sqrt
 from .linalg import invert_batch
@@ -79,17 +78,21 @@ def _leading_minors_positive(mats: np.ndarray) -> bool:
 # Factor metrics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EuclideanFactor:
+def _require_dimension(dim) -> None:
+    """A factor dimension is an integer of at least 1 (a bool is not)."""
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise MetricDefinitionError(f"factor dimension must be an integer >= 1, got {dim!r}")
+
+
+class EuclideanFactor(Value):
     """F^2 = sum of squared fiber components."""
 
-    dim: int
-
+    __slots__ = ("dim",)
     is_riemannian = True
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise MetricDefinitionError("factor dimension must be >= 1")
+    def __init__(self, dim: int):
+        _require_dimension(dim)
+        self._init(dim)
 
     def f_squared(self, pos, fib):
         acc = 0.0
@@ -98,8 +101,7 @@ class EuclideanFactor:
         return acc
 
 
-@dataclass(frozen=True)
-class QuadraticFactor:
+class QuadraticFactor(Value):
     """Riemannian metric with polynomial entries a_ij(pos), F^2 = a_ij y^i y^j.
 
     Positive definiteness is checked lazily at every evaluated point (leading
@@ -107,20 +109,18 @@ class QuadraticFactor:
     be verified globally.
     """
 
-    dim: int
-    entries: tuple[tuple[PolyTerms, ...], ...]
-
+    __slots__ = ("dim", "entries")
     is_riemannian = True
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise MetricDefinitionError("factor dimension must be >= 1")
-        if len(self.entries) != self.dim or any(len(r) != self.dim for r in self.entries):
+    def __init__(self, dim: int, entries: tuple[tuple[PolyTerms, ...], ...]):
+        _require_dimension(dim)
+        if len(entries) != dim or any(len(r) != dim for r in entries):
             raise MetricDefinitionError("entry matrix must be dim x dim")
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                if self.entries[i][j] != self.entries[j][i]:
+        for i in range(dim):
+            for j in range(i, dim):
+                if entries[i][j] != entries[j][i]:
                     raise MetricDefinitionError("entry matrix must be symmetric")
+        self._init(dim, entries)
 
     def matrix(self, pos):
         """The entries at ``pos``; an entry that overflows is a definition error."""
@@ -149,20 +149,21 @@ class QuadraticFactor:
         return acc
 
 
-@dataclass(frozen=True)
-class RandersFactor:
+class RandersFactor(Value):
     """Randers metric F = alpha + beta: Riemannian norm plus a constant one-form."""
 
-    dim: int
-    base: EuclideanFactor | QuadraticFactor
-    b: tuple[float, ...]
-
+    __slots__ = ("dim", "base", "b")
     is_riemannian = False
 
-    def __post_init__(self):
-        if self.base.dim != self.dim or len(self.b) != self.dim:
+    def __init__(self, dim: int, base: EuclideanFactor | QuadraticFactor,
+                 b: tuple[float, ...]):
+        _require_dimension(dim)
+        if base.dim != dim or len(b) != dim:
             raise MetricDefinitionError("Randers base and one-form must match the dimension")
-        if np.any(self._b_norm_sq((0.0,) * self.dim) >= 1.0):
+        if not all(map(math.isfinite, b)):
+            raise MetricDefinitionError("Randers one-form components must be finite")
+        self._init(dim, base, b)
+        if not np.all(self._b_norm_sq((0.0,) * dim) < 1.0):
             raise MetricDefinitionError(
                 "Randers one-form must have Riemannian norm strictly below 1")
 
@@ -196,20 +197,24 @@ class RandersFactor:
         return f * f
 
 
-@dataclass(frozen=True, eq=False)
-class CustomFactor:
+class CustomFactor(Value):
     """Escape hatch: a caller-supplied smooth squared-norm evaluator.
 
     ``evaluator(pos, fib)`` receives floats or jets for one point, and arrays
     or jets with a leading sample axis for a batch (the battery's strips and
     side points, and every finite-difference stencil): it must act on each
     entry alone, as arithmetic and :func:`dwfinsler.jets.sqrt`/``exp`` do,
-    and not branch on or reduce over the values it is handed.
+    and not branch on or reduce over the values it is handed.  Two custom
+    factors are equal only if they are one object.
     """
 
-    dim: int
-    evaluator: Callable
-    is_riemannian: bool = False
+    __slots__ = ("dim", "evaluator", "is_riemannian")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, dim: int, evaluator: Callable, is_riemannian: bool = False):
+        _require_dimension(dim)
+        self._init(dim, evaluator, is_riemannian)
 
     def f_squared(self, pos, fib):
         return self.evaluator(pos, fib)
@@ -222,13 +227,13 @@ FactorMetricSpec = EuclideanFactor | QuadraticFactor | RandersFactor | CustomFac
 # Warp functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstantWarp:
-    value: float = 1.0
+class ConstantWarp(Value):
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if self.value <= 0.0:
-            raise MetricDefinitionError("constant warp must be positive")
+    def __init__(self, value: float = 1.0):
+        if not (math.isfinite(value) and value > 0.0):
+            raise MetricDefinitionError("constant warp must be positive and finite")
+        self._init(value)
 
     @property
     def is_constant(self) -> bool:
@@ -238,15 +243,16 @@ class ConstantWarp:
         return self.value * self.value
 
 
-@dataclass(frozen=True)
-class PolyQuadraticWarp:
+class PolyQuadraticWarp(Value):
     """f^2 = 1 + sum_i a_i * pos_i^2 with a_i >= 0."""
 
-    coeffs: tuple[float, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if any(a < 0.0 for a in self.coeffs):
-            raise MetricDefinitionError("poly-quadratic warp coefficients must be >= 0")
+    def __init__(self, coeffs: tuple[float, ...]):
+        if not all(math.isfinite(a) and a >= 0.0 for a in coeffs):
+            raise MetricDefinitionError(
+                "poly-quadratic warp coefficients must be finite and >= 0")
+        self._init(coeffs)
 
     @property
     def is_constant(self) -> bool:
@@ -260,12 +266,15 @@ class PolyQuadraticWarp:
         return acc
 
 
-@dataclass(frozen=True)
-class ExponentialWarp:
+class ExponentialWarp(Value):
     """f^2 = exp(2 * rate * pos_axis)."""
 
-    rate: float
-    axis: int = 0
+    __slots__ = ("rate", "axis")
+
+    def __init__(self, rate: float, axis: int = 0):
+        if not math.isfinite(rate):
+            raise MetricDefinitionError("exponential warp rate must be finite")
+        self._init(rate, axis)
 
     @property
     def is_constant(self) -> bool:
@@ -283,21 +292,17 @@ WarpSpec = ConstantWarp | PolyQuadraticWarp | ExponentialWarp
 # Tangent-bundle points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TangentSample:
-    """A point (x, u, y, v) of the slit bundle; both fiber vectors nonzero."""
+class TangentSample(Value):
+    """A point (x, u, y, v) of the slit bundle, each group a tuple of floats;
+    both fiber vectors nonzero."""
 
-    x: tuple[float, ...]
-    u: tuple[float, ...]
-    y: tuple[float, ...]
-    v: tuple[float, ...]
+    __slots__ = ("x", "u", "y", "v")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(t) for t in self.x))
-        object.__setattr__(self, "u", tuple(float(t) for t in self.u))
-        object.__setattr__(self, "y", tuple(float(t) for t in self.y))
-        object.__setattr__(self, "v", tuple(float(t) for t in self.v))
-        _require_slit([self.y], [self.v])
+    def __init__(self, x: Sequence[float], u: Sequence[float],
+                 y: Sequence[float], v: Sequence[float]):
+        y, v = tuple(map(float, y)), tuple(map(float, v))
+        _require_slit([y], [v])
+        self._init(tuple(map(float, x)), tuple(map(float, u)), y, v)
 
     def coord(self, ci: CoordIndex) -> float:
         group = (self.x, self.u, self.y, self.v)[ci.block]
@@ -312,7 +317,6 @@ def _require_slit(ys, vs) -> None:
             "fiber vectors must stay away from the zero section (slit condition)")
 
 
-@dataclass(frozen=True, eq=False)
 class SampleBatch:
     """Points of the slit bundle evaluated as one: each coordinate of x, u, y
     and v is an array of one value per sample.
@@ -322,15 +326,12 @@ class SampleBatch:
     is; a batch is not a cache key.
     """
 
-    x: tuple[np.ndarray, ...]
-    u: tuple[np.ndarray, ...]
-    y: tuple[np.ndarray, ...]
-    v: tuple[np.ndarray, ...]
+    __slots__ = ("x", "u", "y", "v")
 
-    def __post_init__(self):
-        for name in ("x", "u", "y", "v"):
-            object.__setattr__(self, name, tuple(np.array(t, dtype=float)
-                                                 for t in getattr(self, name)))
+    def __init__(self, x: Sequence[np.ndarray], u: Sequence[np.ndarray],
+                 y: Sequence[np.ndarray], v: Sequence[np.ndarray]):
+        self.x, self.u, self.y, self.v = (tuple(np.array(t, dtype=float) for t in group)
+                                          for group in (x, u, y, v))
         shapes = {t.shape for g in (self.x, self.u, self.y, self.v) for t in g}
         if len(shapes) != 1 or len(next(iter(shapes))) != 1:
             raise MetricDefinitionError("a sample batch needs one value per sample "
@@ -382,15 +383,15 @@ class SampleBatch:
 # The doubly warped product
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProductConfig:
+class ProductConfig(Value):
     """Two factor metrics and two warps; f1 lives on factor 1, f2 on factor 2."""
 
-    factor1: FactorMetricSpec
-    factor2: FactorMetricSpec
-    warp1: WarpSpec = ConstantWarp()
-    warp2: WarpSpec = ConstantWarp()
-    label: str = "custom"
+    __slots__ = ("factor1", "factor2", "warp1", "warp2", "label")
+
+    def __init__(self, factor1: FactorMetricSpec, factor2: FactorMetricSpec,
+                 warp1: WarpSpec = ConstantWarp(), warp2: WarpSpec = ConstantWarp(),
+                 label: str = "custom"):
+        self._init(factor1, factor2, warp1, warp2, label)
 
     @property
     def n1(self) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,22 +73,29 @@ DEFAULT_TOLERANCES = {
 }
 
 
-@dataclass(frozen=True)
 class Sampling:
-    seed: int
-    count: int = 25
-    box: tuple[tuple[float, float], ...] = ()  # one (lo, hi) per base coordinate
-    radii: tuple[float, float] = (0.5, 2.0)
+    """The seed, the number of points, one (lo, hi) per base coordinate, and
+    the range of the fiber radii."""
+
+    __slots__ = ("seed", "count", "box", "radii")
+
+    def __init__(self, seed: int, count: int = 25, box: tuple[tuple[float, float], ...] = (),
+                 radii: tuple[float, float] = (0.5, 2.0)):
+        self.seed, self.count, self.box, self.radii = seed, count, box, radii
 
 
-@dataclass(frozen=True)
 class RunSpec:
-    label: str
-    config: ProductConfig
-    sampling: Sampling
-    suites: tuple[str, ...]
-    expected_failures: tuple[str, ...] = ()
-    tolerances: dict = field(default_factory=dict)
+    """A parsed run document; ``tolerances`` overrides :data:`DEFAULT_TOLERANCES`
+    by name (a fresh dict when not given)."""
+
+    __slots__ = ("label", "config", "sampling", "suites", "expected_failures", "tolerances")
+
+    def __init__(self, label: str, config: ProductConfig, sampling: Sampling,
+                 suites: tuple[str, ...], expected_failures: tuple[str, ...] = (),
+                 tolerances: dict | None = None):
+        self.label, self.config, self.sampling = label, config, sampling
+        self.suites, self.expected_failures = suites, expected_failures
+        self.tolerances = {} if tolerances is None else tolerances
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,33 +30,32 @@ from .jets import CoordView, fd_partials
 from .metrics import TangentSample
 from .runspec import ALL_SUITES, RunSpec, sample_points
 
-@dataclass(frozen=True)
 class SuiteEntry:
-    suite: str
-    name: str
-    residual: float
-    tolerance: float | None  # None marks an informational entry
-    passed: bool
-    point: list | None = None
-    note: str = ""
+    """One residual check; a ``tolerance`` of None marks an informational entry,
+    and ``point`` is the witness of the worst residual."""
+
+    __slots__ = ("suite", "name", "residual", "tolerance", "passed", "point", "note")
+
+    def __init__(self, suite: str, name: str, residual: float, tolerance: float | None,
+                 passed: bool, point: list | None = None, note: str = ""):
+        self.suite, self.name, self.residual, self.tolerance = suite, name, residual, tolerance
+        self.passed, self.point, self.note = passed, point, note
 
 
-@dataclass(frozen=True)
 class SuiteResult:
-    name: str
-    passed: bool
-    expected_failure: bool
-    as_expected: bool
-    max_residual: float
-    entries: tuple[SuiteEntry, ...]
+    __slots__ = ("name", "passed", "expected_failure", "as_expected", "max_residual", "entries")
+
+    def __init__(self, name: str, passed: bool, expected_failure: bool, as_expected: bool,
+                 max_residual: float, entries: tuple[SuiteEntry, ...]):
+        self.name, self.passed, self.expected_failure = name, passed, expected_failure
+        self.as_expected, self.max_residual, self.entries = as_expected, max_residual, entries
 
 
-@dataclass(frozen=True)
 class DiagnosticsReport:
-    label: str
-    seed: int
-    count: int
-    suites: tuple[SuiteResult, ...]
+    __slots__ = ("label", "seed", "count", "suites")
+
+    def __init__(self, label: str, seed: int, count: int, suites: tuple[SuiteResult, ...]):
+        self.label, self.seed, self.count, self.suites = label, seed, count, suites
 
     @property
     def ok(self) -> bool:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dwfinsler import (ConstantWarp, EuclideanFactor, PolyQuadraticWarp,
-                       ProductConfig, QuadraticFactor, RandersFactor,
+from dwfinsler import (ConstantWarp, CustomFactor, EuclideanFactor, ExponentialWarp,
+                       PolyQuadraticWarp, ProductConfig, QuadraticFactor, RandersFactor,
                        TangentSample, fixture)
 from dwfinsler.blocks import BlockTensor, max_abs
 from dwfinsler.closed_forms import block_ranges
@@ -58,6 +58,28 @@ def test_spec_validation_errors():
             (((2.0, (0, 0)),), ((1.0, (0, 0)),)))
     with pytest.raises(MetricDefinitionError):
         QuadraticFactor(2, asym)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ConstantWarp(NAN), lambda: ConstantWarp(INF), lambda: ConstantWarp(-INF),
+    lambda: PolyQuadraticWarp((NAN,)), lambda: PolyQuadraticWarp((1.0, INF)),
+    lambda: ExponentialWarp(NAN), lambda: ExponentialWarp(-INF),
+    lambda: RandersFactor(2, EuclideanFactor(2), (NAN, 0.0)),
+    lambda: RandersFactor(2, EuclideanFactor(2), (0.1, INF)),
+    lambda: EuclideanFactor(2.5), lambda: EuclideanFactor(True), lambda: EuclideanFactor(0),
+    lambda: QuadraticFactor(1.0, ((((1.0, (0,)),),),)),
+    lambda: RandersFactor(True, EuclideanFactor(1), (0.1,)),
+    lambda: CustomFactor(0, lambda pos, fib: fib[0] * fib[0]),
+], ids=["const-nan", "const-inf", "const-neg-inf", "poly-nan", "poly-inf", "exp-nan",
+        "exp-neg-inf", "randers-nan", "randers-inf", "dim-float", "dim-bool", "dim-zero",
+        "quadratic-dim-float", "randers-dim-bool", "custom-dim-zero"])
+def test_spec_constructors_fail_closed_on_non_finite_parameters(make):
+    # Each guard is written so that a NaN fails it, as an out-of-range value does.
+    with pytest.raises(MetricDefinitionError):
+        make()
 
 
 def test_quadratic_positive_definiteness_checked_lazily():

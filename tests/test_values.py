@@ -8,6 +8,9 @@ reports, run documents) are plain objects built positionally or by keyword.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -183,3 +186,16 @@ def test_block_tensor_and_jet_reprs():
         BlockTensor(np.zeros((3, 2)), ("low", "low"), 1, 2)
     jet = Jet.constant(context((fiber1(0), base1(0)), 2), 1.5)
     assert repr(jet) == "Jet(order=2, seeds=(x0, y0), shape=(), value=1.5)"
+
+
+def test_importing_the_library_leaves_dataclasses_unloaded():
+    # The value classes and records are plain slotted classes: an import that
+    # pulled in dataclasses would pay again for generating their methods.
+    import dwfinsler
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dwfinsler.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, numpy, dwfinsler; print(sorted({'dataclasses'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
