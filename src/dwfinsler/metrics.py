@@ -9,6 +9,10 @@ evaluated generically over floats or jets, for one point or for a batch of
 points (:class:`SampleBatch`), whose coordinates are arrays of one value per
 sample.  A definition acts on each sample alone: its checks hold for every
 sample of a batch.
+
+The specs, the samples and the configuration are immutable values
+(:class:`~dwfinsler.coords.Value`) that the engine holds as keys; their
+constructors reject non-finite parameters.  A batch is a plain record.
 """
 
 from __future__ import annotations
