@@ -12,7 +12,6 @@ and product configurations of :mod:`dwfinsler.metrics`.
 
 from __future__ import annotations
 
-import operator
 from enum import IntEnum
 from typing import Iterable
 
@@ -33,29 +32,25 @@ class Value:
     """An immutable value, usable as a key.
 
     A subclass names its fields in ``__slots__`` and sets them once, in that
-    order, through :meth:`_init`.  Values of one class are equal when their
-    fields are, and hash by their fields; assigning to a field raises
-    ``AttributeError``.
+    order, through :meth:`_init`, which also keeps their tuple as ``_key``.
+    Values of one class are equal when their keys are, and hash by their key;
+    assigning to a field raises ``AttributeError``.
     """
 
-    __slots__ = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # A getter is no descriptor, so it is called as self._fields(self).
-        cls._fields = operator.attrgetter(*cls.__slots__)
+    __slots__ = ("_key",)
 
     def _init(self, *values) -> None:
+        object.__setattr__(self, "_key", values)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields(self) == other._fields(other)
+            return self._key == other._key
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._fields(self))
+        return hash(self._key)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: a {type(self).__name__} is immutable")
@@ -81,7 +76,7 @@ class CoordIndex(Value):
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
-            return (self.block, self.offset) < (other.block, other.offset)
+            return self._key < other._key
         return NotImplemented
 
     @property
