@@ -94,7 +94,7 @@ def test_partial_query_beyond_seeds_rejected():
         jet.partial([X, X, X])
 
 
-def test_grad_and_restrict_consistency():
+def test_derive_and_restrict_consistency():
     field = lambda c: c.x[0] ** 3 * c.y[0] ** 2
     full = jet_lift(field, P, (X, Y), 4)
     derived = full.grad((X,))[0]
