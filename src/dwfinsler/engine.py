@@ -67,7 +67,7 @@ import numpy as np
 
 from .blocks import matvec
 from .coords import CoordIndex, base_coords, fiber_coords
-from .jets import Jet, einsum, support_lift
+from .jets import Jet, context, einsum, support_lift
 from .linalg import invert_batch, invert_matrix
 from .metrics import ProductConfig, SampleBatch, TangentSample
 
@@ -165,24 +165,27 @@ class EnginePoint:
     @_once
     def ginv(self) -> Jet:
         """The inverse metric: the value matrix inverted, then the nilpotent
-        series g^-1 = sum_k (-g0^-1 h)^k g0^-1 over h = g - g0 for the partials.
+        series of :func:`_inverse_series` for the partials.
 
-        A product with the constant g0^-1 is a linear map on the coefficients,
-        so the step -g0^-1 h and the first term contract on values; only the
-        higher powers, nilpotent times nilpotent, run the Leibniz table.
+        On a batch the series runs block by block (:func:`_diagonal_blocks`):
+        each diagonal block of g over only the seeds it depends on, with the
+        matching sub-block of g0^-1, embedded back into g's context.  Every
+        coefficient a block keeps sums the same terms in the same order as
+        the whole-matrix series, and every coefficient it drops is an exact
+        zero there, so no bit moves.  A single sample runs the whole matrix,
+        where the bookkeeping costs more than the smaller products save.
         """
         g = self.g()
         inv0 = self._value_inverse()[0]
-        out = Jet.constant(g.ctx, inv0)
-        if g.order == 0:
-            return out
-        step = Jet(g.ctx, -np.einsum("...ab,...bcz->...acz", inv0, (g - g.value).c))
-        term = Jet(g.ctx, np.einsum("...abz,...bc->...acz", step.c, inv0))
-        out = out + term
-        for _ in range(g.order - 1):
-            term = einsum("...ab,...bc->...ac", step, term)
-            out = out + term
-        return out
+        blocks = _diagonal_blocks(g, inv0) if self.lead and g.order else None
+        if blocks is None:
+            return _inverse_series(g, inv0)
+        c = np.zeros(g.c.shape)
+        for rows, positions in blocks:
+            at = (Ellipsis,) + np.ix_(rows, rows, g.ctx.tables.restrict_map(positions, g.order))
+            sub = Jet(context([g.seeds[k] for k in positions], g.order), g.c[at])
+            c[at] = _inverse_series(sub, inv0[..., rows[:, None], rows]).c
+        return Jet(g.ctx, c)
 
     def g_values(self) -> np.ndarray:
         return self.g().value
@@ -325,6 +328,58 @@ class EnginePoint:
                 - np.einsum("...c,...abc->...ab", self.fiber_values(), dxdyG)
                 + 2.0 * np.einsum("...c,...acb->...ab", G, self.connection_fiber_values())
                 - N @ N)
+
+
+def _inverse_series(g: Jet, inv0: np.ndarray) -> Jet:
+    """g^-1 = sum_k (-g0^-1 h)^k g0^-1 over h = g - g0, truncated at g's order,
+    from the value inverse ``inv0``.
+
+    A product with the constant g0^-1 is a linear map on the coefficients,
+    so the step -g0^-1 h and the first term contract on values; only the
+    higher powers, nilpotent times nilpotent, run the Leibniz table.
+    """
+    out = Jet.constant(g.ctx, inv0)
+    if g.order == 0:
+        return out
+    step = Jet(g.ctx, -np.einsum("...ab,...bcz->...acz", inv0, (g - g.value).c))
+    term = Jet(g.ctx, np.einsum("...abz,...bc->...acz", step.c, inv0))
+    out = out + term
+    for _ in range(g.order - 1):
+        term = einsum("...ab,...bc->...ac", step, term)
+        out = out + term
+    return out
+
+
+def _diagonal_blocks(g: Jet, inv0: np.ndarray) -> list[tuple[np.ndarray, tuple[int, ...]]] | None:
+    """The diagonal blocks of g as (rows, seed positions), or None where the
+    whole matrix should run instead.
+
+    The blocks are the connected components of g's nonzero entries, in any
+    sample, and each keeps the seeds on which some coefficient of its
+    entries is nonzero.  They are read off the coefficients, not the
+    configuration, so any field's g splits as far as its zeros show.  The
+    partial-pivot elimination never combines rows of two blocks, so g0^-1
+    has the same blocks.  A non-finite coefficient in g or g0^-1 gives
+    None, so NaN and inf spread as in the whole-matrix series, and so does
+    a single block over every seed, which has nothing to drop.
+    """
+    if not (np.isfinite(g.c).all() and np.isfinite(inv0).all()):
+        return None
+    live = g.c != 0.0
+    entries = live.any(axis=tuple(range(live.ndim - 3)) + (-1,))
+    # Squaring the adjacency (with loops) k times links entries 2^k steps apart.
+    linked = entries | entries.T | np.eye(len(entries), dtype=bool)
+    for _ in range(len(entries).bit_length()):
+        linked = linked @ linked
+    blocks = []
+    for block in np.unique(linked, axis=0):
+        rows = np.flatnonzero(block)
+        slots = live[..., rows[:, None], rows, :].reshape(-1, live.shape[-1]).any(0)
+        used = (g.ctx.tables.exps[slots] > 0).any(0)
+        blocks.append((rows, tuple(np.flatnonzero(used).tolist())))
+    if len(blocks) == 1 and len(blocks[0][1]) == len(g.seeds):
+        return None
+    return blocks
 
 
 # ---------------------------------------------------------------------------

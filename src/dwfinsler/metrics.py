@@ -278,6 +278,9 @@ class ExponentialWarp(Value):
     def __init__(self, rate: float, axis: int = 0):
         if not math.isfinite(rate):
             raise MetricDefinitionError("exponential warp rate must be finite")
+        if isinstance(axis, bool) or not isinstance(axis, int) or axis < 0:
+            raise MetricDefinitionError(
+                f"exponential warp axis must be an integer >= 0, got {axis!r}")
         self._init(rate, axis)
 
     @property
@@ -387,6 +390,19 @@ class SampleBatch:
 # The doubly warped product
 # ---------------------------------------------------------------------------
 
+def _check_warp(which: int, warp: WarpSpec, dim: int) -> None:
+    """A warp reads the base of its own factor: an exponential warp one of
+    its ``dim`` coordinates, a poly-quadratic warp one coefficient each."""
+    if isinstance(warp, ExponentialWarp) and warp.axis >= dim:
+        raise MetricDefinitionError(
+            f"warp {which}: exponential warp axis {warp.axis} is not below "
+            f"the factor dimension {dim}")
+    if isinstance(warp, PolyQuadraticWarp) and len(warp.coeffs) != dim:
+        raise MetricDefinitionError(
+            f"warp {which}: a poly-quadratic warp needs {dim} coefficients, "
+            f"got {len(warp.coeffs)}")
+
+
 class ProductConfig(Value):
     """Two factor metrics and two warps; f1 lives on factor 1, f2 on factor 2."""
 
@@ -395,6 +411,8 @@ class ProductConfig(Value):
     def __init__(self, factor1: FactorMetricSpec, factor2: FactorMetricSpec,
                  warp1: WarpSpec = ConstantWarp(), warp2: WarpSpec = ConstantWarp(),
                  label: str = "custom"):
+        for which, warp, factor in ((1, warp1, factor1), (2, warp2, factor2)):
+            _check_warp(which, warp, factor.dim)
         self._init(factor1, factor2, warp1, warp2, label)
 
     @property

@@ -12,7 +12,8 @@ import math
 from dwfinsler.coords import MultiIndex, base1, fiber1
 from dwfinsler.errors import (DomainError, MetricDefinitionError, SingularMetricError,
                               SlitConditionError)
-from dwfinsler.jets import FD_DEFAULT_STEPS, CoordView, exp, fd_partial, fd_partials, sqrt
+from dwfinsler.jets import (FD_DEFAULT_STEPS, CoordView, einsum, exp, fd_partial, fd_partials,
+                            sqrt)
 from dwfinsler.linalg import invert_matrix
 from dwfinsler.metrics import (CustomFactor, EuclideanFactor, ProductConfig, QuadraticFactor,
                                RandersFactor, SampleBatch, TangentSample)
@@ -24,10 +25,12 @@ from test_report_bytes import CUBIC_2x2
 
 
 def _cases():
-    """(name, config, points) of every fixture and both asymmetric documents."""
+    """(name, config, points) of every fixture, both asymmetric documents and
+    cubic-2x2, whose quadratic factor blocks of g depend on x and on both
+    warps' coordinates."""
     out = [(name, fixture(name), sample_points(fixture_runspec(name, count=3)))
            for name in ALL_FIXTURES]
-    for doc in (ASYM_1x3, ASYM_3x2):
+    for doc in (ASYM_1x3, ASYM_3x2, CUBIC_2x2):
         spec = parse_spec(doc)
         out.append((doc["label"], spec.config, sample_points(spec)[:3]))
     return out
@@ -93,6 +96,50 @@ def test_a_batch_equals_its_samples_bit_for_bit(case, order):
             for name, want in _suite_arrays(single).items():
                 assert arrays[name].shape == (len(points),) + want.shape, name
                 assert arrays[name][k].tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("name, widest", [("FIX-R", 3), ("FIX-1D", 1)])
+def test_a_strip_inverts_g_block_by_block(name, widest, monkeypatch):
+    # g is block diagonal and each block depends on a few seeds: {u0} and
+    # {x0, v0, v1} on FIX-R, {u0} and {x0} on FIX-1D.  No Leibniz product of
+    # a strip's inverse spans more seeds than its block, and the result has
+    # the bits of the whole-matrix series.
+    import dwfinsler.engine as engine
+    spec = fixture_runspec(name)
+    ep = WorkPoint(workspace(spec.config), SampleBatch.of(sample_points(spec))).product
+    g = ep.g()
+    spans = []
+
+    def recorded(subscripts, a, b):
+        spans.append(len(set(a.seeds) | set(b.seeds)))
+        return einsum(subscripts, a, b)
+
+    monkeypatch.setattr(engine, "einsum", recorded)
+    got = ep.ginv()
+    assert spans and max(spans) <= widest < len(g.seeds)
+    want = engine._inverse_series(g, ep._value_inverse()[0])
+    assert got.ctx is want.ctx and got.c.tobytes() == want.c.tobytes()
+
+
+def test_a_non_finite_g_inverts_as_the_whole_matrix():
+    # One sample of factor 1's block of g is NaN.  The whole-matrix series
+    # spreads it into the other block's rows; a block-by-block inverse
+    # would not, so the strip runs the whole matrix.
+    import dwfinsler.engine as engine
+    fix = fixture("FIX-R")
+    scale = np.array([1.0, math.nan, 1.0])
+    custom = CustomFactor(2, lambda pos, fib: scale * (fib[0] ** 2 + fib[1] ** 2))
+    cfg = ProductConfig(custom, fix.factor2, fix.warp1, fix.warp2)
+    points = sample_points(fixture_runspec("FIX-R", count=3))
+    ep = WorkPoint(workspace(cfg), SampleBatch.of(points)).product
+    g, inv0 = ep.g(), ep._value_inverse()[0]
+    nan = np.zeros(g.c.shape, dtype=bool)
+    nan[1, :2, :2] = np.isnan(g.c[1, :2, :2])
+    assert nan.any() and np.array_equal(np.isnan(g.c), nan)
+    got = ep.ginv()
+    want = engine._inverse_series(g, inv0)
+    assert np.isnan(got.c[1, 2:, :2]).any()
+    assert got.ctx is want.ctx and np.array_equal(got.c, want.c, equal_nan=True)
 
 
 def test_g_condition_is_the_estimate_of_the_value_inverse(p4):
@@ -295,15 +342,7 @@ def _fd_reference(field, point, multi):
     return fun((point.x, point.u, point.y, point.v))
 
 
-def _fd_cases():
-    """(name, config, points): every fixture, the exponential warp of
-    asym-1x3 and the cubic entries of cubic-2x2."""
-    out = [case for case in CASES if case[0] != "asym-3x2"]
-    spec = parse_spec(CUBIC_2x2)
-    return out + [(CUBIC_2x2["label"], spec.config, sample_points(spec)[:3])]
-
-
-@pytest.mark.parametrize("case", _fd_cases(), ids=lambda c: c[0])
+@pytest.mark.parametrize("case", [c for c in CASES if c[0] != "asym-3x2"], ids=lambda c: c[0])
 def test_batched_fd_partials_equal_the_float_reference_bit_for_bit(case):
     _, cfg, points = case
     rng = np.random.default_rng(3)

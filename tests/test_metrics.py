@@ -73,13 +73,41 @@ NAN, INF = float("nan"), float("inf")
     lambda: QuadraticFactor(1.0, ((((1.0, (0,)),),),)),
     lambda: RandersFactor(True, EuclideanFactor(1), (0.1,)),
     lambda: CustomFactor(0, lambda pos, fib: fib[0] * fib[0]),
+    lambda: ExponentialWarp(0.3, -1), lambda: ExponentialWarp(0.3, True),
+    lambda: ExponentialWarp(0.3, 1.0),
 ], ids=["const-nan", "const-inf", "const-neg-inf", "poly-nan", "poly-inf", "exp-nan",
         "exp-neg-inf", "randers-nan", "randers-inf", "dim-float", "dim-bool", "dim-zero",
-        "quadratic-dim-float", "randers-dim-bool", "custom-dim-zero"])
+        "quadratic-dim-float", "randers-dim-bool", "custom-dim-zero", "exp-axis-negative",
+        "exp-axis-bool", "exp-axis-float"])
 def test_spec_constructors_fail_closed_on_non_finite_parameters(make):
     # Each guard is written so that a NaN fails it, as an out-of-range value does.
     with pytest.raises(MetricDefinitionError):
         make()
+
+
+@pytest.mark.parametrize("factor1, warp1, warp2", [
+    (EuclideanFactor(2), ExponentialWarp(0.3, 5), ConstantWarp()),
+    (EuclideanFactor(2), ExponentialWarp(0.3, 2), ConstantWarp()),
+    (EuclideanFactor(2), ConstantWarp(), ExponentialWarp(0.3, 1)),
+    (EuclideanFactor(2), PolyQuadraticWarp((1.0, 2.0, 3.0)), ConstantWarp()),
+    (EuclideanFactor(2), PolyQuadraticWarp((1.0,)), ConstantWarp()),
+    (EuclideanFactor(2), ConstantWarp(), PolyQuadraticWarp(())),
+    (EuclideanFactor(1), ConstantWarp(), PolyQuadraticWarp((1.0, 1.0))),
+], ids=["exp-axis-5-of-2", "exp-axis-2-of-2", "exp-axis-1-of-1", "poly-3-of-2",
+        "poly-1-of-2", "poly-0-of-1", "poly-2-of-1"])
+def test_a_warp_must_match_the_dimension_of_its_factor(factor1, warp1, warp2):
+    # Each warp reads the base of its own factor; a library caller that builds
+    # one for another dimension is refused, as parse_spec refuses a document.
+    with pytest.raises(MetricDefinitionError):
+        ProductConfig(factor1, EuclideanFactor(1), warp1, warp2)
+
+
+def test_warps_that_match_their_factors_are_accepted():
+    cfg = ProductConfig(EuclideanFactor(2), EuclideanFactor(1),
+                        ExponentialWarp(0.3, 1), PolyQuadraticWarp((0.5,)))
+    p = TangentSample((0.4, -0.2), (0.5,), (1.0, 0.3), (1.0,))
+    g, ginv = fundamental_tensor(cfg, p)
+    assert g.array.shape == ginv.array.shape == (3, 3)
 
 
 def test_quadratic_positive_definiteness_checked_lazily():
