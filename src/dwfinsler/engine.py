@@ -365,18 +365,21 @@ def _diagonal_blocks(g: Jet, inv0: np.ndarray) -> list[tuple[np.ndarray, tuple[i
     """
     if not (np.isfinite(g.c).all() and np.isfinite(inv0).all()):
         return None
-    live = g.c != 0.0
-    entries = live.any(axis=tuple(range(live.ndim - 3)) + (-1,))
+    # [a, b, slot]: the coefficient is nonzero in some sample; [a, b, seed]:
+    # some nonzero coefficient of the entry has a partial along the seed.
+    live = (g.c != 0.0).reshape((-1,) + g.c.shape[-3:]).any(0)
+    seeded = live @ (g.ctx.tables.exps > 0)
+    entries = live.any(-1)
     # Squaring the adjacency (with loops) k times links entries 2^k steps apart.
     linked = entries | entries.T | np.eye(len(entries), dtype=bool)
     for _ in range(len(entries).bit_length()):
         linked = linked @ linked
     blocks = []
-    for block in np.unique(linked, axis=0):
-        rows = np.flatnonzero(block)
-        slots = live[..., rows[:, None], rows, :].reshape(-1, live.shape[-1]).any(0)
-        used = (g.ctx.tables.exps[slots] > 0).any(0)
-        blocks.append((rows, tuple(np.flatnonzero(used).tolist())))
+    for first, row in enumerate(linked.tolist()):
+        if row.index(True) == first:  # the first row of its block
+            rows = np.flatnonzero(row)
+            used = seeded[rows[:, None], rows].any((0, 1))
+            blocks.append((rows, tuple(np.flatnonzero(used).tolist())))
     if len(blocks) == 1 and len(blocks[0][1]) == len(g.seeds):
         return None
     return blocks
