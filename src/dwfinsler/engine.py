@@ -23,8 +23,14 @@ of array operations and the contexts of its tensors line up.  The inverse
 metric jet is the float inverse of the value matrix extended by a nilpotent
 series, so no elimination runs on jets; the series starts with contractions
 by that constant inverse on the coefficients, and only its higher powers run
-the Leibniz table.  A field that ignores a fiber coordinate has a singular g,
-which the inverse rejects with :class:`~dwfinsler.errors.SingularMetricError`.
+the Leibniz table.  On a batch the series runs block by block: g's diagonal
+blocks, the connected components of its nonzero entries, each over only the
+seeds its coefficients depend on (on FIX-R, {u0} for each factor-1 entry
+and {x0, v0, v1} for the factor-2 block, of six seeds).  A block's products
+sum the same terms in the same order as the whole matrix's, and what it
+drops is exact zeros, so no bit moves.  A field that ignores a fiber
+coordinate has a singular g, which the inverse rejects with
+:class:`~dwfinsler.errors.SingularMetricError`.
 
 A point may be a batch of samples (:class:`~dwfinsler.metrics.SampleBatch`):
 every tensor then has one more leading axis, over the samples, and every
@@ -169,11 +175,13 @@ class EnginePoint:
 
         On a batch the series runs block by block (:func:`_diagonal_blocks`):
         each diagonal block of g over only the seeds it depends on, with the
-        matching sub-block of g0^-1, embedded back into g's context.  Every
-        coefficient a block keeps sums the same terms in the same order as
-        the whole-matrix series, and every coefficient it drops is an exact
-        zero there, so no bit moves.  A single sample runs the whole matrix,
-        where the bookkeeping costs more than the smaller products save.
+        matching sub-block of g0^-1, embedded back into g's context.  No bit
+        moves: a Leibniz product gives a coefficient the same run of terms
+        in any context that holds it, the products between blocks that the
+        whole matrix would add are exact zeros on a sum that starts from
+        +0.0, and every coefficient a block drops is +0.0 there too.  A
+        single sample runs the whole matrix, where the bookkeeping costs
+        more than the smaller products save.
         """
         g = self.g()
         inv0 = self._value_inverse()[0]
