@@ -175,24 +175,29 @@ class EnginePoint:
 
         On a batch the series runs block by block (:func:`_diagonal_blocks`):
         each diagonal block of g over only the seeds it depends on, with the
-        matching sub-block of g0^-1, embedded back into g's context.  No bit
-        moves: a Leibniz product gives a coefficient the same run of terms
-        in any context that holds it, the products between blocks that the
-        whole matrix would add are exact zeros on a sum that starts from
-        +0.0, and every coefficient a block drops is +0.0 there too.  A
-        single sample runs the whole matrix, where the bookkeeping costs
-        more than the smaller products save.
+        matching sub-block of g0^-1, embedded back into g's context; a block
+        over no seeds is that sub-block.  No bit moves: a Leibniz product
+        gives a coefficient the same run of terms in any context that holds
+        it, the products between blocks that the whole matrix would add are
+        exact zeros on a sum that starts from +0.0, and every coefficient a
+        block drops is +0.0 there too.  A single sample, and a g of order 1,
+        whose series runs no Leibniz product, run the whole matrix, where
+        the bookkeeping costs more than the smaller products save.
         """
         g = self.g()
         inv0 = self._value_inverse()[0]
-        blocks = _diagonal_blocks(g, inv0) if self.lead and g.order else None
+        blocks = _diagonal_blocks(g, inv0) if self.lead and g.order > 1 else None
         if blocks is None:
             return _inverse_series(g, inv0)
         c = np.zeros(g.c.shape)
         for rows, positions in blocks:
             at = (Ellipsis,) + np.ix_(rows, rows, g.ctx.tables.restrict_map(positions, g.order))
-            sub = Jet(context([g.seeds[k] for k in positions], g.order), g.c[at])
-            c[at] = _inverse_series(sub, inv0[..., rows[:, None], rows]).c
+            block_inv0 = inv0[..., rows[:, None], rows]
+            if positions:
+                sub = Jet(context([g.seeds[k] for k in positions], g.order), g.c[at])
+                c[at] = _inverse_series(sub, block_inv0).c
+            else:  # a constant block: the series adds only +0.0 terms to its value
+                c[at] = (block_inv0 + 0.0)[..., None]
         return Jet(g.ctx, c)
 
     def g_values(self) -> np.ndarray:
@@ -242,8 +247,7 @@ class EnginePoint:
     def spray(self) -> Jet:
         base, fib = self.engine.base, self.engine.fiber
         dyx = self.lift().grad(fib).grad(base)  # [b, c] = d^2 F^2 / dy^b dx^c
-        y = Jet.stack([Jet.coordinate(dyx.ctx, c, self.sample.coord(c)) for c in fib])
-        rhs = einsum("...bc,...c->...b", dyx, y) - self.lift().grad(base)
+        rhs = _times_fiber(dyx, self.sample, fib) - self.lift().grad(base)
         return 0.25 * einsum("...ab,...b->...a", self.ginv(), rhs)
 
     def spray_values(self) -> np.ndarray:
@@ -313,12 +317,18 @@ class EnginePoint:
         dn = self.delta(self.nonlinear_connection())  # [c, a, b] = delta_b N[c][a]
         return dn - dn.swapaxes(-1, -2)
 
+    @_once
+    def horizontal_delta_values(self) -> np.ndarray:
+        """[a, b, c, d] = delta_d H[a][b][c]: the adapted derivative of H, read
+        by hh and by the finite-difference check."""
+        return self.delta(self.horizontal_coefficients())
+
     # -- curvature level ----------------------------------------------------------
     @_once
     def hh_curvature(self) -> np.ndarray:
         """R[b][a][c][d]: horizontal curvature of the Berwald-type connection."""
         H = self.horizontal_values()
-        dH = self.delta(self.horizontal_coefficients())  # [a, b, c, d] = delta_d H[a][b][c]
+        dH = self.horizontal_delta_values()
         quad = np.einsum("...ade,...ebc->...abcd", H, H)
         # Each bracket is exactly antisymmetric in (c, d), so their sum is too.
         out = (dH - dH.swapaxes(-2, -1)) + (quad - quad.swapaxes(-2, -1))
@@ -356,6 +366,37 @@ def _inverse_series(g: Jet, inv0: np.ndarray) -> Jet:
         term = einsum("...ab,...bc->...ac", step, term)
         out = out + term
     return out
+
+
+def _times_fiber(dyx: Jet, sample: TangentSample | SampleBatch,
+                 fiber: tuple[CoordIndex, ...]) -> Jet:
+    """[..., b] = sum_c dyx[..., b, c] y^c, y^c the c-th fiber coordinate of
+    ``sample`` as a jet: on a batch, a shift of dyx's coefficients.
+
+    A coordinate jet is its value plus 1 along its own seed, so the product
+    at α is α_k dyx[b, c(k)] at α - e_k for each fiber seed k with α_k >= 1,
+    then sum_c dyx[b, c] y^c at α (Griewank & Walther, *Evaluating
+    Derivatives*, 2nd ed., ch. 13).  The Leibniz product sums the same
+    nonzero terms, and +0.0 for every other, in that order, and
+    ``np.add.reduceat`` sums its runs of at most 8 terms in order, so no bit
+    moves.  Above order 3 a run can be longer and is summed pairwise, and a
+    non-finite coefficient spreads NaN through the zero terms, so both run
+    the Leibniz product; so does one sample, where the shift costs more.
+    """
+    ctx = dyx.ctx
+    if not isinstance(sample, SampleBatch) or ctx.order > 3 or not np.isfinite(dyx.c).all():
+        y = Jet.stack([Jet.coordinate(ctx, c, sample.coord(c)) for c in fiber])
+        return einsum("...bc,...c->...b", dyx, y)
+    out = np.zeros(dyx.c.shape[:-2] + (ctx.tables.size,))
+    if ctx.order:
+        lower = ctx.lowered().tables
+        for k, seed in enumerate(ctx.seeds):
+            if seed in fiber:
+                out[..., ctx.tables.derive_map(k)] += (dyx.c[..., fiber.index(seed), :lower.size]
+                                                       * (lower.exps[:, k] + 1.0))
+    y = np.stack([sample.coord(c) for c in fiber], -1)
+    out += np.einsum("...bcz,...cz->...bz", dyx.c, y[..., None])
+    return Jet(ctx, out)
 
 
 def _diagonal_blocks(g: Jet, inv0: np.ndarray) -> list[tuple[np.ndarray, tuple[int, ...]]] | None:

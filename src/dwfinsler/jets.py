@@ -35,10 +35,13 @@ non-seed.
 
 The engine (:mod:`dwfinsler.engine`) lifts each squared norm once per point
 with :func:`support_lift` and memoizes that lift.  The finite differences
-run on float batches: :func:`fd_partials` builds the stencils of many probes
-as coordinate arrays (:func:`_fd_stencil`), evaluates the field once on all
-their points as one batch, and combines the values of each order's probes at
-once (:func:`_fd_combine`); :func:`fd_partial` is its single probe.
+run on float batches: :func:`fd_stencils` takes probes as arrays, their
+points as rows and their directions as positions in a row, one array per
+order, builds their stencils as coordinate arrays (:func:`_fd_stencil`),
+evaluates the field once on all their points as one batch, and combines the
+values of each order's probes at once (:func:`_fd_combine`).
+:func:`fd_partials` groups ``(point, multi)`` probes into those arrays, and
+:func:`fd_partial` is its single probe.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .coords import MAX_ORDER, CoordIndex, MultiIndex
 from .errors import CapabilityError, DomainError
 
 __all__ = [
-    "Jet", "JetContext", "support_lift", "fd_partial", "fd_partials",
+    "Jet", "JetContext", "support_lift", "fd_partial", "fd_partials", "fd_stencils",
     "einsum", "sqrt", "exp",
 ]
 
@@ -636,7 +639,7 @@ def _fd_stencil(rows: np.ndarray, positions: np.ndarray, step: float):
     points = np.asarray(rows, dtype=float)[:, None, :]
     probes = np.arange(len(points))
     steps = []
-    for at in np.asarray(positions, dtype=int).reshape(len(points), -1).T:
+    for at in positions.T:
         coord = points[probes, :, at]
         h = step * (1.0 + abs(coord))
         half = h / 2.0
@@ -665,58 +668,77 @@ def _fd_combine(values, steps) -> np.ndarray:
     return values[:, 0]
 
 
-def _checked(multi, step: float | None) -> tuple[MultiIndex, float]:
-    if not isinstance(multi, MultiIndex):
-        multi = MultiIndex.of(multi)
-    if multi.order > 3:
-        raise CapabilityError("finite differences support total order <= 3")
-    if step is None:
-        step = FD_DEFAULT_STEPS[max(multi.order, 1)]
-    if step <= 0.0:
-        raise ValueError("fd step must be positive")
-    return multi, step
+def fd_stencils(evaluate: Callable, groups, n1: int, n2: int,
+                step: float | None = None) -> list[np.ndarray]:
+    """The :func:`fd_partial` estimates of groups of probes, from one evaluation.
 
-
-def fd_partials(evaluate: Callable, probes, step: float | None = None) -> list:
-    """The :func:`fd_partial` estimates of many probes, ``(point, multi)``
-    pairs, from one evaluation.
-
-    ``evaluate`` is handed the points of every probe's stencil as one
+    Each group holds probes of one order k as arrays ``(rows[P, C],
+    positions[P, k])``: each probe's point as one row x + u + y + v of a
+    product of dimensions ``n1`` and ``n2``, and the positions in that row
+    of its k directions, outermost first.  ``evaluate`` is handed the points
+    of every stencil (:func:`_fd_stencil`) as one
     :class:`~dwfinsler.metrics.SampleBatch` and returns their values along a
-    leading axis (floats, or arrays of one shape).  The stencils of probes
-    of one order are built and combined as arrays (:func:`_fd_stencil`,
-    :func:`_fd_combine`).  Returns the estimates in the order of ``probes``.
+    leading axis (floats, or arrays of one shape).  Returns the estimates
+    ``[P, ...]`` of each group (:func:`_fd_combine`).  The step is ``step``,
+    which must be positive and finite, or the default of the group's order.
     """
     from .metrics import SampleBatch
-    checked = [_checked(multi, step) for _, multi in probes]
-    groups: dict[tuple[int, float], list[int]] = {}
-    for k, (multi, h) in enumerate(checked):
-        groups.setdefault((multi.order, h), []).append(k)
-    stencils = []
-    for (order, h), ks in groups.items():
-        rows = [probes[k][0].x + probes[k][0].u + probes[k][0].y + probes[k][0].v for k in ks]
-        positions = [[_row_position(probes[k][0], c) for c in checked[k][0].directions]
-                     for k in ks]
-        stencils.append((ks,) + _fd_stencil(np.array(rows), np.array(positions), h))
-    first = probes[0][0]
+    if not groups:
+        return []
+    stencils = [_fd_stencil(rows, positions, _fd_step(positions.shape[1], step))
+                for rows, positions in groups]
     values = np.asarray(evaluate(SampleBatch.stacked(
-        np.concatenate([points.reshape(-1, points.shape[-1]) for _, points, _ in stencils]),
-        len(first.x), len(first.u))), dtype=float)
-    out: list = [None] * len(probes)
+        np.concatenate([points.reshape(-1, points.shape[-1]) for points, _ in stencils]),
+        n1, n2)), dtype=float)
+    out = []
     start = 0
-    for ks, points, steps in stencils:
+    for points, steps in stencils:
         size = points.shape[0] * points.shape[1]
-        chunk = values[start:start + size].reshape(points.shape[:2] + values.shape[1:])
-        for k, estimate in zip(ks, _fd_combine(chunk, steps)):
-            out[k] = estimate
+        out.append(_fd_combine(values[start:start + size].reshape(
+            points.shape[:2] + values.shape[1:]), steps))
         start += size
     return out
 
 
-def _row_position(point, coord: CoordIndex) -> int:
-    """The position of ``coord`` in the row x + u + y + v of ``point``."""
-    sizes = (len(point.x), len(point.u), len(point.y), len(point.v))
-    return sum(sizes[:coord.block]) + coord.offset
+def _fd_step(order: int, step: float | None) -> float:
+    if order > 3:
+        raise CapabilityError("finite differences support total order <= 3")
+    if step is None:
+        return FD_DEFAULT_STEPS[max(order, 1)]
+    if not 0.0 < step < math.inf:
+        raise ValueError("fd step must be positive and finite")
+    return step
+
+
+def fd_partials(evaluate: Callable, probes, step: float | None = None) -> list:
+    """The :func:`fd_partial` estimates of many probes, ``(point, multi)``
+    pairs, from one evaluation, in the order of ``probes``.
+
+    ``multi`` is a MultiIndex or a sequence of directions, nested in
+    canonical (sorted) order.  The probes are grouped by order and run
+    through :func:`fd_stencils`, which hands ``evaluate`` their stencils as
+    one batch.  No probes give no estimates.
+    """
+    if not probes:
+        return []
+    first = probes[0][0]
+    n1, n2 = len(first.x), len(first.u)
+    start = (0, n1, n1 + n2, 2 * n1 + n2)  # of each coordinate block in a row
+    groups: dict[int, list[int]] = {}
+    positions = []
+    for k, (_, multi) in enumerate(probes):
+        dirs = sorted(multi.directions if isinstance(multi, MultiIndex) else multi)
+        positions.append([start[c.block] + c.offset for c in dirs])
+        groups.setdefault(len(dirs), []).append(k)
+    estimates = fd_stencils(evaluate, [
+        (np.array([p.x + p.u + p.y + p.v for p in (probes[k][0] for k in ks)]),
+         np.array([positions[k] for k in ks], dtype=int))
+        for ks in groups.values()], n1, n2, step)
+    out: list = [None] * len(probes)
+    for ks, values in zip(groups.values(), estimates):
+        for k, estimate in zip(ks, values):
+            out[k] = estimate
+    return out
 
 
 def fd_partial(field: ScalarField, point, multi, step: float | None = None):

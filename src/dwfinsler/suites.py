@@ -26,7 +26,7 @@ from .blocks import matvec, max_abs, scalar_axes, vdot
 from .coords import MAX_ORDER, MultiIndex
 from .engine import SPRAY_ORDER, VALUE_ORDER, WorkPoint, workspace
 from .errors import UnknownSuiteError
-from .jets import CoordView, fd_partials
+from .jets import CoordView, fd_stencils
 from .metrics import TangentSample
 from .runspec import ALL_SUITES, RunSpec, sample_points
 
@@ -542,22 +542,36 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     cfg = spec.config
     ws = workspace(cfg)
     rng = np.random.Generator(np.random.PCG64(spec.sampling.seed + 1))
-    coords = list(cfg.base) + list(cfg.fiber)
+    coords = list(cfg.base) + list(cfg.fiber)  # a point's row x + u + y + v
+    column = {c: k for k, c in enumerate(coords)}
     fib, n = cfg.fiber, cfg.n
     subset = points[:min(3, len(points))]
+    rows = np.array([p.x + p.u + p.y + p.v for p in subset])
     # Each sample of the subset as the strip that holds it and its row there.
     strips = ws.strips(points)
     held = [(wp, k) for wp in strips for k in range(len(wp.samples))][:len(subset)]
     g = np.array([wp.product.g_values()[k] for wp, k in held])
     # The finite-difference oracle evaluates F^2 on floats, at the stencils
     # of 8 random partials at each point of the subset, drawn in order, and
-    # of every fiber pair of g there, all as one batch.
-    at = [p for p in subset for _ in range(8)]
+    # of every fiber pair of g there, all as one batch.  A probe is a row and
+    # the positions of its directions in the row, nested in the canonical
+    # order of its MultiIndex; the probes of each order are two arrays.
+    at = np.repeat(np.arange(len(subset)), 8)
     dirs = [_random_directions(rng, coords) for _ in at]
     multis = [MultiIndex.of(d) for d in dirs]
-    fd = fd_partials(lambda batch: cfg.F2(CoordView(batch)),
-                     list(zip(at, multis))
-                     + [(p, (fib[a], fib[b])) for p in subset for a, b in np.ndindex(n, n)])
+    orders = np.array([m.order for m in multis])
+    drawn = [orders == k for k in (1, 2, 3) if (orders == k).any()]
+    first, second = np.divmod(np.tile(np.arange(n * n), len(subset)), n)
+    *fd, fd_g = fd_stencils(lambda batch: cfg.F2(CoordView(batch)), [
+        (rows[at[mine]], np.array([[column[c] for c in m.directions]
+                                   for m, keep in zip(multis, mine) if keep]))
+        for mine in drawn] + [
+        (np.repeat(rows, n * n, 0),
+         n + np.stack([np.minimum(first, second), np.maximum(first, second)], 1))],
+        cfg.n1, cfg.n2)
+    fd_random = np.zeros(len(at))
+    for mine, estimates in zip(drawn, fd):
+        fd_random[mine] = estimates
     # The jets read each partial off the lift of F^2 at the probe's sample; a
     # direction that is not a seed of the lift gives an exact zero.
     jet = np.zeros(len(at))
@@ -567,10 +581,10 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
         if set(m.directions) <= set(lift.seeds):
             jet[i] = lift[k].partial(m)
     f2tr = _Tracker()
-    f2tr.feed_all((abs(jet - fd[:len(at)]) / (1.0 + abs(jet))).reshape(len(subset), 8), subset,
+    f2tr.feed_all((abs(jet - fd_random) / (1.0 + abs(jet))).reshape(len(subset), 8), subset,
                   lambda k, j: f"dirs={dirs[8 * k + j]}")
     gtr = _Tracker()
-    gtr.feed_all(_relative(g, 0.5 * np.reshape(fd[len(at):], g.shape)), subset)
+    gtr.feed_all(_relative(g, 0.5 * np.reshape(fd_g, g.shape)), subset)
     # Derived fields: the spray and its fiber derivatives against fd towers,
     # their stencils evaluated as one batch, not kept in the workspace.
     p = points[0]
@@ -584,24 +598,25 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     for _ in range(n):
         pairs.append((int(rng.integers(0, n)), int(rng.integers(0, n))))
         triples.append(tuple(int(i) for i in rng.integers(0, n, 3)))
-    fd = np.array(fd_partials(
+    row = np.repeat(rows[:1], n, 0)
+    fiber = n + np.arange(n)[:, None]
+    fd_fiber, fd_pairs, fd_triples = fd_stencils(
         lambda batch: WorkPoint(ws, batch, SPRAY_ORDER).product.spray_values(),
-        [(p, (y,)) for y in fib] + [(p, tuple(fib[i] for i in t)) for t in pairs + triples]))
+        [(row, fiber), (row, n + np.sort(pairs, 1)), (row, n + np.sort(triples, 1))],
+        cfg.n1, cfg.n2)
     diag = np.arange(n)
     conn, connfd, berw = _Tracker(), _Tracker(), _Tracker()
-    conn.feed_all(_relative(N, fd[:n].T)[None], [p])
-    connfd.feed_all(_relative(Gf[(diag, *np.transpose(pairs))],
-                              np.diagonal(fd[n:2 * n]))[None], [p])
-    berw.feed_all(_relative(B[(diag, *np.transpose(triples))],
-                            np.diagonal(fd[2 * n:]))[None], [p])
+    conn.feed_all(_relative(N, fd_fiber.T)[None], [p])
+    connfd.feed_all(_relative(Gf[(diag, *np.transpose(pairs))], np.diagonal(fd_pairs))[None], [p])
+    berw.feed_all(_relative(B[(diag, *np.transpose(triples))], np.diagonal(fd_triples))[None], [p])
 
     # Adapted derivative of the horizontal coefficients, fd vs. jets, at one
     # representative component: the leading block of the curvature assembly.
     a, b, c = 0, 0, cfg.n1  # mixed-factor slot: nonzero for warped products
-    dH = ep.delta(ep.horizontal_coefficients())[0]
-    fd = np.array(fd_partials(
+    dH = ep.horizontal_delta_values()[0]
+    (fd,) = fd_stencils(
         lambda batch: WorkPoint(ws, batch, VALUE_ORDER).product.horizontal_values()[..., a, b, c],
-        [(p, (y,)) for y in fib] + [(p, (x,)) for x in cfg.base]))
+        [(np.repeat(rows[:1], 2 * n, 0), np.r_[fiber, np.arange(n)[:, None]])], cfg.n1, cfg.n2)
     fd_fiber, fd_delta = fd[:n], fd[n:]
     for e in range(n):
         fd_delta = fd_delta - N[e] * fd_fiber[e]

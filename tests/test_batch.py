@@ -12,8 +12,8 @@ import math
 from dwfinsler.coords import MultiIndex, base1, fiber1
 from dwfinsler.errors import (DomainError, MetricDefinitionError, SingularMetricError,
                               SlitConditionError)
-from dwfinsler.jets import (FD_DEFAULT_STEPS, CoordView, einsum, exp, fd_partial, fd_partials,
-                            sqrt)
+from dwfinsler.jets import (FD_DEFAULT_STEPS, CoordView, Jet, einsum, exp, fd_partial,
+                            fd_partials, sqrt)
 from dwfinsler.linalg import invert_matrix
 from dwfinsler.metrics import (CustomFactor, EuclideanFactor, ProductConfig, QuadraticFactor,
                                RandersFactor, SampleBatch, TangentSample)
@@ -98,6 +98,55 @@ def test_a_batch_equals_its_samples_bit_for_bit(case, order):
                 assert arrays[name][k].tobytes() == want.tobytes(), name
 
 
+def _leibniz_spray(ep):
+    """The spray with its product by y as a Leibniz product of coordinate jets."""
+    base, fib = ep.engine.base, ep.engine.fiber
+    dyx = ep.lift().grad(fib).grad(base)
+    y = Jet.stack([Jet.coordinate(dyx.ctx, c, ep.sample.coord(c)) for c in fib])
+    rhs = einsum("...bc,...c->...b", dyx, y) - ep.lift().grad(base)
+    return 0.25 * einsum("...ab,...b->...a", ep.ginv(), rhs)
+
+
+@pytest.mark.parametrize("order", [SPRAY_ORDER, VALUE_ORDER, LIFT_ORDER])
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+def test_the_spray_multiplies_by_y_as_a_shift_and_keeps_every_bit(case, order, monkeypatch):
+    import dwfinsler.engine as engine
+    _, cfg, points = case
+    products = []
+
+    def recorded(subscripts, a, b):
+        products.append((subscripts, a.shape))
+        return einsum(subscripts, a, b)
+
+    def tensors(sample):
+        wp = WorkPoint(workspace(cfg), sample, order)
+        out = {}
+        for which in ("product", "factor1", "factor2"):
+            ep = getattr(wp, which)
+            out[which, "spray"] = ep.spray().c
+            if order >= VALUE_ORDER:
+                out[which, "N"] = ep.nonlinear_connection().c
+            if order >= LIFT_ORDER:
+                out[which, "Gf"] = ep.connection_fiber_derivative().c
+                out[which, "B"] = ep.berwald()
+        return out
+
+    samples = (SampleBatch.of(points), points[0])
+    monkeypatch.setattr(engine, "einsum", recorded)
+    got = [tensors(sample) for sample in samples[:1]]
+    # On the batch no Leibniz product contracts with y: only g^-1 with the
+    # right-hand side, and the inverse series, run the table.
+    assert "...bc,...c->...b" not in {spec for spec, _ in products}
+    monkeypatch.undo()
+    got.append(tensors(samples[1]))
+    monkeypatch.setattr(EnginePoint, "spray", engine._once(_leibniz_spray))
+    want = [tensors(sample) for sample in samples]
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        for key in w:
+            assert g[key].tobytes() == w[key].tobytes(), key
+
+
 @pytest.mark.parametrize("name, widest", [("FIX-R", 3), ("FIX-1D", 1)])
 def test_a_strip_inverts_g_block_by_block(name, widest, monkeypatch):
     # g is block diagonal and each block depends on a few seeds: {u0} and
@@ -121,6 +170,66 @@ def test_a_strip_inverts_g_block_by_block(name, widest, monkeypatch):
     assert got.ctx is want.ctx and got.c.tobytes() == want.c.tobytes()
 
 
+@pytest.mark.parametrize("name, order, engines", [
+    ("FIX-1D", VALUE_ORDER, ("product", "factor1", "factor2")),
+    ("FIX-R", VALUE_ORDER, ("product", "factor1", "factor2")),
+    ("FIX-R", LIFT_ORDER, ("factor1",)),
+    ("FIX-P", LIFT_ORDER, ("product", "factor1", "factor2"))])
+def test_ginv_runs_no_leibniz_product_where_none_can_pay(name, order, engines, monkeypatch):
+    # A g of order 1 runs the whole-matrix series, which takes no Leibniz
+    # product; a block over no seeds (g constant on it: a Riemannian factor,
+    # FIX-P's product) is its sub-block of g0^-1.  Both keep the bits of the
+    # whole-matrix series, and no -0.0 appears.
+    import dwfinsler.engine as engine
+    spec = fixture_runspec(name)
+    wp = WorkPoint(workspace(spec.config), SampleBatch.of(sample_points(spec)), order)
+    calls = []
+
+    def recorded(subscripts, a, b):
+        calls.append(subscripts)
+        return einsum(subscripts, a, b)
+
+    split = engine._diagonal_blocks
+    for which in engines:
+        ep = getattr(wp, which)
+        g, inv0 = ep.g(), ep._value_inverse()[0]
+        if g.order > 1:
+            assert not any(positions for _, positions in split(g, inv0)), which
+        monkeypatch.setattr(engine, "einsum", recorded)
+        if g.order == 1:
+            monkeypatch.setattr(engine, "_diagonal_blocks", None)
+        got = ep.ginv()
+        monkeypatch.undo()
+        assert not calls, which
+        want = engine._inverse_series(g, inv0)
+        assert got.ctx is want.ctx and got.c.tobytes() == want.c.tobytes(), which
+        assert not np.signbit(got.c[got.c == 0.0]).any(), which
+
+
+def test_a_constant_block_reads_a_negative_zero_of_the_value_inverse_as_the_series_does():
+    # The series adds +0.0 terms to a constant block's value, so a -0.0 of
+    # g0^-1 there becomes +0.0; its sub-block must too.  This g is one
+    # constant 3x3 block whose inverse has an exact zero at (0, 2).
+    import dwfinsler.engine as engine
+    G = ((0.75, 0.5, 0.25), (0.5, 1.0, 0.5), (0.25, 0.5, 0.75))
+    fib = (fiber1(0), fiber1(1), fiber1(2))
+    constant = FinslerEngine(lambda c: sum(G[i][j] * c.y[i] * c.y[j]
+                                           for i in range(3) for j in range(3)),
+                             (base1(0), base1(1), base1(2)), fib)
+    points = [TangentSample((0.1 * k, 0.2, 0.3), (0.5,), (1.0, 0.3 * k, 0.2), (1.0,))
+              for k in range(3)]
+    ep = EnginePoint(constant, SampleBatch.of(points))
+    inv0, cond = ep._value_inverse()
+    assert (inv0[:, 0, 2] == 0.0).all()
+    inv0[:, 0, 2] = -0.0
+    ep._done["_value_inverse"] = (inv0, cond)
+    assert [positions for _, positions in engine._diagonal_blocks(ep.g(), inv0)] == [()]
+    got = ep.ginv()
+    want = engine._inverse_series(ep.g(), inv0)
+    assert got.c.tobytes() == want.c.tobytes()
+    assert not np.signbit(got.c[got.c == 0.0]).any()
+
+
 def test_a_non_finite_g_inverts_as_the_whole_matrix():
     # One sample of factor 1's block of g is NaN.  The whole-matrix series
     # spreads it into the other block's rows; a block-by-block inverse
@@ -139,6 +248,28 @@ def test_a_non_finite_g_inverts_as_the_whole_matrix():
     got = ep.ginv()
     want = engine._inverse_series(g, inv0)
     assert np.isnan(got.c[1, 2:, :2]).any()
+    assert got.ctx is want.ctx and np.array_equal(got.c, want.c, equal_nan=True)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_lift_multiplies_by_y_as_the_leibniz_product(bad):
+    # inf or NaN times the zero coefficients of y spreads NaN through the
+    # Leibniz product, where a shift would leave finite entries.
+    import dwfinsler.engine as engine
+    fix = fixture("FIX-R")
+    scale = np.array([1.0, bad, 1.0])
+    custom = CustomFactor(2, lambda pos, fib: scale * (1.0 + pos[0] ** 2)
+                          * (fib[0] ** 2 + fib[1] ** 2))
+    cfg = ProductConfig(custom, fix.factor2, fix.warp1, fix.warp2)
+    points = sample_points(fixture_runspec("FIX-R", count=3))
+    with np.errstate(invalid="ignore"):
+        ep = EnginePoint(workspace(cfg).product, SampleBatch.of(points))
+        fib = ep.engine.fiber
+        dyx = ep.lift().grad(fib).grad(ep.engine.base)
+        y = Jet.stack([Jet.coordinate(dyx.ctx, c, ep.sample.coord(c)) for c in fib])
+        want = einsum("...bc,...c->...b", dyx, y)
+        got = engine._times_fiber(dyx, ep.sample, fib)
+    assert not np.isfinite(dyx.c).all()
     assert got.ctx is want.ctx and np.array_equal(got.c, want.c, equal_nan=True)
 
 
@@ -362,6 +493,90 @@ def test_batched_fd_partials_equal_the_float_reference_bit_for_bit(case):
     assert np.array(got).tobytes() == np.array(want).tobytes()
     for (p, dirs), value in zip(probes, want):
         assert np.float64(fd_partial(cfg.F2, p, dirs)).tobytes() == np.float64(value).tobytes()
+
+
+def _fd_crosscheck_by_probe(spec, points):
+    """fd-crosscheck with each probe built alone as a ``(point, MultiIndex)``
+    pair through ``fd_partials``: the reference for the suite's arrays."""
+    from dwfinsler.suites import _Tracker, _entry, _random_directions, _relative
+    cfg = spec.config
+    ws = workspace(cfg)
+    rng = np.random.Generator(np.random.PCG64(spec.sampling.seed + 1))
+    coords = list(cfg.base) + list(cfg.fiber)
+    fib, n = cfg.fiber, cfg.n
+    subset = points[:min(3, len(points))]
+    strips = ws.strips(points)
+    held = [(wp, k) for wp in strips for k in range(len(wp.samples))][:len(subset)]
+    g = np.array([wp.product.g_values()[k] for wp, k in held])
+    at = [p for p in subset for _ in range(8)]
+    dirs = [_random_directions(rng, coords) for _ in at]
+    multis = [MultiIndex.of(d) for d in dirs]
+    fd = fd_partials(lambda batch: cfg.F2(CoordView(batch)),
+                     list(zip(at, multis))
+                     + [(p, (fib[a], fib[b])) for p in subset for a, b in np.ndindex(n, n)])
+    jet = np.zeros(len(at))
+    for i, m in enumerate(multis):
+        wp, k = held[i // 8]
+        lift = wp.product.lift()
+        if set(m.directions) <= set(lift.seeds):
+            jet[i] = lift[k].partial(m)
+    f2tr = _Tracker()
+    f2tr.feed_all((abs(jet - fd[:len(at)]) / (1.0 + abs(jet))).reshape(len(subset), 8), subset,
+                  lambda k, j: f"dirs={dirs[8 * k + j]}")
+    gtr = _Tracker()
+    gtr.feed_all(_relative(g, 0.5 * np.reshape(fd[len(at):], g.shape)), subset)
+    p = points[0]
+    ep = strips[0].product
+    N = ep.nonlinear_connection_values()[0]
+    Gf = ep.connection_fiber_values()[0]
+    B = ep.berwald()[0]
+    pairs, triples = [], []
+    for _ in range(n):
+        pairs.append((int(rng.integers(0, n)), int(rng.integers(0, n))))
+        triples.append(tuple(int(i) for i in rng.integers(0, n, 3)))
+    fd = np.array(fd_partials(
+        lambda batch: WorkPoint(ws, batch, SPRAY_ORDER).product.spray_values(),
+        [(p, (y,)) for y in fib] + [(p, tuple(fib[i] for i in t)) for t in pairs + triples]))
+    diag = np.arange(n)
+    conn, connfd, berw = _Tracker(), _Tracker(), _Tracker()
+    conn.feed_all(_relative(N, fd[:n].T)[None], [p])
+    connfd.feed_all(_relative(Gf[(diag, *np.transpose(pairs))],
+                              np.diagonal(fd[n:2 * n]))[None], [p])
+    berw.feed_all(_relative(B[(diag, *np.transpose(triples))],
+                            np.diagonal(fd[2 * n:]))[None], [p])
+    a, b, c = 0, 0, cfg.n1
+    dH = ep.delta(ep.horizontal_coefficients())[0]
+    fd = np.array(fd_partials(
+        lambda batch: WorkPoint(ws, batch, VALUE_ORDER).product.horizontal_values()[..., a, b, c],
+        [(p, (y,)) for y in fib] + [(p, (x,)) for x in cfg.base]))
+    fd_fiber, fd_delta = fd[:n], fd[n:]
+    for e in range(n):
+        fd_delta = fd_delta - N[e] * fd_fiber[e]
+    hdelta = _Tracker()
+    hdelta.feed_all(_relative(dH[a, b, c], fd_delta)[None], [p])
+    return [_entry(spec, "fd-crosscheck", name, tr) for name, tr in (
+        ("squared-norm-partials", f2tr), ("fundamental-tensor", gtr),
+        ("nonlinear-connection", conn), ("connection-fiber-derivative", connfd),
+        ("berwald", berw), ("horizontal-delta", hdelta))]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fd_crosscheck_on_probe_arrays_equals_it_probe_by_probe(case, seed):
+    from dwfinsler.suites import SUITES
+    name, cfg, _ = case
+    doc = {d["label"]: d for d in (ASYM_1x3, ASYM_3x2, CUBIC_2x2)}.get(name)
+    if doc is None:
+        spec = fixture_runspec(name, seed=seed, count=4)
+    else:
+        spec = parse_spec(dict(doc, sampling=dict(doc["sampling"], seed=seed, count=4)))
+    points = sample_points(spec)
+    got = SUITES["fd-crosscheck"](spec, points)
+    want = _fd_crosscheck_by_probe(spec, points)
+    assert [e.name for e in got] == [e.name for e in want]
+    for g, w in zip(got, want):
+        assert float.hex(g.residual) == float.hex(w.residual), g.name
+        assert (g.point, g.note, g.passed) == (w.point, w.note, w.passed), g.name
 
 
 def test_array_sqrt_and_exp_act_as_on_each_float():

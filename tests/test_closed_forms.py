@@ -53,9 +53,10 @@ ENTRY_POINTS = {
     "connection.nonlinear_connection", "connection.frame_brackets",
     "connection.horizontal_coefficients",
     "curvature.berwald_curvature", "curvature.hh_curvature", "curvature.riemann_map",
-    # The finite-difference oracle of a single probe and the fixtures by name,
-    # for library users.
-    "jets.fd_partial", "runspec.fixture", "runspec.fixture_runspec",
+    # The finite-difference oracle by probe, of one or of many (the battery
+    # hands its probes to jets.fd_stencils as arrays), and the fixtures by
+    # name, for library users.
+    "jets.fd_partial", "jets.fd_partials", "runspec.fixture", "runspec.fixture_runspec",
     # The escape hatch: no run document can name a custom factor.
     "metrics.CustomFactor.f_squared",
 }

@@ -10,7 +10,7 @@ from dwfinsler import MultiIndex, TangentSample, base1, base2, fiber1, fiber2
 from dwfinsler import jets
 from dwfinsler.errors import CapabilityError, DomainError
 from dwfinsler.engine import LIFT_ORDER, SPRAY_ORDER, VALUE_ORDER
-from dwfinsler.jets import Jet, context, einsum, fd_partial
+from dwfinsler.jets import Jet, context, einsum, fd_partial, fd_partials
 from dwfinsler.linalg import invert_matrix
 from conftest import jet_lift
 
@@ -294,6 +294,26 @@ def test_fd_partial_needs_a_field_acting_entry_by_entry(p4):
         fd_partial(lambda view: math.exp(view.x[0]), p4, [base1(0)])
     with pytest.raises(ValueError, match="stencil of 4 points"):
         fd_partial(lambda view: np.ravel(view.x[0]), p4, [base1(0)])
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+def test_fd_rejects_a_step_that_is_not_positive_and_finite(step, p4):
+    # A NaN step used to give a NaN estimate silently, and an infinite one a
+    # NaN after two RuntimeWarnings: both fail closed as a negative step does.
+    from dwfinsler import fixture
+    cfg = fixture("FIX-R")
+    with pytest.raises(ValueError, match="positive and finite"):
+        fd_partial(cfg.F2, p4, (cfg.fiber[0],), step=step)
+    with pytest.raises(ValueError, match="positive and finite"):
+        fd_partials(lambda batch: cfg.F2(jets.CoordView(batch)), [(p4, ())], step=step)
+
+
+def test_fd_partials_of_no_probes_evaluates_nothing():
+    def evaluate(batch):
+        raise AssertionError("no probe, no evaluation")
+
+    assert fd_partials(evaluate, []) == []
+    assert jets.fd_stencils(evaluate, [], 1, 1) == []
 
 
 def _reference_tables(nvars, order):
