@@ -36,12 +36,12 @@ non-seed.
 The engine (:mod:`dwfinsler.engine`) lifts each squared norm once per point
 with :func:`support_lift` and memoizes that lift.  The finite differences
 run on float batches: :func:`fd_stencils` takes probes as arrays, their
-points as rows and their directions as positions in a row, one array per
-order, builds their stencils as coordinate arrays (:func:`_fd_stencil`),
-evaluates the field once on all their points as one batch, and combines the
-values of each order's probes at once (:func:`_fd_combine`).
-:func:`fd_partials` groups ``(point, multi)`` probes into those arrays, and
-:func:`fd_partial` is its single probe.
+points as rows and their directions as positions in a row, builds the
+stencils of each order's probes as one coordinate array
+(:func:`_fd_stencil`), evaluates the field once on all their points as one
+batch, and combines the values of each order's probes at once
+(:func:`_fd_combine`).  :func:`fd_partials` hands it ``(point, multi)``
+probes as those arrays, and :func:`fd_partial` is its single probe.
 """
 
 from __future__ import annotations
@@ -672,30 +672,38 @@ def fd_stencils(evaluate: Callable, groups, n1: int, n2: int,
                 step: float | None = None) -> list[np.ndarray]:
     """The :func:`fd_partial` estimates of groups of probes, from one evaluation.
 
-    Each group holds probes of one order k as arrays ``(rows[P, C],
-    positions[P, k])``: each probe's point as one row x + u + y + v of a
-    product of dimensions ``n1`` and ``n2``, and the positions in that row
-    of its k directions, outermost first.  ``evaluate`` is handed the points
-    of every stencil (:func:`_fd_stencil`) as one
-    :class:`~dwfinsler.metrics.SampleBatch` and returns their values along a
-    leading axis (floats, or arrays of one shape).  Returns the estimates
-    ``[P, ...]`` of each group (:func:`_fd_combine`).  The step is ``step``,
-    which must be positive and finite, or the default of the group's order.
+    Each group holds probes as two arrays ``(rows, positions)``: ``rows[P, C]``
+    each probe's point as one row x + u + y + v of a product of dimensions
+    ``n1`` and ``n2`` (or one row for all), and ``positions[P, K]`` the
+    positions in a row of each probe's directions, outermost first, padded
+    with -1 after the last.  The probes of each order form one stencil
+    array (:func:`_fd_stencil`); ``evaluate`` is handed the points of every
+    stencil as one :class:`~dwfinsler.metrics.SampleBatch` and returns their
+    values along a leading axis (floats, or arrays of one shape).  Returns
+    the estimates ``[P, ...]`` of each group, in the order of its probes
+    (:func:`_fd_combine`).  The step is ``step``, which must be positive and
+    finite, or the default of each order.
     """
     from .metrics import SampleBatch
-    if not groups:
-        return []
-    stencils = [_fd_stencil(rows, positions, _fd_step(positions.shape[1], step))
-                for rows, positions in groups]
+    stencils = []
+    for g, (rows, positions) in enumerate(groups):
+        rows = np.broadcast_to(rows, (len(positions), np.shape(rows)[-1]))
+        orders = (positions >= 0).sum(1)
+        for k in sorted(set(orders.tolist())):
+            mine = orders == k
+            stencils.append((g, mine) + _fd_stencil(rows[mine], positions[mine, :k],
+                                                    _fd_step(k, step)))
+    if not stencils:
+        return [np.zeros(0) for _ in groups]
     values = np.asarray(evaluate(SampleBatch.stacked(
-        np.concatenate([points.reshape(-1, points.shape[-1]) for points, _ in stencils]),
+        np.concatenate([points.reshape(-1, points.shape[-1]) for *_, points, _ in stencils]),
         n1, n2)), dtype=float)
-    out = []
+    out = [np.empty((len(positions),) + values.shape[1:]) for _, positions in groups]
     start = 0
-    for points, steps in stencils:
+    for g, mine, points, steps in stencils:
         size = points.shape[0] * points.shape[1]
-        out.append(_fd_combine(values[start:start + size].reshape(
-            points.shape[:2] + values.shape[1:]), steps))
+        out[g][mine] = _fd_combine(values[start:start + size].reshape(
+            points.shape[:2] + values.shape[1:]), steps)
         start += size
     return out
 
@@ -712,33 +720,24 @@ def _fd_step(order: int, step: float | None) -> float:
 
 def fd_partials(evaluate: Callable, probes, step: float | None = None) -> list:
     """The :func:`fd_partial` estimates of many probes, ``(point, multi)``
-    pairs, from one evaluation, in the order of ``probes``.
-
-    ``multi`` is a MultiIndex or a sequence of directions, nested in
-    canonical (sorted) order.  The probes are grouped by order and run
-    through :func:`fd_stencils`, which hands ``evaluate`` their stencils as
-    one batch.  No probes give no estimates.
+    pairs, from one evaluation, in the order of ``probes``: one group of
+    :func:`fd_stencils`, each probe's directions nested in canonical
+    (sorted) order, as ``multi`` a MultiIndex or a sequence of directions.
+    No probes give no estimates.
     """
+    from .metrics import sample_rows
     if not probes:
         return []
     first = probes[0][0]
     n1, n2 = len(first.x), len(first.u)
     start = (0, n1, n1 + n2, 2 * n1 + n2)  # of each coordinate block in a row
-    groups: dict[int, list[int]] = {}
-    positions = []
-    for k, (_, multi) in enumerate(probes):
-        dirs = sorted(multi.directions if isinstance(multi, MultiIndex) else multi)
-        positions.append([start[c.block] + c.offset for c in dirs])
-        groups.setdefault(len(dirs), []).append(k)
-    estimates = fd_stencils(evaluate, [
-        (np.array([p.x + p.u + p.y + p.v for p in (probes[k][0] for k in ks)]),
-         np.array([positions[k] for k in ks], dtype=int))
-        for ks in groups.values()], n1, n2, step)
-    out: list = [None] * len(probes)
-    for ks, values in zip(groups.values(), estimates):
-        for k, estimate in zip(ks, values):
-            out[k] = estimate
-    return out
+    dirs = [sorted(multi.directions if isinstance(multi, MultiIndex) else multi)
+            for _, multi in probes]
+    positions = np.full((len(probes), max(map(len, dirs))), -1)
+    for row, d in zip(positions, dirs):
+        row[:len(d)] = [start[c.block] + c.offset for c in d]
+    rows = sample_rows([p for p, _ in probes])
+    return list(fd_stencils(evaluate, [(rows, positions)], n1, n2, step)[0])
 
 
 def fd_partial(field: ScalarField, point, multi, step: float | None = None):

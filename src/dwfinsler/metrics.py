@@ -324,6 +324,11 @@ def _require_slit(ys, vs) -> None:
             "fiber vectors must stay away from the zero section (slit condition)")
 
 
+def sample_rows(samples: Sequence[TangentSample]) -> np.ndarray:
+    """[m, 2 (n1 + n2)] = each sample's coordinates x + u + y + v as one row."""
+    return np.array([s.x + s.u + s.y + s.v for s in samples])
+
+
 class SampleBatch:
     """Points of the slit bundle evaluated as one: each coordinate of x, u, y
     and v is an array of one value per sample.
@@ -355,7 +360,7 @@ class SampleBatch:
         dims = {(len(s.x), len(s.u)) for s in samples}
         if len(dims) != 1:
             raise MetricDefinitionError("the samples of a batch must share their dimensions")
-        return cls.stacked(np.array([s.x + s.u + s.y + s.v for s in samples]), *dims.pop())
+        return cls.stacked(sample_rows(samples), *dims.pop())
 
     @classmethod
     def stacked(cls, rows: np.ndarray, n1: int, n2: int) -> "SampleBatch":

@@ -27,7 +27,7 @@ from .coords import MAX_ORDER, MultiIndex
 from .engine import SPRAY_ORDER, VALUE_ORDER, WorkPoint, workspace
 from .errors import UnknownSuiteError
 from .jets import CoordView, fd_stencils
-from .metrics import TangentSample
+from .metrics import TangentSample, sample_rows
 from .runspec import ALL_SUITES, RunSpec, sample_points
 
 class SuiteEntry:
@@ -542,11 +542,10 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     cfg = spec.config
     ws = workspace(cfg)
     rng = np.random.Generator(np.random.PCG64(spec.sampling.seed + 1))
-    coords = list(cfg.base) + list(cfg.fiber)  # a point's row x + u + y + v
-    column = {c: k for k, c in enumerate(coords)}
+    coords = list(cfg.base) + list(cfg.fiber)  # in the order of a point's row
     fib, n = cfg.fiber, cfg.n
     subset = points[:min(3, len(points))]
-    rows = np.array([p.x + p.u + p.y + p.v for p in subset])
+    rows = sample_rows(subset)
     # Each sample of the subset as the strip that holds it and its row there.
     strips = ws.strips(points)
     held = [(wp, k) for wp in strips for k in range(len(wp.samples))][:len(subset)]
@@ -554,34 +553,26 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     # The finite-difference oracle evaluates F^2 on floats, at the stencils
     # of 8 random partials at each point of the subset, drawn in order, and
     # of every fiber pair of g there, all as one batch.  A probe is a row and
-    # the positions of its directions in the row, nested in the canonical
-    # order of its MultiIndex; the probes of each order are two arrays.
-    at = np.repeat(np.arange(len(subset)), 8)
-    dirs = [_random_directions(rng, coords) for _ in at]
-    multis = [MultiIndex.of(d) for d in dirs]
-    orders = np.array([m.order for m in multis])
-    drawn = [orders == k for k in (1, 2, 3) if (orders == k).any()]
-    first, second = np.divmod(np.tile(np.arange(n * n), len(subset)), n)
-    *fd, fd_g = fd_stencils(lambda batch: cfg.F2(CoordView(batch)), [
-        (rows[at[mine]], np.array([[column[c] for c in m.directions]
-                                   for m, keep in zip(multis, mine) if keep]))
-        for mine in drawn] + [
-        (np.repeat(rows, n * n, 0),
-         n + np.stack([np.minimum(first, second), np.maximum(first, second)], 1))],
-        cfg.n1, cfg.n2)
-    fd_random = np.zeros(len(at))
-    for mine, estimates in zip(drawn, fd):
-        fd_random[mine] = estimates
-    # The jets read each partial off the lift of F^2 at the probe's sample; a
-    # direction that is not a seed of the lift gives an exact zero.
-    jet = np.zeros(len(at))
-    for i, m in enumerate(multis):
+    # the positions in it of its directions, in the canonical order of its
+    # MultiIndex, which its stencil nests in.  The jets read each partial
+    # off the lift of F^2 at the probe's sample; a direction that is not a
+    # seed of the lift gives an exact zero.
+    dirs = [_random_directions(rng, coords) for _ in range(8 * len(subset))]
+    positions = np.full((len(dirs), 3), -1)
+    jet = np.zeros(len(dirs))
+    for i, m in enumerate(MultiIndex.of(d) for d in dirs):
+        positions[i, :m.order] = [coords.index(c) for c in m.directions]
         wp, k = held[i // 8]
         lift = wp.product.lift()
         if set(m.directions) <= set(lift.seeds):
             jet[i] = lift[k].partial(m)
+    fiber_pairs = n + np.sort(np.divmod(np.arange(n * n), n), 0).T
+    fd, fd_g = fd_stencils(lambda batch: cfg.F2(CoordView(batch)), [
+        (np.repeat(rows, 8, 0), positions),
+        (np.repeat(rows, n * n, 0), np.tile(fiber_pairs, (len(subset), 1)))],
+        cfg.n1, cfg.n2)
     f2tr = _Tracker()
-    f2tr.feed_all((abs(jet - fd_random) / (1.0 + abs(jet))).reshape(len(subset), 8), subset,
+    f2tr.feed_all((abs(jet - fd) / (1.0 + abs(jet))).reshape(len(subset), 8), subset,
                   lambda k, j: f"dirs={dirs[8 * k + j]}")
     gtr = _Tracker()
     gtr.feed_all(_relative(g, 0.5 * np.reshape(fd_g, g.shape)), subset)
@@ -598,13 +589,10 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     for _ in range(n):
         pairs.append((int(rng.integers(0, n)), int(rng.integers(0, n))))
         triples.append(tuple(int(i) for i in rng.integers(0, n, 3)))
-    row = np.repeat(rows[:1], n, 0)
-    fiber = n + np.arange(n)[:, None]
+    diag = np.arange(n)
     fd_fiber, fd_pairs, fd_triples = fd_stencils(
         lambda batch: WorkPoint(ws, batch, SPRAY_ORDER).product.spray_values(),
-        [(row, fiber), (row, n + np.sort(pairs, 1)), (row, n + np.sort(triples, 1))],
-        cfg.n1, cfg.n2)
-    diag = np.arange(n)
+        [(rows[0], n + np.sort(t, 1)) for t in (diag[:, None], pairs, triples)], cfg.n1, cfg.n2)
     conn, connfd, berw = _Tracker(), _Tracker(), _Tracker()
     conn.feed_all(_relative(N, fd_fiber.T)[None], [p])
     connfd.feed_all(_relative(Gf[(diag, *np.transpose(pairs))], np.diagonal(fd_pairs))[None], [p])
@@ -616,7 +604,7 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     dH = ep.horizontal_delta_values()[0]
     (fd,) = fd_stencils(
         lambda batch: WorkPoint(ws, batch, VALUE_ORDER).product.horizontal_values()[..., a, b, c],
-        [(np.repeat(rows[:1], 2 * n, 0), np.r_[fiber, np.arange(n)[:, None]])], cfg.n1, cfg.n2)
+        [(rows[0], np.r_[n:2 * n, :n][:, None])], cfg.n1, cfg.n2)
     fd_fiber, fd_delta = fd[:n], fd[n:]
     for e in range(n):
         fd_delta = fd_delta - N[e] * fd_fiber[e]
