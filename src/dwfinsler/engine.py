@@ -378,8 +378,10 @@ def _times_fiber(dyx: Jet, sample: TangentSample | SampleBatch,
     then sum_c dyx[b, c] y^c at α (Griewank & Walther, *Evaluating
     Derivatives*, 2nd ed., ch. 13).  The Leibniz product sums the same
     nonzero terms, and +0.0 for every other, in that order, and
-    ``np.add.reduceat`` sums its runs of at most 8 terms in order, so no bit
-    moves.  Above order 3 a run can be longer and is summed pairwise, and a
+    ``np.add.reduceat`` sums a run of at most 8 terms as its first term plus
+    the rest in order, the first being +0.0 where a run holds more than two,
+    so no bit moves.  Above order 3 a run can be longer and its rest is
+    summed pairwise, and a
     non-finite coefficient spreads NaN through the zero terms, so both run
     the Leibniz product; so does one sample, where the shift costs more.
     """
