@@ -115,7 +115,7 @@ def test_the_spray_multiplies_by_y_as_a_shift_and_keeps_every_bit(case, order, m
     products = []
 
     def recorded(subscripts, a, b):
-        products.append((subscripts, a.shape))
+        products.append(subscripts)
         return einsum(subscripts, a, b)
 
     def tensors(sample):
@@ -136,7 +136,7 @@ def test_the_spray_multiplies_by_y_as_a_shift_and_keeps_every_bit(case, order, m
     got = [tensors(sample) for sample in samples[:1]]
     # On the batch no Leibniz product contracts with y: only g^-1 with the
     # right-hand side, and the inverse series, run the table.
-    assert "...bc,...c->...b" not in {spec for spec, _ in products}
+    assert "...bc,...c->...b" not in products
     monkeypatch.undo()
     got.append(tensors(samples[1]))
     monkeypatch.setattr(EnginePoint, "spray", engine._once(_leibniz_spray))
