@@ -47,8 +47,8 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class Ingredients:
     """Factor-engine values and warp partials shared by all block formulas.
 
-    One set serves every family at a point; a family builds its own when it
-    is given none.  The scalars (squared norms, squared warps and the warp
+    One set serves every family at a work point, built once by :func:`of`.
+    The scalars (squared norms, squared warps and the warp
     gradients along the fiber) are arrays, one value per sample of a batch.
     """
 
@@ -78,9 +78,16 @@ class Ingredients:
         return jet.value
 
 
-def spray_blocks(wp: WorkPoint, q: Ingredients | None = None) -> dict[str, np.ndarray]:
+def of(wp: WorkPoint) -> Ingredients:
+    """The closed-form ingredients of a work point (a sample or a strip), built once."""
+    if wp.closed_forms is None:
+        wp.closed_forms = Ingredients(wp)
+    return wp.closed_forms
+
+
+def spray_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
     """Product spray from factor sprays plus warp corrections."""
-    q = q or Ingredients(wp)
+    q = of(wp)
     G1 = wp.factor1.spray_values()
     G2 = wp.factor2.spray_values()
     top = G1 + (matvec(q.g1inv, scalar_axes(q.vsum, 1) * q.dF1dy - q.w1x * scalar_axes(q.F2sq, 1))
@@ -90,10 +97,9 @@ def spray_blocks(wp: WorkPoint, q: Ingredients | None = None) -> dict[str, np.nd
     return {"1": top, "2": bot}
 
 
-def nonlinear_connection_blocks(wp: WorkPoint,
-                                q: Ingredients | None = None) -> dict[str, np.ndarray]:
+def nonlinear_connection_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
     """The fiber derivative of the spray: the factor connections shifted by the warps."""
-    q = q or Ingredients(wp)
+    q = of(wp)
     n1, n2 = q.n1, q.n2
     N11 = (wp.factor1.nonlinear_connection_values()
            - np.einsum("...ihj,...h->...ij", q.dginv1, q.w1x) * scalar_axes(q.F2sq, 2)
@@ -110,10 +116,9 @@ def nonlinear_connection_blocks(wp: WorkPoint,
     return {"11": N11, "12": N12, "21": N21, "22": N22}
 
 
-def connection_fiber_blocks(wp: WorkPoint,
-                            q: Ingredients | None = None) -> dict[str, np.ndarray]:
+def connection_fiber_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
     """Second fiber derivatives of the spray, block by block."""
-    q = q or Ingredients(wp)
+    q = of(wp)
     n1, n2 = q.n1, q.n2
     f1x4, f2x4 = scalar_axes(4.0 * q.f1sq, 3), scalar_axes(4.0 * q.f2sq, 3)
     f1x2, f2x2 = scalar_axes(2.0 * q.f1sq, 3), scalar_axes(2.0 * q.f2sq, 3)
@@ -133,9 +138,9 @@ def connection_fiber_blocks(wp: WorkPoint,
     return out
 
 
-def horizontal_blocks(wp: WorkPoint, q: Ingredients | None = None) -> dict[str, np.ndarray]:
-    q = q or Ingredients(wp)
-    nc = nonlinear_connection_blocks(wp, q)
+def horizontal_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
+    q = of(wp)
+    nc = nonlinear_connection_blocks(wp)
     N12, N21 = nc["12"], nc["21"]
     # The warp-induced shifts of the factor nonlinear connections.
     m1 = nc["11"] - wp.factor1.nonlinear_connection_values()
@@ -178,7 +183,7 @@ def horizontal_blocks(wp: WorkPoint, q: Ingredients | None = None) -> dict[str, 
 
 
 def berwald_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
-    q = Ingredients(wp)
+    q = of(wp)
     f1x4, f2x4 = scalar_axes(4.0 * q.f1sq, 4), scalar_axes(4.0 * q.f2sq, 4)
     f1x2, f2x2 = scalar_axes(2.0 * q.f1sq, 4), scalar_axes(2.0 * q.f2sq, 4)
     out = {}
@@ -205,7 +210,7 @@ def berwald_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
 
 def matsumoto_contraction_rhs(wp: WorkPoint) -> np.ndarray:
     """Expected fiber-squared contraction of the mixed Matsumoto block."""
-    q = Ingredients(wp)
+    q = of(wp)
     n = q.n1 + q.n2
     Fsq = np.asarray(wp.product.F2_value())
     mean2 = wp.factor2.mean_cartan()
@@ -214,5 +219,5 @@ def matsumoto_contraction_rhs(wp: WorkPoint) -> np.ndarray:
 
 def cartan_scaled_factor_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
     """Pure blocks of the product Cartan torsion: warp-scaled factor tensors."""
-    q = Ingredients(wp)
+    q = of(wp)
     return {"111": scalar_axes(q.f2sq, 3) * q.C1, "222": scalar_axes(q.f1sq, 3) * q.C2}

@@ -214,8 +214,11 @@ class EnginePoint:
         return self.lift().grad(self.engine.fiber).value
 
     def F2_base_fiber_values(self) -> np.ndarray:
-        """[a, b] = d^2 F^2 / dx^a dy^b: base derivative of the fiber gradient."""
-        return self.lift().grad(self.engine.base).grad(self.engine.fiber).value
+        """[a, b] = d^2 F^2 / dx^a dy^b: base derivative of the fiber gradient,
+        read off the lift restricted to its second partials."""
+        lift = self.lift()
+        lift = lift.restrict(lift.seeds, min(lift.order, 2))
+        return lift.grad(self.engine.base).grad(self.engine.fiber).value
 
     @_once
     def cartan(self) -> np.ndarray:
@@ -518,6 +521,7 @@ class WorkPoint:
         self.samples: tuple[TangentSample, ...] | None = None  # set on a strip
         self._warp: dict[int, Jet] = {}
         self.lifted = None  # the lifted ingredients, built by dwfinsler.lifted
+        self.closed_forms = None  # the closed-form ingredients, built by dwfinsler.closed_forms
 
     def _warp_jet(self, which: int) -> Jet:
         """The squared warp, lifted at order 1 over those of its factor's base

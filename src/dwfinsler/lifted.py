@@ -33,6 +33,7 @@ from .blocks import max_abs, scalar_axes
 from .engine import WorkPoint, workspace
 from .errors import PreconditionError
 from .metrics import ProductConfig
+from .runspec import DEFAULT_TOLERANCES
 
 FAMILIES = ("h1", "h2", "v1", "v2")
 _FAMILY_PAIRS = tuple(f"{a}.{b}" for a in FAMILIES for b in FAMILIES)
@@ -392,9 +393,11 @@ def closedness_check(cfg: ProductConfig, region) -> ClosednessReport:
         mixed = ep.F2_base_fiber_values()
         pot_res.append(_worst(lead, g @ N - N.swapaxes(-1, -2) @ g
                               + 0.5 * (mixed - mixed.swapaxes(-1, -2))))
-        # grads[..., z] = d_z Omega, exactly; dg[..., z] = d_z g, dN[..., z] = d_z N
-        dg = np.moveaxis(ep.g().grad(zs).value, -1, len(lead))
-        dN = np.moveaxis(ep.nonlinear_connection().grad(zs).value, -1, len(lead))
+        # grads[..., z] = d_z Omega, exactly; dg[..., z] = d_z g, dN[..., z] = d_z N,
+        # read off g and N restricted to their first partials.
+        dg, dN = (np.moveaxis(jet.restrict(jet.seeds, min(jet.order, 1)).grad(zs).value,
+                              -1, len(lead))
+                  for jet in (ep.g(), ep.nonlinear_connection()))
         dgN = np.einsum("...zab,...bc->...zac", dg, N) + np.einsum("...ab,...zbc->...zac", g, dN)
         grads = np.zeros(lead + (m, m, m))
         grads[..., :, :n, :n] = dgN - np.einsum("...zac->...zca", dgN)
@@ -415,16 +418,15 @@ class KahlerReport:
         self.max_nijenhuis, self.equivalence_holds = max_nijenhuis, equivalence_holds
 
 
-def kahler_verdict(cfg: ProductConfig, region, tol: float = 1e-7,
-                   nijenhuis_tol: float | None = None) -> KahlerReport:
+def kahler_verdict(cfg: ProductConfig, region,
+                   tol: float = DEFAULT_TOLERANCES["kahler"]) -> KahlerReport:
     """Kahler iff the horizontal distribution is integrable over the region."""
-    ntol = tol if nijenhuis_tol is None else nijenhuis_tol
     lps = _lifted_region(cfg, region)
     max_r = _worst((), *(lp.Rb for lp in lps))
     max_n = _worst((), *(lp.nijenhuis_tables[1] for lp in lps))
     verdict = max_r <= tol
     # A non-finite maximum decides neither side, so the equivalence fails.
-    holds = np.isfinite(max_r + max_n) and (max_n <= ntol) == verdict
+    holds = np.isfinite(max_r + max_n) and (max_n <= tol) == verdict
     return KahlerReport(verdict, max_r, max_n, bool(holds))
 
 
@@ -448,8 +450,9 @@ class TotallyGeodesicReport:
         self.horizontal_invariance_consistent = horizontal_invariance_consistent
 
 
-def totally_geodesic_verdicts(cfg: ProductConfig, region,
-                              tol: float = 1e-7) -> TotallyGeodesicReport:
+def totally_geodesic_verdicts(
+        cfg: ProductConfig, region,
+        tol: float = DEFAULT_TOLERANCES["totally-geodesic"]) -> TotallyGeodesicReport:
     """Criteria for the vertical/horizontal bundles to be totally geodesic."""
     region = list(region)
     if len(region) < 20:

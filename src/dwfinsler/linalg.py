@@ -25,12 +25,12 @@ def _norm1(rows) -> float:
     return max(sum(abs(rows[i][j]) for i in range(n)) for j in range(n))
 
 
-def invert_matrix(rows, condition_limit: float = CONDITION_LIMIT):
+def invert_matrix(rows):
     """Invert a square matrix given as nested sequences of floats.
 
     Returns ``(inverse_rows, condition_estimate)``.  Raises
     :class:`SingularMetricError` on a zero pivot or when the 1-norm condition
-    estimate exceeds ``condition_limit``.
+    estimate exceeds :data:`CONDITION_LIMIT`.
     """
     n = len(rows)
     aug = [[float(t) for t in row] + [1.0 if i == j else 0.0 for j in range(n)]
@@ -52,9 +52,9 @@ def invert_matrix(rows, condition_limit: float = CONDITION_LIMIT):
             aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     inverse = [row[n:] for row in aug]
     cond = _norm1(rows) * _norm1(inverse)
-    if cond > condition_limit:
+    if cond > CONDITION_LIMIT:
         raise SingularMetricError(
-            f"ill-conditioned matrix: condition estimate {cond:.3e} exceeds {condition_limit:.1e}")
+            f"ill-conditioned matrix: condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.1e}")
     return inverse, cond
 
 

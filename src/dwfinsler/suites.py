@@ -8,10 +8,14 @@ failure-as-success by the runner.
 The sampled points are evaluated as strips (:meth:`Workspace.strips`): each
 strip is one engine point over a batch of samples, shared by every suite, and
 each suite reads its tensors as arrays whose leading axis runs over the
-strip's samples.  An entry reduces each sample's residual over the tensor
-axes and feeds the strip to its tracker at once (:meth:`_Tracker.feed_all`),
-which keeps the worst value and its witness exactly as feeding the samples
-one by one would.
+strip's samples.  A suite names each entry once, where it feeds it to its
+:class:`_Entries`: the first feed makes the entry's tracker and fixes its
+tolerance name and, for a lower-bound witness, its note, and the entries are
+reported in the order they were first fed.  Each feed reduces each sample's
+residual over the tensor axes and hands the strip to the tracker at once
+(:meth:`_Tracker.feed_all`), which keeps the worst value and its witness
+exactly as feeding the samples one by one would; every value still passes
+through :meth:`_Tracker.feed`, the one funnel a caller can wrap to see them.
 """
 
 from __future__ import annotations
@@ -122,12 +126,42 @@ def _entry(spec: RunSpec, suite: str, name: str, tracker: _Tracker,
                       _point_doc(tracker.point), tracker.note)
 
 
-def _bound_entry(spec: RunSpec, suite: str, name: str, tracker: _Tracker,
-                 tol_key: str, note: str) -> SuiteEntry:
-    # Lower-bound check: passes when value >= threshold; the residual is the margin.
-    residual = spec.tolerance(tol_key) - tracker.value
-    return SuiteEntry(suite, name, residual, 0.0, residual <= 0.0,
-                      _point_doc(tracker.point), note)
+class _Entries:
+    """The tracked entries of one suite, kept in the order they are first fed.
+
+    An entry is named once, where it is fed: its first feed makes its
+    tracker and fixes its tolerance name ``tol`` (default: the suite's) and
+    ``lower``, the note of a lower-bound witness, which passes when the worst
+    value reaches the tolerance and reports the margin below it.  Feeding the
+    entry again under another tolerance name or bound is a ``ValueError``.
+    """
+
+    __slots__ = ("spec", "suite", "_fed")
+
+    def __init__(self, spec: RunSpec, suite: str):
+        self.spec, self.suite = spec, suite
+        self._fed: dict[str, tuple[_Tracker, str | None, str | None]] = {}
+
+    def feed(self, name: str, values, points, tol: str | None = None, describe=None,
+             lower: str | None = None) -> None:
+        got = self._fed.get(name)
+        if got is None:
+            got = self._fed[name] = (_Tracker(), tol, lower)
+        elif got[1:] != (tol, lower):
+            raise ValueError(f"{self.suite} entry {name!r} fed under tolerance {tol!r} "
+                             f"and bound {lower!r}, first under {got[1]!r} and {got[2]!r}")
+        got[0].feed_all(values, points, describe)
+
+    def entries(self) -> list[SuiteEntry]:
+        out = []
+        for name, (tracker, tol, lower) in self._fed.items():
+            if lower is None:
+                out.append(_entry(self.spec, self.suite, name, tracker, tol))
+                continue
+            residual = self.spec.tolerance(tol or self.suite) - tracker.value
+            out.append(SuiteEntry(self.suite, name, residual, 0.0, residual <= 0.0,
+                                  _point_doc(tracker.point), lower))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -198,181 +232,149 @@ def _suite_homogeneity(spec: RunSpec, points) -> list[SuiteEntry]:
     cfg = spec.config
     ws = workspace(cfg)
     n1 = cfg.n1
-    metric = {lam: _Tracker() for lam in (0.5, 2.0, 7.0)}
-    sprayt = _Tracker()
-    euler = _Tracker()
-    blocks = {k: _Tracker() for k in ("11", "12", "21", "22")}
+    scales = (0.5, 2.0, 7.0)
+    out = _Entries(spec, "homogeneity")
     for wp in ws.strips(points):
         ep, lead, at = wp.product, wp.lead, wp.samples
         # The rescaled copies of a strip are evaluated once, as one batch over
         # (sample, scale), and not kept in the workspace.
-        scaled = WorkPoint(ws, wp.sample.fiber_scaled(tuple(metric)), SPRAY_ORDER).product
-        scaled_g = scaled.g_values().reshape(len(at), len(metric), cfg.n, cfg.n)
+        scaled = WorkPoint(ws, wp.sample.fiber_scaled(scales), SPRAY_ORDER).product
+        scaled_g = scaled.g_values().reshape(len(at), len(scales), cfg.n, cfg.n)
         # The spray at scale 2, the second of the three.
-        scaled_spray = scaled.spray_values().reshape(len(at), len(metric), cfg.n)[:, 1]
+        scaled_spray = scaled.spray_values().reshape(len(at), len(scales), cfg.n)[:, 1]
         g = ep.g_values()
-        for k, tr in enumerate(metric.values()):
-            tr.feed_all(max_abs(scaled_g[:, k] - g, lead), at)
+        for k, lam in enumerate(scales):
+            out.feed(f"metric-rescale-{lam}", max_abs(scaled_g[:, k] - g, lead), at,
+                     "homogeneity.metric")
         G = ep.spray_values()
-        sprayt.feed_all(max_abs(scaled_spray - 4.0 * G, lead), at)
+        out.feed("spray-rescale", max_abs(scaled_spray - 4.0 * G, lead), at, "homogeneity.spray")
         N = ep.nonlinear_connection_values()
         yv = ep.fiber_values()
-        euler.feed_all(max_abs(matvec(N, yv) - 2.0 * G, lead), at)
+        out.feed("connection-euler", max_abs(matvec(N, yv) - 2.0 * G, lead), at,
+                 "homogeneity.spray")
         contr = np.einsum("...abc,...c->...ab", ep.connection_fiber_values(), yv) - N
-        blocks["11"].feed_all(max_abs(contr[..., :n1, :n1], lead), at)
-        blocks["12"].feed_all(max_abs(contr[..., :n1, n1:], lead), at)
-        blocks["21"].feed_all(max_abs(contr[..., n1:, :n1], lead), at)
-        blocks["22"].feed_all(max_abs(contr[..., n1:, n1:], lead), at)
-    out = [_entry(spec, "homogeneity", f"metric-rescale-{lam}", tr,
-                  "homogeneity.metric") for lam, tr in metric.items()]
-    out.append(_entry(spec, "homogeneity", "spray-rescale", sprayt,
-                      "homogeneity.spray"))
-    out.append(_entry(spec, "homogeneity", "connection-euler", euler,
-                      "homogeneity.spray"))
-    out.extend(_entry(spec, "homogeneity", f"connection-degree-{k}", tr)
-               for k, tr in blocks.items())
-    return out
+        out.feed("connection-degree-11", max_abs(contr[..., :n1, :n1], lead), at)
+        out.feed("connection-degree-12", max_abs(contr[..., :n1, n1:], lead), at)
+        out.feed("connection-degree-21", max_abs(contr[..., n1:, :n1], lead), at)
+        out.feed("connection-degree-22", max_abs(contr[..., n1:, n1:], lead), at)
+    return out.entries()
 
 
 def _suite_block_structure(spec: RunSpec, points) -> list[SuiteEntry]:
     cfg = spec.config
     n1 = cfg.n1
-    off = _Tracker()
-    mixed_c = _Tracker()
-    scaled = _Tracker()
-    mean = _Tracker()
-    ang_null = _Tracker()
-    c_null = _Tracker()
     pure = np.zeros((cfg.n,) * 3, dtype=bool)
     pure[:n1, :n1, :n1] = True
     pure[n1:, n1:, n1:] = True
+    out = _Entries(spec, "block-structure")
     for wp in workspace(cfg).strips(points):
         ep, lead, at = wp.product, wp.lead, wp.samples
         g = ep.g_values()
-        off.feed_all(np.maximum(max_abs(g[..., :n1, n1:], lead),
-                                max_abs(g[..., n1:, :n1], lead)), at)
+        out.feed("metric-off-block", np.maximum(max_abs(g[..., :n1, n1:], lead),
+                                                max_abs(g[..., n1:, :n1], lead)), at)
         C = ep.cartan()
-        mixed_c.feed_all(max_abs(C[..., ~pure], lead), at)
+        out.feed("cartan-mixed-block", max_abs(C[..., ~pure], lead), at)
         expect = closed_forms.cartan_scaled_factor_blocks(wp)
-        scaled.feed_all(np.maximum(max_abs(C[..., :n1, :n1, :n1] - expect["111"], lead),
-                                   max_abs(C[..., n1:, n1:, n1:] - expect["222"], lead)), at)
+        out.feed("cartan-warp-scaled",
+                 np.maximum(max_abs(C[..., :n1, :n1, :n1] - expect["111"], lead),
+                            max_abs(C[..., n1:, n1:, n1:] - expect["222"], lead)), at,
+                 "block-structure.scaled")
         I = ep.mean_cartan()
-        mean.feed_all(np.maximum(max_abs(I[..., :n1] - wp.factor1.mean_cartan(), lead),
-                                 max_abs(I[..., n1:] - wp.factor2.mean_cartan(), lead)), at)
+        out.feed("mean-cartan-factor",
+                 np.maximum(max_abs(I[..., :n1] - wp.factor1.mean_cartan(), lead),
+                            max_abs(I[..., n1:] - wp.factor2.mean_cartan(), lead)), at,
+                 "block-structure.scaled")
         yv = ep.fiber_values()
-        ang_null.feed_all(max_abs(matvec(ep.angular(), yv), lead), at)
-        c_null.feed_all(max_abs(np.einsum("...abc,...c->...ab", C, yv), lead), at)
-    return [
-        _entry(spec, "block-structure", "metric-off-block", off),
-        _entry(spec, "block-structure", "cartan-mixed-block", mixed_c),
-        _entry(spec, "block-structure", "cartan-warp-scaled", scaled,
-               "block-structure.scaled"),
-        _entry(spec, "block-structure", "mean-cartan-factor", mean,
-               "block-structure.scaled"),
-        _entry(spec, "block-structure", "angular-annihilates-fiber", ang_null,
-               "block-structure.null"),
-        _entry(spec, "block-structure", "cartan-annihilates-fiber", c_null,
-               "block-structure.null"),
-    ]
+        out.feed("angular-annihilates-fiber", max_abs(matvec(ep.angular(), yv), lead), at,
+                 "block-structure.null")
+        out.feed("cartan-annihilates-fiber",
+                 max_abs(np.einsum("...abc,...c->...ab", C, yv), lead), at,
+                 "block-structure.null")
+    return out.entries()
 
 
 def _suite_yfg(spec: RunSpec, points) -> list[SuiteEntry]:
-    tr = _Tracker()
+    out = _Entries(spec, "yF=G")
     for wp in workspace(spec.config).strips(points):
         ep = wp.product
         lhs = np.einsum("...c,...abc->...ab", ep.fiber_values(), ep.horizontal_values())
-        tr.feed_all(max_abs(lhs - ep.nonlinear_connection_values(), wp.lead), wp.samples)
-    return [_entry(spec, "yF=G", "contraction", tr)]
+        out.feed("contraction", max_abs(lhs - ep.nonlinear_connection_values(), wp.lead),
+                 wp.samples)
+    return out.entries()
 
 
 def _suite_matsumoto(spec: RunSpec, points) -> list[SuiteEntry]:
     cfg = spec.config
     n1 = cfg.n1
-    ident = _Tracker()
-    total = _Tracker()
-    witness = _Tracker()
+    out = _Entries(spec, "matsumoto-contraction")
     for wp in workspace(cfg).strips(points):
         ep, lead, at = wp.product, wp.lead, wp.samples
         M = ep.matsumoto()
         y = wp.factor1.fiber_values()
         lhs = np.einsum("...j,...k,...ajk->...a", y, y, M[..., n1:, :n1, :n1])
         rhs = closed_forms.matsumoto_contraction_rhs(wp)
-        ident.feed_all(max_abs(lhs - rhs, lead), at)
-        # np.minimum, unlike min, keeps a NaN on either side.
-        witness.feed_all(np.minimum(max_abs(lhs, lead), max_abs(rhs, lead)), at)
+        out.feed("mixed-contraction-identity", max_abs(lhs - rhs, lead), at)
         yv = ep.fiber_values()
-        total.feed_all(np.einsum("...a,...b,...c,...abc->...", yv, yv, yv, M), at)
-    out = [
-        _entry(spec, "matsumoto-contraction", "mixed-contraction-identity", ident),
-        _entry(spec, "matsumoto-contraction", "total-fiber-contraction", total,
-               "matsumoto-contraction.total"),
-    ]
-    if not cfg.both_riemannian:
-        out.append(_bound_entry(
-            spec, "matsumoto-contraction", "witness-nonzero", witness,
-            "matsumoto-contraction.witness",
-            "lower bound: both contraction sides must exceed the threshold"))
-    return out
+        out.feed("total-fiber-contraction",
+                 np.einsum("...a,...b,...c,...abc->...", yv, yv, yv, M), at,
+                 "matsumoto-contraction.total")
+        if not cfg.both_riemannian:
+            # np.minimum, unlike min, keeps a NaN on either side.
+            out.feed("witness-nonzero", np.minimum(max_abs(lhs, lead), max_abs(rhs, lead)), at,
+                     "matsumoto-contraction.witness",
+                     lower="lower bound: both contraction sides must exceed the threshold")
+    return out.entries()
 
 
 def _suite_berwald(spec: RunSpec, points) -> list[SuiteEntry]:
     cfg = spec.config
-    blocks: dict[str, _Tracker] = {}
-    sym = _Tracker()
-    mag = _Tracker()
+    witness = cfg.classification() == "doubly-warped" and not cfg.both_riemannian
+    out = _Entries(spec, "berwald-blocks")
     for wp in workspace(cfg).strips(points):
         lead, at = wp.lead, wp.samples
         B = wp.product.berwald()
         res = closed_forms.compare_blocks(B, closed_forms.berwald_blocks(wp),
                                           cfg.n1, cfg.n2)
-        for key, val in res.items():
-            blocks.setdefault(key, _Tracker()).feed_all(val, at)
-        sym.feed_all(np.maximum(max_abs(B - np.swapaxes(B, -3, -2), lead),
-                                max_abs(B - np.swapaxes(B, -2, -1), lead)), at)
-        mag.feed_all(max_abs(B, lead), at)
-    out = [_entry(spec, "berwald-blocks", f"block-{key}", tr)
-           for key, tr in sorted(blocks.items())]
-    out.append(_entry(spec, "berwald-blocks", "total-symmetry", sym,
-                      "berwald-blocks.symmetry"))
-    if cfg.classification() == "doubly-warped" and not cfg.both_riemannian:
-        out.append(_bound_entry(
-            spec, "berwald-blocks", "witness-nonzero", mag, "berwald-blocks.witness",
-            "lower bound: a proper non-Riemannian product must have nonzero "
-            "Berwald curvature"))
-    return out
+        for key in sorted(res):
+            out.feed(f"block-{key}", res[key], at)
+        out.feed("total-symmetry", np.maximum(max_abs(B - np.swapaxes(B, -3, -2), lead),
+                                              max_abs(B - np.swapaxes(B, -2, -1), lead)), at,
+                 "berwald-blocks.symmetry")
+        if witness:
+            out.feed("witness-nonzero", max_abs(B, lead), at, "berwald-blocks.witness",
+                     lower="lower bound: a proper non-Riemannian product must have nonzero "
+                           "Berwald curvature")
+    return out.entries()
 
 
 def _suite_closed_form_blocks(spec: RunSpec, points) -> list[SuiteEntry]:
     """The engine's spray, N, Gf and H against their warped closed forms, block by block."""
     cfg = spec.config
-    blocks: dict[str, _Tracker] = {}
+    out = _Entries(spec, "closed-form-blocks")
     for wp in workspace(cfg).strips(points):
-        ep, q = wp.product, closed_forms.Ingredients(wp)
+        ep = wp.product
         for tensor, generic, closed in (
-                ("spray", ep.spray_values(), closed_forms.spray_blocks(wp, q)),
+                ("spray", ep.spray_values(), closed_forms.spray_blocks(wp)),
                 ("N", ep.nonlinear_connection_values(),
-                 closed_forms.nonlinear_connection_blocks(wp, q)),
-                ("Gf", ep.connection_fiber_values(), closed_forms.connection_fiber_blocks(wp, q)),
-                ("H", ep.horizontal_values(), closed_forms.horizontal_blocks(wp, q))):
+                 closed_forms.nonlinear_connection_blocks(wp)),
+                ("Gf", ep.connection_fiber_values(), closed_forms.connection_fiber_blocks(wp)),
+                ("H", ep.horizontal_values(), closed_forms.horizontal_blocks(wp))):
             for key, val in closed_forms.compare_blocks(generic, closed, cfg.n1, cfg.n2).items():
-                blocks.setdefault(f"closed-form-{tensor}.{key}", _Tracker()).feed_all(
-                    val, wp.samples)
-    return [_entry(spec, "closed-form-blocks", name, tr) for name, tr in blocks.items()]
+                out.feed(f"closed-form-{tensor}.{key}", val, wp.samples)
+    return out.entries()
 
 
 def _suite_lemma41(spec: RunSpec, points) -> list[SuiteEntry]:
-    tr = _Tracker()
-    anti = _Tracker()
+    out = _Entries(spec, "lemma41")
     for wp in workspace(spec.config).strips(points):
         ep, lead, at = wp.product, wp.lead, wp.samples
         hh = ep.hh_curvature()
-        tr.feed_all(max_abs(np.einsum("...b,...bacd->...acd", ep.fiber_values(), hh)
-                            - ep.bracket_curvature_values(), lead), at)
-        anti.feed_all(max_abs(hh + np.swapaxes(hh, -2, -1), lead), at)
-    return [
-        _entry(spec, "lemma41", "fiber-contraction", tr),
-        _entry(spec, "lemma41", "pair-antisymmetry", anti, "lemma41.antisymmetry"),
-    ]
+        out.feed("fiber-contraction",
+                 max_abs(np.einsum("...b,...bacd->...acd", ep.fiber_values(), hh)
+                         - ep.bracket_curvature_values(), lead), at)
+        out.feed("pair-antisymmetry", max_abs(hh + np.swapaxes(hh, -2, -1), lead), at,
+                 "lemma41.antisymmetry")
+    return out.entries()
 
 
 def _suite_con1(spec: RunSpec, points) -> list[SuiteEntry]:
@@ -380,17 +382,13 @@ def _suite_con1(spec: RunSpec, points) -> list[SuiteEntry]:
     if not cfg.factor1.is_riemannian:
         return [SuiteEntry("con1", "skipped (factor 1 not Riemannian)", 0.0, None,
                            True, None, "identity undefined for this configuration")]
-    latin = _Tracker()
-    greek = _Tracker()
+    out = _Entries(spec, "con1")
     for wp in workspace(cfg).strips(points):
         first, second = _flat_factor(wp)
-        latin.feed_all(first, wp.samples)
+        out.feed("first-factor-block", first, wp.samples)
         if second is not None:
-            greek.feed_all(second, wp.samples)
-    out = [_entry(spec, "con1", "first-factor-block", latin)]
-    if cfg.factor2.is_riemannian:
-        out.append(_entry(spec, "con1", "second-factor-block", greek))
-    return out
+            out.feed("second-factor-block", second, wp.samples)
+    return out.entries()
 
 
 def _suite_scalar_flag(spec: RunSpec, points) -> list[SuiteEntry]:
@@ -398,56 +396,44 @@ def _suite_scalar_flag(spec: RunSpec, points) -> list[SuiteEntry]:
     if not cfg.factor1.is_riemannian or cfg.n1 < 2:
         return [SuiteEntry("scalar-flag", "skipped (needs Riemannian factor 1, n1 >= 2)",
                            0.0, None, True, None, "")]
-    tr = _Tracker()
+    out = _Entries(spec, "scalar-flag")
     for wp in workspace(cfg).strips(points):
         lam, defect = _scalar_flag(wp)
-        tr.feed_all(defect, wp.samples, lambda k: f"fitted coefficient {lam[k]:.6g}")
-    return [_entry(spec, "scalar-flag", "isotropy-defect", tr)]
+        out.feed("isotropy-defect", defect, wp.samples,
+                 describe=lambda k: f"fitted coefficient {lam[k]:.6g}")
+    return out.entries()
 
 
 def _suite_koszul(spec: RunSpec, points) -> list[SuiteEntry]:
-    compat = _Tracker()
-    tors = _Tracker()
-    blocks: dict[str, _Tracker] = {}
+    out = _Entries(spec, "koszul-vs-closed")
     for wp in workspace(spec.config).strips(points):
         lp, lead, at = lifted.of(wp), wp.lead, wp.samples
-        compat.feed_all(max_abs(lp.metric_derivative(lp.koszul), lead), at)
-        tors.feed_all(max_abs(lp.torsion(lp.koszul), lead), at)
-        for key, val in lp.levi_civita_block_residuals().items():
-            blocks.setdefault(key, _Tracker()).feed_all(val, at)
-    out = [
-        _entry(spec, "koszul-vs-closed", "metric-compatibility", compat),
-        _entry(spec, "koszul-vs-closed", "zero-torsion", tors),
-    ]
-    out.extend(_entry(spec, "koszul-vs-closed", f"closed-form-{key}", tr)
-               for key, tr in sorted(blocks.items()))
-    return out
+        out.feed("metric-compatibility", max_abs(lp.metric_derivative(lp.koszul), lead), at)
+        out.feed("zero-torsion", max_abs(lp.torsion(lp.koszul), lead), at)
+        res = lp.levi_civita_block_residuals()
+        for key in sorted(res):
+            out.feed(f"closed-form-{key}", res[key], at)
+    return out.entries()
 
 
 def _suite_vaisman(spec: RunSpec, points) -> list[SuiteEntry]:
-    axes = {"preservation": _Tracker(), "parallelism": _Tracker(), "torsion": _Tracker()}
+    out = _Entries(spec, "vaisman-axioms")
     for wp in workspace(spec.config).strips(points):
         for key, val in lifted.of(wp).vaisman_axiom_residuals().items():
-            axes[key].feed_all(val, wp.samples)
-    return [_entry(spec, "vaisman-axioms", name, tr)
-            for name, tr in axes.items()]
+            out.feed(key, val, wp.samples)
+    return out.entries()
 
 
 def _suite_reinhart(spec: RunSpec, points) -> list[SuiteEntry]:
-    defect = _Tracker()
-    ident = _Tracker()
-
     def note(sample, a, b, c):
         return f"X=vertical[{a}], Y=horizontal[{b}], Z=horizontal[{c}]"
 
+    out = _Entries(spec, "reinhart")
     for wp in workspace(spec.config).strips(points):
         d, i = lifted.of(wp).reinhart_tables()
-        defect.feed_all(d, wp.samples, note)
-        ident.feed_all(d - i, wp.samples, note)
-    return [
-        _entry(spec, "reinhart", "identity-match", ident, "reinhart.identity"),
-        _entry(spec, "reinhart", "transversal-parallelism", defect),
-    ]
+        out.feed("identity-match", d - i, wp.samples, "reinhart.identity", note)
+        out.feed("transversal-parallelism", d, wp.samples, describe=note)
+    return out.entries()
 
 
 def _suite_hermitian(spec: RunSpec, points) -> list[SuiteEntry]:
@@ -455,52 +441,38 @@ def _suite_hermitian(spec: RunSpec, points) -> list[SuiteEntry]:
     J = lifted.almost_complex(cfg).matrix()
     m = J.shape[0]
     n = cfg.n
-    square = _Tracker()
-    herm = _Tracker()
-    table = _Tracker()
-    anti = _Tracker()
-    square.feed(np.max(np.abs(J @ J + np.eye(m))), None)
+    out = _Entries(spec, "hermitian")
+    out.feed("complex-square", [np.max(np.abs(J @ J + np.eye(m)))], [None],
+             "hermitian.complex-square")
     for wp in workspace(cfg).strips(points):
         lp, lead, at = lifted.of(wp), wp.lead, wp.samples
-        herm.feed_all(max_abs(J.T @ lp.metric @ J - lp.metric, lead), at)
+        out.feed("metric-invariance", max_abs(J.T @ lp.metric @ J - lp.metric, lead), at)
         om = lp.symplectic_table()
         expected = np.zeros_like(om)
         expected[..., :n, n:] = lp.g
         expected[..., n:, :n] = -lp.g
-        table.feed_all(max_abs(om - expected, lead), at)
-        anti.feed_all(max_abs(om + np.swapaxes(om, -1, -2), lead), at)
+        out.feed("symplectic-frame-table", max_abs(om - expected, lead), at)
+        out.feed("antisymmetry", max_abs(om + np.swapaxes(om, -1, -2), lead), at,
+                 "hermitian.antisymmetry")
     close = lifted.closedness_check(cfg, points)
-    dtr = _Tracker()
-    dtr.feed(close.d_residual, None)
-    ptr = _Tracker()
-    ptr.feed(close.potential_residual, None)
-    return [
-        _entry(spec, "hermitian", "complex-square", square, "hermitian.complex-square"),
-        _entry(spec, "hermitian", "metric-invariance", herm),
-        _entry(spec, "hermitian", "symplectic-frame-table", table),
-        _entry(spec, "hermitian", "antisymmetry", anti, "hermitian.antisymmetry"),
-        _entry(spec, "hermitian", "closedness", dtr),
-        _entry(spec, "hermitian", "potential-match", ptr),
-    ]
+    out.feed("closedness", [close.d_residual], [None])
+    out.feed("potential-match", [close.potential_residual], [None])
+    return out.entries()
 
 
 def _suite_nijenhuis(spec: RunSpec, points) -> list[SuiteEntry]:
-    agree = _Tracker()
-    skew = _Tracker()
+    out = _Entries(spec, "nijenhuis")
     for wp in workspace(spec.config).strips(points):
         closed, direct = lifted.of(wp).nijenhuis_tables
-        agree.feed_all(max_abs(closed - direct, wp.lead), wp.samples)
-        skew.feed_all(max_abs(direct + np.swapaxes(direct, -3, -2), wp.lead), wp.samples)
-    return [
-        _entry(spec, "nijenhuis", "closed-vs-direct", agree),
-        _entry(spec, "nijenhuis", "skew-symmetry", skew, "nijenhuis.skew"),
-    ]
+        out.feed("closed-vs-direct", max_abs(closed - direct, wp.lead), wp.samples)
+        out.feed("skew-symmetry", max_abs(direct + np.swapaxes(direct, -3, -2), wp.lead),
+                 wp.samples, "nijenhuis.skew")
+    return out.entries()
 
 
 def _suite_kahler(spec: RunSpec, points) -> list[SuiteEntry]:
     cfg = spec.config
-    tol = spec.tolerance("kahler")
-    rep = lifted.kahler_verdict(cfg, points, tol=tol, nijenhuis_tol=tol)
+    rep = lifted.kahler_verdict(cfg, points, tol=spec.tolerance("kahler"))
     note = (f"verdict={'kahler' if rep.is_kahler else 'not kahler'}, "
             f"max bracket curvature {rep.max_bracket_curvature:.3e}, "
             f"max integrability obstruction {rep.max_nijenhuis:.3e}")
@@ -571,11 +543,11 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
         (np.repeat(rows, 8, 0), positions),
         (np.repeat(rows, n * n, 0), np.tile(fiber_pairs, (len(subset), 1)))],
         cfg.n1, cfg.n2)
-    f2tr = _Tracker()
-    f2tr.feed_all((abs(jet - fd) / (1.0 + abs(jet))).reshape(len(subset), 8), subset,
-                  lambda k, j: f"dirs={dirs[8 * k + j]}")
-    gtr = _Tracker()
-    gtr.feed_all(_relative(g, 0.5 * np.reshape(fd_g, g.shape)), subset)
+    out = _Entries(spec, "fd-crosscheck")
+    out.feed("squared-norm-partials",
+             (abs(jet - fd) / (1.0 + abs(jet))).reshape(len(subset), 8), subset,
+             describe=lambda k, j: f"dirs={dirs[8 * k + j]}")
+    out.feed("fundamental-tensor", _relative(g, 0.5 * np.reshape(fd_g, g.shape)), subset)
     # Derived fields: the spray and its fiber derivatives against fd towers,
     # their stencils evaluated as one batch, not kept in the workspace.
     p = points[0]
@@ -593,10 +565,11 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     fd_fiber, fd_pairs, fd_triples = fd_stencils(
         lambda batch: WorkPoint(ws, batch, SPRAY_ORDER).product.spray_values(),
         [(rows[0], n + np.sort(t, 1)) for t in (diag[:, None], pairs, triples)], cfg.n1, cfg.n2)
-    conn, connfd, berw = _Tracker(), _Tracker(), _Tracker()
-    conn.feed_all(_relative(N, fd_fiber.T)[None], [p])
-    connfd.feed_all(_relative(Gf[(diag, *np.transpose(pairs))], np.diagonal(fd_pairs))[None], [p])
-    berw.feed_all(_relative(B[(diag, *np.transpose(triples))], np.diagonal(fd_triples))[None], [p])
+    out.feed("nonlinear-connection", _relative(N, fd_fiber.T)[None], [p])
+    out.feed("connection-fiber-derivative",
+             _relative(Gf[(diag, *np.transpose(pairs))], np.diagonal(fd_pairs))[None], [p])
+    out.feed("berwald",
+             _relative(B[(diag, *np.transpose(triples))], np.diagonal(fd_triples))[None], [p])
 
     # Adapted derivative of the horizontal coefficients, fd vs. jets, at one
     # representative component: the leading block of the curvature assembly.
@@ -608,16 +581,8 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     fd_fiber, fd_delta = fd[:n], fd[n:]
     for e in range(n):
         fd_delta = fd_delta - N[e] * fd_fiber[e]
-    hdelta = _Tracker()
-    hdelta.feed_all(_relative(dH[a, b, c], fd_delta)[None], [p])
-    return [
-        _entry(spec, "fd-crosscheck", "squared-norm-partials", f2tr),
-        _entry(spec, "fd-crosscheck", "fundamental-tensor", gtr),
-        _entry(spec, "fd-crosscheck", "nonlinear-connection", conn),
-        _entry(spec, "fd-crosscheck", "connection-fiber-derivative", connfd),
-        _entry(spec, "fd-crosscheck", "berwald", berw),
-        _entry(spec, "fd-crosscheck", "horizontal-delta", hdelta),
-    ]
+    out.feed("horizontal-delta", _relative(dH[a, b, c], fd_delta)[None], [p])
+    return out.entries()
 
 
 SUITES = {

@@ -60,11 +60,10 @@ def _suite_arrays(wp) -> dict:
         out[f"warp {which}"] = np.asarray(wp.warp_sq(which))
         out[f"warp gradient {which}"] = wp.warp_gradient(which)
         out[f"grad warp norm {which}"] = np.asarray(wp.grad_warp_norm_sq(which))
-    q = closed_forms.Ingredients(wp)
-    families = {"spray": closed_forms.spray_blocks(wp, q),
-                "N": closed_forms.nonlinear_connection_blocks(wp, q),
-                "Gf": closed_forms.connection_fiber_blocks(wp, q),
-                "H": closed_forms.horizontal_blocks(wp, q),
+    families = {"spray": closed_forms.spray_blocks(wp),
+                "N": closed_forms.nonlinear_connection_blocks(wp),
+                "Gf": closed_forms.connection_fiber_blocks(wp),
+                "H": closed_forms.horizontal_blocks(wp),
                 "B": closed_forms.berwald_blocks(wp),
                 "C": closed_forms.cartan_scaled_factor_blocks(wp)}
     out.update((f"closed {f}.{key}", arr) for f, blocks in families.items()

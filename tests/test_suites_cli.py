@@ -13,8 +13,8 @@ from dwfinsler.cli import main
 from dwfinsler.engine import LIFT_ORDER, EnginePoint, workspace
 from dwfinsler.errors import UnknownSuiteError
 from dwfinsler.runspec import fixture_document, fixture_runspec, sample_points
-from dwfinsler.suites import (SuiteEntry, _entry, _Tracker, emit_report,
-                              report_document, report_from_document, run_suites)
+from dwfinsler.suites import (SuiteEntry, _entry, _Entries, _Tracker,
+                              emit_report, report_document, report_from_document, run_suites)
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +225,29 @@ def test_tracker_fails_closed_on_nan():
         entry = _entry(spec, "lemma41", "fiber-contraction", tr)
         assert entry.passed is False
         assert entry.note == "bad"
+
+
+def test_an_entry_keeps_the_tolerance_and_bound_of_its_first_feed():
+    spec = fixture_runspec("FIX-R", seed=3, count=1)
+    entries = _Entries(spec, "matsumoto-contraction")
+    entries.feed("total-fiber-contraction", [1e-11], [None], "matsumoto-contraction.total")
+    entries.feed("witness-nonzero", [0.5], [None], "matsumoto-contraction.witness",
+                 lower="lower bound")
+    entries.feed("witness-nonzero", [0.25], [None], "matsumoto-contraction.witness",
+                 lower="lower bound")
+    for tol, lower in ((None, None), ("matsumoto-contraction.witness", None),
+                       ("matsumoto-contraction", "lower bound"),
+                       ("matsumoto-contraction.witness", "another bound")):
+        with pytest.raises(ValueError, match="witness-nonzero"):
+            entries.feed("witness-nonzero", [1.0], [None], tol, lower=lower)
+    with pytest.raises(ValueError, match="total-fiber-contraction"):
+        entries.feed("total-fiber-contraction", [1e-11], [None])
+    total, witness = entries.entries()
+    assert (total.name, total.residual, total.tolerance, total.passed) == (
+        "total-fiber-contraction", 1e-11, 1e-10, True)
+    # A lower bound reports the margin below its threshold, which is met.
+    assert (witness.name, witness.residual, witness.tolerance, witness.passed, witness.note) == (
+        "witness-nonzero", 1e-4 - 0.5, 0.0, True, "lower bound")
 
 
 _TRACKED = st.sampled_from([0.0, -0.0, 1e-300, 1.0, -1.0, 2.0, -2.0, math.inf, -math.inf,
