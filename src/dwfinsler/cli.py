@@ -1,7 +1,8 @@
 """Command-line interface: evaluate tensors, run suites, render reports.
 
 Exit codes: 0 when all verdicts are as expected (declared expected failures
-included), 1 on an unexpected verdict, 2 on specification or usage errors.
+included), 1 on an unexpected verdict, 2 on specification or usage errors (a
+malformed spec or stored-report file among them), with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -26,31 +28,21 @@ from .suites import emit_report, report_document, report_from_document, run_suit
 def _load_runspec(args) -> RunSpec:
     if bool(args.spec) == bool(args.fixture):
         raise SchemaError("exactly one of --spec or --fixture is required")
-    if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = fixture_document(args.fixture)
-    if args.seed is not None:
-        doc.setdefault("sampling", {})["seed"] = args.seed
-    if args.points is not None:
-        doc.setdefault("sampling", {})["count"] = args.points
-    if getattr(args, "suite", None):
-        doc["suites"] = list(args.suite)
-    if getattr(args, "tol", None):
-        tolerances = doc.setdefault("tolerances", {})
-        for item in args.tol:
-            if "=" not in item:
-                raise SchemaError(f"--tol expects name=value, got {item!r}")
-            name, _, value = item.partition("=")
-            try:
-                tolerances[name] = float(value)
-            except ValueError:
-                raise SchemaError(f"--tol {name}: expected a number, got {value!r}") from None
-    return parse_spec(doc)
+    tolerances = {}
+    for item in getattr(args, "tol", None) or ():
+        if "=" not in item:
+            raise SchemaError(f"--tol expects name=value, got {item!r}")
+        name, _, value = item.partition("=")
+        try:
+            tolerances[name] = float(value)
+        except ValueError:
+            raise SchemaError(f"--tol {name}: expected a number, got {value!r}") from None
+    doc = Path(args.spec).read_bytes() if args.spec else fixture_document(args.fixture)
+    return parse_spec(doc, seed=args.seed, count=args.points,
+                      suites=getattr(args, "suite", None), tolerances=tolerances)
 
 
-def _parse_point(text: str, n1: int, n2: int) -> TangentSample:
+def _parse_point(text: str) -> TangentSample:
     groups: dict[str, tuple[float, ...]] = {}
     for chunk in text.split(";"):
         name, _, values = chunk.partition("=")
@@ -66,9 +58,6 @@ def _parse_point(text: str, n1: int, n2: int) -> TangentSample:
     missing = {"x", "u", "y", "v"} - set(groups)
     if missing:
         raise SchemaError(f"--point is missing groups: {', '.join(sorted(missing))}")
-    if len(groups["x"]) != n1 or len(groups["y"]) != n1 \
-            or len(groups["u"]) != n2 or len(groups["v"]) != n2:
-        raise SchemaError(f"--point dimensions must be x,y: {n1} and u,v: {n2}")
     return TangentSample(groups["x"], groups["u"], groups["y"], groups["v"])
 
 
@@ -88,7 +77,7 @@ def _cmd_eval(args) -> int:
     spec = _load_runspec(args)
     cfg = spec.config
     if args.point:
-        points = [_parse_point(t, cfg.n1, cfg.n2) for t in args.point]
+        points = [_parse_point(t) for t in args.point]
     else:
         points = sample_points(spec)[:max(1, args.points or 1)]
     names = args.tensor or ["g", "spray"]
@@ -135,10 +124,13 @@ def _cmd_fixtures(_args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.json, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    report = report_from_document(doc["report"] if "report" in doc else doc)
-    print(emit_report(report, args.format))
+    try:
+        doc = json.loads(Path(args.json).read_bytes())
+        report = report_from_document(doc["report"] if "report" in doc else doc)
+        text = emit_report(report, args.format)
+    except (ValueError, LookupError, TypeError, RecursionError) as exc:
+        raise SchemaError(f"{args.json} is not a report: {type(exc).__name__}: {exc}") from None
+    print(text)
     return 0 if report.ok else 1
 
 
@@ -188,10 +180,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DwfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DwfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

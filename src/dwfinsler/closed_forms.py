@@ -65,17 +65,16 @@ class Ingredients:
         self.dF1dy, self.dF2dv = f1.F2_fiber_gradient(), f2.F2_fiber_gradient()
         self.vsum = vdot(self.w2u, f2.fiber_values())
         self.ysum = vdot(self.w1x, f1.fiber_values())
-        self._f1, self._f2 = f1, f2
+        self._dginv = {k: ([f.ginv()], f.engine.fiber) for k, f in ((1, f1), (2, f2))}
         self.dginv1, self.dginv2 = self.dginv(1, 1), self.dginv(2, 1)
 
     def dginv(self, which: int, order: int) -> np.ndarray:
         """[..., k, h, i, j, ...] = the order-``order`` fiber partial d^order g^kh / dy^i dy^j ...
-        of a factor's inverse metric."""
-        f = self._f1 if which == 1 else self._f2
-        jet = f.ginv()
-        for _ in range(order):
-            jet = jet.grad(f.engine.fiber)
-        return jet.value
+        of a factor's inverse metric, each order kept as one gradient of the last."""
+        jets, fiber = self._dginv[which]
+        while len(jets) <= order:
+            jets.append(jets[-1].grad(fiber))
+        return jets[order].value
 
 
 def of(wp: WorkPoint) -> Ingredients:

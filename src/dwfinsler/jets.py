@@ -85,7 +85,6 @@ class _Tables:
         top = order + nvars
         self._binom = np.array([[math.comb(a, b) for b in range(top + 1)]
                                 for a in range(top + 1)], dtype=np.intp)
-        self.index = {e: i for i, e in enumerate(map(tuple, self.exps.tolist()))}
         self.size = len(self.exps)
         self.unit = np.zeros(self.size)  # the value slot
         self.unit[0] = 1.0
@@ -269,9 +268,7 @@ class Jet:
         c[..., 0] = value
         pos = ctx._pos.get(coord)
         if pos is not None and ctx.order >= 1:
-            unit = [0] * len(ctx.seeds)
-            unit[pos] = 1
-            c[..., ctx.tables.index[tuple(unit)]] = 1.0
+            c[..., ctx.tables.derive_map(pos)[0]] = 1.0  # the slot of the unit exponent
         return cls(ctx, c)
 
     @classmethod
@@ -307,10 +304,11 @@ class Jet:
         if multi.order > self.ctx.order:
             raise ValueError(
                 f"partial of order {multi.order} requested from an order-{self.ctx.order} jet")
-        e = [0] * len(self.ctx.seeds)
-        for coord, k in multi.terms:
-            e[self.ctx.position(coord)] = k
-        return float(self.c[self.ctx.tables.index[tuple(e)]])
+        # The lower orders' slots come first: a derive map steps a slot up a direction.
+        slot = 0
+        for coord in multi.directions:
+            slot = self.ctx.tables.derive_map(self.ctx.position(coord))[slot]
+        return float(self.c[slot])
 
     # -- tensor axes ----------------------------------------------------------
     def __getitem__(self, key) -> "Jet":

@@ -36,6 +36,8 @@ from .metrics import ProductConfig
 from .runspec import DEFAULT_TOLERANCES
 
 FAMILIES = ("h1", "h2", "v1", "v2")
+#: The fewest sample points the totally-geodesic verdicts read.
+TOTALLY_GEODESIC_MIN_POINTS = 20
 _FAMILY_PAIRS = tuple(f"{a}.{b}" for a in FAMILIES for b in FAMILIES)
 
 
@@ -455,8 +457,8 @@ def totally_geodesic_verdicts(
         tol: float = DEFAULT_TOLERANCES["totally-geodesic"]) -> TotallyGeodesicReport:
     """Criteria for the vertical/horizontal bundles to be totally geodesic."""
     region = list(region)
-    if len(region) < 20:
-        raise PreconditionError("totally-geodesic verdicts need at least 20 sample points")
+    if len(region) < TOTALLY_GEODESIC_MIN_POINTS:
+        raise PreconditionError(f"totally-geodesic needs {TOTALLY_GEODESIC_MIN_POINTS} points")
     n1, n = cfg.n1, cfg.n
     lps = _lifted_region(cfg, region)
     max_fg = _worst((), *(lp.Fh - lp.Gf for lp in lps))

@@ -162,14 +162,16 @@ class RandersFactor(Value):
     def __init__(self, dim: int, base: EuclideanFactor | QuadraticFactor,
                  b: tuple[float, ...]):
         _require_dimension(dim)
+        if not isinstance(base, (EuclideanFactor, QuadraticFactor)):
+            raise MetricDefinitionError("Randers base must be Riemannian (Euclidean or quadratic)")
         if base.dim != dim or len(b) != dim:
             raise MetricDefinitionError("Randers base and one-form must match the dimension")
         if not all(map(math.isfinite, b)):
             raise MetricDefinitionError("Randers one-form components must be finite")
         self._init(dim, base, b)
-        if not np.all(self._b_norm_sq((0.0,) * dim) < 1.0):
-            raise MetricDefinitionError(
-                "Randers one-form must have Riemannian norm strictly below 1")
+        norm_sq = np.max(self._b_norm_sq((0.0,) * dim))
+        if not norm_sq < 1.0:
+            raise MetricDefinitionError(f"Randers one-form must have norm < 1 (|b|^2 = {norm_sq})")
 
     def _b_norm_sq(self, pos):
         """The squared base norm b^i a^ij b_j of the one-form, at each sample
@@ -472,4 +474,5 @@ class ProductConfig(Value):
     def validate_sample(self, p: TangentSample | SampleBatch) -> None:
         if len(p.x) != self.n1 or len(p.y) != self.n1 \
                 or len(p.u) != self.n2 or len(p.v) != self.n2:
-            raise MetricDefinitionError("sample dimensions do not match the configuration")
+            raise MetricDefinitionError(
+                f"sample dimensions must be x, y: {self.n1} and u, v: {self.n2}")

@@ -1,8 +1,12 @@
 """Run specifications: declarative documents, validation, deterministic sampling.
 
 A run document is a single JSON-compatible tree; nothing outside it affects
-results.  Unknown keys are rejected with the offending path, and the sampling
-seed is mandatory so every run is reproducible.
+results.  :func:`parse_spec` is its one reader: it applies the overrides and
+owns the document's shape, and each error names the path of its node.  The
+spec constructors of :mod:`dwfinsler.metrics` own the value rules; their
+errors are reported at the path of the factor, warp or product they build.
+Unknown keys are rejected, and the sampling seed is mandatory so every run
+is reproducible.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import MetricDefinitionError, SchemaError
+from .errors import DwfError, SchemaError
 from .metrics import (ConstantWarp, EuclideanFactor, PolyQuadraticWarp,
                       ExponentialWarp, ProductConfig, QuadraticFactor,
                       RandersFactor, TangentSample)
@@ -79,8 +83,8 @@ class Sampling:
 
     __slots__ = ("seed", "count", "box", "radii")
 
-    def __init__(self, seed: int, count: int = 25, box: tuple[tuple[float, float], ...] = (),
-                 radii: tuple[float, float] = (0.5, 2.0)):
+    def __init__(self, seed: int, count: int, box: tuple[tuple[float, float], ...],
+                 radii: tuple[float, float]):
         self.seed, self.count, self.box, self.radii = seed, count, box, radii
 
 
@@ -138,6 +142,15 @@ def _suite_names(node, path: str) -> tuple[str, ...]:
     return tuple(node)
 
 
+def _built(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``: a spec constructor, whose error (a value
+    rule it owns) is reported at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except DwfError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+
+
 def _parse_poly(node, path: str, dim: int):
     if not isinstance(node, list):
         raise SchemaError(f"{path}: expected a list of [coefficient, exponents] terms")
@@ -159,7 +172,7 @@ def _parse_factor(node, path: str):
     params = node.get("parameters", {})
     if kind == "euclidean":
         _require_keys(params, f"{path}.parameters", set(), set())
-        return EuclideanFactor(dim)
+        return _built(path, EuclideanFactor, dim)
     if kind == "riemannian_quadratic":
         _require_keys(params, f"{path}.parameters", {"entries"}, set())
         entries = params["entries"]
@@ -171,25 +184,17 @@ def _parse_factor(node, path: str):
                 raise SchemaError(f"{path}.parameters.entries[{i}]: expected {dim} entries")
             rows.append(tuple(_parse_poly(e, f"{path}.parameters.entries[{i}][{j}]", dim)
                               for j, e in enumerate(row)))
-        return QuadraticFactor(dim, tuple(rows))
+        return _built(path, QuadraticFactor, dim, tuple(rows))
     if kind == "randers":
         _require_keys(params, f"{path}.parameters", {"b"}, {"base"})
         b = params["b"]
         if not isinstance(b, list) or len(b) != dim:
             raise SchemaError(f"{path}.parameters.b: expected {dim} components")
         b = tuple(_number(t, f"{path}.parameters.b[{i}]") for i, t in enumerate(b))
-        base_node = params.get("base", {"kind": "euclidean"})
-        if not isinstance(base_node, dict):
-            raise SchemaError(f"{path}.parameters.base: expected an object")
-        base = _parse_factor({"dim": dim, **base_node}, f"{path}.parameters.base")
-        if isinstance(base, RandersFactor):
-            raise SchemaError(f"{path}.parameters.base: the base must be Riemannian")
-        b_norm = sum(t * t for t in b) if isinstance(base, EuclideanFactor) else None
-        if b_norm is not None and b_norm >= 1.0:
-            raise SchemaError(
-                f"{path}.parameters.b: the one-form must have Riemannian norm < 1 "
-                f"(got |b|^2 = {b_norm})")
-        return RandersFactor(dim, base, b)
+        base = params.get("base", {"kind": "euclidean"})
+        base = _parse_factor({"dim": dim, **base} if isinstance(base, dict) else base,
+                             f"{path}.parameters.base")
+        return _built(path, RandersFactor, dim, base, b)
     raise SchemaError(f"{path}.kind: unknown factor kind {kind!r}")
 
 
@@ -200,37 +205,49 @@ def _parse_warp(node, path: str, dim: int):
     params = node.get("parameters", {})
     if kind == "constant":
         _require_keys(params, f"{path}.parameters", set(), {"value"})
-        value = _number(params.get("value", 1.0), f"{path}.parameters.value")
-        if value <= 0.0:
-            raise SchemaError(f"{path}.parameters.value: constant warp must be positive")
-        return ConstantWarp(value)
+        return _built(path, ConstantWarp,
+                      _number(params.get("value", 1.0), f"{path}.parameters.value"))
     if kind == "poly_quadratic":
         _require_keys(params, f"{path}.parameters", {"coeffs"}, set())
         coeffs = params["coeffs"]
         if not isinstance(coeffs, list) or len(coeffs) != dim:
             raise SchemaError(f"{path}.parameters.coeffs: expected a list of {dim} "
                               f"coefficients, one per base coordinate of the factor")
-        coeffs = tuple(_number(a, f"{path}.parameters.coeffs[{i}]")
-                       for i, a in enumerate(coeffs))
-        if any(a < 0.0 for a in coeffs):
-            raise SchemaError(f"{path}.parameters.coeffs: coefficients must be >= 0")
-        return PolyQuadraticWarp(coeffs)
+        return _built(path, PolyQuadraticWarp, tuple(
+            _number(a, f"{path}.parameters.coeffs[{i}]") for i, a in enumerate(coeffs)))
     if kind == "exponential":
         _require_keys(params, f"{path}.parameters", {"rate"}, {"axis"})
         axis = _integer(params.get("axis", 0), f"{path}.parameters.axis", 0, dim)
-        return ExponentialWarp(_number(params["rate"], f"{path}.parameters.rate"), axis)
+        return _built(path, ExponentialWarp,
+                      _number(params["rate"], f"{path}.parameters.rate"), axis)
     raise SchemaError(f"{path}.kind: unknown warp kind {kind!r}")
 
 
-def parse_spec(text_or_doc) -> RunSpec:
-    """Parse and validate a run document (JSON text or an already-loaded tree)."""
-    if isinstance(text_or_doc, (str, bytes)):
+def _overridden(doc, seed, count, suites, tolerances):
+    """A copy of ``doc`` with each override set where the document has an
+    object to hold it; any other node is left for validation to reject."""
+    if not isinstance(doc, dict):
+        return doc
+    doc = dict(doc) if suites is None else {**doc, "suites": list(suites)}
+    drawn = {k: v for k, v in (("seed", seed), ("count", count)) if v is not None}
+    for key, new in (("sampling", drawn), ("tolerances", tolerances)):
+        if new and isinstance(doc.get(key, {}), dict):
+            doc[key] = {**doc.get(key, {}), **new}
+    return doc
+
+
+def parse_spec(text_or_doc, *, seed: int | None = None, count: int | None = None,
+               suites=None, tolerances: dict | None = None) -> RunSpec:
+    """Parse and validate a run document, JSON text (str or bytes) or a loaded
+    tree (left as it is), with the sampling's ``seed`` and ``count``, the
+    ``suites`` and the named ``tolerances`` overridden and validated in it."""
+    doc = text_or_doc
+    if isinstance(doc, (str, bytes)):
         try:
-            doc = json.loads(text_or_doc)
-        except json.JSONDecodeError as exc:
+            doc = json.loads(doc)
+        except (ValueError, RecursionError) as exc:  # undecodable bytes are ValueErrors too
             raise SchemaError(f"document is not valid JSON: {exc}") from None
-    else:
-        doc = text_or_doc
+    doc = _overridden(doc, seed, count, suites, tolerances)
     _require_keys(doc, "$", {"factors", "warps", "sampling"},
                   {"label", "suites", "expected_failures", "tolerances"})
     factors = doc["factors"]
@@ -242,7 +259,7 @@ def parse_spec(text_or_doc) -> RunSpec:
     warp1 = _parse_warp(doc["warps"]["f1"], "$.warps.f1", factor1.dim)
     warp2 = _parse_warp(doc["warps"]["f2"], "$.warps.f2", factor2.dim)
     label = str(doc.get("label", "custom"))
-    cfg = ProductConfig(factor1, factor2, warp1, warp2, label=label)
+    cfg = _built("$", ProductConfig, factor1, factor2, warp1, warp2, label=label)
 
     s = doc["sampling"]
     _require_keys(s, "$.sampling", {"seed"}, {"count", "box", "radii"})
@@ -374,22 +391,12 @@ FIXTURES: dict[str, ProductConfig] = {
 
 
 def fixture(name: str) -> ProductConfig:
-    try:
-        return FIXTURES[name]
-    except KeyError:
-        raise MetricDefinitionError(
-            f"unknown fixture {name!r}; known: {', '.join(sorted(FIXTURES))}") from None
+    fixture_document(name)  # rejects an unknown name
+    return FIXTURES[name]
 
 
 def fixture_runspec(name: str, seed: int | None = None, count: int | None = None,
                     suites=None, tolerances=None) -> RunSpec:
-    doc = fixture_document(name)
-    if seed is not None:
-        doc["sampling"]["seed"] = seed
-    if count is not None:
-        doc["sampling"]["count"] = count
-    if suites is not None:
-        doc["suites"] = list(suites)
-    if tolerances:
-        doc["tolerances"] = dict(tolerances)
-    return parse_spec(doc)
+    """A built-in fixture's document, read with :func:`parse_spec`'s overrides."""
+    return parse_spec(fixture_document(name), seed=seed, count=count, suites=suites,
+                      tolerances=tolerances)

@@ -483,8 +483,9 @@ def _suite_kahler(spec: RunSpec, points) -> list[SuiteEntry]:
 
 def _suite_totally_geodesic(spec: RunSpec, points) -> list[SuiteEntry]:
     cfg = spec.config
-    if len(points) < 20:
-        return [SuiteEntry("totally-geodesic", "skipped (needs >= 20 points)", 0.0,
+    least = lifted.TOTALLY_GEODESIC_MIN_POINTS
+    if len(points) < least:
+        return [SuiteEntry("totally-geodesic", f"skipped (needs >= {least} points)", 0.0,
                            None, True, None, "")]
     tol = spec.tolerance("totally-geodesic")
     rep = lifted.totally_geodesic_verdicts(cfg, points, tol=tol)

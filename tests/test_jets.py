@@ -344,7 +344,10 @@ def test_tables_match_a_term_by_term_enumeration(nvars, order):
     exps, index, terms = _reference_tables(nvars, order)
     tables = _Tables(nvars, order)
     assert [tuple(e) for e in tables.exps.tolist()] == exps
-    assert tables.index == index
+    assert tables.rank(tables.exps).tolist() == list(range(tables.size))
+    if order:  # the lower orders' slots come first: Jet.partial steps through them
+        lower = _Tables(nvars, order - 1)
+        assert tables.exps[:lower.size].tolist() == lower.exps.tolist()
     ii, jj, starts, ww = tables.mul_table
     assert list(zip(ii.tolist(), jj.tolist(), ww.tolist())) == [t[:2] + t[3:] for t in terms]
     assert starts.tolist() == [k for k, t in enumerate(terms) if k == 0 or t[2] != terms[k - 1][2]]

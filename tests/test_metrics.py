@@ -50,6 +50,8 @@ def test_slit_condition_enforced():
 def test_spec_validation_errors():
     with pytest.raises(MetricDefinitionError):
         RandersFactor(2, EuclideanFactor(2), (1.2, 0.0))
+    with pytest.raises(MetricDefinitionError, match="base must be Riemannian"):
+        RandersFactor(2, RandersFactor(2, EuclideanFactor(2), (0.1, 0.0)), (0.1, 0.0))
     with pytest.raises(MetricDefinitionError):
         PolyQuadraticWarp((-0.5,))
     with pytest.raises(MetricDefinitionError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwfinsler import PolyQuadraticWarp, fixture
-from dwfinsler.errors import DwfError, SchemaError
+from dwfinsler.errors import SchemaError
 from dwfinsler.runspec import (ALL_SUITES, FIXTURES, fixture_document, fixture_runspec,
                                parse_spec, sample_points)
 
@@ -184,6 +184,18 @@ def _quadratic(coefficient, exponent):
             "parameters": {"entries": [[[[coefficient, [exponent]]]]]}}
 
 
+_ONE = [[1.0, [0, 0]]]
+
+
+def _randers_base(base):
+    """FIX-R with its Randers factor's b = (1.2, 0) over ``base``."""
+    return _bad_leaf("FIX-R", "factors", 1, "parameters", {"b": [1.2, 0.0], "base": base})
+
+
+def _quadratic_entries(entries):
+    return {"kind": "riemannian_quadratic", "parameters": {"entries": entries}}
+
+
 @pytest.mark.parametrize("doc, path", [
     (_bad_tolerance(1e-3, name="lemma4l"), r"\$\.tolerances\.lemma4l"),
     (_bad_tolerance(float("nan")), r"\$\.tolerances\.lemma41"),
@@ -214,13 +226,29 @@ def _quadratic(coefficient, exponent):
      r"\$\.factors\[0\]\.parameters\.entries\[0\]\[0\]"),
     (_bad_leaf("FIX-R", "factors", 1, "parameters", "b", ["x", 0.0]),
      r"\$\.factors\[1\]\.parameters\.b"),
+    (_bad_leaf("FIX-E", "factors", 0,
+               {"dim": 2, **_quadratic_entries([[_ONE, [[0.5, [0, 0]]]], [[], _ONE]])}),
+     r"\$\.factors\[0\]: entry matrix must be symmetric"),
+    (_randers_base(_quadratic_entries([[_ONE, []], [[], _ONE]])),
+     r"\$\.factors\[1\]: .*norm < 1"),
+    (_randers_base(_quadratic_entries([[[[1.0, [2, 0]]], []], [[], _ONE]])),
+     r"\$\.factors\[1\]: singular"),
+    (_randers_base({"kind": "randers", "parameters": {"b": [0.1, 0.0]}}),
+     r"\$\.factors\[1\]: Randers base must be Riemannian"),
+    (b'{"label": "\xff"}', "not valid JSON"),
+    (_bad_warp("constant", {"value": -1.0}), r"\$\.warps\.f2: constant warp must be positive"),
+    (_bad_warp("poly_quadratic", {"coeffs": [1.0, -0.5]}),
+     r"\$\.warps\.f2: poly-quadratic warp coefficients must be finite and >= 0"),
 ], ids=["unknown-tolerance", "nan-tolerance", "string-tolerance", "negative-tolerance",
         "fractional-dim", "string-dim", "dim-over-cap", "axis-out-of-range", "negative-axis",
         "short-coeffs", "long-coeffs", "string-count", "null-count", "fractional-count",
         "bool-count", "string-radius", "string-box-bound", "null-box-pair-bound",
         "overflowing-box-width",
         "null-suites", "non-string-suite", "number-expected-failures",
-        "string-quadratic-coefficient", "string-quadratic-exponent", "string-randers-b"])
+        "string-quadratic-coefficient", "string-quadratic-exponent", "string-randers-b",
+        "asymmetric-quadratic", "randers-norm-over-quadratic-base",
+        "randers-over-singular-base", "randers-over-randers-base", "undecodable-bytes",
+        "negative-constant-warp", "negative-coefficient"])
 def test_malformed_documents_rejected_with_path(doc, path):
     with pytest.raises(SchemaError, match=path):
         parse_spec(doc)
@@ -250,5 +278,36 @@ def test_any_replaced_value_parses_or_raises_a_package_error(name, pick, value):
     doc = _replace(fixture_document(name), paths[pick % len(paths)], value)
     try:
         parse_spec(doc)
-    except DwfError:
+    except SchemaError:
         pass
+
+
+def test_overrides_apply_to_a_copy_of_the_document():
+    doc = fixture_document("FIX-P")
+    before = json.dumps(doc, sort_keys=True)
+    spec = parse_spec(doc, seed=5, count=3, suites=["yF=G"], tolerances={"lemma41": 1e-3})
+    assert json.dumps(doc, sort_keys=True) == before
+    assert (spec.sampling.seed, spec.sampling.count, spec.suites) == (5, 3, ("yF=G",))
+    assert spec.tolerance("lemma41") == 1e-3
+    del doc["sampling"]
+    assert parse_spec(doc, seed=5).sampling.seed == 5  # sampling made where absent
+    assert "sampling" not in doc
+    with pytest.raises(SchemaError, match=r"\$\.sampling\.seed"):
+        parse_spec(fixture_document("FIX-P"), seed=-1)
+
+
+@pytest.mark.parametrize("doc, overrides, path", [
+    ([], {"seed": 3}, r"\$: expected an object"),
+    (_bad_leaf("FIX-P", "sampling", []), {"seed": 3}, r"\$\.sampling: expected an object"),
+    (_bad_leaf("FIX-P", "tolerances", []), {"tolerances": {"lemma41": 1e-3}},
+     r"\$\.tolerances: expected an object"),
+], ids=["array-document", "array-sampling", "array-tolerances"])
+def test_an_override_leaves_a_node_that_is_not_an_object_to_validation(doc, overrides, path):
+    with pytest.raises(SchemaError, match=path):
+        parse_spec(doc, **overrides)
+
+
+def test_an_unknown_fixture_is_a_schema_error():
+    for read in (fixture, fixture_document, fixture_runspec):
+        with pytest.raises(SchemaError, match="unknown fixture 'NOPE'"):
+            read("NOPE")

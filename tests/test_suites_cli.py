@@ -356,6 +356,38 @@ def test_cli_rejects_malformed_tolerances_and_warps(tmp_path, capsys):
     assert "$.warps.f1.parameters.axis" in capsys.readouterr().err
 
 
+def _fixture_with(key, value):
+    doc = fixture_document("FIX-P")
+    doc[key] = value
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("command, content, flags", [
+    ("verify", b"{not json", []),
+    ("verify", b'{"label": "\xff"}', []),
+    ("verify", b"[" * 100000, []),
+    ("verify", b"[]", ["--seed", "3"]),
+    ("verify", _fixture_with("sampling", []), ["--seed", "3"]),
+    ("verify", _fixture_with("tolerances", []), ["--tol", "lemma41=1e-3"]),
+    ("report", b"{not json", []),
+    ("report", b'{"config": "\xff"}', []),
+    ("report", b"[" * 100000, []),
+    ("report", b'{"suites": []}', []),
+], ids=["spec-not-json", "spec-not-utf8", "spec-too-deep", "spec-array-with-seed",
+        "spec-sampling-array-with-seed", "spec-tolerances-array-with-tol",
+        "report-not-json", "report-not-utf8", "report-too-deep", "report-without-engine"])
+def test_cli_rejects_a_malformed_file_with_one_error_line(command, content, flags,
+                                                          tmp_path, capsys):
+    path = tmp_path / "file.json"
+    path.write_bytes(content)
+    option = "--spec" if command == "verify" else "--json"
+    assert main([command, option, str(path)] + flags) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:")
+
+
 def test_cli_rejects_a_factor_dim_over_the_cap(tmp_path, capsys):
     doc = fixture_document("FIX-P")
     doc["factors"][1]["dim"] = 7

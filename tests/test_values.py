@@ -23,7 +23,8 @@ from dwfinsler.engine import workspace
 from dwfinsler.jets import Jet, context
 from dwfinsler.lifted import (ClosednessReport, ComplexStructure, KahlerReport,
                               TotallyGeodesicReport)
-from dwfinsler.runspec import RunSpec, Sampling, fixture_document, parse_spec
+from dwfinsler.runspec import (RunSpec, Sampling, fixture_document, parse_spec,
+                               sample_points)
 from dwfinsler.suites import DiagnosticsReport, SuiteEntry, SuiteResult
 
 POLY_ONE = ((1.0, (0, 0)),)
@@ -159,11 +160,12 @@ def test_constructors_take_positions_keywords_and_defaults():
     report = DiagnosticsReport(label="L", seed=1, count=2, suites=(result,))
     assert report.ok and report.pass_count == 1 and report.fail_count == 0
 
-    sampling = Sampling(seed=3)
-    assert (sampling.count, sampling.box, sampling.radii) == (25, (), (0.5, 2.0))
+    sampling = Sampling(3, 25, box=((-1.0, 1.0),) * 3, radii=(0.5, 2.0))
+    assert (sampling.seed, sampling.count, sampling.radii) == (3, 25, (0.5, 2.0))
     a = RunSpec("L", cfg, sampling, ("kahler",))
     b = RunSpec(label="L", config=cfg, sampling=sampling, suites=("kahler",))
     assert a.expected_failures == () and a.tolerances == {}
+    assert len(sample_points(a)) == 25
     assert a.tolerances is not b.tolerances  # a fresh dict per instance
     assert RunSpec("L", cfg, sampling, (), (), {"kahler": 1.0}).tolerance("kahler") == 1.0
 
