@@ -284,11 +284,12 @@ def test_any_replaced_value_parses_or_raises_a_package_error(name, pick, value):
 
 def test_overrides_apply_to_a_copy_of_the_document():
     doc = fixture_document("FIX-P")
+    doc["tolerances"] = {"con1": 1e-5}
     before = json.dumps(doc, sort_keys=True)
     spec = parse_spec(doc, seed=5, count=3, suites=["yF=G"], tolerances={"lemma41": 1e-3})
     assert json.dumps(doc, sort_keys=True) == before
     assert (spec.sampling.seed, spec.sampling.count, spec.suites) == (5, 3, ("yF=G",))
-    assert spec.tolerance("lemma41") == 1e-3
+    assert spec.tolerances == {"con1": 1e-5, "lemma41": 1e-3}  # merged by name
     del doc["sampling"]
     assert parse_spec(doc, seed=5).sampling.seed == 5  # sampling made where absent
     assert "sampling" not in doc
