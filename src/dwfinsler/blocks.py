@@ -16,13 +16,15 @@ class BlockTensor:
     __slots__ = ("array", "variance", "n1", "n2")
 
     def __init__(self, array: np.ndarray, variance: tuple[str, ...], n1: int, n2: int):
-        if array.ndim != len(variance):
-            raise ValueError("variance tags must match the tensor rank")
-        if array.ndim > 4:
-            raise ValueError("supported ranks are 0..4")
-        if any(v not in ("up", "low") for v in variance):
-            raise ValueError("variance tags must be 'up' or 'low'")
-        if any(s != n1 + n2 for s in array.shape):
+        rank = len(variance)
+        if (array.shape != (n1 + n2,) * rank or rank > 4
+                or variance.count("up") + variance.count("low") != rank):
+            if array.ndim != rank:
+                raise ValueError("variance tags must match the tensor rank")
+            if rank > 4:
+                raise ValueError("supported ranks are 0..4")
+            if any(v not in ("up", "low") for v in variance):
+                raise ValueError("variance tags must be 'up' or 'low'")
             raise ValueError("every axis must span the combined index")
         self.array, self.variance, self.n1, self.n2 = array, variance, n1, n2
 

@@ -65,14 +65,19 @@ class Value:
 
 class CoordIndex(Value):
     """One coordinate of the slit tangent bundle, e.g. x^2 or v^0; ordered by
-    block, then offset."""
+    block, then offset.  The hash of its key is kept: the jet layer's caches
+    hash coordinates on every lookup."""
 
-    __slots__ = ("block", "offset")
+    __slots__ = ("block", "offset", "_hash")
 
     def __init__(self, block: CoordBlock, offset: int):
         if offset < 0:
             raise ValueError(f"negative coordinate offset {offset}")
         self._init(block, offset)
+        object.__setattr__(self, "_hash", hash(self._key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:

@@ -140,6 +140,7 @@ class EnginePoint:
         """F^2 up to the point's order, over the engine coordinates it reads."""
         return support_lift(self.engine.field, self.sample, self.engine.coords, self.order)
 
+    @_once
     def fiber_values(self) -> np.ndarray:
         """[..., b] = the fiber coordinates, contiguous per sample as the
         contractions over them need to keep the bits of a single sample."""
@@ -191,11 +192,11 @@ class EnginePoint:
             return _inverse_series(g, inv0)
         c = np.zeros(g.c.shape)
         for rows, positions in blocks:
-            at = (Ellipsis,) + np.ix_(rows, rows, g.ctx.tables.restrict_map(positions, g.order))
+            sub = context([g.seeds[k] for k in positions], g.order)
+            at = (Ellipsis,) + np.ix_(rows, rows, g.ctx.slots(sub))
             block_inv0 = inv0[..., rows[:, None], rows]
             if positions:
-                sub = Jet(context([g.seeds[k] for k in positions], g.order), g.c[at])
-                c[at] = _inverse_series(sub, block_inv0).c
+                c[at] = _inverse_series(Jet(sub, g.c[at]), block_inv0).c
             else:  # a constant block: the series adds only +0.0 terms to its value
                 c[at] = (block_inv0 + 0.0)[..., None]
         return Jet(g.ctx, c)
@@ -460,7 +461,7 @@ class Workspace:
     def _held(self, key, build: Callable):
         """What was built for ``key`` if it is the last key, else ``build()`` in its place."""
         held, got = self._slot
-        if held != key:
+        if held is not key and held != key:
             got = build()
             self._slot = (key, got)
         return got
@@ -560,6 +561,6 @@ _last: Workspace | None = None
 def workspace(cfg: ProductConfig) -> Workspace:
     """The workspace of ``cfg``: the last one if its configuration equals ``cfg``."""
     global _last
-    if _last is None or _last.cfg != cfg:
+    if _last is None or (_last.cfg is not cfg and _last.cfg != cfg):
         _last = Workspace(cfg)
     return _last

@@ -33,6 +33,9 @@ zeros, so tensors derived from a support jet never need a larger context;
 :meth:`Jet.partial` and :meth:`Jet.restrict` stay strict and reject a
 non-seed.
 
+Each :class:`JetContext` keeps its unions, gradient plans and the slots of
+the contexts it restricts to or embeds from: bookkeeping runs once per context.
+
 The engine (:mod:`dwfinsler.engine`) lifts each squared norm once per point
 with :func:`support_lift` and memoizes that lift.  The finite differences
 run on float batches: :func:`fd_stencils` takes probes as arrays, their
@@ -90,7 +93,6 @@ class _Tables:
         self.unit[0] = 1.0
         self._mul = None
         self._derive: dict[int, np.ndarray] = {}
-        self._restrict: dict[tuple, np.ndarray] = {}
 
     def rank(self, rows: np.ndarray) -> np.ndarray:
         """The slots of the exponent vectors in ``rows`` (each of total <= order).
@@ -144,16 +146,11 @@ class _Tables:
 
     def restrict_map(self, positions: tuple[int, ...], suborder: int) -> np.ndarray:
         """The slot of each coefficient of the (len(positions), suborder) shape
-        whose seeds sit at ``positions`` here: gathering with it restricts a
-        jet, and scattering through it embeds one."""
-        key = (positions, suborder)
-        got = self._restrict.get(key)
-        if got is None:
-            sub = _tables(len(positions), suborder)
-            full = np.zeros((sub.size, self.nvars), dtype=np.int8)
-            full[:, list(positions)] = sub.exps
-            got = self._restrict[key] = self.rank(full)
-        return got
+        whose seeds sit at ``positions`` here; :meth:`JetContext.slots` keeps it."""
+        sub = _tables(len(positions), suborder)
+        full = np.zeros((sub.size, self.nvars), dtype=np.int8)
+        full[:, list(positions)] = sub.exps
+        return self.rank(full)
 
 
 _TABLE_CACHE: dict[tuple[int, int], _Tables] = {}
@@ -170,7 +167,7 @@ def _tables(nvars: int, order: int) -> _Tables:
 class JetContext:
     """An ordered seed tuple plus a total-order bound; jets live in a context."""
 
-    __slots__ = ("seeds", "order", "tables", "_pos", "_unions", "_lowered", "_grads")
+    __slots__ = ("seeds", "order", "tables", "_pos", "_unions", "_lowered", "_grads", "_slots")
 
     def __init__(self, seeds: tuple[CoordIndex, ...], order: int):
         self.seeds = seeds
@@ -180,6 +177,7 @@ class JetContext:
         self._unions: dict[JetContext, JetContext] = {}
         self._lowered: JetContext | None = None
         self._grads: dict[tuple, tuple[np.ndarray, bool]] = {}
+        self._slots: dict[JetContext, np.ndarray] = {}
 
     def union(self, other: "JetContext") -> "JetContext":
         """The context over the seeds of both, at the lower of their orders."""
@@ -211,6 +209,17 @@ class JetContext:
             got = self._grads[coords] = (src, any(r is zero for r in rows))
         return got
 
+    def slots(self, sub: "JetContext") -> np.ndarray:
+        """The slots here of the coefficients of ``sub``, whose seeds are among
+        these, up to the lower of the two orders: gathering with them
+        restricts a jet to ``sub``, and scattering through them embeds one."""
+        got = self._slots.get(sub)
+        if got is None:
+            positions = tuple(self.position(s) for s in sub.seeds)
+            order = min(self.order, sub.order)
+            got = self._slots[sub] = self.tables.restrict_map(positions, order)
+        return got
+
     def position(self, coord: CoordIndex) -> int:
         try:
             return self._pos[coord]
@@ -222,16 +231,18 @@ _CONTEXT_CACHE: dict[tuple, JetContext] = {}
 
 
 def context(seeds: Sequence[CoordIndex], order: int) -> JetContext:
-    if order < 0:
-        raise ValueError("jet order must be non-negative")
-    if order > MAX_ORDER:
-        raise CapabilityError(
-            f"jet order {order} exceeds the supported maximum {MAX_ORDER}")
-    seeds = tuple(sorted(set(seeds)))
-    key = (seeds, order)
-    got = _CONTEXT_CACHE.get(key)
+    seeds = tuple(seeds)
+    got = _CONTEXT_CACHE.get((seeds, order))  # a hit when they come sorted
     if got is None:
-        got = _CONTEXT_CACHE[key] = JetContext(seeds, order)
+        if order < 0:
+            raise ValueError("jet order must be non-negative")
+        if order > MAX_ORDER:
+            raise CapabilityError(
+                f"jet order {order} exceeds the supported maximum {MAX_ORDER}")
+        seeds = tuple(sorted(set(seeds)))
+        got = _CONTEXT_CACHE.get((seeds, order))
+        if got is None:
+            got = _CONTEXT_CACHE[seeds, order] = JetContext(seeds, order)
     return got
 
 
@@ -331,9 +342,7 @@ class Jet:
             return self
         if order > self.ctx.order:
             raise ValueError("cannot restrict to a higher order")
-        positions = tuple(self.ctx.position(s) for s in sub.seeds)
-        src = self.ctx.tables.restrict_map(positions, order)
-        return Jet(sub, self.c.take(src, -1))
+        return Jet(sub, self.c.take(self.ctx.slots(sub), -1))
 
     def embed(self, ctx: JetContext) -> "Jet":
         """This jet in ``ctx``, whose seeds include its own, at no higher order:
@@ -342,8 +351,7 @@ class Jet:
             return self
         if ctx.order > self.ctx.order:
             raise ValueError("cannot embed into a higher order")
-        positions = tuple(ctx.position(s) for s in self.ctx.seeds)
-        dst = ctx.tables.restrict_map(positions, ctx.order)
+        dst = ctx.slots(self.ctx)
         c = np.zeros(self.c.shape[:-1] + (ctx.tables.size,))
         c[..., dst] = self.c[..., :dst.size]  # slots run by total: a prefix truncates
         return Jet(ctx, c)

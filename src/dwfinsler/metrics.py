@@ -157,7 +157,6 @@ class RandersFactor(Value):
     """Randers metric F = alpha + beta: Riemannian norm plus a constant one-form."""
 
     __slots__ = ("dim", "base", "b")
-    is_riemannian = False
 
     def __init__(self, dim: int, base: EuclideanFactor | QuadraticFactor,
                  b: tuple[float, ...]):
@@ -172,6 +171,12 @@ class RandersFactor(Value):
         norm_sq = np.max(self._b_norm_sq((0.0,) * dim))
         if not norm_sq < 1.0:
             raise MetricDefinitionError(f"Randers one-form must have norm < 1 (|b|^2 = {norm_sq})")
+
+    @property
+    def is_riemannian(self) -> bool:
+        """Only in dimension 1, where F^2 is quadratic on each half-line and
+        the Cartan tensor vanishes."""
+        return self.dim == 1
 
     def _b_norm_sq(self, pos):
         """The squared base norm b^i a^ij b_j of the one-form, at each sample

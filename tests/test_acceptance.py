@@ -14,8 +14,8 @@ from dwfinsler.cli import main
 from dwfinsler.connection import spray
 from dwfinsler.curvature import hh_curvature
 from dwfinsler.engine import workspace
-from dwfinsler.runspec import fixture_runspec, sample_points
-from dwfinsler.suites import _scalar_flag
+from dwfinsler.runspec import fixture_runspec, parse_spec, sample_points
+from dwfinsler.suites import _scalar_flag, run_suites
 from conftest import ALL_FIXTURES, entries
 
 
@@ -195,3 +195,29 @@ def test_criterion_16_determinism(tmp_path):
 def test_all_reports_as_expected(reports):
     for name, rep in reports.items():
         assert rep.ok, f"{name} had unexpected verdicts"
+
+
+#: Euclidean line x Randers line: a 1-D Randers metric is quadratic on each
+#: half-line, so C = 0 and the product is as Riemannian as FIX-1D.
+E1xR1 = {
+    "label": "E1xR1",
+    "factors": [{"kind": "euclidean", "dim": 1},
+                {"kind": "randers", "dim": 1, "parameters": {"b": [0.3]}}],
+    "warps": {"f1": {"kind": "poly_quadratic", "parameters": {"coeffs": [1.0]}},
+              "f2": {"kind": "poly_quadratic", "parameters": {"coeffs": [1.0]}}},
+    "expected_failures": [],
+    "sampling": {"seed": 1, "count": 20},
+}
+
+
+def test_a_line_randers_factor_is_riemannian():
+    spec = parse_spec(E1xR1)
+    assert spec.config.both_riemannian
+    report = run_suites(spec)
+    assert report.ok, [s.name for s in report.suites if not s.as_expected]
+    named = {(s.name, e.name) for s in report.suites for e in s.entries}
+    # No rigidity witness is asked of a Riemannian product, and con1 checks
+    # the Randers factor's block too.
+    assert not {("matsumoto-contraction", "witness-nonzero"),
+                ("berwald-blocks", "witness-nonzero")} & named
+    assert ("con1", "second-factor-block") in named

@@ -12,7 +12,7 @@ from dwfinsler.errors import CapabilityError, DomainError
 from dwfinsler.engine import LIFT_ORDER, SPRAY_ORDER, VALUE_ORDER
 from dwfinsler.jets import Jet, context, einsum, fd_partial, fd_partials
 from dwfinsler.linalg import invert_matrix
-from conftest import jet_lift
+from conftest import jet_lift, region
 
 P = TangentSample((3.0,), (1.0,), (1.0,), (2.0,))
 X = base1(0)
@@ -672,3 +672,38 @@ def test_engine_over_a_field_missing_a_fiber_fails_as_singular(field, p4):
     for tensor in ("ginv", "spray", "horizontal_coefficients", "hh_curvature", "riemann_map"):
         with pytest.raises(SingularMetricError):
             getattr(ep, tensor)()
+
+
+#: The tensors of the per-point chain, in its order.
+CHAIN = ("g", "ginv", "spray", "connection", "brackets", "horizontal", "berwald", "hh",
+         "riemann-map")
+#: Coordinate hashes of the warm FIX-R chain at a fresh sample: 64 in the
+#: keys of the gradient plans, 24 where the lift makes its one-seed coordinate
+#: jets, 6 in the context of dg's restriction and 4 in the spray's fiber jets.
+CHAIN_HASHES = 98
+
+
+def test_a_warm_chain_finds_its_bookkeeping_cached(monkeypatch, fixr):
+    # Every slot map lives on a context and every context in the cache, so a
+    # fresh sample ranks no exponents, sorts no seeds and hashes few coordinates.
+    from collections import Counter
+    from dwfinsler.coords import CoordIndex
+    from dwfinsler.core import tensor
+    warm, fresh = region("FIX-R", count=2)
+    for name in CHAIN:
+        tensor(fixr, warm, name)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(jets._Tables, "rank", counted("rank", jets._Tables.rank))
+    monkeypatch.setattr(jets, "sorted", counted("sorted", sorted), raising=False)
+    monkeypatch.setattr(CoordIndex, "__hash__", counted("hash", CoordIndex.__hash__))
+    for name in CHAIN:
+        tensor(fixr, fresh, name)
+    assert calls["rank"] == 0 and calls["sorted"] == 0
+    assert 0 < calls["hash"] <= CHAIN_HASHES

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -265,6 +266,20 @@ def test_block_tensor_validation():
     with pytest.raises(ValueError):
         BlockTensor(np.zeros((2,) * 5), ("up",) * 5, 1, 1)
     assert BlockTensor(np.asarray(3.0), (), 2, 2).array.ndim == 0  # the squared norm
+
+
+@pytest.mark.parametrize("shape, variance, message", [
+    ((2, 2), ("up",), "variance tags must match the tensor rank"),
+    ((3,), ("up", "low"), "variance tags must match the tensor rank"),
+    ((2,) * 5, ("up",) * 5, "supported ranks are 0..4"),
+    ((2, 2), ("up", "down"), "variance tags must be 'up' or 'low'"),
+    ((2,), ("Up",), "variance tags must be 'up' or 'low'"),
+    ((2, 3), ("up", "low"), "every axis must span the combined index"),
+    ((3, 3, 3), ("low",) * 3, "every axis must span the combined index"),
+])
+def test_block_tensor_errors_keep_their_messages(shape, variance, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BlockTensor(np.zeros(shape), variance, 1, 1)
 
 
 def test_classification():
