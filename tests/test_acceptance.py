@@ -198,7 +198,7 @@ def test_all_reports_as_expected(reports):
 
 
 #: Euclidean line x Randers line: a 1-D Randers metric is quadratic on each
-#: half-line, so C = 0 and the product is as Riemannian as FIX-1D.
+#: half-line, so C = 0 and both factors count as Riemannian.
 E1xR1 = {
     "label": "E1xR1",
     "factors": [{"kind": "euclidean", "dim": 1},
