@@ -19,8 +19,7 @@ from .core import TENSORS, fundamental_tensor, tensor
 from .connection import (NonlinearConnection, SprayField, frame_brackets,
                          horizontal_coefficients, nonlinear_connection, spray)
 from .curvature import berwald_curvature, hh_curvature, riemann_map
-from .lifted import (ComplexStructure, almost_complex, closedness_check,
-                     kahler_verdict, totally_geodesic_verdicts)
+from .lifted import ComplexStructure, closedness_check
 from .runspec import FIXTURES, RunSpec, fixture, fixture_runspec, parse_spec, sample_points
 from .suites import DiagnosticsReport, emit_report, run_suites
 
@@ -38,9 +37,8 @@ __all__ = [
     "NonlinearConnection", "SprayField", "frame_brackets",
     "horizontal_coefficients", "nonlinear_connection", "spray",
     "berwald_curvature", "hh_curvature", "riemann_map",
-    # lifted geometry: region verdicts
-    "ComplexStructure", "almost_complex", "closedness_check",
-    "kahler_verdict", "totally_geodesic_verdicts",
+    # lifted geometry: the almost complex structure and the closedness of Omega
+    "ComplexStructure", "closedness_check",
     # harness
     "RunSpec", "fixture_runspec", "parse_spec", "sample_points",
     "DiagnosticsReport", "emit_report", "run_suites",

@@ -25,10 +25,6 @@ class SingularMetricError(DwfError):
     """A metric matrix is singular or too ill-conditioned to invert."""
 
 
-class PreconditionError(DwfError):
-    """An operation was called outside its stated preconditions."""
-
-
 class SchemaError(DwfError):
     """A run-specification document violates the schema."""
 

@@ -10,12 +10,14 @@ tensor on the horizontal and vertical blocks.
 
 Every table is an array expression over a leading ``...``, so one
 implementation serves a single sample and a strip of samples.  :func:`of`
-gives the lifted ingredients of a work point, whose methods the suites read
-strip by strip; the region verdicts read every strip of their region.  The
-Koszul solve, the Vaisman and Reinhart diagnostics and the Nijenhuis tensor
-read two frame arrays of the metric derivatives and the brackets; the
-closed-form Levi-Civita table reads only the engine's connection blocks and
-the factor tensors, so the two routes stay independent.
+gives the lifted ingredients of a work point, whose tables and methods the
+suites read strip by strip and reduce through their own trackers;
+:func:`closedness_check` alone walks the strips of a region itself, for the
+exact jet partials it takes.  The Koszul solve, the Vaisman and Reinhart
+diagnostics and the Nijenhuis tensor read two frame arrays of the metric
+derivatives and the brackets; the closed-form Levi-Civita table reads only
+the engine's connection blocks and the factor tensors, so the two routes stay
+independent.
 
 The Koszul computation is ground truth for the Levi-Civita connection; the
 closed-form table is a transcription that is diffed against it, never
@@ -31,13 +33,9 @@ import numpy as np
 
 from .blocks import max_abs, scalar_axes
 from .engine import WorkPoint, workspace
-from .errors import PreconditionError
 from .metrics import ProductConfig
-from .runspec import DEFAULT_TOLERANCES
 
 FAMILIES = ("h1", "h2", "v1", "v2")
-#: The fewest sample points the totally-geodesic verdicts read.
-TOTALLY_GEODESIC_MIN_POINTS = 20
 _FAMILY_PAIRS = tuple(f"{a}.{b}" for a in FAMILIES for b in FAMILIES)
 
 
@@ -167,8 +165,8 @@ class _LiftedPoint:
         The first table is assembled from the closed-form components (built
         from the bracket curvature alone); the second evaluates the defining
         bracket combination [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] directly.  Both
-        are built once and shared read-only by the ``nijenhuis`` suite and
-        :func:`kahler_verdict`.
+        are built once and shared read-only by the ``nijenhuis`` and ``kahler``
+        suites.
         """
         # On basis fields X = e_A, Y = e_B, with J e_A = s(A) e_{p(A)} and the
         # bracket bilinear over constant frame components: each term is one
@@ -216,11 +214,6 @@ def of(wp: WorkPoint) -> _LiftedPoint:
     if wp.lifted is None:
         wp.lifted = _LiftedPoint(wp)
     return wp.lifted
-
-
-def _lifted_region(cfg: ProductConfig, region) -> list[_LiftedPoint]:
-    """The lifted ingredients of ``region``, one per strip of its samples."""
-    return [of(wp) for wp in workspace(cfg).strips(list(region))]
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +349,9 @@ class ComplexStructure:
         return out
 
 
-def almost_complex(cfg: ProductConfig) -> ComplexStructure:
-    return ComplexStructure(cfg.n1, cfg.n2)
-
-
-class ClosednessReport:
-    __slots__ = ("d_residual", "potential_residual")
-
-    def __init__(self, d_residual: float, potential_residual: float):
-        self.d_residual, self.potential_residual = d_residual, potential_residual
-
-
-def closedness_check(cfg: ProductConfig, region) -> ClosednessReport:
-    """d(Omega) = 0 from exact jet partials, plus the potential test.
+def closedness_check(cfg: ProductConfig, region) -> tuple[float, float]:
+    """d(Omega) = 0 from exact jet partials, plus the potential test: the
+    largest residual of each over the region, as ``(d, potential)``.
 
     Over the coordinate basis (base coords then fiber coords) Omega is
     [[gN - N^T g, g], [-g, 0]].  Its partial along each coordinate z takes
@@ -408,75 +391,4 @@ def closedness_check(cfg: ProductConfig, region) -> ClosednessReport:
         cyclic = (grads - np.einsum("...bac->...abc", grads)
                   + np.einsum("...cab->...abc", grads))
         d_res.append(_worst(lead, cyclic[..., increasing]))
-    return ClosednessReport(_worst((), *d_res), _worst((), *pot_res))
-
-
-class KahlerReport:
-    __slots__ = ("is_kahler", "max_bracket_curvature", "max_nijenhuis", "equivalence_holds")
-
-    def __init__(self, is_kahler: bool, max_bracket_curvature: float, max_nijenhuis: float,
-                 equivalence_holds: bool):
-        self.is_kahler, self.max_bracket_curvature = is_kahler, max_bracket_curvature
-        self.max_nijenhuis, self.equivalence_holds = max_nijenhuis, equivalence_holds
-
-
-def kahler_verdict(cfg: ProductConfig, region,
-                   tol: float = DEFAULT_TOLERANCES["kahler"]) -> KahlerReport:
-    """Kahler iff the horizontal distribution is integrable over the region."""
-    lps = _lifted_region(cfg, region)
-    max_r = _worst((), *(lp.Rb for lp in lps))
-    max_n = _worst((), *(lp.nijenhuis_tables[1] for lp in lps))
-    verdict = max_r <= tol
-    # A non-finite maximum decides neither side, so the equivalence fails.
-    holds = np.isfinite(max_r + max_n) and (max_n <= tol) == verdict
-    return KahlerReport(verdict, max_r, max_n, bool(holds))
-
-
-class TotallyGeodesicReport:
-    """The two verdicts, the maxima they compare (``vertical_criterion`` max
-    |F - G|, ``horizontal_cartan`` max |C|, ``horizontal_mixed_blocks`` the
-    max over the four mixed bracket blocks), and whether each agrees with
-    the Koszul invariance test."""
-
-    __slots__ = ("vertical", "horizontal", "vertical_criterion", "horizontal_cartan",
-                 "horizontal_mixed_blocks", "vertical_invariance_consistent",
-                 "horizontal_invariance_consistent")
-
-    def __init__(self, vertical: bool, horizontal: bool, vertical_criterion: float,
-                 horizontal_cartan: float, horizontal_mixed_blocks: float,
-                 vertical_invariance_consistent: bool, horizontal_invariance_consistent: bool):
-        self.vertical, self.horizontal = vertical, horizontal
-        self.vertical_criterion, self.horizontal_cartan = vertical_criterion, horizontal_cartan
-        self.horizontal_mixed_blocks = horizontal_mixed_blocks
-        self.vertical_invariance_consistent = vertical_invariance_consistent
-        self.horizontal_invariance_consistent = horizontal_invariance_consistent
-
-
-def totally_geodesic_verdicts(
-        cfg: ProductConfig, region,
-        tol: float = DEFAULT_TOLERANCES["totally-geodesic"]) -> TotallyGeodesicReport:
-    """Criteria for the vertical/horizontal bundles to be totally geodesic."""
-    region = list(region)
-    if len(region) < TOTALLY_GEODESIC_MIN_POINTS:
-        raise PreconditionError(f"totally-geodesic needs {TOTALLY_GEODESIC_MIN_POINTS} points")
-    n1, n = cfg.n1, cfg.n
-    lps = _lifted_region(cfg, region)
-    max_fg = _worst((), *(lp.Fh - lp.Gf for lp in lps))
-    max_c = _worst((), *(lp.C for lp in lps))
-    max_mixed = _worst((), *(R for lp in lps for R in (
-        lp.Rb[..., n1:, :n1, :n1], lp.Rb[..., :n1, :n1, n1:], lp.Rb[..., n1:, :n1, n1:],
-        lp.Rb[..., :n1, n1:, n1:])))
-    kos_v = _worst((), *(lp.koszul[..., n:, n:, :n] for lp in lps))
-    kos_h = _worst((), *(lp.koszul[..., :n, :n, n:] for lp in lps))
-    vertical = max_fg <= tol
-    horizontal = max_c <= tol and max_mixed <= tol
-    # A non-finite maximum decides neither side, so the consistency fails.
-    return TotallyGeodesicReport(
-        vertical=vertical, horizontal=horizontal,
-        vertical_criterion=max_fg, horizontal_cartan=max_c,
-        horizontal_mixed_blocks=max_mixed,
-        vertical_invariance_consistent=bool(
-            np.isfinite(max_fg + kos_v) and (kos_v <= tol) == vertical),
-        horizontal_invariance_consistent=bool(
-            np.isfinite(max_c + max_mixed + kos_h) and (kos_h <= tol) == horizontal),
-    )
+    return _worst((), *d_res), _worst((), *pot_res)

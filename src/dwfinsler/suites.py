@@ -16,6 +16,8 @@ residual over the tensor axes and hands the strip to the tracker at once
 (:meth:`_Tracker.feed_all`), which keeps the worst value and its witness
 exactly as feeding the samples one by one would; every value still passes
 through :meth:`_Tracker.feed`, the one funnel a caller can wrap to see them.
+The two yes/no verdicts, ``kahler`` and ``totally-geodesic``, feed the maxima
+they compare to trackers of their own the same way, strip by strip.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ from .errors import UnknownSuiteError
 from .jets import CoordView, fd_stencils
 from .metrics import TangentSample, sample_rows
 from .runspec import ALL_SUITES, RunSpec, sample_points
+
+#: The fewest sample points the totally-geodesic suite reads.
+TOTALLY_GEODESIC_MIN_POINTS = 20
+
 
 class SuiteEntry:
     """One residual check; a ``tolerance`` of None marks an informational entry,
@@ -438,7 +444,7 @@ def _suite_reinhart(spec: RunSpec, points) -> list[SuiteEntry]:
 
 def _suite_hermitian(spec: RunSpec, points) -> list[SuiteEntry]:
     cfg = spec.config
-    J = lifted.almost_complex(cfg).matrix()
+    J = lifted.ComplexStructure(cfg.n1, cfg.n2).matrix()
     m = J.shape[0]
     n = cfg.n
     out = _Entries(spec, "hermitian")
@@ -454,9 +460,9 @@ def _suite_hermitian(spec: RunSpec, points) -> list[SuiteEntry]:
         out.feed("symplectic-frame-table", max_abs(om - expected, lead), at)
         out.feed("antisymmetry", max_abs(om + np.swapaxes(om, -1, -2), lead), at,
                  "hermitian.antisymmetry")
-    close = lifted.closedness_check(cfg, points)
-    out.feed("closedness", [close.d_residual], [None])
-    out.feed("potential-match", [close.potential_residual], [None])
+    d_residual, potential_residual = lifted.closedness_check(cfg, points)
+    out.feed("closedness", [d_residual], [None])
+    out.feed("potential-match", [potential_residual], [None])
     return out.entries()
 
 
@@ -470,34 +476,61 @@ def _suite_nijenhuis(spec: RunSpec, points) -> list[SuiteEntry]:
     return out.entries()
 
 
+def _binary(suite: str, name: str, holds: bool, note: str) -> SuiteEntry:
+    """A yes/no check: residual 0 when it ``holds`` and 1 when not, at tolerance 0."""
+    return SuiteEntry(suite, name, 0.0 if holds else 1.0, 0.0, holds, None, note)
+
+
 def _suite_kahler(spec: RunSpec, points) -> list[SuiteEntry]:
-    cfg = spec.config
-    rep = lifted.kahler_verdict(cfg, points, tol=spec.tolerance("kahler"))
-    note = (f"verdict={'kahler' if rep.is_kahler else 'not kahler'}, "
-            f"max bracket curvature {rep.max_bracket_curvature:.3e}, "
-            f"max integrability obstruction {rep.max_nijenhuis:.3e}")
-    return [SuiteEntry("kahler", "integrability-equivalence",
-                       0.0 if rep.equivalence_holds else 1.0, 0.0,
-                       rep.equivalence_holds, None, note)]
+    # Kahler iff the horizontal distribution is integrable: max |R| and the
+    # largest integrability obstruction max |N_J| fall on one side of tol.
+    max_r, max_n = _Tracker(), _Tracker()
+    for wp in workspace(spec.config).strips(points):
+        lp = lifted.of(wp)
+        max_r.feed_all(max_abs(lp.Rb, wp.lead), wp.samples)
+        max_n.feed_all(max_abs(lp.nijenhuis_tables[1], wp.lead), wp.samples)
+    tol = spec.tolerance("kahler")
+    r, nj = max_r.value, max_n.value
+    verdict = r <= tol
+    note = (f"verdict={'kahler' if verdict else 'not kahler'}, "
+            f"max bracket curvature {r:.3e}, max integrability obstruction {nj:.3e}")
+    # A non-finite maximum decides neither side, so the equivalence fails.
+    holds = math.isfinite(r + nj) and (nj <= tol) == verdict
+    return [_binary("kahler", "integrability-equivalence", holds, note)]
 
 
 def _suite_totally_geodesic(spec: RunSpec, points) -> list[SuiteEntry]:
-    cfg = spec.config
-    least = lifted.TOTALLY_GEODESIC_MIN_POINTS
+    suite, least = "totally-geodesic", TOTALLY_GEODESIC_MIN_POINTS
     if len(points) < least:
-        return [SuiteEntry("totally-geodesic", f"skipped (needs >= {least} points)", 0.0,
+        return [SuiteEntry(suite, f"skipped (needs >= {least} points)", 0.0,
                            None, True, None, "")]
-    tol = spec.tolerance("totally-geodesic")
-    rep = lifted.totally_geodesic_verdicts(cfg, points, tol=tol)
-    note = (f"vertical={'yes' if rep.vertical else 'no'}, "
-            f"horizontal={'yes' if rep.horizontal else 'no'}")
+    cfg = spec.config
+    n1, n = cfg.n1, cfg.n
+    # max |F - G|, max |C|, the four mixed bracket blocks, and the Koszul
+    # table's horizontal part on vertical pairs and vertical part on
+    # horizontal pairs.
+    fg, c, mixed, kos_v, kos_h = (_Tracker() for _ in range(5))
+    for wp in workspace(cfg).strips(points):
+        lp, lead, at = lifted.of(wp), wp.lead, wp.samples
+        fg.feed_all(max_abs(lp.Fh - lp.Gf, lead), at)
+        c.feed_all(max_abs(lp.C, lead), at)
+        for block in (lp.Rb[..., n1:, :n1, :n1], lp.Rb[..., :n1, :n1, n1:],
+                      lp.Rb[..., n1:, :n1, n1:], lp.Rb[..., :n1, n1:, n1:]):
+            mixed.feed_all(max_abs(block, lead), at)
+        kos_v.feed_all(max_abs(lp.koszul[..., n:, n:, :n], lead), at)
+        kos_h.feed_all(max_abs(lp.koszul[..., :n, :n, n:], lead), at)
+    tol = spec.tolerance(suite)
+    vertical = fg.value <= tol
+    horizontal = c.value <= tol and mixed.value <= tol
+    note = f"vertical={'yes' if vertical else 'no'}, horizontal={'yes' if horizontal else 'no'}"
+    # A non-finite maximum decides neither side, so the consistency fails.
     return [
-        SuiteEntry("totally-geodesic", "vertical-invariance-consistent",
-                   0.0 if rep.vertical_invariance_consistent else 1.0, 0.0,
-                   rep.vertical_invariance_consistent, None, note),
-        SuiteEntry("totally-geodesic", "horizontal-invariance-consistent",
-                   0.0 if rep.horizontal_invariance_consistent else 1.0, 0.0,
-                   rep.horizontal_invariance_consistent, None, note),
+        _binary(suite, "vertical-invariance-consistent",
+                math.isfinite(fg.value + kos_v.value) and (kos_v.value <= tol) == vertical,
+                note),
+        _binary(suite, "horizontal-invariance-consistent",
+                math.isfinite(c.value + mixed.value + kos_h.value)
+                and (kos_h.value <= tol) == horizontal, note),
     ]
 
 

@@ -9,12 +9,11 @@ fixture ``reports`` of conftest.
 import json
 
 from dwfinsler import TangentSample, fixture
-from dwfinsler import lifted as lf
 from dwfinsler.cli import main
 from dwfinsler.connection import spray
 from dwfinsler.curvature import hh_curvature
 from dwfinsler.engine import workspace
-from dwfinsler.runspec import fixture_runspec, parse_spec, sample_points
+from dwfinsler.runspec import fixture_runspec, parse_spec
 from dwfinsler.suites import _scalar_flag, run_suites
 from conftest import ALL_FIXTURES, entries
 
@@ -160,14 +159,13 @@ def test_criterion_14_almost_complex_structure(reports):
                for e in entries(reports, name, "hermitian", "closedness"))
     nij = max(e.residual for name in ALL_FIXTURES
               for e in entries(reports, name, "nijenhuis", "closed-vs-direct"))
-    kp = lf.kahler_verdict(fixture("FIX-P"),
-                           sample_points(fixture_runspec("FIX-P", count=5)), tol=1e-7)
-    ke = lf.kahler_verdict(fixture("FIX-E"),
-                           sample_points(fixture_runspec("FIX-E", count=5)), tol=1e-7)
+    kp, ke = (run_suites(fixture_runspec(name, count=5, suites=("kahler",),
+                                         tolerances={"kahler": 1e-7})).suites[0].entries[0]
+              for name in ("FIX-P", "FIX-E"))
     ok = (sq == 0.0 and herm <= 1e-10 and table <= 1e-10 and dres <= 1e-10
           and nij <= 1e-7
-          and kp.is_kahler and kp.equivalence_holds
-          and not ke.is_kahler and ke.equivalence_holds)
+          and kp.note.startswith("verdict=kahler,") and kp.passed
+          and ke.note.startswith("verdict=not kahler,") and ke.passed)
     check(14, "complex structure exact, Hermitian/symplectic tables to 1e-10, "
               "d-closedness to 1e-10, integrability equivalence on both branches",
           ok, f"herm {herm:.2e}, table {table:.2e}, d {dres:.2e}, nij {nij:.2e}")

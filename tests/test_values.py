@@ -21,8 +21,7 @@ from dwfinsler import (BlockTensor, ConstantWarp, CoordBlock, CoordIndex, Custom
                        base1, base2, fiber1, fiber2, fixture)
 from dwfinsler.engine import workspace
 from dwfinsler.jets import Jet, context
-from dwfinsler.lifted import (ClosednessReport, ComplexStructure, KahlerReport,
-                              TotallyGeodesicReport)
+from dwfinsler.lifted import ComplexStructure
 from dwfinsler.runspec import (RunSpec, Sampling, fixture_document, parse_spec,
                                sample_points)
 from dwfinsler.suites import DiagnosticsReport, SuiteEntry, SuiteResult
@@ -169,13 +168,6 @@ def test_constructors_take_positions_keywords_and_defaults():
     assert a.tolerances is not b.tolerances  # a fresh dict per instance
     assert RunSpec("L", cfg, sampling, (), (), {"kahler": 1.0}).tolerance("kahler") == 1.0
 
-    tg = TotallyGeodesicReport(vertical=True, horizontal=False, vertical_criterion=0.0,
-                               horizontal_cartan=1.0, horizontal_mixed_blocks=0.5,
-                               vertical_invariance_consistent=True,
-                               horizontal_invariance_consistent=False)
-    assert (tg.vertical, tg.horizontal, tg.horizontal_mixed_blocks) == (True, False, 0.5)
-    assert KahlerReport(True, 0.0, 1e-9, True).max_nijenhuis == 1e-9
-    assert ClosednessReport(1e-15, 2e-15).potential_residual == 2e-15
     assert ComplexStructure(1, 2).matrix().shape == (6, 6)
 
 
