@@ -37,7 +37,7 @@ def max_abs(array: np.ndarray, lead: tuple[int, ...] = ()):
     """The largest |entry| of ``array`` over all but its leading ``lead`` axes:
     one per sample of a batch, a float for a single point.  A NaN anywhere in
     a sample is its result."""
-    out = np.max(np.abs(array).reshape(lead + (-1,)), axis=-1, initial=0.0)
+    out = np.abs(array).reshape(lead + (-1,)).max(-1, initial=0.0)
     return out if lead else float(out)
 
 

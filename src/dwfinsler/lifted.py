@@ -193,7 +193,7 @@ class _LiftedPoint:
 def _worst(lead: tuple[int, ...], *arrays):
     """The largest |entry| over all arrays, per sample of a batch of shape
     ``lead`` (a float for ``()``); a NaN anywhere is the result."""
-    out = np.max([max_abs(a, lead) for a in arrays], axis=0, initial=0.0)
+    out = np.array([max_abs(a, lead) for a in arrays]).max(0, initial=0.0)
     return out if lead else float(out)
 
 

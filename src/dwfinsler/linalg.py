@@ -8,6 +8,15 @@ matrices as array operations, and gives each matrix the bits, the condition
 estimate and the error it would get alone.  Derivatives of an inverse metric
 are not carried here: the engine inverts the value matrix and builds the jet
 from it (:meth:`dwfinsler.engine.EnginePoint.ginv`).
+
+The batch is eliminated as ``aug[row, col, sample]``, the sample axis last,
+so each row operation is one contiguous vector over the samples.  Pivots and
+the 1-norms of the condition estimate take the first maximum, as Python's
+``max`` does: a NaN is picked only where it comes first, since nothing
+compares greater than it, and ``argmax`` finds that pick once every later
+NaN reads -inf.  Which of two NaN operands a product passes on is not fixed
+(CPython 3.11 changes it once it specializes the multiply), so only a NaN's
+sign may differ from the single inversion.
 """
 
 from __future__ import annotations
@@ -58,23 +67,23 @@ def invert_matrix(rows):
     return inverse, cond
 
 
-def _first_max(values) -> tuple[np.ndarray, np.ndarray]:
-    """Per sample, the index and value that Python's ``max`` picks from the
-    arrays ``values``: the first of equal values, and a NaN only when first."""
-    best, index = values[0], np.zeros(np.shape(values[0]), dtype=int)
-    for k, v in enumerate(values[1:], 1):
-        take = v > best
-        best, index = np.where(take, v, best), np.where(take, k, index)
-    return index, best
+def _nan_first(values: np.ndarray) -> np.ndarray:
+    """``values`` with every NaN below its first row made -inf, in place.
+
+    Over axis 0 its ``argmax`` and ``max`` are then the index and value that
+    Python's ``max`` picks: the first of equal values, and a NaN only when it
+    is first, since no value compares greater than a NaN already picked.
+    """
+    tail = values[1:]
+    tail[np.isnan(tail)] = -np.inf
+    return values
 
 
-def _norm1_batch(a: np.ndarray) -> np.ndarray:
-    """:func:`_norm1` of every matrix of ``a[m, n, n]``, each column summed
-    over its rows from the first."""
-    sums = abs(a[:, 0])
-    for i in range(1, a.shape[1]):
-        sums = sums + abs(a[:, i])
-    return _first_max(list(sums.T))[1]
+def _norm1_columns(a: np.ndarray) -> np.ndarray:
+    """:func:`_norm1` of every matrix of ``a[row, col, sample]``: each column
+    summed over its rows from row 0 (a reduction over the outer axis adds row
+    by row), then the first maximum."""
+    return _nan_first(np.abs(a).sum(0)).max(0)
 
 
 def invert_batch(g0: np.ndarray):
@@ -90,24 +99,32 @@ def invert_batch(g0: np.ndarray):
     rows = g0.reshape(-1, n, n)
     m = len(rows)
     samples = np.arange(m)
-    aug = np.concatenate([rows, np.broadcast_to(np.eye(n), rows.shape)], axis=-1)
+    # aug[row, col, sample]: every row operation is one contiguous vector.
+    aug = np.zeros((n, 2 * n, m))
+    aug[:, :n] = rows.transpose(1, 2, 0)
+    aug[range(n), range(n, 2 * n)] = 1.0
     singular = np.zeros(m, dtype=bool)
     with np.errstate(all="ignore"):
+        norm = _norm1_columns(aug[:, :n])
         for col in range(n):
-            pivot_row, pivot = _first_max(list(abs(aug[:, col:, col].T)))
-            pivot_row += col
+            pivot_row = _nan_first(np.abs(aug[col:, col])).argmax(0) + col
+            if (pivot_row != col).any():
+                row = aug[pivot_row, :, samples]
+                aug[pivot_row, :, samples] = aug[col].T
+                aug[col] = row.T
+            pivot = aug[col, col]
             singular |= pivot == 0.0
-            row = aug[samples, pivot_row]
-            aug[samples, pivot_row] = aug[:, col].copy()
-            aug[:, col] = row * (1.0 / row[:, col])[:, None]
-            factor = aug[:, :, col, None].copy()
-            factor[:, col] = 0.0
+            aug[col] *= 1.0 / pivot
+            factor = aug[:, col].copy()
+            factor[col] = 0.0
             # A zero factor leaves its row as it is, as the loop skips it:
             # a - 0 * b could turn -0.0 into 0.0, or 0 * inf into NaN.
-            aug = np.where(factor == 0.0, aug, aug - factor * aug[:, col, None])
-        inverse = np.ascontiguousarray(aug[:, :, n:])
-        cond = _norm1_batch(rows) * _norm1_batch(inverse)
+            np.subtract(aug, factor[:, None] * aug[col], out=aug,
+                        where=(factor != 0.0)[:, None])
+        inverse = aug[:, n:]
+        cond = norm * _norm1_columns(inverse)
     failed = np.flatnonzero(singular | (cond > CONDITION_LIMIT))
     if failed.size:
-        invert_matrix(rows[failed[0]])  # raises the error of that matrix alone
-    return inverse.reshape(g0.shape), cond.reshape(g0.shape[:-2])
+        invert_matrix(rows[failed[0]].tolist())  # raises the error of that matrix alone
+    return (np.ascontiguousarray(inverse.transpose(2, 0, 1)).reshape(g0.shape),
+            cond.reshape(g0.shape[:-2]))

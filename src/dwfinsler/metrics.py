@@ -318,6 +318,23 @@ class TangentSample(Value):
         _require_slit([y], [v])
         self._init(tuple(map(float, x)), tuple(map(float, u)), y, v)
 
+    @classmethod
+    def _of_rows(cls, rows: np.ndarray, n1: int, n2: int) -> list["TangentSample"]:
+        """The samples of the float rows ``rows[m, 2 (n1 + n2)]``, one sample's
+        x, u, y, v per row, checked as one by one but built from the rows'
+        floats without converting each again."""
+        n = n1 + n2
+        for fiber in (rows[:, n:n + n1], rows[:, n + n1:]):
+            # As in SampleBatch: only a fiber with no entry of size SLIT_FLOOR
+            # or more can have a smaller norm.
+            _require_slit(fiber[np.abs(fiber).max(-1) < SLIT_FLOOR].tolist(), ())
+        out = []
+        for r in rows.tolist():
+            sample = cls.__new__(cls)
+            sample._init(tuple(r[:n1]), tuple(r[n1:n]), tuple(r[n:n + n1]), tuple(r[n + n1:]))
+            out.append(sample)
+        return out
+
     def coord(self, ci: CoordIndex) -> float:
         group = (self.x, self.u, self.y, self.v)[ci.block]
         return group[ci.offset]

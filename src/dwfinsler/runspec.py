@@ -322,24 +322,24 @@ def sample_points(spec: RunSpec) -> list[TangentSample]:
     rng = np.random.Generator(np.random.PCG64(sampling.seed))
     base = np.empty((count, n))
     fibers = (np.empty((count, n1)), np.empty((count, cfg.n2)))
-    norms = np.empty((2, count, 1))
-    radii = np.empty((2, count, 1))
+    norms, radii = [], []  # each point's y then v
     for i in range(count):
         rng.random(out=base[i])
-        for j, fiber in enumerate(fibers):
+        for fiber in fibers:
             d = fiber[i]
             norm = 0.0
             while norm < 1e-12:  # astronomically unlikely, but stay deterministic
                 rng.standard_normal(out=d)
                 norm = math.sqrt(d.dot(d))
-            norms[j, i] = norm
-            radii[j, i] = rng.random()
+            norms.append(norm)
+            radii.append(rng.random())
+    norms, radii = (np.reshape(t, (count, 2)).T[..., None] for t in (norms, radii))
     lo, hi = np.array(sampling.box).T
     r0, r1 = sampling.radii
     radii = r0 + (r1 - r0) * radii
     rows = np.hstack([lo + (hi - lo) * base] + [
-        radius * fiber / norm for fiber, radius, norm in zip(fibers, radii, norms)]).tolist()
-    return [TangentSample(r[:n1], r[n1:n], r[n:n + n1], r[n + n1:]) for r in rows]
+        radius * fiber / norm for fiber, radius, norm in zip(fibers, radii, norms)])
+    return TangentSample._of_rows(rows, n1, cfg.n2)
 
 
 # ---------------------------------------------------------------------------

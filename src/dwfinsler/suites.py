@@ -109,13 +109,17 @@ class _Tracker:
         wins.  Only that single worst entry passes through :meth:`feed`,
         noted by ``describe`` of its index when given.
         """
-        flat = np.abs(np.asarray(values, dtype=float)).ravel()
+        values = np.asarray(values, dtype=float)
+        flat = np.abs(values).ravel()
         if not flat.size:
             return
-        nan = np.isnan(flat)
-        k = int(np.argmax(nan)) if nan.any() else flat.size - 1 - int(np.argmax(flat[::-1]))
-        index = tuple(int(i) for i in np.unravel_index(k, np.shape(values)))
-        self.feed(flat[k], points[index[0]], describe(*index) if describe else "")
+        # argmax finds the first maximum, and the first NaN as one: reversed,
+        # the last maximum, or some NaN, when there is one.
+        k = flat.size - 1 - int(flat[::-1].argmax())
+        if math.isnan(flat[k]):
+            k = int(np.isnan(flat).argmax())
+        note = describe(*map(int, np.unravel_index(k, values.shape))) if describe else ""
+        self.feed(flat[k], points[k // (flat.size // len(values))], note)
 
 
 def _point_doc(p: TangentSample | None):

@@ -677,10 +677,11 @@ def test_engine_over_a_field_missing_a_fiber_fails_as_singular(field, p4):
 #: The tensors of the per-point chain, in its order.
 CHAIN = ("g", "ginv", "spray", "connection", "brackets", "horizontal", "berwald", "hh",
          "riemann-map")
-#: Coordinate hashes of the warm FIX-R chain at a fresh sample: 64 in the
-#: keys of the gradient plans, 24 where the lift makes its one-seed coordinate
-#: jets, 6 in the context of dg's restriction and 4 in the spray's fiber jets.
-CHAIN_HASHES = 98
+#: Coordinate hashes of the warm FIX-R chain at a fresh sample: 6 in the
+#: context of dg's restriction and 4 in the spray's fiber jets.  The gradient
+#: plans and the lift's one-seed coordinate jets find the engine's coordinate
+#: tuples by identity and hash none.
+CHAIN_HASHES = 10
 
 
 def test_a_warm_chain_finds_its_bookkeeping_cached(monkeypatch, fixr):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwfinsler import PolyQuadraticWarp, fixture
-from dwfinsler.errors import SchemaError
+from dwfinsler.errors import SchemaError, SlitConditionError
+from dwfinsler.metrics import TangentSample
 from dwfinsler.runspec import (ALL_SUITES, FIXTURES, fixture_document, fixture_runspec,
                                parse_spec, sample_points)
 
@@ -140,6 +141,31 @@ def test_sample_points_draws_as_the_per_point_loop(n1):
                    for p in sample_points(spec)]
             want = [[[float(t).hex() for t in g] for g in p] for p in _per_point_samples(spec)]
             assert got == want, (n1, n2, seed)
+
+
+@pytest.mark.parametrize("name", ["FIX-R", "FIX-1D"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_samples_from_rows_equal_the_checked_constructor(name, seed):
+    # sample_points builds its samples from float rows without the per-entry
+    # conversion; each must be the sample the public constructor makes.
+    for p in sample_points(fixture_runspec(name, seed=seed)):
+        want = TangentSample(p.x, p.u, p.y, p.v)
+        assert p == want and hash(p) == hash(want)
+        for got, ref in zip((p.x, p.u, p.y, p.v), (want.x, want.u, want.y, want.v)):
+            assert type(got) is tuple and [t.hex() for t in got] == [t.hex() for t in ref]
+
+
+def test_samples_from_rows_keep_the_slit_check():
+    # Rows are x, u, y, v with n1 = n2 = 2.  A fiber whose entries are all
+    # below SLIT_FLOOR is checked by its norm: 8.5e-13 fails, 1.13e-12 passes.
+    ok = [0.1, 0.2, 0.3, 0.4, 1.0, 0.5, -0.5, 2.0]
+    assert len(TangentSample._of_rows(np.array([ok, ok[:4] + [8e-13, 8e-13, 1.0, 0.0]]),
+                                      2, 2)) == 2
+    for bad in (ok[:4] + [6e-13, 6e-13, 1.0, 0.0], ok[:4] + [1.0, 0.0, -0.0, 1e-13]):
+        with pytest.raises(SlitConditionError):
+            TangentSample._of_rows(np.array([ok, bad]), 2, 2)
+        with pytest.raises(SlitConditionError):
+            TangentSample(bad[:2], bad[2:4], bad[4:6], bad[6:])
 
 
 def test_tolerance_overrides():

@@ -257,18 +257,20 @@ _TRACKED = st.sampled_from([0.0, -0.0, 1e-300, 1.0, -1.0, 2.0, -2.0, math.inf, -
 @settings(max_examples=300, deadline=None)
 @given(prior=st.lists(_TRACKED, max_size=3),
        values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=4),
-                         elements=_TRACKED))
-def test_feed_all_equals_sequential_feed(prior, values):
+                         elements=_TRACKED),
+       described=st.booleans())
+def test_feed_all_equals_sequential_feed(prior, values, described):
     # The array feed keeps the worst value and witness that feeding every
     # entry in C order would: the last of a tie, the first NaN, and inf.
+    # Without ``describe`` the witness sample alone tells the entries apart.
     points = [f"sample {k}" for k in range(values.shape[0])]
     one, many = _Tracker(), _Tracker()
     for tr in (one, many):
         for v in prior:
             tr.feed(v, "before", "before")
     for index in np.ndindex(values.shape):
-        one.feed(values[index], points[index[0]], str(index))
-    many.feed_all(values, points, lambda *index: str(index))
+        one.feed(values[index], points[index[0]], str(index) if described else "")
+    many.feed_all(values, points, (lambda *index: str(index)) if described else None)
     assert (one.point, one.note) == (many.point, many.note)
     assert one.value == many.value or (math.isnan(one.value) and math.isnan(many.value))
 
