@@ -19,7 +19,7 @@ from .core import TENSORS, fundamental_tensor, tensor
 from .connection import (NonlinearConnection, SprayField, frame_brackets,
                          horizontal_coefficients, nonlinear_connection, spray)
 from .curvature import berwald_curvature, hh_curvature, riemann_map
-from .lifted import ComplexStructure, closedness_check
+from .lifted import ComplexStructure
 from .runspec import FIXTURES, RunSpec, fixture, fixture_runspec, parse_spec, sample_points
 from .suites import DiagnosticsReport, emit_report, run_suites
 
@@ -37,8 +37,8 @@ __all__ = [
     "NonlinearConnection", "SprayField", "frame_brackets",
     "horizontal_coefficients", "nonlinear_connection", "spray",
     "berwald_curvature", "hh_curvature", "riemann_map",
-    # lifted geometry: the almost complex structure and the closedness of Omega
-    "ComplexStructure", "closedness_check",
+    # lifted geometry: the almost complex structure
+    "ComplexStructure",
     # harness
     "RunSpec", "fixture_runspec", "parse_spec", "sample_points",
     "DiagnosticsReport", "emit_report", "run_suites",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocks import matvec, max_abs, scalar_axes, vdot
+from .blocks import matvec, scalar_axes, vdot
 from .engine import WorkPoint
 
 
@@ -29,15 +29,10 @@ def block_ranges(pattern: str, n1: int, n2: int) -> tuple[slice, ...]:
 
 
 def compare_blocks(generic: np.ndarray, blocks: dict[str, np.ndarray],
-                   n1: int, n2: int) -> dict[str, float | np.ndarray]:
-    """Max absolute deviation of each closed-form block from the generic tensor,
-    one per sample when the tensors carry a leading sample axis."""
-    out = {}
-    for key, closed in blocks.items():
-        ranges = block_ranges(key, n1, n2)
-        lead = generic.shape[:generic.ndim - len(ranges)]
-        out[key] = max_abs(generic[(...,) + ranges] - closed, lead)
-    return out
+                   n1: int, n2: int) -> dict[str, np.ndarray]:
+    """Each closed-form block's deviation from its block of the generic tensor."""
+    return {key: generic[(...,) + block_ranges(key, n1, n2)] - closed
+            for key, closed in blocks.items()}
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:

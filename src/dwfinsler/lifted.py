@@ -11,13 +11,13 @@ tensor on the horizontal and vertical blocks.
 Every table is an array expression over a leading ``...``, so one
 implementation serves a single sample and a strip of samples.  :func:`of`
 gives the lifted ingredients of a work point, whose tables and methods the
-suites read strip by strip and reduce through their own trackers;
-:func:`closedness_check` alone walks the strips of a region itself, for the
-exact jet partials it takes.  The Koszul solve, the Vaisman and Reinhart
-diagnostics and the Nijenhuis tensor read two frame arrays of the metric
-derivatives and the brackets; the closed-form Levi-Civita table reads only
-the engine's connection blocks and the factor tensors, so the two routes stay
-independent.
+suites read strip by strip.  Every residual, Omega's closedness
+included, comes back as a tensor or a tuple of tensors that leads with the
+sample axis: the suites' trackers alone reduce it and pick its witness.  The
+Koszul solve, the Vaisman and Reinhart diagnostics and the Nijenhuis tensor
+read two frame arrays of the metric derivatives and the brackets; the
+closed-form Levi-Civita table reads only the engine's connection blocks and
+the factor tensors, so the two routes stay independent.
 
 The Koszul computation is ground truth for the Levi-Civita connection; the
 closed-form table is a transcription that is diffed against it, never
@@ -31,12 +31,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import max_abs, scalar_axes
-from .engine import WorkPoint, workspace
-from .metrics import ProductConfig
+from .blocks import scalar_axes
+from .engine import WorkPoint
 
 FAMILIES = ("h1", "h2", "v1", "v2")
-_FAMILY_PAIRS = tuple(f"{a}.{b}" for a in FAMILIES for b in FAMILIES)
 
 
 class _LiftedPoint:
@@ -112,28 +110,30 @@ class _LiftedPoint:
         return _read_only(out)
 
     def levi_civita_block_residuals(self) -> dict:
-        """Max |Koszul - closed form| per ordered input-family pair, the closed
-        form being the transcription :func:`_levi_civita_closed_table`."""
+        """Koszul minus closed form per ordered input-family pair ``"A.B"``:
+        the frame vectors nabla_{e_a} e_b for a in family A and b in family B,
+        the closed form being the transcription :func:`_levi_civita_closed_table`."""
         n, n1 = self.n, self.n1
-        starts = [0, n1, n, n + n1]  # first slot of each family
-        worst = np.abs(self.koszul - _levi_civita_closed_table(self)).max(axis=-1)
-        worst = np.maximum.reduceat(np.maximum.reduceat(worst, starts, axis=-2), starts, axis=-1)
-        return dict(zip(_FAMILY_PAIRS, np.moveaxis(worst.reshape(self.lead + (-1,)), -1, 0)))
+        diff = self.koszul - _levi_civita_closed_table(self)
+        slots = dict(zip(FAMILIES, (slice(0, n1), slice(n1, n), slice(n, n + n1),
+                                    slice(n + n1, 2 * n))))
+        return {f"{a}.{b}": diff[..., sa, sb, :]
+                for a, sa in slots.items() for b, sb in slots.items()}
 
     def vaisman_axiom_residuals(self) -> dict:
-        """Numerical residuals of the three defining conditions of :attr:`vaisman`."""
-        n, lead = self.n, self.lead
+        """Residual tensors of the three defining conditions of :attr:`vaisman`,
+        a tuple of them per condition."""
+        n = self.n
         table = self.vaisman
         # (i) distribution preservation: outputs stay in the input field's bundle.
-        pres = _worst(lead, table[..., :, :n, n:], table[..., :, n:, :n])
+        pres = (table[..., :, :n, n:], table[..., :, n:, :n])
         # (ii) metric parallelism on all-horizontal and all-vertical triples.
         dmet = self.metric_derivative(table)
-        par = _worst(lead, dmet[..., :n, :n, :n], dmet[..., n:, n:, n:])
+        par = (dmet[..., :n, :n, :n], dmet[..., n:, n:, n:])
         # (iii) torsion projections: vertical part unless both fields are
         # horizontal, horizontal part unless both are vertical.
         t = self.torsion(table)
-        tor = _worst(lead, t[..., n:, :, n:], t[..., :, n:, n:], t[..., :n, :, :n],
-                     t[..., :, :n, :n])
+        tor = (t[..., n:, :, n:], t[..., :, n:, n:], t[..., :n, :, :n], t[..., :, :n, :n])
         return {"preservation": pres, "parallelism": par, "torsion": tor}
 
     def reinhart_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -157,6 +157,46 @@ class _LiftedPoint:
         """Omega(e_A, e_B) = G(e_A, J e_B) over all frame pairs [A, B]."""
         p, s = ComplexStructure(self.n1, self.n2).signed_permutation()
         return self.metric[..., p] * s
+
+    def closedness(self) -> tuple[np.ndarray, np.ndarray]:
+        """d(Omega) = 0 from exact jet partials, over the increasing coordinate
+        triples, and the potential test, as the pair of their residual tables.
+
+        Over the coordinate basis (base coords then fiber coords) Omega is
+        [[gN - N^T g, g], [-g, 0]].  Its partial along each coordinate z takes
+        d_z g and d_z N from one gradient of the engine's g and N jets, the same
+        jets the adapted derivatives of delta_g and the bracket curvature use.
+
+        The potential test rebuilds Omega from the exterior derivative of the
+        canonical one-form (half the fiber gradient of the squared norm); with
+        the orientation d(w_a dz^a)(U,V) = U w(V) - V w(U) the almost-symplectic
+        form equals minus that derivative.
+        """
+        n, lead = self.n, self.lead
+        zs = self.wp.cfg.base + self.wp.cfg.fiber
+        m = len(zs)
+        i = np.arange(m)
+        increasing = (i[:, None, None] < i[None, :, None]) & (i[None, :, None] < i[None, None, :])
+        ep = self.wp.product
+        g = ep.g_values()
+        N = ep.nonlinear_connection_values()
+        # Omega plus the exterior derivative of the canonical one-form: the
+        # +-g blocks cancel identically, the base-base blocks must cancel too.
+        mixed = ep.F2_base_fiber_values()
+        potential = g @ N - N.swapaxes(-1, -2) @ g + 0.5 * (mixed - mixed.swapaxes(-1, -2))
+        # grads[..., z] = d_z Omega, exactly; dg[..., z] = d_z g, dN[..., z] = d_z N,
+        # read off g and N restricted to their first partials.
+        dg, dN = (np.moveaxis(jet.restrict(jet.seeds, min(jet.order, 1)).grad(zs).value,
+                              -1, len(lead))
+                  for jet in (ep.g(), ep.nonlinear_connection()))
+        dgN = np.einsum("...zab,...bc->...zac", dg, N) + np.einsum("...ab,...zbc->...zac", g, dN)
+        grads = np.zeros(lead + (m, m, m))
+        grads[..., :, :n, :n] = dgN - np.einsum("...zac->...zca", dgN)
+        grads[..., :, :n, n:] = dg
+        grads[..., :, n:, :n] = -dg
+        cyclic = (grads - np.einsum("...bac->...abc", grads)
+                  + np.einsum("...cab->...abc", grads))
+        return cyclic[..., increasing], potential
 
     @cached_property
     def nijenhuis_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -188,13 +228,6 @@ class _LiftedPoint:
         closed[..., :n, n:, :n] = -Rb                            # mixed pair
         closed[..., n:, :n, :n] = np.einsum("...abk->...bak", Rb)
         return _read_only(closed), _read_only(direct)
-
-
-def _worst(lead: tuple[int, ...], *arrays):
-    """The largest |entry| over all arrays, per sample of a batch of shape
-    ``lead`` (a float for ``()``); a NaN anywhere is the result."""
-    out = np.array([max_abs(a, lead) for a in arrays]).max(0, initial=0.0)
-    return out if lead else float(out)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -347,48 +380,3 @@ class ComplexStructure:
         out = np.zeros((m, m))
         out[p, np.arange(m)] = s
         return out
-
-
-def closedness_check(cfg: ProductConfig, region) -> tuple[float, float]:
-    """d(Omega) = 0 from exact jet partials, plus the potential test: the
-    largest residual of each over the region, as ``(d, potential)``.
-
-    Over the coordinate basis (base coords then fiber coords) Omega is
-    [[gN - N^T g, g], [-g, 0]].  Its partial along each coordinate z takes
-    d_z g and d_z N from one gradient of the engine's g and N jets, the same
-    jets the adapted derivatives of delta_g and the bracket curvature use.
-
-    The potential test rebuilds Omega from the exterior derivative of the
-    canonical one-form (half the fiber gradient of the squared norm); with
-    the orientation d(w_a dz^a)(U,V) = U w(V) - V w(U) the almost-symplectic
-    form equals minus that derivative.
-    """
-    n = cfg.n
-    zs = cfg.base + cfg.fiber
-    m = len(zs)
-    i = np.arange(m)
-    increasing = (i[:, None, None] < i[None, :, None]) & (i[None, :, None] < i[None, None, :])
-    d_res, pot_res = [], []
-    for wp in workspace(cfg).strips(list(region)):
-        ep, lead = wp.product, wp.lead
-        g = ep.g_values()
-        N = ep.nonlinear_connection_values()
-        # Omega plus the exterior derivative of the canonical one-form: the
-        # +-g blocks cancel identically, the base-base blocks must cancel too.
-        mixed = ep.F2_base_fiber_values()
-        pot_res.append(_worst(lead, g @ N - N.swapaxes(-1, -2) @ g
-                              + 0.5 * (mixed - mixed.swapaxes(-1, -2))))
-        # grads[..., z] = d_z Omega, exactly; dg[..., z] = d_z g, dN[..., z] = d_z N,
-        # read off g and N restricted to their first partials.
-        dg, dN = (np.moveaxis(jet.restrict(jet.seeds, min(jet.order, 1)).grad(zs).value,
-                              -1, len(lead))
-                  for jet in (ep.g(), ep.nonlinear_connection()))
-        dgN = np.einsum("...zab,...bc->...zac", dg, N) + np.einsum("...ab,...zbc->...zac", g, dN)
-        grads = np.zeros(lead + (m, m, m))
-        grads[..., :, :n, :n] = dgN - np.einsum("...zac->...zca", dgN)
-        grads[..., :, :n, n:] = dg
-        grads[..., :, n:, :n] = -dg
-        cyclic = (grads - np.einsum("...bac->...abc", grads)
-                  + np.einsum("...cab->...abc", grads))
-        d_res.append(_worst(lead, cyclic[..., increasing]))
-    return _worst((), *d_res), _worst((), *pot_res)

@@ -11,13 +11,16 @@ each suite reads its tensors as arrays whose leading axis runs over the
 strip's samples.  A suite names each entry once, where it feeds it to its
 :class:`_Entries`: the first feed makes the entry's tracker and fixes its
 tolerance name and, for a lower-bound witness, its note, and the entries are
-reported in the order they were first fed.  Each feed reduces each sample's
-residual over the tensor axes and hands the strip to the tracker at once
-(:meth:`_Tracker.feed_all`), which keeps the worst value and its witness
-exactly as feeding the samples one by one would; every value still passes
-through :meth:`_Tracker.feed`, the one funnel a caller can wrap to see them.
-The two yes/no verdicts, ``kahler`` and ``totally-geodesic``, feed the maxima
-they compare to trackers of their own the same way, strip by strip.
+reported in the order they were first fed.  A feed hands over the strip's
+residual tensors as they are, several of them as a tuple joined sample by
+sample, and the tracker alone reduces them (:meth:`_Tracker.feed_all`): it
+keeps the worst entry and its witness sample exactly as feeding the entries
+one by one would, and passes that one value through :meth:`_Tracker.feed`,
+the funnel a caller can wrap to see them.  Only a per-sample statistic that
+is not a maximum (the Matsumoto witness, the isotropy defect) is reduced
+before its feed.  The two yes/no verdicts, ``kahler`` and
+``totally-geodesic``, feed the tensors whose maxima they compare to trackers
+of their own the same way, strip by strip.
 """
 
 from __future__ import annotations
@@ -144,6 +147,8 @@ class _Entries:
     ``lower``, the note of a lower-bound witness, which passes when the worst
     value reaches the tolerance and reports the margin below it.  Feeding the
     entry again under another tolerance name or bound is a ``ValueError``.
+    ``values`` is a residual tensor whose leading axis runs over ``points``,
+    or a tuple of them, joined sample by sample.
     """
 
     __slots__ = ("spec", "suite", "_fed")
@@ -160,6 +165,8 @@ class _Entries:
         elif got[1:] != (tol, lower):
             raise ValueError(f"{self.suite} entry {name!r} fed under tolerance {tol!r} "
                              f"and bound {lower!r}, first under {got[1]!r} and {got[2]!r}")
+        if isinstance(values, tuple):
+            values = np.concatenate([np.reshape(v, (len(points), -1)) for v in values], 1)
         got[0].feed_all(values, points, describe)
 
     def entries(self) -> list[SuiteEntry]:
@@ -192,8 +199,7 @@ def _flat_factor(wp: WorkPoint) -> tuple:
     first-factor block equals the factor curvature minus
     |grad f2|^2 / f1^2 times the metric commutator pattern; mirrored for the
     second factor when it is Riemannian.  Returns the first block's residual
-    and the second's (None unless factor 2 is Riemannian): floats at one
-    sample, arrays over the samples of a strip.
+    tensor and the second's (None unless factor 2 is Riemannian).
     """
     cfg = wp.cfg
     n1, n2 = cfg.n1, cfg.n2
@@ -204,7 +210,7 @@ def _flat_factor(wp: WorkPoint) -> tuple:
         sl = slice(0, n1) if which == 1 else slice(n1, n1 + n2)
         lam = wp.grad_warp_norm_sq(3 - which) / wp.warp_sq(which)
         expected = ep.hh_curvature() - scalar_axes(lam, 4) * _commutator_pattern(ep.g_values())
-        return max_abs(hh[..., sl, sl, sl, sl] - expected, wp.lead)
+        return hh[..., sl, sl, sl, sl] - expected
 
     return block_residual(1), block_residual(2) if cfg.factor2.is_riemannian else None
 
@@ -221,8 +227,8 @@ def _scalar_flag(wp: WorkPoint):
     n1 = wp.cfg.n1
     hh = wp.product.hh_curvature()[..., :n1, :n1, :n1, :n1]
     pattern = _commutator_pattern(wp.factor1.g_values())
-    sel = np.array([[[[(i != k) or (j != l) for l in range(n1)] for k in range(n1)]
-                     for i in range(n1)] for j in range(n1)], dtype=bool)
+    eye = np.eye(n1, dtype=bool)
+    sel = ~(eye[None, :, :, None] & eye[:, None, None, :])  # [j, i, k, l]: i != k or j != l
     e = pattern[..., sel]
     r = hh[..., sel]
     denom = vdot(e, e)
@@ -245,7 +251,7 @@ def _suite_homogeneity(spec: RunSpec, points) -> list[SuiteEntry]:
     scales = (0.5, 2.0, 7.0)
     out = _Entries(spec, "homogeneity")
     for wp in ws.strips(points):
-        ep, lead, at = wp.product, wp.lead, wp.samples
+        ep, at = wp.product, wp.samples
         # The rescaled copies of a strip are evaluated once, as one batch over
         # (sample, scale), and not kept in the workspace.
         scaled = WorkPoint(ws, wp.sample.fiber_scaled(scales), SPRAY_ORDER).product
@@ -254,19 +260,17 @@ def _suite_homogeneity(spec: RunSpec, points) -> list[SuiteEntry]:
         scaled_spray = scaled.spray_values().reshape(len(at), len(scales), cfg.n)[:, 1]
         g = ep.g_values()
         for k, lam in enumerate(scales):
-            out.feed(f"metric-rescale-{lam}", max_abs(scaled_g[:, k] - g, lead), at,
-                     "homogeneity.metric")
+            out.feed(f"metric-rescale-{lam}", scaled_g[:, k] - g, at, "homogeneity.metric")
         G = ep.spray_values()
-        out.feed("spray-rescale", max_abs(scaled_spray - 4.0 * G, lead), at, "homogeneity.spray")
+        out.feed("spray-rescale", scaled_spray - 4.0 * G, at, "homogeneity.spray")
         N = ep.nonlinear_connection_values()
         yv = ep.fiber_values()
-        out.feed("connection-euler", max_abs(matvec(N, yv) - 2.0 * G, lead), at,
-                 "homogeneity.spray")
+        out.feed("connection-euler", matvec(N, yv) - 2.0 * G, at, "homogeneity.spray")
         contr = np.einsum("...abc,...c->...ab", ep.connection_fiber_values(), yv) - N
-        out.feed("connection-degree-11", max_abs(contr[..., :n1, :n1], lead), at)
-        out.feed("connection-degree-12", max_abs(contr[..., :n1, n1:], lead), at)
-        out.feed("connection-degree-21", max_abs(contr[..., n1:, :n1], lead), at)
-        out.feed("connection-degree-22", max_abs(contr[..., n1:, n1:], lead), at)
+        out.feed("connection-degree-11", contr[..., :n1, :n1], at)
+        out.feed("connection-degree-12", contr[..., :n1, n1:], at)
+        out.feed("connection-degree-21", contr[..., n1:, :n1], at)
+        out.feed("connection-degree-22", contr[..., n1:, n1:], at)
     return out.entries()
 
 
@@ -278,27 +282,23 @@ def _suite_block_structure(spec: RunSpec, points) -> list[SuiteEntry]:
     pure[n1:, n1:, n1:] = True
     out = _Entries(spec, "block-structure")
     for wp in workspace(cfg).strips(points):
-        ep, lead, at = wp.product, wp.lead, wp.samples
+        ep, at = wp.product, wp.samples
         g = ep.g_values()
-        out.feed("metric-off-block", np.maximum(max_abs(g[..., :n1, n1:], lead),
-                                                max_abs(g[..., n1:, :n1], lead)), at)
+        out.feed("metric-off-block", (g[..., :n1, n1:], g[..., n1:, :n1]), at)
         C = ep.cartan()
-        out.feed("cartan-mixed-block", max_abs(C[..., ~pure], lead), at)
+        out.feed("cartan-mixed-block", C[..., ~pure], at)
         expect = closed_forms.cartan_scaled_factor_blocks(wp)
-        out.feed("cartan-warp-scaled",
-                 np.maximum(max_abs(C[..., :n1, :n1, :n1] - expect["111"], lead),
-                            max_abs(C[..., n1:, n1:, n1:] - expect["222"], lead)), at,
+        out.feed("cartan-warp-scaled", (C[..., :n1, :n1, :n1] - expect["111"],
+                                        C[..., n1:, n1:, n1:] - expect["222"]), at,
                  "block-structure.scaled")
         I = ep.mean_cartan()
-        out.feed("mean-cartan-factor",
-                 np.maximum(max_abs(I[..., :n1] - wp.factor1.mean_cartan(), lead),
-                            max_abs(I[..., n1:] - wp.factor2.mean_cartan(), lead)), at,
+        out.feed("mean-cartan-factor", (I[..., :n1] - wp.factor1.mean_cartan(),
+                                        I[..., n1:] - wp.factor2.mean_cartan()), at,
                  "block-structure.scaled")
         yv = ep.fiber_values()
-        out.feed("angular-annihilates-fiber", max_abs(matvec(ep.angular(), yv), lead), at,
+        out.feed("angular-annihilates-fiber", matvec(ep.angular(), yv), at,
                  "block-structure.null")
-        out.feed("cartan-annihilates-fiber",
-                 max_abs(np.einsum("...abc,...c->...ab", C, yv), lead), at,
+        out.feed("cartan-annihilates-fiber", np.einsum("...abc,...c->...ab", C, yv), at,
                  "block-structure.null")
     return out.entries()
 
@@ -308,8 +308,7 @@ def _suite_yfg(spec: RunSpec, points) -> list[SuiteEntry]:
     for wp in workspace(spec.config).strips(points):
         ep = wp.product
         lhs = np.einsum("...c,...abc->...ab", ep.fiber_values(), ep.horizontal_values())
-        out.feed("contraction", max_abs(lhs - ep.nonlinear_connection_values(), wp.lead),
-                 wp.samples)
+        out.feed("contraction", lhs - ep.nonlinear_connection_values(), wp.samples)
     return out.entries()
 
 
@@ -318,19 +317,20 @@ def _suite_matsumoto(spec: RunSpec, points) -> list[SuiteEntry]:
     n1 = cfg.n1
     out = _Entries(spec, "matsumoto-contraction")
     for wp in workspace(cfg).strips(points):
-        ep, lead, at = wp.product, wp.lead, wp.samples
+        ep, at = wp.product, wp.samples
         M = ep.matsumoto()
         y = wp.factor1.fiber_values()
         lhs = np.einsum("...j,...k,...ajk->...a", y, y, M[..., n1:, :n1, :n1])
         rhs = closed_forms.matsumoto_contraction_rhs(wp)
-        out.feed("mixed-contraction-identity", max_abs(lhs - rhs, lead), at)
+        out.feed("mixed-contraction-identity", lhs - rhs, at)
         yv = ep.fiber_values()
         out.feed("total-fiber-contraction",
                  np.einsum("...a,...b,...c,...abc->...", yv, yv, yv, M), at,
                  "matsumoto-contraction.total")
         if not cfg.both_riemannian:
             # np.minimum, unlike min, keeps a NaN on either side.
-            out.feed("witness-nonzero", np.minimum(max_abs(lhs, lead), max_abs(rhs, lead)), at,
+            out.feed("witness-nonzero",
+                     np.minimum(max_abs(lhs, wp.lead), max_abs(rhs, wp.lead)), at,
                      "matsumoto-contraction.witness",
                      lower="lower bound: both contraction sides must exceed the threshold")
     return out.entries()
@@ -341,17 +341,16 @@ def _suite_berwald(spec: RunSpec, points) -> list[SuiteEntry]:
     witness = cfg.classification() == "doubly-warped" and not cfg.both_riemannian
     out = _Entries(spec, "berwald-blocks")
     for wp in workspace(cfg).strips(points):
-        lead, at = wp.lead, wp.samples
+        at = wp.samples
         B = wp.product.berwald()
         res = closed_forms.compare_blocks(B, closed_forms.berwald_blocks(wp),
                                           cfg.n1, cfg.n2)
         for key in sorted(res):
             out.feed(f"block-{key}", res[key], at)
-        out.feed("total-symmetry", np.maximum(max_abs(B - np.swapaxes(B, -3, -2), lead),
-                                              max_abs(B - np.swapaxes(B, -2, -1), lead)), at,
+        out.feed("total-symmetry", (B - np.swapaxes(B, -3, -2), B - np.swapaxes(B, -2, -1)), at,
                  "berwald-blocks.symmetry")
         if witness:
-            out.feed("witness-nonzero", max_abs(B, lead), at, "berwald-blocks.witness",
+            out.feed("witness-nonzero", B, at, "berwald-blocks.witness",
                      lower="lower bound: a proper non-Riemannian product must have nonzero "
                            "Berwald curvature")
     return out.entries()
@@ -377,13 +376,11 @@ def _suite_closed_form_blocks(spec: RunSpec, points) -> list[SuiteEntry]:
 def _suite_lemma41(spec: RunSpec, points) -> list[SuiteEntry]:
     out = _Entries(spec, "lemma41")
     for wp in workspace(spec.config).strips(points):
-        ep, lead, at = wp.product, wp.lead, wp.samples
+        ep, at = wp.product, wp.samples
         hh = ep.hh_curvature()
-        out.feed("fiber-contraction",
-                 max_abs(np.einsum("...b,...bacd->...acd", ep.fiber_values(), hh)
-                         - ep.bracket_curvature_values(), lead), at)
-        out.feed("pair-antisymmetry", max_abs(hh + np.swapaxes(hh, -2, -1), lead), at,
-                 "lemma41.antisymmetry")
+        out.feed("fiber-contraction", np.einsum("...b,...bacd->...acd", ep.fiber_values(), hh)
+                 - ep.bracket_curvature_values(), at)
+        out.feed("pair-antisymmetry", hh + np.swapaxes(hh, -2, -1), at, "lemma41.antisymmetry")
     return out.entries()
 
 
@@ -417,9 +414,9 @@ def _suite_scalar_flag(spec: RunSpec, points) -> list[SuiteEntry]:
 def _suite_koszul(spec: RunSpec, points) -> list[SuiteEntry]:
     out = _Entries(spec, "koszul-vs-closed")
     for wp in workspace(spec.config).strips(points):
-        lp, lead, at = lifted.of(wp), wp.lead, wp.samples
-        out.feed("metric-compatibility", max_abs(lp.metric_derivative(lp.koszul), lead), at)
-        out.feed("zero-torsion", max_abs(lp.torsion(lp.koszul), lead), at)
+        lp, at = lifted.of(wp), wp.samples
+        out.feed("metric-compatibility", lp.metric_derivative(lp.koszul), at)
+        out.feed("zero-torsion", lp.torsion(lp.koszul), at)
         res = lp.levi_civita_block_residuals()
         for key in sorted(res):
             out.feed(f"closed-form-{key}", res[key], at)
@@ -455,18 +452,17 @@ def _suite_hermitian(spec: RunSpec, points) -> list[SuiteEntry]:
     out.feed("complex-square", [np.max(np.abs(J @ J + np.eye(m)))], [None],
              "hermitian.complex-square")
     for wp in workspace(cfg).strips(points):
-        lp, lead, at = lifted.of(wp), wp.lead, wp.samples
-        out.feed("metric-invariance", max_abs(J.T @ lp.metric @ J - lp.metric, lead), at)
+        lp, at = lifted.of(wp), wp.samples
+        out.feed("metric-invariance", J.T @ lp.metric @ J - lp.metric, at)
         om = lp.symplectic_table()
         expected = np.zeros_like(om)
         expected[..., :n, n:] = lp.g
         expected[..., n:, :n] = -lp.g
-        out.feed("symplectic-frame-table", max_abs(om - expected, lead), at)
-        out.feed("antisymmetry", max_abs(om + np.swapaxes(om, -1, -2), lead), at,
-                 "hermitian.antisymmetry")
-    d_residual, potential_residual = lifted.closedness_check(cfg, points)
-    out.feed("closedness", [d_residual], [None])
-    out.feed("potential-match", [potential_residual], [None])
+        out.feed("symplectic-frame-table", om - expected, at)
+        out.feed("antisymmetry", om + np.swapaxes(om, -1, -2), at, "hermitian.antisymmetry")
+        d, potential = lp.closedness()
+        out.feed("closedness", d, at)
+        out.feed("potential-match", potential, at)
     return out.entries()
 
 
@@ -474,9 +470,9 @@ def _suite_nijenhuis(spec: RunSpec, points) -> list[SuiteEntry]:
     out = _Entries(spec, "nijenhuis")
     for wp in workspace(spec.config).strips(points):
         closed, direct = lifted.of(wp).nijenhuis_tables
-        out.feed("closed-vs-direct", max_abs(closed - direct, wp.lead), wp.samples)
-        out.feed("skew-symmetry", max_abs(direct + np.swapaxes(direct, -3, -2), wp.lead),
-                 wp.samples, "nijenhuis.skew")
+        out.feed("closed-vs-direct", closed - direct, wp.samples)
+        out.feed("skew-symmetry", direct + np.swapaxes(direct, -3, -2), wp.samples,
+                 "nijenhuis.skew")
     return out.entries()
 
 
@@ -491,8 +487,8 @@ def _suite_kahler(spec: RunSpec, points) -> list[SuiteEntry]:
     max_r, max_n = _Tracker(), _Tracker()
     for wp in workspace(spec.config).strips(points):
         lp = lifted.of(wp)
-        max_r.feed_all(max_abs(lp.Rb, wp.lead), wp.samples)
-        max_n.feed_all(max_abs(lp.nijenhuis_tables[1], wp.lead), wp.samples)
+        max_r.feed_all(lp.Rb, wp.samples)
+        max_n.feed_all(lp.nijenhuis_tables[1], wp.samples)
     tol = spec.tolerance("kahler")
     r, nj = max_r.value, max_n.value
     verdict = r <= tol
@@ -515,14 +511,14 @@ def _suite_totally_geodesic(spec: RunSpec, points) -> list[SuiteEntry]:
     # horizontal pairs.
     fg, c, mixed, kos_v, kos_h = (_Tracker() for _ in range(5))
     for wp in workspace(cfg).strips(points):
-        lp, lead, at = lifted.of(wp), wp.lead, wp.samples
-        fg.feed_all(max_abs(lp.Fh - lp.Gf, lead), at)
-        c.feed_all(max_abs(lp.C, lead), at)
+        lp, at = lifted.of(wp), wp.samples
+        fg.feed_all(lp.Fh - lp.Gf, at)
+        c.feed_all(lp.C, at)
         for block in (lp.Rb[..., n1:, :n1, :n1], lp.Rb[..., :n1, :n1, n1:],
                       lp.Rb[..., n1:, :n1, n1:], lp.Rb[..., :n1, n1:, n1:]):
-            mixed.feed_all(max_abs(block, lead), at)
-        kos_v.feed_all(max_abs(lp.koszul[..., n:, n:, :n], lead), at)
-        kos_h.feed_all(max_abs(lp.koszul[..., :n, :n, n:], lead), at)
+            mixed.feed_all(block, at)
+        kos_v.feed_all(lp.koszul[..., n:, n:, :n], at)
+        kos_h.feed_all(lp.koszul[..., :n, :n, n:], at)
     tol = spec.tolerance(suite)
     vertical = fg.value <= tol
     horizontal = c.value <= tol and mixed.value <= tol

@@ -11,6 +11,7 @@ import dwfinsler as dw
 from dwfinsler import CustomFactor, EuclideanFactor, ProductConfig, fixture
 from dwfinsler import lifted as lf
 from dwfinsler import suites
+from dwfinsler.blocks import max_abs
 from dwfinsler.engine import EnginePoint, workspace
 from dwfinsler.runspec import fixture_runspec, parse_spec, sample_points
 from dwfinsler.suites import _point_doc, run_suites
@@ -80,7 +81,7 @@ def test_closed_forms_match_koszul(name):
     for p in region(name, 3):
         lp = lifted_at(cfg, p)
         assert np.max(np.abs(lp.koszul - lf._levi_civita_closed_table(lp))) <= 1e-12
-        assert max(lp.levi_civita_block_residuals().values()) <= 1e-12
+        assert np.max([max_abs(d) for d in lp.levi_civita_block_residuals().values()]) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["FIX-E", "FIX-R"])
@@ -88,7 +89,12 @@ def test_closed_form_discrepancy_report(name):
     cfg = fixture(name)
     res = lifted_at(cfg, region(name, 2)[0]).levi_civita_block_residuals()
     assert set(res) == {f"{a}.{b}" for a in lf.FAMILIES for b in lf.FAMILIES}
-    assert all(v >= 0.0 for v in res.values())
+    # Each pair's rows: its input fields, then every frame component.
+    size = {"h1": cfg.n1, "h2": cfg.n2, "v1": cfg.n1, "v2": cfg.n2}
+    for key, d in res.items():
+        a, b = key.split(".")
+        assert d.shape == (size[a], size[b], 2 * cfg.n)
+        assert max_abs(d) >= 0.0
 
 
 def test_levi_horizontal_coefficient_shared_subterm(fix1d, p1d):
@@ -136,7 +142,8 @@ def test_vaisman_components(fixe, p4):
 def test_vaisman_axioms(name):
     cfg = fixture(name)
     for p in region(name, 3):
-        res = lifted_at(cfg, p).vaisman_axiom_residuals()
+        res = {key: np.max([max_abs(part) for part in parts])
+               for key, parts in lifted_at(cfg, p).vaisman_axiom_residuals().items()}
         assert res["preservation"] == 0.0
         assert res["parallelism"] <= 1e-8
         assert res["torsion"] <= 1e-8
@@ -220,9 +227,16 @@ def test_symplectic_frame_values(fix1d, p1d, fixe, p4):
     assert np.max(np.abs(om + om.T)) <= 1e-12
 
 
+def closedness_residuals(cfg, points) -> tuple[float, float]:
+    """The worst residuals of dOmega = 0 and of the potential test over
+    ``points``, read strip by strip as the hermitian suite reads them."""
+    tables = [lf.of(wp).closedness() for wp in workspace(cfg).strips(points)]
+    return tuple(float(np.max([max_abs(t) for t in column])) for column in zip(*tables))
+
+
 def test_closedness():
     for name in ("FIX-1D", "FIX-E", "FIX-P", "FIX-R"):
-        d_residual, potential_residual = lf.closedness_check(fixture(name), region(name, 3))
+        d_residual, potential_residual = closedness_residuals(fixture(name), region(name, 3))
         assert d_residual <= 1e-12, name
         assert potential_residual <= 1e-10, name
 
@@ -238,7 +252,7 @@ def test_closedness_detects_a_scaled_connection(name, monkeypatch):
     workspace(cfg).clear()
     monkeypatch.setattr(EnginePoint, "nonlinear_connection", scaled)
     try:
-        d_residual, _ = lf.closedness_check(cfg, region(name, 3))
+        d_residual, _ = closedness_residuals(cfg, region(name, 3))
     finally:
         workspace(cfg).clear()  # drop every value built on the scaled N
     assert d_residual > 1e-4

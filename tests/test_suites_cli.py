@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dwfinsler import closed_forms, fixture, suites
+from dwfinsler.blocks import max_abs
 from dwfinsler.cli import main
 from dwfinsler.engine import LIFT_ORDER, EnginePoint, workspace
 from dwfinsler.errors import UnknownSuiteError
 from dwfinsler.runspec import fixture_document, fixture_runspec, sample_points
-from dwfinsler.suites import (SuiteEntry, _entry, _Entries, _Tracker,
+from dwfinsler.suites import (SuiteEntry, _entry, _Entries, _point_doc, _Tracker,
                               emit_report, report_document, report_from_document, run_suites)
 
 
@@ -273,6 +274,45 @@ def test_feed_all_equals_sequential_feed(prior, values, described):
     many.feed_all(values, points, (lambda *index: str(index)) if described else None)
     assert (one.point, one.note) == (many.point, many.note)
     assert one.value == many.value or (math.isnan(one.value) and math.isnan(many.value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(prior=st.lists(_TRACKED, max_size=3), samples=st.integers(1, 4),
+       tails=st.lists(hnp.array_shapes(min_dims=0, max_dims=2, max_side=3), min_size=1,
+                      max_size=3),
+       data=st.data())
+def test_a_tuple_feeds_as_the_largest_of_its_per_sample_maxima(prior, samples, tails, data):
+    # Tensors fed as a tuple are joined sample by sample: the entry keeps the
+    # value bits and the witness of feeding np.maximum of their per-sample
+    # maxima, with NaN at any position, infinities, signed zeros and ties.
+    parts = tuple(data.draw(hnp.arrays(np.float64, (samples,) + tail, elements=_TRACKED))
+                  for tail in tails)
+    points = [f"sample {k}" for k in range(samples)]
+    spec = fixture_runspec("FIX-P", seed=3, count=1)
+    joined, reduced = _Entries(spec, "lemma41"), _Entries(spec, "lemma41")
+    for out in (joined, reduced):
+        for v in prior:
+            out.feed("pair-antisymmetry", [v], ["before"])
+    joined.feed("pair-antisymmetry", parts, points)
+    maxima = [max_abs(part, (samples,)) for part in parts]
+    reduced.feed("pair-antisymmetry", np.maximum.reduce(maxima), points)
+    ((one, _, _),), ((other, _, _),) = joined._fed.values(), reduced._fed.values()
+    assert one.point == other.point
+    assert np.float64(one.value).tobytes() == np.float64(other.value).tobytes()
+
+
+def test_every_tracked_entry_names_a_sampled_witness(reports):
+    # Only a constant of J, the two yes/no verdicts and skipped entries have
+    # no sample to name.
+    unsampled = {("hermitian", "complex-square")}
+    for name, report in reports.items():
+        sampled = [_point_doc(p) for p in sample_points(fixture_runspec(name))]
+        for s in report.suites:
+            for e in s.entries:
+                if (s.name in ("kahler", "totally-geodesic") or e.tolerance is None
+                        or (s.name, e.name) in unsampled):
+                    continue
+                assert e.point in sampled, (name, s.name, e.name, e.point)
 
 
 def test_nan_residual_reaches_max_residual(monkeypatch):
