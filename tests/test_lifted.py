@@ -89,7 +89,7 @@ def test_closed_form_discrepancy_report(name):
     cfg = fixture(name)
     res = lifted_at(cfg, region(name, 2)[0]).levi_civita_block_residuals()
     assert set(res) == {f"{a}.{b}" for a in lf.FAMILIES for b in lf.FAMILIES}
-    # Each pair's rows: its input fields, then every frame component.
+    # A pair's table runs over its first family, its second, and every frame component.
     size = {"h1": cfg.n1, "h2": cfg.n2, "v1": cfg.n1, "v2": cfg.n2}
     for key, d in res.items():
         a, b = key.split(".")
