@@ -52,22 +52,25 @@ curvature, hh and the suites read.  dg is the one adapted derivative kept as a
 jet, and it and H carry order 1, since the adapted derivative of H in hh
 takes one derivative.
 
-All per-point state has one owner and one lifetime: :func:`workspace` keeps
-the :class:`Workspace` of the configuration last asked for, and it keeps one
-slot, the key last asked for (a sample for :meth:`Workspace.at`, a tuple of
-samples for :meth:`Workspace.strips`) with the work points built for it, each
-holding its engine points, warp jets and lifted ingredients.  Another key or
-configuration replaces them.  Every suite of a battery asks for the battery's
-points, and the per-point chain reads a sample's tensors before the next, so
-one slot serves every repeat and memory stays bounded.  The memos are not
-locked: share a workspace across threads only for distinct points.
+Per-point state lives as long as its owner keeps it.  :func:`workspace`
+keeps the :class:`Workspace` of the configuration last asked for, and the
+workspace keeps one slot: the sample last asked for by :meth:`Workspace.at`,
+with its work point, which holds its engine points, warp jets and lifted
+ingredients.  Another sample or configuration replaces it; the per-point
+chain reads a sample's tensors before the next.  :meth:`Workspace.strips`
+keeps nothing: each strip is built when asked for and belongs to its reader.
+The battery reads each strip with every suite before it asks for the next,
+and no work point sits in a reference cycle, so reference counting frees a
+strip once it is dropped and a battery holds one strip at a time, however
+many points it reads.  The memos are not locked: share a workspace across
+threads only for distinct points.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -455,56 +458,50 @@ class Workspace:
         self.factor2 = FinslerEngine(cfg.F2_squared,
                                      tuple(c for c in cfg.base if c.factor == 2),
                                      tuple(c for c in cfg.fiber if c.factor == 2))
-        self._slot: tuple = (None, None)  # the last key, and what was built for it
+        self._slot: tuple = (None, None)  # the last sample, and its work point
         self._lift_size: int | None = None  # lift coefficients per sample
 
-    def _held(self, key, build: Callable):
-        """What was built for ``key`` if it is the last key, else ``build()`` in its place."""
-        held, got = self._slot
-        if held is not key and held != key:
-            got = build()
-            self._slot = (key, got)
-        return got
-
     def at(self, sample: TangentSample) -> "WorkPoint":
-        """The work point of ``sample``: validated, built and kept as :meth:`_held`."""
-        return self._held(sample, lambda: WorkPoint(self, sample))
+        """The work point of ``sample``: validated, built, and kept while
+        ``sample`` is the last one asked for."""
+        held, wp = self._slot
+        if held is not sample and held != sample:
+            wp = WorkPoint(self, sample)
+            self._slot = (sample, wp)
+        return wp
 
-    def strips(self, samples: Sequence[TangentSample]) -> list["WorkPoint"]:
+    def strips(self, samples: Sequence[TangentSample]) -> Iterator["WorkPoint"]:
         """``samples`` in order, as consecutive strips: each one work point over
-        its samples as a batch, kept as :meth:`_held` for the whole tuple.
+        its samples as a batch, built when it is asked for and not kept.
 
         A strip holds ``STRIP_COEFFICIENTS`` over the coefficient count of the
-        product lift of one sample, so memory stays bounded at large
-        dimensions, where strips fall back to single samples.
+        product lift of one sample, and at least one sample.  A caller that
+        drops each strip before it asks for the next holds one at a time.
         """
         samples = tuple(samples)
-        return self._held(samples, lambda: self._split(samples))
-
-    def _split(self, samples: tuple[TangentSample, ...]) -> list["WorkPoint"]:
         if self._lift_size is None and samples:
             seeds = support_lift(self.product.field, samples[0], self.product.coords, 1).seeds
             self._lift_size = math.comb(len(seeds) + LIFT_ORDER, LIFT_ORDER)
         size = max(1, STRIP_COEFFICIENTS // (self._lift_size or 1))
-        chunks = [samples[i:i + size] for i in range(0, len(samples), size)]
-        out = [WorkPoint(self, SampleBatch.of(chunk)) for chunk in chunks]
-        for strip, chunk in zip(out, chunks):
+        for i in range(0, len(samples), size):
+            chunk = samples[i:i + size]
+            strip = WorkPoint(self, SampleBatch.of(chunk))
             strip.samples = chunk
-        return out
+            yield strip
 
     def clear(self) -> None:
-        """Drop what is kept for the last key."""
+        """Drop the work point kept for the last sample."""
         self._slot = (None, None)
 
 
 class WorkPoint:
     """Everything computed at one sample: engine points, warp jets, lifted data.
 
-    A work point built directly, not through :meth:`Workspace.at` or
-    :meth:`Workspace.strips`, is not kept and lives as long as its caller
-    keeps it; one that is read only for low tensor values may lift at
-    ``VALUE_ORDER``, or at ``SPRAY_ORDER`` when it is read only for g and the
-    spray.  Its sample may be a
+    Only the work point of :meth:`Workspace.at` is kept, in the workspace's
+    slot; any other, a strip of :meth:`Workspace.strips` included, lives as
+    long as its caller keeps it.  One that is read only for low tensor values
+    may lift at ``VALUE_ORDER``, or at ``SPRAY_ORDER`` when it is read only
+    for g and the spray.  Its sample may be a
     :class:`~dwfinsler.metrics.SampleBatch`: every value then carries a
     leading axis over its samples (``lead``).  A strip of
     :meth:`Workspace.strips` also keeps its samples, in order, as ``samples``.

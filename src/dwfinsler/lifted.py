@@ -44,14 +44,19 @@ class _LiftedPoint:
     Two frame arrays carry everything the connection tables need:
     ``dm[..., A, B, C]`` is e_A applied to the component field m(e_B, e_C), and
     ``br[..., A, B]`` is the Lie bracket [e_A, e_B] in frame components.
+    It keeps the work point's engine points, its two squared warps and its
+    coordinates, not the work point, which it would otherwise keep alive.
     """
 
     def __init__(self, wp: WorkPoint):
-        self.wp = wp
-        self.n1, self.n2 = wp.cfg.n1, wp.cfg.n2
-        n = self.n = wp.cfg.n
+        cfg = wp.cfg
+        self.n1, self.n2 = cfg.n1, cfg.n2
+        n = self.n = cfg.n
         lead = self.lead = wp.lead
-        ep = wp.product
+        ep = self.product = wp.product
+        self.factors = (wp.factor1, wp.factor2)
+        self.warps_sq = (wp.warp_sq(1), wp.warp_sq(2))
+        self.coords = cfg.base + cfg.fiber
         self.g = ep.g_values()
         self.C = ep.cartan()
         self.Rb = ep.bracket_curvature_values()
@@ -82,7 +87,7 @@ class _LiftedPoint:
         return table - np.einsum("...yxk->...xyk", table) - self.br
 
     def cartan_up(self, which: int) -> np.ndarray:
-        eng = self.wp.factor(which)
+        eng = self.factors[which - 1]
         return np.einsum("...sh,...hij->...sij", eng.ginv_values(), eng.cartan())
 
     # The two connection tables are solved once per point and shared read-only.
@@ -145,12 +150,10 @@ class _LiftedPoint:
         """
         n, n1 = self.n, self.n1
         defect = self.metric_derivative(self.vaisman)[..., n:, :n, :n]
-        wp = self.wp
+        (f1, f2), (w1, w2) = self.factors, self.warps_sq
         identity = np.zeros(self.lead + (n, n, n))
-        identity[..., :n1, :n1, :n1] = (scalar_axes(2.0 * wp.warp_sq(2), 3)
-                                        * wp.factor1.cartan())
-        identity[..., n1:, n1:, n1:] = (scalar_axes(2.0 * wp.warp_sq(1), 3)
-                                        * wp.factor2.cartan())
+        identity[..., :n1, :n1, :n1] = scalar_axes(2.0 * w2, 3) * f1.cartan()
+        identity[..., n1:, n1:, n1:] = scalar_axes(2.0 * w1, 3) * f2.cartan()
         return defect, identity
 
     def symplectic_table(self) -> np.ndarray:
@@ -173,11 +176,11 @@ class _LiftedPoint:
         form equals minus that derivative.
         """
         n, lead = self.n, self.lead
-        zs = self.wp.cfg.base + self.wp.cfg.fiber
+        zs = self.coords
         m = len(zs)
         i = np.arange(m)
         increasing = (i[:, None, None] < i[None, :, None]) & (i[None, :, None] < i[None, None, :])
-        ep = self.wp.product
+        ep = self.product
         g = ep.g_values()
         N = ep.nonlinear_connection_values()
         # Omega plus the exterior derivative of the canonical one-form: the
@@ -267,10 +270,10 @@ def _levi_civita_closed_table(lp: _LiftedPoint) -> np.ndarray:
     ``...``, the sample axis of a strip.
     """
     n, n1 = lp.n, lp.n1
-    wp = lp.wp
-    g1, g2 = wp.factor1.g_values(), wp.factor2.g_values()
-    g1inv, g2inv = wp.factor1.ginv_values(), wp.factor2.ginv_values()
-    w1, w2 = wp.warp_sq(1), wp.warp_sq(2)
+    f1, f2 = lp.factors
+    g1, g2 = f1.g_values(), f2.g_values()
+    g1inv, g2inv = f1.ginv_values(), f2.ginv_values()
+    w1, w2 = lp.warps_sq
     C1u, C2u = lp.cartan_up(1), lp.cartan_up(2)
     Rb, Gf, Fh, dg = lp.Rb, lp.Gf, lp.Fh, lp.dg
     G1 = np.einsum("...rab,...rk->...abk", Gf[..., :n1, :, :], g1)

@@ -5,10 +5,13 @@ tolerances and pass/fail verdicts; expected failures (theorem contrapositives
 on non-Riemannian fixtures) are declared in the run spec and asserted as
 failure-as-success by the runner.
 
-The sampled points are evaluated as strips (:meth:`Workspace.strips`): each
-strip is one engine point over a batch of samples, shared by every suite, and
-each suite reads its tensors as arrays whose leading axis runs over the
-strip's samples.  A suite names each entry once, where it feeds it to its
+Each suite is a step, ``SUITES[name]``, that reads one strip and feeds its
+suite's :class:`_Entries`.  :func:`run_suites` walks the sampled points once,
+as strips (:meth:`Workspace.strips`): each strip is one engine point over a
+batch of samples, every suite's step reads it in turn, and it is dropped
+before the next is built, so a battery holds one strip at a time.  A step
+reads its tensors as arrays whose leading axis runs over the strip's samples.
+A suite names each entry once, where it feeds it to its
 :class:`_Entries`: the first feed makes the entry's tracker and fixes its
 tolerance name and, for a lower-bound witness, its note, and the entries are
 reported in the order they were first fed.  A feed hands over the strip's
@@ -19,8 +22,11 @@ one by one would, and passes that one value through :meth:`_Tracker.feed`,
 the funnel a caller can wrap to see them.  Only a per-sample statistic that
 is not a maximum (the Matsumoto witness, the isotropy defect) is reduced
 before its feed.  The two yes/no verdicts, ``kahler`` and
-``totally-geodesic``, feed the tensors whose maxima they compare to trackers
-of their own the same way, strip by strip.
+``totally-geodesic``, feed the tensors whose maxima they compare the same
+way, and :data:`_VERDICTS` turns those maxima into verdicts once every strip
+is read.  A suite whose precondition fails reports one informational entry
+(:meth:`_Entries.skip`), and ``fd-crosscheck`` keeps its first samples as
+they arrive and checks them on the strip that completes them.
 """
 
 from __future__ import annotations
@@ -148,14 +154,18 @@ class _Entries:
     value reaches the tolerance and reports the margin below it.  Feeding the
     entry again under another tolerance name or bound is a ``ValueError``.
     ``values`` is a residual tensor whose leading axis runs over ``points``,
-    or a tuple of them, joined sample by sample.
+    or a tuple of them, joined sample by sample.  A suite whose precondition
+    fails reports one informational entry, set by :meth:`skip`, and a verdict
+    suite (:data:`_VERDICTS`) reports its verdicts on the worst values fed.
+    ``carry`` is what a step keeps from one strip for a later one.
     """
 
-    __slots__ = ("spec", "suite", "_fed")
+    __slots__ = ("spec", "suite", "carry", "_fed", "_skipped")
 
     def __init__(self, spec: RunSpec, suite: str):
-        self.spec, self.suite = spec, suite
+        self.spec, self.suite, self.carry = spec, suite, []
         self._fed: dict[str, tuple[_Tracker, str | None, str | None]] = {}
+        self._skipped: SuiteEntry | None = None
 
     def feed(self, name: str, values, points, tol: str | None = None, describe=None,
              lower: str | None = None) -> None:
@@ -169,7 +179,19 @@ class _Entries:
             values = np.concatenate([np.reshape(v, (len(points), -1)) for v in values], 1)
         got[0].feed_all(values, points, describe)
 
+    def skip(self, name: str, note: str = "") -> None:
+        """Report only the passing informational entry ``name``."""
+        self._skipped = SuiteEntry(self.suite, name, 0.0, None, True, None, note)
+
+    def worst(self, name: str) -> float:
+        """The worst value fed to entry ``name``."""
+        return self._fed[name][0].value
+
     def entries(self) -> list[SuiteEntry]:
+        if self._skipped is not None:
+            return [self._skipped]
+        if self.suite in _VERDICTS:
+            return _VERDICTS[self.suite](self)
         out = []
         for name, (tracker, tol, lower) in self._fed.items():
             if lower is None:
@@ -241,239 +263,210 @@ def _scalar_flag(wp: WorkPoint):
 
 
 # ---------------------------------------------------------------------------
-# Suite implementations
+# Suite steps: each reads one strip and feeds its suite's entries
 # ---------------------------------------------------------------------------
 
-def _suite_homogeneity(spec: RunSpec, points) -> list[SuiteEntry]:
-    cfg = spec.config
-    ws = workspace(cfg)
+def _suite_homogeneity(out: _Entries, wp: WorkPoint) -> None:
+    cfg, at = wp.cfg, wp.samples
     n1 = cfg.n1
     scales = (0.5, 2.0, 7.0)
-    out = _Entries(spec, "homogeneity")
-    for wp in ws.strips(points):
-        ep, at = wp.product, wp.samples
-        # The rescaled copies of a strip are evaluated once, as one batch over
-        # (sample, scale), and not kept in the workspace.
-        scaled = WorkPoint(ws, wp.sample.fiber_scaled(scales), SPRAY_ORDER).product
-        scaled_g = scaled.g_values().reshape(len(at), len(scales), cfg.n, cfg.n)
-        # The spray at scale 2, the second of the three.
-        scaled_spray = scaled.spray_values().reshape(len(at), len(scales), cfg.n)[:, 1]
-        g = ep.g_values()
-        for k, lam in enumerate(scales):
-            out.feed(f"metric-rescale-{lam}", scaled_g[:, k] - g, at, "homogeneity.metric")
-        G = ep.spray_values()
-        out.feed("spray-rescale", scaled_spray - 4.0 * G, at, "homogeneity.spray")
-        N = ep.nonlinear_connection_values()
-        yv = ep.fiber_values()
-        out.feed("connection-euler", matvec(N, yv) - 2.0 * G, at, "homogeneity.spray")
-        contr = np.einsum("...abc,...c->...ab", ep.connection_fiber_values(), yv) - N
-        out.feed("connection-degree-11", contr[..., :n1, :n1], at)
-        out.feed("connection-degree-12", contr[..., :n1, n1:], at)
-        out.feed("connection-degree-21", contr[..., n1:, :n1], at)
-        out.feed("connection-degree-22", contr[..., n1:, n1:], at)
-    return out.entries()
+    ep = wp.product
+    # The rescaled copies of a strip are evaluated once, as one batch over
+    # (sample, scale), and not kept in the workspace.
+    scaled = WorkPoint(workspace(cfg), wp.sample.fiber_scaled(scales), SPRAY_ORDER).product
+    scaled_g = scaled.g_values().reshape(len(at), len(scales), cfg.n, cfg.n)
+    # The spray at scale 2, the second of the three.
+    scaled_spray = scaled.spray_values().reshape(len(at), len(scales), cfg.n)[:, 1]
+    g = ep.g_values()
+    for k, lam in enumerate(scales):
+        out.feed(f"metric-rescale-{lam}", scaled_g[:, k] - g, at, "homogeneity.metric")
+    G = ep.spray_values()
+    out.feed("spray-rescale", scaled_spray - 4.0 * G, at, "homogeneity.spray")
+    N = ep.nonlinear_connection_values()
+    yv = ep.fiber_values()
+    out.feed("connection-euler", matvec(N, yv) - 2.0 * G, at, "homogeneity.spray")
+    contr = np.einsum("...abc,...c->...ab", ep.connection_fiber_values(), yv) - N
+    out.feed("connection-degree-11", contr[..., :n1, :n1], at)
+    out.feed("connection-degree-12", contr[..., :n1, n1:], at)
+    out.feed("connection-degree-21", contr[..., n1:, :n1], at)
+    out.feed("connection-degree-22", contr[..., n1:, n1:], at)
 
 
-def _suite_block_structure(spec: RunSpec, points) -> list[SuiteEntry]:
-    cfg = spec.config
-    n1 = cfg.n1
-    pure = np.zeros((cfg.n,) * 3, dtype=bool)
-    pure[:n1, :n1, :n1] = True
-    pure[n1:, n1:, n1:] = True
-    out = _Entries(spec, "block-structure")
-    for wp in workspace(cfg).strips(points):
-        ep, at = wp.product, wp.samples
-        g = ep.g_values()
-        out.feed("metric-off-block", (g[..., :n1, n1:], g[..., n1:, :n1]), at)
-        C = ep.cartan()
-        out.feed("cartan-mixed-block", C[..., ~pure], at)
-        expect = closed_forms.cartan_scaled_factor_blocks(wp)
-        out.feed("cartan-warp-scaled", (C[..., :n1, :n1, :n1] - expect["111"],
-                                        C[..., n1:, n1:, n1:] - expect["222"]), at,
-                 "block-structure.scaled")
-        I = ep.mean_cartan()
-        out.feed("mean-cartan-factor", (I[..., :n1] - wp.factor1.mean_cartan(),
-                                        I[..., n1:] - wp.factor2.mean_cartan()), at,
-                 "block-structure.scaled")
-        yv = ep.fiber_values()
-        out.feed("angular-annihilates-fiber", matvec(ep.angular(), yv), at,
-                 "block-structure.null")
-        out.feed("cartan-annihilates-fiber", np.einsum("...abc,...c->...ab", C, yv), at,
-                 "block-structure.null")
-    return out.entries()
+def _suite_block_structure(out: _Entries, wp: WorkPoint) -> None:
+    n1 = wp.cfg.n1
+    ep, at = wp.product, wp.samples
+    g = ep.g_values()
+    out.feed("metric-off-block", (g[..., :n1, n1:], g[..., n1:, :n1]), at)
+    C = ep.cartan()
+    pure = np.zeros((wp.cfg.n,) * 3, dtype=bool)
+    pure[:n1, :n1, :n1] = pure[n1:, n1:, n1:] = True
+    out.feed("cartan-mixed-block", C[..., ~pure], at)
+    expect = closed_forms.cartan_scaled_factor_blocks(wp)
+    out.feed("cartan-warp-scaled", (C[..., :n1, :n1, :n1] - expect["111"],
+                                    C[..., n1:, n1:, n1:] - expect["222"]), at,
+             "block-structure.scaled")
+    I = ep.mean_cartan()
+    out.feed("mean-cartan-factor", (I[..., :n1] - wp.factor1.mean_cartan(),
+                                    I[..., n1:] - wp.factor2.mean_cartan()), at,
+             "block-structure.scaled")
+    yv = ep.fiber_values()
+    out.feed("angular-annihilates-fiber", matvec(ep.angular(), yv), at,
+             "block-structure.null")
+    out.feed("cartan-annihilates-fiber", np.einsum("...abc,...c->...ab", C, yv), at,
+             "block-structure.null")
 
 
-def _suite_yfg(spec: RunSpec, points) -> list[SuiteEntry]:
-    out = _Entries(spec, "yF=G")
-    for wp in workspace(spec.config).strips(points):
-        ep = wp.product
-        lhs = np.einsum("...c,...abc->...ab", ep.fiber_values(), ep.horizontal_values())
-        out.feed("contraction", lhs - ep.nonlinear_connection_values(), wp.samples)
-    return out.entries()
+def _suite_yfg(out: _Entries, wp: WorkPoint) -> None:
+    ep = wp.product
+    lhs = np.einsum("...c,...abc->...ab", ep.fiber_values(), ep.horizontal_values())
+    out.feed("contraction", lhs - ep.nonlinear_connection_values(), wp.samples)
 
 
-def _suite_matsumoto(spec: RunSpec, points) -> list[SuiteEntry]:
-    cfg = spec.config
-    n1 = cfg.n1
-    out = _Entries(spec, "matsumoto-contraction")
-    for wp in workspace(cfg).strips(points):
-        ep, at = wp.product, wp.samples
-        M = ep.matsumoto()
-        y = wp.factor1.fiber_values()
-        lhs = np.einsum("...j,...k,...ajk->...a", y, y, M[..., n1:, :n1, :n1])
-        rhs = closed_forms.matsumoto_contraction_rhs(wp)
-        out.feed("mixed-contraction-identity", lhs - rhs, at)
-        yv = ep.fiber_values()
-        out.feed("total-fiber-contraction",
-                 np.einsum("...a,...b,...c,...abc->...", yv, yv, yv, M), at,
-                 "matsumoto-contraction.total")
-        if not cfg.both_riemannian:
-            # np.minimum, unlike min, keeps a NaN on either side.
-            out.feed("witness-nonzero",
-                     np.minimum(max_abs(lhs, wp.lead), max_abs(rhs, wp.lead)), at,
-                     "matsumoto-contraction.witness",
-                     lower="lower bound: both contraction sides must exceed the threshold")
-    return out.entries()
+def _suite_matsumoto(out: _Entries, wp: WorkPoint) -> None:
+    n1 = wp.cfg.n1
+    ep, at = wp.product, wp.samples
+    M = ep.matsumoto()
+    y = wp.factor1.fiber_values()
+    lhs = np.einsum("...j,...k,...ajk->...a", y, y, M[..., n1:, :n1, :n1])
+    rhs = closed_forms.matsumoto_contraction_rhs(wp)
+    out.feed("mixed-contraction-identity", lhs - rhs, at)
+    yv = ep.fiber_values()
+    out.feed("total-fiber-contraction",
+             np.einsum("...a,...b,...c,...abc->...", yv, yv, yv, M), at,
+             "matsumoto-contraction.total")
+    if not wp.cfg.both_riemannian:
+        # np.minimum, unlike min, keeps a NaN on either side.
+        out.feed("witness-nonzero",
+                 np.minimum(max_abs(lhs, wp.lead), max_abs(rhs, wp.lead)), at,
+                 "matsumoto-contraction.witness",
+                 lower="lower bound: both contraction sides must exceed the threshold")
 
 
-def _suite_berwald(spec: RunSpec, points) -> list[SuiteEntry]:
-    cfg = spec.config
-    witness = cfg.classification() == "doubly-warped" and not cfg.both_riemannian
-    out = _Entries(spec, "berwald-blocks")
-    for wp in workspace(cfg).strips(points):
-        at = wp.samples
-        B = wp.product.berwald()
-        res = closed_forms.compare_blocks(B, closed_forms.berwald_blocks(wp),
-                                          cfg.n1, cfg.n2)
-        for key in sorted(res):
-            out.feed(f"block-{key}", res[key], at)
-        out.feed("total-symmetry", (B - np.swapaxes(B, -3, -2), B - np.swapaxes(B, -2, -1)), at,
-                 "berwald-blocks.symmetry")
-        if witness:
-            out.feed("witness-nonzero", B, at, "berwald-blocks.witness",
-                     lower="lower bound: a proper non-Riemannian product must have nonzero "
-                           "Berwald curvature")
-    return out.entries()
+def _suite_berwald(out: _Entries, wp: WorkPoint) -> None:
+    cfg, at = wp.cfg, wp.samples
+    B = wp.product.berwald()
+    res = closed_forms.compare_blocks(B, closed_forms.berwald_blocks(wp), cfg.n1, cfg.n2)
+    for key in sorted(res):
+        out.feed(f"block-{key}", res[key], at)
+    out.feed("total-symmetry", (B - np.swapaxes(B, -3, -2), B - np.swapaxes(B, -2, -1)), at,
+             "berwald-blocks.symmetry")
+    if cfg.classification() == "doubly-warped" and not cfg.both_riemannian:
+        out.feed("witness-nonzero", B, at, "berwald-blocks.witness",
+                 lower="lower bound: a proper non-Riemannian product must have nonzero "
+                       "Berwald curvature")
 
 
-def _suite_closed_form_blocks(spec: RunSpec, points) -> list[SuiteEntry]:
+def _suite_closed_form_blocks(out: _Entries, wp: WorkPoint) -> None:
     """The engine's spray, N, Gf and H against their warped closed forms, block by block."""
-    cfg = spec.config
-    out = _Entries(spec, "closed-form-blocks")
-    for wp in workspace(cfg).strips(points):
-        ep = wp.product
-        for tensor, generic, closed in (
-                ("spray", ep.spray_values(), closed_forms.spray_blocks(wp)),
-                ("N", ep.nonlinear_connection_values(),
-                 closed_forms.nonlinear_connection_blocks(wp)),
-                ("Gf", ep.connection_fiber_values(), closed_forms.connection_fiber_blocks(wp)),
-                ("H", ep.horizontal_values(), closed_forms.horizontal_blocks(wp))):
-            for key, val in closed_forms.compare_blocks(generic, closed, cfg.n1, cfg.n2).items():
-                out.feed(f"closed-form-{tensor}.{key}", val, wp.samples)
-    return out.entries()
+    cfg, ep = wp.cfg, wp.product
+    for tensor, generic, closed in (
+            ("spray", ep.spray_values(), closed_forms.spray_blocks(wp)),
+            ("N", ep.nonlinear_connection_values(),
+             closed_forms.nonlinear_connection_blocks(wp)),
+            ("Gf", ep.connection_fiber_values(), closed_forms.connection_fiber_blocks(wp)),
+            ("H", ep.horizontal_values(), closed_forms.horizontal_blocks(wp))):
+        for key, val in closed_forms.compare_blocks(generic, closed, cfg.n1, cfg.n2).items():
+            out.feed(f"closed-form-{tensor}.{key}", val, wp.samples)
 
 
-def _suite_lemma41(spec: RunSpec, points) -> list[SuiteEntry]:
-    out = _Entries(spec, "lemma41")
-    for wp in workspace(spec.config).strips(points):
-        ep, at = wp.product, wp.samples
-        hh = ep.hh_curvature()
-        out.feed("fiber-contraction", np.einsum("...b,...bacd->...acd", ep.fiber_values(), hh)
-                 - ep.bracket_curvature_values(), at)
-        out.feed("pair-antisymmetry", hh + np.swapaxes(hh, -2, -1), at, "lemma41.antisymmetry")
-    return out.entries()
+def _suite_lemma41(out: _Entries, wp: WorkPoint) -> None:
+    ep, at = wp.product, wp.samples
+    hh = ep.hh_curvature()
+    out.feed("fiber-contraction", np.einsum("...b,...bacd->...acd", ep.fiber_values(), hh)
+             - ep.bracket_curvature_values(), at)
+    out.feed("pair-antisymmetry", hh + np.swapaxes(hh, -2, -1), at, "lemma41.antisymmetry")
 
 
-def _suite_con1(spec: RunSpec, points) -> list[SuiteEntry]:
-    cfg = spec.config
-    if not cfg.factor1.is_riemannian:
-        return [SuiteEntry("con1", "skipped (factor 1 not Riemannian)", 0.0, None,
-                           True, None, "identity undefined for this configuration")]
-    out = _Entries(spec, "con1")
-    for wp in workspace(cfg).strips(points):
-        first, second = _flat_factor(wp)
-        out.feed("first-factor-block", first, wp.samples)
-        if second is not None:
-            out.feed("second-factor-block", second, wp.samples)
-    return out.entries()
+def _suite_con1(out: _Entries, wp: WorkPoint) -> None:
+    if not wp.cfg.factor1.is_riemannian:
+        out.skip("skipped (factor 1 not Riemannian)", "identity undefined for this configuration")
+        return
+    first, second = _flat_factor(wp)
+    out.feed("first-factor-block", first, wp.samples)
+    if second is not None:
+        out.feed("second-factor-block", second, wp.samples)
 
 
-def _suite_scalar_flag(spec: RunSpec, points) -> list[SuiteEntry]:
-    cfg = spec.config
-    if not cfg.factor1.is_riemannian or cfg.n1 < 2:
-        return [SuiteEntry("scalar-flag", "skipped (needs Riemannian factor 1, n1 >= 2)",
-                           0.0, None, True, None, "")]
-    out = _Entries(spec, "scalar-flag")
-    for wp in workspace(cfg).strips(points):
-        lam, defect = _scalar_flag(wp)
-        out.feed("isotropy-defect", defect, wp.samples,
-                 describe=lambda k: f"fitted coefficient {lam[k]:.6g}")
-    return out.entries()
+def _suite_scalar_flag(out: _Entries, wp: WorkPoint) -> None:
+    if not wp.cfg.factor1.is_riemannian or wp.cfg.n1 < 2:
+        out.skip("skipped (needs Riemannian factor 1, n1 >= 2)")
+        return
+    lam, defect = _scalar_flag(wp)
+    out.feed("isotropy-defect", defect, wp.samples,
+             describe=lambda k: f"fitted coefficient {lam[k]:.6g}")
 
 
-def _suite_koszul(spec: RunSpec, points) -> list[SuiteEntry]:
-    out = _Entries(spec, "koszul-vs-closed")
-    for wp in workspace(spec.config).strips(points):
-        lp, at = lifted.of(wp), wp.samples
-        out.feed("metric-compatibility", lp.metric_derivative(lp.koszul), at)
-        out.feed("zero-torsion", lp.torsion(lp.koszul), at)
-        res = lp.levi_civita_block_residuals()
-        for key in sorted(res):
-            out.feed(f"closed-form-{key}", res[key], at)
-    return out.entries()
+def _suite_koszul(out: _Entries, wp: WorkPoint) -> None:
+    lp, at = lifted.of(wp), wp.samples
+    out.feed("metric-compatibility", lp.metric_derivative(lp.koszul), at)
+    out.feed("zero-torsion", lp.torsion(lp.koszul), at)
+    res = lp.levi_civita_block_residuals()
+    for key in sorted(res):
+        out.feed(f"closed-form-{key}", res[key], at)
 
 
-def _suite_vaisman(spec: RunSpec, points) -> list[SuiteEntry]:
-    out = _Entries(spec, "vaisman-axioms")
-    for wp in workspace(spec.config).strips(points):
-        for key, val in lifted.of(wp).vaisman_axiom_residuals().items():
-            out.feed(key, val, wp.samples)
-    return out.entries()
+def _suite_vaisman(out: _Entries, wp: WorkPoint) -> None:
+    for key, val in lifted.of(wp).vaisman_axiom_residuals().items():
+        out.feed(key, val, wp.samples)
 
 
-def _suite_reinhart(spec: RunSpec, points) -> list[SuiteEntry]:
-    def note(sample, a, b, c):
-        return f"X=vertical[{a}], Y=horizontal[{b}], Z=horizontal[{c}]"
-
-    out = _Entries(spec, "reinhart")
-    for wp in workspace(spec.config).strips(points):
-        d, i = lifted.of(wp).reinhart_tables()
-        out.feed("identity-match", d - i, wp.samples, "reinhart.identity", note)
-        out.feed("transversal-parallelism", d, wp.samples, describe=note)
-    return out.entries()
+def _reinhart_note(sample, a, b, c) -> str:
+    return f"X=vertical[{a}], Y=horizontal[{b}], Z=horizontal[{c}]"
 
 
-def _suite_hermitian(spec: RunSpec, points) -> list[SuiteEntry]:
-    cfg = spec.config
-    J = lifted.ComplexStructure(cfg.n1, cfg.n2).matrix()
-    m = J.shape[0]
-    n = cfg.n
-    out = _Entries(spec, "hermitian")
-    out.feed("complex-square", [np.max(np.abs(J @ J + np.eye(m)))], [None],
+def _suite_reinhart(out: _Entries, wp: WorkPoint) -> None:
+    d, i = lifted.of(wp).reinhart_tables()
+    out.feed("identity-match", d - i, wp.samples, "reinhart.identity", _reinhart_note)
+    out.feed("transversal-parallelism", d, wp.samples, describe=_reinhart_note)
+
+
+def _suite_hermitian(out: _Entries, wp: WorkPoint) -> None:
+    n = wp.cfg.n
+    J = lifted.ComplexStructure(wp.cfg.n1, wp.cfg.n2).matrix()
+    out.feed("complex-square", [np.max(np.abs(J @ J + np.eye(2 * n)))], [None],
              "hermitian.complex-square")
-    for wp in workspace(cfg).strips(points):
-        lp, at = lifted.of(wp), wp.samples
-        out.feed("metric-invariance", J.T @ lp.metric @ J - lp.metric, at)
-        om = lp.symplectic_table()
-        expected = np.zeros_like(om)
-        expected[..., :n, n:] = lp.g
-        expected[..., n:, :n] = -lp.g
-        out.feed("symplectic-frame-table", om - expected, at)
-        out.feed("antisymmetry", om + np.swapaxes(om, -1, -2), at, "hermitian.antisymmetry")
-        d, potential = lp.closedness()
-        out.feed("closedness", d, at)
-        out.feed("potential-match", potential, at)
-    return out.entries()
+    lp, at = lifted.of(wp), wp.samples
+    out.feed("metric-invariance", J.T @ lp.metric @ J - lp.metric, at)
+    om = lp.symplectic_table()
+    expected = np.zeros_like(om)
+    expected[..., :n, n:] = lp.g
+    expected[..., n:, :n] = -lp.g
+    out.feed("symplectic-frame-table", om - expected, at)
+    out.feed("antisymmetry", om + np.swapaxes(om, -1, -2), at, "hermitian.antisymmetry")
+    d, potential = lp.closedness()
+    out.feed("closedness", d, at)
+    out.feed("potential-match", potential, at)
 
 
-def _suite_nijenhuis(spec: RunSpec, points) -> list[SuiteEntry]:
-    out = _Entries(spec, "nijenhuis")
-    for wp in workspace(spec.config).strips(points):
-        closed, direct = lifted.of(wp).nijenhuis_tables
-        out.feed("closed-vs-direct", closed - direct, wp.samples)
-        out.feed("skew-symmetry", direct + np.swapaxes(direct, -3, -2), wp.samples,
-                 "nijenhuis.skew")
-    return out.entries()
+def _suite_nijenhuis(out: _Entries, wp: WorkPoint) -> None:
+    closed, direct = lifted.of(wp).nijenhuis_tables
+    out.feed("closed-vs-direct", closed - direct, wp.samples)
+    out.feed("skew-symmetry", direct + np.swapaxes(direct, -3, -2), wp.samples,
+             "nijenhuis.skew")
+
+
+def _suite_kahler(out: _Entries, wp: WorkPoint) -> None:
+    lp = lifted.of(wp)
+    out.feed("bracket-curvature", lp.Rb, wp.samples)
+    out.feed("integrability-obstruction", lp.nijenhuis_tables[1], wp.samples)
+
+
+def _suite_totally_geodesic(out: _Entries, wp: WorkPoint) -> None:
+    least = TOTALLY_GEODESIC_MIN_POINTS
+    if out.spec.sampling.count < least:
+        out.skip(f"skipped (needs >= {least} points)")
+        return
+    n1, n = wp.cfg.n1, wp.cfg.n
+    lp, at = lifted.of(wp), wp.samples
+    Rb = lp.Rb
+    # |F - G|, |C|, the four mixed bracket blocks, and the Koszul table's
+    # horizontal part on vertical pairs and vertical part on horizontal pairs.
+    out.feed("fiber-horizontal-gap", lp.Fh - lp.Gf, at)
+    out.feed("cartan", lp.C, at)
+    out.feed("mixed-brackets", (Rb[..., n1:, :n1, :n1], Rb[..., :n1, :n1, n1:],
+                                Rb[..., n1:, :n1, n1:], Rb[..., :n1, n1:, n1:]), at)
+    out.feed("koszul-vertical-pairs", lp.koszul[..., n:, n:, :n], at)
+    out.feed("koszul-horizontal-pairs", lp.koszul[..., :n, :n, n:], at)
 
 
 def _binary(suite: str, name: str, holds: bool, note: str) -> SuiteEntry:
@@ -481,16 +474,11 @@ def _binary(suite: str, name: str, holds: bool, note: str) -> SuiteEntry:
     return SuiteEntry(suite, name, 0.0 if holds else 1.0, 0.0, holds, None, note)
 
 
-def _suite_kahler(spec: RunSpec, points) -> list[SuiteEntry]:
+def _kahler_verdict(out: _Entries) -> list[SuiteEntry]:
     # Kahler iff the horizontal distribution is integrable: max |R| and the
     # largest integrability obstruction max |N_J| fall on one side of tol.
-    max_r, max_n = _Tracker(), _Tracker()
-    for wp in workspace(spec.config).strips(points):
-        lp = lifted.of(wp)
-        max_r.feed_all(lp.Rb, wp.samples)
-        max_n.feed_all(lp.nijenhuis_tables[1], wp.samples)
-    tol = spec.tolerance("kahler")
-    r, nj = max_r.value, max_n.value
+    tol = out.spec.tolerance("kahler")
+    r, nj = out.worst("bracket-curvature"), out.worst("integrability-obstruction")
     verdict = r <= tol
     note = (f"verdict={'kahler' if verdict else 'not kahler'}, "
             f"max bracket curvature {r:.3e}, max integrability obstruction {nj:.3e}")
@@ -499,39 +487,26 @@ def _suite_kahler(spec: RunSpec, points) -> list[SuiteEntry]:
     return [_binary("kahler", "integrability-equivalence", holds, note)]
 
 
-def _suite_totally_geodesic(spec: RunSpec, points) -> list[SuiteEntry]:
-    suite, least = "totally-geodesic", TOTALLY_GEODESIC_MIN_POINTS
-    if len(points) < least:
-        return [SuiteEntry(suite, f"skipped (needs >= {least} points)", 0.0,
-                           None, True, None, "")]
-    cfg = spec.config
-    n1, n = cfg.n1, cfg.n
-    # max |F - G|, max |C|, the four mixed bracket blocks, and the Koszul
-    # table's horizontal part on vertical pairs and vertical part on
-    # horizontal pairs.
-    fg, c, mixed, kos_v, kos_h = (_Tracker() for _ in range(5))
-    for wp in workspace(cfg).strips(points):
-        lp, at = lifted.of(wp), wp.samples
-        fg.feed_all(lp.Fh - lp.Gf, at)
-        c.feed_all(lp.C, at)
-        for block in (lp.Rb[..., n1:, :n1, :n1], lp.Rb[..., :n1, :n1, n1:],
-                      lp.Rb[..., n1:, :n1, n1:], lp.Rb[..., :n1, n1:, n1:]):
-            mixed.feed_all(block, at)
-        kos_v.feed_all(lp.koszul[..., n:, n:, :n], at)
-        kos_h.feed_all(lp.koszul[..., :n, :n, n:], at)
-    tol = spec.tolerance(suite)
-    vertical = fg.value <= tol
-    horizontal = c.value <= tol and mixed.value <= tol
+def _totally_geodesic_verdict(out: _Entries) -> list[SuiteEntry]:
+    suite = "totally-geodesic"
+    fg, c, mixed, kos_v, kos_h = map(out.worst, (
+        "fiber-horizontal-gap", "cartan", "mixed-brackets", "koszul-vertical-pairs",
+        "koszul-horizontal-pairs"))
+    tol = out.spec.tolerance(suite)
+    vertical = fg <= tol
+    horizontal = c <= tol and mixed <= tol
     note = f"vertical={'yes' if vertical else 'no'}, horizontal={'yes' if horizontal else 'no'}"
     # A non-finite maximum decides neither side, so the consistency fails.
     return [
         _binary(suite, "vertical-invariance-consistent",
-                math.isfinite(fg.value + kos_v.value) and (kos_v.value <= tol) == vertical,
-                note),
+                math.isfinite(fg + kos_v) and (kos_v <= tol) == vertical, note),
         _binary(suite, "horizontal-invariance-consistent",
-                math.isfinite(c.value + mixed.value + kos_h.value)
-                and (kos_h.value <= tol) == horizontal, note),
+                math.isfinite(c + mixed + kos_h) and (kos_h <= tol) == horizontal, note),
     ]
+
+
+#: The suites whose entries are yes/no verdicts on the maxima their steps feed.
+_VERDICTS = {"kahler": _kahler_verdict, "totally-geodesic": _totally_geodesic_verdict}
 
 
 def _random_directions(rng: np.random.Generator, coords: list) -> tuple:
@@ -544,18 +519,29 @@ def _relative(jet, fd):
     return abs(jet - fd) / (1.0 + abs(fd))
 
 
-def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
+def _suite_fd_crosscheck(out: _Entries, wp: WorkPoint) -> None:
+    """Jets against finite differences at the first samples, up to three.
+
+    The step keeps each of those samples with its strip's product point and
+    its row there as the strips arrive, and checks them all on the strip that
+    completes them.
+    """
+    spec = out.spec
+    held, wanted = out.carry, min(3, spec.sampling.count)
+    if held is None:  # checked on an earlier strip
+        return
+    held.extend((wp.product, k, p) for k, p in enumerate(wp.samples[:wanted - len(held)]))
+    if len(held) < wanted:
+        return
+    out.carry = None
     cfg = spec.config
     ws = workspace(cfg)
     rng = np.random.Generator(np.random.PCG64(spec.sampling.seed + 1))
     coords = list(cfg.base) + list(cfg.fiber)  # in the order of a point's row
-    fib, n = cfg.fiber, cfg.n
-    subset = points[:min(3, len(points))]
+    n = cfg.n
+    subset = [p for _, _, p in held]
     rows = sample_rows(subset)
-    # Each sample of the subset as the strip that holds it and its row there.
-    strips = ws.strips(points)
-    held = [(wp, k) for wp in strips for k in range(len(wp.samples))][:len(subset)]
-    g = np.array([wp.product.g_values()[k] for wp, k in held])
+    g = np.array([ep.g_values()[k] for ep, k, _ in held])
     # The finite-difference oracle evaluates F^2 on floats, at the stencils
     # of 8 random partials at each point of the subset, drawn in order, and
     # of every fiber pair of g there, all as one batch.  A probe is a row and
@@ -568,8 +554,8 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     jet = np.zeros(len(dirs))
     for i, m in enumerate(MultiIndex.of(d) for d in dirs):
         positions[i, :m.order] = [coords.index(c) for c in m.directions]
-        wp, k = held[i // 8]
-        lift = wp.product.lift()
+        ep, k, _ = held[i // 8]
+        lift = ep.lift()
         if set(m.directions) <= set(lift.seeds):
             jet[i] = lift[k].partial(m)
     fiber_pairs = n + np.sort(np.divmod(np.arange(n * n), n), 0).T
@@ -577,18 +563,16 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
         (np.repeat(rows, 8, 0), positions),
         (np.repeat(rows, n * n, 0), np.tile(fiber_pairs, (len(subset), 1)))],
         cfg.n1, cfg.n2)
-    out = _Entries(spec, "fd-crosscheck")
     out.feed("squared-norm-partials",
              (abs(jet - fd) / (1.0 + abs(jet))).reshape(len(subset), 8), subset,
              describe=lambda k, j: f"dirs={dirs[8 * k + j]}")
     out.feed("fundamental-tensor", _relative(g, 0.5 * np.reshape(fd_g, g.shape)), subset)
     # Derived fields: the spray and its fiber derivatives against fd towers,
     # their stencils evaluated as one batch, not kept in the workspace.
-    p = points[0]
-    ep = strips[0].product
-    N = ep.nonlinear_connection_values()[0]
-    Gf = ep.connection_fiber_values()[0]
-    B = ep.berwald()[0]
+    ep, k, p = held[0]
+    N = ep.nonlinear_connection_values()[k]
+    Gf = ep.connection_fiber_values()[k]
+    B = ep.berwald()[k]
     # fd[b][a] = dG^a / dy^b: one stencil per fiber direction serves every a.
     # Gf and B are checked at one random component (b, c), (b, c, d) per a.
     pairs, triples = [], []
@@ -608,7 +592,7 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     # Adapted derivative of the horizontal coefficients, fd vs. jets, at one
     # representative component: the leading block of the curvature assembly.
     a, b, c = 0, 0, cfg.n1  # mixed-factor slot: nonzero for warped products
-    dH = ep.horizontal_delta_values()[0]
+    dH = ep.horizontal_delta_values()[k]
     (fd,) = fd_stencils(
         lambda batch: WorkPoint(ws, batch, VALUE_ORDER).product.horizontal_values()[..., a, b, c],
         [(rows[0], np.r_[n:2 * n, :n][:, None])], cfg.n1, cfg.n2)
@@ -616,7 +600,6 @@ def _suite_fd_crosscheck(spec: RunSpec, points) -> list[SuiteEntry]:
     for e in range(n):
         fd_delta = fd_delta - N[e] * fd_fiber[e]
     out.feed("horizontal-delta", _relative(dH[a, b, c], fd_delta)[None], [p])
-    return out.entries()
 
 
 SUITES = {
@@ -643,14 +626,22 @@ assert set(SUITES) == set(ALL_SUITES)
 
 
 def run_suites(spec: RunSpec) -> DiagnosticsReport:
-    """Execute the spec's suites over its deterministic sample."""
+    """Execute the spec's suites over its deterministic sample.
+
+    The sample is walked once, strip by strip, and every suite's step reads
+    each strip before the next is built, so no strip outlives its turn.
+    """
     for name in spec.suites:
         if name not in SUITES:
             raise UnknownSuiteError(f"unknown suite {name!r}")
-    points = sample_points(spec)
+    # A list, not a dict: a suite named twice runs, and is reported, twice.
+    outs = [(name, _Entries(spec, name)) for name in spec.suites]
+    for wp in workspace(spec.config).strips(sample_points(spec)):
+        for name, out in outs:
+            SUITES[name](out, wp)
     results = []
-    for name in spec.suites:
-        entries = tuple(SUITES[name](spec, points))
+    for name, out in outs:
+        entries = tuple(out.entries())
         passed = all(e.passed for e in entries)
         expected_failure = name in spec.expected_failures
         residuals = [e.residual for e in entries]

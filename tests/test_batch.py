@@ -17,7 +17,7 @@ from dwfinsler.jets import (FD_DEFAULT_STEPS, CoordView, Jet, einsum, exp, fd_pa
 from dwfinsler.linalg import invert_matrix
 from dwfinsler.metrics import (CustomFactor, EuclideanFactor, ProductConfig, QuadraticFactor,
                                RandersFactor, SampleBatch, TangentSample)
-from dwfinsler.runspec import fixture_runspec, parse_spec, sample_points
+from dwfinsler.runspec import fixture_document, fixture_runspec, parse_spec, sample_points
 
 from conftest import ALL_FIXTURES
 from test_asymmetric import ASYM_1x3, ASYM_3x2
@@ -504,7 +504,7 @@ def _fd_crosscheck_by_probe(spec, points):
     coords = list(cfg.base) + list(cfg.fiber)
     fib, n = cfg.fiber, cfg.n
     subset = points[:min(3, len(points))]
-    strips = ws.strips(points)
+    strips = list(ws.strips(points))
     held = [(wp, k) for wp in strips for k in range(len(wp.samples))][:len(subset)]
     g = np.array([wp.product.g_values()[k] for wp, k in held])
     at = [p for p in subset for _ in range(8)]
@@ -562,16 +562,15 @@ def _fd_crosscheck_by_probe(spec, points):
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_fd_crosscheck_on_probe_arrays_equals_it_probe_by_probe(case, seed):
-    from dwfinsler.suites import SUITES
+    from dwfinsler.suites import run_suites
     name, cfg, _ = case
     doc = {d["label"]: d for d in (ASYM_1x3, ASYM_3x2, CUBIC_2x2)}.get(name)
     if doc is None:
-        spec = fixture_runspec(name, seed=seed, count=4)
-    else:
-        spec = parse_spec(dict(doc, sampling=dict(doc["sampling"], seed=seed, count=4)))
-    points = sample_points(spec)
-    got = SUITES["fd-crosscheck"](spec, points)
-    want = _fd_crosscheck_by_probe(spec, points)
+        doc = fixture_document(name)
+    spec = parse_spec(doc, seed=seed, count=4, suites=["fd-crosscheck"])
+    (result,) = run_suites(spec).suites
+    got = result.entries
+    want = _fd_crosscheck_by_probe(spec, sample_points(spec))
     assert [e.name for e in got] == [e.name for e in want]
     for g, w in zip(got, want):
         assert float.hex(g.residual) == float.hex(w.residual), g.name
@@ -602,10 +601,9 @@ def test_array_sqrt_and_exp_act_as_on_each_float():
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_a_battery_builds_each_strip_once(name, monkeypatch):
-    # Every suite asks the workspace's one slot for the strips of the same
-    # points, whether the battery runs in one call or one suite per call, so
-    # each strip is built once; a suite that asked for another split of the
-    # points, or for one sample, would have them rebuilt and fail here.
+    # The battery walks its strips once and every suite reads each strip in
+    # turn, so each strip is built once; a suite that asked for another split
+    # of the points, or for one sample, would have them rebuilt and fail here.
     import dwfinsler.engine as engine
     from dwfinsler.suites import run_suites
     built = []
@@ -619,14 +617,12 @@ def test_a_battery_builds_each_strip_once(name, monkeypatch):
     monkeypatch.setattr(engine, "STRIP_COEFFICIENTS", 1000)  # several strips each
     spec = fixture_runspec(name)
     ws = workspace(spec.config)
-    for specs in ([spec], [fixture_runspec(name, suites=(s,)) for s in spec.suites]):
+    ws.clear()
+    try:
+        assert run_suites(spec).ok, name
+        battery = len(built)
+        strips = list(ws.strips(sample_points(spec)))
+    finally:
         ws.clear()
-        built.clear()
-        try:
-            for one in specs:
-                assert run_suites(one).ok, name
-            strips = ws.strips(sample_points(spec))
-        finally:
-            ws.clear()
-        assert len(strips) > 1, name
-        assert len(built) == len(strips), name
+    assert len(strips) > 1, name
+    assert battery == len(strips), name

@@ -261,18 +261,22 @@ def test_closedness_detects_a_scaled_connection(name, monkeypatch):
 def test_workspace_keeps_one_point_per_sample(fixr):
     ws = workspace(fixr)
     ws.clear()
-    # the hermitian suite keeps the strip of its samples and nothing else
     spec = fixture_runspec("FIX-R", count=5, suites=("hermitian",))
     points = tuple(sample_points(spec))
-    run_suites(spec)
-    key, (strip,) = ws._slot
-    assert key == points and strip.samples == points
-    # one sample replaces the strips, and is read back while it is the last key
+    # one sample is read back while it is the last one asked for
     p = points[0]
     wp = ws.at(p)
     assert ws.at(p) is wp
     assert ws._slot == (p, wp)
-    assert ws.strips(points)[0] is not strip
+    # the strips are built anew on every call, and the battery that reads
+    # them leaves the slot alone
+    (strip,) = ws.strips(points)
+    assert strip.samples == points
+    assert next(ws.strips(points)) is not strip
+    run_suites(spec)
+    assert ws._slot == (p, wp)
+    # another sample replaces the last one
+    ws.at(points[1])
     assert ws.at(p) is not wp
     ws.clear()
     assert ws._slot == (None, None)
@@ -280,11 +284,9 @@ def test_workspace_keeps_one_point_per_sample(fixr):
     # and fd-crosscheck its finite-difference stencil points
     for name, suite in (("FIX-1D", "homogeneity"), ("FIX-R", "fd-crosscheck")):
         spec = fixture_runspec(name, count=5, suites=(suite,))
-        run_suites(spec)
-        key, held = workspace(spec.config)._slot
-        assert key == tuple(sample_points(spec)), suite
-        assert [len(wp.samples) for wp in held] == [5], suite
         workspace(spec.config).clear()
+        run_suites(spec)
+        assert workspace(spec.config)._slot == (None, None), suite
 
 
 def _chain(cfg, p) -> None:
@@ -333,6 +335,53 @@ def test_the_engine_keeps_one_workspace_and_one_point(fixr):
     assert kept[-1]()._slot[0] is p
 
 
+def _battery_peak(count: int) -> int:
+    """The tracemalloc peak of a warm FIX-R battery over ``count`` points."""
+    spec = fixture_runspec("FIX-R", count=count)
+    run_suites(spec)  # the jet tables and contexts are built once per process
+    workspace(spec.config).clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_suites(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_battery_holds_one_strip_at_a_time(monkeypatch):
+    # Two samples per strip: the battery over ten strips needs about what it
+    # needs over one (3.1 times as much while every strip was kept).
+    import dwfinsler.engine as engine
+    monkeypatch.setattr(engine, "STRIP_COEFFICIENTS", 1000)
+    one, many = _battery_peak(2), _battery_peak(20)
+    assert many <= 1.5 * one, (one, many)
+
+
+def test_a_battery_frees_its_strips_by_reference_counting(monkeypatch):
+    # No reference cycle keeps a work point alive: with the cyclic collector
+    # off, every work point the battery builds is gone once it returns.
+    import dwfinsler.engine as engine
+    monkeypatch.setattr(engine, "STRIP_COEFFICIENTS", 1000)  # five strips
+    built = []
+    real = engine.WorkPoint.__init__
+
+    def init(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(engine.WorkPoint, "__init__", init)
+    spec = fixture_runspec("FIX-R", count=10)
+    workspace(spec.config).clear()
+    gc.disable()
+    try:
+        run_suites(spec)
+        alive = [ref() is not None for ref in built]
+    finally:
+        gc.enable()
+    assert len(alive) > 5 and not any(alive)
+
+
 def test_nijenhuis_tables(fixe):
     for p in region("FIX-E", 3):
         closed, direct = lifted_at(fixe, p).nijenhuis_tables
@@ -344,10 +393,10 @@ def test_nijenhuis_tables(fixe):
         assert np.allclose(direct[0, n + 1, :n], -Rb[:, 0, 1], atol=1e-12)
 
 
-def _nijenhuis_by_contraction(lp):
+def _nijenhuis_by_contraction(lp, cfg):
     """The direct Nijenhuis table as three contractions of br with the J
     matrix: the reference for the signed-permutation form."""
-    J, br = _j_matrix(lp.wp.cfg), lp.br
+    J, br = _j_matrix(cfg), lp.br
     return (np.einsum("ca,db,...cdk->...abk", J, J, br)
             - np.einsum("kl,ca,...cbl->...abk", J, J, br)
             - np.einsum("kl,db,...adl->...abk", J, J, br)
@@ -369,20 +418,28 @@ def test_j_as_a_signed_permutation_matches_the_contraction(strip):
         wps = workspace(cfg).strips(points) if strip else [workspace(cfg).at(points[0])]
         for wp in wps:
             lp = lf.of(wp)
-            assert np.array_equal(lp.nijenhuis_tables[1], _nijenhuis_by_contraction(lp))
+            assert np.array_equal(lp.nijenhuis_tables[1], _nijenhuis_by_contraction(lp, cfg))
             assert np.array_equal(lp.symplectic_table(), lp.metric @ _j_matrix(cfg))
 
 
-def test_a_nan_bracket_is_reported_at_its_own_sample():
+def _plant_nan_bracket(monkeypatch, at: tuple) -> None:
+    """Make the first strip's lifted bracket array NaN at index ``at``."""
+    real, planted = lf._LiftedPoint.__init__, []
+
+    def init(self, wp):
+        real(self, wp)
+        if self.lead and not planted:
+            self.br[at] = np.nan
+            planted.append(wp.samples)
+
+    monkeypatch.setattr(lf._LiftedPoint, "__init__", init)
+
+
+def test_a_nan_bracket_is_reported_at_its_own_sample(monkeypatch):
     spec = fixture_runspec("FIX-E", seed=7, count=5, suites=("nijenhuis",))
     points = sample_points(spec)
-    (wp,) = workspace(spec.config).strips(points)
-    n = spec.config.n
-    lf.of(wp).br[3, 0, 1, n] = np.nan
-    try:
-        (suite,) = run_suites(spec).suites
-    finally:
-        workspace(spec.config).clear()  # no later reader may see the planted NaN
+    _plant_nan_bracket(monkeypatch, (3, 0, 1, spec.config.n))
+    (suite,) = run_suites(spec).suites
     for entry in suite.entries:
         assert np.isnan(entry.residual) and not entry.passed
         assert entry.point == _point_doc(points[3])
@@ -412,12 +469,8 @@ def test_every_verdict_passes_through_the_tracker_funnel(monkeypatch):
     monkeypatch.setattr(suites._Tracker, "feed", guarded)
     for name in spec.suites:
         monkeypatch.setitem(suites.SUITES, name, within(name, suites.SUITES[name]))
-    strips = workspace(spec.config).strips(sample_points(spec))
-    lf.of(strips[0]).br[0, 0, 1, spec.config.n] = np.nan
-    try:
-        report = run_suites(spec)
-    finally:
-        workspace(spec.config).clear()  # no later reader may see the planted NaN
+    _plant_nan_bracket(monkeypatch, (0, 0, 1, spec.config.n))
+    report = run_suites(spec)
     assert [(s.name, s.passed) for s in report.suites] == [
         ("kahler", False), ("totally-geodesic", False)]
     assert seen == {"kahler", "totally-geodesic"}

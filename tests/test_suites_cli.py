@@ -315,12 +315,21 @@ def test_every_tracked_entry_names_a_sampled_witness(reports):
                 assert e.point in sampled, (name, s.name, e.name, e.point)
 
 
+def test_a_suite_named_twice_is_reported_twice(monkeypatch):
+    # Two samples per strip, so fd-crosscheck's three samples span two strips.
+    import dwfinsler.engine as engine
+    monkeypatch.setattr(engine, "STRIP_COEFFICIENTS", 1000)
+    spec = fixture_runspec("FIX-R", count=4,
+                           suites=("fd-crosscheck", "kahler", "fd-crosscheck", "kahler"))
+    doc = report_document(run_suites(spec))
+    assert [s["name"] for s in doc["suites"]] == list(spec.suites)
+    assert doc["suites"][:2] == doc["suites"][2:]
+
+
 def test_nan_residual_reaches_max_residual(monkeypatch):
-    def stand_in(spec, points):
-        nan = _Tracker()
-        nan.feed(float("nan"), points[0])
-        return [SuiteEntry("yF=G", "fine", 1e-12, 1e-8, True),
-                _entry(spec, "yF=G", "contraction", nan)]
+    def stand_in(out, wp):
+        out.feed("fine", [1e-12], [None])
+        out.feed("contraction", [float("nan")], wp.samples[:1])
 
     monkeypatch.setitem(suites.SUITES, "yF=G", stand_in)
     rep = run_suites(fixture_runspec("FIX-1D", seed=3, count=1, suites=("yF=G",)))
