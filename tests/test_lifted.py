@@ -422,8 +422,9 @@ def test_j_as_a_signed_permutation_matches_the_contraction(strip):
             assert np.array_equal(lp.symplectic_table(), lp.metric @ _j_matrix(cfg))
 
 
-def _plant_nan_bracket(monkeypatch, at: tuple) -> None:
-    """Make the first strip's lifted bracket array NaN at index ``at``."""
+def _plant_nan_bracket(monkeypatch, at: tuple) -> list:
+    """Make the first strip's lifted bracket array NaN at index ``at``; the
+    list returned gets that strip's samples."""
     real, planted = lf._LiftedPoint.__init__, []
 
     def init(self, wp):
@@ -433,13 +434,15 @@ def _plant_nan_bracket(monkeypatch, at: tuple) -> None:
             planted.append(wp.samples)
 
     monkeypatch.setattr(lf._LiftedPoint, "__init__", init)
+    return planted
 
 
 def test_a_nan_bracket_is_reported_at_its_own_sample(monkeypatch):
     spec = fixture_runspec("FIX-E", seed=7, count=5, suites=("nijenhuis",))
     points = sample_points(spec)
-    _plant_nan_bracket(monkeypatch, (3, 0, 1, spec.config.n))
+    planted = _plant_nan_bracket(monkeypatch, (3, 0, 1, spec.config.n))
     (suite,) = run_suites(spec).suites
+    assert planted == [tuple(points)]
     for entry in suite.entries:
         assert np.isnan(entry.residual) and not entry.passed
         assert entry.point == _point_doc(points[3])
