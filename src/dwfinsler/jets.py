@@ -34,7 +34,8 @@ zeros, so tensors derived from a support jet never need a larger context;
 non-seed.
 
 Each :class:`JetContext` keeps its unions, gradient plans and the slots of
-the contexts it restricts to or embeds from: bookkeeping runs once per context.
+the contexts it restricts to or embeds from, keyed by value: bookkeeping runs
+once per context.
 
 The engine (:mod:`dwfinsler.engine`) lifts each squared norm once per point
 with :func:`support_lift` and memoizes that lift.  The finite differences
@@ -164,31 +165,10 @@ def _tables(nvars: int, order: int) -> _Tables:
     return got
 
 
-#: Entries of a cache looked up by identity (:func:`_by_identity`).
-_IDENTITY_SLOTS = 16
-
-
-def _by_identity(held: dict, key, build: Callable):
-    """``build()``, kept in ``held`` under the identity of the object ``key``.
-
-    The engine hands its coordinate tuples over again and again; found by
-    their ``id``, they hash no coordinate.  Each entry holds its key, so no
-    other object takes that id while it is kept, and a full ``held`` starts
-    over, so tuples made afresh on every call keep it small.
-    """
-    got = held.get(id(key))
-    if got is None:
-        if len(held) >= _IDENTITY_SLOTS:
-            held.clear()
-        got = held[id(key)] = (key, build())
-    return got[1]
-
-
 class JetContext:
     """An ordered seed tuple plus a total-order bound; jets live in a context."""
 
-    __slots__ = ("seeds", "order", "tables", "_pos", "_unions", "_lowered", "_grads",
-                 "_grad_ids", "_slots")
+    __slots__ = ("seeds", "order", "tables", "_pos", "_unions", "_lowered", "_grads", "_slots")
 
     def __init__(self, seeds: tuple[CoordIndex, ...], order: int):
         self.seeds = seeds
@@ -198,7 +178,6 @@ class JetContext:
         self._unions: dict[JetContext, JetContext] = {}
         self._lowered: JetContext | None = None
         self._grads: dict[tuple, tuple[np.ndarray, bool]] = {}
-        self._grad_ids: dict[int, tuple] = {}
         self._slots: dict[JetContext, np.ndarray] = {}
 
     def union(self, other: "JetContext") -> "JetContext":
@@ -221,9 +200,6 @@ class JetContext:
         """The slots gathered by :meth:`Jet.grad` along ``coords``, one row per
         coordinate, and whether any of them is not a seed: such a row reads
         the zero slot padded on after the last coefficient."""
-        return _by_identity(self._grad_ids, coords, lambda: self._grad_plan(coords))
-
-    def _grad_plan(self, coords: tuple[CoordIndex, ...]) -> tuple[np.ndarray, bool]:
         got = self._grads.get(coords)
         if got is None:
             size = self.lowered().tables.size
@@ -629,22 +605,11 @@ class CoordView:
         groups = [list(g) for g in (point.x, point.u, point.y, point.v)]
         first = point.y[0]
         self.shape = first.shape if isinstance(first, np.ndarray) else ()
-        for block, offset, ctx in _seed_contexts(seeds, order):
-            group = groups[block]
-            if offset < len(group):
-                group[offset] = Jet._seed(ctx, 0, group[offset])
+        for c in set(seeds):
+            group = groups[c.block]
+            if c.offset < len(group):
+                group[c.offset] = Jet._seed(context((c,), order), 0, group[c.offset])
         self.x, self.u, self.y, self.v = map(tuple, groups)
-
-
-_SEED_CONTEXTS: dict[int, dict] = {}  # order -> the identity cache of that order
-
-
-def _seed_contexts(seeds: Sequence[CoordIndex], order: int) -> list:
-    """(block, offset, the context over it alone) of each distinct seed,
-    kept by the identity of ``seeds``."""
-    seeds = tuple(seeds)  # a list could change under the same identity
-    return _by_identity(_SEED_CONTEXTS.setdefault(order, {}), seeds,
-                        lambda: [(c.block, c.offset, context((c,), order)) for c in set(seeds)])
 
 
 ScalarField = Callable[[CoordView], object]

@@ -32,6 +32,11 @@ RADIUS_CEILING = 1e6
 #: terms per product, 20 825 at 6 + 6.  Both grow fast past the cap, and the
 #: first point builds every table it uses.
 MAX_FACTOR_DIM = 6
+#: Largest sample count a document may ask for.  The drawn samples are held
+#: as one list, about 600 B per point on FIX-R (60 MB at the cap), and a
+#: FIX-R battery at the cap runs for about a minute; a larger count is a
+#: typo, or one that numpy's arrays cannot hold.
+MAX_POINTS = 100_000
 
 #: Execution order of the full verification battery.
 ALL_SUITES = (
@@ -264,7 +269,7 @@ def parse_spec(text_or_doc, *, seed: int | None = None, count: int | None = None
     s = doc["sampling"]
     _require_keys(s, "$.sampling", {"seed"}, {"count", "box", "radii"})
     seed = _integer(s["seed"], "$.sampling.seed", 0, 2 ** 64)
-    count = _integer(s.get("count", 25), "$.sampling.count", 1)
+    count = _integer(s.get("count", 25), "$.sampling.count", 1, MAX_POINTS + 1)
     n_base = cfg.n
     box_node = s.get("box", [-1.0, 1.0])
     if (isinstance(box_node, list) and len(box_node) == 2

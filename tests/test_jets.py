@@ -677,11 +677,11 @@ def test_engine_over_a_field_missing_a_fiber_fails_as_singular(field, p4):
 #: The tensors of the per-point chain, in its order.
 CHAIN = ("g", "ginv", "spray", "connection", "brackets", "horizontal", "berwald", "hh",
          "riemann-map")
-#: Coordinate hashes of the warm FIX-R chain at a fresh sample: 6 in the
-#: context of dg's restriction and 4 in the spray's fiber jets.  The gradient
-#: plans and the lift's one-seed coordinate jets find the engine's coordinate
-#: tuples by identity and hash none.
-CHAIN_HASHES = 10
+#: Coordinate hashes of the warm FIX-R chain at a fresh sample.  Every cache
+#: is keyed by value: 16 for the lift's seeds (a set, then each one-seed
+#: context), 64 for the gradient plans' coordinate tuples, 6 in the context
+#: of dg's restriction and 4 in the spray's fiber jets.
+CHAIN_HASHES = 90
 
 
 def test_a_warm_chain_finds_its_bookkeeping_cached(monkeypatch, fixr):
@@ -708,3 +708,24 @@ def test_a_warm_chain_finds_its_bookkeeping_cached(monkeypatch, fixr):
         tensor(fixr, fresh, name)
     assert calls["rank"] == 0 and calls["sorted"] == 0
     assert 0 < calls["hash"] <= CHAIN_HASHES
+
+
+def test_the_jet_caches_are_bounded_by_value(fixr):
+    # Coordinate tuples made afresh but equal find the same plan and the same
+    # contexts, so neither cache grows however many the engine hands over.
+    from dwfinsler.core import tensor
+    from dwfinsler.engine import workspace
+    from dwfinsler.jets import support_lift
+    warm, = region("FIX-R", count=1)
+    for name in CHAIN:
+        tensor(fixr, warm, name)
+    engine = workspace(fixr).product
+    ctx = workspace(fixr).at(warm).product.lift().ctx
+    plan = ctx.grad_map(tuple(engine.fiber))
+    grads, contexts = len(ctx._grads), len(jets._CONTEXT_CACHE)
+    for _ in range(1000):
+        assert ctx.grad_map(tuple(list(engine.fiber))) is plan
+        lifted = support_lift(engine.field, warm, tuple(list(engine.coords)), LIFT_ORDER)
+        assert lifted.ctx is ctx
+    assert len(ctx._grads) == grads
+    assert len(jets._CONTEXT_CACHE) == contexts

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from dwfinsler import PolyQuadraticWarp, fixture
 from dwfinsler.errors import SchemaError, SlitConditionError
 from dwfinsler.metrics import TangentSample
-from dwfinsler.runspec import (ALL_SUITES, FIXTURES, fixture_document, fixture_runspec,
-                               parse_spec, sample_points)
+from dwfinsler.runspec import (ALL_SUITES, FIXTURES, MAX_POINTS, fixture_document,
+                               fixture_runspec, parse_spec, sample_points)
 
 
 def test_fixture_document_round_trips():
@@ -239,6 +239,9 @@ def _quadratic_entries(entries):
     (_bad_leaf("FIX-P", "sampling", "count", None), r"\$\.sampling\.count"),
     (_bad_leaf("FIX-P", "sampling", "count", 2.7), r"\$\.sampling\.count"),
     (_bad_leaf("FIX-P", "sampling", "count", True), r"\$\.sampling\.count"),
+    (_bad_leaf("FIX-P", "sampling", "count", MAX_POINTS + 1), r"\$\.sampling\.count"),
+    (_bad_leaf("FIX-P", "sampling", "count", 2 ** 62), r"\$\.sampling\.count"),
+    (_bad_leaf("FIX-P", "sampling", "count", 2 ** 70), r"\$\.sampling\.count"),
     (_bad_leaf("FIX-P", "sampling", "radii", ["a", 2.0]), r"\$\.sampling\.radii"),
     (_bad_leaf("FIX-1D", "sampling", "box", [-1.0, "b"]), r"\$\.sampling\.box"),
     (_bad_leaf("FIX-1D", "sampling", "box", [[-1, 1], [0, None]]), r"\$\.sampling\.box"),
@@ -268,8 +271,8 @@ def _quadratic_entries(entries):
 ], ids=["unknown-tolerance", "nan-tolerance", "string-tolerance", "negative-tolerance",
         "fractional-dim", "string-dim", "dim-over-cap", "axis-out-of-range", "negative-axis",
         "short-coeffs", "long-coeffs", "string-count", "null-count", "fractional-count",
-        "bool-count", "string-radius", "string-box-bound", "null-box-pair-bound",
-        "overflowing-box-width",
+        "bool-count", "count-over-cap", "count-2-62", "count-2-70", "string-radius",
+        "string-box-bound", "null-box-pair-bound", "overflowing-box-width",
         "null-suites", "non-string-suite", "number-expected-failures",
         "string-quadratic-coefficient", "string-quadratic-exponent", "string-randers-b",
         "asymmetric-quadratic", "randers-norm-over-quadratic-base",
@@ -321,6 +324,9 @@ def test_overrides_apply_to_a_copy_of_the_document():
     assert "sampling" not in doc
     with pytest.raises(SchemaError, match=r"\$\.sampling\.seed"):
         parse_spec(fixture_document("FIX-P"), seed=-1)
+    with pytest.raises(SchemaError, match=r"\$\.sampling\.count"):
+        parse_spec(fixture_document("FIX-P"), count=MAX_POINTS + 1)
+    assert parse_spec(fixture_document("FIX-P"), count=MAX_POINTS).sampling.count == MAX_POINTS
 
 
 @pytest.mark.parametrize("doc, overrides, path", [

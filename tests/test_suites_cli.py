@@ -13,7 +13,8 @@ from dwfinsler.blocks import max_abs
 from dwfinsler.cli import main
 from dwfinsler.engine import LIFT_ORDER, EnginePoint, workspace
 from dwfinsler.errors import UnknownSuiteError
-from dwfinsler.runspec import fixture_document, fixture_runspec, sample_points
+from dwfinsler.runspec import (MAX_POINTS, fixture_document, fixture_runspec,
+                               sample_points)
 from dwfinsler.suites import (SuiteEntry, _entry, _Entries, _point_doc, _Tracker,
                               emit_report, report_document, report_from_document, run_suites)
 
@@ -420,12 +421,15 @@ def _fixture_with(key, value):
     ("verify", b"[]", ["--seed", "3"]),
     ("verify", _fixture_with("sampling", []), ["--seed", "3"]),
     ("verify", _fixture_with("tolerances", []), ["--tol", "lemma41=1e-3"]),
+    ("verify", _fixture_with("sampling", {"seed": 3, "count": MAX_POINTS + 1}), []),
+    ("verify", _fixture_with("sampling", {"seed": 3}), ["--points", str(2 ** 62)]),
     ("report", b"{not json", []),
     ("report", b'{"config": "\xff"}', []),
     ("report", b"[" * 100000, []),
     ("report", b'{"suites": []}', []),
 ], ids=["spec-not-json", "spec-not-utf8", "spec-too-deep", "spec-array-with-seed",
         "spec-sampling-array-with-seed", "spec-tolerances-array-with-tol",
+        "spec-count-over-cap", "spec-points-2-62",
         "report-not-json", "report-not-utf8", "report-too-deep", "report-without-engine"])
 def test_cli_rejects_a_malformed_file_with_one_error_line(command, content, flags,
                                                           tmp_path, capsys):
