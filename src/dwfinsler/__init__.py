@@ -9,12 +9,13 @@ the structural identities numerically.
 
 __version__ = "0.1.0"
 
-from .coords import CoordBlock, CoordIndex, MultiIndex, base1, base2, fiber1, fiber2
-from .jets import Jet, fd_partial
+from .coords import CoordBlock, CoordIndex, base1, base2, fiber1, fiber2
+from .jets import Jet
 from .blocks import BlockTensor
 from .metrics import (ConstantWarp, CustomFactor, EuclideanFactor,
                       ExponentialWarp, PolyQuadraticWarp, ProductConfig,
                       QuadraticFactor, RandersFactor, TangentSample)
+from .fd import fd_partial
 from .core import TENSORS, fundamental_tensor, tensor
 from .connection import (NonlinearConnection, SprayField, frame_brackets,
                          horizontal_coefficients, nonlinear_connection, spray)
@@ -26,7 +27,7 @@ from .suites import DiagnosticsReport, emit_report, run_suites
 __all__ = [
     "__version__",
     # coordinates and jets
-    "CoordBlock", "CoordIndex", "MultiIndex", "base1", "base2", "fiber1", "fiber2",
+    "CoordBlock", "CoordIndex", "base1", "base2", "fiber1", "fiber2",
     "Jet", "fd_partial", "BlockTensor",
     # metric specifications
     "ConstantWarp", "CustomFactor", "EuclideanFactor", "ExponentialWarp",

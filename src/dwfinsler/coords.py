@@ -6,16 +6,13 @@ jet machinery is a function of these 2*(n1+n2) coordinates, addressed through
 :class:`CoordIndex`.
 
 :class:`Value` is the base of the library's immutable value classes: the
-coordinates and multi-indices here, and the samples, factor and warp specs
-and product configurations of :mod:`dwfinsler.metrics`.
+coordinates here, and the samples, factor and warp specs and product
+configurations of :mod:`dwfinsler.metrics`.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterable
-
-from .errors import CapabilityError
 
 #: Hard bound on the total differentiation order the jet layer supports.
 MAX_ORDER = 6
@@ -120,45 +117,3 @@ def fiber_coords(n1: int, n2: int) -> tuple[CoordIndex, ...]:
     """Combined fiber coordinates in block order (y then v)."""
     return tuple(fiber1(i) for i in range(n1)) + tuple(fiber2(i) for i in range(n2))
 
-
-class MultiIndex(Value):
-    """A mixed-partial request: distinct coordinates with positive orders.
-
-    Stored canonically (sorted by coordinate), so any permutation of the same
-    multi-set of directions maps to one key.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple[tuple[CoordIndex, int], ...]):
-        coords = [c for c, _ in terms]
-        if len(set(coords)) != len(coords):
-            raise ValueError("multi-index repeats a coordinate; merge the orders")
-        if any(k <= 0 for _, k in terms):
-            raise ValueError("multi-index orders must be positive")
-        if list(terms) != sorted(terms, key=lambda t: t[0]):
-            raise ValueError("multi-index terms must be sorted; use MultiIndex.of")
-        self._init(terms)
-        if self.order > MAX_ORDER:
-            raise CapabilityError(
-                f"total differentiation order {self.order} exceeds the supported maximum {MAX_ORDER}")
-
-    @classmethod
-    def of(cls, dirs: Iterable[CoordIndex]) -> "MultiIndex":
-        """Build the canonical multi-index from a sequence of directions."""
-        counts: dict[CoordIndex, int] = {}
-        for d in dirs:
-            counts[d] = counts.get(d, 0) + 1
-        return cls(tuple(sorted(counts.items(), key=lambda t: t[0])))
-
-    @property
-    def order(self) -> int:
-        return sum(k for _, k in self.terms)
-
-    @property
-    def directions(self) -> tuple[CoordIndex, ...]:
-        """The multi-index expanded to one direction per derivative."""
-        out: list[CoordIndex] = []
-        for c, k in self.terms:
-            out.extend([c] * k)
-        return tuple(out)

@@ -38,14 +38,8 @@ the contexts it restricts to or embeds from, keyed by value: bookkeeping runs
 once per context.
 
 The engine (:mod:`dwfinsler.engine`) lifts each squared norm once per point
-with :func:`support_lift` and memoizes that lift.  The finite differences
-run on float batches: :func:`fd_stencils` takes probes as arrays, their
-points as rows and their directions as positions in a row, builds the
-stencils of each order's probes as one coordinate array
-(:func:`_fd_stencil`), evaluates the field once on all their points as one
-batch, and combines the values of each order's probes at once
-(:func:`_fd_combine`).  :func:`fd_partials` hands it ``(point, multi)``
-probes as those arrays, and :func:`fd_partial` is its single probe.
+with :func:`support_lift` and memoizes that lift.  The finite-difference
+oracle, which checks this route, lives apart in :mod:`dwfinsler.fd`.
 """
 
 from __future__ import annotations
@@ -57,13 +51,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coords import MAX_ORDER, CoordIndex, MultiIndex
+from .coords import MAX_ORDER, CoordIndex
 from .errors import CapabilityError, DomainError
 
-__all__ = [
-    "Jet", "JetContext", "support_lift", "fd_partial", "fd_partials", "fd_stencils",
-    "einsum", "sqrt", "exp",
-]
+__all__ = ["Jet", "JetContext", "support_lift", "einsum", "sqrt", "exp"]
 
 
 class _Tables:
@@ -314,16 +305,15 @@ class Jet:
     def seeds(self) -> tuple[CoordIndex, ...]:
         return self.ctx.seeds
 
-    def partial(self, multi) -> float:
-        """Unscaled mixed partial of a scalar jet for a MultiIndex or direction sequence."""
-        if not isinstance(multi, MultiIndex):
-            multi = MultiIndex.of(multi)
-        if multi.order > self.ctx.order:
+    def partial(self, dirs: Sequence[CoordIndex]) -> float:
+        """Unscaled mixed partial of a scalar jet along a sequence of directions."""
+        if len(dirs) > self.ctx.order:
             raise ValueError(
-                f"partial of order {multi.order} requested from an order-{self.ctx.order} jet")
-        # The lower orders' slots come first: a derive map steps a slot up a direction.
+                f"partial of order {len(dirs)} requested from an order-{self.ctx.order} jet")
+        # The lower orders' slots come first: a derive map steps a slot up a
+        # direction, and the steps commute, so the directions go in any order.
         slot = 0
-        for coord in multi.directions:
+        for coord in dirs:
             slot = self.ctx.tables.derive_map(self.ctx.position(coord))[slot]
         return float(self.c[slot])
 
@@ -629,153 +619,3 @@ def support_lift(field: ScalarField, point, seeds: Sequence[CoordIndex], order: 
     if isinstance(out, Jet):
         return out
     return Jet.constant(context((), order), np.full(view.shape, float(out)))
-
-
-#: Default relative steps per total order; cancellation noise grows like
-#: eps / h^order, so higher orders need coarser stencils.
-FD_DEFAULT_STEPS = {1: 1e-4, 2: 1e-3, 3: 4e-3}
-
-
-def _fd_stencil(rows: np.ndarray, positions: np.ndarray, step: float):
-    """The stencils of probes of one order, as arrays.
-
-    ``rows[P, C]`` holds each probe's point, its coordinates (x, u, y, v) in
-    one row, and ``positions[P, k]`` the positions in a row of the probe's k
-    directions, outermost first.  Each direction in turn moves every point of
-    the stencil so far to four, shifted along it by +h/2, -h/2, +h and -h,
-    with h = step * (1 + |coordinate|) read at that point, which earlier
-    directions may have shifted.  Returns the stencil points
-    ``[P, 4**k, C]``, in the order of the nested central differences, and
-    the steps ``h[P, 4**j]`` of each level j, for :func:`_fd_combine`.
-    """
-    points = np.asarray(rows, dtype=float)[:, None, :]
-    probes = np.arange(len(points))
-    steps = []
-    for at in positions.T:
-        coord = points[probes, :, at]
-        h = step * (1.0 + abs(coord))
-        half = h / 2.0
-        shifted = coord[..., None] + np.stack([half, -half, h, -h], axis=-1)
-        points = np.repeat(points, 4, axis=1)
-        points[probes, :, at] = shifted.reshape(len(points), -1)
-        steps.append(h)
-    return points, steps
-
-
-def _fd_combine(values, steps) -> np.ndarray:
-    """The estimates ``[P, ...]`` of probes of one order from the values
-    ``[P, 4**k, ...]`` of a field at the points of their :func:`_fd_stencil`,
-    given its ``steps``.
-
-    Innermost first, the four values around each point become the central
-    differences D(s) = (f(+s) - f(-s)) / (2 s) at s = h/2 and h, combined by
-    Richardson extrapolation as (4 D(h/2) - D(h)) / 3.
-    """
-    values = np.asarray(values, dtype=float)
-    for h in reversed(steps):
-        v = values.reshape(h.shape + (4,) + values.shape[2:])
-        h = h.reshape(h.shape + (1,) * (values.ndim - 2))
-        values = (4.0 * ((v[:, :, 0] - v[:, :, 1]) / (2.0 * (h / 2.0)))
-                  - (v[:, :, 2] - v[:, :, 3]) / (2.0 * h)) / 3.0
-    return values[:, 0]
-
-
-def fd_stencils(evaluate: Callable, groups, n1: int, n2: int,
-                step: float | None = None) -> list[np.ndarray]:
-    """The :func:`fd_partial` estimates of groups of probes, from one evaluation.
-
-    Each group holds probes as two arrays ``(rows, positions)``: ``rows[P, C]``
-    each probe's point as one row x + u + y + v of a product of dimensions
-    ``n1`` and ``n2`` (or one row for all), and ``positions[P, K]`` the
-    positions in a row of each probe's directions, outermost first, padded
-    with -1 after the last.  The probes of each order form one stencil
-    array (:func:`_fd_stencil`); ``evaluate`` is handed the points of every
-    stencil as one :class:`~dwfinsler.metrics.SampleBatch` and returns their
-    values along a leading axis (floats, or arrays of one shape).  Returns
-    the estimates ``[P, ...]`` of each group, in the order of its probes
-    (:func:`_fd_combine`).  The step is ``step``, which must be positive and
-    finite, or the default of each order.
-    """
-    from .metrics import SampleBatch
-    stencils = []
-    for g, (rows, positions) in enumerate(groups):
-        rows = np.broadcast_to(rows, (len(positions), np.shape(rows)[-1]))
-        orders = (positions >= 0).sum(1)
-        for k in sorted(set(orders.tolist())):
-            mine = orders == k
-            stencils.append((g, mine) + _fd_stencil(rows[mine], positions[mine, :k],
-                                                    _fd_step(k, step)))
-    if not stencils:
-        return [np.zeros(0) for _ in groups]
-    values = np.asarray(evaluate(SampleBatch.stacked(
-        np.concatenate([points.reshape(-1, points.shape[-1]) for *_, points, _ in stencils]),
-        n1, n2)), dtype=float)
-    out = [np.empty((len(positions),) + values.shape[1:]) for _, positions in groups]
-    start = 0
-    for g, mine, points, steps in stencils:
-        size = points.shape[0] * points.shape[1]
-        out[g][mine] = _fd_combine(values[start:start + size].reshape(
-            points.shape[:2] + values.shape[1:]), steps)
-        start += size
-    return out
-
-
-def _fd_step(order: int, step: float | None) -> float:
-    if order > 3:
-        raise CapabilityError("finite differences support total order <= 3")
-    if step is None:
-        return FD_DEFAULT_STEPS[max(order, 1)]
-    if not 0.0 < step < math.inf:
-        raise ValueError("fd step must be positive and finite")
-    return step
-
-
-def fd_partials(evaluate: Callable, probes, step: float | None = None) -> list:
-    """The :func:`fd_partial` estimates of many probes, ``(point, multi)``
-    pairs, from one evaluation, in the order of ``probes``: one group of
-    :func:`fd_stencils`, each probe's directions nested in canonical
-    (sorted) order, as ``multi`` a MultiIndex or a sequence of directions.
-    No probes give no estimates.
-    """
-    from .metrics import sample_rows
-    if not probes:
-        return []
-    first = probes[0][0]
-    n1, n2 = len(first.x), len(first.u)
-    start = (0, n1, n1 + n2, 2 * n1 + n2)  # of each coordinate block in a row
-    dirs = [sorted(multi.directions if isinstance(multi, MultiIndex) else multi)
-            for _, multi in probes]
-    positions = np.full((len(probes), max(map(len, dirs))), -1)
-    for row, d in zip(positions, dirs):
-        row[:len(d)] = [start[c.block] + c.offset for c in d]
-    rows = sample_rows([p for p, _ in probes])
-    return list(fd_stencils(evaluate, [(rows, positions)], n1, n2, step)[0])
-
-
-def fd_partial(field: ScalarField, point, multi, step: float | None = None):
-    """Central-difference mixed partial with Richardson extrapolation.
-
-    Independent of the jet path by construction: only plain float
-    evaluations of ``field`` at shifted points are used, on every point of
-    the stencil at once, as one batch (:func:`fd_partials`).  So the field
-    must act on its coordinates entry by entry, as the metric fields do:
-    numpy functions, not ``math`` ones, and no branch on a value.  A field
-    may return an array of components, each with the stencil axis last, as
-    an array of coordinate expressions has it; the result is then an array
-    of the components' shape.  The field is also evaluated once at ``point``
-    itself, for the shape of its components: a result of that shape on the
-    stencil is constant over it.  Total order is capped at 3, beyond which
-    cancellation noise dominates.
-    """
-    def evaluate(batch):
-        out = np.asarray(field(CoordView(batch)), dtype=float)
-        if out.shape == shape:
-            out = np.broadcast_to(out[..., None], shape + (len(batch),))
-        elif out.shape != shape + (len(batch),):
-            raise ValueError(
-                f"fd_partial: the field gives shape {out.shape} on a stencil of "
-                f"{len(batch)} points and {shape} at one point")
-        return np.moveaxis(out, -1, 0)
-
-    shape = np.shape(field(CoordView(point)))
-    return fd_partials(evaluate, [(point, multi)], step)[0]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .coords import CoordIndex, Value, base_coords, fiber_coords
 from .errors import MetricDefinitionError, SlitConditionError
-from .jets import Jet, sqrt
+from .jets import Jet, exp, sqrt
 from .linalg import invert_batch
 
 #: Fiber vectors with Euclidean norm below this violate the slit condition.
@@ -295,7 +295,6 @@ class ExponentialWarp(Value):
         return self.rate == 0.0
 
     def f_squared(self, pos):
-        from .jets import exp
         return exp(2.0 * self.rate * pos[self.axis])
 
 

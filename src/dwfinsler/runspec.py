@@ -263,7 +263,9 @@ def parse_spec(text_or_doc, *, seed: int | None = None, count: int | None = None
     _require_keys(doc["warps"], "$.warps", {"f1", "f2"}, set())
     warp1 = _parse_warp(doc["warps"]["f1"], "$.warps.f1", factor1.dim)
     warp2 = _parse_warp(doc["warps"]["f2"], "$.warps.f2", factor2.dim)
-    label = str(doc.get("label", "custom"))
+    label = doc.get("label", "custom")
+    if not isinstance(label, str):
+        raise SchemaError("$.label: expected a string")
     cfg = _built("$", ProductConfig, factor1, factor2, warp1, warp2, label=label)
 
     s = doc["sampling"]

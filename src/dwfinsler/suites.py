@@ -38,10 +38,11 @@ import numpy as np
 
 from . import closed_forms, lifted
 from .blocks import matvec, max_abs, scalar_axes, vdot
-from .coords import MAX_ORDER, MultiIndex
+from .coords import MAX_ORDER
 from .engine import SPRAY_ORDER, VALUE_ORDER, WorkPoint, workspace
 from .errors import UnknownSuiteError
-from .jets import CoordView, fd_stencils
+from .fd import fd_stencils
+from .jets import CoordView
 from .metrics import TangentSample, sample_rows
 from .runspec import ALL_SUITES, RunSpec, sample_points
 
@@ -545,19 +546,19 @@ def _suite_fd_crosscheck(out: _Entries, wp: WorkPoint) -> None:
     # The finite-difference oracle evaluates F^2 on floats, at the stencils
     # of 8 random partials at each point of the subset, drawn in order, and
     # of every fiber pair of g there, all as one batch.  A probe is a row and
-    # the positions in it of its directions, in the canonical order of its
-    # MultiIndex, which its stencil nests in.  The jets read each partial
-    # off the lift of F^2 at the probe's sample; a direction that is not a
-    # seed of the lift gives an exact zero.
+    # the positions in it of its directions, in sorted order, which its
+    # stencil nests in.  The jets read each partial off the lift of F^2 at
+    # the probe's sample; a direction that is not a seed of the lift gives
+    # an exact zero.
     dirs = [_random_directions(rng, coords) for _ in range(8 * len(subset))]
     positions = np.full((len(dirs), 3), -1)
     jet = np.zeros(len(dirs))
-    for i, m in enumerate(MultiIndex.of(d) for d in dirs):
-        positions[i, :m.order] = [coords.index(c) for c in m.directions]
+    for i, d in enumerate(dirs):
+        positions[i, :len(d)] = [coords.index(c) for c in sorted(d)]
         ep, k, _ = held[i // 8]
         lift = ep.lift()
-        if set(m.directions) <= set(lift.seeds):
-            jet[i] = lift[k].partial(m)
+        if set(d) <= set(lift.seeds):
+            jet[i] = lift[k].partial(d)
     fiber_pairs = n + np.sort(np.divmod(np.arange(n * n), n), 0).T
     fd, fd_g = fd_stencils(lambda batch: cfg.F2(CoordView(batch)), [
         (np.repeat(rows, 8, 0), positions),

@@ -9,11 +9,11 @@ from dwfinsler.engine import (LIFT_ORDER, SPRAY_ORDER, VALUE_ORDER, EnginePoint,
                               FinslerEngine, WorkPoint, workspace)
 import math
 
-from dwfinsler.coords import MultiIndex, base1, fiber1
+from dwfinsler.coords import base1, fiber1
 from dwfinsler.errors import (DomainError, MetricDefinitionError, SingularMetricError,
                               SlitConditionError)
-from dwfinsler.jets import (FD_DEFAULT_STEPS, CoordView, Jet, einsum, exp, fd_partial,
-                            fd_partials, sqrt)
+from dwfinsler.fd import FD_STEPS, fd_partial, fd_partials
+from dwfinsler.jets import CoordView, Jet, einsum, exp, sqrt
 from dwfinsler.linalg import invert_matrix
 from dwfinsler.metrics import (CustomFactor, EuclideanFactor, ProductConfig, QuadraticFactor,
                                RandersFactor, SampleBatch, TangentSample)
@@ -437,11 +437,12 @@ def test_side_points_are_evaluated_as_batches(monkeypatch):
         assert not inverted, name
 
 
-def _fd_reference(field, point, multi):
+def _fd_reference(field, point, dirs):
     """``fd_partial`` as nested central differences with Richardson
-    extrapolation, evaluating the field on plain floats, one point at a time."""
-    multi = MultiIndex.of(multi)
-    step = FD_DEFAULT_STEPS[max(multi.order, 1)]
+    extrapolation, evaluating the field on plain floats, one point at a time;
+    the directions nest in sorted order."""
+    dirs = sorted(dirs)
+    step = FD_STEPS[max(len(dirs), 1)]
 
     def shifted(groups, coord, delta):
         out = list(groups)
@@ -467,7 +468,7 @@ def _fd_reference(field, point, multi):
         assert isinstance(value, float)
         return value
 
-    for coord in reversed(multi.directions):
+    for coord in reversed(dirs):
         fun = differentiate(fun, coord)
     return fun((point.x, point.u, point.y, point.v))
 
@@ -495,8 +496,8 @@ def test_batched_fd_partials_equal_the_float_reference_bit_for_bit(case):
 
 
 def _fd_crosscheck_by_probe(spec, points):
-    """fd-crosscheck with each probe built alone as a ``(point, MultiIndex)``
-    pair through ``fd_partials``: the reference for the suite's arrays."""
+    """fd-crosscheck with each probe built alone as a ``(point, dirs)`` pair
+    through ``fd_partials``: the reference for the suite's arrays."""
     from dwfinsler.suites import _Tracker, _entry, _random_directions, _relative
     cfg = spec.config
     ws = workspace(cfg)
@@ -509,16 +510,15 @@ def _fd_crosscheck_by_probe(spec, points):
     g = np.array([wp.product.g_values()[k] for wp, k in held])
     at = [p for p in subset for _ in range(8)]
     dirs = [_random_directions(rng, coords) for _ in at]
-    multis = [MultiIndex.of(d) for d in dirs]
     fd = fd_partials(lambda batch: cfg.F2(CoordView(batch)),
-                     list(zip(at, multis))
+                     list(zip(at, dirs))
                      + [(p, (fib[a], fib[b])) for p in subset for a, b in np.ndindex(n, n)])
     jet = np.zeros(len(at))
-    for i, m in enumerate(multis):
+    for i, d in enumerate(dirs):
         wp, k = held[i // 8]
         lift = wp.product.lift()
-        if set(m.directions) <= set(lift.seeds):
-            jet[i] = lift[k].partial(m)
+        if set(d) <= set(lift.seeds):
+            jet[i] = lift[k].partial(d)
     f2tr = _Tracker()
     f2tr.feed_all((abs(jet - fd[:len(at)]) / (1.0 + abs(jet))).reshape(len(subset), 8), subset,
                   lambda k, j: f"dirs={dirs[8 * k + j]}")

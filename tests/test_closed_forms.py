@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from dwfinsler import (blocks, closed_forms, connection, coords, core, curvature, engine,
-                       jets, lifted, linalg, metrics, runspec, suites)
+                       fd, jets, lifted, linalg, metrics, runspec, suites)
 from dwfinsler.cli import main
 from dwfinsler.runspec import fixture_runspec, parse_spec
 from dwfinsler.suites import run_suites
@@ -54,16 +54,16 @@ ENTRY_POINTS = {
     "connection.horizontal_coefficients",
     "curvature.berwald_curvature", "curvature.hh_curvature", "curvature.riemann_map",
     # The finite-difference oracle by probe, of one or of many (the battery
-    # hands its probes to jets.fd_stencils as arrays), and the fixtures by
+    # hands its probes to fd.fd_stencils as arrays), and the fixtures by
     # name, for library users.
-    "jets.fd_partial", "jets.fd_partials", "runspec.fixture", "runspec.fixture_runspec",
+    "fd.fd_partial", "fd.fd_partials", "runspec.fixture", "runspec.fixture_runspec",
     # The escape hatch: no run document can name a custom factor.
     "metrics.CustomFactor.f_squared",
 }
 
 #: The modules of the library, apart from the engine's internals and the CLI.
 MODULES = (core, connection, curvature, lifted, suites, closed_forms,
-           jets, metrics, runspec, linalg, blocks, coords)
+           fd, jets, metrics, runspec, linalg, blocks, coords)
 
 
 def _public(module):
@@ -135,7 +135,7 @@ def test_every_public_function_is_read_by_a_suite(monkeypatch, tmp_path):
                         monkeypatch.setattr(ns, attr, wrapper)
     assert ENTRY_POINTS <= public
     assert {"closed_forms.spray_blocks", "lifted.of", "jets.support_lift",
-            "metrics.RandersFactor.f_squared", "coords.MultiIndex.of",
+            "metrics.RandersFactor.f_squared", "fd.fd_stencils",
             "blocks.max_abs"} <= public
     for name, run in _runs(tmp_path):
         seen.append(set())

@@ -249,6 +249,8 @@ def _quadratic_entries(entries):
     (_bad_leaf("FIX-P", "suites", None), r"\$\.suites"),
     (_bad_leaf("FIX-P", "suites", [1]), r"\$\.suites"),
     (_bad_leaf("FIX-P", "expected_failures", 5), r"\$\.expected_failures"),
+    (_bad_leaf("FIX-P", "label", None), r"\$\.label: expected a string"),
+    (_bad_leaf("FIX-P", "label", {"a": 1}), r"\$\.label: expected a string"),
     (_bad_leaf("FIX-1D", "factors", 0, _quadratic("c", 0)),
      r"\$\.factors\[0\]\.parameters\.entries\[0\]\[0\]"),
     (_bad_leaf("FIX-1D", "factors", 0, _quadratic(1.0, "e")),
@@ -273,7 +275,8 @@ def _quadratic_entries(entries):
         "short-coeffs", "long-coeffs", "string-count", "null-count", "fractional-count",
         "bool-count", "count-over-cap", "count-2-62", "count-2-70", "string-radius",
         "string-box-bound", "null-box-pair-bound", "overflowing-box-width",
-        "null-suites", "non-string-suite", "number-expected-failures",
+        "null-suites", "non-string-suite", "number-expected-failures", "null-label",
+        "object-label",
         "string-quadratic-coefficient", "string-quadratic-exponent", "string-randers-b",
         "asymmetric-quadratic", "randers-norm-over-quadratic-base",
         "randers-over-singular-base", "randers-over-randers-base", "undecodable-bytes",

@@ -423,13 +423,15 @@ def _fixture_with(key, value):
     ("verify", _fixture_with("tolerances", []), ["--tol", "lemma41=1e-3"]),
     ("verify", _fixture_with("sampling", {"seed": 3, "count": MAX_POINTS + 1}), []),
     ("verify", _fixture_with("sampling", {"seed": 3}), ["--points", str(2 ** 62)]),
+    ("verify", _fixture_with("label", None), []),
+    ("verify", _fixture_with("label", {"a": 1}), []),
     ("report", b"{not json", []),
     ("report", b'{"config": "\xff"}', []),
     ("report", b"[" * 100000, []),
     ("report", b'{"suites": []}', []),
 ], ids=["spec-not-json", "spec-not-utf8", "spec-too-deep", "spec-array-with-seed",
         "spec-sampling-array-with-seed", "spec-tolerances-array-with-tol",
-        "spec-count-over-cap", "spec-points-2-62",
+        "spec-count-over-cap", "spec-points-2-62", "spec-null-label", "spec-object-label",
         "report-not-json", "report-not-utf8", "report-too-deep", "report-without-engine"])
 def test_cli_rejects_a_malformed_file_with_one_error_line(command, content, flags,
                                                           tmp_path, capsys):

@@ -1,13 +1,12 @@
 """The semantics of the library's small objects.
 
-Value classes (coordinates, multi-indices, samples, the factor and warp
+Value classes (coordinates, samples, the factor and warp
 specs and the product built from them) are immutable, compare equal by their
 fields and hash by them: the engine's workspace and the jet contexts hold
 them as keys.  ``CustomFactor`` compares by identity.  Records (tensors,
 reports, run documents) are plain objects built positionally or by keyword.
 """
 
-import itertools
 import os
 import subprocess
 import sys
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 
 from dwfinsler import (BlockTensor, ConstantWarp, CoordBlock, CoordIndex, CustomFactor,
-                       EuclideanFactor, ExponentialWarp, MultiIndex, PolyQuadraticWarp,
+                       EuclideanFactor, ExponentialWarp, PolyQuadraticWarp,
                        ProductConfig, QuadraticFactor, RandersFactor, TangentSample,
                        base1, base2, fiber1, fiber2, fixture)
 from dwfinsler.engine import workspace
@@ -38,7 +37,6 @@ def _quadratic(c=0.5):
 #: for different k.
 VALUES = [
     ("CoordIndex", lambda k: CoordIndex(CoordBlock.FIBER1, k)),
-    ("MultiIndex", lambda k: MultiIndex.of([base1(0)] * (k + 1))),
     ("TangentSample", lambda k: TangentSample((0.1 * k,), (1.0,), (1.0,), (2.0,))),
     ("EuclideanFactor", lambda k: EuclideanFactor(k + 1)),
     ("QuadraticFactor", lambda k: _quadratic(0.5 + k)),
@@ -92,21 +90,6 @@ def test_coordinates_order_by_block_then_offset_and_print_short():
         CoordIndex(CoordBlock.BASE1, -1)
 
 
-def test_multi_index_is_canonical_for_any_order_of_directions():
-    dirs = [base1(0), fiber1(1), base1(0), fiber2(0)]
-    forms = {MultiIndex.of(p) for p in itertools.permutations(dirs)}
-    assert len(forms) == 1
-    (m,) = forms
-    assert m.terms == ((base1(0), 2), (fiber1(1), 1), (fiber2(0), 1))
-    assert m.order == 4
-    assert m.directions == (base1(0), base1(0), fiber1(1), fiber2(0))
-    assert MultiIndex(m.terms) == m
-    with pytest.raises(ValueError):
-        MultiIndex(((fiber1(1), 1), (base1(0), 2)))  # not sorted
-    with pytest.raises(ValueError):
-        MultiIndex(((base1(0), 0),))
-
-
 def test_custom_factor_compares_by_identity():
     def evaluator(pos, fib):
         return fib[0] * fib[0]
@@ -121,7 +104,6 @@ def test_custom_factor_compares_by_identity():
 
 @pytest.mark.parametrize("value, field", [
     (base1(0), "offset"),
-    (MultiIndex.of([base1(0)]), "terms"),
     (TangentSample((0.0,), (1.0,), (1.0,), (1.0,)), "x"),
     (EuclideanFactor(2), "dim"),
     (_quadratic(), "entries"),
