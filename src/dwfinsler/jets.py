@@ -58,33 +58,53 @@ __all__ = ["Jet", "JetContext", "support_lift", "einsum", "sqrt", "exp"]
 
 
 class _Tables:
-    """Enumeration and product tables shared by all contexts of one shape.
+    """Enumeration and product tables of one shape: ``nvars`` seeds up to ``order``.
 
     ``exps`` holds every exponent vector of total at most ``order``, ordered by
     total and then lexicographically; a row's position is its coefficient slot.
+    So an exponent keeps its slot at every higher order, and every table of a
+    seed count is a prefix of a higher order's: one store per seed count keeps
+    each array at the highest order built so far, and a lower order reads its
+    first rows.  An array the store lacks, or holds at too low an order, is
+    built at the order asked.
     """
 
     def __init__(self, nvars: int, order: int):
         self.nvars = nvars
         self.order = order
+        self.size = math.comb(order + nvars, nvars)
+        self._store = _STORES.setdefault(nvars, {})
+        exps, self._offsets, self._binom = self._shared("exps", self.size, self._enumerate)
+        self.exps = exps[:self.size]
+        self.unit = np.zeros(self.size)  # the value slot
+        self.unit[0] = 1.0
+        self._mul = None
+        self._derive: dict[int, np.ndarray] = {}
+
+    def _shared(self, key, size: int, build: Callable[[], object]):
+        """This seed count's ``key`` arrays, built at this order by ``build``
+        unless the store holds them for ``size`` slots or more already."""
+        got = self._store.get(key)
+        if got is None or got[0] < size:
+            got = self._store[key] = (size, build())
+        return got[1]
+
+    def _enumerate(self):
+        """The exponent rows, the first slot of each total and the binomials
+        up to order + nvars, at this order."""
+        order = self.order
         # Built one leading column at a time, the rows come out lexicographic.
         lex = np.zeros((1, 0), dtype=np.int8)
-        for _ in range(nvars):
+        for _ in range(self.nvars):
             room = order - lex.sum(1)
             lex = np.concatenate([
                 np.column_stack((np.full(np.count_nonzero(room >= k), k, np.int8), lex[room >= k]))
                 for k in range(order + 1)])
         by_total = [lex[lex.sum(1) == t] for t in range(order + 1)]
-        self.exps = np.concatenate(by_total)
-        self._offsets = np.cumsum([0] + [len(e) for e in by_total])
-        top = order + nvars
-        self._binom = np.array([[math.comb(a, b) for b in range(top + 1)]
-                                for a in range(top + 1)], dtype=np.intp)
-        self.size = len(self.exps)
-        self.unit = np.zeros(self.size)  # the value slot
-        self.unit[0] = 1.0
-        self._mul = None
-        self._derive: dict[int, np.ndarray] = {}
+        top = order + self.nvars
+        binom = np.array([[math.comb(a, b) for b in range(top + 1)]
+                          for a in range(top + 1)], dtype=np.intp)
+        return np.concatenate(by_total), np.cumsum([0] + [len(e) for e in by_total]), binom
 
     def rank(self, rows: np.ndarray) -> np.ndarray:
         """The slots of the exponent vectors in ``rows`` (each of total <= order).
@@ -94,6 +114,8 @@ class _Tables:
         those with a smaller k-th entry after an equal prefix add up, by the
         hockey-stick identity, to C(r + m, m) - C(r - e_k + m, m), where r is
         the total left from entry k on and m the count of entries after k.
+        Neither term depends on the order, so a slot is the same at every
+        order that holds its exponent.
         """
         rest = rows.sum(1)
         out = self._offsets[rest]
@@ -108,43 +130,61 @@ class _Tables:
         """(part, rest, run starts, weights) of every truncated Leibniz term.
 
         Terms run by output slot, so each output sums one run, and within a
-        run by part in lexicographic order.
+        run by part in lexicographic order: a lower order's terms are those
+        before the run of its first dropped output.
         """
         if self._mul is None:
-            e = self.exps
-            width = np.prod(e + 1, axis=1, dtype=np.intp)  # the parts p <= e of each output
-            starts = np.cumsum(width) - width
-            e = e[np.repeat(np.arange(self.size), width)]
-            # A term's place in its run, read in the mixed radix (e_k + 1) with
-            # the last entry least significant, is its part in lexicographic order.
-            place = np.arange(len(e)) - np.repeat(starts, width)
-            part = np.empty_like(e)
-            for k in reversed(range(self.nvars)):
-                place, part[:, k] = np.divmod(place, e[:, k] + 1)
-            ww = np.ones(len(e))
-            for k in range(self.nvars):
-                ww *= self._binom[e[:, k], part[:, k]]
-            self._mul = (self.rank(part), self.rank(e - part), starts, ww)
+            ii, jj, bounds, ww = self._shared("mul", self.size, self._leibniz)
+            end = bounds[self.size]
+            self._mul = (ii[:end], jj[:end], bounds[:self.size], ww[:end])
         return self._mul
+
+    def _leibniz(self):
+        """:attr:`mul_table` at this order, with the end of the last run
+        appended to the run starts."""
+        e = self.exps
+        width = np.prod(e + 1, axis=1, dtype=np.intp)  # the parts p <= e of each output
+        bounds = np.concatenate(([0], np.cumsum(width)))
+        e = e[np.repeat(np.arange(self.size), width)]
+        # A term's place in its run, read in the mixed radix (e_k + 1) with
+        # the last entry least significant, is its part in lexicographic order.
+        place = np.arange(len(e)) - np.repeat(bounds[:-1], width)
+        part = np.empty_like(e)
+        for k in reversed(range(self.nvars)):
+            place, part[:, k] = np.divmod(place, e[:, k] + 1)
+        ww = np.ones(len(e))
+        for k in range(self.nvars):
+            ww *= self._binom[e[:, k], part[:, k]]
+        return self.rank(part), self.rank(e - part), bounds, ww
 
     def derive_map(self, pos: int) -> np.ndarray:
         """Source indices mapping d/d(seed pos) into the order-1 lower shape."""
         got = self._derive.get(pos)
         if got is None:
-            bumped = _tables(self.nvars, self.order - 1).exps.copy()
-            bumped[:, pos] += 1
-            got = self._derive[pos] = self.rank(bumped)
+            size = self._offsets[self.order]  # the slots of the order below
+
+            def build():
+                bumped = self.exps[:size].copy()
+                bumped[:, pos] += 1
+                return self.rank(bumped)
+            got = self._derive[pos] = self._shared(("derive", pos), size, build)[:size]
         return got
 
     def restrict_map(self, positions: tuple[int, ...], suborder: int) -> np.ndarray:
         """The slot of each coefficient of the (len(positions), suborder) shape
         whose seeds sit at ``positions`` here; :meth:`JetContext.slots` keeps it."""
         sub = _tables(len(positions), suborder)
-        full = np.zeros((sub.size, self.nvars), dtype=np.int8)
-        full[:, list(positions)] = sub.exps
-        return self.rank(full)
+
+        def build():
+            full = np.zeros((sub.size, self.nvars), dtype=np.int8)
+            full[:, list(positions)] = sub.exps
+            return self.rank(full)
+        return self._shared(("restrict", positions), sub.size, build)[:sub.size]
 
 
+#: Per seed count, each table array at the highest order built so far, with
+#: the slots it covers.
+_STORES: dict[int, dict] = {}
 _TABLE_CACHE: dict[tuple[int, int], _Tables] = {}
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -345,29 +346,45 @@ def _reference_tables(nvars, order):
     return exps, index, terms
 
 
-@pytest.mark.parametrize("nvars,order", [(0, 0), (0, 3), (1, 5), (2, 4), (3, 3),
-                                         (4, 5), (5, 2), (6, 5), (3, 6)])
-def test_tables_match_a_term_by_term_enumeration(nvars, order):
-    from dwfinsler.jets import _Tables
-    exps, index, terms = _reference_tables(nvars, order)
-    tables = _Tables(nvars, order)
+def _fresh_tables(monkeypatch):
+    monkeypatch.setattr(jets, "_TABLE_CACHE", {})
+    monkeypatch.setattr(jets, "_STORES", {})
+
+
+def _check_tables(tables, reference):
+    nvars, order = tables.nvars, tables.order
+    exps, index, terms = reference(nvars, order)
     assert [tuple(e) for e in tables.exps.tolist()] == exps
     assert tables.rank(tables.exps).tolist() == list(range(tables.size))
-    if order:  # the lower orders' slots come first: Jet.partial steps through them
-        lower = _Tables(nvars, order - 1)
-        assert tables.exps[:lower.size].tolist() == lower.exps.tolist()
     ii, jj, starts, ww = tables.mul_table
-    assert list(zip(ii.tolist(), jj.tolist(), ww.tolist())) == [t[:2] + t[3:] for t in terms]
+    assert [ii.tolist(), jj.tolist(), ww.tolist()] == [[t[k] for t in terms] for k in (0, 1, 3)]
     assert starts.tolist() == [k for k, t in enumerate(terms) if k == 0 or t[2] != terms[k - 1][2]]
-    lower = exps if order == 0 else _reference_tables(nvars, order - 1)[0]
+    lower = exps if order == 0 else reference(nvars, order - 1)[0]
     for pos in range(nvars if order else 0):
         bumped = [e[:pos] + (e[pos] + 1,) + e[pos + 1:] for e in lower]
         assert tables.derive_map(pos).tolist() == [index[e] for e in bumped]
     for positions in itertools.combinations(range(nvars), min(nvars, 2)):
-        sub = _reference_tables(len(positions), order)[0]
-        full = [tuple(e[positions.index(k)] if k in positions else 0 for k in range(nvars))
-                for e in sub]
-        assert tables.restrict_map(positions, order).tolist() == [index[e] for e in full]
+        for suborder in range(order + 1):
+            sub = reference(len(positions), suborder)[0]
+            full = [tuple(e[positions.index(k)] if k in positions else 0 for k in range(nvars))
+                    for e in sub]
+            assert tables.restrict_map(positions, suborder).tolist() == [index[e] for e in full]
+
+
+@pytest.mark.parametrize("nvars,order", [(0, 0), (0, 3), (1, 5), (2, 4), (3, 3),
+                                         (4, 5), (5, 2), (6, 5), (3, 6)])
+def test_tables_match_a_term_by_term_enumeration(monkeypatch, nvars, order):
+    # Lower orders are prefixes of the highest built: made and read from the
+    # top down, each reads its arrays off the top table; from the bottom up,
+    # each builds its own; made from the top down and read from the bottom
+    # up, it shares its exponents but builds its maps.
+    reference = functools.cache(_reference_tables)
+    down, up = range(order, -1, -1), range(order + 1)
+    for made, read in ((down, down), (up, up), (down, up)):
+        _fresh_tables(monkeypatch)
+        tables = {k: jets._tables(nvars, k) for k in made}
+        for k in read:
+            _check_tables(tables[k], reference)
 
 
 @pytest.mark.parametrize("op", [lambda t: 1.0 / t, lambda t: t ** -2,
@@ -716,6 +733,79 @@ def test_a_warm_chain_finds_its_bookkeeping_cached(monkeypatch, fixr):
         tensor(fixr, fresh, name)
     assert calls["rank"] == 0 and calls["sorted"] == 0
     assert 0 < calls["hash"] <= CHAIN_HASHES
+
+
+@pytest.fixture
+def fresh_jets(monkeypatch, fixr):
+    """Empty table and context caches, and no FIX-R work point kept."""
+    from dwfinsler.engine import workspace
+    _fresh_tables(monkeypatch)
+    monkeypatch.setattr(jets, "_CONTEXT_CACHE", {})
+    workspace(fixr).clear()
+    yield
+    workspace(fixr).clear()
+
+
+def _chain_bytes(cfg, p):
+    from dwfinsler.core import tensor
+    out = []
+    for name in CHAIN:
+        got = tensor(cfg, p, name)
+        out += [t.array.tobytes() for t in (got if isinstance(got, tuple) else (got,))]
+    return out
+
+
+def test_the_table_build_order_moves_no_bit(monkeypatch, fixr, fresh_jets):
+    # Every six-seed table built from order 0 up, each array at each order,
+    # so the chain reads them all off an order-6 top; by default it builds
+    # each at the highest order it reads.
+    from dwfinsler.coords import MAX_ORDER
+    from dwfinsler.engine import workspace
+    p, = region("FIX-R", count=1, seed=11)
+    default = _chain_bytes(fixr, p)
+    workspace(fixr).clear()
+    _fresh_tables(monkeypatch)
+    monkeypatch.setattr(jets, "_CONTEXT_CACHE", {})
+    for order in range(MAX_ORDER + 1):
+        tables = jets._tables(6, order)
+        tables.mul_table
+        for pos in range(6 if order else 0):
+            tables.derive_map(pos)
+        for r in range(7):
+            for positions in itertools.combinations(range(6), r):
+                tables.restrict_map(positions, order)
+    assert _chain_bytes(fixr, p) == default
+
+
+def test_a_cold_chain_builds_one_table_per_seed_count(monkeypatch, fixr, fresh_jets):
+    # The lift asks for each seed count's highest order first, so every
+    # lower order is a prefix of that one table.
+    from collections import Counter
+    built = Counter()
+    enumerate_ = jets._Tables._enumerate
+
+    def counted(self):
+        built[self.nvars] += 1
+        return enumerate_(self)
+
+    monkeypatch.setattr(jets._Tables, "_enumerate", counted)
+    p, = region("FIX-R", count=1, seed=11)
+    _chain_bytes(fixr, p)
+    assert built == {1: 1, 2: 1, 3: 1, 6: 1}
+
+
+def test_a_second_battery_ranks_no_exponents(monkeypatch):
+    from dwfinsler.engine import workspace
+    from dwfinsler.runspec import fixture_runspec
+    from dwfinsler.suites import run_suites
+    spec = fixture_runspec("FIX-R")
+    run_suites(spec)
+    workspace(spec.config).clear()
+    ranked = []
+    rank = jets._Tables.rank
+    monkeypatch.setattr(jets._Tables, "rank", lambda self, rows: ranked.append(1) or rank(self, rows))
+    run_suites(spec)
+    assert not ranked
 
 
 def test_the_jet_caches_are_bounded_by_value(fixr):
