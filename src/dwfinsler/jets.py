@@ -35,7 +35,10 @@ non-seed.
 
 Each :class:`JetContext` keeps its unions, gradient plans and the slots of
 the contexts it restricts to or embeds from, keyed by value: bookkeeping runs
-once per context.
+once per context.  Below the contexts, each seed count has one set of
+enumeration and product tables, at the highest order built so far: an
+exponent's slot does not depend on the order, so every lower order reads a
+prefix of them.
 
 The engine (:mod:`dwfinsler.engine`) lifts each squared norm once per point
 with :func:`support_lift` and memoizes that lift.  The finite-difference
@@ -114,7 +117,7 @@ class _Tables:
         those with a smaller k-th entry after an equal prefix add up, by the
         hockey-stick identity, to C(r + m, m) - C(r - e_k + m, m), where r is
         the total left from entry k on and m the count of entries after k.
-        Neither term depends on the order, so a slot is the same at every
+        Neither count depends on the order, so a slot is the same at every
         order that holds its exponent.
         """
         rest = rows.sum(1)

@@ -735,13 +735,18 @@ def test_a_warm_chain_finds_its_bookkeeping_cached(monkeypatch, fixr):
     assert 0 < calls["hash"] <= CHAIN_HASHES
 
 
-@pytest.fixture
-def fresh_jets(monkeypatch, fixr):
-    """Empty table and context caches, and no FIX-R work point kept."""
+def _fresh_jets(monkeypatch, cfg):
+    """Empty table and context caches, and no work point kept for ``cfg``."""
     from dwfinsler.engine import workspace
     _fresh_tables(monkeypatch)
     monkeypatch.setattr(jets, "_CONTEXT_CACHE", {})
-    workspace(fixr).clear()
+    workspace(cfg).clear()
+
+
+@pytest.fixture
+def fresh_jets(monkeypatch, fixr):
+    from dwfinsler.engine import workspace
+    _fresh_jets(monkeypatch, fixr)
     yield
     workspace(fixr).clear()
 
@@ -760,12 +765,9 @@ def test_the_table_build_order_moves_no_bit(monkeypatch, fixr, fresh_jets):
     # so the chain reads them all off an order-6 top; by default it builds
     # each at the highest order it reads.
     from dwfinsler.coords import MAX_ORDER
-    from dwfinsler.engine import workspace
     p, = region("FIX-R", count=1, seed=11)
     default = _chain_bytes(fixr, p)
-    workspace(fixr).clear()
-    _fresh_tables(monkeypatch)
-    monkeypatch.setattr(jets, "_CONTEXT_CACHE", {})
+    _fresh_jets(monkeypatch, fixr)
     for order in range(MAX_ORDER + 1):
         tables = jets._tables(6, order)
         tables.mul_table
@@ -803,9 +805,14 @@ def test_a_second_battery_ranks_no_exponents(monkeypatch):
     workspace(spec.config).clear()
     ranked = []
     rank = jets._Tables.rank
-    monkeypatch.setattr(jets._Tables, "rank", lambda self, rows: ranked.append(1) or rank(self, rows))
+
+    def counted(self, rows):
+        ranked.append(len(rows))
+        return rank(self, rows)
+
+    monkeypatch.setattr(jets._Tables, "rank", counted)
     run_suites(spec)
-    assert not ranked
+    assert ranked == []
 
 
 def test_the_jet_caches_are_bounded_by_value(fixr):
