@@ -84,12 +84,13 @@ class _Tables:
         self._mul = None
         self._derive: dict[int, np.ndarray] = {}
 
-    def _shared(self, key, size: int, build: Callable[[], object]):
-        """This seed count's ``key`` arrays, built at this order by ``build``
-        unless the store holds them for ``size`` slots or more already."""
+    def _shared(self, key, size: int, build: Callable[[], object], covers: int = 0):
+        """This seed count's ``key`` arrays, built by ``build`` for
+        ``covers`` slots (default: ``size``) unless the store holds them for
+        ``size`` slots or more already."""
         got = self._store.get(key)
         if got is None or got[0] < size:
-            got = self._store[key] = (size, build())
+            got = self._store[key] = (covers or size, build())
         return got[1]
 
     def _enumerate(self):
@@ -120,11 +121,14 @@ class _Tables:
         Neither count depends on the order, so a slot is the same at every
         order that holds its exponent.
         """
+        # The store's offsets and binomials reach the highest order built,
+        # which this instance's may not.
+        _, offsets, binom = self._store["exps"][1]
         rest = rows.sum(1)
-        out = self._offsets[rest]
+        out = offsets[rest]
         for k in range(self.nvars):
             m = self.nvars - 1 - k
-            out = out + self._binom[rest + m, m] - self._binom[rest - rows[:, k] + m, m]
+            out = out + binom[rest + m, m] - binom[rest - rows[:, k] + m, m]
             rest = rest - rows[:, k]
         return out
 
@@ -161,16 +165,21 @@ class _Tables:
         return self.rank(part), self.rank(e - part), bounds, ww
 
     def derive_map(self, pos: int) -> np.ndarray:
-        """Source indices mapping d/d(seed pos) into the order-1 lower shape."""
+        """Source indices mapping d/d(seed pos) into the order-1 lower shape.
+
+        Built over every exponent row the store holds, so one map serves
+        every order up to one above the store's.
+        """
         got = self._derive.get(pos)
         if got is None:
             size = self._offsets[self.order]  # the slots of the order below
+            held, (exps, _, _) = self._store["exps"]
 
             def build():
-                bumped = self.exps[:size].copy()
+                bumped = exps.copy()
                 bumped[:, pos] += 1
                 return self.rank(bumped)
-            got = self._derive[pos] = self._shared(("derive", pos), size, build)[:size]
+            got = self._derive[pos] = self._shared(("derive", pos), size, build, held)[:size]
         return got
 
     def restrict_map(self, positions: tuple[int, ...], suborder: int) -> np.ndarray:

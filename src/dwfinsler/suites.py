@@ -20,11 +20,9 @@ sample, and the tracker alone reduces them (:meth:`_Tracker.feed_all`): it
 keeps the worst entry and its witness sample exactly as feeding the entries
 one by one would, and passes that one value through :meth:`_Tracker.feed`,
 the funnel a caller can wrap to see them.  Only a per-sample statistic that
-is not a maximum (the Matsumoto witness, the isotropy defect) is reduced
-before its feed.  The two yes/no verdicts, ``kahler`` and
-``totally-geodesic``, feed the tensors whose maxima they compare the same
-way, and :data:`_VERDICTS` turns those maxima into verdicts once every strip
-is read.  A suite whose precondition fails reports one informational entry
+is not a maximum (the Matsumoto witness, the isotropy defect, the gap
+between the largest |N_J| and |R|) is reduced before its feed.  A suite
+whose precondition fails reports one informational entry
 (:meth:`_Entries.skip`), and ``fd-crosscheck`` keeps its first samples as
 they arrive and checks them on the strip that completes them.
 """
@@ -45,9 +43,6 @@ from .fd import fd_stencils
 from .jets import CoordView
 from .metrics import TangentSample, sample_rows
 from .runspec import ALL_SUITES, RunSpec, sample_points
-
-#: The fewest sample points the totally-geodesic suite reads.
-TOTALLY_GEODESIC_MIN_POINTS = 20
 
 
 class SuiteEntry:
@@ -156,8 +151,7 @@ class _Entries:
     entry again under another tolerance name or bound is a ``ValueError``.
     ``values`` is a residual tensor whose leading axis runs over ``points``,
     or a tuple of them, joined sample by sample.  A suite whose precondition
-    fails reports one informational entry, set by :meth:`skip`, and a verdict
-    suite (:data:`_VERDICTS`) reports its verdicts on the worst values fed.
+    fails reports one informational entry, set by :meth:`skip`.
     ``carry`` is what a step keeps from one strip for a later one.
     """
 
@@ -184,15 +178,9 @@ class _Entries:
         """Report only the passing informational entry ``name``."""
         self._skipped = SuiteEntry(self.suite, name, 0.0, None, True, None, note)
 
-    def worst(self, name: str) -> float:
-        """The worst value fed to entry ``name``."""
-        return self._fed[name][0].value
-
     def entries(self) -> list[SuiteEntry]:
         if self._skipped is not None:
             return [self._skipped]
-        if self.suite in _VERDICTS:
-            return _VERDICTS[self.suite](self)
         out = []
         for name, (tracker, tol, lower) in self._fed.items():
             if lower is None:
@@ -447,67 +435,27 @@ def _suite_nijenhuis(out: _Entries, wp: WorkPoint) -> None:
 
 
 def _suite_kahler(out: _Entries, wp: WorkPoint) -> None:
+    # Kahler iff the horizontal distribution is integrable: N_J is built
+    # from R alone, so its largest entry is the largest |R| at every sample.
     lp = lifted.of(wp)
-    out.feed("bracket-curvature", lp.Rb, wp.samples)
-    out.feed("integrability-obstruction", lp.nijenhuis_tables[1], wp.samples)
+    nj, r = max_abs(lp.nijenhuis_tables[1], wp.lead), max_abs(lp.Rb, wp.lead)
+    out.feed("integrability-equivalence", nj - r, wp.samples,
+             describe=lambda k: f"max integrability obstruction {nj[k]:.3e}, "
+                                f"max bracket curvature {r[k]:.3e}")
 
 
 def _suite_totally_geodesic(out: _Entries, wp: WorkPoint) -> None:
-    least = TOTALLY_GEODESIC_MIN_POINTS
-    if out.spec.sampling.count < least:
-        out.skip(f"skipped (needs >= {least} points)")
-        return
-    n1, n = wp.cfg.n1, wp.cfg.n
+    # The second fundamental forms of the two bundles in the Koszul table
+    # (Bao-Chern-Shen, GTM 200): the vertical part of nabla_{H_a} H_b is
+    # 1/2 R^k_ab - C^k_ab, and the horizontal part of nabla_{V_a} V_b is
+    # -(Fh - Gf)^k_ab.
+    n = wp.cfg.n
     lp, at = lifted.of(wp), wp.samples
-    Rb = lp.Rb
-    # |F - G|, |C|, the four mixed bracket blocks, and the Koszul table's
-    # horizontal part on vertical pairs and vertical part on horizontal pairs.
-    out.feed("fiber-horizontal-gap", lp.Fh - lp.Gf, at)
-    out.feed("cartan", lp.C, at)
-    out.feed("mixed-brackets", (Rb[..., n1:, :n1, :n1], Rb[..., :n1, :n1, n1:],
-                                Rb[..., n1:, :n1, n1:], Rb[..., :n1, n1:, n1:]), at)
-    out.feed("koszul-vertical-pairs", lp.koszul[..., n:, n:, :n], at)
-    out.feed("koszul-horizontal-pairs", lp.koszul[..., :n, :n, n:], at)
-
-
-def _binary(suite: str, name: str, holds: bool, note: str) -> SuiteEntry:
-    """A yes/no check: residual 0 when it ``holds`` and 1 when not, at tolerance 0."""
-    return SuiteEntry(suite, name, 0.0 if holds else 1.0, 0.0, holds, None, note)
-
-
-def _kahler_verdict(out: _Entries) -> list[SuiteEntry]:
-    # Kahler iff the horizontal distribution is integrable: max |R| and the
-    # largest integrability obstruction max |N_J| fall on one side of tol.
-    tol = out.spec.tolerance("kahler")
-    r, nj = out.worst("bracket-curvature"), out.worst("integrability-obstruction")
-    verdict = r <= tol
-    note = (f"verdict={'kahler' if verdict else 'not kahler'}, "
-            f"max bracket curvature {r:.3e}, max integrability obstruction {nj:.3e}")
-    # A non-finite maximum decides neither side, so the equivalence fails.
-    holds = math.isfinite(r + nj) and (nj <= tol) == verdict
-    return [_binary("kahler", "integrability-equivalence", holds, note)]
-
-
-def _totally_geodesic_verdict(out: _Entries) -> list[SuiteEntry]:
-    suite = "totally-geodesic"
-    fg, c, mixed, kos_v, kos_h = map(out.worst, (
-        "fiber-horizontal-gap", "cartan", "mixed-brackets", "koszul-vertical-pairs",
-        "koszul-horizontal-pairs"))
-    tol = out.spec.tolerance(suite)
-    vertical = fg <= tol
-    horizontal = c <= tol and mixed <= tol
-    note = f"vertical={'yes' if vertical else 'no'}, horizontal={'yes' if horizontal else 'no'}"
-    # A non-finite maximum decides neither side, so the consistency fails.
-    return [
-        _binary(suite, "vertical-invariance-consistent",
-                math.isfinite(fg + kos_v) and (kos_v <= tol) == vertical, note),
-        _binary(suite, "horizontal-invariance-consistent",
-                math.isfinite(c + mixed + kos_h) and (kos_h <= tol) == horizontal, note),
-    ]
-
-
-#: The suites whose entries are yes/no verdicts on the maxima their steps feed.
-_VERDICTS = {"kahler": _kahler_verdict, "totally-geodesic": _totally_geodesic_verdict}
+    c_up = np.einsum("...kl,...lab->...kab", wp.product.ginv_values(), lp.C)
+    out.feed("horizontal-second-fundamental-form",
+             lp.koszul[..., :n, :n, n:] - np.einsum("...kab->...abk", 0.5 * lp.Rb - c_up), at)
+    out.feed("vertical-second-fundamental-form",
+             lp.koszul[..., n:, n:, :n] + np.einsum("...kab->...abk", lp.Fh - lp.Gf), at)
 
 
 def _random_directions(rng: np.random.Generator, coords: list) -> tuple:

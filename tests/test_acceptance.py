@@ -16,6 +16,7 @@ from dwfinsler.engine import workspace
 from dwfinsler.runspec import fixture_runspec, parse_spec
 from dwfinsler.suites import _scalar_flag, run_suites
 from conftest import ALL_FIXTURES, entries
+from test_lifted import kahler_maxima
 
 
 def check(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -164,8 +165,8 @@ def test_criterion_14_almost_complex_structure(reports):
               for name in ("FIX-P", "FIX-E"))
     ok = (sq == 0.0 and herm <= 1e-10 and table <= 1e-10 and dres <= 1e-10
           and nij <= 1e-7
-          and kp.note.startswith("verdict=kahler,") and kp.passed
-          and ke.note.startswith("verdict=not kahler,") and ke.passed)
+          and kp.residual == 0.0 and kahler_maxima(kp.note) == (0.0, 0.0) and kp.passed
+          and ke.residual == 0.0 and min(kahler_maxima(ke.note)) > 1e-7 and ke.passed)
     check(14, "complex structure exact, Hermitian/symplectic tables to 1e-10, "
               "d-closedness to 1e-10, integrability equivalence on both branches",
           ok, f"herm {herm:.2e}, table {table:.2e}, d {dres:.2e}, nij {nij:.2e}")

@@ -796,6 +796,23 @@ def test_a_cold_chain_builds_one_table_per_seed_count(monkeypatch, fixr, fresh_j
     assert built == {1: 1, 2: 1, 3: 1, 6: 1}
 
 
+def test_a_cold_chain_ranks_each_six_seed_map_once(monkeypatch, fixr, fresh_jets):
+    # The chain asks for positions 0 and 1's derive maps at order 4 before
+    # order 5; built over every row the store holds, each serves both.
+    from collections import Counter
+    ranked = Counter()
+    rank = jets._Tables.rank
+
+    def counted(self, rows):
+        ranked[self.nvars] += 1
+        return rank(self, rows)
+
+    monkeypatch.setattr(jets._Tables, "rank", counted)
+    p, = region("FIX-R", count=1, seed=11)
+    _chain_bytes(fixr, p)
+    assert ranked[6] == 11
+
+
 def test_a_second_battery_ranks_no_exponents(monkeypatch):
     from dwfinsler.engine import workspace
     from dwfinsler.runspec import fixture_runspec

@@ -450,7 +450,7 @@ def test_a_nan_bracket_is_reported_at_its_own_sample(monkeypatch):
 
 def test_every_verdict_passes_through_the_tracker_funnel(monkeypatch):
     # A wrapper of _Tracker.feed, as a benchmark's residual guard installs
-    # one, sees the NaN each verdict suite reads off a planted bracket.
+    # one, sees the NaN each identity suite reads off a planted bracket.
     spec = fixture_runspec("FIX-E", seed=7, count=20, suites=("kahler", "totally-geodesic"))
     running, seen = [None], set()
     feed = suites._Tracker.feed
@@ -479,33 +479,109 @@ def test_every_verdict_passes_through_the_tracker_funnel(monkeypatch):
     assert seen == {"kahler", "totally-geodesic"}
 
 
-def verdict_entries(name, suite, count):
+def suite_entries(name, suite, count):
     spec = fixture_runspec(name, seed=7, count=count, suites=(suite,),
                            tolerances={suite: 1e-7})
     (result,) = run_suites(spec).suites
     return result.entries
 
 
+def kahler_maxima(note):
+    """The largest |N_J| and |R| at the witness, as the Kahler entry's note gives them."""
+    got = re.fullmatch(r"max integrability obstruction (\S+), max bracket curvature (\S+)",
+                       note)
+    return float(got.group(1)), float(got.group(2))
+
+
 def test_kahler_branches():
-    (kp,) = verdict_entries("FIX-P", "kahler", 4)
+    (kp,) = suite_entries("FIX-P", "kahler", 4)
     assert kp.name == "integrability-equivalence"
-    assert kp.passed and kp.residual == 0.0 and kp.note.startswith("verdict=kahler,")
-    (ke,) = verdict_entries("FIX-E", "kahler", 4)
-    assert ke.passed and ke.residual == 0.0 and ke.note.startswith("verdict=not kahler,")
-    obstruction = re.search(r"max integrability obstruction (\S+)$", ke.note).group(1)
-    assert float(obstruction) > 1e-7
+    assert kp.passed and kp.residual == 0.0 and kahler_maxima(kp.note) == (0.0, 0.0)
+    (ke,) = suite_entries("FIX-E", "kahler", 4)
+    assert ke.passed and ke.residual == 0.0 and min(kahler_maxima(ke.note)) > 1e-7
+
+
+SECOND_FUNDAMENTAL_FORMS = ["horizontal-second-fundamental-form",
+                            "vertical-second-fundamental-form"]
 
 
 def test_totally_geodesic_verdicts():
-    names = ["vertical-invariance-consistent", "horizontal-invariance-consistent"]
-    for fixture_name, note in (("FIX-P", "vertical=yes, horizontal=yes"),
-                               # Cartan terms split the two coefficient families
-                               ("FIX-R", "vertical=no, horizontal=no")):
-        got = verdict_entries(fixture_name, "totally-geodesic", 20)
-        assert [e.name for e in got] == names
+    for fixture_name in ("FIX-P", "FIX-R"):
+        got = suite_entries(fixture_name, "totally-geodesic", 20)
+        assert [e.name for e in got] == SECOND_FUNDAMENTAL_FORMS
         for e in got:
-            assert e.passed and (e.residual, e.tolerance) == (0.0, 0.0), fixture_name
-            assert e.note == note
-    (skipped,) = verdict_entries("FIX-P", "totally-geodesic", 5)
-    assert skipped.name == "skipped (needs >= 20 points)"
-    assert skipped.passed and skipped.tolerance is None
+            assert e.passed and e.residual <= 1e-15 and e.tolerance == 1e-7, fixture_name
+    # Both forms vanish on the flat Riemannian product; Cartan terms and the
+    # bracket curvature make both nonzero on the Randers product.
+    for fixture_name, vanish in (("FIX-P", True), ("FIX-R", False)):
+        cfg = fixture(fixture_name)
+        n = cfg.n
+        for p in region(fixture_name, 3):
+            kos = lifted_at(cfg, p).koszul
+            forms = (kos[:n, :n, n:], kos[n:, n:, :n])
+            assert [max_abs(f) == 0.0 for f in forms] == [vanish, vanish], fixture_name
+    # No minimum point count: a 5-point run reports both forms, none skipped.
+    few = suite_entries("FIX-P", "totally-geodesic", 5)
+    assert [e.name for e in few] == SECOND_FUNDAMENTAL_FORMS
+    assert all(e.passed and e.tolerance is not None for e in few)
+
+
+def _slip(monkeypatch, what):
+    """Scale the Koszul table, the direct N_J table or the engine's
+    horizontal coefficients by 1.001."""
+    if what == "horizontal_values":
+        real = EnginePoint.horizontal_values
+        monkeypatch.setattr(EnginePoint, what, lambda self: 1.001 * real(self))
+        return
+    real = getattr(lf._LiftedPoint, what)  # a cached_property
+    if what == "koszul":
+        def slipped(self):
+            return 1.001 * real.__get__(self)
+    else:
+        def slipped(self):
+            closed, direct = real.__get__(self)
+            return closed, 1.001 * direct
+    monkeypatch.setattr(lf._LiftedPoint, what, property(slipped))
+
+
+@pytest.mark.parametrize("name", ["FIX-1D", "FIX-E", "FIX-R"])
+@pytest.mark.parametrize("what, suite, names", [
+    ("koszul", "totally-geodesic", SECOND_FUNDAMENTAL_FORMS),
+    ("nijenhuis_tables", "kahler", ["integrability-equivalence"]),
+    ("horizontal_values", "totally-geodesic", ["vertical-second-fundamental-form"]),
+])
+def test_a_slip_fails_an_identity_entry(monkeypatch, name, what, suite, names):
+    ws = workspace(fixture(name))
+    ws.clear()
+    _slip(monkeypatch, what)
+    try:
+        (result,) = run_suites(fixture_runspec(name, count=20, suites=(suite,))).suites
+    finally:
+        ws.clear()  # drop every value built on the slipped ingredient
+    assert any(not e.passed for e in result.entries if e.name in names)
+
+
+#: A curved first factor and constant warps: R vanishes on its mixed blocks
+#: but not on factor 1's, where the transcribed horizontal criterion (C and
+#: the mixed blocks of R) disagreed with the Koszul table.
+CURVED_2x2 = {
+    "label": "curved-2x2",
+    "factors": [
+        {"kind": "riemannian_quadratic", "dim": 2, "parameters": {"entries": [
+            [[[1.0, [0, 0]], [0.5, [2, 0]]], [[0.2, [1, 1]]]],
+            [[[0.2, [1, 1]]], [[1.0, [0, 0]], [0.3, [0, 2]]]]]}},
+        {"kind": "euclidean", "dim": 2},
+    ],
+    "warps": {"f1": {"kind": "constant"}, "f2": {"kind": "constant"}},
+    "sampling": {"seed": 5, "count": 20},
+    "suites": ["kahler", "totally-geodesic"],
+}
+
+
+@pytest.mark.parametrize("count", [20, 4])
+def test_a_curved_factor_with_constant_warps_passes(count):
+    doc = dict(CURVED_2x2, sampling=dict(CURVED_2x2["sampling"], count=count))
+    report = run_suites(parse_spec(doc))
+    assert [[e.name for e in s.entries] for s in report.suites] == [
+        ["integrability-equivalence"], SECOND_FUNDAMENTAL_FORMS]
+    assert all(e.passed for s in report.suites for e in s.entries) and report.ok

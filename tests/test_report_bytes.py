@@ -4,8 +4,10 @@ A change that moves any residual, witness or note by one bit changes these
 digests.  They were made before the battery ran its sample points as batches,
 so they also hold the batched battery to the per-point one.  The fixture and
 seeded digests were re-pinned when ``hermitian``'s ``closedness`` and
-``potential-match`` entries gained their witness points, which were the only
-fields of those reports that moved.
+``potential-match`` entries gained their witness points, and again when the
+``kahler`` and ``totally-geodesic`` suites turned from yes/no verdicts into
+pointwise identities; each time those suites were the only fields of the
+reports that moved.
 """
 
 import hashlib
@@ -17,22 +19,23 @@ from dwfinsler.suites import emit_report, run_suites
 
 from conftest import ALL_FIXTURES
 from test_asymmetric import ASYM_1x3, ASYM_3x2
+from test_lifted import CURVED_2x2
 
 #: The built-in fixtures at their default seed and 25 points.
 FIXTURE_DIGESTS = {
-    "FIX-1D": "a7a5467ed9a2e4f0d85e10d8df2d539df37a032a594332115205e5855e9b782d",
-    "FIX-E": "8c5671586a347db26c7ed53b87ef7a00620d2130632d82d0450fa6e4bf7a9872",
-    "FIX-P": "f9d96f37230ca2dc8ba4aa951346c1a0db78356152882cb64fe26641aebdbe80",
-    "FIX-R": "661df7f3953f8f8597d8e364a6e1a53246a1f2fee14b05e2a1a861cf50ee8ca8",
+    "FIX-1D": "73e8399f7cf099b7126f3429dce2293a695bcb96e2faf3c51f9744257fab6937",
+    "FIX-E": "28d6fbdcec8bbbb2342cfa3feaf073782a3257a1eb67bbf226b9e46766f7256d",
+    "FIX-P": "8e2d8e02e173f5f3373a1e1e4db70ed09b9b528ca5c4e4b88bbcea5db509ed36",
+    "FIX-R": "966494b94234cd83c6468488fdf5cf0db03fa0eade17b7237bcf834db98dbb12",
 }
 
 #: Other seeds, and FIX-1D at the 150 points of the wide benchmark battery.
 SEEDED_DIGESTS = {
-    ("FIX-R", 3, 25): "23b130f5cdf2065e39cbadf422ca4293b8d8eaf21ccec46b7d8b735f6d5497bd",
-    ("FIX-R", 77, 25): "d69af8abe474285a37edea448a23810c42fde509c56dcf0a1f25a24ee81c0ded",
-    ("FIX-1D", 3, 25): "ed705494cb119d86b4edc4535b2b0db913a80d51d8a84d2c77937ca3a7fd1675",
-    ("FIX-1D", 77, 25): "861241a564cc7f50eeef58be4640308e017a0cd993d8eb26872479fdcbdf6f47",
-    ("FIX-1D", None, 150): "8b68f4eac59e0411569d7bb0e1c80dc15060a7d9efcc17d105f48d509b22888e",
+    ("FIX-R", 3, 25): "58c320fc120dea1ec9b1140efd67b668d2072e0512c9ac11d0f720e5ab1cd35a",
+    ("FIX-R", 77, 25): "f9813b4d86046c2001ea114bb5e2d79cdc09bc1aef6dd96e7f6c000de2f38819",
+    ("FIX-1D", 3, 25): "cc82a59fe26b317edbdad38acdae192d8362b7c988e43919ce5bc4dc9e64b0a7",
+    ("FIX-1D", 77, 25): "fbc562cc408e8cf96ce3889dad01cae2463bdfc05dfd0bcac363b98fe6bf37c8",
+    ("FIX-1D", None, 150): "5b9765b82436c90cdefd38719774b530800cf2d8bc1062a6a12e4c17728d66fe",
 }
 
 #: Cubic polynomial entries that dominate their metric entries, on the box
@@ -62,6 +65,9 @@ DOCUMENT_DIGESTS = {
     "asym-3x2": "b5d18ef2e2cc9ec88f9a6329ce953f2f7c5d2a243d2dbf60730e31123fa7c5f2",
     # Made while the oracle still evaluated F^2 one float point at a time.
     "cubic-2x2": "336ca8fa1536e7614418df235eab9c406b9c700f3913b573d619ef18f5fbc850",
+    # A curved first factor with constant warps, which the yes/no
+    # totally-geodesic verdict failed.
+    "curved-2x2": "b1a255d302ea44fc8967fe5e43bd5ef2a48fbd312196131632d78f77da18d896",
 }
 
 
@@ -80,7 +86,8 @@ def test_seeded_report_bytes(name, seed, count):
     assert _digest(report) == SEEDED_DIGESTS[(name, seed, count)]
 
 
-@pytest.mark.parametrize("doc", [ASYM_1x3, ASYM_3x2, CUBIC_2x2], ids=lambda d: d["label"])
+@pytest.mark.parametrize("doc", [ASYM_1x3, ASYM_3x2, CUBIC_2x2, CURVED_2x2],
+                         ids=lambda d: d["label"])
 def test_document_report_bytes(doc):
     assert _digest(run_suites(parse_spec(doc))) == DOCUMENT_DIGESTS[doc["label"]]
 

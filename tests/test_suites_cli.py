@@ -303,15 +303,13 @@ def test_a_tuple_feeds_as_the_largest_of_its_per_sample_maxima(prior, samples, t
 
 
 def test_every_tracked_entry_names_a_sampled_witness(reports):
-    # Only a constant of J, the two yes/no verdicts and skipped entries have
-    # no sample to name.
+    # Only a constant of J and skipped entries have no sample to name.
     unsampled = {("hermitian", "complex-square")}
     for name, report in reports.items():
         sampled = [_point_doc(p) for p in sample_points(fixture_runspec(name))]
         for s in report.suites:
             for e in s.entries:
-                if (s.name in ("kahler", "totally-geodesic") or e.tolerance is None
-                        or (s.name, e.name) in unsampled):
+                if e.tolerance is None or (s.name, e.name) in unsampled:
                     continue
                 assert e.point in sampled, (name, s.name, e.name, e.point)
 
