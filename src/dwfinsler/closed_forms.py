@@ -12,6 +12,14 @@ a suite holds every function to it, naming the offending block:
 Block keys name factor membership per slot: the character before the dot is
 the upper slot, the rest are the lower slots in order ('1' = first factor,
 '2' = second).  Rank-1 and rank-2 objects drop the dot.
+
+F^2 = f2^2 F1^2 + f1^2 F2^2 is unchanged when the two factors trade places,
+so each block is written once, as a pattern over a factor t and the other
+factor o (``t.to`` is the block with upper slot and first lower slot in t and
+second lower slot in o), and evaluated with t = 1 and with t = 2.  The key of
+a pattern replaces t and o by the factors' numbers, except that the first two
+lower slots are always listed in product order: t = 2's ``t.to`` is the
+block ``2.12``, its two lower axes swapped.
 """
 
 from __future__ import annotations
@@ -39,179 +47,139 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, None] * b[..., None, :]
 
 
-class Ingredients:
-    """Factor-engine values and warp partials shared by all block formulas.
+class _Side:
+    """One factor ``t`` of a work point, read as the side of a block pattern:
+    its engine values, its own squared warp ``fsq`` (the one that scales the
+    other factor) with that warp's base gradient ``w``, and ``wy`` = w . y.
+    The scalars are arrays, one value per sample of a batch."""
 
-    One set serves every family at a work point, built once by :func:`of`.
-    The scalars (squared norms, squared warps and the warp
-    gradients along the fiber) are arrays, one value per sample of a batch.
-    """
+    def __init__(self, wp: WorkPoint, t: int):
+        eng = self.eng = wp.factor(t)
+        self.which, self.n = t, eng.engine.n
+        self.g, self.ginv, self.C = eng.g_values(), eng.ginv_values(), eng.cartan()
+        self.Fsq, self.dF = np.asarray(eng.F2_value()), eng.F2_fiber_gradient()
+        self.fsq, self.w = np.asarray(wp.warp_sq(t)), wp.warp_gradient(t)
+        self.wy = vdot(self.w, eng.fiber_values())
+        self._dginv = [eng.ginv()]
 
-    def __init__(self, wp: WorkPoint):
-        cfg = wp.cfg
-        self.n1, self.n2 = cfg.n1, cfg.n2
-        f1, f2 = wp.factor1, wp.factor2
-        self.g1, self.g2 = f1.g_values(), f2.g_values()
-        self.g1inv, self.g2inv = f1.ginv_values(), f2.ginv_values()
-        self.C1, self.C2 = f1.cartan(), f2.cartan()
-        self.F1sq, self.F2sq = np.asarray(f1.F2_value()), np.asarray(f2.F2_value())
-        self.f1sq, self.f2sq = np.asarray(wp.warp_sq(1)), np.asarray(wp.warp_sq(2))
-        self.w1x, self.w2u = wp.warp_gradient(1), wp.warp_gradient(2)
-        self.dF1dy, self.dF2dv = f1.F2_fiber_gradient(), f2.F2_fiber_gradient()
-        self.vsum = vdot(self.w2u, f2.fiber_values())
-        self.ysum = vdot(self.w1x, f1.fiber_values())
-        self._dginv = {k: ([f.ginv()], f.engine.fiber) for k, f in ((1, f1), (2, f2))}
-        self.dginv1, self.dginv2 = self.dginv(1, 1), self.dginv(2, 1)
-
-    def dginv(self, which: int, order: int) -> np.ndarray:
+    def dginv(self, order: int) -> np.ndarray:
         """[..., k, h, i, j, ...] = the order-``order`` fiber partial d^order g^kh / dy^i dy^j ...
-        of a factor's inverse metric, each order kept as one gradient of the last."""
-        jets, fiber = self._dginv[which]
-        while len(jets) <= order:
-            jets.append(jets[-1].grad(fiber))
-        return jets[order].value
+        of the factor's inverse metric, each order kept as one gradient of the last."""
+        while len(self._dginv) <= order:
+            self._dginv.append(self._dginv[-1].grad(self.eng.engine.fiber))
+        return self._dginv[order].value
 
 
-def of(wp: WorkPoint) -> Ingredients:
-    """The closed-form ingredients of a work point (a sample or a strip), built once."""
+def of(wp: WorkPoint) -> tuple[_Side, _Side]:
+    """The two sides of a work point (a sample or a strip), built once."""
     if wp.closed_forms is None:
-        wp.closed_forms = Ingredients(wp)
+        wp.closed_forms = (_Side(wp, 1), _Side(wp, 2))
     return wp.closed_forms
+
+
+def _key(pattern: str, t: _Side, o: _Side) -> str:
+    return pattern.replace("t", str(t.which)).replace("o", str(o.which))
+
+
+def _both(wp: WorkPoint, blocks) -> dict[str, np.ndarray]:
+    """The patterns of ``blocks(t, o)`` evaluated with each factor as t, by
+    block key in key order.  A key whose first two lower slots come out as
+    "21" lists them as "12", its two axes swapped to match."""
+    s1, s2 = of(wp)
+    out = {}
+    for t, o in ((s1, s2), (s2, s1)):
+        for pattern, value in blocks(t, o).items():
+            key = _key(pattern, t, o)
+            head, _, low = key.partition(".")
+            if low[:2] == "21":
+                key = f"{head}.12{low[2:]}"
+                value = np.swapaxes(value, -len(low), 1 - len(low))
+            out[key] = value
+    return dict(sorted(out.items()))
 
 
 def spray_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
     """Product spray from factor sprays plus warp corrections."""
-    q = of(wp)
-    G1 = wp.factor1.spray_values()
-    G2 = wp.factor2.spray_values()
-    top = G1 + (matvec(q.g1inv, scalar_axes(q.vsum, 1) * q.dF1dy - q.w1x * scalar_axes(q.F2sq, 1))
-                / scalar_axes(4.0 * q.f2sq, 1))
-    bot = G2 + (matvec(q.g2inv, scalar_axes(q.ysum, 1) * q.dF2dv - q.w2u * scalar_axes(q.F1sq, 1))
-                / scalar_axes(4.0 * q.f1sq, 1))
-    return {"1": top, "2": bot}
+    def blocks(t, o):
+        shift = scalar_axes(o.wy, 1) * t.dF - t.w * scalar_axes(o.Fsq, 1)
+        return {"t": t.eng.spray_values() + matvec(t.ginv, shift) / scalar_axes(4.0 * o.fsq, 1)}
+    return _both(wp, blocks)
 
 
 def nonlinear_connection_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
     """The fiber derivative of the spray: the factor connections shifted by the warps."""
-    q = of(wp)
-    n1, n2 = q.n1, q.n2
-    N11 = (wp.factor1.nonlinear_connection_values()
-           - np.einsum("...ihj,...h->...ij", q.dginv1, q.w1x) * scalar_axes(q.F2sq, 2)
-           / scalar_axes(4.0 * q.f2sq, 2)
-           + scalar_axes(q.vsum / (2.0 * q.f2sq), 2) * np.eye(n1))
-    N12 = (_outer(matvec(q.g1inv, q.dF1dy), q.w2u)
-           - _outer(matvec(q.g1inv, q.w1x), q.dF2dv)) / scalar_axes(4.0 * q.f2sq, 2)
-    N21 = (_outer(matvec(q.g2inv, q.dF2dv), q.w1x)
-           - _outer(matvec(q.g2inv, q.w2u), q.dF1dy)) / scalar_axes(4.0 * q.f1sq, 2)
-    N22 = (wp.factor2.nonlinear_connection_values()
-           - np.einsum("...agb,...g->...ab", q.dginv2, q.w2u) * scalar_axes(q.F1sq, 2)
-           / scalar_axes(4.0 * q.f1sq, 2)
-           + scalar_axes(q.ysum / (2.0 * q.f1sq), 2) * np.eye(n2))
-    return {"11": N11, "12": N12, "21": N21, "22": N22}
+    def blocks(t, o):
+        x4 = scalar_axes(4.0 * o.fsq, 2)
+        return {"tt": (t.eng.nonlinear_connection_values()
+                       - np.einsum("...ihj,...h->...ij", t.dginv(1), t.w)
+                       * scalar_axes(o.Fsq, 2) / x4
+                       + scalar_axes(o.wy / (2.0 * o.fsq), 2) * np.eye(t.n)),
+                "to": (_outer(matvec(t.ginv, t.dF), o.w)
+                       - _outer(matvec(t.ginv, t.w), o.dF)) / x4}
+    return _both(wp, blocks)
 
 
 def connection_fiber_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
     """Second fiber derivatives of the spray, block by block."""
-    q = of(wp)
-    n1, n2 = q.n1, q.n2
-    f1x4, f2x4 = scalar_axes(4.0 * q.f1sq, 3), scalar_axes(4.0 * q.f2sq, 3)
-    f1x2, f2x2 = scalar_axes(2.0 * q.f1sq, 3), scalar_axes(2.0 * q.f2sq, 3)
-    out = {}
-    out["1.11"] = (wp.factor1.connection_fiber_values()
-                   - np.einsum("...khji,...h->...kij", q.dginv(1, 2), q.w1x)
-                   * scalar_axes(q.F2sq, 3) / f2x4)
-    out["1.12"] = (-np.einsum("...khi,...h,...b->...kib", q.dginv1, q.w1x, q.dF2dv) / f2x4
-                   + np.einsum("ki,...b->...kib", np.eye(n1), q.w2u) / f2x2)
-    out["1.22"] = -np.einsum("...k,...ab->...kab", matvec(q.g1inv, q.w1x), q.g2) / f2x2
-    out["2.11"] = -np.einsum("...g,...ij->...gij", matvec(q.g2inv, q.w2u), q.g1) / f1x2
-    out["2.12"] = (-np.einsum("...agb,...a,...i->...gib", q.dginv2, q.w2u, q.dF1dy) / f1x4
-                   + np.einsum("gb,...i->...gib", np.eye(n2), q.w1x) / f1x2)
-    out["2.22"] = (wp.factor2.connection_fiber_values()
-                   - np.einsum("...glba,...l->...gab", q.dginv(2, 2), q.w2u)
-                   * scalar_axes(q.F1sq, 3) / f1x4)
-    return out
+    def blocks(t, o):
+        x4, x2 = scalar_axes(4.0 * o.fsq, 3), scalar_axes(2.0 * o.fsq, 3)
+        return {"t.tt": (t.eng.connection_fiber_values()
+                         - np.einsum("...khji,...h->...kij", t.dginv(2), t.w)
+                         * scalar_axes(o.Fsq, 3) / x4),
+                "t.to": (-np.einsum("...khi,...h,...b->...kib", t.dginv(1), t.w, o.dF) / x4
+                         + np.einsum("ki,...b->...kib", np.eye(t.n), o.w) / x2),
+                "t.oo": -np.einsum("...k,...ab->...kab", matvec(t.ginv, t.w), o.g) / x2}
+    return _both(wp, blocks)
 
 
 def horizontal_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
-    q = of(wp)
     nc = nonlinear_connection_blocks(wp)
-    N12, N21 = nc["12"], nc["21"]
-    # The warp-induced shifts of the factor nonlinear connections.
-    m1 = nc["11"] - wp.factor1.nonlinear_connection_values()
-    m2 = nc["22"] - wp.factor2.nonlinear_connection_values()
-    dg1 = 2.0 * q.C1  # fiber derivative of the factor metric
-    dg2 = 2.0 * q.C2
-    f1sq, f2sq = scalar_axes(q.f1sq, 3), scalar_axes(q.f2sq, 3)
-    out = {}
-    corr1 = (np.einsum("...rj,...hir->...hij", m1, dg1)
-             + np.einsum("...ri,...hjr->...hij", m1, dg1)
-             - np.einsum("...rh,...ijr->...hij", m1, dg1))
-    out["1.11"] = (wp.factor1.horizontal_values()
-                   - 0.5 * np.einsum("...kh,...hij->...kij", q.g1inv, corr1))
-    out["1.12"] = np.einsum("...kh,...hib->...kib",
-                            q.g1inv,
-                            np.einsum("...b,...hi->...hib", q.w2u, q.g1)
-                            - f2sq * np.einsum("...rb,...hir->...hib", N12, dg1)
-                            ) / scalar_axes(2.0 * q.f2sq, 3)
-    out["1.22"] = -np.einsum("...kh,...hab->...kab",
-                             q.g1inv,
-                             np.einsum("...h,...ab->...hab", q.w1x, q.g2)
-                             - f1sq * np.einsum("...lh,...abl->...hab", N21, dg2)
-                             ) / scalar_axes(2.0 * q.f2sq, 3)
-    out["2.11"] = -np.einsum("...gl,...lij->...gij",
-                             q.g2inv,
-                             np.einsum("...l,...ij->...lij", q.w2u, q.g1)
-                             - f2sq * np.einsum("...rl,...ijr->...lij", N12, dg1)
-                             ) / scalar_axes(2.0 * q.f1sq, 3)
-    out["2.12"] = np.einsum("...gl,...lib->...gib",
-                            q.g2inv,
-                            np.einsum("...i,...bl->...lib", q.w1x, q.g2)
-                            - f1sq * np.einsum("...ai,...bla->...lib", N21, dg2)
-                            ) / scalar_axes(2.0 * q.f1sq, 3)
-    corr2 = (np.einsum("...mb,...lam->...lab", m2, dg2)
-             + np.einsum("...ma,...lbm->...lab", m2, dg2)
-             - np.einsum("...ml,...abm->...lab", m2, dg2))
-    out["2.22"] = (wp.factor2.horizontal_values()
-                   - 0.5 * np.einsum("...gl,...lab->...gab", q.g2inv, corr2))
-    return out
+
+    def blocks(t, o):
+        N = {p: nc[_key(p, t, o)] for p in ("tt", "to", "ot")}
+        # The warp-induced shift of the factor nonlinear connection, and the
+        # fiber derivatives of the factor metrics.
+        m = N["tt"] - t.eng.nonlinear_connection_values()
+        dgt, dgo = 2.0 * t.C, 2.0 * o.C
+        corr = (np.einsum("...rj,...hir->...hij", m, dgt)
+                + np.einsum("...ri,...hjr->...hij", m, dgt)
+                - np.einsum("...rh,...ijr->...hij", m, dgt))
+        x2 = scalar_axes(2.0 * o.fsq, 3)
+        return {"t.tt": (t.eng.horizontal_values()
+                         - 0.5 * np.einsum("...kh,...hij->...kij", t.ginv, corr)),
+                "t.to": np.einsum("...kh,...hib->...kib", t.ginv,
+                                  np.einsum("...b,...hi->...hib", o.w, t.g)
+                                  - scalar_axes(o.fsq, 3)
+                                  * np.einsum("...rb,...hir->...hib", N["to"], dgt)) / x2,
+                "t.oo": -np.einsum("...kh,...hab->...kab", t.ginv,
+                                   np.einsum("...h,...ab->...hab", t.w, o.g)
+                                   - scalar_axes(t.fsq, 3)
+                                   * np.einsum("...lh,...abl->...hab", N["ot"], dgo)) / x2}
+    return _both(wp, blocks)
 
 
 def berwald_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
-    q = of(wp)
-    f1x4, f2x4 = scalar_axes(4.0 * q.f1sq, 4), scalar_axes(4.0 * q.f2sq, 4)
-    f1x2, f2x2 = scalar_axes(2.0 * q.f1sq, 4), scalar_axes(2.0 * q.f2sq, 4)
-    out = {}
-    out["1.111"] = (wp.factor1.berwald()
-                    - np.einsum("...khijl,...h->...kijl", q.dginv(1, 3), q.w1x)
-                    * scalar_axes(q.F2sq, 4) / f2x4)
-    out["1.121"] = -np.einsum("...khli,...h,...b->...kibl",
-                              q.dginv(1, 2), q.w1x, q.dF2dv) / f2x4
-    out["1.221"] = -np.einsum("...ab,...khl,...h->...kabl", q.g2, q.dginv1, q.w1x) / f2x2
-    out["1.222"] = (-np.einsum("...abl,...k->...kabl", q.C2, matvec(q.g1inv, q.w1x))
-                    / scalar_axes(q.f2sq, 4))
-    out["1.122"] = -np.einsum("...khi,...h,...bl->...kibl", q.dginv1, q.w1x, q.g2) / f2x2
-    out["2.222"] = (wp.factor2.berwald()
-                    - np.einsum("...gnbal,...n->...gabl", q.dginv(2, 3), q.w2u)
-                    * scalar_axes(q.F1sq, 4) / f1x4)
-    out["2.122"] = -np.einsum("...agbl,...a,...i->...gibl",
-                              q.dginv(2, 2), q.w2u, q.dF1dy) / f1x4
-    out["2.112"] = -np.einsum("...ij,...agl,...a->...gijl", q.g1, q.dginv2, q.w2u) / f1x2
-    out["2.111"] = (-np.einsum("...ijk,...g->...gijk", q.C1, matvec(q.g2inv, q.w2u))
-                    / scalar_axes(q.f1sq, 4))
-    out["2.121"] = -np.einsum("...agb,...a,...ik->...gibk", q.dginv2, q.w2u, q.g1) / f1x2
-    return out
+    def blocks(t, o):
+        x4, x2 = scalar_axes(4.0 * o.fsq, 4), scalar_axes(2.0 * o.fsq, 4)
+        return {"t.ttt": (t.eng.berwald()
+                          - np.einsum("...khijl,...h->...kijl", t.dginv(3), t.w)
+                          * scalar_axes(o.Fsq, 4) / x4),
+                "t.tot": -np.einsum("...khli,...h,...b->...kibl", t.dginv(2), t.w, o.dF) / x4,
+                "t.oot": -np.einsum("...ab,...khl,...h->...kabl", o.g, t.dginv(1), t.w) / x2,
+                "t.ooo": (-np.einsum("...abl,...k->...kabl", o.C, matvec(t.ginv, t.w))
+                          / scalar_axes(o.fsq, 4)),
+                "t.too": -np.einsum("...khi,...h,...bl->...kibl", t.dginv(1), t.w, o.g) / x2}
+    return _both(wp, blocks)
 
 
 def matsumoto_contraction_rhs(wp: WorkPoint) -> np.ndarray:
     """Expected fiber-squared contraction of the mixed Matsumoto block."""
-    q = of(wp)
-    n = q.n1 + q.n2
+    s1, s2 = of(wp)
     Fsq = np.asarray(wp.product.F2_value())
-    mean2 = wp.factor2.mean_cartan()
-    return scalar_axes(-(q.f1sq * q.f2sq * q.F1sq * q.F2sq) / ((n + 1) * Fsq), 1) * mean2
+    return (scalar_axes(-(s1.fsq * s2.fsq * s1.Fsq * s2.Fsq) / ((wp.cfg.n + 1) * Fsq), 1)
+            * s2.eng.mean_cartan())
 
 
 def cartan_scaled_factor_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
     """Pure blocks of the product Cartan torsion: warp-scaled factor tensors."""
-    q = of(wp)
-    return {"111": scalar_axes(q.f2sq, 3) * q.C1, "222": scalar_axes(q.f1sq, 3) * q.C2}
+    return _both(wp, lambda t, o: {"ttt": scalar_axes(o.fsq, 3) * t.C})

@@ -534,9 +534,16 @@ class Jet:
                 f"shape={self.shape}, value={self.value})")
 
 
+def _exp(t: float) -> float:
+    try:
+        return math.exp(t)
+    except OverflowError:
+        raise DomainError(f"exp overflows at {t}") from None
+
+
 def _exp_values(v: np.ndarray) -> np.ndarray:
     """exp of each entry by ``math.exp``, whose bits np.exp need not match."""
-    return np.array([math.exp(t) for t in v.ravel().tolist()]).reshape(v.shape)
+    return np.array([_exp(t) for t in v.ravel().tolist()]).reshape(v.shape)
 
 
 def _tensor(value):
@@ -623,12 +630,12 @@ def sqrt(x):
 
 def exp(x):
     """exp for plain floats, value arrays and jets alike, with the bits of
-    ``math.exp`` at each entry."""
+    ``math.exp`` at each entry; an entry whose exp overflows is a DomainError."""
     if isinstance(x, Jet):
         return x.exp()
     if isinstance(x, np.ndarray):
         return _exp_values(x)
-    return math.exp(x)
+    return _exp(x)
 
 
 class CoordView:

@@ -22,7 +22,9 @@ the factor tensors, so the two routes stay independent.
 The Koszul computation is ground truth for the Levi-Civita connection; the
 closed-form table is a transcription that is diffed against it, never
 silently trusted: the ``koszul-vs-closed`` suite holds every block of it to
-the Koszul solve on every configuration.
+the Koszul solve on every configuration.  Each of its factor blocks is one
+expression over the frame slots of a factor t and of the other factor o,
+evaluated with t = 1 and with t = 2, as in :mod:`dwfinsler.closed_forms`.
 """
 
 from __future__ import annotations
@@ -262,90 +264,61 @@ def _levi_civita_closed_table(lp: _LiftedPoint) -> np.ndarray:
     Built from the engine's Rb, Gf, Fh, dg and the factor tensors only, never
     from the frame arrays the Koszul solve uses.
 
-    Index letters: i, j, k, s run over the first factor; a, b run over all n
-    base slots, or over the second factor where a block is confined to it;
-    m, g run over the second factor.  ``G1``/``G2`` and ``R1``/``R2`` are Gf
-    and Rb with the upper index lowered by the first/second factor metric:
-    G1[a, b, k] = g1_rk Gf^r_ab.  Every slice and contraction leads with
-    ``...``, the sample axis of a strip.
+    Each factor block is written once, for a factor t and the other factor o,
+    and evaluated with t = 1 and t = 2: ``ht``/``ho`` and ``vt``/``vo`` are the
+    horizontal and vertical frame slots of t and o, ``wt``/``wo`` their
+    squared warps.  Index letters: k, s, j, i run over t; m, g over o; a, b
+    over all n base slots, or over o where a block is confined to it.
+    ``G[t]`` and ``R[t]`` are Gf and Rb with the upper index lowered by factor
+    t's metric: G[t][a, b, k] = g_rk Gf^r_ab.  Every slice and contraction
+    leads with ``...``, the sample axis of a strip.
     """
     n, n1 = lp.n, lp.n1
-    f1, f2 = lp.factors
-    g1, g2 = f1.g_values(), f2.g_values()
-    g1inv, g2inv = f1.ginv_values(), f2.ginv_values()
-    w1, w2 = lp.warps_sq
-    C1u, C2u = lp.cartan_up(1), lp.cartan_up(2)
     Rb, Gf, Fh, dg = lp.Rb, lp.Gf, lp.Fh, lp.dg
-    G1 = np.einsum("...rab,...rk->...abk", Gf[..., :n1, :, :], g1)
-    G2 = np.einsum("...rab,...rm->...abm", Gf[..., n1:, :, :], g2)
-    R1 = np.einsum("...rab,...rk->...abk", Rb[..., :n1, :, :], g1)
-    R2 = np.einsum("...rab,...rm->...abm", Rb[..., n1:, :, :], g2)
-    h1, h2 = slice(0, n1), slice(n1, n)
-    v1, v2 = slice(n, n + n1), slice(n + n1, 2 * n)
+    h = {1: slice(0, n1), 2: slice(n1, n)}
+    v = {1: slice(n, n + n1), 2: slice(n + n1, 2 * n)}
+    ginv = {t: f.ginv_values() for t, f in zip(h, lp.factors)}
+    w = {t: scalar_axes(wsq, 3) for t, wsq in zip(h, lp.warps_sq)}
+    G, R = ({t: np.einsum("...rab,...rk->...abk", T[..., h[t], :, :], f.g_values())
+             for t, f in zip(h, lp.factors)} for T in (Gf, Rb))
     out = np.zeros(lp.lead + (2 * n, 2 * n, 2 * n))
-    # The squared warps, as factors of rank-3 tables.
-    f1sq, f2sq = scalar_axes(w1, 3), scalar_axes(w2, 3)
-    two_f1sq, two_f2sq = scalar_axes(2.0 * w1, 3), scalar_axes(2.0 * w2, 3)
-
-    # Horizontal-horizontal inputs; same-factor pairs pick up the factor
-    # Cartan term on their own vertical slots.
     out[..., :n, :n, :n] = np.einsum("...kab->...abk", Fh)
     out[..., :n, :n, n:] = 0.5 * np.einsum("...kab->...abk", Rb)
-    out[..., h1, h1, v1] -= np.einsum("...sij->...ijs", C1u)
-    out[..., h2, h2, v2] -= np.einsum("...gab->...abg", C2u)
+    for t, o in ((1, 2), (2, 1)):
+        ht, ho, vt, vo, wt, wo = h[t], h[o], v[t], v[o], w[t], w[o]
+        Cu = np.einsum("...sij->...ijs", lp.cartan_up(t))
 
-    # Horizontal input a, vertical field j of the first factor.
-    out[..., :n, v1, h1] = 0.5 * np.einsum("...kaj,...ks->...ajs", R1[..., :n1, :, :], g1inv)
-    out[..., h1, v1, h1] += np.einsum("...saj->...ajs", C1u)
-    out[..., :n, v1, h2] = (scalar_axes(w2 / (2.0 * w1), 3)
-                            * np.einsum("...maj,...gm->...ajg", R1[..., n1:, :, :], g2inv))
-    inner = (np.einsum("...jka->...ajk", dg[..., :n1, :n1, :]) / f2sq
-             + G1[..., :, :n1, :] - np.einsum("...akj->...ajk", G1[..., :, :n1, :]))
-    out[..., :n, v1, v1] = 0.5 * np.einsum("...ajk,...ks->...ajs", inner, g1inv)
-    inner = f1sq * G2[..., :, :n1, :] - f2sq * np.einsum("...amj->...ajm", G1[..., :, n1:, :])
-    out[..., :n, v1, v2] = np.einsum("...ajm,...gm->...ajg", inner, g2inv) / two_f1sq
+        # Horizontal-horizontal inputs of t pick up its Cartan term.
+        out[..., ht, ht, vt] -= Cu
 
-    # Horizontal input a, vertical field b of the second factor.
-    out[..., :n, v2, h1] = (scalar_axes(w1 / (2.0 * w2), 3)
-                            * np.einsum("...kab,...ks->...abs", R2[..., :n1, :, :], g1inv))
-    out[..., :n, v2, h2] = 0.5 * np.einsum("...mab,...mg->...abg", R2[..., n1:, :, :], g2inv)
-    out[..., h2, v2, h2] += np.einsum("...gab->...abg", C2u)
-    inner = f2sq * G1[..., :, n1:, :] - f1sq * np.einsum("...akb->...abk", G2[..., :, :n1, :])
-    out[..., :n, v2, v1] = np.einsum("...abk,...ks->...abs", inner, g1inv) / two_f2sq
-    inner = (np.einsum("...bma->...abm", dg[..., n1:, n1:, :])
-             + f1sq * (G2[..., :, n1:, :] - np.einsum("...amb->...abm", G2[..., :, n1:, :])))
-    out[..., :n, v2, v2] = np.einsum("...abm,...gm->...abg", inner, g2inv) / two_f1sq
+        # Horizontal input a, vertical field j of t.
+        out[..., :n, vt, ht] = 0.5 * np.einsum("...kaj,...ks->...ajs", R[t][..., ht, :, :],
+                                               ginv[t])
+        out[..., ht, vt, ht] += Cu
+        out[..., :n, vt, ho] = (wo / (2.0 * wt)
+                                * np.einsum("...maj,...gm->...ajg", R[t][..., ho, :, :], ginv[o]))
+        inner = (np.einsum("...jka->...ajk", dg[..., ht, ht, :]) / wo
+                 + G[t][..., :, ht, :] - np.einsum("...akj->...ajk", G[t][..., :, ht, :]))
+        out[..., :n, vt, vt] = 0.5 * np.einsum("...ajk,...ks->...ajs", inner, ginv[t])
+        inner = wt * G[o][..., :, ht, :] - wo * np.einsum("...amj->...ajm", G[t][..., :, ho, :])
+        out[..., :n, vt, vo] = np.einsum("...ajm,...gm->...ajg", inner, ginv[o]) / (2.0 * wt)
 
-    # Vertical-vertical inputs: both first factor.
-    inner = (np.einsum("...kji->...ijk", G1[..., :n1, :n1, :])
-             + np.einsum("...kij->...ijk", G1[..., :n1, :n1, :])
-             - dg[..., :n1, :n1, :n1] / f2sq)
-    out[..., v1, v1, h1] = 0.5 * np.einsum("...ijk,...ks->...ijs", inner, g1inv)
-    inner = (f2sq * (np.einsum("...mji->...ijm", G1[..., n1:, :n1, :])
-                     + np.einsum("...mij->...ijm", G1[..., n1:, :n1, :]))
-             - dg[..., :n1, :n1, n1:])
-    out[..., v1, v1, h2] = np.einsum("...ijm,...gm->...ijg", inner, g2inv) / two_f1sq
-    out[..., v1, v1, v1] = np.einsum("...sij->...ijs", C1u)
+        # Vertical-vertical inputs, both of t.
+        inner = (np.einsum("...kji->...ijk", G[t][..., ht, ht, :])
+                 + np.einsum("...kij->...ijk", G[t][..., ht, ht, :])
+                 - dg[..., ht, ht, ht] / wo)
+        out[..., vt, vt, ht] = 0.5 * np.einsum("...ijk,...ks->...ijs", inner, ginv[t])
+        inner = (wo * (np.einsum("...mji->...ijm", G[t][..., ho, ht, :])
+                       + np.einsum("...mij->...ijm", G[t][..., ho, ht, :]))
+                 - dg[..., ht, ht, ho])
+        out[..., vt, vt, ho] = np.einsum("...ijm,...gm->...ijg", inner, ginv[o]) / (2.0 * wt)
+        out[..., vt, vt, vt] = Cu
 
-    # Vertical-vertical inputs: mixed factors (symmetric, bracket-free).
-    inner = (f1sq * np.einsum("...kja->...ajk", G2[..., :n1, :n1, :])
-             + f2sq * np.einsum("...kaj->...ajk", G1[..., :n1, n1:, :]))
-    out[..., v2, v1, h1] = np.einsum("...ajk,...ks->...ajs", inner, g1inv) / two_f2sq
-    inner = (f1sq * np.einsum("...mja->...ajm", G2[..., n1:, :n1, :])
-             + f2sq * np.einsum("...maj->...ajm", G1[..., n1:, n1:, :]))
-    out[..., v2, v1, h2] = np.einsum("...ajm,...gm->...ajg", inner, g2inv) / two_f1sq
-    out[..., v1, v2, :] = np.einsum("...ajk->...jak", out[..., v2, v1, :])
-
-    # Vertical-vertical inputs: both second factor.
-    inner = (f1sq * (np.einsum("...kba->...abk", G2[..., :n1, n1:, :])
-                     + np.einsum("...kab->...abk", G2[..., :n1, n1:, :]))
-             - dg[..., n1:, n1:, :n1])
-    out[..., v2, v2, h1] = np.einsum("...abk,...ks->...abs", inner, g1inv) / two_f2sq
-    inner = (f1sq * (np.einsum("...mba->...abm", G2[..., n1:, n1:, :])
-                     + np.einsum("...mab->...abm", G2[..., n1:, n1:, :]))
-             - dg[..., n1:, n1:, n1:])
-    out[..., v2, v2, h2] = np.einsum("...abm,...gm->...abg", inner, g2inv) / two_f1sq
-    out[..., v2, v2, v2] = np.einsum("...gab->...abg", C2u)
+        # Vertical-vertical inputs of o and t, onto t (symmetric, bracket-free).
+        inner = (wt * np.einsum("...kja->...ajk", G[o][..., ht, ht, :])
+                 + wo * np.einsum("...kaj->...ajk", G[t][..., ht, ho, :]))
+        out[..., vo, vt, ht] = np.einsum("...ajk,...ks->...ajs", inner, ginv[t]) / (2.0 * wo)
+        out[..., vt, vo, ht] = np.einsum("...ajk->...jak", out[..., vo, vt, ht])
 
     # Vertical input on a horizontal field follows from zero torsion:
     # nabla_V H = nabla_H V - [H, V].

@@ -72,7 +72,6 @@ DEFAULT_TOLERANCES = {
     "reinhart": 1e-10,
     "reinhart.identity": 1e-8,
     "hermitian": 1e-10,
-    "hermitian.complex-square": 0.0,
     "hermitian.antisymmetry": 1e-12,
     "nijenhuis": 1e-7,
     "nijenhuis.skew": 1e-10,

@@ -412,8 +412,6 @@ def _suite_reinhart(out: _Entries, wp: WorkPoint) -> None:
 def _suite_hermitian(out: _Entries, wp: WorkPoint) -> None:
     n = wp.cfg.n
     J = lifted.ComplexStructure(wp.cfg.n1, wp.cfg.n2).matrix()
-    out.feed("complex-square", [np.max(np.abs(J @ J + np.eye(2 * n)))], [None],
-             "hermitian.complex-square")
     lp, at = lifted.of(wp), wp.samples
     out.feed("metric-invariance", J.T @ lp.metric @ J - lp.metric, at)
     om = lp.symplectic_table()

@@ -25,6 +25,14 @@ AROUND_A_BATTERY = {"core.tensor", "suites.run_suites", "suites.emit_report",
     ("nonlinear_connection_blocks", "N", "22"),
     ("connection_fiber_blocks", "Gf", "2.22"),
     ("horizontal_blocks", "H", "2.22"),
+    # Factor-1 and mixed blocks, and the Berwald blocks whose factor-2 key
+    # swaps the mirrored pattern's first two lower slots.
+    ("spray_blocks", "spray", "1"),
+    ("nonlinear_connection_blocks", "N", "12"),
+    ("connection_fiber_blocks", "Gf", "1.12"),
+    ("horizontal_blocks", "H", "1.22"),
+    ("berwald_blocks", "B", "2.122"),
+    ("berwald_blocks", "B", "2.121"),
 ])
 def test_closed_form_blocks_catch_a_scaled_block(family, tensor, block, monkeypatch):
     # A transcription slip of 0.1 % in one nonzero FIX-R block.
@@ -35,14 +43,16 @@ def test_closed_form_blocks_catch_a_scaled_block(family, tensor, block, monkeypa
         return dict(out, **{block: 1.001 * out[block]})
 
     monkeypatch.setattr(closed_forms, family, slipped)
-    rep = run_suites(fixture_runspec("FIX-R", seed=3, count=4, suites=("closed-form-blocks",)))
+    suite_name, prefix = (("berwald-blocks", "block-") if tensor == "B"
+                          else ("closed-form-blocks", f"closed-form-{tensor}."))
+    rep = run_suites(fixture_runspec("FIX-R", seed=3, count=4, suites=(suite_name,)))
     suite = rep.suites[0]
     failed = {e.name for e in suite.entries if not e.passed}
-    name = f"closed-form-{tensor}.{block}"
+    name = prefix + block
     assert not suite.passed and not rep.ok
     assert name in failed
     # The other blocks of the same tensor are untouched; H reads the N blocks.
-    assert not {f for f in failed if f.startswith(f"closed-form-{tensor}.")} - {name}
+    assert not {f for f in failed if f.startswith(prefix)} - {name}
 
 
 #: Public names that no battery, document or command below reads, each for a

@@ -86,6 +86,16 @@ def test_capability_and_domain_errors():
         neg / zero
 
 
+def test_exp_overflow_is_a_domain_error():
+    # exp(710) overflows a float; the largest finite exp keeps math.exp's bits.
+    big = Jet.constant(context((X,), 2), 710.0)
+    for x in (710.0, np.array([1.0, 710.0]), big):
+        with pytest.raises(DomainError, match="exp overflows"):
+            jets.exp(x)
+    assert jets.exp(709.0) == math.exp(709.0)
+    assert jets.exp(np.array([709.0, -1e6])).tolist() == [math.exp(709.0), 0.0]
+
+
 def test_partial_query_beyond_seeds_rejected():
     jet = jet_lift(lambda c: c.x[0], P, (X,), 2)
     with pytest.raises(ValueError):

@@ -202,6 +202,7 @@ def test_complex_structure(fixe, p4):
     J = lf.ComplexStructure(fixe.n1, fixe.n2).matrix()
     assert np.array_equal(J, _j_matrix(fixe))
     m = 2 * fixe.n
+    assert np.array_equal(J @ J, -np.eye(m))
     rng = np.random.default_rng(1)
     for _ in range(20):
         X = rng.normal(size=m)

@@ -7,7 +7,11 @@ seeded digests were re-pinned when ``hermitian``'s ``closedness`` and
 ``potential-match`` entries gained their witness points, and again when the
 ``kahler`` and ``totally-geodesic`` suites turned from yes/no verdicts into
 pointwise identities; each time those suites were the only fields of the
-reports that moved.
+reports that moved.  They were re-pinned once more when ``hermitian`` lost its
+``complex-square`` entry and each closed-form block came to be written once
+for both factors, which moved some ``berwald-blocks`` and ``koszul-vs-closed``
+residuals below 1e-15 and their witnesses; the document digests of asym-1x3,
+asym-3x2 and cubic-2x2 were re-pinned for that second reason alone.
 """
 
 import hashlib
@@ -23,19 +27,19 @@ from test_lifted import CURVED_2x2
 
 #: The built-in fixtures at their default seed and 25 points.
 FIXTURE_DIGESTS = {
-    "FIX-1D": "73e8399f7cf099b7126f3429dce2293a695bcb96e2faf3c51f9744257fab6937",
-    "FIX-E": "28d6fbdcec8bbbb2342cfa3feaf073782a3257a1eb67bbf226b9e46766f7256d",
-    "FIX-P": "8e2d8e02e173f5f3373a1e1e4db70ed09b9b528ca5c4e4b88bbcea5db509ed36",
-    "FIX-R": "966494b94234cd83c6468488fdf5cf0db03fa0eade17b7237bcf834db98dbb12",
+    "FIX-1D": "a69add3069f49836b9f477a541858000b9b655e19935ae346bc4296d7940af3a",
+    "FIX-E": "ec1513ef51a3a733c1e1098293025db20bb5682bcddd3d51c297860843b1b2d2",
+    "FIX-P": "4480045278699421d6c69620409343d3f10bfa1941c479f2699d81771261ec54",
+    "FIX-R": "8715886a9e7dcd55cc127a5082b2d7933e1054cd2ddb659617389a14dcd04096",
 }
 
 #: Other seeds, and FIX-1D at the 150 points of the wide benchmark battery.
 SEEDED_DIGESTS = {
-    ("FIX-R", 3, 25): "58c320fc120dea1ec9b1140efd67b668d2072e0512c9ac11d0f720e5ab1cd35a",
-    ("FIX-R", 77, 25): "f9813b4d86046c2001ea114bb5e2d79cdc09bc1aef6dd96e7f6c000de2f38819",
-    ("FIX-1D", 3, 25): "cc82a59fe26b317edbdad38acdae192d8362b7c988e43919ce5bc4dc9e64b0a7",
-    ("FIX-1D", 77, 25): "fbc562cc408e8cf96ce3889dad01cae2463bdfc05dfd0bcac363b98fe6bf37c8",
-    ("FIX-1D", None, 150): "5b9765b82436c90cdefd38719774b530800cf2d8bc1062a6a12e4c17728d66fe",
+    ("FIX-R", 3, 25): "29da5aec6a6434573890cb8125b5da60e8f52b001fe77eff8d463062c18694c1",
+    ("FIX-R", 77, 25): "5dda3a8cf22b641a693e37cc0bf78f61b24aa7af7b048618d2488c00ab4e276c",
+    ("FIX-1D", 3, 25): "17fa9dd36e0fd5ebc5d4247c4cdfddf0175e291d66667405abd28fc6b28cf57c",
+    ("FIX-1D", 77, 25): "abc706553fb22614df193cc2f9667e088db335623409b0e6e1031ad090f4f725",
+    ("FIX-1D", None, 150): "cbfb8f9bc2c5b73b5d241651508d59d5cb738bbfe16ccfa816b1b758cc8815d6",
 }
 
 #: Cubic polynomial entries that dominate their metric entries, on the box
@@ -61,10 +65,10 @@ CUBIC_2x2 = {
 }
 
 DOCUMENT_DIGESTS = {
-    "asym-1x3": "859a654f060c720a9e997e3c1cb8c8576e48381b603edd1bd9556253a23de317",
-    "asym-3x2": "b5d18ef2e2cc9ec88f9a6329ce953f2f7c5d2a243d2dbf60730e31123fa7c5f2",
+    "asym-1x3": "835942953183db68e1b81da22a84cdf59794002160cc83ca9292e1d42e4c4217",
+    "asym-3x2": "ff90242c10a26eebcc9fbbfab605a9fc382f888c389f3449881054a90a7e7f91",
     # Made while the oracle still evaluated F^2 one float point at a time.
-    "cubic-2x2": "336ca8fa1536e7614418df235eab9c406b9c700f3913b573d619ef18f5fbc850",
+    "cubic-2x2": "a24374a7e843236feb2f3d50c3563f90fb3b6347b7409e2c42f233e667499138",
     # A curved first factor with constant warps, which the yes/no
     # totally-geodesic verdict failed.
     "curved-2x2": "b1a255d302ea44fc8967fe5e43bd5ef2a48fbd312196131632d78f77da18d896",

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from dwfinsler import PolyQuadraticWarp, fixture
 from dwfinsler.errors import SchemaError, SlitConditionError
 from dwfinsler.metrics import TangentSample
-from dwfinsler.runspec import (ALL_SUITES, FIXTURES, MAX_POINTS, fixture_document,
-                               fixture_runspec, parse_spec, sample_points)
+from dwfinsler.runspec import (ALL_SUITES, DEFAULT_TOLERANCES, FIXTURES, MAX_POINTS, RunSpec,
+                               fixture_document, fixture_runspec, parse_spec, sample_points)
+from dwfinsler.suites import run_suites
 
 
 def test_fixture_document_round_trips():
@@ -174,6 +175,22 @@ def test_tolerance_overrides():
     assert spec.tolerance("con1") == 1e-6
 
 
+def test_every_default_tolerance_is_read_by_the_battery(monkeypatch):
+    # A registry key that no entry reads is dead: the full battery on FIX-R
+    # and FIX-1D reads every key, and no name outside the registry.
+    read = set()
+    real = RunSpec.tolerance
+
+    def recording(self, name):
+        read.add(name)
+        return real(self, name)
+
+    monkeypatch.setattr(RunSpec, "tolerance", recording)
+    for name in ("FIX-R", "FIX-1D"):
+        run_suites(fixture_runspec(name))
+    assert read == set(DEFAULT_TOLERANCES)
+
+
 def _bad_tolerance(value, name="lemma41"):
     doc = fixture_document("FIX-P")
     doc["tolerances"] = {name: value}
@@ -224,6 +241,8 @@ def _quadratic_entries(entries):
 
 @pytest.mark.parametrize("doc, path", [
     (_bad_tolerance(1e-3, name="lemma4l"), r"\$\.tolerances\.lemma4l"),
+    (_bad_tolerance(0.0, name="hermitian.complex-square"),
+     r"\$\.tolerances\.hermitian\.complex-square: unknown tolerance name"),
     (_bad_tolerance(float("nan")), r"\$\.tolerances\.lemma41"),
     (_bad_tolerance("nan"), r"\$\.tolerances\.lemma41"),
     (_bad_tolerance(-1), r"\$\.tolerances\.lemma41"),
@@ -270,7 +289,7 @@ def _quadratic_entries(entries):
     (_bad_warp("constant", {"value": -1.0}), r"\$\.warps\.f2: constant warp must be positive"),
     (_bad_warp("poly_quadratic", {"coeffs": [1.0, -0.5]}),
      r"\$\.warps\.f2: poly-quadratic warp coefficients must be finite and >= 0"),
-], ids=["unknown-tolerance", "nan-tolerance", "string-tolerance", "negative-tolerance",
+], ids=["unknown-tolerance", "deleted-tolerance", "nan-tolerance", "string-tolerance", "negative-tolerance",
         "fractional-dim", "string-dim", "dim-over-cap", "axis-out-of-range", "negative-axis",
         "short-coeffs", "long-coeffs", "string-count", "null-count", "fractional-count",
         "bool-count", "count-over-cap", "count-2-62", "count-2-70", "string-radius",

@@ -303,13 +303,12 @@ def test_a_tuple_feeds_as_the_largest_of_its_per_sample_maxima(prior, samples, t
 
 
 def test_every_tracked_entry_names_a_sampled_witness(reports):
-    # Only a constant of J and skipped entries have no sample to name.
-    unsampled = {("hermitian", "complex-square")}
+    # Only skipped entries have no sample to name.
     for name, report in reports.items():
         sampled = [_point_doc(p) for p in sample_points(fixture_runspec(name))]
         for s in report.suites:
             for e in s.entries:
-                if e.tolerance is None or (s.name, e.name) in unsampled:
+                if e.tolerance is None:
                     continue
                 assert e.point in sampled, (name, s.name, e.name, e.point)
 
@@ -473,3 +472,22 @@ def test_cli_quadratic_overflow_is_a_definition_error(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify", "--spec", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_exponential_overflow_is_a_domain_error(tmp_path, capsys):
+    # exp(2000 x0) overflows a float for x0 > 0.355, inside the default box.
+    doc = {
+        "label": "exp-overflow",
+        "factors": [{"kind": "euclidean", "dim": 1}, {"kind": "euclidean", "dim": 1}],
+        "warps": {
+            "f1": {"kind": "exponential", "parameters": {"rate": 1000.0}},
+            "f2": {"kind": "constant", "parameters": {"value": 1.0}},
+        },
+        "sampling": {"seed": 1, "count": 3},
+    }
+    path = tmp_path / "exp-overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exp overflows" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
