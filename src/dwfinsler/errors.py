@@ -10,7 +10,8 @@ class CapabilityError(DwfError):
 
 
 class DomainError(DwfError):
-    """Evaluation hit a non-smooth or undefined locus (sqrt of <= 0, division by zero)."""
+    """Evaluation hit a non-smooth or undefined locus (sqrt of <= 0, division
+    by zero) or left the floats (exp overflow)."""
 
 
 class SlitConditionError(DwfError):
