@@ -61,12 +61,18 @@ def _parse_point(text: str) -> TangentSample:
     return TangentSample(groups["x"], groups["u"], groups["y"], groups["v"])
 
 
-def _printable(value, name: str, p: TangentSample):
-    """A tensor of the table as JSON: nested lists, and a dict for the bracket
-    pair.  JSON has no number for inf or NaN, so such an entry fails."""
+def _printable(cfg, name: str, p: TangentSample):
+    """Tensor ``name`` of the table at ``p`` as JSON: nested lists, and a dict
+    for the bracket pair.  JSON has no number for inf or NaN, so such an
+    entry fails, as does an evaluation that leaves the floats on the way
+    (a DomainError: an exp or a warp square that overflows)."""
+    where = ";".join(f"{k}={','.join(map(repr, getattr(p, k)))}" for k in "xuyv")
+    try:
+        value = tensor(cfg, p, name)
+    except DomainError as exc:
+        raise DomainError(f"--tensor {name} is not finite at {where}: {exc}") from None
     arrays = [t.array for t in (value if isinstance(value, tuple) else (value,))]
     if not all(math.isfinite(v) for a in arrays for v in a.flat):
-        where = ";".join(f"{k}={','.join(map(repr, getattr(p, k)))}" for k in "xuyv")
         raise DomainError(f"--tensor {name} is not finite at {where}")
     if len(arrays) == 2:
         return {"curvature": arrays[0].tolist(), "connection": arrays[1].tolist()}
@@ -85,8 +91,7 @@ def _cmd_eval(args) -> int:
     # rejects with a DomainError; numpy's own warnings about them are noise.
     with np.errstate(over="ignore", invalid="ignore"):
         doc = [{"point": {"x": list(p.x), "u": list(p.u), "y": list(p.y), "v": list(p.v)},
-                "tensors": {name: _printable(tensor(cfg, p, name), name, p)
-                            for name in names}}
+                "tensors": {name: _printable(cfg, name, p) for name in names}}
                for p in points]
     print(json.dumps({"config": spec.label, "evaluations": doc},
                      sort_keys=True, indent=2))

@@ -16,7 +16,9 @@ the upper slot, the rest are the lower slots in order ('1' = first factor,
 F^2 = f2^2 F1^2 + f1^2 F2^2 is unchanged when the two factors trade places,
 so each block is written once, as a pattern over a factor t and the other
 factor o (``t.to`` is the block with upper slot and first lower slot in t and
-second lower slot in o), and evaluated with t = 1 and with t = 2.  The key of
+second lower slot in o), and evaluated with t = 1 and with t = 2.  t and o are
+the work point's two :class:`~dwfinsler.engine.Side` records (``wp.sides``),
+which own every per-factor value and warp partial.  The key of
 a pattern replaces t and o by the factors' numbers, except that the first two
 lower slots are always listed in product order: t = 2's ``t.to`` is the
 block ``2.12``, its two lower axes swapped.
@@ -27,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blocks import matvec, scalar_axes, vdot
-from .engine import WorkPoint
+from .engine import Side, WorkPoint
 
 
 def block_ranges(pattern: str, n1: int, n2: int) -> tuple[slice, ...]:
@@ -47,37 +49,7 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, None] * b[..., None, :]
 
 
-class _Side:
-    """One factor ``t`` of a work point, read as the side of a block pattern:
-    its engine values, its own squared warp ``fsq`` (the one that scales the
-    other factor) with that warp's base gradient ``w``, and ``wy`` = w . y.
-    The scalars are arrays, one value per sample of a batch."""
-
-    def __init__(self, wp: WorkPoint, t: int):
-        eng = self.eng = wp.factor(t)
-        self.which, self.n = t, eng.engine.n
-        self.g, self.ginv, self.C = eng.g_values(), eng.ginv_values(), eng.cartan()
-        self.Fsq, self.dF = np.asarray(eng.F2_value()), eng.F2_fiber_gradient()
-        self.fsq, self.w = np.asarray(wp.warp_sq(t)), wp.warp_gradient(t)
-        self.wy = vdot(self.w, eng.fiber_values())
-        self._dginv = [eng.ginv()]
-
-    def dginv(self, order: int) -> np.ndarray:
-        """[..., k, h, i, j, ...] = the order-``order`` fiber partial d^order g^kh / dy^i dy^j ...
-        of the factor's inverse metric, each order kept as one gradient of the last."""
-        while len(self._dginv) <= order:
-            self._dginv.append(self._dginv[-1].grad(self.eng.engine.fiber))
-        return self._dginv[order].value
-
-
-def of(wp: WorkPoint) -> tuple[_Side, _Side]:
-    """The two sides of a work point (a sample or a strip), built once."""
-    if wp.closed_forms is None:
-        wp.closed_forms = (_Side(wp, 1), _Side(wp, 2))
-    return wp.closed_forms
-
-
-def _key(pattern: str, t: _Side, o: _Side) -> str:
+def _key(pattern: str, t: Side, o: Side) -> str:
     return pattern.replace("t", str(t.which)).replace("o", str(o.which))
 
 
@@ -85,7 +57,7 @@ def _both(wp: WorkPoint, blocks) -> dict[str, np.ndarray]:
     """The patterns of ``blocks(t, o)`` evaluated with each factor as t, by
     block key in key order.  A key whose first two lower slots come out as
     "21" lists them as "12", its two axes swapped to match."""
-    s1, s2 = of(wp)
+    s1, s2 = wp.sides
     out = {}
     for t, o in ((s1, s2), (s2, s1)):
         for pattern, value in blocks(t, o).items():
@@ -174,7 +146,7 @@ def berwald_blocks(wp: WorkPoint) -> dict[str, np.ndarray]:
 
 def matsumoto_contraction_rhs(wp: WorkPoint) -> np.ndarray:
     """Expected fiber-squared contraction of the mixed Matsumoto block."""
-    s1, s2 = of(wp)
+    s1, s2 = wp.sides
     Fsq = np.asarray(wp.product.F2_value())
     return (scalar_axes(-(s1.fsq * s2.fsq * s1.Fsq * s2.Fsq) / ((wp.cfg.n + 1) * Fsq), 1)
             * s2.eng.mean_cartan())

@@ -55,9 +55,11 @@ takes one derivative.
 Per-point state lives as long as its owner keeps it.  :func:`workspace`
 keeps the :class:`Workspace` of the configuration last asked for, and the
 workspace keeps one slot: the sample last asked for by :meth:`Workspace.at`,
-with its work point, which holds its engine points, warp jets and lifted
-ingredients.  Another sample or configuration replaces it; the per-point
-chain reads a sample's tensors before the next.  :meth:`Workspace.strips`
+with its work point, which holds its engine points, its two :class:`Side`
+records (every per-factor value and warp partial the closed forms and the
+lifted tables read, built on first read) and its lifted ingredients.
+Another sample or configuration replaces it; the per-point chain reads a
+sample's tensors before the next, and reads no side.  :meth:`Workspace.strips`
 keeps nothing: each strip is built when asked for and belongs to its reader.
 The battery reads each strip with every suite before it asks for the next,
 and no work point sits in a reference cycle, so reference counting frees a
@@ -74,8 +76,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .blocks import matvec
-from .coords import CoordIndex, base_coords, fiber_coords
+from .blocks import matvec, vdot
+from .coords import CoordIndex
 from .jets import Jet, context, einsum, support_lift
 from .linalg import invert_batch, invert_matrix
 from .metrics import ProductConfig, SampleBatch, TangentSample
@@ -453,11 +455,9 @@ class Workspace:
     def __init__(self, cfg: ProductConfig):
         self.cfg = cfg
         self.product = FinslerEngine(cfg.F2, cfg.base, cfg.fiber)
-        self.factor1 = FinslerEngine(cfg.F1_squared,
-                                     base_coords(cfg.n1, 0), fiber_coords(cfg.n1, 0))
-        self.factor2 = FinslerEngine(cfg.F2_squared,
-                                     tuple(c for c in cfg.base if c.factor == 2),
-                                     tuple(c for c in cfg.fiber if c.factor == 2))
+        self.factors = tuple(FinslerEngine(field, tuple(c for c in cfg.base if c.factor == t),
+                                           tuple(c for c in cfg.fiber if c.factor == t))
+                             for t, field in ((1, cfg.F1_squared), (2, cfg.F2_squared)))
         self._slot: tuple = (None, None)  # the last sample, and its work point
         self._lift_size: int | None = None  # lift coefficients per sample
 
@@ -495,7 +495,8 @@ class Workspace:
 
 
 class WorkPoint:
-    """Everything computed at one sample: engine points, warp jets, lifted data.
+    """Everything computed at one sample: the engine points of the product
+    and of its two factors, the factors' sides, and the lifted data.
 
     Only the work point of :meth:`Workspace.at` is kept, in the workspace's
     slot; any other, a strip of :meth:`Workspace.strips` included, lives as
@@ -513,43 +514,55 @@ class WorkPoint:
         self.cfg = ws.cfg
         self.sample = sample
         self.product = EnginePoint(ws.product, sample, order)
-        self.factor1 = EnginePoint(ws.factor1, sample, order)
-        self.factor2 = EnginePoint(ws.factor2, sample, order)
+        self.factors = tuple(EnginePoint(f, sample, order) for f in ws.factors)
         self.lead = self.product.lead
         self.samples: tuple[TangentSample, ...] | None = None  # set on a strip
-        self._warp: dict[int, Jet] = {}
         self.lifted = None  # the lifted ingredients, built by dwfinsler.lifted
-        self.closed_forms = None  # the closed-form ingredients, built by dwfinsler.closed_forms
 
-    def _warp_jet(self, which: int) -> Jet:
-        """The squared warp, lifted at order 1 over those of its factor's base
-        coordinates it reads (a gradient along the others is exactly zero)."""
-        got = self._warp.get(which)
-        if got is None:
-            field = self.cfg.warp1_squared if which == 1 else self.cfg.warp2_squared
-            got = self._warp[which] = support_lift(field, self.sample,
-                                                   self.factor(which).engine.base, 1)
-        return got
+    @functools.cached_property
+    def sides(self) -> tuple[Side, Side]:
+        """The :class:`Side` of factor 1 and of factor 2, built on first read."""
+        warps = (self.cfg.warp1_squared, self.cfg.warp2_squared)
+        return tuple(Side(ep, t, warp) for t, ep, warp in zip((1, 2), self.factors, warps))
 
-    def warp_sq(self, which: int) -> float | np.ndarray:
-        return self._warp_jet(which).value
 
-    def warp_gradient(self, which: int) -> np.ndarray:
-        """[a] = d(f^2) / dx^a over the base coordinates of the warp's factor."""
-        return self._warp_jet(which).grad(self.factor(which).engine.base).value
+class Side:
+    """Every per-factor ingredient of a work point, for one factor t.
 
-    def factor(self, which: int) -> EnginePoint:
-        return self.factor1 if which == 1 else self.factor2
+    The closed forms read each block as a pattern over a factor t and the
+    other factor o, one side each.  A side holds t's engine point ``eng``
+    (``which`` = t, ``n`` its dimension) and its values: g, ginv, the Cartan
+    tensor C and ``C_up`` = g^sh C_hij, F^2 as ``Fsq`` and its fiber
+    gradient ``dF``.  Its warp is t's own, the one that scales the other
+    factor: ``fsq`` = f^2 and its base gradient ``w``, from one jet of f^2
+    lifted at order 1 over those of t's base coordinates it reads (a
+    gradient along the others is exactly zero), ``wy`` = w . y, and
+    ``grad_norm_sq`` = |grad f|^2 in t's metric.  The scalars are arrays, one
+    value per sample of a batch.  A side keeps its engine point, not the
+    work point, so a dropped strip is freed by reference counting.
+    """
 
-    def grad_warp_norm_sq(self, which: int) -> float | np.ndarray:
-        """Squared gradient norm of the warp f (not f^2), in its factor metric."""
-        eng = self.factor(which)
-        ginv = eng.ginv_values()
-        fsq = self.warp_sq(which)
-        df = self.warp_gradient(which)
+    def __init__(self, eng: EnginePoint, which: int, warp: Callable):
+        self.eng, self.which, self.n = eng, which, eng.engine.n
+        self.g, self.ginv, self.C = eng.g_values(), eng.ginv_values(), eng.cartan()
+        self.C_up = np.einsum("...sh,...hij->...sij", self.ginv, self.C)
+        self.Fsq, self.dF = np.asarray(eng.F2_value()), eng.F2_fiber_gradient()
+        base = eng.engine.base
+        jet = support_lift(warp, eng.sample, base, 1)
+        self.fsq, self.w = np.asarray(jet.value), jet.grad(base).value
+        self.wy = vdot(self.w, eng.fiber_values())
         # d f = d(f^2) / (2 f), so |grad f|^2 = g^{ab} d_a f^2 d_b f^2 / (4 f^2).
-        # A row times a matrix times a column: the BLAS calls of a 1-d df.
-        return (df[..., None, :] @ ginv @ df[..., :, None])[..., 0, 0] / (4.0 * fsq)
+        # A row times a matrix times a column: the BLAS calls of a 1-d w.
+        self.grad_norm_sq = ((self.w[..., None, :] @ self.ginv @ self.w[..., :, None])[..., 0, 0]
+                             / (4.0 * self.fsq))
+        self._dginv = [eng.ginv()]
+
+    def dginv(self, order: int) -> np.ndarray:
+        """[..., k, h, i, j, ...] = the order-``order`` fiber partial d^order g^kh / dy^i dy^j ...
+        of the factor's inverse metric, each order kept as one gradient of the last."""
+        while len(self._dginv) <= order:
+            self._dginv.append(self._dginv[-1].grad(self.eng.engine.fiber))
+        return self._dginv[order].value
 
 
 _last: Workspace | None = None

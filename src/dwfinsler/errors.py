@@ -11,7 +11,7 @@ class CapabilityError(DwfError):
 
 class DomainError(DwfError):
     """Evaluation hit a non-smooth or undefined locus (sqrt of <= 0, division
-    by zero) or left the floats (exp overflow)."""
+    by zero) or left the floats (exp or a warp square overflows)."""
 
 
 class SlitConditionError(DwfError):

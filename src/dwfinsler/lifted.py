@@ -46,7 +46,7 @@ class _LiftedPoint:
     Two frame arrays carry everything the connection tables need:
     ``dm[..., A, B, C]`` is e_A applied to the component field m(e_B, e_C), and
     ``br[..., A, B]`` is the Lie bracket [e_A, e_B] in frame components.
-    It keeps the work point's engine points, its two squared warps and its
+    It keeps the work point's product engine point, its two sides and its
     coordinates, not the work point, which it would otherwise keep alive.
     """
 
@@ -56,8 +56,7 @@ class _LiftedPoint:
         n = self.n = cfg.n
         lead = self.lead = wp.lead
         ep = self.product = wp.product
-        self.factors = (wp.factor1, wp.factor2)
-        self.warps_sq = (wp.warp_sq(1), wp.warp_sq(2))
+        self.sides = wp.sides
         self.coords = cfg.base + cfg.fiber
         self.g = ep.g_values()
         self.C = ep.cartan()
@@ -88,10 +87,6 @@ class _LiftedPoint:
         """nabla_X Y - nabla_Y X - [X, Y] over all frame pairs [X, Y]."""
         return table - np.einsum("...yxk->...xyk", table) - self.br
 
-    def cartan_up(self, which: int) -> np.ndarray:
-        eng = self.factors[which - 1]
-        return np.einsum("...sh,...hij->...sij", eng.ginv_values(), eng.cartan())
-
     # The two connection tables are solved once per point and shared read-only.
     @cached_property
     def koszul(self) -> np.ndarray:
@@ -111,8 +106,9 @@ class _LiftedPoint:
         out = np.zeros(self.lead + (2 * n, 2 * n, 2 * n))
         out[..., :n, :n, :n] = np.einsum("...kab->...abk", self.Fh)  # horizontal on horizontal
         out[..., :n, n:, n:] = np.einsum("...kab->...abk", self.Gf)  # horizontal on vertical
-        out[..., n:n + n1, n:n + n1, n:n + n1] = np.einsum("...sab->...abs", self.cartan_up(1))
-        out[..., n + n1:, n + n1:, n + n1:] = np.einsum("...gab->...abg", self.cartan_up(2))
+        s1, s2 = self.sides
+        out[..., n:n + n1, n:n + n1, n:n + n1] = np.einsum("...sab->...abs", s1.C_up)
+        out[..., n + n1:, n + n1:, n + n1:] = np.einsum("...gab->...abg", s2.C_up)
         # mixed vertical pairs and vertical-on-horizontal rows stay zero
         return _read_only(out)
 
@@ -152,10 +148,10 @@ class _LiftedPoint:
         """
         n, n1 = self.n, self.n1
         defect = self.metric_derivative(self.vaisman)[..., n:, :n, :n]
-        (f1, f2), (w1, w2) = self.factors, self.warps_sq
+        s1, s2 = self.sides
         identity = np.zeros(self.lead + (n, n, n))
-        identity[..., :n1, :n1, :n1] = scalar_axes(2.0 * w2, 3) * f1.cartan()
-        identity[..., n1:, n1:, n1:] = scalar_axes(2.0 * w1, 3) * f2.cartan()
+        identity[..., :n1, :n1, :n1] = scalar_axes(2.0 * s2.fsq, 3) * s1.C
+        identity[..., n1:, n1:, n1:] = scalar_axes(2.0 * s1.fsq, 3) * s2.C
         return defect, identity
 
     def symplectic_table(self) -> np.ndarray:
@@ -266,9 +262,10 @@ def _levi_civita_closed_table(lp: _LiftedPoint) -> np.ndarray:
 
     Each factor block is written once, for a factor t and the other factor o,
     and evaluated with t = 1 and t = 2: ``ht``/``ho`` and ``vt``/``vo`` are the
-    horizontal and vertical frame slots of t and o, ``wt``/``wo`` their
-    squared warps.  Index letters: k, s, j, i run over t; m, g over o; a, b
-    over all n base slots, or over o where a block is confined to it.
+    horizontal and vertical frame slots of t and o, ``st``/``so`` their sides
+    (:class:`~dwfinsler.engine.Side`) and ``wt``/``wo`` their squared warps.
+    Index letters: k, s, j, i run over t; m, g over o; a, b over all n base
+    slots, or over o where a block is confined to it.
     ``G[t]`` and ``R[t]`` are Gf and Rb with the upper index lowered by factor
     t's metric: G[t][a, b, k] = g_rk Gf^r_ab.  Every slice and contraction
     leads with ``...``, the sample axis of a strip.
@@ -277,47 +274,47 @@ def _levi_civita_closed_table(lp: _LiftedPoint) -> np.ndarray:
     Rb, Gf, Fh, dg = lp.Rb, lp.Gf, lp.Fh, lp.dg
     h = {1: slice(0, n1), 2: slice(n1, n)}
     v = {1: slice(n, n + n1), 2: slice(n + n1, 2 * n)}
-    ginv = {t: f.ginv_values() for t, f in zip(h, lp.factors)}
-    w = {t: scalar_axes(wsq, 3) for t, wsq in zip(h, lp.warps_sq)}
-    G, R = ({t: np.einsum("...rab,...rk->...abk", T[..., h[t], :, :], f.g_values())
-             for t, f in zip(h, lp.factors)} for T in (Gf, Rb))
+    side = dict(zip(h, lp.sides))
+    G, R = ({t: np.einsum("...rab,...rk->...abk", T[..., h[t], :, :], s.g)
+             for t, s in side.items()} for T in (Gf, Rb))
     out = np.zeros(lp.lead + (2 * n, 2 * n, 2 * n))
     out[..., :n, :n, :n] = np.einsum("...kab->...abk", Fh)
     out[..., :n, :n, n:] = 0.5 * np.einsum("...kab->...abk", Rb)
     for t, o in ((1, 2), (2, 1)):
-        ht, ho, vt, vo, wt, wo = h[t], h[o], v[t], v[o], w[t], w[o]
-        Cu = np.einsum("...sij->...ijs", lp.cartan_up(t))
+        ht, ho, vt, vo, st, so = h[t], h[o], v[t], v[o], side[t], side[o]
+        wt, wo = scalar_axes(st.fsq, 3), scalar_axes(so.fsq, 3)
+        Cu = np.einsum("...sij->...ijs", st.C_up)
 
         # Horizontal-horizontal inputs of t pick up its Cartan term.
         out[..., ht, ht, vt] -= Cu
 
         # Horizontal input a, vertical field j of t.
         out[..., :n, vt, ht] = 0.5 * np.einsum("...kaj,...ks->...ajs", R[t][..., ht, :, :],
-                                               ginv[t])
+                                               st.ginv)
         out[..., ht, vt, ht] += Cu
         out[..., :n, vt, ho] = (wo / (2.0 * wt)
-                                * np.einsum("...maj,...gm->...ajg", R[t][..., ho, :, :], ginv[o]))
+                                * np.einsum("...maj,...gm->...ajg", R[t][..., ho, :, :], so.ginv))
         inner = (np.einsum("...jka->...ajk", dg[..., ht, ht, :]) / wo
                  + G[t][..., :, ht, :] - np.einsum("...akj->...ajk", G[t][..., :, ht, :]))
-        out[..., :n, vt, vt] = 0.5 * np.einsum("...ajk,...ks->...ajs", inner, ginv[t])
+        out[..., :n, vt, vt] = 0.5 * np.einsum("...ajk,...ks->...ajs", inner, st.ginv)
         inner = wt * G[o][..., :, ht, :] - wo * np.einsum("...amj->...ajm", G[t][..., :, ho, :])
-        out[..., :n, vt, vo] = np.einsum("...ajm,...gm->...ajg", inner, ginv[o]) / (2.0 * wt)
+        out[..., :n, vt, vo] = np.einsum("...ajm,...gm->...ajg", inner, so.ginv) / (2.0 * wt)
 
         # Vertical-vertical inputs, both of t.
         inner = (np.einsum("...kji->...ijk", G[t][..., ht, ht, :])
                  + np.einsum("...kij->...ijk", G[t][..., ht, ht, :])
                  - dg[..., ht, ht, ht] / wo)
-        out[..., vt, vt, ht] = 0.5 * np.einsum("...ijk,...ks->...ijs", inner, ginv[t])
+        out[..., vt, vt, ht] = 0.5 * np.einsum("...ijk,...ks->...ijs", inner, st.ginv)
         inner = (wo * (np.einsum("...mji->...ijm", G[t][..., ho, ht, :])
                        + np.einsum("...mij->...ijm", G[t][..., ho, ht, :]))
                  - dg[..., ht, ht, ho])
-        out[..., vt, vt, ho] = np.einsum("...ijm,...gm->...ijg", inner, ginv[o]) / (2.0 * wt)
+        out[..., vt, vt, ho] = np.einsum("...ijm,...gm->...ijg", inner, so.ginv) / (2.0 * wt)
         out[..., vt, vt, vt] = Cu
 
         # Vertical-vertical inputs of o and t, onto t (symmetric, bracket-free).
         inner = (wt * np.einsum("...kja->...ajk", G[o][..., ht, ht, :])
                  + wo * np.einsum("...kaj->...ajk", G[t][..., ht, ho, :]))
-        out[..., vo, vt, ht] = np.einsum("...ajk,...ks->...ajs", inner, ginv[t]) / (2.0 * wo)
+        out[..., vo, vt, ht] = np.einsum("...ajk,...ks->...ajs", inner, st.ginv) / (2.0 * wo)
         out[..., vt, vo, ht] = np.einsum("...ajk->...jak", out[..., vo, vt, ht])
 
     # Vertical input on a horizontal field follows from zero torsion:

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coords import CoordIndex, Value, base_coords, fiber_coords
-from .errors import MetricDefinitionError, SlitConditionError
+from .errors import DomainError, MetricDefinitionError, SlitConditionError
 from .jets import Jet, exp, sqrt
 from .linalg import invert_batch
 
@@ -242,8 +242,8 @@ class ConstantWarp(Value):
     __slots__ = ("value",)
 
     def __init__(self, value: float = 1.0):
-        if not (math.isfinite(value) and value > 0.0):
-            raise MetricDefinitionError("constant warp must be positive and finite")
+        if not (math.isfinite(value * value) and value > 0.0):
+            raise MetricDefinitionError("constant warp must be positive, with a finite square")
         self._init(value)
 
     @property
@@ -255,7 +255,8 @@ class ConstantWarp(Value):
 
 
 class PolyQuadraticWarp(Value):
-    """f^2 = 1 + sum_i a_i * pos_i^2 with a_i >= 0."""
+    """f^2 = 1 + sum_i a_i * pos_i^2 with a_i >= 0; a value of f^2 that
+    overflows is a :class:`~dwfinsler.errors.DomainError`."""
 
     __slots__ = ("coeffs",)
 
@@ -270,10 +271,14 @@ class PolyQuadraticWarp(Value):
         return all(a == 0.0 for a in self.coeffs)
 
     def f_squared(self, pos):
-        acc = 1.0
-        for a, t in zip(self.coeffs, pos):
-            if a:
-                acc = acc + a * t * t
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = 1.0
+            for a, t in zip(self.coeffs, pos):
+                if a:
+                    acc = acc + a * t * t
+        value = acc.value if isinstance(acc, Jet) else acc
+        if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+            raise DomainError("poly-quadratic warp f^2 overflows at the evaluated point")
         return acc
 
 

@@ -37,7 +37,7 @@ import numpy as np
 from . import closed_forms, lifted
 from .blocks import matvec, max_abs, scalar_axes, vdot
 from .coords import MAX_ORDER
-from .engine import SPRAY_ORDER, VALUE_ORDER, WorkPoint, workspace
+from .engine import SPRAY_ORDER, VALUE_ORDER, Side, WorkPoint, workspace
 from .errors import UnknownSuiteError
 from .fd import fd_stencils
 from .jets import CoordView
@@ -216,14 +216,14 @@ def _flat_factor(wp: WorkPoint) -> tuple:
     n1, n2 = cfg.n1, cfg.n2
     hh = wp.product.hh_curvature()
 
-    def block_residual(which: int):
-        ep = wp.factor(which)
-        sl = slice(0, n1) if which == 1 else slice(n1, n1 + n2)
-        lam = wp.grad_warp_norm_sq(3 - which) / wp.warp_sq(which)
-        expected = ep.hh_curvature() - scalar_axes(lam, 4) * _commutator_pattern(ep.g_values())
+    def block_residual(t: Side, o: Side):
+        sl = slice(0, n1) if t.which == 1 else slice(n1, n1 + n2)
+        lam = o.grad_norm_sq / t.fsq
+        expected = t.eng.hh_curvature() - scalar_axes(lam, 4) * _commutator_pattern(t.g)
         return hh[..., sl, sl, sl, sl] - expected
 
-    return block_residual(1), block_residual(2) if cfg.factor2.is_riemannian else None
+    s1, s2 = wp.sides
+    return block_residual(s1, s2), block_residual(s2, s1) if cfg.factor2.is_riemannian else None
 
 
 def _scalar_flag(wp: WorkPoint):
@@ -237,7 +237,7 @@ def _scalar_flag(wp: WorkPoint):
     """
     n1 = wp.cfg.n1
     hh = wp.product.hh_curvature()[..., :n1, :n1, :n1, :n1]
-    pattern = _commutator_pattern(wp.factor1.g_values())
+    pattern = _commutator_pattern(wp.sides[0].g)
     eye = np.eye(n1, dtype=bool)
     sel = ~(eye[None, :, :, None] & eye[:, None, None, :])  # [j, i, k, l]: i != k or j != l
     e = pattern[..., sel]
@@ -295,8 +295,9 @@ def _suite_block_structure(out: _Entries, wp: WorkPoint) -> None:
                                     C[..., n1:, n1:, n1:] - expect["222"]), at,
              "block-structure.scaled")
     I = ep.mean_cartan()
-    out.feed("mean-cartan-factor", (I[..., :n1] - wp.factor1.mean_cartan(),
-                                    I[..., n1:] - wp.factor2.mean_cartan()), at,
+    f1, f2 = wp.factors
+    out.feed("mean-cartan-factor", (I[..., :n1] - f1.mean_cartan(),
+                                    I[..., n1:] - f2.mean_cartan()), at,
              "block-structure.scaled")
     yv = ep.fiber_values()
     out.feed("angular-annihilates-fiber", matvec(ep.angular(), yv), at,
@@ -315,7 +316,7 @@ def _suite_matsumoto(out: _Entries, wp: WorkPoint) -> None:
     n1 = wp.cfg.n1
     ep, at = wp.product, wp.samples
     M = ep.matsumoto()
-    y = wp.factor1.fiber_values()
+    y = wp.factors[0].fiber_values()
     lhs = np.einsum("...j,...k,...ajk->...a", y, y, M[..., n1:, :n1, :n1])
     rhs = closed_forms.matsumoto_contraction_rhs(wp)
     out.feed("mixed-contraction-identity", lhs - rhs, at)

@@ -15,6 +15,11 @@ def jet_lift(field, point, seeds, order: int):
     return support_lift(field, point, seeds, order).embed(context(seeds, order))
 
 
+def engine_point(wp, name: str):
+    """The engine point ``name`` of a work point: "product", "factor1" or "factor2"."""
+    return wp.product if name == "product" else wp.factors[int(name[-1]) - 1]
+
+
 def region(name: str, count: int = 8, seed: int = 7):
     """Deterministic sample points for a built-in fixture."""
     return sample_points(fixture_runspec(name, seed=seed, count=count))

@@ -19,20 +19,21 @@ from dwfinsler.metrics import (CustomFactor, EuclideanFactor, ProductConfig, Qua
                                RandersFactor, SampleBatch, TangentSample)
 from dwfinsler.runspec import fixture_document, fixture_runspec, parse_spec, sample_points
 
-from conftest import ALL_FIXTURES
+from conftest import ALL_FIXTURES, engine_point
 from test_asymmetric import ASYM_1x3, ASYM_3x2
 from test_report_bytes import CUBIC_2x2
 
 
-def _cases():
-    """(name, config, points) of every fixture, both asymmetric documents and
-    cubic-2x2, whose quadratic factor blocks of g depend on x and on both
-    warps' coordinates."""
-    out = [(name, fixture(name), sample_points(fixture_runspec(name, count=3)))
+def _cases(count: int = 3):
+    """(name, config, the first ``count`` points) of every fixture, both
+    asymmetric documents and cubic-2x2, whose quadratic factor blocks of g
+    depend on x and on both warps' coordinates."""
+    out = [(name, fixture(name), sample_points(fixture_runspec(name, count=count)))
            for name in ALL_FIXTURES]
     for doc in (ASYM_1x3, ASYM_3x2, CUBIC_2x2):
-        spec = parse_spec(doc)
-        out.append((doc["label"], spec.config, sample_points(spec)[:3]))
+        sampling = {**doc["sampling"], "count": max(count, doc["sampling"]["count"])}
+        spec = parse_spec({**doc, "sampling": sampling})
+        out.append((doc["label"], spec.config, sample_points(spec)[:count]))
     return out
 
 
@@ -50,16 +51,25 @@ _ARRAYS = ("cartan", "mean_cartan", "angular", "matsumoto", "berwald",
            "bracket_curvature_values", "hh_curvature", "riemann_map")
 
 
+#: The array fields of a side, beyond its inverse-metric partials ``dginv``.
+_SIDE_FIELDS = ("g", "ginv", "C", "C_up", "Fsq", "dF", "fsq", "w", "wy", "grad_norm_sq")
+
+
+def _side_arrays(side) -> dict:
+    """Every array field of a side, and its inverse-metric partials of order 0 to 3."""
+    out = {name: np.asarray(getattr(side, name)) for name in _SIDE_FIELDS}
+    out.update((f"dginv {k}", side.dginv(k)) for k in range(4))
+    return out
+
+
 def _suite_arrays(wp) -> dict:
     """Every array a suite reads off a LIFT_ORDER work point, beyond the engine jets."""
-    out = {f"{e}.{name}": getattr(getattr(wp, e), name)()
+    out = {f"{e}.{name}": getattr(engine_point(wp, e), name)()
            for e in ("product", "factor1", "factor2") for name in _ARRAYS}
     ep = wp.product
     out["delta H"] = ep.delta(ep.horizontal_coefficients())
-    for which in (1, 2):
-        out[f"warp {which}"] = np.asarray(wp.warp_sq(which))
-        out[f"warp gradient {which}"] = wp.warp_gradient(which)
-        out[f"grad warp norm {which}"] = np.asarray(wp.grad_warp_norm_sq(which))
+    for side in wp.sides:
+        out.update((f"side {side.which} {name}", arr) for name, arr in _side_arrays(side).items())
     families = {"spray": closed_forms.spray_blocks(wp),
                 "N": closed_forms.nonlinear_connection_blocks(wp),
                 "Gf": closed_forms.connection_fiber_blocks(wp),
@@ -85,7 +95,7 @@ def test_a_batch_equals_its_samples_bit_for_bit(case, order):
     for k, p in enumerate(points):
         single = WorkPoint(ws, p, order)
         for engine in ("product", "factor1", "factor2"):
-            got, want = getattr(batch, engine), getattr(single, engine)
+            got, want = engine_point(batch, engine), engine_point(single, engine)
             for name in _TENSORS[order]:
                 b, s = getattr(got, name)(), getattr(want, name)()
                 assert b.ctx is s.ctx and b.shape == (len(points),) + s.shape, name
@@ -95,6 +105,27 @@ def test_a_batch_equals_its_samples_bit_for_bit(case, order):
             for name, want in _suite_arrays(single).items():
                 assert arrays[name].shape == (len(points),) + want.shape, name
                 assert arrays[name][k].tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("case", _cases(6), ids=[c[0] for c in CASES])
+def test_the_sides_are_swap_equivariant_bit_for_bit(case):
+    # F^2 = f2^2 F1^2 + f1^2 F2^2 is the same field when the factors trade
+    # places: (F2, F1, f2, f1) at (u, x, v, y).  Side t of a strip is side o
+    # of the swapped strip, field by field and in its engine's tensors.
+    _, cfg, points = case
+    swapped = ProductConfig(cfg.factor2, cfg.factor1, cfg.warp2, cfg.warp1)
+    strip = WorkPoint(workspace(cfg), SampleBatch.of(points))
+    mirror = WorkPoint(workspace(swapped),
+                       SampleBatch.of([TangentSample(p.u, p.x, p.v, p.y) for p in points]))
+    for got, want in zip(strip.sides, reversed(mirror.sides)):
+        assert (got.which, got.n) == (3 - want.which, want.n)
+        arrays = _side_arrays(want)
+        for name, arr in _side_arrays(got).items():
+            want_arr = arrays[name]
+            assert arr.shape == want_arr.shape and arr.tobytes() == want_arr.tobytes(), name
+        for name in ("spray_values", "berwald", "hh_curvature"):
+            arr, want_arr = getattr(got.eng, name)(), getattr(want.eng, name)()
+            assert arr.shape == want_arr.shape and arr.tobytes() == want_arr.tobytes(), name
 
 
 def _leibniz_spray(ep):
@@ -121,7 +152,7 @@ def test_the_spray_multiplies_by_y_as_a_shift_and_keeps_every_bit(case, order, m
         wp = WorkPoint(workspace(cfg), sample, order)
         out = {}
         for which in ("product", "factor1", "factor2"):
-            ep = getattr(wp, which)
+            ep = engine_point(wp, which)
             out[which, "spray"] = ep.spray().c
             if order >= VALUE_ORDER:
                 out[which, "N"] = ep.nonlinear_connection().c
@@ -190,7 +221,7 @@ def test_ginv_runs_no_leibniz_product_where_none_can_pay(name, order, engines, m
 
     split = engine._diagonal_blocks
     for which in engines:
-        ep = getattr(wp, which)
+        ep = engine_point(wp, which)
         g, inv0 = ep.g(), ep._value_inverse()[0]
         if g.order > 1:
             assert not any(positions for _, positions in split(g, inv0)), which

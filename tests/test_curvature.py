@@ -47,10 +47,8 @@ def test_berwald_specific_block_oracle(fixr, p4):
     # fiber-inverse-metric gradient of the second warp.
     wp = workspace(fixr).at(p4)
     B = berwald_curvature(fixr, p4).array[closed_forms.block_ranges("2111", fixr.n1, fixr.n2)]
-    C1 = wp.factor1.cartan()
-    g2inv = wp.factor2.ginv_values()
-    w2u = wp.warp_gradient(2)
-    expected = -np.einsum("ijk,g->gijk", C1, g2inv @ w2u) / wp.warp_sq(1)
+    s1, s2 = wp.sides
+    expected = -np.einsum("ijk,g->gijk", s1.C, s2.ginv @ s2.w) / s1.fsq
     assert np.allclose(B, expected, atol=1e-7)
 
 
@@ -125,7 +123,7 @@ def test_flat_factor_identity(fixe):
 def test_flat_factor_on_product_degenerates(fixp, p4):
     latin, _ = flat_factor_residual(fixp, p4)
     assert max_abs(latin) <= 1e-8
-    assert workspace(fixp).at(p4).grad_warp_norm_sq(2) == pytest.approx(0.0)
+    assert workspace(fixp).at(p4).sides[1].grad_norm_sq == pytest.approx(0.0)
 
 
 def test_flat_factor_constant_second_warp():
@@ -134,7 +132,7 @@ def test_flat_factor_constant_second_warp():
                         PolyQuadraticWarp((1.0, 0.0)), ConstantWarp())
     p = TangentSample((0.4, -0.2), (0.5, 0.3), (1.0, 0.3), (0.2, 1.0))
     latin, _ = flat_factor_residual(cfg, p)
-    assert workspace(cfg).at(p).grad_warp_norm_sq(2) == pytest.approx(0.0)
+    assert workspace(cfg).at(p).sides[1].grad_norm_sq == pytest.approx(0.0)
     assert max_abs(latin) <= 1e-8
 
 

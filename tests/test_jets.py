@@ -14,7 +14,7 @@ from dwfinsler.engine import LIFT_ORDER, SPRAY_ORDER, VALUE_ORDER
 from dwfinsler.fd import fd_partial, fd_partials
 from dwfinsler.jets import Jet, context, einsum
 from dwfinsler.linalg import invert_matrix
-from conftest import jet_lift, region
+from conftest import engine_point, jet_lift, region
 
 P = TangentSample((3.0,), (1.0,), (1.0,), (2.0,))
 X = base1(0)
@@ -560,7 +560,7 @@ def test_engine_lift_keeps_the_support_of_F2(name, which, support):
     from dwfinsler.runspec import fixture_runspec, sample_points
     cfg = fixture(name)
     for p in sample_points(fixture_runspec(name, count=2)):
-        ep = getattr(workspace(cfg).at(p), which)
+        ep = engine_point(workspace(cfg).at(p), which)
         assert ep.lift().seeds == support and ep.lift().order == 5
         for tensor in (ep.g(), ep.ginv(), ep.spray(), ep.delta_g(),
                        ep.horizontal_coefficients()):
@@ -589,7 +589,7 @@ def test_support_lift_chain_is_bit_identical_to_the_whole_point_chain(monkeypatc
         out = []
         for p in points:
             wp = WorkPoint(workspace(cfg), p)
-            for ep in (wp.product, wp.factor1, wp.factor2):
+            for ep in (wp.product, *wp.factors):
                 out.append({m: np.asarray(getattr(ep, m)()) for m in _CHAIN}
                            | {"delta_g": ep.delta_g().value, "seeds": ep.g().seeds})
         return out
@@ -657,7 +657,7 @@ def test_skipped_leibniz_products_change_no_bit(monkeypatch, name):
         out = []
         for p, order in cases:
             wp = WorkPoint(workspace(cfg), p, order)
-            out += [_chain_coefficients(ep) for ep in (wp.product, wp.factor1, wp.factor2)]
+            out += [_chain_coefficients(ep) for ep in (wp.product, *wp.factors)]
         return out
 
     got = chain()

@@ -180,7 +180,8 @@ def test_reinhart_witness_on_randers(fixr, p4):
     defect, identity = lifted_at(fixr, p4).reinhart_tables()
     d = defect[n1, n1, n1 + 1]
     # two independent paths: covariant derivative vs the factor Cartan tensor
-    expected = 2.0 * wp.warp_sq(1) * wp.factor2.cartan()[0, 0, 1]
+    s1, s2 = wp.sides
+    expected = 2.0 * s1.fsq * s2.C[0, 0, 1]
     assert d == pytest.approx(expected, abs=1e-8)
     assert abs(d) > 1e-3
     assert d == pytest.approx(identity[n1, n1, n1 + 1], abs=1e-8)

@@ -11,7 +11,9 @@ from dwfinsler.blocks import BlockTensor, max_abs
 from dwfinsler.closed_forms import block_ranges
 from dwfinsler.core import fundamental_tensor, tensor
 from dwfinsler.engine import workspace
-from dwfinsler.errors import MetricDefinitionError, SlitConditionError
+from dwfinsler.coords import base1
+from dwfinsler.errors import DomainError, MetricDefinitionError, SlitConditionError
+from dwfinsler.jets import Jet, context
 from conftest import region
 
 
@@ -88,6 +90,21 @@ def test_spec_constructors_fail_closed_on_non_finite_parameters(make):
         make()
 
 
+def test_a_warp_square_that_overflows_fails_closed():
+    # A constant warp's square is fixed when it is made; a poly-quadratic
+    # warp's is checked where it is evaluated: on a float, a value array and
+    # a jet alike, with no numpy warning on the way.
+    with pytest.raises(MetricDefinitionError, match="finite square"):
+        ConstantWarp(1e200)
+    warp = PolyQuadraticWarp((1.0,))
+    far = Jet.coordinate(context((base1(0),), 2), base1(0), 1e200)
+    for pos in (1e200, np.array([1.0, 1e200]), far):
+        with pytest.raises(DomainError, match="f\\^2 overflows"):
+            warp.f_squared((pos,))
+    assert warp.f_squared((3.0,)) == 10.0
+    assert warp.f_squared((np.array([1.0, 1e150]),)).tolist() == [2.0, 1.0 + 1e150 * 1e150]
+
+
 @pytest.mark.parametrize("factor1, warp1, warp2", [
     (EuclideanFactor(2), ExponentialWarp(0.3, 5), ConstantWarp()),
     (EuclideanFactor(2), ExponentialWarp(0.3, 2), ConstantWarp()),
@@ -153,8 +170,8 @@ def test_off_blocks_vanish(name):
 def test_product_case_direct_sum(fixp, p4):
     g, _ = fundamental_tensor(fixp, p4)
     wp = workspace(fixp).at(p4)
-    assert np.allclose(block(g, "11"), wp.factor1.g_values())
-    assert np.allclose(block(g, "22"), wp.factor2.g_values())
+    assert np.allclose(block(g, "11"), wp.factors[0].g_values())
+    assert np.allclose(block(g, "22"), wp.factors[1].g_values())
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0, 7.0])
@@ -188,7 +205,7 @@ def test_angular_factor_component_vanishes_along_pole():
     # to the slit floor.
     cfg = ProductConfig(EuclideanFactor(2), EuclideanFactor(1))
     p = TangentSample((0.0, 0.0), (0.0,), (1.0, 0.0), (1e-6,))
-    ep = workspace(cfg).at(p).factor1
+    ep = workspace(cfg).at(p).factors[0]
     g = ep.g_values()
     y = np.array(p.y)
     y_low = g @ y
@@ -211,9 +228,9 @@ def test_cartan_blocks(fixr):
         for pattern in ("112", "121", "211", "122", "212", "221"):
             assert np.max(np.abs(block(C, pattern))) <= 1e-12
         wp = workspace(fixr).at(p)
-        f1sq, f2sq = wp.warp_sq(1), wp.warp_sq(2)
-        assert np.allclose(block(C, "111"), f2sq * wp.factor1.cartan(), atol=1e-9)
-        assert np.allclose(block(C, "222"), f1sq * wp.factor2.cartan(), atol=1e-9)
+        s1, s2 = wp.sides
+        assert np.allclose(block(C, "111"), s2.fsq * s1.C, atol=1e-9)
+        assert np.allclose(block(C, "222"), s1.fsq * s2.C, atol=1e-9)
         yv = np.array(p.y + p.v)
         assert np.max(np.abs(np.einsum("abc,c->ab", C.array, yv))) <= 1e-10
 
@@ -222,8 +239,8 @@ def test_mean_cartan_matches_factor(fixr):
     for p in region("FIX-R", 4):
         I = tensor(fixr, p, "mean-cartan")
         wp = workspace(fixr).at(p)
-        assert np.allclose(block(I, "2"), wp.factor2.mean_cartan(), atol=1e-9)
-        assert np.allclose(block(I, "1"), wp.factor1.mean_cartan(), atol=1e-9)
+        assert np.allclose(block(I, "2"), wp.factors[1].mean_cartan(), atol=1e-9)
+        assert np.allclose(block(I, "1"), wp.factors[0].mean_cartan(), atol=1e-9)
 
 
 def test_matsumoto_riemannian_vanishes(fixe):

@@ -491,3 +491,31 @@ def test_cli_exponential_overflow_is_a_domain_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "exp overflows" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+_EUCLID1 = {"kind": "euclidean", "dim": 1}
+_WIDE = {"seed": 1, "count": 3, "box": [-1e200, 1e200]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    # (1e200)^2 overflows a float: f1^2 = 1 + x0^2 at a sampled point ...
+    ({"factors": [_EUCLID1, _EUCLID1],
+      "warps": {"f1": {"kind": "poly_quadratic", "parameters": {"coeffs": [1.0]}},
+                "f2": {"kind": "constant"}},
+      "sampling": _WIDE}, "poly-quadratic warp f^2 overflows"),
+    # ... or the square of a constant warp, whatever the point.
+    ({"factors": [_EUCLID1, _EUCLID1],
+      "warps": {"f1": {"kind": "constant", "parameters": {"value": 1e200}},
+                "f2": {"kind": "constant"}},
+      "sampling": {"seed": 1, "count": 3}}, "$.warps.f1: constant warp"),
+    ({"factors": fixture_document("FIX-R")["factors"],
+      "warps": fixture_document("FIX-R")["warps"],
+      "sampling": _WIDE}, "poly-quadratic warp f^2 overflows"),
+], ids=["poly-quadratic", "constant", "FIX-R"])
+def test_cli_warp_overflow_is_one_error_line(tmp_path, capsys, doc, message):
+    path = tmp_path / "warp-overflow.json"
+    path.write_text(json.dumps({"label": "warp-overflow", **doc}))
+    assert main(["verify", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
