@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import sys
 
 import numpy as np
@@ -315,36 +316,39 @@ def parse_spec(text_or_doc, *, seed: int | None = None, count: int | None = None
 def sample_points(spec: RunSpec) -> list[TangentSample]:
     """Deterministic sample of the slit bundle: boxed base, sphere-scaled fibers.
 
-    The draws are the reproducibility contract.  One ``PCG64`` generator seeded
-    with ``sampling.seed`` draws, point by point: one uniform per base
-    coordinate (x, then u); n1 standard normals for y, drawn again while their
-    Euclidean norm is below 1e-12; one uniform for the radius of y; the same
-    two steps for v.  A base coordinate is lo + (hi - lo)·U, a radius
-    r0 + (r1 - r0)·U, and a fiber radius·d/|d|, with |d| the square root of
-    ``d.dot(d)``, which is ``np.linalg.norm``'s formula.
+    The draws are the reproducibility contract.  One standard-library
+    ``random.Random`` (MT19937) seeded with ``sampling.seed`` draws, point by
+    point: one ``random()`` per base coordinate (x, then u); n1
+    ``normalvariate(0.0, 1.0)`` for y, drawn again while their Euclidean norm
+    is below 1e-12; one ``random()`` for the radius of y; the same two steps
+    for v.  A base coordinate is lo + (hi - lo)·U, a radius r0 + (r1 - r0)·U,
+    and a fiber radius·d/|d|, with |d| the ``math.sqrt`` of the sum of the
+    squares of d added in index order.
     """
     cfg, sampling = spec.config, spec.sampling
     n, n1, count = cfg.n, cfg.n1, sampling.count
-    rng = np.random.Generator(np.random.PCG64(sampling.seed))
-    base = np.empty((count, n))
-    fibers = (np.empty((count, n1)), np.empty((count, cfg.n2)))
+    rng = random.Random(sampling.seed)
+    base, fibers = [], ([], [])
     norms, radii = [], []  # each point's y then v
-    for i in range(count):
-        rng.random(out=base[i])
-        for fiber in fibers:
-            d = fiber[i]
+    for _ in range(count):
+        base.append([rng.random() for _ in range(n)])
+        for fiber, dim in zip(fibers, (n1, cfg.n2)):
             norm = 0.0
             while norm < 1e-12:  # astronomically unlikely, but stay deterministic
-                rng.standard_normal(out=d)
-                norm = math.sqrt(d.dot(d))
+                d = [rng.normalvariate(0.0, 1.0) for _ in range(dim)]
+                norm_sq = 0.0
+                for t in d:  # in index order; sum() compensates from Python 3.12
+                    norm_sq += t * t
+                norm = math.sqrt(norm_sq)
+            fiber.append(d)
             norms.append(norm)
             radii.append(rng.random())
     norms, radii = (np.reshape(t, (count, 2)).T[..., None] for t in (norms, radii))
     lo, hi = np.array(sampling.box).T
     r0, r1 = sampling.radii
     radii = r0 + (r1 - r0) * radii
-    rows = np.hstack([lo + (hi - lo) * base] + [
-        radius * fiber / norm for fiber, radius, norm in zip(fibers, radii, norms)])
+    rows = np.hstack([lo + (hi - lo) * np.array(base)] + [
+        radius * np.array(fiber) / norm for fiber, radius, norm in zip(fibers, radii, norms)])
     return TangentSample._of_rows(rows, n1, cfg.n2)
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import numpy as np
 
@@ -457,10 +458,10 @@ def _suite_totally_geodesic(out: _Entries, wp: WorkPoint) -> None:
              lp.koszul[..., n:, n:, :n] + np.einsum("...kab->...abk", lp.Fh - lp.Gf), at)
 
 
-def _random_directions(rng: np.random.Generator, coords: list) -> tuple:
+def _random_directions(rng: random.Random, coords: list) -> tuple:
     """1 to 3 coordinates drawn at random, repeats allowed."""
-    order = int(rng.integers(1, 4))
-    return tuple(coords[int(i)] for i in rng.integers(0, len(coords), order))
+    order = rng.randrange(1, 4)
+    return tuple(coords[rng.randrange(len(coords))] for _ in range(order))
 
 
 def _relative(jet, fd):
@@ -484,7 +485,7 @@ def _suite_fd_crosscheck(out: _Entries, wp: WorkPoint) -> None:
     out.carry = None
     cfg = spec.config
     ws = workspace(cfg)
-    rng = np.random.Generator(np.random.PCG64(spec.sampling.seed + 1))
+    rng = random.Random(spec.sampling.seed + 1)
     coords = list(cfg.base) + list(cfg.fiber)  # in the order of a point's row
     n = cfg.n
     subset = [p for _, _, p in held]
@@ -525,8 +526,8 @@ def _suite_fd_crosscheck(out: _Entries, wp: WorkPoint) -> None:
     # Gf and B are checked at one random component (b, c), (b, c, d) per a.
     pairs, triples = [], []
     for _ in range(n):
-        pairs.append((int(rng.integers(0, n)), int(rng.integers(0, n))))
-        triples.append(tuple(int(i) for i in rng.integers(0, n, 3)))
+        pairs.append((rng.randrange(n), rng.randrange(n)))
+        triples.append((rng.randrange(n), rng.randrange(n), rng.randrange(n)))
     diag = np.arange(n)
     fd_fiber, fd_pairs, fd_triples = fd_stencils(
         lambda batch: WorkPoint(ws, batch, SPRAY_ORDER).product.spray_values(),

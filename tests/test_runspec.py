@@ -1,4 +1,10 @@
+import functools
 import json
+import math
+import os
+import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,25 +104,24 @@ def test_sampling_is_deterministic_and_slit_safe():
 
 
 def _per_point_samples(spec):
-    """The sample as drawn point by point through numpy's distribution calls:
-    the reference the array form of ``sample_points`` must match bit for bit."""
+    """The sample as drawn point by point on Python floats, through the
+    standard library's generator: the reference the array form of
+    ``sample_points`` must match bit for bit."""
     cfg = spec.config
-    rng = np.random.Generator(np.random.PCG64(spec.sampling.seed))
-    lo = np.array([b[0] for b in spec.sampling.box])
-    hi = np.array([b[1] for b in spec.sampling.box])
+    rng = random.Random(spec.sampling.seed)
     r0, r1 = spec.sampling.radii
     out = []
     for _ in range(spec.sampling.count):
-        base = rng.uniform(lo, hi)
+        base = [lo + (hi - lo) * rng.random() for lo, hi in spec.sampling.box]
 
         def fiber(dim):
-            direction = rng.normal(size=dim)
-            norm = float(np.linalg.norm(direction))
-            while norm < 1e-12:
-                direction = rng.normal(size=dim)
-                norm = float(np.linalg.norm(direction))
-            radius = rng.uniform(r0, r1)
-            return tuple(radius * direction / norm)
+            while True:
+                direction = [rng.normalvariate(0.0, 1.0) for _ in range(dim)]
+                norm = math.sqrt(functools.reduce(lambda s, t: s + t * t, direction, 0.0))
+                if norm >= 1e-12:
+                    break
+            radius = r0 + (r1 - r0) * rng.random()
+            return tuple(radius * t / norm for t in direction)
 
         y = fiber(cfg.n1)
         v = fiber(cfg.n2)
@@ -142,6 +147,36 @@ def test_sample_points_draws_as_the_per_point_loop(n1):
                    for p in sample_points(spec)]
             want = [[[float(t).hex() for t in g] for g in p] for p in _per_point_samples(spec)]
             assert got == want, (n1, n2, seed)
+
+
+def test_no_run_imports_numpy_random():
+    # The sample and the fd-crosscheck probes are drawn with the standard
+    # library's generator, which numpy has already loaded: importing
+    # numpy.random would cost a run some 16 modules and about 1.8 MB.
+    import dwfinsler
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dwfinsler.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, dwfinsler\n"
+            "from dwfinsler import cli\n"
+            "dwfinsler.run_suites(dwfinsler.fixture_runspec('FIX-R', count=3))\n"
+            "cli.main(['eval', '--fixture', 'FIX-1D', '--points', '1'])\n"
+            "print('numpy.random' in sys.modules, file=sys.stderr)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stderr.strip() == "False"
+
+
+def test_no_module_names_numpy_random():
+    # A lazy import inside a suite would only move the import's cost into the
+    # battery's run time.
+    import dwfinsler
+    package = os.path.dirname(os.path.abspath(dwfinsler.__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                text = f.read()
+            assert "np.random" not in text and "numpy.random" not in text, name
 
 
 @pytest.mark.parametrize("name", ["FIX-R", "FIX-1D"])
