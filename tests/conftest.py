@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import dwfinsler
 from dwfinsler import TangentSample, fixture
 from dwfinsler.jets import context, support_lift
 from dwfinsler.runspec import fixture_runspec, sample_points
@@ -18,6 +23,16 @@ def jet_lift(field, point, seeds, order: int):
 def engine_point(wp, name: str):
     """The engine point ``name`` of a work point: "product", "factor1" or "factor2"."""
     return wp.product if name == "product" else wp.factors[int(name[-1]) - 1]
+
+
+def fresh_python(code: str) -> str:
+    """The standard output of ``code`` run in a new interpreter that imports
+    this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dwfinsler.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout
 
 
 def region(name: str, count: int = 8, seed: int = 7):

@@ -1,22 +1,23 @@
 import functools
 import json
 import math
-import os
 import random
-import subprocess
-import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dwfinsler
 from dwfinsler import PolyQuadraticWarp, fixture
 from dwfinsler.errors import SchemaError, SlitConditionError
 from dwfinsler.metrics import TangentSample
 from dwfinsler.runspec import (ALL_SUITES, DEFAULT_TOLERANCES, FIXTURES, MAX_POINTS, RunSpec,
                                fixture_document, fixture_runspec, parse_spec, sample_points)
 from dwfinsler.suites import run_suites
+
+from conftest import fresh_python
 
 
 def test_fixture_document_round_trips():
@@ -153,30 +154,20 @@ def test_no_run_imports_numpy_random():
     # The sample and the fd-crosscheck probes are drawn with the standard
     # library's generator, which numpy has already loaded: importing
     # numpy.random would cost a run some 16 modules and about 1.8 MB.
-    import dwfinsler
-    src = os.path.dirname(os.path.dirname(os.path.abspath(dwfinsler.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     code = ("import sys, dwfinsler\n"
             "from dwfinsler import cli\n"
             "dwfinsler.run_suites(dwfinsler.fixture_runspec('FIX-R', count=3))\n"
             "cli.main(['eval', '--fixture', 'FIX-1D', '--points', '1'])\n"
-            "print('numpy.random' in sys.modules, file=sys.stderr)\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stderr.strip() == "False"
+            "print('numpy.random' in sys.modules)\n")
+    assert fresh_python(code).splitlines()[-1] == "False"
 
 
 def test_no_module_names_numpy_random():
     # A lazy import inside a suite would only move the import's cost into the
     # battery's run time.
-    import dwfinsler
-    package = os.path.dirname(os.path.abspath(dwfinsler.__file__))
-    for name in sorted(os.listdir(package)):
-        if name.endswith(".py"):
-            with open(os.path.join(package, name), encoding="utf-8") as f:
-                text = f.read()
-            assert "np.random" not in text and "numpy.random" not in text, name
+    for path in Path(dwfinsler.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert "np.random" not in text and "numpy.random" not in text, path.name
 
 
 @pytest.mark.parametrize("name", ["FIX-R", "FIX-1D"])

@@ -7,10 +7,6 @@ them as keys.  ``CustomFactor`` compares by identity.  Records (tensors,
 reports, run documents) are plain objects built positionally or by keyword.
 """
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -24,6 +20,8 @@ from dwfinsler.lifted import ComplexStructure
 from dwfinsler.runspec import (RunSpec, Sampling, fixture_document, parse_spec,
                                sample_points)
 from dwfinsler.suites import DiagnosticsReport, SuiteEntry, SuiteResult
+
+from conftest import fresh_python
 
 POLY_ONE = ((1.0, (0, 0)),)
 
@@ -167,11 +165,5 @@ def test_block_tensor_and_jet_reprs():
 def test_importing_the_library_leaves_dataclasses_unloaded():
     # The value classes and records are plain slotted classes: an import that
     # pulled in dataclasses would pay again for generating their methods.
-    import dwfinsler
-    src = os.path.dirname(os.path.dirname(os.path.abspath(dwfinsler.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     code = "import sys, numpy, dwfinsler; print(sorted({'dataclasses'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert fresh_python(code).strip() == "[]"
