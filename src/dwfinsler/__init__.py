@@ -22,7 +22,8 @@ from .connection import (NonlinearConnection, SprayField, frame_brackets,
 from .curvature import berwald_curvature, hh_curvature, riemann_map
 from .lifted import ComplexStructure
 from .runspec import FIXTURES, RunSpec, fixture, fixture_runspec, parse_spec, sample_points
-from .suites import DiagnosticsReport, emit_report, run_suites
+from .report import DiagnosticsReport
+from .suites import emit_report, run_suites
 
 __all__ = [
     "__version__",

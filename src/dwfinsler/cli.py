@@ -22,7 +22,8 @@ from .errors import DomainError, DwfError, SchemaError
 from .metrics import TangentSample
 from .runspec import (ALL_SUITES, FIXTURES, RunSpec, fixture_document, parse_spec,
                       sample_points)
-from .suites import emit_report, report_document, report_from_document, run_suites
+from .report import report_from_document
+from .suites import emit_report, run_suites
 
 
 def _load_runspec(args) -> RunSpec:
@@ -102,14 +103,15 @@ def _cmd_verify(args) -> int:
     spec = _load_runspec(args)
     report = run_suites(spec)
     if args.json:
-        doc = {
-            "meta": {"tool": "dwfinsler", "version": __version__,
-                     "generated_at": datetime.now(timezone.utc).isoformat()},
-            "report": report_document(report),
-        }
+        # The file is json.dumps({"meta": ..., "report": ...}, sort_keys=True,
+        # indent=2) and a newline, composed of its two sections one level in;
+        # the report's text is the writer's, as every report's is.
+        meta = {"tool": "dwfinsler", "version": __version__,
+                "generated_at": datetime.now(timezone.utc).isoformat()}
+        sections = (json.dumps(meta, sort_keys=True, indent=2), emit_report(report, "json"))
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write('{\n  "meta": %s,\n  "report": %s\n}\n'
+                     % tuple(t.replace("\n", "\n  ") for t in sections))
     print(emit_report(report, "text"))
     return 0 if report.ok else 1
 
@@ -130,11 +132,12 @@ def _cmd_fixtures(_args) -> int:
 
 def _cmd_report(args) -> int:
     try:
-        doc = json.loads(Path(args.json).read_bytes())
-        report = report_from_document(doc["report"] if "report" in doc else doc)
-        text = emit_report(report, args.format)
-    except (ValueError, LookupError, TypeError, RecursionError) as exc:
+        report = report_from_document(json.loads(Path(args.json).read_bytes()))
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{args.json} is not a report: {type(exc).__name__}: {exc}") from None
+    except SchemaError as exc:
+        raise SchemaError(f"{args.json} is not a report: {exc}") from None
+    text = emit_report(report, args.format)
     print(text)
     return 0 if report.ok else 1
 

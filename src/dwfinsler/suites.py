@@ -29,7 +29,6 @@ they arrive and checks them on the strip that completes them.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 
@@ -37,53 +36,13 @@ import numpy as np
 
 from . import closed_forms, lifted
 from .blocks import matvec, max_abs, scalar_axes, vdot
-from .coords import MAX_ORDER
 from .engine import SPRAY_ORDER, VALUE_ORDER, Side, WorkPoint, workspace
 from .errors import UnknownSuiteError
 from .fd import fd_stencils
 from .jets import CoordView
 from .metrics import TangentSample, sample_rows
+from .report import DiagnosticsReport, SuiteEntry, SuiteResult, write_json
 from .runspec import ALL_SUITES, RunSpec, sample_points
-
-
-class SuiteEntry:
-    """One residual check; a ``tolerance`` of None marks an informational entry,
-    and ``point`` is the witness of the worst residual."""
-
-    __slots__ = ("suite", "name", "residual", "tolerance", "passed", "point", "note")
-
-    def __init__(self, suite: str, name: str, residual: float, tolerance: float | None,
-                 passed: bool, point: list | None = None, note: str = ""):
-        self.suite, self.name, self.residual, self.tolerance = suite, name, residual, tolerance
-        self.passed, self.point, self.note = passed, point, note
-
-
-class SuiteResult:
-    __slots__ = ("name", "passed", "expected_failure", "as_expected", "max_residual", "entries")
-
-    def __init__(self, name: str, passed: bool, expected_failure: bool, as_expected: bool,
-                 max_residual: float, entries: tuple[SuiteEntry, ...]):
-        self.name, self.passed, self.expected_failure = name, passed, expected_failure
-        self.as_expected, self.max_residual, self.entries = as_expected, max_residual, entries
-
-
-class DiagnosticsReport:
-    __slots__ = ("label", "seed", "count", "suites")
-
-    def __init__(self, label: str, seed: int, count: int, suites: tuple[SuiteResult, ...]):
-        self.label, self.seed, self.count, self.suites = label, seed, count, suites
-
-    @property
-    def ok(self) -> bool:
-        return all(s.as_expected for s in self.suites)
-
-    @property
-    def pass_count(self) -> int:
-        return sum(1 for s in self.suites for e in s.entries if e.passed)
-
-    @property
-    def fail_count(self) -> int:
-        return sum(1 for s in self.suites for e in s.entries if not e.passed)
 
 
 class _Tracker:
@@ -128,18 +87,30 @@ class _Tracker:
         self.feed(flat[k], points[k // (flat.size // len(values))], note)
 
 
-def _point_doc(p: TangentSample | None):
+def _point_doc(p: TangentSample | None, docs: dict | None = None):
+    """The report's point list of sample ``p``.
+
+    ``docs`` holds one list per sample for the entries of a run, so that the
+    entries a sample witnesses share it and the JSON writer renders it once.
+    It keys a sample by identity, never by value: samples equal in value may
+    differ in the sign of a zero, which the report prints.
+    """
     if p is None:
         return None
-    return [list(p.x), list(p.u), list(p.y), list(p.v)]
+    if docs is None:
+        return [list(p.x), list(p.u), list(p.y), list(p.v)]
+    got = docs.get(id(p))
+    if got is None:
+        got = docs[id(p)] = (p, _point_doc(p))  # p is held, so no other sample takes its id
+    return got[1]
 
 
 def _entry(spec: RunSpec, suite: str, name: str, tracker: _Tracker,
-           tol_key: str | None = None) -> SuiteEntry:
+           tol_key: str | None = None, docs: dict | None = None) -> SuiteEntry:
     """An upper-bound check at the tolerance named ``tol_key`` (default: the suite's)."""
     tol = spec.tolerance(tol_key or suite)
     return SuiteEntry(suite, name, tracker.value, tol, tracker.value <= tol,
-                      _point_doc(tracker.point), tracker.note)
+                      _point_doc(tracker.point, docs), tracker.note)
 
 
 class _Entries:
@@ -153,7 +124,9 @@ class _Entries:
     ``values`` is a residual tensor whose leading axis runs over ``points``,
     or a tuple of them, joined sample by sample.  A suite whose precondition
     fails reports one informational entry, set by :meth:`skip`.
-    ``carry`` is what a step keeps from one strip for a later one.
+    ``carry`` is what a step keeps from one strip for a later one.  The
+    entries take their witnesses' point lists from ``docs`` (see
+    :func:`_point_doc`) when it is given.
     """
 
     __slots__ = ("spec", "suite", "carry", "_fed", "_skipped")
@@ -179,17 +152,17 @@ class _Entries:
         """Report only the passing informational entry ``name``."""
         self._skipped = SuiteEntry(self.suite, name, 0.0, None, True, None, note)
 
-    def entries(self) -> list[SuiteEntry]:
+    def entries(self, docs: dict | None = None) -> list[SuiteEntry]:
         if self._skipped is not None:
             return [self._skipped]
         out = []
         for name, (tracker, tol, lower) in self._fed.items():
             if lower is None:
-                out.append(_entry(self.spec, self.suite, name, tracker, tol))
+                out.append(_entry(self.spec, self.suite, name, tracker, tol, docs))
                 continue
             residual = self.spec.tolerance(tol or self.suite) - tracker.value
             out.append(SuiteEntry(self.suite, name, residual, 0.0, residual <= 0.0,
-                                  _point_doc(tracker.point), lower))
+                                  _point_doc(tracker.point, docs), lower))
         return out
 
 
@@ -588,9 +561,9 @@ def run_suites(spec: RunSpec) -> DiagnosticsReport:
     for wp in workspace(spec.config).strips(sample_points(spec)):
         for name, out in outs:
             SUITES[name](out, wp)
-    results = []
+    results, docs = [], {}
     for name, out in outs:
-        entries = tuple(out.entries())
+        entries = tuple(out.entries(docs))
         passed = all(e.passed for e in entries)
         expected_failure = name in spec.expected_failures
         residuals = [e.residual for e in entries]
@@ -606,52 +579,10 @@ def run_suites(spec: RunSpec) -> DiagnosticsReport:
 # Report emission
 # ---------------------------------------------------------------------------
 
-def report_document(report: DiagnosticsReport) -> dict:
-    """The deterministic (diffable) document for a report."""
-    return {
-        "config": report.label,
-        "engine": {"seed": report.seed, "points": report.count,
-                   "max_jet_order": MAX_ORDER},
-        "suites": [
-            {
-                "name": s.name,
-                "passed": s.passed,
-                "expected_failure": s.expected_failure,
-                "as_expected": s.as_expected,
-                "max_residual": s.max_residual,
-                "entries": [
-                    {"name": e.name, "residual": e.residual, "tolerance": e.tolerance,
-                     "passed": e.passed, "point": e.point, "note": e.note}
-                    for e in s.entries
-                ],
-            }
-            for s in report.suites
-        ],
-        "summary": {
-            "ok": report.ok,
-            "entries_passed": report.pass_count,
-            "entries_failed": report.fail_count,
-            "unexpected": [s.name for s in report.suites if not s.as_expected],
-        },
-    }
-
-
-def report_from_document(doc: dict) -> DiagnosticsReport:
-    suites = tuple(
-        SuiteResult(
-            s["name"], s["passed"], s["expected_failure"], s["as_expected"],
-            s["max_residual"],
-            tuple(SuiteEntry(s["name"], e["name"], e["residual"], e["tolerance"],
-                             e["passed"], e["point"], e["note"])
-                  for e in s["entries"]))
-        for s in doc["suites"])
-    return DiagnosticsReport(doc["config"], doc["engine"]["seed"],
-                             doc["engine"]["points"], suites)
-
-
 def emit_report(report: DiagnosticsReport, fmt: str = "text") -> str:
+    """The report as a text table, or as its JSON document (``report.write_json``)."""
     if fmt == "json":
-        return json.dumps(report_document(report), sort_keys=True, indent=2)
+        return write_json(report)
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
     lines = [f"configuration {report.label}  (seed {report.seed}, {report.count} points)"]

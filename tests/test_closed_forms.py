@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from dwfinsler import (blocks, closed_forms, connection, coords, core, curvature, engine,
-                       fd, jets, lifted, linalg, metrics, runspec, suites)
+                       fd, jets, lifted, linalg, metrics, report, runspec, suites)
 from dwfinsler.cli import main
 from dwfinsler.runspec import fixture_runspec, parse_spec
 from dwfinsler.suites import run_suites
@@ -16,8 +16,7 @@ from conftest import ALL_FIXTURES
 #: The modules whose public functions every fixture's battery reads, but for
 #: those the CLI calls around a battery.
 HARNESS = (core, connection, curvature, lifted, suites, closed_forms)
-AROUND_A_BATTERY = {"core.tensor", "suites.run_suites", "suites.emit_report",
-                    "suites.report_document", "suites.report_from_document"}
+AROUND_A_BATTERY = {"core.tensor", "suites.run_suites", "suites.emit_report"}
 
 
 @pytest.mark.parametrize("family, tensor, block", [
@@ -67,12 +66,15 @@ ENTRY_POINTS = {
     # hands its probes to fd.fd_stencils as arrays), and the fixtures by
     # name, for library users.
     "fd.fd_partial", "fd.fd_partials", "runspec.fixture", "runspec.fixture_runspec",
+    # A report as a dict, for library users; the tests hold the JSON writer
+    # to its json.dumps.
+    "report.report_document",
     # The escape hatch: no run document can name a custom factor.
     "metrics.CustomFactor.f_squared",
 }
 
 #: The modules of the library, apart from the engine's internals and the CLI.
-MODULES = (core, connection, curvature, lifted, suites, closed_forms,
+MODULES = (core, connection, curvature, lifted, suites, report, closed_forms,
            fd, jets, metrics, runspec, linalg, blocks, coords)
 
 

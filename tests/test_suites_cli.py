@@ -15,8 +15,8 @@ from dwfinsler.engine import LIFT_ORDER, EnginePoint, workspace
 from dwfinsler.errors import UnknownSuiteError
 from dwfinsler.runspec import (MAX_POINTS, fixture_document, fixture_runspec,
                                sample_points)
-from dwfinsler.suites import (SuiteEntry, _entry, _Entries, _point_doc, _Tracker,
-                              emit_report, report_document, report_from_document, run_suites)
+from dwfinsler.report import report_document, report_from_document
+from dwfinsler.suites import _entry, _Entries, _point_doc, _Tracker, emit_report, run_suites
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +104,19 @@ def test_report_text_carries_witness():
     text = emit_report(rep, "text")
     assert "transversal-parallelism" in text
     assert "at point" in text
+
+
+def test_verify_json_writes_json_dumps_of_its_document(tmp_path):
+    # The file is composed of json.dumps of its meta section and the report's
+    # writer; it reads as json.dumps(doc, sort_keys=True, indent=2) would write it.
+    spec = fixture_runspec("FIX-R", seed=9, count=4)
+    path = tmp_path / "report.json"
+    assert main(["verify", "--fixture", "FIX-R", "--seed", "9", "--points", "4",
+                 "--json", str(path)]) == 0
+    text = path.read_text(encoding="utf-8")
+    doc = {"meta": json.loads(text)["meta"], "report": report_document(run_suites(spec))}
+    assert sorted(doc["meta"]) == ["generated_at", "tool", "version"]
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_end_to_end_determinism(tmp_path):
@@ -411,6 +424,25 @@ def _fixture_with(key, value):
     return json.dumps(doc).encode()
 
 
+def _report_with(where, key, value):
+    """A stored FIX-P report, as ``verify --json`` writes it, with one field replaced."""
+    doc = report_document(run_suites(fixture_runspec("FIX-P", count=1, suites=("yF=G",))))
+    suite = doc["suites"][0]
+    node = {"engine": doc["engine"], "suite": suite, "entry": suite["entries"][0]}[where]
+    node[key] = value
+    return json.dumps({"meta": {"tool": "dwfinsler"}, "report": doc}).encode()
+
+
+_MISTYPED_REPORTS = {
+    "passed-yes": _report_with("entry", "passed", "yes"),
+    "residual-abc": _report_with("entry", "residual", "abc"),
+    "point-object": _report_with("entry", "point", {"a": 1}),
+    "points-many": _report_with("engine", "points", "many"),
+    "note-5": _report_with("entry", "note", 5),
+    "max-residual-null": _report_with("suite", "max_residual", None),
+}
+
+
 @pytest.mark.parametrize("command, content, flags", [
     ("verify", b"{not json", []),
     ("verify", b'{"label": "\xff"}', []),
@@ -426,10 +458,13 @@ def _fixture_with(key, value):
     ("report", b'{"config": "\xff"}', []),
     ("report", b"[" * 100000, []),
     ("report", b'{"suites": []}', []),
+    *(("report", content, ["--format", fmt])
+      for content in _MISTYPED_REPORTS.values() for fmt in ("text", "json")),
 ], ids=["spec-not-json", "spec-not-utf8", "spec-too-deep", "spec-array-with-seed",
         "spec-sampling-array-with-seed", "spec-tolerances-array-with-tol",
         "spec-count-over-cap", "spec-points-2-62", "spec-null-label", "spec-object-label",
-        "report-not-json", "report-not-utf8", "report-too-deep", "report-without-engine"])
+        "report-not-json", "report-not-utf8", "report-too-deep", "report-without-engine",
+        *(f"report-{name}-{fmt}" for name in _MISTYPED_REPORTS for fmt in ("text", "json"))])
 def test_cli_rejects_a_malformed_file_with_one_error_line(command, content, flags,
                                                           tmp_path, capsys):
     path = tmp_path / "file.json"

@@ -17,9 +17,9 @@ from dwfinsler import (BlockTensor, ConstantWarp, CoordBlock, CoordIndex, Custom
 from dwfinsler.engine import workspace
 from dwfinsler.jets import Jet, context
 from dwfinsler.lifted import ComplexStructure
+from dwfinsler.report import DiagnosticsReport, SuiteEntry, SuiteResult
 from dwfinsler.runspec import (RunSpec, Sampling, fixture_document, parse_spec,
                                sample_points)
-from dwfinsler.suites import DiagnosticsReport, SuiteEntry, SuiteResult
 
 from conftest import fresh_python
 
