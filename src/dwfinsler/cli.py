@@ -22,7 +22,7 @@ from .errors import DomainError, DwfError, SchemaError
 from .metrics import TangentSample
 from .runspec import (ALL_SUITES, FIXTURES, RunSpec, fixture_document, parse_spec,
                       sample_points)
-from .report import report_from_document
+from .report import DiagnosticsReport, SuiteEntry, SuiteResult
 from .suites import emit_report, run_suites
 
 
@@ -128,6 +128,108 @@ def _cmd_fixtures(_args) -> int:
         print(f"{name:8s} n1={cfg.n1} n2={cfg.n2} {cfg.classification():14s} "
               f"{descriptions.get(name, '')}")
     return 0
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{path}: expected a string")
+    return value
+
+
+def _boolean(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(f"{path}: expected true or false")
+    return value
+
+
+def _integer(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{path}: expected an integer")
+    return value
+
+
+def _number(value, path: str) -> float:
+    """A JSON number, NaN and the infinities included, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{path}: expected a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{path}: expected a number within the floats") from None
+
+
+def _optional(read):
+    """A reader of null or of what ``read`` reads."""
+    return lambda value, path: None if value is None else read(value, path)
+
+
+def _array(read):
+    """A reader of an array, to the list of its items as ``read`` reads them."""
+    def array(value, path: str) -> list:
+        if not isinstance(value, list):
+            raise SchemaError(f"{path}: expected an array")
+        return [read(item, f"{path}[{i}]") for i, item in enumerate(value)]
+    return array
+
+
+def _object(fields):
+    """A reader of an object, to the list of its ``fields``, (key, reader) pairs."""
+    def read(node, path: str) -> list:
+        if not isinstance(node, dict):
+            raise SchemaError(f"{path}: expected an object")
+        out = []
+        for key, read_field in fields:
+            if key not in node:
+                raise SchemaError(f"{path}.{key}: required key missing")
+            out.append(read_field(node[key], f"{path}.{key}"))
+        return out
+    return read
+
+
+_groups = _array(_array(_number))
+
+
+def _point(value, path: str) -> list | None:
+    """null, or the x, u, y and v of a witness: 4 arrays of numbers."""
+    if value is None:
+        return None
+    if not isinstance(value, list) or len(value) != 4:
+        raise SchemaError(f"{path}: expected null or 4 arrays of numbers")
+    return _groups(value, path)
+
+
+#: The fields of a report that :func:`report_from_document` reads, in the
+#: order of the records' arguments.
+_read_entry = _object((("name", _string), ("residual", _number),
+                       ("tolerance", _optional(_number)), ("passed", _boolean),
+                       ("point", _point), ("note", _string)))
+_read_suite = _object((("name", _string), ("passed", _boolean),
+                       ("expected_failure", _boolean), ("as_expected", _boolean),
+                       ("max_residual", _number), ("entries", _array(_read_entry))))
+_read_report = _object((("config", _string),
+                        ("engine", _object((("seed", _integer), ("points", _integer)))),
+                        ("suites", _array(_read_suite))))
+
+
+def report_from_document(doc) -> DiagnosticsReport:
+    """The report of a parsed JSON report document, or of the file that
+    ``dwfinsler verify --json`` writes, which holds one under ``"report"``.
+
+    Each field read must have its JSON type: strings for the label, names and
+    notes; true or false for the verdicts; integers for the seed and the
+    point count; numbers for the residuals, tolerances and suite maxima (read
+    as floats; a tolerance may be null); and for a witness, null or 4 arrays
+    of numbers (read as floats).  A missing or wrongly typed field is a
+    :class:`SchemaError` naming its path.  The ``summary`` and the jet order
+    are not read: they are recomputed when the report is written.
+    """
+    path = "$"
+    if isinstance(doc, dict) and "report" in doc:
+        doc, path = doc["report"], "$.report"
+    label, (seed, count), suites = _read_report(doc, path)
+    return DiagnosticsReport(label, seed, count, tuple(
+        SuiteResult(*fields, tuple(SuiteEntry(fields[0], *entry) for entry in entries))
+        for *fields, entries in suites))
 
 
 def _cmd_report(args) -> int:

@@ -27,7 +27,7 @@ class SingularMetricError(DwfError):
 
 
 class SchemaError(DwfError):
-    """A run-specification document violates the schema."""
+    """A run-specification or stored-report document violates its schema."""
 
 
 class UnknownSuiteError(DwfError):

@@ -6,8 +6,8 @@ byte, straight from the records: the keys of each object in their sorted
 order, which the schema fixes, and each value spelled as :mod:`json` spells
 it.  Entries of one run that share a witness sample share its point list
 (``suites.run_suites``), and the writer renders each such list once per call.
-:func:`report_from_document` reads a stored report back and checks the JSON
-type of every field it reads.
+A stored report is read back by ``cli.report_from_document``, which only the
+``report`` command needs, so that no run compiles it at import.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _quote
 
 from .coords import MAX_ORDER
-from .errors import SchemaError
 
 
 class SuiteEntry:
@@ -88,111 +87,39 @@ def report_document(report: DiagnosticsReport) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# Reading a stored report
-# ---------------------------------------------------------------------------
-
-def _field(node, key: str, path: str, read):
-    """``read`` of ``node[key]``, where ``node`` must be an object holding ``key``."""
-    if not isinstance(node, dict):
-        raise SchemaError(f"{path}: expected an object")
-    if key not in node:
-        raise SchemaError(f"{path}.{key}: required key missing")
-    return read(node[key], f"{path}.{key}")
-
-
-def _string(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"{path}: expected a string")
-    return value
-
-
-def _boolean(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise SchemaError(f"{path}: expected true or false")
-    return value
-
-
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}: expected an integer")
-    return value
-
-
-def _number(value, path: str) -> float:
-    """A JSON number, NaN and the infinities included, as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}: expected a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise SchemaError(f"{path}: expected a number within the floats") from None
-
-
-def _list(value, path: str, read) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(f"{path}: expected an array")
-    return [read(item, f"{path}[{i}]") for i, item in enumerate(value)]
-
-
-def _point(value, path: str) -> list | None:
-    """null, or the x, u, y and v of a witness: 4 arrays of numbers."""
-    if value is None:
-        return None
-    if not isinstance(value, list) or len(value) != 4:
-        raise SchemaError(f"{path}: expected null or 4 arrays of numbers")
-    return _list(value, path, lambda group, at: _list(group, at, _number))
-
-
-def _tolerance(value, path: str) -> float | None:
-    return None if value is None else _number(value, path)
-
-
-def _entry(suite: str, node, path: str) -> SuiteEntry:
-    return SuiteEntry(suite, _field(node, "name", path, _string),
-                      _field(node, "residual", path, _number),
-                      _field(node, "tolerance", path, _tolerance),
-                      _field(node, "passed", path, _boolean),
-                      _field(node, "point", path, _point),
-                      _field(node, "note", path, _string))
-
-
-def _suite(node, path: str) -> SuiteResult:
-    name = _field(node, "name", path, _string)
-    entries = _field(node, "entries", path, lambda value, at: _list(
-        value, at, lambda entry, where: _entry(name, entry, where)))
-    return SuiteResult(name, _field(node, "passed", path, _boolean),
-                       _field(node, "expected_failure", path, _boolean),
-                       _field(node, "as_expected", path, _boolean),
-                       _field(node, "max_residual", path, _number), tuple(entries))
-
-
-def report_from_document(doc) -> DiagnosticsReport:
-    """The report of a parsed JSON report document, or of the file that
-    ``dwfinsler verify --json`` writes, which holds one under ``"report"``.
-
-    Each field read must have its JSON type: strings for the label, names and
-    notes; true or false for the verdicts; integers for the seed and the
-    point count; numbers for the residuals, tolerances and suite maxima (read
-    as floats; a tolerance may be null); and for a witness, null or 4 arrays
-    of numbers (read as floats).  A missing or wrongly typed field is a
-    :class:`SchemaError` naming its path.  The ``summary`` and the jet order
-    are not read: they are recomputed when the report is written.
-    """
-    path = "$"
-    if isinstance(doc, dict) and "report" in doc:
-        doc, path = doc["report"], "$.report"
-    engine = _field(doc, "engine", path, lambda value, _: value)
-    return DiagnosticsReport(_field(doc, "config", path, _string),
-                             _field(engine, "seed", f"{path}.engine", _integer),
-                             _field(engine, "points", f"{path}.engine", _integer),
-                             tuple(_field(doc, "suites", path,
-                                          lambda value, at: _list(value, at, _suite))))
-
-
-# ---------------------------------------------------------------------------
-# Writing a report
-# ---------------------------------------------------------------------------
+#: The layout of ``json.dumps(report_document(report), sort_keys=True,
+#: indent=2)``: each object's keys in sorted order, two spaces a level.
+_REPORT_JSON = """{
+  "config": %s,
+  "engine": {
+    "max_jet_order": %s,
+    "points": %s,
+    "seed": %s
+  },
+  "suites": %s,
+  "summary": {
+    "entries_failed": %s,
+    "entries_passed": %s,
+    "ok": %s,
+    "unexpected": %s
+  }
+}"""
+_SUITE_JSON = """{
+      "as_expected": %s,
+      "entries": %s,
+      "expected_failure": %s,
+      "max_residual": %s,
+      "name": %s,
+      "passed": %s
+    }"""
+_ENTRY_JSON = """{
+          "name": %s,
+          "note": %s,
+          "passed": %s,
+          "point": %s,
+          "residual": %s,
+          "tolerance": %s
+        }"""
 
 #: json's spelling of the floats that ``float.__repr__`` spells otherwise.
 _FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -245,37 +172,16 @@ def write_json(report: DiagnosticsReport) -> str:
     for s in report.suites:
         entries = []
         for e in s.entries:
-            p = e.point
-            if p is None:
-                point = "null"
-            else:
-                point = points.get(id(p))
-                if point is None:
-                    point = points[id(p)] = _value(p, "          ")
-            entries.append(
-                '{\n          "name": ' + _scalar(e.name)
-                + ',\n          "note": ' + _scalar(e.note)
-                + ',\n          "passed": ' + _scalar(e.passed)
-                + ',\n          "point": ' + point
-                + ',\n          "residual": ' + _scalar(e.residual)
-                + ',\n          "tolerance": ' + _scalar(e.tolerance)
-                + "\n        }")
-        suites.append(
-            '{\n      "as_expected": ' + _scalar(s.as_expected)
-            + ',\n      "entries": ' + _items(entries, "      ")
-            + ',\n      "expected_failure": ' + _scalar(s.expected_failure)
-            + ',\n      "max_residual": ' + _scalar(s.max_residual)
-            + ',\n      "name": ' + _scalar(s.name)
-            + ',\n      "passed": ' + _scalar(s.passed)
-            + "\n    }")
+            point = points.get(id(e.point))
+            if point is None:
+                point = points[id(e.point)] = _value(e.point, "          ")
+            entries.append(_ENTRY_JSON % (_scalar(e.name), _scalar(e.note), _scalar(e.passed),
+                                          point, _scalar(e.residual), _scalar(e.tolerance)))
+        suites.append(_SUITE_JSON % (_scalar(s.as_expected), _items(entries, "      "),
+                                     _scalar(s.expected_failure), _scalar(s.max_residual),
+                                     _scalar(s.name), _scalar(s.passed)))
     unexpected = [s.name for s in report.suites if not s.as_expected]
-    return ('{\n  "config": ' + _scalar(report.label)
-            + ',\n  "engine": {\n    "max_jet_order": ' + _scalar(MAX_ORDER)
-            + ',\n    "points": ' + _scalar(report.count)
-            + ',\n    "seed": ' + _scalar(report.seed)
-            + '\n  },\n  "suites": ' + _items(suites, "  ")
-            + ',\n  "summary": {\n    "entries_failed": ' + _scalar(report.fail_count)
-            + ',\n    "entries_passed": ' + _scalar(report.pass_count)
-            + ',\n    "ok": ' + _scalar(report.ok)
-            + ',\n    "unexpected": ' + _value(unexpected, "    ")
-            + "\n  }\n}")
+    return _REPORT_JSON % (_scalar(report.label), _scalar(MAX_ORDER), _scalar(report.count),
+                           _scalar(report.seed), _items(suites, "  "),
+                           _scalar(report.fail_count), _scalar(report.pass_count),
+                           _scalar(report.ok), _value(unexpected, "    "))

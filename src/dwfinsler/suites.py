@@ -124,9 +124,7 @@ class _Entries:
     ``values`` is a residual tensor whose leading axis runs over ``points``,
     or a tuple of them, joined sample by sample.  A suite whose precondition
     fails reports one informational entry, set by :meth:`skip`.
-    ``carry`` is what a step keeps from one strip for a later one.  The
-    entries take their witnesses' point lists from ``docs`` (see
-    :func:`_point_doc`) when it is given.
+    ``carry`` is what a step keeps from one strip for a later one.
     """
 
     __slots__ = ("spec", "suite", "carry", "_fed", "_skipped")
@@ -153,6 +151,8 @@ class _Entries:
         self._skipped = SuiteEntry(self.suite, name, 0.0, None, True, None, note)
 
     def entries(self, docs: dict | None = None) -> list[SuiteEntry]:
+        """The entries, their witnesses' point lists taken from ``docs``
+        (see :func:`_point_doc`) when it is given."""
         if self._skipped is not None:
             return [self._skipped]
         out = []

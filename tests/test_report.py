@@ -7,9 +7,9 @@ import math
 
 import pytest
 
+from dwfinsler.cli import report_from_document
 from dwfinsler.errors import SchemaError
-from dwfinsler.report import (DiagnosticsReport, SuiteEntry, SuiteResult, report_document,
-                              report_from_document)
+from dwfinsler.report import DiagnosticsReport, SuiteEntry, SuiteResult, report_document
 from dwfinsler.runspec import fixture_runspec, parse_spec
 from dwfinsler.suites import emit_report, run_suites
 

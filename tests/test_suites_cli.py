@@ -10,12 +10,12 @@ from hypothesis.extra import numpy as hnp
 
 from dwfinsler import closed_forms, fixture, suites
 from dwfinsler.blocks import max_abs
-from dwfinsler.cli import main
+from dwfinsler.cli import main, report_from_document
 from dwfinsler.engine import LIFT_ORDER, EnginePoint, workspace
 from dwfinsler.errors import UnknownSuiteError
 from dwfinsler.runspec import (MAX_POINTS, fixture_document, fixture_runspec,
                                sample_points)
-from dwfinsler.report import report_document, report_from_document
+from dwfinsler.report import report_document
 from dwfinsler.suites import _entry, _Entries, _point_doc, _Tracker, emit_report, run_suites
 
 
