@@ -1,5 +1,6 @@
-"""The diagnostics report: its records, its JSON document and the writer of its bytes.
+"""The diagnostics report: its records, its JSON document and its two renderings.
 
+:func:`write_text` renders a report as a table for people to read, and
 :func:`write_json` is the one writer of a report's JSON text.  It writes
 ``json.dumps(report_document(report), sort_keys=True, indent=2)`` byte for
 byte, straight from the records: the keys of each object in their sorted
@@ -85,6 +86,28 @@ def report_document(report: DiagnosticsReport) -> dict:
             "unexpected": [s.name for s in report.suites if not s.as_expected],
         },
     }
+
+
+def write_text(report: DiagnosticsReport) -> str:
+    """The report as a text table: one line per suite with its worst residual
+    and verdict, one per failing entry, and the result."""
+    lines = [f"configuration {report.label}  (seed {report.seed}, {report.count} points)"]
+    lines.append(f"{'suite':<24}{'worst residual':>16}  verdict")
+    for s in report.suites:
+        verdict = "pass" if s.passed else "FAIL"
+        if s.expected_failure:
+            verdict += " (expected)" if not s.passed else " (UNEXPECTED PASS)"
+        lines.append(f"{s.name:<24}{s.max_residual:>16.3e}  {verdict}")
+        for e in s.entries:
+            if not e.passed:
+                where = f" at point {e.point}" if e.point else ""
+                note = f" [{e.note}]" if e.note else ""
+                lines.append(f"    {e.name}: residual {e.residual:.3e} "
+                             f"> tol {e.tolerance}{where}{note}")
+    status = "OK" if report.ok else "UNEXPECTED VERDICTS"
+    lines.append(f"result: {status} ({report.pass_count} checks passed, "
+                 f"{report.fail_count} failed)")
+    return "\n".join(lines)
 
 
 #: The layout of ``json.dumps(report_document(report), sort_keys=True,

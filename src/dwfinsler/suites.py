@@ -41,7 +41,7 @@ from .errors import UnknownSuiteError
 from .fd import fd_stencils
 from .jets import CoordView
 from .metrics import TangentSample, sample_rows
-from .report import DiagnosticsReport, SuiteEntry, SuiteResult, write_json
+from .report import DiagnosticsReport, SuiteEntry, SuiteResult, write_json, write_text
 from .runspec import ALL_SUITES, RunSpec, sample_points
 
 
@@ -580,25 +580,10 @@ def run_suites(spec: RunSpec) -> DiagnosticsReport:
 # ---------------------------------------------------------------------------
 
 def emit_report(report: DiagnosticsReport, fmt: str = "text") -> str:
-    """The report as a text table, or as its JSON document (``report.write_json``)."""
+    """The report as a text table (``report.write_text``) or as its JSON
+    document (``report.write_json``)."""
     if fmt == "json":
         return write_json(report)
-    if fmt != "text":
-        raise ValueError(f"unknown report format {fmt!r}")
-    lines = [f"configuration {report.label}  (seed {report.seed}, {report.count} points)"]
-    lines.append(f"{'suite':<24}{'worst residual':>16}  verdict")
-    for s in report.suites:
-        verdict = "pass" if s.passed else "FAIL"
-        if s.expected_failure:
-            verdict += " (expected)" if not s.passed else " (UNEXPECTED PASS)"
-        lines.append(f"{s.name:<24}{s.max_residual:>16.3e}  {verdict}")
-        for e in s.entries:
-            if not e.passed:
-                where = f" at point {e.point}" if e.point else ""
-                note = f" [{e.note}]" if e.note else ""
-                lines.append(f"    {e.name}: residual {e.residual:.3e} "
-                             f"> tol {e.tolerance}{where}{note}")
-    status = "OK" if report.ok else "UNEXPECTED VERDICTS"
-    lines.append(f"result: {status} ({report.pass_count} checks passed, "
-                 f"{report.fail_count} failed)")
-    return "\n".join(lines)
+    if fmt == "text":
+        return write_text(report)
+    raise ValueError(f"unknown report format {fmt!r}")
