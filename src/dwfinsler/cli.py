@@ -222,14 +222,42 @@ def report_from_document(doc) -> DiagnosticsReport:
     of numbers (read as floats).  A missing or wrongly typed field is a
     :class:`SchemaError` naming its path.  The ``summary`` and the jet order
     are not read: they are recomputed when the report is written.
+
+    The verdicts are not trusted but checked (:func:`_check_verdicts`), so
+    an edited verdict is a :class:`SchemaError` too.
     """
     path = "$"
     if isinstance(doc, dict) and "report" in doc:
         doc, path = doc["report"], "$.report"
     label, (seed, count), suites = _read_report(doc, path)
+    _check_verdicts(suites, f"{path}.suites")
     return DiagnosticsReport(label, seed, count, tuple(
         SuiteResult(*fields, tuple(SuiteEntry(fields[0], *entry) for entry in entries))
         for *fields, entries in suites))
+
+
+def _check_verdicts(suites: list, path: str) -> None:
+    """Each verdict of the read ``suites`` as the report's writer derives it:
+    an entry passes iff it has no tolerance or its residual is at most its
+    tolerance (a lower bound and a skipped suite's entry included), a suite
+    passes iff all its entries pass, it is as expected iff its verdict
+    differs from its declared expected failure, and its maximum residual is
+    ``np.max`` of its entries' (0.0 for none, NaN when one is NaN)."""
+    for i, (_, passed, expected_failure, as_expected, worst, entries) in enumerate(suites):
+        at = f"{path}[{i}]"
+        for k, (_, residual, tolerance, entry_passed, _, _) in enumerate(entries):
+            if entry_passed != (tolerance is None or residual <= tolerance):
+                raise SchemaError(f"{at}.entries[{k}].passed: {str(entry_passed).lower()} "
+                                  f"contradicts residual {residual!r} and tolerance "
+                                  f"{'null' if tolerance is None else repr(tolerance)}")
+        if passed != all(entry[3] for entry in entries):
+            raise SchemaError(f"{at}.passed: {str(passed).lower()} contradicts its entries")
+        if as_expected != (passed != expected_failure):
+            raise SchemaError(f"{at}.as_expected: {str(as_expected).lower()} contradicts "
+                              f"passed and expected_failure")
+        want = float(np.max([entry[1] for entry in entries])) if entries else 0.0
+        if want != worst and not (math.isnan(want) and math.isnan(worst)):
+            raise SchemaError(f"{at}.max_residual: {worst!r} is not the entries' maximum {want!r}")
 
 
 def _cmd_report(args) -> int:

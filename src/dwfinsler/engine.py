@@ -23,13 +23,21 @@ of array operations and the contexts of its tensors line up.  The inverse
 metric jet is the float inverse of the value matrix extended by a nilpotent
 series, so no elimination runs on jets; the series starts with contractions
 by that constant inverse on the coefficients, and only its higher powers run
-the Leibniz table.  On a batch the series runs block by block: g's diagonal
-blocks, the connected components of its nonzero entries, each over only the
-seeds its coefficients depend on (on FIX-R, {u0} for each factor-1 entry
-and {x0, v0, v1} for the factor-2 block, of six seeds).  A block's products
-sum the same terms in the same order as the whole matrix's, and what it
-drops is exact zeros, so no bit moves.  A field that ignores a fiber
-coordinate has a singular g, which the inverse rejects with
+the Leibniz table.  The series runs block by block: g's diagonal blocks, the
+connected components of its nonzero entries merged where they depend on the
+same seeds, each over only those seeds (on FIX-R, {u0} for the two factor-1
+rows and {x0, v0, v1} for the two factor-2 rows, of six seeds).  A block's
+products sum the same terms in the same order as the whole matrix's, and
+what it drops is exact zeros, so no bit moves.  Each engine keeps one block
+plan of g per jet context: the blocks, their contexts and indices, and the
+coefficients the plan assumes are zero.  A point or strip that runs the
+blocks first checks that its g is finite and zero wherever the plan assumes
+a zero, and builds the plan again from its g where it is not.  A strip runs
+the blocks, and its spray contracts with g^-1 block of rows by block of
+rows; a single sample runs them where they cost fewer Leibniz terms than the
+whole matrix (on FIX-R, and not on FIX-1D, whose two 1x1 blocks save less
+than a series costs).  A field that ignores a fiber coordinate has a
+singular g, which the inverse rejects with
 :class:`~dwfinsler.errors.SingularMetricError`.
 
 A point may be a batch of samples (:class:`~dwfinsler.metrics.SampleBatch`):
@@ -54,13 +62,15 @@ takes one derivative.
 
 Per-point state lives as long as its owner keeps it.  :func:`workspace`
 keeps the :class:`Workspace` of the configuration last asked for, and the
-workspace keeps one slot: the sample last asked for by :meth:`Workspace.at`,
-with its work point, which holds its engine points, its two :class:`Side`
-records (every per-factor value and warp partial the closed forms and the
-lifted tables read, built on first read) and its lifted ingredients.
-Another sample or configuration replaces it; the per-point chain reads a
-sample's tensors before the next, and reads no side.  :meth:`Workspace.strips`
-keeps nothing: each strip is built when asked for and belongs to its reader.
+workspace keeps its engines, with their block plans, and one slot: the
+sample last asked for by :meth:`Workspace.at`, with its work point, which
+holds its engine points, its two :class:`Side` records (every per-factor
+value and warp partial the closed forms and the lifted tables read, built on
+first read) and its lifted ingredients.  Another sample or configuration
+replaces it, and :meth:`Workspace.clear` drops it and the plans; the
+per-point chain reads a sample's tensors before the next, and reads no side.
+:meth:`Workspace.strips` keeps nothing: each strip is built when asked for
+and belongs to its reader.
 The battery reads each strip with every suite before it asks for the next,
 and no work point sits in a reference cycle, so reference counting frees a
 strip once it is dropped and a battery holds one strip at a time, however
@@ -72,13 +82,13 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .blocks import matvec, vdot
 from .coords import CoordIndex
-from .jets import Jet, context, einsum, support_lift
+from .jets import Jet, JetContext, context, einsum, einsum_powers, support_lift
 from .linalg import invert_batch, invert_matrix
 from .metrics import ProductConfig, SampleBatch, TangentSample
 
@@ -94,6 +104,9 @@ SPRAY_ORDER = 2
 #: Lift coefficients per strip: a strip holds as many samples as fit this
 #: budget at the product lift's coefficient count per sample, and at least one.
 STRIP_COEFFICIENTS = 20_000
+#: The fixed cost of one inverse series at a single sample, in the Leibniz
+#: terms that take as long: what a block must save to pay for its own series.
+SERIES_TERMS = 4_000
 
 
 def _once(method):
@@ -120,6 +133,9 @@ class FinslerEngine:
         self.fiber = fiber
         self.coords = base + fiber
         self.n = len(base)
+        #: g's block plan per jet context (:class:`_BlockPlan`), kept as long
+        #: as the engine, which its workspace keeps.
+        self.plans: dict[JetContext, _BlockPlan] = {}
 
 
 class EnginePoint:
@@ -179,32 +195,49 @@ class EnginePoint:
         """The inverse metric: the value matrix inverted, then the nilpotent
         series of :func:`_inverse_series` for the partials.
 
-        On a batch the series runs block by block (:func:`_diagonal_blocks`):
-        each diagonal block of g over only the seeds it depends on, with the
-        matching sub-block of g0^-1, embedded back into g's context; a block
-        over no seeds is that sub-block.  No bit moves: a Leibniz product
-        gives a coefficient the same run of terms in any context that holds
-        it, the products between blocks that the whole matrix would add are
-        exact zeros on a sum that starts from +0.0, and every coefficient a
-        block drops is +0.0 there too.  A single sample, and a g of order 1,
-        whose series runs no Leibniz product, run the whole matrix, where
-        the bookkeeping costs more than the smaller products save.
+        The series runs block by block where g's block plan says so
+        (:meth:`_blocks`): each diagonal block of g over only the seeds it
+        depends on, with the matching sub-block of g0^-1, embedded back into
+        g's context; a block over no seeds is that sub-block.  No bit moves:
+        a Leibniz product gives a coefficient the same run of terms in any
+        context that holds it, the products between blocks that the whole
+        matrix would add are exact zeros on a sum that starts from +0.0, and
+        every coefficient a block drops is +0.0 there too.
         """
         g = self.g()
         inv0 = self._value_inverse()[0]
-        blocks = _diagonal_blocks(g, inv0) if self.lead and g.order > 1 else None
-        if blocks is None:
+        blocks = self._blocks()
+        if not blocks:
             return _inverse_series(g, inv0)
         c = np.zeros(g.c.shape)
-        for rows, positions in blocks:
-            sub = context([g.seeds[k] for k in positions], g.order)
-            at = (Ellipsis,) + np.ix_(rows, rows, g.ctx.slots(sub))
-            block_inv0 = inv0[..., rows[:, None], rows]
-            if positions:
-                c[at] = _inverse_series(Jet(sub, g.c[at]), block_inv0).c
+        for block in blocks:
+            if block.sub.seeds:
+                c[block.at] = _inverse_series(Jet(block.sub, g.c[block.at]), inv0[block.inv]).c
             else:  # a constant block: the series adds only +0.0 terms to its value
-                c[at] = (block_inv0 + 0.0)[..., None]
+                c[block.at] = (inv0[block.inv] + 0.0)[..., None]
         return Jet(g.ctx, c)
+
+    @_once
+    def _blocks(self) -> tuple[_Block, ...]:
+        """The blocks of g's plan that :meth:`ginv` runs by, or none for the
+        whole matrix.
+
+        A g of order 1, whose series runs no Leibniz product, runs the whole
+        matrix, and so does a single sample where the plan's blocks cost
+        more than the whole.  Otherwise g and g0^-1 must be finite, since the
+        whole matrix spreads a NaN or inf across blocks, and g must be zero
+        wherever its plan assumes a zero; if it is not, the plan is built
+        again from g.
+        """
+        g = self.g()
+        plan = self.engine.plans.get(g.ctx)
+        if g.order < 2 or not (self.lead or plan is None or plan.pays):
+            return ()
+        if not (np.isfinite(g.c).all() and np.isfinite(self._value_inverse()[0]).all()):
+            return ()
+        if plan is None or g.c.reshape(self.lead + (-1,)).take(plan.zeros, -1).any():
+            plan = self.engine.plans[g.ctx] = _BlockPlan(g)
+        return plan.blocks if self.lead or plan.pays else ()
 
     def g_values(self) -> np.ndarray:
         return self.g().value
@@ -257,7 +290,21 @@ class EnginePoint:
         base, fib = self.engine.base, self.engine.fiber
         dyx = self.lift().grad(fib).grad(base)  # [b, c] = d^2 F^2 / dy^b dx^c
         rhs = _times_fiber(dyx, self.sample, fib) - self.lift().grad(base)
-        return 0.25 * einsum("...ab,...b->...a", self.ginv(), rhs)
+        ginv = self.ginv()
+        blocks = self._blocks() if self.lead else ()
+        # On a strip whose g^-1 ran by blocks, each block's rows contract
+        # with its own columns only.  The terms dropped are exact zeros,
+        # which the whole contraction adds in index order to a sum from
+        # +0.0, so no bit moves; a right-hand side that is not finite would
+        # make them NaN, so it runs the whole contraction.
+        if not blocks or not np.isfinite(rhs.c).all():
+            return 0.25 * einsum("...ab,...b->...a", ginv, rhs)
+        parts = [einsum("...ab,...b->...a", ginv[block.inv], rhs[..., block.rows])
+                 for block in blocks]
+        c = np.empty(parts[0].c.shape[:-2] + (len(fib), parts[0].c.shape[-1]))
+        for block, part in zip(blocks, parts):
+            c[..., block.rows, :] = part.c
+        return 0.25 * Jet(parts[0].ctx, c)
 
     def spray_values(self) -> np.ndarray:
         return self.spray().value
@@ -291,10 +338,14 @@ class EnginePoint:
         The field's tensor slots are flattened to one axis between the
         samples and the contracted slot, so N's sample axis meets the field's.
         """
-        fib = field.grad(self.engine.fiber).value
+        return self._delta(field.grad(self.engine.base).value,
+                           field.grad(self.engine.fiber).value)
+
+    def _delta(self, base: np.ndarray, fib: np.ndarray) -> np.ndarray:
+        """:meth:`delta` of a field from the values of its base and fiber gradients."""
         flat = fib.reshape(self.lead + (-1, fib.shape[-1]))
         con = np.einsum("...ce,...tc->...te", self.nonlinear_connection_values(), flat)
-        return field.grad(self.engine.base).value - con.reshape(fib.shape)
+        return base - con.reshape(fib.shape)
 
     @_once
     def delta_g(self) -> Jet:
@@ -323,8 +374,15 @@ class EnginePoint:
     @_once
     def bracket_curvature_values(self) -> np.ndarray:
         """R[c][a][b]: curvature of the horizontal distribution, antisymmetric in (a, b)."""
-        dn = self.delta(self.nonlinear_connection())  # [c, a, b] = delta_b N[c][a]
+        # [c, a, b] = delta_b N[c][a]; N's fiber gradient is Gf.
+        dn = self._delta(self._connection_base_values(), self.connection_fiber_values())
         return dn - dn.swapaxes(-1, -2)
+
+    @_once
+    def _connection_base_values(self) -> np.ndarray:
+        """[a, b, c] = d N[a][b] / dx^c = d^2 G^a / dy^b dx^c, read by the
+        bracket curvature and the Riemann map."""
+        return self.nonlinear_connection().grad(self.engine.base).value
 
     @_once
     def horizontal_delta_values(self) -> np.ndarray:
@@ -350,7 +408,7 @@ class EnginePoint:
         N = self.nonlinear_connection_values()
         # dxG[a, b] = dG^a / dx^b, dxdyG[a, b, c] = d^2 G^a / dy^b dx^c
         dxG = self.spray().grad(self.engine.base).value
-        dxdyG = self.nonlinear_connection().grad(self.engine.base).value
+        dxdyG = self._connection_base_values()
         return (2.0 * dxG
                 - np.einsum("...c,...abc->...ab", self.fiber_values(), dxdyG)
                 + 2.0 * np.einsum("...c,...acb->...ab", G, self.connection_fiber_values())
@@ -363,7 +421,8 @@ def _inverse_series(g: Jet, inv0: np.ndarray) -> Jet:
 
     A product with the constant g0^-1 is a linear map on the coefficients,
     so the step -g0^-1 h and the first term contract on values; only the
-    higher powers, nilpotent times nilpotent, run the Leibniz table.
+    higher powers, nilpotent times nilpotent, run the Leibniz table, with
+    the step's terms gathered once for all of them.
     """
     out = Jet.constant(g.ctx, inv0)
     if g.order == 0:
@@ -371,9 +430,9 @@ def _inverse_series(g: Jet, inv0: np.ndarray) -> Jet:
     step = Jet(g.ctx, -np.einsum("...ab,...bcz->...acz", inv0, (g - g.value).c))
     term = Jet(g.ctx, np.einsum("...abz,...bc->...acz", step.c, inv0))
     out = out + term
-    for _ in range(g.order - 1):
-        term = einsum("...ab,...bc->...ac", step, term)
-        out = out + term
+    if g.order > 1:
+        for term in einsum_powers("...ab,...bc->...ac", step, term, g.order - 1):
+            out = out + term
     return out
 
 
@@ -410,39 +469,75 @@ def _times_fiber(dyx: Jet, sample: TangentSample | SampleBatch,
     return Jet(ctx, out)
 
 
-def _diagonal_blocks(g: Jet, inv0: np.ndarray) -> list[tuple[np.ndarray, tuple[int, ...]]] | None:
-    """The diagonal blocks of g as (rows, seed positions), or None where the
-    whole matrix should run instead.
+class _Block(NamedTuple):
+    """One diagonal block of a plan: its ``rows``, the context ``sub`` over
+    the seeds its coefficients depend on, and the index of its coefficients
+    in g's (``at``) and of its value block in g0^-1 (``inv``)."""
+    rows: np.ndarray
+    sub: JetContext
+    at: tuple
+    inv: tuple
 
-    The blocks are the connected components of g's nonzero entries, in any
-    sample, and each keeps the seeds on which some coefficient of its
-    entries is nonzero.  They are read off the coefficients, not the
-    configuration, so any field's g splits as far as its zeros show.  The
-    partial-pivot elimination never combines rows of two blocks, so g0^-1
-    has the same blocks.  A non-finite coefficient in g or g0^-1 gives
-    None, so NaN and inf spread as in the whole-matrix series, and so does
-    a single block over every seed, which has nothing to drop.
+
+class _BlockPlan:
+    """The diagonal blocks of g in one jet context, read off one g.
+
+    ``zeros`` lists, as flat positions over entry and slot, the
+    coefficients that were zero in every sample of that g; the plan holds
+    for any g that is zero there too, which :meth:`EnginePoint._blocks`
+    checks.  ``blocks`` are those of :func:`_diagonal_blocks`, none where
+    the whole matrix is one block over every seed.  ``pays`` says whether
+    the blocks cost less than the whole matrix at a single sample, in
+    Leibniz terms: a series over some seeds costs ``SERIES_TERMS`` plus
+    (order - 1) rows^2 times the terms of its context's table, and a
+    constant block runs none.
     """
-    if not (np.isfinite(g.c).all() and np.isfinite(inv0).all()):
-        return None
-    # [a, b, slot]: the coefficient is nonzero in some sample; [a, b, seed]:
-    # some nonzero coefficient of the entry has a partial along the seed.
-    live = (g.c != 0.0).reshape((-1,) + g.c.shape[-3:]).any(0)
-    seeded = live @ (g.ctx.tables.exps > 0)
+
+    __slots__ = ("zeros", "blocks", "pays")
+
+    def __init__(self, g: Jet):
+        live = (g.c != 0.0).reshape((-1,) + g.c.shape[-3:]).any(0)
+        self.zeros = np.flatnonzero(~live)
+        self.blocks = tuple(_Block(rows, sub, (Ellipsis,) + np.ix_(rows, rows, g.ctx.slots(sub)),
+                                   (Ellipsis, rows[:, None], rows))
+                            for rows, sub in _diagonal_blocks(live, g.ctx))
+
+        def cost(rows: int, ctx: JetContext) -> int:
+            if not ctx.seeds:
+                return 0
+            return SERIES_TERMS + (g.order - 1) * rows ** 2 * len(ctx.tables.mul_table[0])
+        self.pays = sum(cost(len(b.rows), b.sub) for b in self.blocks) < cost(len(live), g.ctx)
+
+
+def _diagonal_blocks(live: np.ndarray, ctx: JetContext) -> list[tuple[np.ndarray, JetContext]]:
+    """The diagonal blocks of a g in ``ctx`` whose nonzero coefficients are
+    ``live`` ([a, b, slot]), as (rows, context over the block's seeds), or
+    none where a single block spans every seed and has nothing to drop.
+
+    The blocks are the connected components of the nonzero entries, merged
+    where they depend on the same seeds, and each keeps the seeds on which
+    some coefficient of its entries is nonzero.  They are read off the
+    coefficients, not the configuration, so any field's g splits as far as
+    its zeros show.  The partial-pivot elimination never combines rows of
+    two components, so g0^-1 has the same blocks.
+    """
+    # [a, b, seed]: some nonzero coefficient of the entry has a partial along the seed.
+    seeded = live @ (ctx.tables.exps > 0)
     entries = live.any(-1)
     # Squaring the adjacency (with loops) k times links entries 2^k steps apart.
     linked = entries | entries.T | np.eye(len(entries), dtype=bool)
     for _ in range(len(entries).bit_length()):
         linked = linked @ linked
-    blocks = []
+    merged: dict[tuple[int, ...], list[int]] = {}
     for first, row in enumerate(linked.tolist()):
-        if row.index(True) == first:  # the first row of its block
+        if row.index(True) == first:  # the first row of its component
             rows = np.flatnonzero(row)
             used = seeded[rows[:, None], rows].any((0, 1))
-            blocks.append((rows, tuple(np.flatnonzero(used).tolist())))
-    if len(blocks) == 1 and len(blocks[0][1]) == len(g.seeds):
-        return None
-    return blocks
+            merged.setdefault(tuple(np.flatnonzero(used).tolist()), []).extend(rows.tolist())
+    if len(merged) == 1 and len(next(iter(merged))) == len(ctx.seeds):
+        return []
+    return [(np.array(sorted(rows)), context([ctx.seeds[k] for k in positions], ctx.order))
+            for positions, rows in merged.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +585,11 @@ class Workspace:
             yield strip
 
     def clear(self) -> None:
-        """Drop the work point kept for the last sample."""
+        """Drop the work point kept for the last sample, and the engines'
+        block plans."""
         self._slot = (None, None)
+        for engine in (self.product, *self.factors):
+            engine.plans.clear()
 
 
 class WorkPoint:

@@ -57,7 +57,7 @@ import numpy as np
 from .coords import MAX_ORDER, CoordIndex
 from .errors import CapabilityError, DomainError
 
-__all__ = ["Jet", "JetContext", "support_lift", "einsum", "sqrt", "exp"]
+__all__ = ["Jet", "JetContext", "support_lift", "einsum", "einsum_powers", "sqrt", "exp"]
 
 
 class _Tables:
@@ -584,12 +584,17 @@ def _shared_lead(spec: str, a: np.ndarray, b: np.ndarray) -> int:
     return a.shape[0]
 
 
-def _leibniz(spec: str, a: np.ndarray, b: np.ndarray, table) -> np.ndarray:
-    """The coefficients of the contraction of two aligned coefficient arrays."""
+def _powers(spec: str, a: np.ndarray, b: np.ndarray, count: int, table) -> list[np.ndarray]:
+    """The coefficients of ``count`` successive contractions of two aligned
+    coefficient arrays by ``a``, from ``b``, its terms gathered once."""
     ii, jj, starts, ww = table
     left = a.take(ii, -1)
     left *= ww
-    return np.add.reduceat(np.einsum(spec, left, b.take(jj, -1)), starts, -1)
+    out = []
+    for _ in range(count):
+        b = np.add.reduceat(np.einsum(spec, left, b.take(jj, -1)), starts, -1)
+        out.append(b)
+    return out
 
 
 def einsum(spec: str, a: Jet, b: Jet) -> Jet:
@@ -599,16 +604,26 @@ def einsum(spec: str, a: Jet, b: Jet) -> Jet:
     as in ``*``.  Each slice of a shared leading axis runs the arithmetic of
     the whole, so slicing changes no bit.
     """
+    return einsum_powers(spec, a, b, 1)[0]
+
+
+def einsum_powers(spec: str, a: Jet, b: Jet, count: int) -> list[Jet]:
+    """The ``count`` products ``einsum(spec, a, b)``, ``einsum(spec, a, that)``
+    and so on, by one left operand, whose Leibniz terms are gathered and
+    weighted once for all of them; each has the bits of its :func:`einsum`.
+    ``spec`` must give the shape of ``b``.
+    """
     a, b = a._aligned(b)
     table = a.ctx.tables.mul_table
     full = _with_partials(spec)
     size = max(a.c.size // a.c.shape[-1], b.c.size // b.c.shape[-1]) * len(table[0])
     lead = _shared_lead(spec, a.c, b.c) if size > TERM_ELEMENTS else 0
     if lead < 2:
-        return Jet(a.ctx, _leibniz(full, a.c, b.c, table))
+        return [Jet(a.ctx, c) for c in _powers(full, a.c, b.c, count, table)]
     step = max(1, lead * TERM_ELEMENTS // size)
-    return Jet(a.ctx, np.concatenate([_leibniz(full, a.c[k:k + step], b.c[k:k + step], table)
-                                      for k in range(0, lead, step)]))
+    cuts = [_powers(full, a.c[k:k + step], b.c[k:k + step], count, table)
+            for k in range(0, lead, step)]
+    return [Jet(a.ctx, np.concatenate(parts)) for parts in zip(*cuts)]
 
 
 def sqrt(x):

@@ -87,7 +87,8 @@ class _LiftedPoint:
         """nabla_X Y - nabla_Y X - [X, Y] over all frame pairs [X, Y]."""
         return table - np.einsum("...yxk->...xyk", table) - self.br
 
-    # The two connection tables are solved once per point and shared read-only.
+    # The two connection tables, and the Vaisman table's metric derivative,
+    # are built once per point and shared read-only.
     @cached_property
     def koszul(self) -> np.ndarray:
         """Levi-Civita table from the Koszul identity over the adapted frame,
@@ -112,6 +113,12 @@ class _LiftedPoint:
         # mixed vertical pairs and vertical-on-horizontal rows stay zero
         return _read_only(out)
 
+    @cached_property
+    def vaisman_metric_derivative(self) -> np.ndarray:
+        """:meth:`metric_derivative` of :attr:`vaisman`, read by its axioms
+        and by the Reinhart defect."""
+        return _read_only(self.metric_derivative(self.vaisman))
+
     def levi_civita_block_residuals(self) -> dict:
         """Koszul minus closed form per ordered input-family pair ``"A.B"``:
         the frame vectors nabla_{e_a} e_b for a in family A and b in family B,
@@ -131,7 +138,7 @@ class _LiftedPoint:
         # (i) distribution preservation: outputs stay in the input field's bundle.
         pres = (table[..., :, :n, n:], table[..., :, n:, :n])
         # (ii) metric parallelism on all-horizontal and all-vertical triples.
-        dmet = self.metric_derivative(table)
+        dmet = self.vaisman_metric_derivative
         par = (dmet[..., :n, :n, :n], dmet[..., n:, n:, n:])
         # (iii) torsion projections: vertical part unless both fields are
         # horizontal, horizontal part unless both are vertical.
@@ -147,7 +154,7 @@ class _LiftedPoint:
         the Vaisman table; the closed form from the factor Cartan tensors.
         """
         n, n1 = self.n, self.n1
-        defect = self.metric_derivative(self.vaisman)[..., n:, :n, :n]
+        defect = self.vaisman_metric_derivative[..., n:, :n, :n]
         s1, s2 = self.sides
         identity = np.zeros(self.lead + (n, n, n))
         identity[..., :n1, :n1, :n1] = scalar_axes(2.0 * s2.fsq, 3) * s1.C

@@ -14,7 +14,7 @@ from dwfinsler.coords import base1, fiber1
 from dwfinsler.errors import (DomainError, MetricDefinitionError, SingularMetricError,
                               SlitConditionError)
 from dwfinsler.fd import FD_STEPS, fd_partial, fd_partials
-from dwfinsler.jets import CoordView, Jet, einsum, exp, sqrt
+from dwfinsler.jets import CoordView, Jet, einsum, einsum_powers, exp, sqrt
 from dwfinsler.linalg import invert_matrix
 from dwfinsler.metrics import (CustomFactor, EuclideanFactor, ProductConfig, QuadraticFactor,
                                RandersFactor, SampleBatch, TangentSample)
@@ -22,6 +22,7 @@ from dwfinsler.runspec import fixture_document, fixture_runspec, parse_spec, sam
 
 from conftest import ALL_FIXTURES, engine_point
 from test_asymmetric import ASYM_1x3, ASYM_3x2
+from test_lifted import CURVED_2x2
 from test_report_bytes import CUBIC_2x2
 from test_runspec import _per_point_samples
 
@@ -191,15 +192,117 @@ def test_a_strip_inverts_g_block_by_block(name, widest, monkeypatch):
     g = ep.g()
     spans = []
 
-    def recorded(subscripts, a, b):
+    def recorded(subscripts, a, b, count):
         spans.append(len(set(a.seeds) | set(b.seeds)))
-        return einsum(subscripts, a, b)
+        return einsum_powers(subscripts, a, b, count)
 
-    monkeypatch.setattr(engine, "einsum", recorded)
+    monkeypatch.setattr(engine, "einsum_powers", recorded)
     got = ep.ginv()
     assert spans and max(spans) <= widest < len(g.seeds)
     want = engine._inverse_series(g, ep._value_inverse()[0])
     assert got.ctx is want.ctx and got.c.tobytes() == want.c.tobytes()
+
+
+def _plan_cases():
+    """(name, config, points) of :data:`CASES` and of curved-2x2, at 4 points."""
+    spec = parse_spec({**CURVED_2x2, "sampling": {**CURVED_2x2["sampling"], "count": 4}})
+    return _cases(4) + [(CURVED_2x2["label"], spec.config, sample_points(spec))]
+
+
+@pytest.mark.parametrize("case", _plan_cases(), ids=lambda case: case[0])
+def test_ginv_has_the_bits_of_the_whole_matrix_series_at_a_sample_and_on_a_strip(case):
+    # Wherever the block plan runs, and wherever it does not, each sample
+    # and each strip gets the bits of the whole-matrix series.
+    import dwfinsler.engine as engine
+    _, cfg, points = case
+    ws = engine.Workspace(cfg)
+    used = set()
+    for sample in (SampleBatch.of(points), *points):
+        wp = WorkPoint(ws, sample)
+        for which in ("product", "factor1", "factor2"):
+            ep = engine_point(wp, which)
+            got = ep.ginv()
+            want = engine._inverse_series(ep.g(), ep._value_inverse()[0])
+            assert got.ctx is want.ctx and got.c.tobytes() == want.c.tobytes(), which
+            used.add((which, bool(ep.lead), bool(ep._blocks())))
+    assert ("product", True, True) in used
+
+
+def test_a_plan_is_built_again_where_g_has_a_new_nonzero_coefficient():
+    # At x0 = 0 the x0-partial of factor 2's block of g, f1^2 g2, is exactly
+    # zero, so that point's plan assumes it is zero; at a generic point it
+    # is not, and the plan is built again.  A point that is zero wherever
+    # the new plan assumes a zero keeps it.
+    import dwfinsler.engine as engine
+    ws = engine.Workspace(fixture("FIX-R"))
+    x0 = TangentSample((0.0, 0.3), (0.5, -0.2), (1.0, 0.3), (0.2, 1.0))
+    generic = TangentSample((0.4, 0.3), (0.5, -0.2), (1.0, 0.3), (0.2, 1.0))
+    plans = []
+    for p in (x0, generic, x0):
+        ep = WorkPoint(ws, p).product
+        got = ep.ginv()
+        want = engine._inverse_series(ep.g(), ep._value_inverse()[0])
+        assert got.ctx is want.ctx and got.c.tobytes() == want.c.tobytes()
+        assert ep._blocks()
+        plans.append(ws.product.plans[ep.g().ctx])
+    assert plans[0] is not plans[1] and plans[1] is plans[2]
+    assert len(plans[0].zeros) > len(plans[1].zeros)
+    assert [block.rows.tolist() for block in plans[0].blocks] \
+        == [block.rows.tolist() for block in plans[1].blocks]
+
+
+@pytest.mark.parametrize("name, pays, widest", [("FIX-R", True, 3), ("FIX-1D", False, 4)])
+def test_a_single_sample_runs_blocks_where_they_cost_fewer_terms(name, pays, widest,
+                                                                  monkeypatch):
+    # FIX-R's two blocks, over {u0} and {x0, v0, v1}, cost fewer Leibniz
+    # terms than the whole 4x4 matrix over six seeds; FIX-1D's two 1x1
+    # blocks over one seed each save less than a series costs, so a
+    # sample there runs the whole matrix over its four seeds.  A strip runs
+    # the blocks on both.
+    import dwfinsler.engine as engine
+    spec = fixture_runspec(name, count=2)
+    ws = engine.Workspace(spec.config)
+    spans = []
+
+    def recorded(subscripts, a, b, count):
+        spans.append(len(set(a.seeds) | set(b.seeds)))
+        return einsum_powers(subscripts, a, b, count)
+
+    monkeypatch.setattr(engine, "einsum_powers", recorded)
+    for p in sample_points(spec):
+        ep = WorkPoint(ws, p).product
+        ep.ginv()
+        plan = ws.product.plans[ep.g().ctx]
+        assert plan.pays is pays and len(plan.blocks) == 2
+        assert bool(ep._blocks()) is pays
+    assert spans and max(spans) == widest
+    strip = WorkPoint(ws, SampleBatch.of(sample_points(spec))).product
+    assert strip._blocks() == ws.product.plans[strip.g().ctx].blocks
+
+
+def test_a_non_finite_g_at_a_sample_inverts_as_the_whole_matrix():
+    # A NaN in factor 1's block of g spreads into factor 2's rows in the
+    # whole-matrix series, so a sample whose g is not finite runs it, and
+    # the plan built at a finite sample stays as it is.
+    import dwfinsler.engine as engine
+    fix = fixture("FIX-R")
+    scale = [1.0]
+    custom = CustomFactor(2, lambda pos, fib: scale[0] * (fib[0] ** 2 + fib[1] ** 2))
+    ws = engine.Workspace(ProductConfig(custom, fix.factor2, fix.warp1, fix.warp2))
+    first, second = sample_points(fixture_runspec("FIX-R", count=2))
+    ep = WorkPoint(ws, first).product
+    ep.ginv()
+    plan = ws.product.plans[ep.g().ctx]
+    assert ep._blocks() == plan.blocks
+    scale[0] = math.nan
+    ep = WorkPoint(ws, second).product
+    g, inv0 = ep.g(), ep._value_inverse()[0]
+    got = ep.ginv()
+    want = engine._inverse_series(g, inv0)
+    assert np.isnan(g.c[:2, :2]).any() and ep._blocks() == ()
+    assert np.isnan(got.c[2:, :2]).any()
+    assert got.ctx is want.ctx and np.array_equal(got.c, want.c, equal_nan=True)
+    assert ws.product.plans[g.ctx] is plan
 
 
 @pytest.mark.parametrize("name, order, engines", [
@@ -221,13 +324,18 @@ def test_ginv_runs_no_leibniz_product_where_none_can_pay(name, order, engines, m
         calls.append(subscripts)
         return einsum(subscripts, a, b)
 
-    split = engine._diagonal_blocks
+    def recorded_powers(subscripts, a, b, count):
+        calls.append(subscripts)
+        return einsum_powers(subscripts, a, b, count)
+
     for which in engines:
         ep = engine_point(wp, which)
         g, inv0 = ep.g(), ep._value_inverse()[0]
         if g.order > 1:
-            assert not any(positions for _, positions in split(g, inv0)), which
+            blocks = engine._BlockPlan(g).blocks
+            assert blocks and not any(block.sub.seeds for block in blocks), which
         monkeypatch.setattr(engine, "einsum", recorded)
+        monkeypatch.setattr(engine, "einsum_powers", recorded_powers)
         if g.order == 1:
             monkeypatch.setattr(engine, "_diagonal_blocks", None)
         got = ep.ginv()
@@ -255,7 +363,7 @@ def test_a_constant_block_reads_a_negative_zero_of_the_value_inverse_as_the_seri
     assert (inv0[:, 0, 2] == 0.0).all()
     inv0[:, 0, 2] = -0.0
     ep._done["_value_inverse"] = (inv0, cond)
-    assert [positions for _, positions in engine._diagonal_blocks(ep.g(), inv0)] == [()]
+    assert [block.sub.seeds for block in engine._BlockPlan(ep.g()).blocks] == [()]
     got = ep.ginv()
     want = engine._inverse_series(ep.g(), inv0)
     assert got.c.tobytes() == want.c.tobytes()
@@ -280,6 +388,33 @@ def test_a_non_finite_g_inverts_as_the_whole_matrix():
     got = ep.ginv()
     want = engine._inverse_series(g, inv0)
     assert np.isnan(got.c[1, 2:, :2]).any()
+    assert got.ctx is want.ctx and np.array_equal(got.c, want.c, equal_nan=True)
+
+
+def test_a_non_finite_right_hand_side_contracts_as_the_whole_spray():
+    # F^2 = (1 + x1^2) y0^2 + (1 + x0^2) y1^2 + k(x0): g is diagonal, with
+    # 1x1 blocks over {x1} and {x0}, and k, zero in value with a NaN
+    # x0-partial at one sample, leaves it finite but makes the x0 row of
+    # the spray's right-hand side NaN there.  The whole contraction with
+    # g^-1 spreads it through the zero entry into the other row; so does
+    # the strip.
+
+    def field(c):
+        kink = c.x[0] - c.x[0].value
+        k = kink.c.copy()
+        k[1, 1] = math.nan  # sample 1's x0-partial
+        return (1.0 + c.x[1] ** 2) * c.y[0] ** 2 + (1.0 + c.x[0] ** 2) * c.y[1] ** 2 \
+            + Jet(kink.ctx, k)
+
+    kinked = FinslerEngine(field, (base1(0), base1(1)), (fiber1(0), fiber1(1)))
+    points = [TangentSample((0.1 * k, 0.2), (0.5,), (1.0, 0.3 * k - 0.4), (1.0,))
+              for k in range(3)]
+    ep = EnginePoint(kinked, SampleBatch.of(points))
+    with np.errstate(invalid="ignore"):
+        got = ep.spray()
+        want = _leibniz_spray(ep)
+    assert np.isfinite(ep.g().c).all() and len(ep._blocks()) == 2
+    assert np.isnan(got.c[1]).all() and np.isfinite(got.c[[0, 2]]).all()
     assert got.ctx is want.ctx and np.array_equal(got.c, want.c, equal_nan=True)
 
 

@@ -808,7 +808,8 @@ def test_a_cold_chain_builds_one_table_per_seed_count(monkeypatch, fixr, fresh_j
 
 def test_a_cold_chain_ranks_each_six_seed_map_once(monkeypatch, fixr, fresh_jets):
     # The chain asks for positions 0 and 1's derive maps at order 4 before
-    # order 5; built over every row the store holds, each serves both.
+    # order 5; built over every row the store holds, each serves both.  The
+    # twelfth map is the slots of g's block over {u0}, which g^-1 runs by.
     from collections import Counter
     ranked = Counter()
     rank = jets._Tables.rank
@@ -820,7 +821,7 @@ def test_a_cold_chain_ranks_each_six_seed_map_once(monkeypatch, fixr, fresh_jets
     monkeypatch.setattr(jets._Tables, "rank", counted)
     p, = region("FIX-R", count=1, seed=11)
     _chain_bytes(fixr, p)
-    assert ranked[6] == 11
+    assert ranked[6] == 12
 
 
 def test_a_second_battery_ranks_no_exponents(monkeypatch):
@@ -844,7 +845,9 @@ def test_a_second_battery_ranks_no_exponents(monkeypatch):
 
 def test_the_jet_caches_are_bounded_by_value(fixr):
     # Coordinate tuples made afresh but equal find the same plan and the same
-    # contexts, so neither cache grows however many the engine hands over.
+    # contexts, so neither cache grows however many the engine hands over;
+    # and fresh points find g's block plan of their context, so the engine
+    # keeps one plan per context however many points it reads.
     from dwfinsler.core import tensor
     from dwfinsler.engine import workspace
     from dwfinsler.jets import support_lift
@@ -861,3 +864,7 @@ def test_the_jet_caches_are_bounded_by_value(fixr):
         assert lifted.ctx is ctx
     assert len(ctx._grads) == grads
     assert len(jets._CONTEXT_CACHE) == contexts
+    workspace(fixr).clear()
+    for p in region("FIX-R", count=200, seed=3):
+        tensor(fixr, p, "ginv")
+    assert list(engine.plans) == [ctx.lowered().lowered()]

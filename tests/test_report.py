@@ -160,10 +160,12 @@ def test_a_mistyped_field_of_a_stored_report_is_named(where, key, value, message
 
 def test_a_stored_report_reads_back_as_floats():
     doc = _stored()
-    entry = doc["report"]["suites"][0]["entries"][0]
-    entry.update(residual=1, tolerance=None, point=[[0], [1], [1], [1]])
+    suite = doc["report"]["suites"][0]
+    suite["max_residual"] = 1
+    suite["entries"][0].update(residual=1, tolerance=None, point=[[0], [1], [1], [1]])
     report = report_from_document(doc["report"])
     (read,) = report.suites[0].entries
     assert (read.residual, read.tolerance, read.point) == (1.0, None, _point(0.0, 1.0, 1.0, 1.0))
     assert type(read.residual) is float and type(read.point[0][0]) is float
+    assert type(report.suites[0].max_residual) is float
     _assert_written_as_json_dumps(report)

@@ -424,12 +424,14 @@ def _fixture_with(key, value):
     return json.dumps(doc).encode()
 
 
-def _report_with(where, key, value):
-    """A stored FIX-P report, as ``verify --json`` writes it, with one field replaced."""
+def _report_with(where, key, value, **also):
+    """A stored FIX-P report, as ``verify --json`` writes it, with one field
+    replaced, and the fields ``also`` of the same object."""
     doc = report_document(run_suites(fixture_runspec("FIX-P", count=1, suites=("yF=G",))))
     suite = doc["suites"][0]
     node = {"engine": doc["engine"], "suite": suite, "entry": suite["entries"][0]}[where]
     node[key] = value
+    node.update(also)
     return json.dumps({"meta": {"tool": "dwfinsler"}, "report": doc}).encode()
 
 
@@ -440,6 +442,15 @@ _MISTYPED_REPORTS = {
     "points-many": _report_with("engine", "points", "many"),
     "note-5": _report_with("entry", "note", 5),
     "max-residual-null": _report_with("suite", "max_residual", None),
+    # Well typed, but a verdict that its own fields contradict.
+    "residual-over-tolerance": _report_with("entry", "residual", 1.0),
+    "entry-failed-within-tolerance": _report_with("entry", "passed", False),
+    "informational-entry-failed": _report_with("entry", "tolerance", None, passed=False),
+    "lower-bound-passed-above-zero": _report_with("entry", "tolerance", 0.0, residual=0.5),
+    "suite-failed-with-passing-entries": _report_with("suite", "passed", False),
+    "suite-not-as-expected": _report_with("suite", "as_expected", False),
+    "max-residual-not-the-maximum": _report_with("suite", "max_residual", 1.0),
+    "max-residual-nan": _report_with("suite", "max_residual", math.nan),
 }
 
 
@@ -475,6 +486,15 @@ def test_cli_rejects_a_malformed_file_with_one_error_line(command, content, flag
     assert not captured.out
     (line,) = captured.err.splitlines()
     assert line.startswith("error:")
+
+
+def test_a_stored_report_with_a_nan_residual_reads_back():
+    # A NaN residual fails its entry and its suite, and is the suite's
+    # maximum: the verdicts the writer derives, so the reader accepts them.
+    doc = json.loads(_report_with("entry", "residual", math.nan, passed=False))["report"]
+    doc["suites"][0].update(passed=False, as_expected=False, max_residual=math.nan)
+    report = report_from_document(doc)
+    assert not report.ok and math.isnan(report.suites[0].max_residual)
 
 
 def test_cli_rejects_a_factor_dim_over_the_cap(tmp_path, capsys):
