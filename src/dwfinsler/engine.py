@@ -195,14 +195,17 @@ class EnginePoint:
         """The inverse metric: the value matrix inverted, then the nilpotent
         series of :func:`_inverse_series` for the partials.
 
-        The series runs block by block where g's block plan says so
-        (:meth:`_blocks`): each diagonal block of g over only the seeds it
-        depends on, with the matching sub-block of g0^-1, embedded back into
-        g's context; a block over no seeds is that sub-block.  No bit moves:
-        a Leibniz product gives a coefficient the same run of terms in any
-        context that holds it, the products between blocks that the whole
-        matrix would add are exact zeros on a sum that starts from +0.0, and
-        every coefficient a block drops is +0.0 there too.
+        The series runs block by block where g's block plan says so: the
+        plan the engine keeps for g's context, as long as its workspace,
+        checked against this g and built again where g breaks it
+        (:meth:`_blocks`).  Each diagonal block of g runs over only the
+        seeds it depends on, with the matching sub-block of g0^-1, and is
+        embedded back into g's context; a block over no seeds is that
+        sub-block.  No bit moves: a Leibniz product gives a coefficient the
+        same run of terms in any context that holds it, the products between
+        blocks that the whole matrix would add are exact zeros on a sum that
+        starts from +0.0, and every coefficient a block drops is +0.0 there
+        too.
         """
         g = self.g()
         inv0 = self._value_inverse()[0]
