@@ -198,14 +198,14 @@ def _point(value, path: str) -> list | None:
     return _groups(value, path)
 
 
-#: The fields of a report that :func:`report_from_document` reads, in the
-#: order of the records' arguments.
+#: The fields of a report that :func:`report_from_document` reads: the
+#: records' arguments, in their order, then the stored verdicts it checks.
 _read_entry = _object((("name", _string), ("residual", _number),
-                       ("tolerance", _optional(_number)), ("passed", _boolean),
-                       ("point", _point), ("note", _string)))
-_read_suite = _object((("name", _string), ("passed", _boolean),
-                       ("expected_failure", _boolean), ("as_expected", _boolean),
-                       ("max_residual", _number), ("entries", _array(_read_entry))))
+                       ("tolerance", _optional(_number)), ("point", _point), ("note", _string),
+                       ("passed", _boolean)))
+_read_suite = _object((("name", _string), ("expected_failure", _boolean),
+                       ("entries", _array(_read_entry)), ("passed", _boolean),
+                       ("as_expected", _boolean), ("max_residual", _number)))
 _read_report = _object((("config", _string),
                         ("engine", _object((("seed", _integer), ("points", _integer)))),
                         ("suites", _array(_read_suite))))
@@ -223,41 +223,32 @@ def report_from_document(doc) -> DiagnosticsReport:
     :class:`SchemaError` naming its path.  The ``summary`` and the jet order
     are not read: they are recomputed when the report is written.
 
-    The verdicts are not trusted but checked (:func:`_check_verdicts`), so
-    an edited verdict is a :class:`SchemaError` too.
+    The records are built from the measured fields, and each stored verdict
+    (``passed``, ``as_expected``, ``max_residual``) must equal the one its
+    record derives, NaN equal to NaN, or it is a :class:`SchemaError` too.
     """
     path = "$"
     if isinstance(doc, dict) and "report" in doc:
         doc, path = doc["report"], "$.report"
     label, (seed, count), suites = _read_report(doc, path)
-    _check_verdicts(suites, f"{path}.suites")
-    return DiagnosticsReport(label, seed, count, tuple(
-        SuiteResult(*fields, tuple(SuiteEntry(fields[0], *entry) for entry in entries))
-        for *fields, entries in suites))
+    results = []
+    for i, (name, expected_failure, entries, *stored) in enumerate(suites):
+        at = f"{path}.suites[{i}]"
+        result = SuiteResult(name, expected_failure,
+                             tuple(SuiteEntry(*fields) for *fields, _ in entries))
+        for k, (entry, (*_, passed)) in enumerate(zip(result.entries, entries)):
+            _agree(f"{at}.entries[{k}].passed", passed, entry.passed)
+        for key, value in zip(("passed", "as_expected", "max_residual"), stored):
+            _agree(f"{at}.{key}", value, getattr(result, key))
+        results.append(result)
+    return DiagnosticsReport(label, seed, count, tuple(results))
 
 
-def _check_verdicts(suites: list, path: str) -> None:
-    """Each verdict of the read ``suites`` as the report's writer derives it:
-    an entry passes iff it has no tolerance or its residual is at most its
-    tolerance (a lower bound and a skipped suite's entry included), a suite
-    passes iff all its entries pass, it is as expected iff its verdict
-    differs from its declared expected failure, and its maximum residual is
-    ``np.max`` of its entries' (0.0 for none, NaN when one is NaN)."""
-    for i, (_, passed, expected_failure, as_expected, worst, entries) in enumerate(suites):
-        at = f"{path}[{i}]"
-        for k, (_, residual, tolerance, entry_passed, _, _) in enumerate(entries):
-            if entry_passed != (tolerance is None or residual <= tolerance):
-                raise SchemaError(f"{at}.entries[{k}].passed: {str(entry_passed).lower()} "
-                                  f"contradicts residual {residual!r} and tolerance "
-                                  f"{'null' if tolerance is None else repr(tolerance)}")
-        if passed != all(entry[3] for entry in entries):
-            raise SchemaError(f"{at}.passed: {str(passed).lower()} contradicts its entries")
-        if as_expected != (passed != expected_failure):
-            raise SchemaError(f"{at}.as_expected: {str(as_expected).lower()} contradicts "
-                              f"passed and expected_failure")
-        want = float(np.max([entry[1] for entry in entries])) if entries else 0.0
-        if want != worst and not (math.isnan(want) and math.isnan(worst)):
-            raise SchemaError(f"{at}.max_residual: {worst!r} is not the entries' maximum {want!r}")
+def _agree(path: str, stored, own) -> None:
+    """A stored verdict equals its record's own, NaN equal to NaN."""
+    if stored != own and not (math.isnan(stored) and math.isnan(own)):
+        raise SchemaError(f"{path}: {json.dumps(stored)} contradicts the report's fields, "
+                          f"which give {json.dumps(own)}")
 
 
 def _cmd_report(args) -> int:

@@ -1,5 +1,7 @@
 """The diagnostics report: its records, its JSON document and its two renderings.
 
+The records derive every verdict from the residuals and tolerances, the
+one place the rule is written (:class:`SuiteEntry`, :class:`SuiteResult`).
 :func:`write_text` renders a report as a table for people to read, and
 :func:`write_json` is the one writer of a report's JSON text.  It writes
 ``json.dumps(report_document(report), sort_keys=True, indent=2)`` byte for
@@ -15,28 +17,38 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
 
+import numpy as np
+
 from .coords import MAX_ORDER
 
 
 class SuiteEntry:
-    """One residual check; a ``tolerance`` of None marks an informational entry,
-    and ``point`` is the witness of the worst residual."""
+    """One residual check; it passes when it has no ``tolerance`` (an informational
+    entry) or its residual is at most the tolerance, so a NaN residual fails.
+    ``point`` is the witness of the worst residual."""
 
-    __slots__ = ("suite", "name", "residual", "tolerance", "passed", "point", "note")
+    __slots__ = ("name", "residual", "tolerance", "passed", "point", "note")
 
-    def __init__(self, suite: str, name: str, residual: float, tolerance: float | None,
-                 passed: bool, point: list | None = None, note: str = ""):
-        self.suite, self.name, self.residual, self.tolerance = suite, name, residual, tolerance
-        self.passed, self.point, self.note = passed, point, note
+    def __init__(self, name: str, residual: float, tolerance: float | None,
+                 point: list | None = None, note: str = ""):
+        self.name, self.residual, self.tolerance = name, residual, tolerance
+        self.passed = bool(tolerance is None or residual <= tolerance)
+        self.point, self.note = point, note
 
 
 class SuiteResult:
+    """A suite's entries and the verdicts they give: it passes when every
+    entry passes, and is as expected when that differs from its declared
+    ``expected_failure``.  ``max_residual`` is ``np.max`` of the residuals,
+    which carries a NaN through (0.0 for no entries)."""
+
     __slots__ = ("name", "passed", "expected_failure", "as_expected", "max_residual", "entries")
 
-    def __init__(self, name: str, passed: bool, expected_failure: bool, as_expected: bool,
-                 max_residual: float, entries: tuple[SuiteEntry, ...]):
-        self.name, self.passed, self.expected_failure = name, passed, expected_failure
-        self.as_expected, self.max_residual, self.entries = as_expected, max_residual, entries
+    def __init__(self, name: str, expected_failure: bool, entries: tuple[SuiteEntry, ...]):
+        self.name, self.expected_failure, self.entries = name, expected_failure, entries
+        self.passed = all(e.passed for e in entries)
+        self.as_expected = self.passed != expected_failure
+        self.max_residual = float(np.max([e.residual for e in entries])) if entries else 0.0
 
 
 class DiagnosticsReport:

@@ -1,9 +1,9 @@
 """Verification suites: named residual checks over sampled points.
 
 Each suite turns one family of identities into residual entries with
-tolerances and pass/fail verdicts; expected failures (theorem contrapositives
-on non-Riemannian fixtures) are declared in the run spec and asserted as
-failure-as-success by the runner.
+tolerances, and the report's records derive each verdict from them; expected
+failures (theorem contrapositives on non-Riemannian fixtures) are declared in
+the run spec and asserted as failure-as-success by the runner.
 
 Each suite is a step, ``SUITES[name]``, that reads one strip and feeds its
 suite's :class:`_Entries`.  :func:`run_suites` walks the sampled points once,
@@ -105,14 +105,6 @@ def _point_doc(p: TangentSample | None, docs: dict | None = None):
     return got[1]
 
 
-def _entry(spec: RunSpec, suite: str, name: str, tracker: _Tracker,
-           tol_key: str | None = None, docs: dict | None = None) -> SuiteEntry:
-    """An upper-bound check at the tolerance named ``tol_key`` (default: the suite's)."""
-    tol = spec.tolerance(tol_key or suite)
-    return SuiteEntry(suite, name, tracker.value, tol, tracker.value <= tol,
-                      _point_doc(tracker.point, docs), tracker.note)
-
-
 class _Entries:
     """The tracked entries of one suite, kept in the order they are first fed.
 
@@ -148,7 +140,7 @@ class _Entries:
 
     def skip(self, name: str, note: str = "") -> None:
         """Report only the passing informational entry ``name``."""
-        self._skipped = SuiteEntry(self.suite, name, 0.0, None, True, None, note)
+        self._skipped = SuiteEntry(name, 0.0, None, None, note)
 
     def entries(self, docs: dict | None = None) -> list[SuiteEntry]:
         """The entries, their witnesses' point lists taken from ``docs``
@@ -157,12 +149,12 @@ class _Entries:
             return [self._skipped]
         out = []
         for name, (tracker, tol, lower) in self._fed.items():
+            bound = self.spec.tolerance(tol or self.suite)
+            point = _point_doc(tracker.point, docs)
             if lower is None:
-                out.append(_entry(self.spec, self.suite, name, tracker, tol, docs))
-                continue
-            residual = self.spec.tolerance(tol or self.suite) - tracker.value
-            out.append(SuiteEntry(self.suite, name, residual, 0.0, residual <= 0.0,
-                                  _point_doc(tracker.point, docs), lower))
+                out.append(SuiteEntry(name, tracker.value, bound, point, tracker.note))
+            else:
+                out.append(SuiteEntry(name, bound - tracker.value, 0.0, point, lower))
         return out
 
 
@@ -561,18 +553,10 @@ def run_suites(spec: RunSpec) -> DiagnosticsReport:
     for wp in workspace(spec.config).strips(sample_points(spec)):
         for name, out in outs:
             SUITES[name](out, wp)
-    results, docs = [], {}
-    for name, out in outs:
-        entries = tuple(out.entries(docs))
-        passed = all(e.passed for e in entries)
-        expected_failure = name in spec.expected_failures
-        residuals = [e.residual for e in entries]
-        # np.max, unlike max, carries a NaN residual through to the suite's worst.
-        max_residual = float(np.max(residuals)) if residuals else 0.0
-        results.append(SuiteResult(name, passed, expected_failure,
-                                   passed != expected_failure, max_residual, entries))
-    return DiagnosticsReport(spec.label, spec.sampling.seed,
-                             spec.sampling.count, tuple(results))
+    docs = {}
+    return DiagnosticsReport(spec.label, spec.sampling.seed, spec.sampling.count, tuple(
+        SuiteResult(name, name in spec.expected_failures, tuple(out.entries(docs)))
+        for name, out in outs))
 
 
 # ---------------------------------------------------------------------------

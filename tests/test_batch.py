@@ -18,6 +18,7 @@ from dwfinsler.jets import CoordView, Jet, einsum, einsum_powers, exp, sqrt
 from dwfinsler.linalg import invert_matrix
 from dwfinsler.metrics import (CustomFactor, EuclideanFactor, ProductConfig, QuadraticFactor,
                                RandersFactor, SampleBatch, TangentSample)
+from dwfinsler.report import SuiteEntry
 from dwfinsler.runspec import fixture_document, fixture_runspec, parse_spec, sample_points
 
 from conftest import ALL_FIXTURES, engine_point
@@ -666,7 +667,7 @@ def test_batched_fd_partials_equal_the_float_reference_bit_for_bit(case):
 def _fd_crosscheck_by_probe(spec, points):
     """fd-crosscheck with each probe built alone as a ``(point, dirs)`` pair
     through ``fd_partials``: the reference for the suite's arrays."""
-    from dwfinsler.suites import _Tracker, _entry, _relative
+    from dwfinsler.suites import _point_doc, _Tracker, _relative
     cfg = spec.config
     ws = workspace(cfg)
     rng = random.Random(spec.sampling.seed + 1)
@@ -723,7 +724,8 @@ def _fd_crosscheck_by_probe(spec, points):
         fd_delta = fd_delta - N[e] * fd_fiber[e]
     hdelta = _Tracker()
     hdelta.feed_all(_relative(dH[a, b, c], fd_delta)[None], [p])
-    return [_entry(spec, "fd-crosscheck", name, tr) for name, tr in (
+    tol = spec.tolerance("fd-crosscheck")
+    return [SuiteEntry(name, tr.value, tol, _point_doc(tr.point), tr.note) for name, tr in (
         ("squared-norm-partials", f2tr), ("fundamental-tensor", gtr),
         ("nonlinear-connection", conn), ("connection-fiber-derivative", connfd),
         ("berwald", berw), ("horizontal-delta", hdelta))]

@@ -1,11 +1,13 @@
 """What the benchmark in perfbench/ uses of the program keeps working.
 
 The benchmark's worker wraps the suites' tracker to count non-finite
-residuals per suite, and times a chain of eight library functions at single
-samples.  These tests read perfbench/ and change nothing there.
+residuals per suite, times a chain of eight library functions at single
+samples, and gates each battery's JSON report on its own recomputation of
+the verdicts.  These tests read perfbench/ and change nothing there.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import pytest
 import dwfinsler as dw
 from dwfinsler import suites
 from dwfinsler.engine import LIFT_ORDER, EnginePoint, workspace
-from dwfinsler.runspec import fixture_runspec
+from dwfinsler.runspec import fixture_runspec, parse_spec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -73,3 +75,11 @@ def test_the_chain_keeps_its_names_and_shapes(worker, p4):
     assert {k: v.shape for k, v in out.items()} == shapes
     assert all(v.dtype == np.float64 for v in out.values())
     assert worker.check_point(out, p4.y + p4.v) is None
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+@pytest.mark.parametrize("name", ["battery-randers", "battery-1d-wide"])
+def test_the_benchmark_gate_passes_the_batteries(worker, name, seed):
+    doc = importlib.import_module("workloads").document(name, seed, 4)
+    report = dw.emit_report(dw.run_suites(parse_spec(doc)), "json")
+    assert worker.check_report(json.loads(report), doc["expected_failures"]) == []

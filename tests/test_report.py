@@ -50,28 +50,36 @@ def _report(label="L", suites=()):
     return DiagnosticsReport(label, 3, 2, tuple(suites))
 
 
-def _suite(name, entries, passed=True, expected_failure=False, max_residual=0.0):
-    return SuiteResult(name, passed, expected_failure, passed != expected_failure,
-                       max_residual, tuple(entries))
+def _suite(name, entries, expected_failure=False):
+    return SuiteResult(name, expected_failure, tuple(entries))
 
 
 @pytest.mark.parametrize("residual", [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                                       1.7976931348623157e308, 1e16, 0.1])
 def test_the_writer_spells_every_float_as_json(residual):
-    entry = SuiteEntry("s", "e", residual, residual, False, _point(residual, 1.0, 1.0, 1.0))
-    _assert_written_as_json_dumps(_report(suites=[_suite("s", [entry], False, False, residual)]))
+    # An entry at its own tolerance passes, and fails when that is NaN, and
+    # is its suite's maximum; an expected failure, so mostly an unexpected pass.
+    entry = SuiteEntry("e", residual, residual, _point(residual, 1.0, 1.0, 1.0))
+    report = _report(suites=[_suite("s", [entry], expected_failure=True),
+                             _suite("t", [SuiteEntry("f", 1.0, 0.0)])])
+    assert entry.passed is not math.isnan(residual)
+    assert float.hex(report.suites[0].max_residual) == float.hex(residual)
+    _assert_written_as_json_dumps(report)
 
 
 def test_the_writer_writes_informational_skipped_and_unexpected_suites():
     skipped = run_suites(fixture_runspec("FIX-1D", count=2, suites=("scalar-flag", "con1")))
     assert skipped.suites[0].entries[0].tolerance is None
     _assert_written_as_json_dumps(skipped)
-    informational = SuiteEntry("s", "info", 0.0, None, True, None, "")
-    failing = SuiteEntry("t", "check", 2.0, 1.0, False, _point(0.5, 1.0, 1.0, 1.0), "note")
+    informational = SuiteEntry("info", 0.0, None, None, "")
+    failing = SuiteEntry("check", 2.0, 1.0, _point(0.5, 1.0, 1.0, 1.0), "note")
     report = _report(suites=[_suite("s", [informational]),
-                             _suite("t", [failing], passed=False),
-                             _suite("u", [], passed=False, expected_failure=True)])
-    assert [s.name for s in report.suites if not s.as_expected] == ["t"]
+                             _suite("t", [failing]),
+                             _suite("u", [], expected_failure=True),
+                             _suite("v", [failing], expected_failure=True)])
+    assert [(s.passed, s.as_expected) for s in report.suites] == [
+        (True, True), (False, False), (True, False), (False, True)]
+    assert "  pass (UNEXPECTED PASS)" in emit_report(report)
     _assert_written_as_json_dumps(report)
     _assert_written_as_json_dumps(_report())
     _assert_written_as_json_dumps(run_suites(fixture_runspec("FIX-P", count=1, suites=())))
@@ -79,7 +87,7 @@ def test_the_writer_writes_informational_skipped_and_unexpected_suites():
 
 def test_the_writer_escapes_strings_as_json():
     text = 'q"uote b\\ack\nline\ttab \x00\x1f\x7f é ☃ 𝄞'
-    entry = SuiteEntry(text, text, 0.0, 1.0, True, _point(0.0, 1.0, 1.0, 1.0), text)
+    entry = SuiteEntry(text, 0.0, 1.0, _point(0.0, 1.0, 1.0, 1.0), text)
     _assert_written_as_json_dumps(_report(text, [_suite(text, [entry])]))
 
 
@@ -88,7 +96,7 @@ def test_the_writer_keys_a_point_by_identity_not_by_value():
     # print the first point's 0.0 where the second has -0.0.
     plus, minus = _point(0.0, 1.0, 1.0, 1.0), _point(-0.0, 1.0, 1.0, 1.0)
     assert [tuple(g) for g in plus] == [tuple(g) for g in minus]
-    entries = [SuiteEntry("s", f"e{k}", 0.0, 1.0, True, p)
+    entries = [SuiteEntry(f"e{k}", 0.0, 1.0, p)
                for k, p in enumerate((plus, minus, plus, minus))]
     report = _report(suites=[_suite("s", entries)])
     _assert_written_as_json_dumps(report)
@@ -143,6 +151,17 @@ def _stored():
     ("report", "config", 7, "$.report.config: expected a string"),
     ("report", "suites", None, "$.report.suites: expected an array"),
     ("report", "engine", [], "$.report.engine: expected an object"),
+    # Well typed, but a stored verdict that the record's fields contradict.
+    ("entry", "residual", 1.0, "$.report.suites[0].entries[0].passed: true contradicts "
+     "the report's fields, which give false"),
+    ("entry", "passed", False, "$.report.suites[0].entries[0].passed: false contradicts "
+     "the report's fields, which give true"),
+    ("suite", "passed", False,
+     "$.report.suites[0].passed: false contradicts the report's fields, which give true"),
+    ("suite", "as_expected", False,
+     "$.report.suites[0].as_expected: false contradicts the report's fields, which give true"),
+    ("suite", "max_residual", math.nan,
+     "$.report.suites[0].max_residual: NaN contradicts the report's fields, which give 0.0"),
 ])
 def test_a_mistyped_field_of_a_stored_report_is_named(where, key, value, message):
     doc = _stored()
@@ -156,6 +175,20 @@ def test_a_mistyped_field_of_a_stored_report_is_named(where, key, value, message
     del node[key]
     with pytest.raises(SchemaError, match=r"required key missing"):
         report_from_document(doc)
+
+
+def test_the_records_derive_their_verdicts():
+    nan = SuiteEntry("n", math.nan, 1.0)
+    lower = SuiteEntry("w", 0.5, 0.0, None, "lower bound")
+    assert [e.passed for e in (nan, lower, SuiteEntry("i", math.inf, None))] == [False] * 2 + [True]
+    result = SuiteResult("s", True, (SuiteEntry("ok", 0.25, 1.0), nan))
+    assert (result.passed, result.as_expected) == (False, True)
+    assert math.isnan(result.max_residual)
+    result = SuiteResult("s", False, ())
+    assert (result.passed, result.as_expected, result.max_residual) == (True, True, 0.0)
+    for record in (result, SuiteResult("s", False, (lower,))):
+        assert {type(v) for v in (record.passed, record.as_expected)} == {bool}
+        assert type(record.max_residual) is float
 
 
 def test_a_stored_report_reads_back_as_floats():

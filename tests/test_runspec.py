@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import dwfinsler
 from dwfinsler import PolyQuadraticWarp, fixture
+from dwfinsler.cli import main
 from dwfinsler.errors import SchemaError, SlitConditionError
 from dwfinsler.metrics import TangentSample
 from dwfinsler.runspec import (ALL_SUITES, DEFAULT_TOLERANCES, FIXTURES, MAX_POINTS, RunSpec,
@@ -265,6 +267,23 @@ def _quadratic_entries(entries):
     return {"kind": "riemannian_quadratic", "parameters": {"entries": entries}}
 
 
+def _bad_quadratic(name, dim, entries):
+    return _bad_leaf(name, "factors", 0, {"dim": dim, **_quadratic_entries(entries)})
+
+
+#: riemannian_quadratic factors whose entries the parser rejects: (doc, path).
+_BAD_QUADRATICS = {
+    "quadratic-entry-not-a-list": (_bad_quadratic("FIX-1D", 1, [["x"]]),
+                                   r"\$\.factors\[0\]\.parameters\.entries\[0\]\[0\]: expected a list"),
+    "quadratic-bad-term": (_bad_quadratic("FIX-1D", 1, [[[[1.0]]]]),
+                           r"\$\.factors\[0\]\.parameters\.entries\[0\]\[0\]\[0\]: expected \["),
+    "quadratic-not-dim-by-dim": (_bad_quadratic("FIX-1D", 1, [[_ONE], [_ONE]]),
+                                 r"\$\.factors\[0\]\.parameters\.entries: expected a 1x1 matrix"),
+    "quadratic-short-row": (_bad_quadratic("FIX-E", 2, [[_ONE], [[], _ONE]]),
+                            r"\$\.factors\[0\]\.parameters\.entries\[0\]: expected 2 entries"),
+}
+
+
 @pytest.mark.parametrize("doc, path", [
     (_bad_tolerance(1e-3, name="lemma4l"), r"\$\.tolerances\.lemma4l"),
     (_bad_tolerance(0.0, name="hermitian.complex-square"),
@@ -315,6 +334,7 @@ def _quadratic_entries(entries):
     (_bad_warp("constant", {"value": -1.0}), r"\$\.warps\.f2: constant warp must be positive"),
     (_bad_warp("poly_quadratic", {"coeffs": [1.0, -0.5]}),
      r"\$\.warps\.f2: poly-quadratic warp coefficients must be finite and >= 0"),
+    *_BAD_QUADRATICS.values(),
 ], ids=["unknown-tolerance", "deleted-tolerance", "nan-tolerance", "string-tolerance", "negative-tolerance",
         "fractional-dim", "string-dim", "dim-over-cap", "axis-out-of-range", "negative-axis",
         "short-coeffs", "long-coeffs", "string-count", "null-count", "fractional-count",
@@ -325,10 +345,21 @@ def _quadratic_entries(entries):
         "string-quadratic-coefficient", "string-quadratic-exponent", "string-randers-b",
         "asymmetric-quadratic", "randers-norm-over-quadratic-base",
         "randers-over-singular-base", "randers-over-randers-base", "undecodable-bytes",
-        "negative-constant-warp", "negative-coefficient"])
+        "negative-constant-warp", "negative-coefficient", *_BAD_QUADRATICS])
 def test_malformed_documents_rejected_with_path(doc, path):
     with pytest.raises(SchemaError, match=path):
         parse_spec(doc)
+
+
+@pytest.mark.parametrize("doc, path", _BAD_QUADRATICS.values(), ids=list(_BAD_QUADRATICS))
+def test_a_malformed_quadratic_factor_exits_2_with_one_error_line(doc, path, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["verify", "--spec", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    (line,) = captured.err.splitlines()
+    assert re.match("error: " + path, line)
 
 
 def _paths(node, path=()):

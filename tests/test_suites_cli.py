@@ -15,8 +15,10 @@ from dwfinsler.engine import LIFT_ORDER, EnginePoint, workspace
 from dwfinsler.errors import UnknownSuiteError
 from dwfinsler.runspec import (MAX_POINTS, fixture_document, fixture_runspec,
                                sample_points)
-from dwfinsler.report import report_document
-from dwfinsler.suites import _entry, _Entries, _point_doc, _Tracker, emit_report, run_suites
+from dwfinsler.report import SuiteEntry, report_document
+from dwfinsler.suites import _Entries, _point_doc, _Tracker, emit_report, run_suites
+
+from test_swap import swapped_document
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +156,26 @@ def test_cli_report_rerender(tmp_path, capsys):
     assert "yF=G" in capsys.readouterr().out
 
 
+def test_a_skipped_suite_reports_one_entry_and_reads_back(tmp_path, capsys):
+    # FIX-R with its factors swapped: factor 1 is the Randers one, so con1 and
+    # scalar-flag each report their one informational entry, with no witness.
+    doc = swapped_document(fixture_document("FIX-R"))
+    doc["suites"] = ["con1", "scalar-flag"]
+    spec_path, report_path = tmp_path / "swapped.json", tmp_path / "report.json"
+    spec_path.write_text(json.dumps(doc))
+    assert main(["verify", "--spec", str(spec_path), "--json", str(report_path)]) == 0
+    capsys.readouterr()
+    stored = json.loads(report_path.read_text())["report"]["suites"]
+    assert [(s["name"], s["passed"], len(s["entries"])) for s in stored] == [
+        ("con1", True, 1), ("scalar-flag", True, 1)]
+    for s in stored:
+        (entry,) = s["entries"]
+        assert entry["name"].startswith("skipped (")
+        assert (entry["tolerance"], entry["point"], entry["passed"]) == (None, None, True)
+    assert main(["report", "--json", str(report_path)]) == 0
+    assert "result: OK (2 checks passed, 0 failed)" in capsys.readouterr().out
+
+
 def test_cli_tolerance_override_can_fail(capsys):
     code = main(["verify", "--fixture", "FIX-E", "--points", "2",
                  "--suite", "lemma41", "--tol", "lemma41=1e-30"])
@@ -237,7 +259,8 @@ def test_tracker_fails_closed_on_nan():
         tr = _Tracker()
         tr.feed(bad, None, "bad")
         tr.feed(1e-30, None, "fine")
-        entry = _entry(spec, "lemma41", "fiber-contraction", tr)
+        entry = SuiteEntry("fiber-contraction", tr.value, spec.tolerance("lemma41"),
+                           _point_doc(tr.point), tr.note)
         assert entry.passed is False
         assert entry.note == "bad"
 
@@ -465,6 +488,9 @@ _MISTYPED_REPORTS = {
     ("verify", _fixture_with("sampling", {"seed": 3}), ["--points", str(2 ** 62)]),
     ("verify", _fixture_with("label", None), []),
     ("verify", _fixture_with("label", {"a": 1}), []),
+    ("verify", _fixture_with("label", "FIX-P"), ["--tol", "lemma41"]),
+    ("eval", _fixture_with("label", "FIX-P"), ["--point", "w=0,0;u=0,0;y=1,0;v=0,1"]),
+    ("eval", _fixture_with("label", "FIX-P"), ["--point", "x=;u=0,0;y=1,0;v=0,1"]),
     ("report", b"{not json", []),
     ("report", b'{"config": "\xff"}', []),
     ("report", b"[" * 100000, []),
@@ -474,13 +500,14 @@ _MISTYPED_REPORTS = {
 ], ids=["spec-not-json", "spec-not-utf8", "spec-too-deep", "spec-array-with-seed",
         "spec-sampling-array-with-seed", "spec-tolerances-array-with-tol",
         "spec-count-over-cap", "spec-points-2-62", "spec-null-label", "spec-object-label",
+        "tol-without-value", "point-unknown-group", "point-empty-group",
         "report-not-json", "report-not-utf8", "report-too-deep", "report-without-engine",
         *(f"report-{name}-{fmt}" for name in _MISTYPED_REPORTS for fmt in ("text", "json"))])
 def test_cli_rejects_a_malformed_file_with_one_error_line(command, content, flags,
                                                           tmp_path, capsys):
     path = tmp_path / "file.json"
     path.write_bytes(content)
-    option = "--spec" if command == "verify" else "--json"
+    option = "--json" if command == "report" else "--spec"
     assert main([command, option, str(path)] + flags) == 2
     captured = capsys.readouterr()
     assert not captured.out

@@ -130,12 +130,13 @@ def test_constructors_take_positions_keywords_and_defaults():
     assert p.x == (1.0, 2.0) and all(type(t) is float for t in p.x + p.u + p.y + p.v)
     assert p.coord(fiber2(1)) == 1.0 and p.coord(base2(0)) == 3.0
 
-    entry = SuiteEntry("yF=G", "contraction", 1e-12, 1e-8, True)
-    assert (entry.point, entry.note) == (None, "")
-    entry = SuiteEntry(suite="kahler", name="n", residual=0.0, tolerance=None,
-                       passed=True, point=[1.0], note="x")
-    assert (entry.suite, entry.tolerance, entry.point, entry.note) == ("kahler", None, [1.0], "x")
-    result = SuiteResult("kahler", True, False, True, 0.0, (entry,))
+    entry = SuiteEntry("contraction", 1e-12, 1e-8)
+    assert (entry.passed, entry.point, entry.note) == (True, None, "")
+    entry = SuiteEntry(name="n", residual=0.0, tolerance=None, point=[1.0], note="x")
+    assert (entry.name, entry.tolerance, entry.point, entry.note) == ("n", None, [1.0], "x")
+    result = SuiteResult(name="kahler", expected_failure=False, entries=(entry,))
+    assert (result.passed, result.as_expected, result.max_residual) == (True, True, 0.0)
+    assert SuiteResult("kahler", False, (entry,)).entries == (entry,)
     report = DiagnosticsReport(label="L", seed=1, count=2, suites=(result,))
     assert report.ok and report.pass_count == 1 and report.fail_count == 0
 
@@ -166,4 +167,9 @@ def test_importing_the_library_leaves_dataclasses_unloaded():
     # The value classes and records are plain slotted classes: an import that
     # pulled in dataclasses would pay again for generating their methods.
     code = "import sys, numpy, dwfinsler; print(sorted({'dataclasses'} & set(sys.modules)))"
+    assert fresh_python(code).strip() == "[]"
+    # Nor does a run load the reader of stored reports or its parser.
+    code = ("import sys, dwfinsler as dw\n"
+            "dw.emit_report(dw.run_suites(dw.fixture_runspec('FIX-R', count=2)), 'json')\n"
+            "print(sorted({'dwfinsler.cli', 'argparse'} & set(sys.modules)))")
     assert fresh_python(code).strip() == "[]"
