@@ -57,8 +57,8 @@ def _suite(name, entries, expected_failure=False):
 @pytest.mark.parametrize("residual", [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                                       1.7976931348623157e308, 1e16, 0.1])
 def test_the_writer_spells_every_float_as_json(residual):
-    # An entry at its own tolerance passes, and fails when that is NaN, and
-    # is its suite's maximum; an expected failure, so mostly an unexpected pass.
+    # The entry sits at its own tolerance, so it passes unless it is NaN, and
+    # it is its suite's maximum; that suite is declared an expected failure.
     entry = SuiteEntry("e", residual, residual, _point(residual, 1.0, 1.0, 1.0))
     report = _report(suites=[_suite("s", [entry], expected_failure=True),
                              _suite("t", [SuiteEntry("f", 1.0, 0.0)])])
@@ -180,7 +180,8 @@ def test_a_mistyped_field_of_a_stored_report_is_named(where, key, value, message
 def test_the_records_derive_their_verdicts():
     nan = SuiteEntry("n", math.nan, 1.0)
     lower = SuiteEntry("w", 0.5, 0.0, None, "lower bound")
-    assert [e.passed for e in (nan, lower, SuiteEntry("i", math.inf, None))] == [False] * 2 + [True]
+    informational = SuiteEntry("i", math.inf, None)
+    assert (nan.passed, lower.passed, informational.passed) == (False, False, True)
     result = SuiteResult("s", True, (SuiteEntry("ok", 0.25, 1.0), nan))
     assert (result.passed, result.as_expected) == (False, True)
     assert math.isnan(result.max_residual)

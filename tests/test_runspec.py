@@ -272,15 +272,16 @@ def _bad_quadratic(name, dim, entries):
 
 
 #: riemannian_quadratic factors whose entries the parser rejects: (doc, path).
+_ENTRIES = r"\$\.factors\[0\]\.parameters\.entries"
 _BAD_QUADRATICS = {
     "quadratic-entry-not-a-list": (_bad_quadratic("FIX-1D", 1, [["x"]]),
-                                   r"\$\.factors\[0\]\.parameters\.entries\[0\]\[0\]: expected a list"),
+                                   _ENTRIES + r"\[0\]\[0\]: expected a list"),
     "quadratic-bad-term": (_bad_quadratic("FIX-1D", 1, [[[[1.0]]]]),
-                           r"\$\.factors\[0\]\.parameters\.entries\[0\]\[0\]\[0\]: expected \["),
+                           _ENTRIES + r"\[0\]\[0\]\[0\]: expected \[coefficient"),
     "quadratic-not-dim-by-dim": (_bad_quadratic("FIX-1D", 1, [[_ONE], [_ONE]]),
-                                 r"\$\.factors\[0\]\.parameters\.entries: expected a 1x1 matrix"),
+                                 _ENTRIES + r": expected a 1x1 matrix"),
     "quadratic-short-row": (_bad_quadratic("FIX-E", 2, [[_ONE], [[], _ONE]]),
-                            r"\$\.factors\[0\]\.parameters\.entries\[0\]: expected 2 entries"),
+                            _ENTRIES + r"\[0\]: expected 2 entries"),
 }
 
 
