@@ -50,6 +50,8 @@ def _parse_point(text: str) -> TangentSample:
         name = name.strip()
         if name not in ("x", "u", "y", "v") or not values:
             raise SchemaError(f"--point expects 'x=..;u=..;y=..;v=..', got {text!r}")
+        if name in groups:
+            raise SchemaError(f"--point {name}: the group is given more than once in {text!r}")
         try:
             groups[name] = tuple(float(t) for t in values.split(","))
         except ValueError:

@@ -43,15 +43,16 @@ singular g, which the inverse rejects with
 A point may be a batch of samples (:class:`~dwfinsler.metrics.SampleBatch`):
 every tensor then has one more leading axis, over the samples, and every
 method runs unchanged on it, its contractions written over a leading
-``...``.  The value inverse of a batch is one Gauss-Jordan over its
-samples that runs each sample's own pivots and operations, so a batch gives
-each sample the bits of its own evaluation, and a sample that fails alone
-fails the batch with the same error.  The harness evaluates its
-sampled points this way, as strips (:meth:`Workspace.strips`), and its side
-points too (fiber-rescaled copies, finite-difference stencils).  A single
-sample serves the library and the CLI: :data:`dwfinsler.core.TENSORS` names
-the :class:`EnginePoint` method of each product tensor, and
-:func:`dwfinsler.core.tensor` reads it at a sample of the workspace.
+``...``.  The value inverse of a batch is one LAPACK inversion of its stack
+of matrices (:func:`~dwfinsler.linalg.invert`), which factors each matrix on
+its own, so a batch gives each sample the bits of its own evaluation, and a
+sample that fails alone fails the batch with the same error.  The harness
+evaluates its sampled points this way, as strips (:meth:`Workspace.strips`),
+and its side points too (fiber-rescaled copies, finite-difference
+stencils).  A single sample serves the library and the CLI:
+:data:`dwfinsler.core.TENSORS` names the :class:`EnginePoint` method of each
+product tensor, and :func:`dwfinsler.core.tensor` reads it at a sample of the
+workspace.
 
 Products run only where a reader takes their partials.  The adapted
 derivative :meth:`EnginePoint.delta` acts on a whole tensor field along every
@@ -89,7 +90,7 @@ import numpy as np
 from .blocks import matvec, vdot
 from .coords import CoordIndex
 from .jets import Jet, JetContext, context, einsum, einsum_powers, support_lift
-from .linalg import invert_batch, invert_matrix
+from .linalg import invert
 from .metrics import ProductConfig, SampleBatch, TangentSample
 
 #: Jet order of the whole-point lift of F^2: the Berwald tensor is the third
@@ -175,16 +176,9 @@ class EnginePoint:
 
     @_once
     def _value_inverse(self) -> tuple[np.ndarray, float | np.ndarray]:
-        """g0^-1 and its condition estimate: one Gauss-Jordan over the samples
-        of a batch (:func:`~dwfinsler.linalg.invert_batch`), which gives each
-        sample the bits of its own inversion, and the float elimination of
-        :func:`~dwfinsler.linalg.invert_matrix` for a single sample, where
-        array operations cost more than they save."""
-        g0 = self.g().value
-        if self.lead:
-            return invert_batch(g0)
-        inverse, cond = invert_matrix(g0.tolist())
-        return np.array(inverse), cond
+        """g0^-1 and its condition estimate (:func:`~dwfinsler.linalg.invert`),
+        each sample of a batch inverted with the bits of its own inversion."""
+        return invert(self.g().value)
 
     def g_condition(self) -> float | np.ndarray:
         """The 1-norm condition estimate of g's value (one per sample of a batch)."""
@@ -521,8 +515,10 @@ def _diagonal_blocks(live: np.ndarray, ctx: JetContext) -> list[tuple[np.ndarray
     where they depend on the same seeds, and each keeps the seeds on which
     some coefficient of its entries is nonzero.  They are read off the
     coefficients, not the configuration, so any field's g splits as far as
-    its zeros show.  The partial-pivot elimination never combines rows of
-    two components, so g0^-1 has the same blocks.
+    its zeros show.  LU with partial pivoting never combines rows of two
+    components: rows of another component hold exact zeros in the pivot
+    column, so none is picked as the pivot and each is updated by a zero
+    multiple.  g0^-1 has the same blocks.
     """
     # [a, b, seed]: some nonzero coefficient of the entry has a partial along the seed.
     seeded = live @ (ctx.tables.exps > 0)

@@ -1,22 +1,13 @@
-"""Small dense matrix inversion over floats.
+"""Small dense matrix inversion over floats, with a condition estimate.
 
-Dimensions here are tiny (metric blocks of size <= n1+n2), so a hand-rolled
-partial-pivot Gauss-Jordan with an explicit condition estimate is preferred
-over a library call.  :func:`invert_matrix` inverts one matrix on Python
-floats; :func:`invert_batch` runs the same elimination over a batch of
-matrices as array operations, and gives each matrix the bits, the condition
-estimate and the error it would get alone.  Derivatives of an inverse metric
-are not carried here: the engine inverts the value matrix and builds the jet
-from it (:meth:`dwfinsler.engine.EnginePoint.ginv`).
-
-The batch is eliminated as ``aug[row, col, sample]``, the sample axis last,
-so each row operation is one contiguous vector over the samples.  Pivots and
-the 1-norms of the condition estimate take the first maximum, as Python's
-``max`` does: a NaN is picked only where it comes first, since nothing
-compares greater than it, and ``argmax`` finds that pick once every later
-NaN reads -inf.  Which of two NaN operands a product passes on is not fixed
-(CPython 3.11 changes it once it specializes the multiply), so only a NaN's
-sign may differ from the single inversion.
+:func:`invert` inverts one matrix or a stack of them with ``np.linalg.inv``,
+which runs LAPACK's LU factorization with partial pivoting on each matrix of
+the stack alone, so a matrix has the same bits in a stack as on its own.
+Every inverse comes with the 1-norm condition estimate
+``|g|_1 |g^-1|_1``, and a matrix that is exactly singular or whose estimate
+exceeds :data:`CONDITION_LIMIT` is rejected.  Derivatives of an inverse
+metric are not carried here: the engine inverts the value matrix and builds
+the jet from it (:meth:`dwfinsler.engine.EnginePoint.ginv`).
 """
 
 from __future__ import annotations
@@ -29,102 +20,53 @@ from .errors import SingularMetricError
 CONDITION_LIMIT = 1e12
 
 
-def _norm1(rows) -> float:
-    n = len(rows)
-    return max(sum(abs(rows[i][j]) for i in range(n)) for j in range(n))
+def _each_alone(g0: np.ndarray):
+    """The inverse of each matrix of ``g0[..., n, n]`` on its own, and which
+    of them LAPACK rejects (NaN in their place)."""
+    n = g0.shape[-1]
+    inverse = np.full(g0.shape, np.nan)
+    rejected = np.zeros(g0.shape[:-2], dtype=bool)
+    for k, (mat, out) in enumerate(zip(g0.reshape(-1, n, n), inverse.reshape(-1, n, n))):
+        try:
+            out[...] = np.linalg.inv(mat)
+        except np.linalg.LinAlgError:
+            rejected.flat[k] = True
+    return inverse, rejected
 
 
-def invert_matrix(rows):
-    """Invert a square matrix given as nested sequences of floats.
-
-    Returns ``(inverse_rows, condition_estimate)``.  Raises
-    :class:`SingularMetricError` on a zero pivot or when the 1-norm condition
-    estimate exceeds :data:`CONDITION_LIMIT`.
-    """
-    n = len(rows)
-    aug = [[float(t) for t in row] + [1.0 if i == j else 0.0 for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if aug[pivot_row][col] == 0.0:
-            raise SingularMetricError(f"singular matrix: zero pivot in column {col}")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv_pivot = 1.0 / aug[col][col]
-        aug[col] = [entry * inv_pivot for entry in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = aug[r][col]
-            if factor == 0.0:
-                continue
-            aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    inverse = [row[n:] for row in aug]
-    cond = _norm1(rows) * _norm1(inverse)
-    if cond > CONDITION_LIMIT:
-        raise SingularMetricError(
-            f"ill-conditioned matrix: condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.1e}")
-    return inverse, cond
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """The 1-norm of each matrix of ``a[..., n, n]``: its largest column sum
+    of absolute values, each column summed from row 0."""
+    return np.maximum.reduce(np.add.reduce(np.abs(a), -2), -1)
 
 
-def _nan_first(values: np.ndarray) -> np.ndarray:
-    """``values`` with every NaN below its first row made -inf, in place.
+def invert(g0):
+    """Invert every matrix of ``g0[..., n, n]``.
 
-    Over axis 0 its ``argmax`` and ``max`` are then the index and value that
-    Python's ``max`` picks: the first of equal values, and a NaN only when it
-    is first, since no value compares greater than a NaN already picked.
-    """
-    tail = values[1:]
-    tail[np.isnan(tail)] = -np.inf
-    return values
-
-
-def _norm1_columns(a: np.ndarray) -> np.ndarray:
-    """:func:`_norm1` of every matrix of ``a[row, col, sample]``: each column
-    summed over its rows from row 0 (a reduction over the outer axis adds row
-    by row), then the first maximum."""
-    return _nan_first(np.abs(a).sum(0)).max(0)
-
-
-def invert_batch(g0: np.ndarray):
-    """Invert every matrix of ``g0[..., n, n]`` as :func:`invert_matrix` does.
-
-    Each matrix gets the same pivots, swaps and operations in the same order,
-    so its inverse and condition estimate have the bits of its own inversion.
-    Returns ``(inverses[..., n, n], conditions[...])``.  A matrix that fails
-    alone fails the batch: the first such one, in C order, raises its error.
+    Returns ``(inverses[..., n, n], conditions[...])``, the condition
+    estimate a float for a single matrix.  A matrix with a NaN entry gets an
+    inverse and an estimate of NaN, and no error.  Raises
+    :class:`SingularMetricError` for the first matrix in C order that is
+    exactly singular or whose estimate exceeds :data:`CONDITION_LIMIT`.
     """
     g0 = np.asarray(g0, dtype=float)
-    n = g0.shape[-1]
-    rows = g0.reshape(-1, n, n)
-    m = len(rows)
-    samples = np.arange(m)
-    # aug[row, col, sample]: every row operation is one contiguous vector.
-    aug = np.zeros((n, 2 * n, m))
-    aug[:, :n] = rows.transpose(1, 2, 0)
-    aug[range(n), range(n, 2 * n)] = 1.0
-    singular = np.zeros(m, dtype=bool)
+    try:
+        inverse, rejected = np.linalg.inv(g0), np.zeros(g0.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        inverse, rejected = _each_alone(g0)
     with np.errstate(all="ignore"):
-        norm = _norm1_columns(aug[:, :n])
-        for col in range(n):
-            pivot_row = _nan_first(np.abs(aug[col:, col])).argmax(0) + col
-            if (pivot_row != col).any():
-                row = aug[pivot_row, :, samples]
-                aug[pivot_row, :, samples] = aug[col].T
-                aug[col] = row.T
-            pivot = aug[col, col]
-            singular |= pivot == 0.0
-            aug[col] *= 1.0 / pivot
-            factor = aug[:, col].copy()
-            factor[col] = 0.0
-            # A zero factor leaves its row as it is, as the loop skips it:
-            # a - 0 * b could turn -0.0 into 0.0, or 0 * inf into NaN.
-            np.subtract(aug, factor[:, None] * aug[col], out=aug,
-                        where=(factor != 0.0)[:, None])
-        inverse = aug[:, n:]
-        cond = norm * _norm1_columns(inverse)
-    failed = np.flatnonzero(singular | (cond > CONDITION_LIMIT))
-    if failed.size:
-        invert_matrix(rows[failed[0]].tolist())  # raises the error of that matrix alone
-    return (np.ascontiguousarray(inverse.transpose(2, 0, 1)).reshape(g0.shape),
-            cond.reshape(g0.shape[:-2]))
+        norm = _norm1(g0)
+        cond = norm * _norm1(inverse)
+    # A rejected matrix has a NaN inverse, so only a NaN or a large estimate
+    # needs a closer look.
+    if not (cond <= CONDITION_LIMIT).all():
+        nan = np.isnan(norm)
+        inverse[nan] = np.nan
+        failed = np.flatnonzero(~nan & (rejected | (cond > CONDITION_LIMIT)))
+        if failed.size:
+            k = failed[0]
+            if rejected.flat[k]:
+                raise SingularMetricError("singular matrix: zero pivot in its LU factorization")
+            raise SingularMetricError(f"ill-conditioned matrix: condition estimate "
+                                      f"{cond.flat[k]:.3e} exceeds {CONDITION_LIMIT:.1e}")
+    return inverse, float(cond) if g0.ndim == 2 else cond

@@ -25,7 +25,7 @@ import numpy as np
 from .coords import CoordIndex, Value, base_coords, fiber_coords
 from .errors import DomainError, MetricDefinitionError, SlitConditionError
 from .jets import Jet, exp, sqrt
-from .linalg import invert_batch
+from .linalg import invert
 
 #: Fiber vectors with Euclidean norm below this violate the slit condition.
 SLIT_FLOOR = 1e-12
@@ -180,8 +180,10 @@ class RandersFactor(Value):
 
     def _b_norm_sq(self, pos):
         """The squared base norm b^i a^ij b_j of the one-form, at each sample
-        of ``pos``: the base matrices of all samples inverted as one batch,
-        and the products summed in (i, j) order, as at a single sample."""
+        of ``pos``: the base matrices of all samples inverted as one stack
+        (:func:`~dwfinsler.linalg.invert`), each with the bits of its own
+        inversion, and the products summed in (i, j) order, as at a single
+        sample."""
         if isinstance(self.base, EuclideanFactor):
             return sum(t * t for t in self.b)
         samples = np.array(_each_sample(pos))
@@ -189,7 +191,7 @@ class RandersFactor(Value):
         for i, row in enumerate(self.base.matrix(tuple(samples.T))):
             for j, entry in enumerate(row):
                 mat[:, i, j] = entry
-        inv, _ = invert_batch(mat)
+        inv, _ = invert(mat)
         return sum(inv[:, i, j] * self.b[i] * self.b[j]
                    for i in range(self.dim) for j in range(self.dim))
 
@@ -311,16 +313,19 @@ WarpSpec = ConstantWarp | PolyQuadraticWarp | ExponentialWarp
 # ---------------------------------------------------------------------------
 
 class TangentSample(Value):
-    """A point (x, u, y, v) of the slit bundle, each group a tuple of floats;
-    both fiber vectors nonzero."""
+    """A point (x, u, y, v) of the slit bundle, each group a tuple of finite
+    floats; both fiber vectors nonzero."""
 
     __slots__ = ("x", "u", "y", "v")
 
     def __init__(self, x: Sequence[float], u: Sequence[float],
                  y: Sequence[float], v: Sequence[float]):
-        y, v = tuple(map(float, y)), tuple(map(float, v))
-        _require_slit([y], [v])
-        self._init(tuple(map(float, x)), tuple(map(float, u)), y, v)
+        groups = tuple(tuple(map(float, g)) for g in (x, u, y, v))
+        for name, group in zip("xuyv", groups):
+            if not all(map(math.isfinite, group)):
+                raise MetricDefinitionError(f"sample coordinates {name} must be finite: {group}")
+        _require_slit([groups[2]], [groups[3]])
+        self._init(*groups)
 
     @classmethod
     def _of_rows(cls, rows: np.ndarray, n1: int, n2: int) -> list["TangentSample"]:

@@ -25,11 +25,11 @@ def engine_point(wp, name: str):
     return wp.product if name == "product" else wp.factors[int(name[-1]) - 1]
 
 
-def fresh_python(code: str) -> str:
+def fresh_python(code: str, **env: str) -> str:
     """The standard output of ``code`` run in a new interpreter that imports
-    this checkout's package."""
+    this checkout's package, with ``env`` added to its environment."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dwfinsler.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60).stdout

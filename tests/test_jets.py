@@ -13,7 +13,7 @@ from dwfinsler.errors import CapabilityError, DomainError
 from dwfinsler.engine import LIFT_ORDER, SPRAY_ORDER, VALUE_ORDER
 from dwfinsler.fd import fd_partial, fd_partials
 from dwfinsler.jets import Jet, context, einsum
-from dwfinsler.linalg import invert_matrix
+from dwfinsler.linalg import invert
 from conftest import engine_point, jet_lift, region
 
 P = TangentSample((3.0,), (1.0,), (1.0,), (2.0,))
@@ -617,7 +617,7 @@ def _full_delta(ep, field):
 def _full_ginv(ep):
     """The nilpotent series with each product, constant factors too, on the table."""
     g = ep.g()
-    inv0 = Jet.constant(g.ctx, np.array(invert_matrix(g.value)[0]))
+    inv0 = Jet.constant(g.ctx, invert(g.value)[0])
     step = -einsum("ab,bc->ac", inv0, g - g.value)
     out = term = inv0
     for _ in range(g.order):

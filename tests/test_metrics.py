@@ -80,10 +80,14 @@ NAN, INF = float("nan"), float("inf")
     lambda: CustomFactor(0, lambda pos, fib: fib[0] * fib[0]),
     lambda: ExponentialWarp(0.3, -1), lambda: ExponentialWarp(0.3, True),
     lambda: ExponentialWarp(0.3, 1.0),
+    lambda: TangentSample((NAN,), (0.5,), (1.0,), (1.0,)),
+    lambda: TangentSample((0.0,), (0.5,), (INF,), (1.0,)),
+    lambda: TangentSample((0.0,), (-INF,), (1.0,), (1.0, NAN)),
 ], ids=["const-nan", "const-inf", "const-neg-inf", "poly-nan", "poly-inf", "exp-nan",
         "exp-neg-inf", "randers-nan", "randers-inf", "dim-float", "dim-bool", "dim-zero",
         "quadratic-dim-float", "randers-dim-bool", "custom-dim-zero", "exp-axis-negative",
-        "exp-axis-bool", "exp-axis-float"])
+        "exp-axis-bool", "exp-axis-float", "sample-x-nan", "sample-y-inf",
+        "sample-u-neg-inf"])
 def test_spec_constructors_fail_closed_on_non_finite_parameters(make):
     # Each guard is written so that a NaN fails it, as an out-of-range value does.
     with pytest.raises(MetricDefinitionError):

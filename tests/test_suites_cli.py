@@ -227,6 +227,7 @@ def test_cli_usage_errors(capsys, tmp_path):
     ("x=a,0;u=0,0;y=1,0;v=0,1", "--point x: expected numbers"),
     ("x=0,0;u=0,0;y=1,0;v=nan,1", "--point v: coordinates must be finite"),
     ("x=0,0;u=inf,0;y=1,0;v=0,1", "--point u: coordinates must be finite"),
+    ("x=0.1,0;x=0.5,0;u=0,0;y=1,0;v=0,1", "--point x: the group is given more than once"),
 ])
 def test_cli_rejects_a_point_that_is_not_finite_numbers(point, message, capsys):
     assert main(["eval", "--fixture", "FIX-R", "--point", point]) == 2
